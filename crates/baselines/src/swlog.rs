@@ -4,9 +4,8 @@
 //! persisted with `clwb` + `sfence` before the corresponding data may be
 //! written, so every log operation sits on the critical path — the paper
 //! cites up to a 70 % throughput loss versus hardware logging. This scheme
-//! exists to reproduce that motivation (see the `motivation_sw_logging`
-//! bench target); the paper's evaluation section itself compares hardware
-//! designs only.
+//! exists to reproduce that motivation (see `evaluate motivation`); the
+//! paper's evaluation section itself compares hardware designs only.
 
 use std::collections::BTreeSet;
 

@@ -1,27 +1,25 @@
-//! The unified evaluation driver: runs any registered experiment (or all
-//! of them) across parallel workers and writes one JSON report per
-//! experiment.
+//! `evaluate`, the repository's one entry point: runs any registered
+//! experiment (or all of them) across parallel workers and writes one
+//! JSON report per experiment.
 //!
 //! ```text
 //! evaluate <experiment|all|list> [--txs N] [--seed S] [--jobs J] [--json-dir D]
 //!          [--cores C] [--bench Name[,Name...]] [--trace-events PATH]
 //! evaluate check <report.json>
+//! evaluate store-gc
 //! ```
 //!
-//! Experiments resolve by registry name (`fig11`) or legacy binary name
-//! (`fig11_write_traffic`); the text output is byte-identical to the
-//! pre-framework serial binaries at any `--jobs`. Reports land in
+//! Experiments resolve by registry name (`fig11`, case-insensitively);
+//! the text output is identical at any `--jobs`. Reports land in
 //! `target/reports/` unless `--json-dir` says otherwise; progress lines go
 //! to stderr so stdout stays comparable.
 
-use std::io::Write as _;
-use std::net::SocketAddr;
 use std::path::Path;
 
 use silo_bench::{
-    arg_string, arg_u64, arg_usize, default_jobs, http, registry, run_experiment_checked, try_arg,
-    write_report, EventTraceSink, ExpParams, ExperimentError, ExperimentSpec, PanicPolicy,
-    ResultStore, ServeOptions, Server, TraceCache,
+    arg_string, arg_u64, arg_usize, default_jobs, registry, run_experiment_checked, write_report,
+    EventTraceSink, ExpParams, ExperimentError, ExperimentSpec, PanicPolicy, ResultStore,
+    TraceCache,
 };
 use silo_types::JsonValue;
 
@@ -31,25 +29,11 @@ usage: evaluate <experiment|all|list> [--txs N] [--seed S] [--jobs J] [--json-di
                 [--no-result-store] [--trace-events PATH] [--catch-cell-panics]
        evaluate check <report.json>
        evaluate store-gc
-       evaluate serve [--addr A] [--serve-workers N] [--queue-cap N]
-                      [--lru-cap N] [--store-dir D]
-       evaluate serve-submit <experiment> --addr A [run flags] [--report-out F]
-       evaluate serve-stats --addr A
-       evaluate serve-stop --addr A
-       evaluate serve-bench [--txs N] [--out F] [--store-dir D]
 
-serve runs the memoized simulation daemon: POST /cell and POST
-/experiment submit work, GET /progress/<id> and GET /result/<id> follow
-a detached job, GET /stats reports the queue/cache counters, and POST
-/shutdown drains and stops (there is no signal handler; use serve-stop).
-serve-submit mirrors the CLI run surface over HTTP: stdout is the
-experiment text, byte-identical to running it locally, and --report-out
-writes the report body (the CLI report minus the jobs/wall_ms
-envelope). serve-bench self-hosts a daemon and measures cold/warm grid
-wall time plus cached single-cell serve latency into BENCH_serve.json.
+check validates a report: a string \"experiment\", a \"cells\" array, and
+exact integer counters in every cycle breakdown (exit 1 otherwise).
 
-A cell that fails exits 3; a render failure exits 4 (serve-submit maps
-the daemon's 500-with-origin bodies onto the same codes).
+A cell that fails exits 3; a render failure exits 4.
 --catch-cell-panics turns a panicking cell into a recorded failed
 outcome instead of aborting the run.
 
@@ -108,11 +92,6 @@ fn main() {
             }
         }
         "check" => check(args.get(2).map(String::as_str)),
-        "serve" => serve_cmd(&args),
-        "serve-submit" => serve_submit(&args),
-        "serve-stats" => client_get(&args, "/stats"),
-        "serve-stop" => client_post(&args, "/shutdown"),
-        "serve-bench" => serve_bench(&args),
         "store-gc" => match ResultStore::global().gc() {
             Ok((dirs, files)) => {
                 println!("result store gc: removed {dirs} stale fingerprint dirs, {files} entries")
@@ -224,22 +203,26 @@ fn check(path: Option<&str>) {
         eprintln!("error: {path} is not well-formed JSON: {err}");
         std::process::exit(1);
     });
-    let name = v
-        .get("experiment")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("?");
-    let cells = v.get("cells").and_then(JsonValue::as_array).unwrap_or(&[]);
+    let (Some(name), Some(cells)) = (
+        v.get("experiment").and_then(JsonValue::as_str),
+        v.get("cells").and_then(JsonValue::as_array),
+    ) else {
+        eprintln!(
+            "error: {path} is not a report (needs a string \"experiment\" and a \"cells\" array)"
+        );
+        std::process::exit(1);
+    };
     let mut breakdowns = 0usize;
     let mut violations = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
         let Some(stats) = cell.get("stats") else {
             continue;
         };
-        if stats.get("breakdown").is_none() {
+        let Some(b) = stats.get("breakdown") else {
             continue;
-        }
+        };
         breakdowns += 1;
-        violations.extend(breakdown_violations(i, stats));
+        violations.extend(breakdown_violations(i, stats, b));
     }
     if !violations.is_empty() {
         for msg in &violations {
@@ -257,58 +240,21 @@ fn check(path: Option<&str>) {
     }
 }
 
+/// Reads an exact cycle counter, recording a violation when it is missing
+/// or not an unsigned integer (so a damaged counter never reads as 0).
+fn counter(v: Option<&JsonValue>, what: impl FnOnce() -> String, out: &mut Vec<String>) -> u64 {
+    v.and_then(JsonValue::as_u64).unwrap_or_else(|| {
+        out.push(format!("{} is missing or not an integer", what()));
+        0
+    })
+}
+
 /// Validates one cell's cycle-attribution invariant: each per-core
-/// category row sums to that core's reported clock, per-category totals
-/// match the column sums, and the grand total matches everything.
-fn breakdown_violations(cell: usize, stats: &JsonValue) -> Vec<String> {
+/// category row holds one counter per category and sums to that core's
+/// reported clock, per-category totals match the column sums, and the
+/// grand total matches everything.
+fn breakdown_violations(cell: usize, stats: &JsonValue, b: &JsonValue) -> Vec<String> {
     let mut out = Vec::new();
-    let b = stats.get("breakdown").expect("caller checked presence");
-    let rows: Vec<Vec<u64>> = b
-        .get("per_core")
-        .and_then(JsonValue::as_array)
-        .map(|rows| {
-            rows.iter()
-                .map(|row| {
-                    row.as_array()
-                        .map(|xs| {
-                            xs.iter()
-                                .map(|x| x.as_f64().unwrap_or(f64::NAN) as u64)
-                                .collect()
-                        })
-                        .unwrap_or_default()
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let core_cycles: Vec<u64> = stats
-        .get("per_core")
-        .and_then(JsonValue::as_array)
-        .map(|cs| {
-            cs.iter()
-                .map(|c| {
-                    c.get("cycles")
-                        .and_then(JsonValue::as_f64)
-                        .unwrap_or(f64::NAN) as u64
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    if rows.len() != core_cycles.len() {
-        out.push(format!(
-            "cell {cell}: breakdown covers {} cores but per_core reports {}",
-            rows.len(),
-            core_cycles.len()
-        ));
-        return out;
-    }
-    for (i, (row, &cycles)) in rows.iter().zip(&core_cycles).enumerate() {
-        let sum: u64 = row.iter().sum();
-        if sum != cycles {
-            out.push(format!(
-                "cell {cell}: core {i} categories sum to {sum}, clock is {cycles}"
-            ));
-        }
-    }
     let categories: Vec<String> = b
         .get("categories")
         .and_then(JsonValue::as_array)
@@ -318,346 +264,82 @@ fn breakdown_violations(cell: usize, stats: &JsonValue) -> Vec<String> {
                 .collect()
         })
         .unwrap_or_default();
+    let (Some(rows), Some(cores)) = (
+        b.get("per_core").and_then(JsonValue::as_array),
+        stats.get("per_core").and_then(JsonValue::as_array),
+    ) else {
+        out.push(format!(
+            "cell {cell}: breakdown.per_core or per_core is not an array"
+        ));
+        return out;
+    };
+    if rows.len() != cores.len() {
+        out.push(format!(
+            "cell {cell}: breakdown covers {} cores but per_core reports {}",
+            rows.len(),
+            cores.len()
+        ));
+        return out;
+    }
+    // Sums in u128: adversarial counters near u64::MAX must not overflow.
+    let mut columns = vec![0u128; categories.len()];
+    for (i, (row, core)) in rows.iter().zip(cores).enumerate() {
+        let cycles = counter(
+            core.get("cycles"),
+            || format!("cell {cell}: per_core[{i}].cycles"),
+            &mut out,
+        );
+        let row = row.as_array().unwrap_or(&[]);
+        if row.len() != categories.len() {
+            out.push(format!(
+                "cell {cell}: core {i} breakdown row has {} counters for {} categories",
+                row.len(),
+                categories.len()
+            ));
+            continue;
+        }
+        let mut sum = 0u128;
+        for (k, x) in row.iter().enumerate() {
+            let n = counter(
+                Some(x),
+                || format!("cell {cell}: core {i} {} counter", categories[k]),
+                &mut out,
+            );
+            sum += u128::from(n);
+            columns[k] += u128::from(n);
+        }
+        if sum != u128::from(cycles) {
+            out.push(format!(
+                "cell {cell}: core {i} categories sum to {sum}, clock is {cycles}"
+            ));
+        }
+    }
     let Some(totals) = b.get("totals") else {
         out.push(format!("cell {cell}: breakdown has no totals object"));
         return out;
     };
-    let mut grand = 0u64;
-    for (k, cat) in categories.iter().enumerate() {
-        let column: u64 = rows
-            .iter()
-            .map(|row| row.get(k).copied().unwrap_or(0))
-            .sum();
-        grand += column;
-        let reported = totals
-            .get(cat)
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(f64::NAN) as u64;
-        if reported != column {
+    for (cat, &column) in categories.iter().zip(&columns) {
+        let reported = counter(
+            totals.get(cat),
+            || format!("cell {cell}: totals.{cat}"),
+            &mut out,
+        );
+        if u128::from(reported) != column {
             out.push(format!(
                 "cell {cell}: totals.{cat} is {reported}, column sums to {column}"
             ));
         }
     }
-    let total = totals
-        .get("total")
-        .and_then(JsonValue::as_f64)
-        .unwrap_or(f64::NAN) as u64;
-    if total != grand {
+    let grand: u128 = columns.iter().sum();
+    let total = counter(
+        totals.get("total"),
+        || format!("cell {cell}: totals.total"),
+        &mut out,
+    );
+    if u128::from(total) != grand {
         out.push(format!(
             "cell {cell}: totals.total is {total}, categories sum to {grand}"
         ));
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// serve: daemon + HTTP client subcommands
-// ---------------------------------------------------------------------------
-
-/// `evaluate serve`: run the simulation daemon until `POST /shutdown`.
-fn serve_cmd(args: &[String]) {
-    let mut options = ServeOptions::default();
-    if let Some(addr) = arg_string(args, "--addr") {
-        options.addr = addr;
-    }
-    options.workers = arg_usize(args, "--serve-workers", options.workers);
-    options.queue_cap = arg_usize(args, "--queue-cap", options.queue_cap);
-    options.lru_cap = arg_usize(args, "--lru-cap", options.lru_cap);
-    if let Some(dir) = arg_string(args, "--store-dir") {
-        options.store_dir = Some(dir.into());
-    }
-    if options.workers == 0 || options.queue_cap == 0 {
-        eprintln!("error: --serve-workers and --queue-cap must be at least 1");
-        std::process::exit(2);
-    }
-    let server = Server::start(options).unwrap_or_else(|err| {
-        eprintln!("error: starting daemon: {err}");
-        std::process::exit(1);
-    });
-    // Scripts scrape this exact line for the bound port.
-    println!("serving on {}", server.addr());
-    let _ = std::io::stdout().flush();
-    server.wait();
-    eprintln!("[serve] drained and stopped");
-}
-
-/// Parses the mandatory `--addr host:port` of the client subcommands.
-fn client_addr(args: &[String]) -> SocketAddr {
-    let Some(addr) = arg_string(args, "--addr") else {
-        eprintln!("error: --addr <host:port> is required");
-        std::process::exit(2);
-    };
-    addr.parse().unwrap_or_else(|_| {
-        eprintln!("error: bad --addr {addr:?} (expected host:port)");
-        std::process::exit(2);
-    })
-}
-
-fn request_or_die(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> http::Response {
-    http::http_request(addr, method, path, body).unwrap_or_else(|err| {
-        eprintln!("error: {method} {path} on {addr}: {err}");
-        std::process::exit(1);
-    })
-}
-
-/// `serve-stats`: print one endpoint's JSON body (exit 1 on a non-200).
-fn client_get(args: &[String], path: &str) {
-    let resp = request_or_die(client_addr(args), "GET", path, None);
-    println!("{}", resp.body);
-    if resp.status != 200 {
-        std::process::exit(1);
-    }
-}
-
-/// `serve-stop`: POST to an endpoint and print the JSON body.
-fn client_post(args: &[String], path: &str) {
-    let resp = request_or_die(client_addr(args), "POST", path, Some("{}"));
-    println!("{}", resp.body);
-    if resp.status != 200 {
-        std::process::exit(1);
-    }
-}
-
-/// `serve-submit`: run a registry experiment on the daemon. Stdout is the
-/// experiment text, byte-identical to running it locally; exit codes
-/// mirror the CLI (2 bad request, 1 backpressure/transport, 3 cell
-/// failure, 4 render failure).
-fn serve_submit(args: &[String]) {
-    let name = match args.get(2) {
-        Some(name) if !name.starts_with("--") => name.clone(),
-        _ => {
-            eprintln!("usage: evaluate serve-submit <experiment> --addr A [run flags]");
-            std::process::exit(2);
-        }
-    };
-    let addr = client_addr(args);
-    let mut body = JsonValue::object().field("name", name.as_str());
-    for (flag, key) in [
-        ("--txs", "txs"),
-        ("--seed", "seed"),
-        ("--cores", "cores"),
-        ("--jobs", "jobs"),
-        ("--points", "points"),
-        ("--point", "point"),
-        ("--torn-keep", "torn_keep"),
-        ("--battery-bytes", "battery_bytes"),
-    ] {
-        match try_arg::<u64>(args, flag) {
-            Ok(Some(v)) => body = body.field(key, v),
-            Ok(None) => {}
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-    for (flag, key) in [
-        ("--bench", "bench"),
-        ("--scheme", "scheme"),
-        ("--fault", "fault"),
-        ("--arrival", "arrival"),
-    ] {
-        if let Some(v) = arg_string(args, flag) {
-            body = body.field(key, v);
-        }
-    }
-    let resp = request_or_die(addr, "POST", "/experiment", Some(&body.build().to_string()));
-    match resp.status {
-        200 => {
-            let parsed = JsonValue::parse(&resp.body).unwrap_or_else(|err| {
-                eprintln!("error: daemon sent malformed JSON: {err}");
-                std::process::exit(1);
-            });
-            print!(
-                "{}",
-                parsed.get("text").and_then(JsonValue::as_str).unwrap_or("")
-            );
-            if let Some(served) = parsed.get("served") {
-                eprintln!("[serve] {name}: served {served}");
-            }
-            if let Some(out) = arg_string(args, "--report-out") {
-                let report = parsed.get("report").cloned().unwrap_or(JsonValue::Null);
-                if let Err(err) = std::fs::write(&out, format!("{report}\n")) {
-                    eprintln!("error: writing {out}: {err}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        429 => {
-            let retry = resp.header("retry-after").unwrap_or("?");
-            eprintln!(
-                "error: daemon queue full (Retry-After: {retry}s): {}",
-                resp.body
-            );
-            std::process::exit(1);
-        }
-        500 => {
-            let parsed = JsonValue::parse(&resp.body).ok();
-            let origin = parsed
-                .as_ref()
-                .and_then(|p| p.get("origin"))
-                .and_then(JsonValue::as_str)
-                .unwrap_or("render")
-                .to_string();
-            let message = parsed
-                .as_ref()
-                .and_then(|p| p.get("error"))
-                .and_then(JsonValue::as_str)
-                .unwrap_or(resp.body.as_str())
-                .to_string();
-            eprintln!("error: {origin} failure: {message}");
-            std::process::exit(if origin == "cell" { 3 } else { 4 });
-        }
-        status => {
-            eprintln!("error: daemon answered {status}: {}", resp.body);
-            std::process::exit(2);
-        }
-    }
-}
-
-fn ms_since(start: std::time::Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1000.0
-}
-
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    let idx = ((sorted_ms.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
-}
-
-fn expect_status(resp: &http::Response, want: u16, what: &str) {
-    if resp.status != want {
-        eprintln!(
-            "error: serve-bench {what}: daemon answered {} (wanted {want}): {}",
-            resp.status, resp.body
-        );
-        std::process::exit(1);
-    }
-}
-
-/// `serve-bench`: self-host a daemon on a scratch store and measure the
-/// serve layer — cold and warm full-grid wall time, cached single-cell
-/// serve latency (p50/p99 over 200 requests), and a duplicate burst for
-/// the singleflight counters. Writes `BENCH_serve.json`.
-fn serve_bench(args: &[String]) {
-    let txs = arg_usize(args, "--txs", 500);
-    let out = arg_string(args, "--out").unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let store_dir =
-        arg_string(args, "--store-dir").unwrap_or_else(|| "target/serve-bench-store".to_string());
-    // Cold means cold: start from an empty scratch store.
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let server = Server::start(ServeOptions {
-        store_dir: Some(store_dir.into()),
-        ..ServeOptions::default()
-    })
-    .unwrap_or_else(|err| {
-        eprintln!("error: starting bench daemon: {err}");
-        std::process::exit(1);
-    });
-    let addr = server.addr();
-    eprintln!("[serve-bench] daemon on {addr}");
-
-    let grid = JsonValue::object()
-        .field("name", "fig11")
-        .field("txs", txs)
-        .build()
-        .to_string();
-    let t = std::time::Instant::now();
-    let cold = request_or_die(addr, "POST", "/experiment", Some(&grid));
-    let grid_cold_wall_ms = ms_since(t);
-    expect_status(&cold, 200, "cold fig11 grid");
-
-    let t = std::time::Instant::now();
-    let warm = request_or_die(addr, "POST", "/experiment", Some(&grid));
-    let grid_warm_wall_ms = ms_since(t);
-    expect_status(&warm, 200, "warm fig11 grid");
-    let report_of = |body: &str| {
-        JsonValue::parse(body)
-            .ok()
-            .and_then(|p| p.get("report").map(|r| r.to_string()))
-    };
-    if report_of(&cold.body) != report_of(&warm.body) {
-        eprintln!("error: serve-bench: warm grid report differs from cold");
-        std::process::exit(1);
-    }
-
-    // Cached single-cell serves: the whole grid is warm now, so every one
-    // of these must come from the memory tier.
-    let spec = registry::find("fig11").expect("fig11 is registered");
-    let params = ExpParams {
-        txs,
-        ..ExpParams::defaults(&spec)
-    };
-    let cells = spec.build(&params);
-    let cell_requests = 200usize;
-    let cell_body = cells[0].to_json().to_string();
-    let mut latencies = Vec::with_capacity(cell_requests);
-    for _ in 0..cell_requests {
-        let t = std::time::Instant::now();
-        let resp = request_or_die(addr, "POST", "/cell", Some(&cell_body));
-        latencies.push(ms_since(t));
-        expect_status(&resp, 200, "cached cell");
-    }
-    latencies.sort_by(f64::total_cmp);
-    let cached_p50_wall_ms = percentile(&latencies, 0.50);
-    let cached_p99_wall_ms = percentile(&latencies, 0.99);
-
-    // Duplicate burst: eight concurrent submissions of one cold spec.
-    // The singleflight table must collapse them to a single execution
-    // (visible as merges + executed=1 deltas in /stats).
-    let cold_params = ExpParams {
-        seed: 4242,
-        ..params
-    };
-    let dup_body = spec.build(&cold_params)[0].to_json().to_string();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..8)
-            .map(|_| scope.spawn(|| request_or_die(addr, "POST", "/cell", Some(&dup_body))))
-            .collect();
-        // The `served` provenance legitimately differs (one submission
-        // executes, the rest merge); the cell payload must not.
-        let mut cells: Vec<String> = handles
-            .into_iter()
-            .map(|h| {
-                let resp = h.join().expect("burst thread");
-                expect_status(&resp, 200, "duplicate burst cell");
-                JsonValue::parse(&resp.body)
-                    .ok()
-                    .and_then(|p| p.get("cell").map(|c| c.to_string()))
-                    .unwrap_or_default()
-            })
-            .collect();
-        cells.dedup();
-        if cells.len() != 1 || cells[0].is_empty() {
-            eprintln!("error: serve-bench: duplicate submissions got different cells");
-            std::process::exit(1);
-        }
-    });
-
-    let stats = request_or_die(addr, "GET", "/stats", None);
-    eprintln!("[serve-bench] stats: {}", stats.body);
-
-    let bench = JsonValue::object()
-        .field("experiment", "serve")
-        .field("txs", txs)
-        .field("cell_requests", cell_requests)
-        .field("grid_cold_wall_ms", grid_cold_wall_ms)
-        .field("grid_warm_wall_ms", grid_warm_wall_ms)
-        .field("cached_p50_wall_ms", cached_p50_wall_ms)
-        .field("cached_p99_wall_ms", cached_p99_wall_ms)
-        .build();
-    if let Err(err) = std::fs::write(&out, format!("{bench}\n")) {
-        eprintln!("error: writing {out}: {err}");
-        std::process::exit(1);
-    }
-    println!("{bench}");
-
-    let stop = request_or_die(addr, "POST", "/shutdown", Some("{}"));
-    expect_status(&stop, 200, "shutdown");
-    server.wait();
 }

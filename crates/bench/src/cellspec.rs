@@ -22,7 +22,7 @@
 use silo_core::{SiloOptions, SiloScheme};
 use silo_pm::PCM_CELL_ENDURANCE;
 use silo_sim::{Engine, LoggingScheme, SimConfig};
-use silo_types::{Cycles, JsonValue, CLOCK_GHZ};
+use silo_types::{Cycles, CLOCK_GHZ};
 use silo_workloads::{workload_by_name, ArrivalProcess, OpenLoop, Workload};
 
 use crate::exp::{CellLabel, CellOutcome};
@@ -667,35 +667,6 @@ impl CellSpec {
             ),
         }
     }
-
-    /// Serializes the spec — label included — for wire transport (the
-    /// serve daemon's `POST /cell` body). [`CellSpec::from_json`] inverts
-    /// it exactly: a round trip preserves the label and the
-    /// [`CellSpec::spec_hash`].
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("label", label_to_json(&self.label))
-            .field("seed", self.seed)
-            .field("work", work_to_json(&self.work))
-            .build()
-    }
-
-    /// Rebuilds a spec from [`CellSpec::to_json`] output, validating every
-    /// name against the live tables (schemes, workloads, arrival idents)
-    /// so a daemon can reject a bad spec with a message instead of
-    /// panicking mid-execution.
-    pub fn from_json(v: &JsonValue) -> Result<CellSpec, String> {
-        let label = match v.get("label") {
-            Some(l) => label_from_json(l)?,
-            None => CellLabel::default(),
-        };
-        let seed = v
-            .get("seed")
-            .and_then(JsonValue::as_u64)
-            .ok_or("spec needs an integer \"seed\"")?;
-        let work = work_from_json(v.get("work").ok_or("spec needs a \"work\" object")?)?;
-        Ok(CellSpec { label, seed, work })
-    }
 }
 
 const LARGE_TX_CORES: usize = 8;
@@ -710,432 +681,6 @@ pub(crate) fn fuzz_workload_spec(workload: &str, arrival: Option<&str>) -> Workl
     match arrival.and_then(ArrivalProcess::parse) {
         Some(p) => WorkloadSpec::open(workload, p),
         None => WorkloadSpec::plain(workload),
-    }
-}
-
-// --- wire codec -----------------------------------------------------------
-//
-// The serve daemon transports specs as JSON. Serialization is total;
-// deserialization validates every name against the live tables so a bad
-// spec comes back as an `Err` message (a structured 400) instead of a
-// panic inside a worker.
-
-fn req_str<'a>(v: &'a JsonValue, key: &str, what: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("{what} needs a string {key:?}"))
-}
-
-fn req_u64(v: &JsonValue, key: &str, what: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("{what} needs an integer {key:?}"))
-}
-
-fn req_usize(v: &JsonValue, key: &str, what: &str) -> Result<usize, String> {
-    Ok(req_u64(v, key, what)? as usize)
-}
-
-fn opt_u64(v: &JsonValue, key: &str, what: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(f) => f
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("{what} {key:?} must be an integer")),
-    }
-}
-
-fn opt_usize(v: &JsonValue, key: &str, what: &str) -> Result<Option<usize>, String> {
-    Ok(opt_u64(v, key, what)?.map(|n| n as usize))
-}
-
-fn req_bool(v: &JsonValue, key: &str, what: &str) -> Result<bool, String> {
-    v.get(key)
-        .and_then(JsonValue::as_bool)
-        .ok_or_else(|| format!("{what} needs a boolean {key:?}"))
-}
-
-/// Validates a scheme legend name against the implemented set.
-fn checked_scheme(name: &str) -> Result<String, String> {
-    if crate::ALL_SCHEMES.contains(&name) {
-        Ok(name.to_string())
-    } else {
-        Err(format!(
-            "unknown scheme {name:?} (known: {})",
-            crate::ALL_SCHEMES.join(" ")
-        ))
-    }
-}
-
-/// Validates a workload name against the live workload table.
-fn checked_workload(name: &str) -> Result<String, String> {
-    if workload_by_name(name).is_some() {
-        Ok(name.to_string())
-    } else {
-        Err(format!("unknown workload {name:?}"))
-    }
-}
-
-fn label_to_json(label: &CellLabel) -> JsonValue {
-    JsonValue::object()
-        .field("scheme", label.scheme.as_str())
-        .field("workload", label.workload.as_str())
-        .field("cores", label.cores)
-        .field("param", label.param.as_str())
-        .build()
-}
-
-fn label_from_json(v: &JsonValue) -> Result<CellLabel, String> {
-    Ok(CellLabel {
-        scheme: v
-            .get("scheme")
-            .and_then(JsonValue::as_str)
-            .unwrap_or_default()
-            .to_string(),
-        workload: v
-            .get("workload")
-            .and_then(JsonValue::as_str)
-            .unwrap_or_default()
-            .to_string(),
-        cores: opt_usize(v, "cores", "label")?.unwrap_or(0),
-        param: v
-            .get("param")
-            .and_then(JsonValue::as_str)
-            .unwrap_or_default()
-            .to_string(),
-    })
-}
-
-fn scheme_to_json(scheme: &SchemeSpec) -> JsonValue {
-    match scheme {
-        SchemeSpec::Named(name) => JsonValue::Str(name.clone()),
-        SchemeSpec::Silo(opts) => {
-            let SiloOptions {
-                log_ignorance,
-                log_merging,
-                onpm_coalescing,
-                flush_bit,
-                ipu_drain_delay,
-                overflow_batch_override,
-                ipu_queue_entries,
-            } = *opts;
-            let mut silo = JsonValue::object()
-                .field("log_ignorance", log_ignorance)
-                .field("log_merging", log_merging)
-                .field("onpm_coalescing", onpm_coalescing)
-                .field("flush_bit", flush_bit)
-                .field("ipu_drain_delay", ipu_drain_delay)
-                .field("ipu_queue_entries", ipu_queue_entries);
-            if let Some(n) = overflow_batch_override {
-                silo = silo.field("overflow_batch_override", n);
-            }
-            JsonValue::object().field("silo", silo.build()).build()
-        }
-    }
-}
-
-fn scheme_from_json(v: &JsonValue) -> Result<SchemeSpec, String> {
-    if let Some(name) = v.as_str() {
-        return Ok(SchemeSpec::Named(checked_scheme(name)?));
-    }
-    let silo = v
-        .get("silo")
-        .ok_or("scheme must be a legend name or {\"silo\": {...}}")?;
-    Ok(SchemeSpec::Silo(SiloOptions {
-        log_ignorance: req_bool(silo, "log_ignorance", "silo options")?,
-        log_merging: req_bool(silo, "log_merging", "silo options")?,
-        onpm_coalescing: req_bool(silo, "onpm_coalescing", "silo options")?,
-        flush_bit: req_bool(silo, "flush_bit", "silo options")?,
-        ipu_drain_delay: req_u64(silo, "ipu_drain_delay", "silo options")?,
-        overflow_batch_override: opt_usize(silo, "overflow_batch_override", "silo options")?,
-        ipu_queue_entries: req_usize(silo, "ipu_queue_entries", "silo options")?,
-    }))
-}
-
-fn workload_to_json(w: &WorkloadSpec) -> JsonValue {
-    let mut obj = JsonValue::object()
-        .field("name", w.name.as_str())
-        .field("batch", w.batch);
-    if let Some(p) = &w.arrival {
-        obj = obj.field("arrival", p.ident());
-    }
-    obj.build()
-}
-
-fn workload_from_json(v: &JsonValue) -> Result<WorkloadSpec, String> {
-    let name = checked_workload(req_str(v, "name", "workload")?)?;
-    let batch = opt_usize(v, "batch", "workload")?.unwrap_or(1);
-    let arrival = match v.get("arrival") {
-        None | Some(JsonValue::Null) => None,
-        Some(a) => {
-            let ident = a.as_str().ok_or("workload \"arrival\" must be a string")?;
-            Some(
-                ArrivalProcess::parse(ident)
-                    .ok_or_else(|| format!("unknown arrival process {ident:?}"))?,
-            )
-        }
-    };
-    Ok(WorkloadSpec {
-        name,
-        batch,
-        arrival,
-    })
-}
-
-fn config_to_json(c: &ConfigDelta) -> JsonValue {
-    let ConfigDelta {
-        log_buffer_latency,
-        log_buffer_entries,
-        num_mcs,
-        onpm_buffer_lines,
-        tiny_hierarchy,
-    } = c;
-    let mut obj = JsonValue::object();
-    if let Some(n) = log_buffer_latency {
-        obj = obj.field("log_buffer_latency", *n);
-    }
-    if let Some(n) = log_buffer_entries {
-        obj = obj.field("log_buffer_entries", *n);
-    }
-    if let Some(n) = num_mcs {
-        obj = obj.field("num_mcs", *n);
-    }
-    if let Some(n) = onpm_buffer_lines {
-        obj = obj.field("onpm_buffer_lines", *n);
-    }
-    if *tiny_hierarchy {
-        obj = obj.field("tiny_hierarchy", true);
-    }
-    obj.build()
-}
-
-fn config_from_json(v: &JsonValue) -> Result<ConfigDelta, String> {
-    Ok(ConfigDelta {
-        log_buffer_latency: opt_u64(v, "log_buffer_latency", "config")?,
-        log_buffer_entries: opt_usize(v, "log_buffer_entries", "config")?,
-        num_mcs: opt_usize(v, "num_mcs", "config")?,
-        onpm_buffer_lines: opt_usize(v, "onpm_buffer_lines", "config")?,
-        tiny_hierarchy: v
-            .get("tiny_hierarchy")
-            .and_then(JsonValue::as_bool)
-            .unwrap_or(false),
-    })
-}
-
-fn run_to_json(run: &RunSpec) -> JsonValue {
-    let mut obj = JsonValue::object()
-        .field("scheme", scheme_to_json(&run.scheme))
-        .field("workload", workload_to_json(&run.workload))
-        .field("cores", run.cores)
-        .field("txs_per_core", run.txs_per_core);
-    if run.config != ConfigDelta::default() {
-        obj = obj.field("config", config_to_json(&run.config));
-    }
-    obj.build()
-}
-
-fn run_from_json(v: &JsonValue) -> Result<RunSpec, String> {
-    Ok(RunSpec {
-        scheme: scheme_from_json(v.get("scheme").ok_or("run needs a \"scheme\"")?)?,
-        workload: workload_from_json(v.get("workload").ok_or("run needs a \"workload\"")?)?,
-        cores: req_usize(v, "cores", "run")?,
-        txs_per_core: req_usize(v, "txs_per_core", "run")?,
-        config: match v.get("config") {
-            Some(c) => config_from_json(c)?,
-            None => ConfigDelta::default(),
-        },
-    })
-}
-
-fn fault_to_json(f: &FaultSpec) -> JsonValue {
-    match *f {
-        FaultSpec::OpBoundary => JsonValue::object().field("kind", "op-boundary").build(),
-        FaultSpec::TornLine(keep) => JsonValue::object()
-            .field("kind", "torn-line")
-            .field("keep", keep)
-            .build(),
-        FaultSpec::Battery(bytes) => JsonValue::object()
-            .field("kind", "battery")
-            .field("bytes", bytes)
-            .build(),
-    }
-}
-
-fn fault_from_json(v: &JsonValue) -> Result<FaultSpec, String> {
-    match req_str(v, "kind", "fault")? {
-        "op-boundary" => Ok(FaultSpec::OpBoundary),
-        "torn-line" => Ok(FaultSpec::TornLine(req_usize(
-            v,
-            "keep",
-            "torn-line fault",
-        )?)),
-        "battery" => Ok(FaultSpec::Battery(req_u64(v, "bytes", "battery fault")?)),
-        other => Err(format!(
-            "unknown fault kind {other:?} (known: op-boundary torn-line battery)"
-        )),
-    }
-}
-
-fn work_to_json(work: &CellWork) -> JsonValue {
-    match work {
-        CellWork::Delta(run) => JsonValue::object()
-            .field("kind", "delta")
-            .field("run", run_to_json(run))
-            .build(),
-        CellWork::Full {
-            run,
-            record_throughput,
-        } => JsonValue::object()
-            .field("kind", "full")
-            .field("run", run_to_json(run))
-            .field("record_throughput", *record_throughput)
-            .build(),
-        CellWork::Profiled(run) => JsonValue::object()
-            .field("kind", "profiled")
-            .field("run", run_to_json(run))
-            .build(),
-        CellWork::Wear(run) => JsonValue::object()
-            .field("kind", "wear")
-            .field("run", run_to_json(run))
-            .build(),
-        CellWork::TraceStats { workload, txs } => JsonValue::object()
-            .field("kind", "trace-stats")
-            .field("workload", workload.as_str())
-            .field("txs", *txs)
-            .build(),
-        CellWork::LargeTx {
-            workload,
-            mult,
-            txs,
-        } => JsonValue::object()
-            .field("kind", "large-tx")
-            .field("workload", workload.as_str())
-            .field("mult", *mult)
-            .field("txs", *txs)
-            .build(),
-        CellWork::Recovery { txs, crash_at } => JsonValue::object()
-            .field("kind", "recovery")
-            .field("txs", *txs)
-            .field("crash_at", *crash_at)
-            .build(),
-        CellWork::CrashSweep {
-            scheme,
-            workload,
-            txs_per_core,
-            fault,
-            points,
-            point,
-        } => {
-            let mut obj = JsonValue::object()
-                .field("kind", "crash-sweep")
-                .field("scheme", scheme.as_str())
-                .field("workload", workload.as_str())
-                .field("txs_per_core", *txs_per_core)
-                .field("fault", fault_to_json(fault))
-                .field("points", *points);
-            if let Some(p) = point {
-                obj = obj.field("point", *p);
-            }
-            obj.build()
-        }
-        CellWork::Fuzz {
-            scheme,
-            workload,
-            txs_per_core,
-            execs,
-            fault,
-            crash_event,
-            recovery_crash,
-            arrival,
-        } => {
-            let mut obj = JsonValue::object()
-                .field("kind", "fuzz")
-                .field("scheme", scheme.as_str())
-                .field("workload", workload.as_str())
-                .field("txs_per_core", *txs_per_core)
-                .field("execs", *execs);
-            if let Some(f) = fault {
-                obj = obj.field("fault", fault_to_json(f));
-            }
-            if let Some(e) = crash_event {
-                obj = obj.field("crash_event", *e);
-            }
-            if let Some(r) = recovery_crash {
-                obj = obj.field("recovery_crash", *r);
-            }
-            if let Some(a) = arrival {
-                obj = obj.field("arrival", a.as_str());
-            }
-            obj.build()
-        }
-    }
-}
-
-fn work_from_json(v: &JsonValue) -> Result<CellWork, String> {
-    let run = |what: &str| -> Result<RunSpec, String> {
-        run_from_json(v.get("run").ok_or(format!("{what} needs a \"run\""))?)
-    };
-    match req_str(v, "kind", "work")? {
-        "delta" => Ok(CellWork::Delta(run("delta")?)),
-        "full" => Ok(CellWork::Full {
-            run: run("full")?,
-            record_throughput: v
-                .get("record_throughput")
-                .and_then(JsonValue::as_bool)
-                .unwrap_or(false),
-        }),
-        "profiled" => {
-            let run = run("profiled")?;
-            if !matches!(run.scheme, SchemeSpec::Named(_)) || run.config != ConfigDelta::default() {
-                return Err("profiled cells run named schemes on the stock machine".into());
-            }
-            Ok(CellWork::Profiled(run))
-        }
-        "wear" => Ok(CellWork::Wear(run("wear")?)),
-        "trace-stats" => Ok(CellWork::TraceStats {
-            workload: checked_workload(req_str(v, "workload", "trace-stats")?)?,
-            txs: req_usize(v, "txs", "trace-stats")?,
-        }),
-        "large-tx" => Ok(CellWork::LargeTx {
-            workload: checked_workload(req_str(v, "workload", "large-tx")?)?,
-            mult: req_usize(v, "mult", "large-tx")?,
-            txs: req_usize(v, "txs", "large-tx")?,
-        }),
-        "recovery" => Ok(CellWork::Recovery {
-            txs: req_usize(v, "txs", "recovery")?,
-            crash_at: req_u64(v, "crash_at", "recovery")?,
-        }),
-        "crash-sweep" => Ok(CellWork::CrashSweep {
-            scheme: checked_scheme(req_str(v, "scheme", "crash-sweep")?)?,
-            workload: checked_workload(req_str(v, "workload", "crash-sweep")?)?,
-            txs_per_core: req_usize(v, "txs_per_core", "crash-sweep")?,
-            fault: fault_from_json(v.get("fault").ok_or("crash-sweep needs a \"fault\"")?)?,
-            points: req_u64(v, "points", "crash-sweep")?,
-            point: opt_u64(v, "point", "crash-sweep")?,
-        }),
-        "fuzz" => Ok(CellWork::Fuzz {
-            scheme: checked_scheme(req_str(v, "scheme", "fuzz")?)?,
-            workload: checked_workload(req_str(v, "workload", "fuzz")?)?,
-            txs_per_core: req_usize(v, "txs_per_core", "fuzz")?,
-            execs: req_u64(v, "execs", "fuzz")?,
-            fault: match v.get("fault") {
-                None | Some(JsonValue::Null) => None,
-                Some(f) => Some(fault_from_json(f)?),
-            },
-            crash_event: opt_u64(v, "crash_event", "fuzz")?,
-            recovery_crash: opt_u64(v, "recovery_crash", "fuzz")?,
-            arrival: match v.get("arrival") {
-                None | Some(JsonValue::Null) => None,
-                Some(a) => {
-                    let ident = a.as_str().ok_or("fuzz \"arrival\" must be a string")?;
-                    ArrivalProcess::parse(ident)
-                        .ok_or_else(|| format!("unknown arrival process {ident:?}"))?;
-                    Some(ident.to_string())
-                }
-            },
-        }),
-        other => Err(format!("unknown work kind {other:?}")),
     }
 }
 
@@ -1679,136 +1224,5 @@ mod tests {
         assert_eq!(tweaked.num_mcs, 4);
         assert_eq!(tweaked.onpm_buffer_lines, 16);
         assert_eq!(tweaked.hierarchy.l3.size_bytes, 8 * 1024);
-    }
-
-    #[test]
-    fn json_round_trip_preserves_hash_and_label_for_every_variant() {
-        let labeled = |work: CellWork| {
-            CellSpec::new(
-                CellLabel::swc("Silo", "Hash", 8).with_param("x=1"),
-                42,
-                work,
-            )
-        };
-        let specs = vec![
-            labeled(CellWork::Delta(RunSpec::table_ii(
-                "Silo",
-                WorkloadSpec::plain("Hash"),
-                8,
-                100,
-            ))),
-            labeled(CellWork::Full {
-                run: RunSpec::table_ii(
-                    "Silo",
-                    WorkloadSpec::open("Hash", ArrivalProcess::Poisson { mean_gap: 2_000 }),
-                    8,
-                    100,
-                ),
-                record_throughput: true,
-            }),
-            labeled(CellWork::Profiled(RunSpec::table_ii(
-                "Silo",
-                WorkloadSpec::plain("Hash"),
-                8,
-                100,
-            ))),
-            labeled(CellWork::Wear(RunSpec {
-                scheme: SchemeSpec::Silo(SiloOptions {
-                    onpm_coalescing: false,
-                    overflow_batch_override: Some(12),
-                    ..SiloOptions::default()
-                }),
-                workload: WorkloadSpec::batched("Hash", 4),
-                cores: 8,
-                txs_per_core: 100,
-                config: ConfigDelta {
-                    num_mcs: Some(2),
-                    tiny_hierarchy: true,
-                    ..ConfigDelta::default()
-                },
-            })),
-            labeled(CellWork::TraceStats {
-                workload: "Hash".into(),
-                txs: 100,
-            }),
-            labeled(CellWork::LargeTx {
-                workload: "Hash".into(),
-                mult: 4,
-                txs: 100,
-            }),
-            labeled(CellWork::Recovery {
-                txs: 100,
-                crash_at: 5_000,
-            }),
-            labeled(CellWork::CrashSweep {
-                scheme: "Silo".into(),
-                workload: "Hash".into(),
-                txs_per_core: 100,
-                fault: FaultSpec::TornLine(64),
-                points: 4,
-                point: Some(2),
-            }),
-            labeled(CellWork::Fuzz {
-                scheme: "Silo".into(),
-                workload: "Hash".into(),
-                txs_per_core: 100,
-                execs: 24,
-                fault: Some(FaultSpec::Battery(64)),
-                crash_event: Some(9),
-                recovery_crash: Some(3),
-                arrival: Some("poisson2000".into()),
-            }),
-        ];
-        for original in specs {
-            // Through text, as the wire does it.
-            let text = original.to_json().to_string();
-            let parsed = JsonValue::parse(&text).expect("wire JSON parses");
-            let back = CellSpec::from_json(&parsed)
-                .unwrap_or_else(|e| panic!("round trip failed for {:?}: {e}", original.work));
-            assert_eq!(
-                back.spec_hash(),
-                original.spec_hash(),
-                "{:?}",
-                original.work
-            );
-            assert_eq!(back.work, original.work);
-            assert_eq!(back.seed, original.seed);
-            assert_eq!(back.label.describe(), original.label.describe());
-        }
-    }
-
-    #[test]
-    fn from_json_rejects_bad_names_with_messages() {
-        let cases = [
-            (
-                r#"{"seed":1,"work":{"kind":"trace-stats","workload":"Nope","txs":4}}"#,
-                "unknown workload",
-            ),
-            (
-                r#"{"seed":1,"work":{"kind":"delta","run":{"scheme":"Nope","workload":{"name":"Hash"},"cores":1,"txs_per_core":4}}}"#,
-                "unknown scheme",
-            ),
-            (
-                r#"{"seed":1,"work":{"kind":"full","run":{"scheme":"Silo","workload":{"name":"Hash","arrival":"warp9"},"cores":1,"txs_per_core":4}}}"#,
-                "unknown arrival",
-            ),
-            (
-                r#"{"seed":1,"work":{"kind":"teleport"}}"#,
-                "unknown work kind",
-            ),
-            (
-                r#"{"seed":1,"work":{"kind":"crash-sweep","scheme":"Silo","workload":"Hash","txs_per_core":4,"fault":{"kind":"gamma-ray"},"points":2}}"#,
-                "unknown fault kind",
-            ),
-            (
-                r#"{"work":{"kind":"recovery","txs":4,"crash_at":9}}"#,
-                "seed",
-            ),
-        ];
-        for (text, needle) in cases {
-            let v = JsonValue::parse(text).expect("test JSON parses");
-            let err = CellSpec::from_json(&v).expect_err(text);
-            assert!(err.contains(needle), "{text}: {err}");
-        }
     }
 }

@@ -26,7 +26,8 @@ use crate::format_normalized;
 #[derive(Clone, Debug)]
 pub struct ExpParams {
     /// Transaction budget (each experiment interprets it exactly as its
-    /// legacy binary did — usually total transactions split across cores).
+    /// pre-framework binary did — usually total transactions split across
+    /// cores).
     pub txs: usize,
     /// Workload generation seed.
     pub seed: u64,
@@ -42,7 +43,7 @@ pub struct ExpParams {
 
 impl ExpParams {
     /// Defaults for a spec: its transaction budget, seed 42, and the
-    /// `compare` extras at their legacy defaults.
+    /// `compare` extras at their historical defaults.
     pub fn defaults(spec: &ExperimentSpec) -> Self {
         ExpParams {
             txs: spec.default_txs,
@@ -258,8 +259,9 @@ pub enum ExpKind {
     Custom {
         /// Expands the parameters into independent cell specs.
         build: fn(&ExpParams) -> Vec<CellSpec>,
-        /// Renders the text output (byte-identical to the legacy binary)
-        /// and returns the experiment's derived values for the report.
+        /// Renders the text output (byte-identical to the pre-framework
+        /// binary) and returns the experiment's derived values for the
+        /// report.
         render: fn(&ExpParams, &[(CellLabel, CellOutcome)], &mut String) -> JsonValue,
     },
 }
@@ -269,12 +271,9 @@ pub enum ExpKind {
 pub struct ExperimentSpec {
     /// Registry name (`fig11`, `ablation_flushbit`, ...).
     pub name: &'static str,
-    /// The legacy binary under `src/bin/` that this spec replaces; the
-    /// binary is now a shim resolving itself through the registry.
-    pub legacy_bin: &'static str,
     /// One-line description for `evaluate list`.
     pub description: &'static str,
-    /// Default transaction budget (the legacy binary's default).
+    /// Default transaction budget (the pre-framework binary's default).
     pub default_txs: usize,
     /// Grid or custom behaviour.
     pub kind: ExpKind,

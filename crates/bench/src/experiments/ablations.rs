@@ -110,7 +110,6 @@ fn render_batch_size(
 pub fn batch_size() -> ExperimentSpec {
     ExperimentSpec {
         name: "ablation_batch_size",
-        legacy_bin: "ablation_batch_size",
         description: "overflow batch size 1/4/14 on overflow-heavy batched transactions",
         default_txs: 2_000,
         kind: ExpKind::Custom {
@@ -195,7 +194,6 @@ fn render_coalescing(
 pub fn coalescing() -> ExperimentSpec {
     ExperimentSpec {
         name: "ablation_coalescing",
-        legacy_bin: "ablation_coalescing",
         description: "Silo with the on-PM write-coalescing buffer on vs off",
         default_txs: 2_000,
         kind: ExpKind::Custom {
@@ -289,7 +287,6 @@ fn render_flushbit(
 pub fn flushbit() -> ExperimentSpec {
     ExperimentSpec {
         name: "ablation_flushbit",
-        legacy_bin: "ablation_flushbit",
         description: "flush-bit on vs off under eviction pressure (tiny hierarchy, 16x batches)",
         default_txs: 2_000,
         kind: ExpKind::Custom {
@@ -394,7 +391,6 @@ fn render_log_reduction(
 pub fn log_reduction() -> ExperimentSpec {
     ExperimentSpec {
         name: "ablation_log_reduction",
-        legacy_bin: "ablation_log_reduction",
         description:
             "log ignorance and merging contributions: full / no-ignore / no-merge / neither",
         default_txs: 2_000,

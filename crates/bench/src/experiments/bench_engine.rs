@@ -95,9 +95,6 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
 pub fn spec() -> ExperimentSpec {
     ExperimentSpec {
         name: "bench-engine",
-        // No shim binary exists for this post-framework experiment; the
-        // name only reserves a unique registry slot.
-        legacy_bin: "bench_engine",
         description: "engine hot-loop microbenchmark (full runs, wall-clock perf gate)",
         default_txs: 2_000,
         kind: ExpKind::Custom { build, render },

@@ -760,7 +760,6 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
 pub fn spec() -> ExperimentSpec {
     ExperimentSpec {
         name: "crashfuzz",
-        legacy_bin: "crashfuzz",
         description: "differential crash-surface fuzzing: schemes x faults x crash points",
         default_txs: 48,
         kind: ExpKind::Custom { build, render },

@@ -107,7 +107,6 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
 pub fn spec() -> ExperimentSpec {
     ExperimentSpec {
         name: "endurance",
-        legacy_bin: "endurance_report",
         description: "PM wear and lifetime estimates per scheme (endurance extension)",
         default_txs: 2_000,
         kind: ExpKind::Custom { build, render },

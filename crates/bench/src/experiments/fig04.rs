@@ -76,7 +76,6 @@ fn render(_p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) 
 pub fn spec() -> ExperimentSpec {
     ExperimentSpec {
         name: "fig04",
-        legacy_bin: "fig04_write_size",
         description: "write size per transaction across eleven workloads (motivation for the small log buffer)",
         default_txs: 2_000,
         kind: ExpKind::Custom { build, render },

@@ -14,7 +14,6 @@ fn throughput(stats: &SimStats) -> f64 {
 pub fn spec() -> ExperimentSpec {
     ExperimentSpec {
         name: "fig12",
-        legacy_bin: "fig12_throughput",
         description:
             "transaction throughput, normalized to Base (5 schemes x 7 benchmarks x 1/2/4/8 cores)",
         default_txs: 10_000,

@@ -94,7 +94,6 @@ fn render(_p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) 
 pub fn spec() -> ExperimentSpec {
     ExperimentSpec {
         name: "fig13",
-        legacy_bin: "fig13_log_reduction",
         description: "on-chip log entries per transaction under log ignorance and merging (sizes the 20-entry buffer)",
         default_txs: 10_000,
         kind: ExpKind::Custom { build, render },

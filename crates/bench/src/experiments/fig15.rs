@@ -90,7 +90,6 @@ fn render(_p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) 
 pub fn spec() -> ExperimentSpec {
     ExperimentSpec {
         name: "fig15",
-        legacy_bin: "fig15_buffer_latency",
         description: "throughput sensitivity to log-buffer access latency (8-128 cycles)",
         default_txs: 4_000,
         kind: ExpKind::Custom { build, render },

@@ -845,7 +845,6 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
 pub fn spec() -> ExperimentSpec {
     ExperimentSpec {
         name: "fuzz",
-        legacy_bin: "fuzz",
         description: "coverage-guided crash search with the per-word executable spec",
         default_txs: 16,
         kind: ExpKind::Custom { build, render },

@@ -1,11 +1,11 @@
 //! The registered experiments: every figure, table, ablation, and study
-//! of the paper's evaluation, one spec per legacy binary.
+//! of the paper's evaluation, plus the crash-search and observability
+//! utilities, one spec each.
 //!
 //! Each module exposes `spec()` (or several, for grouped modules). The
 //! build functions enumerate cells in exactly the order the pre-framework
 //! serial binaries executed their simulations, and the render functions
-//! reproduce those binaries' output byte for byte — `evaluate fig11` and
-//! the `fig11_write_traffic` shim print identical tables.
+//! reproduce those binaries' output byte for byte.
 
 pub mod ablations;
 pub mod bench_engine;

@@ -1,11 +1,11 @@
-//! Shared harness and experiment framework for the evaluation binaries.
+//! Shared harness and experiment framework behind the `evaluate` binary.
 //!
 //! Every experiment in this repository is an [`exp::ExperimentSpec`] in the
 //! [`registry`]: a declarative description of the simulation grid plus a
 //! render function reproducing the paper's tables. The [`runner`] fans the
 //! independent grid cells across worker threads, [`report`] persists JSON
-//! reports, and the `evaluate` binary (plus the per-figure shims under
-//! `src/bin/`) drives it all through [`run_legacy`].
+//! reports, and `evaluate` (the one binary, `src/bin/evaluate.rs`) resolves
+//! experiments by registry name and drives it all.
 //!
 //! The simulation primitives build on [`run_one`]: construct the Table II
 //! machine, instantiate a scheme by name, generate a workload's per-core
@@ -19,13 +19,11 @@
 pub mod cellspec;
 pub mod exp;
 pub mod experiments;
-pub mod http;
 pub mod probe;
 pub mod registry;
 pub mod report;
 pub mod result_store;
 pub mod runner;
-pub mod serve;
 pub mod trace_cache;
 
 pub use cellspec::{CellSpec, CellWork, ConfigDelta, FaultSpec, RunSpec, SchemeSpec, WorkloadSpec};
@@ -37,13 +35,12 @@ pub use report::{
 };
 pub use result_store::{ResultStore, ResultStoreStats, Served};
 pub use runner::{default_jobs, run_cells, run_cells_with, PanicPolicy};
-pub use serve::{ServeOptions, Server};
 pub use trace_cache::{TraceCache, TraceCacheStats, TraceKey};
 
 use silo_baselines::{
     BaseScheme, EadrSwLogScheme, FwbScheme, LadScheme, MorLogScheme, SwLogScheme,
 };
-use silo_core::{SiloOptions, SiloScheme};
+use silo_core::SiloScheme;
 use silo_sim::{Engine, LoggingScheme, SimConfig, SimStats, Transaction, TxStreams};
 use silo_workloads::Workload;
 
@@ -82,11 +79,6 @@ pub fn make_scheme(name: &str, config: &SimConfig) -> Box<dyn LoggingScheme> {
         "Silo" => Box::new(SiloScheme::new(config)),
         other => panic!("unknown scheme {other}"),
     }
-}
-
-/// Instantiates Silo with specific mechanisms toggled (ablation studies).
-pub fn make_silo_with(config: &SimConfig, options: SiloOptions) -> Box<dyn LoggingScheme> {
-    Box::new(SiloScheme::with_options(config, options))
 }
 
 /// Runs `workload` under `scheme_name` on the Table II machine. The trace
@@ -223,20 +215,6 @@ pub fn format_normalized(
     }
     writeln!(out).unwrap();
     out
-}
-
-/// Prints [`format_normalized`] to stdout.
-pub fn print_normalized(
-    title: &str,
-    benches: &[String],
-    schemes: &[&str],
-    values: &[Vec<f64>],
-    reference: usize,
-) {
-    print!(
-        "{}",
-        format_normalized(title, benches, schemes, values, reference)
-    );
 }
 
 #[cfg(test)]
@@ -384,66 +362,6 @@ pub fn arg_string(args: &[String], flag: &str) -> Option<String> {
             std::process::exit(2);
         }
     }
-}
-
-/// Drives one experiment spec from a parsed command line: applies the
-/// `--txs/--seed/--cores/--bench/--jobs` overrides, runs the cells across
-/// the workers, prints the rendered text (byte-identical to the serial
-/// legacy binary), and, when `--json-dir` names a directory, writes the
-/// JSON report there.
-pub fn run_cli(spec: &ExperimentSpec, args: &[String]) {
-    if args.iter().any(|a| a == "--no-trace-cache") {
-        TraceCache::global().set_enabled(false);
-    }
-    let mut store_on = !args.iter().any(|a| a == "--no-result-store");
-    if let Some(path) = arg_string(args, "--trace-events") {
-        if let Err(err) = EventTraceSink::global().enable(std::path::Path::new(&path)) {
-            eprintln!("error: opening event trace {path}: {err}");
-            std::process::exit(1);
-        }
-        // A replayed outcome emits no events, so a run that asks for the
-        // timeline must compute every cell fresh.
-        store_on = false;
-    }
-    ResultStore::global().set_enabled(store_on);
-    let mut params = ExpParams::defaults(spec);
-    params.txs = arg_usize(args, "--txs", params.txs);
-    params.seed = arg_u64(args, "--seed", params.seed);
-    params.cores = arg_usize(args, "--cores", params.cores);
-    if let Some(list) = arg_string(args, "--bench") {
-        params.benches = list.split(',').map(str::to_string).collect();
-    }
-    params.extra = args.to_vec();
-    let jobs = arg_usize(args, "--jobs", default_jobs());
-    if jobs == 0 {
-        eprintln!("error: --jobs must be at least 1");
-        std::process::exit(2);
-    }
-    let start = std::time::Instant::now();
-    let run = run_experiment(spec, &params, jobs);
-    print!("{}", run.text);
-    if let Some(dir) = arg_string(args, "--json-dir") {
-        let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
-        match write_report(&run, std::path::Path::new(&dir), jobs, wall_ms) {
-            Ok(path) => eprintln!("report: {}", path.display()),
-            Err(err) => {
-                eprintln!("error: writing report to {dir}: {err}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-/// Entry point of the legacy shim binaries under `src/bin/`: resolves the
-/// binary's own name through the registry and runs it with the process
-/// arguments. Output is byte-identical to the pre-framework binary.
-pub fn run_legacy(legacy_bin: &str) {
-    let spec = registry::find(legacy_bin).unwrap_or_else(|| {
-        eprintln!("error: {legacy_bin} is not in the experiment registry");
-        std::process::exit(2);
-    });
-    let args: Vec<String> = std::env::args().collect();
-    run_cli(&spec, &args);
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! The experiment registry: every figure, table, ablation, and study,
-//! resolvable by registry name (`fig11`) or legacy binary name
-//! (`fig11_write_traffic`).
+//! resolvable by registry name (`fig11`).
 
 use crate::exp::ExperimentSpec;
 use crate::experiments::{
@@ -40,18 +39,11 @@ pub fn all() -> Vec<ExperimentSpec> {
     ]
 }
 
-/// Resolves a spec by registry name or legacy binary name,
-/// case-insensitively.
+/// Resolves a spec by registry name, case-insensitively.
 pub fn find(name: &str) -> Option<ExperimentSpec> {
     all()
         .into_iter()
-        .find(|s| s.name.eq_ignore_ascii_case(name) || s.legacy_bin.eq_ignore_ascii_case(name))
-}
-
-/// Every registry name, in `evaluate all` order (daemon error messages
-/// list these so an unknown-experiment 400 is self-describing).
-pub fn names() -> Vec<&'static str> {
-    all().iter().map(|s| s.name).collect()
+        .find(|s| s.name.eq_ignore_ascii_case(name))
 }
 
 #[cfg(test)]
@@ -66,38 +58,13 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 25, "registry names must be unique");
-        let mut bins: Vec<&str> = specs.iter().map(|s| s.legacy_bin).collect();
-        bins.sort_unstable();
-        bins.dedup();
-        assert_eq!(bins.len(), 25, "legacy binary names must be unique");
-    }
-
-    #[test]
-    fn every_legacy_binary_resolves() {
-        // The shims under src/bin/ each resolve themselves through the
-        // registry by file name; a rename on either side must fail here.
-        let bin_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
-        let mut found = 0;
-        for entry in std::fs::read_dir(bin_dir).expect("src/bin exists") {
-            let name = entry.expect("entry").file_name();
-            let name = name.to_str().expect("utf-8 file name");
-            let Some(stem) = name.strip_suffix(".rs") else {
-                continue;
-            };
-            if stem == "evaluate" {
-                continue;
-            }
-            assert!(find(stem).is_some(), "binary {stem} is not in the registry");
-            found += 1;
-        }
-        assert_eq!(found, 20, "expected 20 legacy binaries under src/bin");
     }
 
     #[test]
     fn find_matches_spec_name_and_is_case_insensitive() {
         assert_eq!(find("fig11").expect("by name").name, "fig11");
-        assert_eq!(find("fig11_write_traffic").expect("by bin").name, "fig11");
         assert_eq!(find("FIG11").expect("case-insensitive").name, "fig11");
+        assert!(find("fig11_write_traffic").is_none(), "no legacy aliases");
         assert!(find("nonexistent").is_none());
     }
 }

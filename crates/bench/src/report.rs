@@ -1,7 +1,6 @@
 //! Experiment execution and JSON report persistence.
 //!
-//! [`run_experiment`] is the one entry point both `evaluate` and the
-//! legacy shim binaries use: build cells, fan them out, render. The
+//! [`run_experiment`] builds cells, fans them out, and renders them. The
 //! resulting [`ExperimentRun`] carries the text output (byte-identical to
 //! the pre-framework serial binaries) and the deterministic report body;
 //! [`write_report`] stamps on the non-deterministic envelope (wall time,
@@ -20,7 +19,7 @@ use crate::runner::{run_cells_with, PanicPolicy};
 pub struct ExperimentRun {
     /// Registry name of the experiment.
     pub name: &'static str,
-    /// The rendered text tables, exactly as the legacy binary printed them.
+    /// The rendered text tables, exactly as `evaluate` prints them.
     pub text: String,
     /// The deterministic report body: params, config fingerprint, per-cell
     /// raw stats, and the experiment's derived (normalized) values.
@@ -29,7 +28,7 @@ pub struct ExperimentRun {
 }
 
 /// Why an experiment run failed, with enough provenance to map onto an
-/// exit code (CLI) or a 500-with-origin body (daemon).
+/// exit code (3 for a cell, 4 for the render).
 #[derive(Clone, Debug)]
 pub enum ExperimentError {
     /// A cell failed to execute (a captured panic or a recorded error) and
@@ -45,24 +44,6 @@ pub enum ExperimentError {
         /// The captured panic message.
         message: String,
     },
-}
-
-impl ExperimentError {
-    /// `"cell"` or `"render"`: the `origin` field of daemon error bodies.
-    pub fn origin_kind(&self) -> &'static str {
-        match self {
-            ExperimentError::Cell { .. } => "cell",
-            ExperimentError::Render { .. } => "render",
-        }
-    }
-
-    /// The human-readable failure message.
-    pub fn message(&self) -> &str {
-        match self {
-            ExperimentError::Cell { message, .. } => message,
-            ExperimentError::Render { message } => message,
-        }
-    }
 }
 
 impl std::fmt::Display for ExperimentError {
@@ -86,8 +67,7 @@ pub fn run_experiment(spec: &ExperimentSpec, params: &ExpParams, jobs: usize) ->
 /// [`run_experiment`] with explicit panic handling: cells run under
 /// `policy`, and render failures come back as a typed
 /// [`ExperimentError`] instead of a propagating panic. The CLI maps the
-/// two variants to distinct exit codes; the daemon maps them to
-/// 500-with-origin JSON bodies.
+/// two variants to distinct exit codes.
 pub fn run_experiment_checked(
     spec: &ExperimentSpec,
     params: &ExpParams,
@@ -153,7 +133,7 @@ pub fn render_finished_checked(
     }
 }
 
-pub(crate) fn cell_json(label: &CellLabel, outcome: &CellOutcome) -> JsonValue {
+fn cell_json(label: &CellLabel, outcome: &CellOutcome) -> JsonValue {
     let mut obj = JsonValue::object();
     if !label.scheme.is_empty() {
         obj = obj.field("scheme", label.scheme.as_str());
@@ -194,7 +174,6 @@ fn report_body(
     JsonValue::object()
         .field("experiment", spec.name)
         .field("description", spec.description)
-        .field("legacy_bin", spec.legacy_bin)
         .field(
             "params",
             JsonValue::object()

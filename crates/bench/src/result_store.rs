@@ -7,19 +7,19 @@
 //! after first execution. A warm `evaluate` run re-renders every report
 //! byte-identically while paying only trace generation, never simulation.
 //!
-//! The store is **two-tier**: a bounded in-memory LRU of decoded
-//! [`CellOutcome`]s sits in front of the on-disk entries, so a hot cell is
-//! served without touching the filesystem — the serve daemon's
-//! microsecond path ([`ResultStore::peek`]). The CLI leaves the memory
-//! tier unbounded (a process never re-runs enough distinct cells to
-//! matter); the long-lived daemon caps it ([`ResultStore::set_memory_cap`]).
+//! The store is **two-tier**: an in-memory map of decoded
+//! [`CellOutcome`]s sits in front of the on-disk entries, so a cell that
+//! one process needs twice (fig11 and fig12 share their grid, racing
+//! workers share a key) is decoded or executed once. The map is
+//! unbounded: one `evaluate` process never runs enough distinct cells for
+//! its size to matter.
 //!
 //! Invalidation is conservative and needs no dependency tracking:
 //!
 //! * **code fingerprint** — a build-script hash of every workspace source
 //!   file ([`build.rs`]); entries live under a per-fingerprint directory,
 //!   so *any* source change makes the whole store cold (and `evaluate
-//!   store-gc` deletes the orphaned directories);
+//!   store-gc` deletes the orphaned fingerprint directories);
 //! * **trace fingerprint** — the content hashes of the trace sets the cell
 //!   consumes, so workload-generator output changes flow into the key even
 //!   within one build;
@@ -34,8 +34,8 @@
 //! per-slot locks serialize execution of one cell so a spec is executed
 //! **exactly once** per process even when racing workers request it, while
 //! distinct cells execute concurrently. Every lock recovers from
-//! poisoning: a captured cell panic (the daemon's panic isolation) must
-//! not wedge the store for later requests.
+//! poisoning: a captured cell panic (`--catch-cell-panics`) must not
+//! wedge the store for later requests.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -71,68 +71,16 @@ pub struct ResultStore {
     misses: AtomicU64,
     invalidated: AtomicU64,
     memory_hits: AtomicU64,
-    slots: Mutex<HashMap<(u64, u64), Arc<Slot>>>,
-    memory: Mutex<Lru>,
+    /// Per-key execution locks.
+    slots: Mutex<HashMap<Key, Arc<Mutex<()>>>>,
+    /// The memory tier: every outcome this process decoded or executed.
+    memory: Mutex<HashMap<Key, CellOutcome>>,
 }
 
-/// Per-key execution lock: holding it while computing a cell makes the
-/// execution exactly-once per process. The outcome itself lives in the
-/// [`Lru`] memory tier, not the slot, so the tier can be bounded.
-#[derive(Default)]
-struct Slot {
-    running: Mutex<()>,
-}
+/// A cell's store key: `(spec hash, trace fingerprint)`.
+type Key = (u64, u64);
 
-/// A small bounded LRU over decoded outcomes. Eviction scans for the
-/// oldest tick — O(n), which is fine at daemon cache sizes (thousands)
-/// against multi-millisecond simulations.
-struct Lru {
-    cap: usize,
-    tick: u64,
-    map: HashMap<(u64, u64), (CellOutcome, u64)>,
-}
-
-impl Lru {
-    fn new(cap: usize) -> Lru {
-        Lru {
-            cap,
-            tick: 0,
-            map: HashMap::new(),
-        }
-    }
-
-    fn get(&mut self, key: (u64, u64)) -> Option<CellOutcome> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(&key).map(|(outcome, used)| {
-            *used = tick;
-            outcome.clone()
-        })
-    }
-
-    fn insert(&mut self, key: (u64, u64), outcome: CellOutcome) {
-        self.tick += 1;
-        self.map.insert(key, (outcome, self.tick));
-        self.evict();
-    }
-
-    fn evict(&mut self) {
-        while self.map.len() > self.cap {
-            let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| *k)
-            else {
-                return;
-            };
-            self.map.remove(&oldest);
-        }
-    }
-}
-
-/// Store effectiveness counters (the `[result-store]` stderr line and the
-/// serve daemon's `GET /stats`).
+/// Store effectiveness counters (the `[result-store]` stderr line).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResultStoreStats {
     /// Cells served from memory or disk without executing.
@@ -148,7 +96,7 @@ pub struct ResultStoreStats {
 /// Where a [`ResultStore::get_or_run_traced`] outcome came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Served {
-    /// The in-memory LRU tier: microseconds, no disk touched.
+    /// The in-memory tier: microseconds, no disk touched.
     Memory,
     /// Decoded from an on-disk entry: no simulation ran.
     Disk,
@@ -158,8 +106,7 @@ pub enum Served {
 }
 
 impl Served {
-    /// Stable lower-case name for JSON payloads (`"memory"`, `"disk"`,
-    /// `"executed"`).
+    /// Stable lower-case name (`"memory"`, `"disk"`, `"executed"`).
     pub fn name(&self) -> &'static str {
         match self {
             Served::Memory => "memory",
@@ -184,9 +131,8 @@ impl ResultStore {
         })
     }
 
-    /// A store rooted at `dir` for the given code fingerprint (tests and
-    /// the serve daemon use private instances; the CLI uses
-    /// [`ResultStore::global`]).
+    /// A store rooted at `dir` for the given code fingerprint (tests use
+    /// private instances; the CLI uses [`ResultStore::global`]).
     pub fn new(dir: PathBuf, fingerprint: &str) -> ResultStore {
         ResultStore {
             enabled: AtomicBool::new(false),
@@ -197,7 +143,7 @@ impl ResultStore {
             invalidated: AtomicU64::new(0),
             memory_hits: AtomicU64::new(0),
             slots: Mutex::new(HashMap::new()),
-            memory: Mutex::new(Lru::new(usize::MAX)),
+            memory: Mutex::new(HashMap::new()),
         }
     }
 
@@ -211,20 +157,6 @@ impl ResultStore {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Bounds the in-memory tier to `cap` outcomes, evicting
-    /// least-recently-used entries if it is already larger. The CLI
-    /// default is unbounded; the serve daemon caps it.
-    pub fn set_memory_cap(&self, cap: usize) {
-        let mut memory = lock_recovering(&self.memory);
-        memory.cap = cap.max(1);
-        memory.evict();
-    }
-
-    /// Outcomes currently resident in the in-memory tier.
-    pub fn memory_len(&self) -> usize {
-        lock_recovering(&self.memory).map.len()
-    }
-
     /// Effectiveness counters so far.
     pub fn stats(&self) -> ResultStoreStats {
         ResultStoreStats {
@@ -236,22 +168,11 @@ impl ResultStore {
     }
 
     /// A memory-tier hit for `key`, counted, or `None`.
-    fn memory_get(&self, key: (u64, u64)) -> Option<CellOutcome> {
-        let outcome = lock_recovering(&self.memory).get(key)?;
+    fn memory_get(&self, key: Key) -> Option<CellOutcome> {
+        let outcome = lock_recovering(&self.memory).get(&key)?.clone();
         self.hits.fetch_add(1, Ordering::Relaxed);
         self.memory_hits.fetch_add(1, Ordering::Relaxed);
         Some(outcome)
-    }
-
-    /// Serves `spec` from the in-memory tier only: `Some` (counted as a
-    /// memory hit) when resident, `None` without touching disk or
-    /// executing anything. The serve daemon's fast path: a hit here never
-    /// waits on a queue slot.
-    pub fn peek(&self, spec: &CellSpec) -> Option<CellOutcome> {
-        if !self.enabled() || !spec.cacheable() {
-            return None;
-        }
-        self.memory_get((spec.spec_hash(), spec.trace_fingerprint()))
     }
 
     /// The outcome of `spec`: served from memory, then disk, then computed
@@ -283,7 +204,7 @@ impl ResultStore {
             let mut map = lock_recovering(&self.slots);
             Arc::clone(map.entry(key).or_default())
         };
-        let _running = lock_recovering(&slot.running);
+        let _running = lock_recovering(&slot);
         // Whoever held the slot before us filled the memory tier.
         if let Some(outcome) = self.memory_get(key) {
             return (outcome, Served::Memory);
@@ -317,7 +238,7 @@ impl ResultStore {
     }
 
     /// `<dir>/<code fingerprint>/<spec hash>-<trace fingerprint>.json`.
-    fn entry_path(&self, key: (u64, u64)) -> PathBuf {
+    fn entry_path(&self, key: Key) -> PathBuf {
         self.dir
             .join(&self.fingerprint)
             .join(format!("{:016x}-{:016x}.json", key.0, key.1))
@@ -336,8 +257,11 @@ impl ResultStore {
     }
 
     /// Deletes every per-fingerprint subdirectory whose fingerprint is not
-    /// this build's (`evaluate store-gc`). Returns `(directories removed,
-    /// entries removed)`.
+    /// this build's (`evaluate store-gc`). Only directories named like a
+    /// fingerprint (16 lowercase hex digits) are touched, so pointing
+    /// `SILO_RESULT_STORE` at a shared directory never deletes its other
+    /// contents. Returns `(directories removed, entries removed)`, where
+    /// an entry is a `*.json` file.
     pub fn gc(&self) -> std::io::Result<(usize, usize)> {
         let mut dirs = 0;
         let mut files = 0;
@@ -348,10 +272,19 @@ impl ResultStore {
         };
         for entry in entries.flatten() {
             let path = entry.path();
-            if !path.is_dir() || entry.file_name().to_string_lossy() == self.fingerprint {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if !path.is_dir() || !is_fingerprint(&name) || name == self.fingerprint {
                 continue;
             }
-            files += std::fs::read_dir(&path).map(Iterator::count).unwrap_or(0);
+            files += std::fs::read_dir(&path)
+                .map(|entries| {
+                    entries
+                        .flatten()
+                        .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
+                        .count()
+                })
+                .unwrap_or(0);
             std::fs::remove_dir_all(&path)?;
             dirs += 1;
         }
@@ -359,12 +292,21 @@ impl ResultStore {
     }
 }
 
+/// Whether a directory name has the shape of a code fingerprint: the 16
+/// lowercase hex digits `build.rs` stamps.
+fn is_fingerprint(name: &str) -> bool {
+    name.len() == 16
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+}
+
 /// Serializes an outcome for the store. Metric values are stored as the
 /// `f64` **bit pattern** (a JSON integer): the report layer formats the
 /// floats, so the store must reproduce them bit-exactly — including the
 /// non-finite values (`endurance` stores `inf` lifetimes) that JSON text
 /// cannot carry as numbers.
-fn encode_entry(outcome: &CellOutcome, key: (u64, u64)) -> String {
+fn encode_entry(outcome: &CellOutcome, key: Key) -> String {
     let values = JsonValue::Arr(
         outcome
             .values
@@ -392,7 +334,7 @@ fn encode_entry(outcome: &CellOutcome, key: (u64, u64)) -> String {
 /// wrong version, key mismatch (hash collision on the truncated file
 /// name), malformed values, unknown scheme, or a stats counter that fails
 /// the strict [`SimStats::from_json`] parse — and the caller recomputes.
-fn decode_entry(text: &str, key: (u64, u64)) -> Option<CellOutcome> {
+fn decode_entry(text: &str, key: Key) -> Option<CellOutcome> {
     let v = JsonValue::parse(text).ok()?;
     if v.get("v").and_then(JsonValue::as_u64) != Some(STORE_VERSION)
         || v.get("spec").and_then(JsonValue::as_str) != Some(&format!("{:016x}", key.0))
@@ -436,13 +378,18 @@ mod tests {
     use crate::cellspec::{CellWork, RunSpec, WorkloadSpec};
     use crate::exp::CellLabel;
 
+    /// Fingerprint-shaped names (16 lowercase hex digits), so `gc` treats
+    /// the test stores' directories exactly as it treats a build's.
+    const FP_TEST: &str = "00000000000000aa";
+    const FP_NEW: &str = "00000000000000bb";
+
     fn tmp_store(tag: &str) -> ResultStore {
         let dir = std::env::temp_dir().join(format!(
             "silo-result-store-test-{tag}-{}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        ResultStore::new(dir, "fp-test")
+        ResultStore::new(dir, FP_TEST)
     }
 
     fn small_spec(txs: usize) -> CellSpec {
@@ -523,7 +470,7 @@ mod tests {
         assert_eq!(store.stats().memory_hits, 1);
         assert_eq!(warm_served, Served::Memory);
         // "New process": fresh store over the same directory reads disk.
-        let fresh = ResultStore::new(store.dir.clone(), "fp-test");
+        let fresh = ResultStore::new(store.dir.clone(), FP_TEST);
         fresh.set_enabled(true);
         let (disk, disk_served) = fresh.get_or_run_traced(&spec);
         assert_eq!(disk_served, Served::Disk);
@@ -546,48 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_serves_memory_only() {
-        let store = tmp_store("peek");
-        store.set_enabled(true);
-        let spec = small_spec(9);
-        assert!(store.peek(&spec).is_none(), "cold peek must not execute");
-        assert_eq!(store.stats().misses, 0, "peek is not a miss");
-        store.get_or_run(&spec);
-        let peeked = store.peek(&spec).expect("resident after execution");
-        assert!(peeked.stats.is_some());
-        assert_eq!(store.stats().memory_hits, 1);
-        // A fresh store over the same directory has a cold memory tier:
-        // peek stays empty even though the disk entry exists.
-        let fresh = ResultStore::new(store.dir.clone(), "fp-test");
-        fresh.set_enabled(true);
-        assert!(fresh.peek(&spec).is_none(), "peek never reads disk");
-        let _ = std::fs::remove_dir_all(&store.dir);
-    }
-
-    #[test]
-    fn memory_cap_bounds_residency_and_evicts_lru() {
-        let store = tmp_store("lru");
-        store.set_enabled(true);
-        store.set_memory_cap(2);
-        let specs: Vec<CellSpec> = (3..6).map(small_spec).collect();
-        for spec in &specs {
-            store.get_or_run(spec);
-        }
-        assert_eq!(store.memory_len(), 2, "cap bounds the memory tier");
-        // The oldest outcome (specs[0]) was evicted: peek misses, but the
-        // disk tier still serves it without re-executing.
-        assert!(store.peek(&specs[0]).is_none());
-        let (_, served) = store.get_or_run_traced(&specs[0]);
-        assert_eq!(served, Served::Disk, "evicted outcome falls to disk");
-        // Touching specs[2] makes specs[1] the LRU victim of the reload.
-        assert_eq!(store.memory_len(), 2);
-        assert!(store.peek(&specs[2]).is_some());
-        store.get_or_run(&specs[0]);
-        assert!(store.peek(&specs[1]).is_none(), "LRU evicts the coldest");
-        let _ = std::fs::remove_dir_all(&store.dir);
-    }
-
-    #[test]
     fn corrupt_entries_recompute_instead_of_crashing() {
         let store = tmp_store("corrupt");
         store.set_enabled(true);
@@ -604,7 +509,7 @@ mod tests {
             &full.replace("sim_cycles", "sim_cyclez"), // renamed counter
         ] {
             std::fs::write(&path, bad).expect("inject corruption");
-            let fresh = ResultStore::new(store.dir.clone(), "fp-test");
+            let fresh = ResultStore::new(store.dir.clone(), FP_TEST);
             fresh.set_enabled(true);
             let out = fresh.get_or_run(&spec);
             assert_eq!(
@@ -631,7 +536,7 @@ mod tests {
         assert_eq!(store.stats().misses, 1);
         // A "rebuilt" store with a different fingerprint cannot see the
         // old entry: cold miss, fresh directory.
-        let rebuilt = ResultStore::new(store.dir.clone(), "fp-new");
+        let rebuilt = ResultStore::new(store.dir.clone(), FP_NEW);
         rebuilt.set_enabled(true);
         rebuilt.get_or_run(&spec);
         assert_eq!(
@@ -643,13 +548,13 @@ mod tests {
                 memory_hits: 0
             }
         );
-        assert!(store.dir.join("fp-test").is_dir());
-        assert!(store.dir.join("fp-new").is_dir());
+        assert!(store.dir.join(FP_TEST).is_dir());
+        assert!(store.dir.join(FP_NEW).is_dir());
         // GC from the rebuilt store's perspective drops the stale subdir.
         let (dirs, files) = rebuilt.gc().expect("gc");
         assert_eq!((dirs, files), (1, 1));
-        assert!(!store.dir.join("fp-test").exists());
-        assert!(store.dir.join("fp-new").is_dir());
+        assert!(!store.dir.join(FP_TEST).exists());
+        assert!(store.dir.join(FP_NEW).is_dir());
         let _ = std::fs::remove_dir_all(&store.dir);
     }
 

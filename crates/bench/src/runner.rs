@@ -15,17 +15,16 @@
 //! cell label so downstream accessor failures name their cell.
 //!
 //! A [`PanicPolicy`] decides what a panicking cell does. The CLI keeps
-//! the historical propagate-and-die behavior (a panic is a bug and should
-//! be loud); the serve daemon — and the CLI under `--catch-cell-panics` —
-//! captures the panic into a labeled failed outcome so one poisoned cell
-//! neither kills the process nor loses the other slots.
+//! the historical propagate-and-die behavior by default (a panic is a bug
+//! and should be loud); under `--catch-cell-panics` it captures the panic
+//! into a labeled failed outcome so one poisoned cell neither kills the
+//! process nor loses the other slots.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::cellspec::CellSpec;
 use crate::exp::{CellLabel, CellOutcome};
-use crate::result_store::Served;
 use crate::ResultStore;
 
 /// The machine's available parallelism (the `--jobs` default).
@@ -42,36 +41,28 @@ pub enum PanicPolicy {
     /// panicking cell is a bug that should kill the process.
     Propagate,
     /// Capture into a labeled [`CellOutcome::failed`] for that cell only;
-    /// every other slot still completes. The serve daemon's isolation.
+    /// every other slot still completes (`--catch-cell-panics`).
     Capture,
 }
 
 /// Runs one spec through `store`, converting a panic anywhere in the
-/// trace/execute path into a labeled failed outcome. Used by every
-/// [`PanicPolicy::Capture`] call site, including the serve workers.
-pub(crate) fn run_spec_capturing(store: &ResultStore, spec: &CellSpec) -> (CellOutcome, Served) {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        store.get_or_run_traced(spec)
-    }));
-    match result {
-        Ok(out) => out,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "<non-string panic>".to_string());
-            let outcome =
-                CellOutcome::failed(format!("panic in cell {}: {msg}", spec.label.describe()));
-            (outcome, Served::Executed)
-        }
-    }
+/// trace/execute path into a labeled failed outcome.
+fn run_spec_capturing(store: &ResultStore, spec: &CellSpec) -> CellOutcome {
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.get_or_run(spec)));
+    result.unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "<non-string panic>".to_string());
+        CellOutcome::failed(format!("panic in cell {}: {msg}", spec.label.describe()))
+    })
 }
 
 fn run_spec(store: &ResultStore, spec: &CellSpec, policy: PanicPolicy) -> CellOutcome {
     match policy {
         PanicPolicy::Propagate => store.get_or_run(spec),
-        PanicPolicy::Capture => run_spec_capturing(store, spec).0,
+        PanicPolicy::Capture => run_spec_capturing(store, spec),
     }
 }
 

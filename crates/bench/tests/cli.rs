@@ -85,3 +85,32 @@ fn list_includes_crashfuzz() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("crashfuzz"), "{stdout:?}");
 }
+
+#[test]
+fn check_rejects_documents_that_are_not_reports() {
+    // A missing or non-integer counter must be a violation, never a 0
+    // that happens to balance.
+    let bad_counter = r#"{"experiment":"profile","cells":[{"stats":{
+        "per_core":[{"cycles":"x"}],
+        "breakdown":{"categories":["execute"],"per_core":[[]],
+                     "totals":{"execute":0,"total":0}}}}]}"#;
+    let dir = std::env::temp_dir().join(format!("silo-check-shape-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    for (name, doc) in [
+        ("empty-object", "{}"),
+        ("array", "[1,2]"),
+        ("bad-counter", bad_counter),
+    ] {
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, doc).expect("write document");
+        let out = evaluate().arg("check").arg(&path).output().expect("run");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{name} must fail the check: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(out.stdout.is_empty(), "{name}: no ok line");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

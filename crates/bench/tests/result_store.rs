@@ -5,7 +5,7 @@
 //! directory and assert the tentpole contract: warm (memoized) runs emit
 //! byte-identical stdout and reports to cold runs at any `--jobs`,
 //! corruption degrades to recomputation, and entries stamped by another
-//! build are invisible until `store-gc` prunes them.
+//! build are invisible until `store-gc` prunes them (and only them).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -159,7 +159,13 @@ fn stale_fingerprint_dirs_miss_and_store_gc_prunes_them() {
     assert!(misses > 0);
     assert_eq!(rerun_out, cold_out, "recompute diverged from cold run");
 
-    // … and `store-gc` removes exactly the stale directory.
+    // … and `store-gc` removes exactly the stale directory. A directory
+    // that merely shares the store root (SILO_RESULT_STORE pointed at a
+    // build tree) is not a fingerprint and must survive, and a stray
+    // non-entry file in the stale directory is not counted as an entry.
+    let bystander = store.join("release").join("deps").join("important");
+    std::fs::create_dir_all(&bystander).expect("create bystander dir");
+    std::fs::write(stale.join("notes.txt"), "not an entry").expect("write stray file");
     let (gc_out, _) = evaluate(&store, &json.join("gc"), &["store-gc"]);
     assert_eq!(
         gc_out.trim(),
@@ -167,5 +173,6 @@ fn stale_fingerprint_dirs_miss_and_store_gc_prunes_them() {
     );
     assert!(!stale.exists(), "stale dir survived gc");
     assert!(fp_dir.exists(), "live fingerprint dir was pruned");
+    assert!(bystander.exists(), "gc deleted a non-fingerprint directory");
     let _ = std::fs::remove_dir_all(store.parent().expect("scratch root"));
 }

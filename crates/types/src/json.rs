@@ -152,14 +152,6 @@ impl JsonValue {
         }
     }
 
-    /// The boolean value if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Parses a JSON document. Accepts exactly what [`fmt::Display`]
     /// emits plus ordinary whitespace and signed/scientific numbers.
     pub fn parse(text: &str) -> Result<JsonValue, String> {

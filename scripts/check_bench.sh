@@ -107,7 +107,6 @@ check "BENCH_store.json"
 check "BENCH_crashfuzz.json"
 check "BENCH_latency.json"
 check "BENCH_fuzz.json"
-check "BENCH_serve.json"
 
 if [ "$bless" -eq 1 ]; then
   exit 0

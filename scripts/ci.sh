@@ -10,8 +10,6 @@
 #   scripts/ci.sh lint         rustfmt + clippy
 #   scripts/ci.sh smoke        experiment smoke tests + determinism gates
 #   scripts/ci.sh fuzz         coverage-guided crash-search gate
-#   scripts/ci.sh serve        daemon end-to-end gate (byte identity, warm
-#                              hit rate, backpressure)
 #   scripts/ci.sh bench        timed benchmarks + perf-regression gate
 #   scripts/ci.sh all          everything above, in order (the default)
 #
@@ -42,6 +40,19 @@ lint_stage() {
 }
 
 smoke_stage() {
+  echo "== evaluate all golden-output gate =="
+  # Every registered experiment at a small budget, computed fresh: the
+  # concatenated stdout is deterministic (identical at any --jobs), so it
+  # must hash to the committed digest. Any drift is a behavioural change
+  # in some experiment's text output.
+  all_digest=$("$EVALUATE" all --txs 40 --jobs 2 --no-result-store --no-corpus \
+    --json-dir target/reports-ci-all 2>/dev/null | sha256sum | awk '{print $1}')
+  rm -rf target/reports-ci-all
+  [ "$all_digest" = "$(cat scripts/all_smoke.sha256)" ] \
+    || { echo "FAIL: evaluate all stdout ($all_digest) drifted from scripts/all_smoke.sha256" >&2
+         echo "      (if intentional: echo $all_digest > scripts/all_smoke.sha256)" >&2
+         exit 1; }
+
   echo "== evaluate smoke test =="
   smoke_dir="target/reports-ci-smoke"
   rm -rf "$smoke_dir"
@@ -259,109 +270,6 @@ fuzz_stage() {
     target/ci-fuzz-corpus-j1 target/ci-fuzz-corpus-j8
 }
 
-serve_stage() {
-  echo "== serve daemon end-to-end gate =="
-  # A long-lived daemon must answer experiment submissions with output
-  # byte-identical to the CLI, serve a repeated submission almost entirely
-  # from its caches, drain cleanly on shutdown, and push back with 429
-  # when its queue cannot hold a whole experiment.
-  serve_dir="target/ci-serve"
-  rm -rf "$serve_dir"
-  mkdir -p "$serve_dir"
-
-  # CLI reference runs on a scratch store (cold, so they really simulate).
-  SILO_RESULT_STORE="$serve_dir/cli-store" "$EVALUATE" fig11 --txs 200 --jobs 4 \
-    --json-dir "$serve_dir/cli" > "$serve_dir/cli-fig11.txt" 2>/dev/null
-  SILO_RESULT_STORE="$serve_dir/cli-store" "$EVALUATE" profile --txs 120 --jobs 4 \
-    --json-dir "$serve_dir/cli" > "$serve_dir/cli-profile.txt" 2>/dev/null
-
-  # Daemon on an OS-assigned port with its own scratch store.
-  "$EVALUATE" serve --addr 127.0.0.1:0 --store-dir "$serve_dir/daemon-store" \
-    > "$serve_dir/daemon.out" 2> "$serve_dir/daemon.err" &
-  daemon_pid=$!
-  addr=""
-  for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^serving on //p' "$serve_dir/daemon.out")
-    [ -n "$addr" ] && break
-    kill -0 "$daemon_pid" 2>/dev/null \
-      || { echo "FAIL: serve daemon died at startup" >&2; cat "$serve_dir/daemon.err" >&2; exit 1; }
-    sleep 0.1
-  done
-  [ -n "$addr" ] || { echo "FAIL: serve daemon never announced its address" >&2; exit 1; }
-
-  strip_envelope='s/,"jobs":[0-9]*,"wall_ms":[0-9.eE+-]*}$/}/'
-  # Cold pass: the daemon simulates; stdout and the (envelope-stripped)
-  # report must match the CLI byte for byte.
-  for exp in "fig11 200" "profile 120"; do
-    set -- $exp
-    name="$1"; txs="$2"
-    "$EVALUATE" serve-submit "$name" --addr "$addr" --txs "$txs" \
-      --report-out "$serve_dir/daemon-$name.json" \
-      > "$serve_dir/daemon-$name.txt" 2>/dev/null \
-      || { echo "FAIL: serve-submit $name failed" >&2; exit 1; }
-    cmp "$serve_dir/cli-$name.txt" "$serve_dir/daemon-$name.txt" \
-      || { echo "FAIL: daemon $name text differs from the CLI" >&2; exit 1; }
-    diff <(sed "$strip_envelope" "$serve_dir/cli/$name.json") "$serve_dir/daemon-$name.json" \
-      > /dev/null \
-      || { echo "FAIL: daemon $name report differs from the CLI" >&2; exit 1; }
-  done
-  "$EVALUATE" serve-stats --addr "$addr" > "$serve_dir/stats-cold.json"
-
-  # Warm pass: resubmitting must serve >= 90% of cells from the caches
-  # (the delta against the cold-pass stats isolates the warm submissions).
-  for exp in "fig11 200" "profile 120"; do
-    set -- $exp
-    "$EVALUATE" serve-submit "$1" --addr "$addr" --txs "$2" \
-      > "$serve_dir/warm-$1.txt" 2>/dev/null
-    cmp "$serve_dir/cli-$1.txt" "$serve_dir/warm-$1.txt" \
-      || { echo "FAIL: warm daemon $1 text differs from the CLI" >&2; exit 1; }
-  done
-  "$EVALUATE" serve-stats --addr "$addr" > "$serve_dir/stats-warm.json"
-  store_hits() { sed -n 's/.*"store":{"hits":\([0-9]*\),"misses":\([0-9]*\).*/\1 \2/p' "$1"; }
-  read -r hits0 misses0 <<EOF
-$(store_hits "$serve_dir/stats-cold.json")
-EOF
-  read -r hits1 misses1 <<EOF
-$(store_hits "$serve_dir/stats-warm.json")
-EOF
-  warm_hits=$((hits1 - hits0))
-  warm_misses=$((misses1 - misses0))
-  [ "$warm_hits" -gt 0 ] && [ "$((warm_misses * 9))" -le "$warm_hits" ] \
-    || { echo "FAIL: warm serve hit rate below 90% ($warm_hits hits, $warm_misses misses)" >&2
-         exit 1; }
-  echo "warm serve: $warm_hits hits, $warm_misses misses"
-
-  # Graceful shutdown: the daemon drains and the process exits.
-  "$EVALUATE" serve-stop --addr "$addr" > /dev/null
-  wait "$daemon_pid" \
-    || { echo "FAIL: serve daemon exited non-zero after shutdown" >&2; exit 1; }
-
-  # Backpressure: a queue too small for a whole experiment answers 429
-  # with Retry-After instead of partially admitting it.
-  "$EVALUATE" serve --addr 127.0.0.1:0 --serve-workers 1 --queue-cap 1 \
-    --store-dir "$serve_dir/tiny-store" \
-    > "$serve_dir/tiny.out" 2> "$serve_dir/tiny.err" &
-  tiny_pid=$!
-  tiny_addr=""
-  for _ in $(seq 1 100); do
-    tiny_addr=$(sed -n 's/^serving on //p' "$serve_dir/tiny.out")
-    [ -n "$tiny_addr" ] && break
-    sleep 0.1
-  done
-  [ -n "$tiny_addr" ] || { echo "FAIL: tiny serve daemon never started" >&2; exit 1; }
-  if "$EVALUATE" serve-submit fig11 --addr "$tiny_addr" --txs 200 \
-    > /dev/null 2> "$serve_dir/tiny-submit.err"; then
-    echo "FAIL: tiny-queue daemon accepted a whole experiment" >&2
-    exit 1
-  fi
-  grep -q "queue full (Retry-After:" "$serve_dir/tiny-submit.err" \
-    || { echo "FAIL: rejection did not carry Retry-After" >&2
-         cat "$serve_dir/tiny-submit.err" >&2; exit 1; }
-  "$EVALUATE" serve-stop --addr "$tiny_addr" > /dev/null
-  wait "$tiny_pid"
-  rm -rf "$serve_dir"
-}
-
 bench_stage() {
   echo "== timed trace-cache benchmark =="
   # Wall-clock data point for the perf trajectory: the same grid with and
@@ -489,26 +397,6 @@ bench_stage() {
   cat "$fresh_dir/BENCH_store.json"
   rm -rf "$store_dir" "$bench_dir"
 
-  echo "== timed serve benchmark =="
-  # The daemon's load driver: cold vs warm grid submission plus the
-  # request-level latency distribution of cached single-cell serves. The
-  # explicit gates below hold the headline claims — a warm submission
-  # costs <= 10% of a cold one, and a cached cell answers in under a
-  # millisecond at the median.
-  "$EVALUATE" serve-bench --txs 500 --store-dir target/serve-bench-store \
-    --out "$fresh_dir/BENCH_serve.json" 2>/dev/null
-  cat "$fresh_dir/BENCH_serve.json"
-  rm -rf target/serve-bench-store
-  serve_cold=$(sed -n 's/.*"grid_cold_wall_ms": *\([0-9.]*\).*/\1/p' "$fresh_dir/BENCH_serve.json")
-  serve_warm=$(sed -n 's/.*"grid_warm_wall_ms": *\([0-9.]*\).*/\1/p' "$fresh_dir/BENCH_serve.json")
-  serve_p50=$(sed -n 's/.*"cached_p50_wall_ms": *\([0-9.]*\).*/\1/p' "$fresh_dir/BENCH_serve.json")
-  awk -v cold="$serve_cold" -v warm="$serve_warm" \
-    'BEGIN { exit !(warm * 10 <= cold) }' \
-    || { echo "FAIL: warm serve ($serve_warm ms) not <= 10% of cold ($serve_cold ms)" >&2
-         exit 1; }
-  awk -v p50="$serve_p50" 'BEGIN { exit !(p50 < 1.0) }' \
-    || { echo "FAIL: cached serve p50 ($serve_p50 ms) not under 1 ms" >&2; exit 1; }
-
   echo "== perf-regression gate =="
   scripts/check_bench.sh "$fresh_dir"
 }
@@ -520,7 +408,6 @@ case "$stage" in
   lint) lint_stage ;;
   smoke) smoke_stage ;;
   fuzz) fuzz_stage ;;
-  serve) serve_stage ;;
   bench) bench_stage ;;
   all)
     build_stage
@@ -528,12 +415,11 @@ case "$stage" in
     lint_stage
     smoke_stage
     fuzz_stage
-    serve_stage
     bench_stage
     echo "CI OK"
     ;;
   *)
-    echo "usage: scripts/ci.sh [build|test|lint|smoke|fuzz|serve|bench|all]" >&2
+    echo "usage: scripts/ci.sh [build|test|lint|smoke|fuzz|bench|all]" >&2
     exit 2
     ;;
 esac
