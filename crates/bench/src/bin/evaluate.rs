@@ -48,11 +48,10 @@ results. --no-result-store computes everything fresh and records
 nothing; `evaluate store-gc` prunes entries left by old builds.
 
 crashfuzz resimulates crash points from periodic checkpoints of the
-clean reference run; --checkpoint-every N sets the capture cadence in
-durability events and --no-checkpoints runs every point from scratch.
-Both are perf-only: resumed and from-scratch runs are byte-identical.
+clean reference run; --no-checkpoints runs every point from scratch,
+which only costs time: resumed and from-scratch runs are byte-identical.
 --points K (default 4) sets how many crash points each cell scans and,
-unlike the checkpoint flags, is part of the computed result.
+unlike --no-checkpoints, is part of the computed result.
 
 fuzz runs the coverage-guided crash search: --execs N sets the per-cell
 execution budget, --fault adr|torn-line|battery (with --torn-keep /
@@ -128,6 +127,16 @@ fn run(spec: &ExperimentSpec, args: &[String]) {
     let jobs = arg_usize(args, "--jobs", default_jobs());
     if jobs == 0 {
         eprintln!("error: --jobs must be at least 1");
+        std::process::exit(2);
+    }
+    // The tables simulate nothing and default to 0 transactions, so only
+    // an explicit --txs must be positive.
+    if params.txs == 0 && args.iter().any(|a| a == "--txs") {
+        eprintln!("error: --txs must be at least 1");
+        std::process::exit(2);
+    }
+    if !(1..=255).contains(&params.cores) {
+        eprintln!("error: --cores must be in 1..=255");
         std::process::exit(2);
     }
     let dir = arg_string(args, "--json-dir").unwrap_or_else(|| "target/reports".to_string());

@@ -16,10 +16,8 @@ fn build(p: &ExpParams) -> Vec<CellSpec> {
     let mut cells = Vec::new();
     for name in &p.benches {
         if workload_by_name(name).is_none() {
-            eprintln!(
-                "unknown workload {name}; known: Array Btree Hash Queue RBtree TPCC YCSB Rtree Ctrie TATP Bank"
-            );
-            std::process::exit(1);
+            eprintln!("error: unknown benchmark {name:?}");
+            std::process::exit(2);
         }
         for s in SCHEMES {
             cells.push(CellSpec::new(

@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use silo_sim::{
@@ -115,23 +115,19 @@ impl Fault {
     }
 }
 
-/// Checkpointing toggles, process-global like the trace cache's enable
-/// flag. They change only how fast a crash point simulates — resumed and
-/// from-scratch runs are byte-identical by the engine's resume-equivalence
-/// guarantee — so they deliberately stay **out** of the cell spec hash:
-/// a result-store entry computed with checkpoints on serves a run with
-/// them off, and reports do not depend on the flags.
+/// The checkpointing toggle (`--no-checkpoints`), process-global like the
+/// trace cache's enable flag. It changes only how fast a crash point
+/// simulates — resumed and from-scratch runs are byte-identical by the
+/// engine's resume-equivalence guarantee — so it deliberately stays
+/// **out** of the cell spec hash: a result-store entry computed with
+/// checkpoints on serves a run with them off, and reports do not depend on
+/// the flag.
 static CHECKPOINTS_ENABLED: AtomicBool = AtomicBool::new(true);
-static CHECKPOINT_EVERY: AtomicU64 = AtomicU64::new(0);
 
 fn checkpoint_policy() -> Option<CheckpointPolicy> {
-    if !CHECKPOINTS_ENABLED.load(Ordering::Relaxed) {
-        return None;
-    }
-    Some(match CHECKPOINT_EVERY.load(Ordering::Relaxed) {
-        0 => CheckpointPolicy::default(),
-        n => CheckpointPolicy::every(n),
-    })
+    CHECKPOINTS_ENABLED
+        .load(Ordering::Relaxed)
+        .then(CheckpointPolicy::default)
 }
 
 /// The sweep configuration parsed from the experiment's extra flags.
@@ -208,20 +204,6 @@ fn parse_config(p: &ExpParams) -> Config {
     }
     if p.extra.iter().any(|a| a == "--no-checkpoints") {
         CHECKPOINTS_ENABLED.store(false, Ordering::Relaxed);
-    }
-    match crate::try_arg::<u64>(&p.extra, "--checkpoint-every") {
-        Ok(Some(0)) => {
-            eprintln!(
-                "error: --checkpoint-every must be positive (use --no-checkpoints to disable)"
-            );
-            std::process::exit(2);
-        }
-        Ok(Some(n)) => CHECKPOINT_EVERY.store(n, Ordering::Relaxed),
-        Ok(None) => {}
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
     }
     Config {
         schemes,

@@ -8,7 +8,6 @@
 //! reproduce those binaries' output byte for byte.
 
 pub mod ablations;
-pub mod bench_engine;
 pub mod compare;
 pub mod crashfuzz;
 pub mod endurance;

@@ -6,22 +6,46 @@ fn evaluate() -> Command {
     Command::new(env!("CARGO_BIN_EXE_evaluate"))
 }
 
-#[test]
-fn jobs_zero_is_rejected_with_exit_2() {
+/// Runs `evaluate` and asserts a usage error: exit 2, an `error:` line
+/// containing `needle` (the offending flag or value), and no experiment
+/// output before the check.
+fn assert_usage_error(args: &[&str], needle: &str) {
     let out = evaluate()
-        .args(["fig11", "--jobs", "0"])
+        .args(args)
+        .arg("--no-result-store")
         .output()
         .expect("run evaluate");
-    assert_eq!(out.status.code(), Some(2), "--jobs 0 must be usage error");
     let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr:?}");
     assert!(
-        stderr.contains("--jobs"),
-        "error names the flag: {stderr:?}"
+        stderr.contains("error:") && stderr.contains(needle),
+        "{args:?}: error names {needle}: {stderr:?}"
     );
-    assert!(
-        out.stdout.is_empty(),
-        "no experiment output before the check"
-    );
+    assert!(out.stdout.is_empty(), "{args:?}: no experiment output");
+}
+
+#[test]
+fn jobs_zero_is_rejected_with_exit_2() {
+    assert_usage_error(&["fig11", "--jobs", "0"], "--jobs");
+}
+
+#[test]
+fn bad_cores_txs_and_benchmarks_are_rejected_with_exit_2() {
+    // Unchecked, --cores 0 divides by zero, --cores 0 or 256 trips
+    // SimConfig's core-count assert, and --txs 0 prints NaN averages.
+    for (args, needle) in [
+        (&["profile", "--cores", "0"][..], "--cores"),
+        (&["latency", "--cores", "0"], "--cores"),
+        (&["compare", "--cores", "0"], "--cores"),
+        (&["compare", "--cores", "256"], "--cores"),
+        (&["fig04", "--txs", "0"], "--txs"),
+        (
+            &["compare", "--bench", "Nope"],
+            "unknown benchmark \"Nope\"",
+        ),
+    ] {
+        assert_usage_error(args, needle);
+    }
 }
 
 #[test]

@@ -212,21 +212,6 @@ impl Default for CheckpointPolicy {
     }
 }
 
-impl CheckpointPolicy {
-    /// A policy capturing every `n` durability events (cycle cadence
-    /// scaled proportionally from the default).
-    pub fn every(n: u64) -> Self {
-        let d = CheckpointPolicy::default();
-        CheckpointPolicy {
-            every_events: n.max(1),
-            every_cycles: (n.max(1))
-                .saturating_mul(d.every_cycles / d.every_events)
-                .max(1),
-            max: d.max,
-        }
-    }
-}
-
 /// The checkpoints captured by one recording run, shareable across the
 /// crash points (and worker threads) of a sweep.
 #[derive(Debug, Default)]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Offline CI gate: build, test, lint, and smoke-test the experiment
-# framework. Everything here must pass with no network access.
+# Offline CI gate: build, test, lint, smoke-test, and benchmark the
+# experiment framework. Everything here must pass with no network access.
 #
 # Stages are runnable individually so the CI workflow can fan them out as
 # separate jobs (and so a developer can re-run just the piece that failed):
@@ -8,18 +8,45 @@
 #   scripts/ci.sh build        compile the workspace (all targets)
 #   scripts/ci.sh test         run the test suite
 #   scripts/ci.sh lint         rustfmt + clippy
-#   scripts/ci.sh smoke        experiment smoke tests + determinism gates
+#   scripts/ci.sh smoke        experiment smoke tests + determinism and golden gates
 #   scripts/ci.sh fuzz         coverage-guided crash-search gate
-#   scripts/ci.sh bench        timed benchmarks + perf-regression gate
+#   scripts/ci.sh bench        perfbench tests and runs + checkpoint speed-up gate
 #   scripts/ci.sh all          everything above, in order (the default)
 #
 # `smoke`, `fuzz`, and `bench` expect `build` to have run first (they use
 # target/release/evaluate directly so a stale debug build can't skew the
 # timings).
+#
+# Deterministic outputs are pinned in scripts/golden.sha256, one
+# `<sha256>  <name>` line each, and checked with `golden <name> <file>`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 EVALUATE=./target/release/evaluate
+GOLDEN=scripts/golden.sha256
+
+# golden NAME FILE: FILE must hash to NAME's line in $GOLDEN. Every pinned
+# output is deterministic, so any drift is a behavioural change.
+golden() {
+  local name="$1" file="$2" want got
+  want=$(awk -v name="$name" '$2 == name { print $1 }' "$GOLDEN")
+  got=$(sha256sum "$file" | awk '{print $1}')
+  [ -n "$want" ] && [ "$got" = "$want" ] && return
+  echo "FAIL: $file hashes to $got, not to $name's ${want:-(missing)} in $GOLDEN" >&2
+  echo "      (if intentional: sed -i '/  $name\$/d' $GOLDEN && echo '$got  $name' >> $GOLDEN)" >&2
+  exit 1
+}
+
+# strip_envelope REPORT: the report body without its host-dependent
+# jobs/wall_ms envelope fields.
+strip_envelope() {
+  sed 's/,"jobs":[0-9]*,"wall_ms":[0-9.eE+-]*}$/}/' "$1"
+}
+
+# wall_ms REPORT: the report's wall-clock envelope field.
+wall_ms() {
+  sed -n 's/.*"wall_ms": *\([0-9.]*\).*/\1/p' "$1"
+}
 
 build_stage() {
   echo "== cargo build --release =="
@@ -42,16 +69,12 @@ lint_stage() {
 smoke_stage() {
   echo "== evaluate all golden-output gate =="
   # Every registered experiment at a small budget, computed fresh: the
-  # concatenated stdout is deterministic (identical at any --jobs), so it
-  # must hash to the committed digest. Any drift is a behavioural change
-  # in some experiment's text output.
-  all_digest=$("$EVALUATE" all --txs 40 --jobs 2 --no-result-store --no-corpus \
-    --json-dir target/reports-ci-all 2>/dev/null | sha256sum | awk '{print $1}')
-  rm -rf target/reports-ci-all
-  [ "$all_digest" = "$(cat scripts/all_smoke.sha256)" ] \
-    || { echo "FAIL: evaluate all stdout ($all_digest) drifted from scripts/all_smoke.sha256" >&2
-         echo "      (if intentional: echo $all_digest > scripts/all_smoke.sha256)" >&2
-         exit 1; }
+  # concatenated stdout is deterministic (identical at any --jobs), so any
+  # drift is a behavioural change in some experiment's text output.
+  "$EVALUATE" all --txs 40 --jobs 2 --no-result-store --no-corpus \
+    --json-dir target/reports-ci-all > target/ci-all.txt 2>/dev/null
+  golden all target/ci-all.txt
+  rm -rf target/reports-ci-all target/ci-all.txt
 
   echo "== evaluate smoke test =="
   smoke_dir="target/reports-ci-smoke"
@@ -96,17 +119,16 @@ smoke_stage() {
     --json-dir "$store_rep/warm" 2>&1 >target/ci-store.warm.txt)
   cmp target/ci-store.cold.txt target/ci-store.warm.txt \
     || { echo "FAIL: result store changed the experiment output" >&2; exit 1; }
-  strip_envelope='s/,"jobs":[0-9]*,"wall_ms":[0-9.eE+-]*}$/}/'
-  diff <(sed "$strip_envelope" "$store_rep/cold/fig11.json") \
-       <(sed "$strip_envelope" "$store_rep/warm/fig11.json") > /dev/null \
+  cmp -s <(strip_envelope "$store_rep/cold/fig11.json") \
+         <(strip_envelope "$store_rep/warm/fig11.json") \
     || { echo "FAIL: result store changed the report body" >&2; exit 1; }
   hits=$(echo "$warm_err" | sed -n 's/^\[result-store\] \([0-9]*\) hits, .*/\1/p')
   misses=$(echo "$warm_err" | sed -n 's/^\[result-store\] [0-9]* hits, \([0-9]*\) misses, .*/\1/p')
   [ -n "$hits" ] && [ -n "$misses" ] && [ "$hits" -gt 0 ] \
     && [ "$((misses * 9))" -le "$hits" ] \
     || { echo "FAIL: warm run hit rate below 90% ($hits hits, $misses misses)" >&2; exit 1; }
-  cold_ms=$(sed -n 's/.*"wall_ms": *\([0-9.]*\).*/\1/p' "$store_rep/cold/fig11.json")
-  warm_ms=$(sed -n 's/.*"wall_ms": *\([0-9.]*\).*/\1/p' "$store_rep/warm/fig11.json")
+  cold_ms=$(wall_ms "$store_rep/cold/fig11.json")
+  warm_ms=$(wall_ms "$store_rep/warm/fig11.json")
   awk -v cold="$cold_ms" -v warm="$warm_ms" \
     'BEGIN { exit !(warm < cold / 4) }' \
     || { echo "FAIL: warm run ($warm_ms ms) not under 25% of cold ($cold_ms ms)" >&2; exit 1; }
@@ -141,22 +163,26 @@ smoke_stage() {
   echo "== determinism gate =="
   # The profile grid at 1 worker vs 8 workers must print byte-identical
   # stdout. (The report *files* legitimately differ in their jobs/wall_ms
-  # envelope fields, so the gate compares the rendered text.)
+  # envelope fields, so the gate compares the rendered text.) The text
+  # holds every cell's exact simulated total_cycles, so it is pinned too.
+  # Both runs bypass the result store so each one simulates its cells.
   det_dir="target/reports-ci-det"
   rm -rf "$det_dir"
-  "$EVALUATE" profile --txs 120 --jobs 1 --json-dir "$det_dir/j1" \
-    > "$det_dir.j1.txt" 2>/dev/null
-  "$EVALUATE" profile --txs 120 --jobs 8 --json-dir "$det_dir/j8" \
-    > "$det_dir.j8.txt" 2>/dev/null
+  "$EVALUATE" profile --txs 600 --jobs 1 --no-result-store \
+    --json-dir "$det_dir/j1" > "$det_dir.j1.txt" 2>/dev/null
+  "$EVALUATE" profile --txs 600 --jobs 8 --no-result-store \
+    --json-dir "$det_dir/j8" > "$det_dir.j8.txt" 2>/dev/null
   cmp "$det_dir.j1.txt" "$det_dir.j8.txt" \
     || { echo "FAIL: profile output depends on worker count" >&2; exit 1; }
+  golden profile "$det_dir.j1.txt"
   rm -rf "$det_dir" "$det_dir.j1.txt" "$det_dir.j8.txt"
 
   echo "== open-system latency determinism gate =="
   # The arrival layer's schedules and the exact percentile recorder are
   # integer-only and seed-deterministic, so the latency sweep must print
-  # byte-identical stdout at 1 worker and 8 — and the report files must
-  # match too once the host-dependent jobs/wall_ms envelope is stripped.
+  # byte-identical stdout at 1 worker and 8, pinned in the golden file —
+  # and the report files must match too once the host-dependent
+  # jobs/wall_ms envelope is stripped.
   lat_dir="target/reports-ci-lat"
   rm -rf "$lat_dir"
   "$EVALUATE" latency --txs 240 --bench Hash --jobs 1 --no-result-store \
@@ -165,9 +191,9 @@ smoke_stage() {
     --json-dir "$lat_dir/j8" > "$lat_dir.j8.txt" 2>/dev/null
   cmp "$lat_dir.j1.txt" "$lat_dir.j8.txt" \
     || { echo "FAIL: latency output depends on worker count" >&2; exit 1; }
+  golden latency "$lat_dir.j1.txt"
   for j in j1 j8; do
-    sed 's/,"jobs":[0-9]*,"wall_ms":[0-9.eE+-]*}$/}/' "$lat_dir/$j/latency.json" \
-      > "$lat_dir.$j.stripped"
+    strip_envelope "$lat_dir/$j/latency.json" > "$lat_dir.$j.stripped"
   done
   cmp "$lat_dir.j1.stripped" "$lat_dir.j8.stripped" \
     || { echo "FAIL: latency report depends on worker count" >&2; exit 1; }
@@ -177,11 +203,11 @@ smoke_stage() {
 
   echo "== crashfuzz golden-report gate =="
   # One crashfuzz cell's report, stripped of its host-dependent envelope
-  # fields (jobs/wall_ms), must hash to the committed golden digest: the
-  # crash surface, oracle verdicts, and per-point PM image digests are
-  # fully deterministic, so any drift is a behavioural change. The sweep
-  # runs four ways — checkpointed resimulation on and off, 1 worker and
-  # 8 — and every variant must produce the same bytes: checkpoints and
+  # fields (jobs/wall_ms), is pinned in the golden file: the crash
+  # surface, oracle verdicts, and per-point PM image digests are fully
+  # deterministic, so any drift is a behavioural change. The sweep runs
+  # four ways — checkpointed resimulation on and off, 1 worker and 8 —
+  # and every variant must produce the same bytes: checkpoints and
   # scheduling may only trade time, never answers. The variants bypass
   # the result store so each one actually simulates its points.
   gold_dir="target/reports-ci-gold"
@@ -192,14 +218,10 @@ smoke_stage() {
     name="$1"; shift
     "$EVALUATE" crashfuzz --txs 16 --bench Hash --no-result-store "$@" \
       --json-dir "$gold_dir/$name" > /dev/null
-    sed 's/,"jobs":[0-9]*,"wall_ms":[0-9.eE+-]*}$/}/' "$gold_dir/$name/crashfuzz.json" \
-      | sha256sum | awk '{print $1}' > "$gold_dir.$name.digest"
-    diff "$gold_dir.$name.digest" scripts/crashfuzz_smoke.sha256 \
-      || { echo "FAIL: crashfuzz smoke report ($name) drifted from the golden digest" >&2
-           echo "      (if intentional: cp $gold_dir.$name.digest scripts/crashfuzz_smoke.sha256)" >&2
-           exit 1; }
+    strip_envelope "$gold_dir/$name/crashfuzz.json" > "$gold_dir.$name.stripped"
+    golden crashfuzz "$gold_dir.$name.stripped"
   done
-  rm -rf "$gold_dir" "$gold_dir".*.digest
+  rm -rf "$gold_dir" "$gold_dir".*.stripped
 
   echo "== crashfuzz smoke test =="
   # Clean sweep: every scheme must recover consistently under all three
@@ -244,7 +266,9 @@ fuzz_stage() {
   # The full clean scheme x workload matrix must find nothing, and the
   # whole search — stdout, report body, and the persisted corpus — must
   # be byte-identical at 1 worker and 8. Each run gets its own scratch
-  # corpus root so the comparison covers the persistence layer too.
+  # corpus root so the comparison covers the persistence layer too. The
+  # stdout, which prints every cell's executions and coverage bits, is
+  # pinned in the golden file.
   fuzz_dir="target/reports-ci-fuzz"
   rm -rf "$fuzz_dir" "$fuzz_dir".j?.txt "$fuzz_dir".j?.stripped \
     target/ci-fuzz-corpus-j1 target/ci-fuzz-corpus-j8
@@ -256,9 +280,9 @@ fuzz_stage() {
     > "$fuzz_dir.j8.txt" 2>/dev/null
   cmp "$fuzz_dir.j1.txt" "$fuzz_dir.j8.txt" \
     || { echo "FAIL: fuzz output depends on worker count" >&2; exit 1; }
+  golden fuzz "$fuzz_dir.j1.txt"
   for j in j1 j8; do
-    sed 's/,"jobs":[0-9]*,"wall_ms":[0-9.eE+-]*}$/}/' "$fuzz_dir/$j/fuzz.json" \
-      > "$fuzz_dir.$j.stripped"
+    strip_envelope "$fuzz_dir/$j/fuzz.json" > "$fuzz_dir.$j.stripped"
   done
   cmp "$fuzz_dir.j1.stripped" "$fuzz_dir.j8.stripped" \
     || { echo "FAIL: fuzz report depends on worker count" >&2; exit 1; }
@@ -271,134 +295,54 @@ fuzz_stage() {
 }
 
 bench_stage() {
-  echo "== timed trace-cache benchmark =="
-  # Wall-clock data point for the perf trajectory: the same grid with and
-  # without trace sharing, from the reports' own wall_ms envelope field.
-  fresh_dir="target/bench-fresh"
-  rm -rf "$fresh_dir"
-  mkdir -p "$fresh_dir"
-  bench_dir="target/reports-ci-bench"
-  rm -rf "$bench_dir"
-  # --no-result-store everywhere wall-clock is measured: a warm store
-  # would replay cells and time nothing but disk reads.
-  "$EVALUATE" fig11 --txs 500 --jobs 4 --no-result-store \
-    --json-dir "$bench_dir/cached" > /dev/null 2>&1
-  "$EVALUATE" fig11 --txs 500 --jobs 4 --no-trace-cache --no-result-store \
-    --json-dir "$bench_dir/uncached" > /dev/null 2>&1
-  cached_ms=$(sed -n 's/.*"wall_ms": *\([0-9.]*\).*/\1/p' "$bench_dir/cached/fig11.json")
-  uncached_ms=$(sed -n 's/.*"wall_ms": *\([0-9.]*\).*/\1/p' "$bench_dir/uncached/fig11.json")
-  printf '{"experiment": "fig11", "txs": 500, "jobs": 4, "cached_wall_ms": %s, "uncached_wall_ms": %s}\n' \
-    "$cached_ms" "$uncached_ms" > "$fresh_dir/BENCH_trace_cache.json"
-  "$EVALUATE" check "$bench_dir/cached/fig11.json"
-  cat "$fresh_dir/BENCH_trace_cache.json"
+  echo "== perfbench self-tests =="
+  python3 -m unittest discover -s perfbench/tests
 
-  echo "== timed profile benchmark =="
-  # Both a wall-clock data point and a simulation-cycle fingerprint: the
-  # summed total_cycles over the whole scheme x workload grid is
-  # deterministic, so any drift is a real perf change in the simulated
-  # machine, not host noise.
-  "$EVALUATE" profile --txs 400 --jobs 4 --no-result-store \
-    --json-dir "$bench_dir/profile" > /dev/null 2>&1
-  prof_ms=$(sed -n 's/.*"wall_ms": *\([0-9.]*\).*/\1/p' "$bench_dir/profile/profile.json")
-  total_cycles=$(grep -o '"total_cycles": *[0-9]*' "$bench_dir/profile/profile.json" \
-    | awk -F: '{s += $2} END {printf "%d", s}')
-  printf '{"experiment": "profile", "txs": 400, "jobs": 4, "wall_ms": %s, "total_cycles_sum": %s}\n' \
-    "$prof_ms" "$total_cycles" > "$fresh_dir/BENCH_profile.json"
-  cat "$fresh_dir/BENCH_profile.json"
+  echo "== perfbench runs =="
+  # perfbench, the one benchmark harness (BENCHMARK.json): one short run
+  # untraced and one traced, in which every checked invocation must be
+  # correct and none may fail. The traced run builds perfbench/tracer, so
+  # a change that breaks the library API it calls, or the report and
+  # stderr formats perfbench parses, fails here. A one-second run checks
+  # correctness only: speed is judged from repeated full-length runs
+  # against the per-metric bounds in BENCHMARK.json.
+  for trace in 0 1; do
+    result=$(CARGO_TARGET_DIR=target python3 perfbench/run.py --workload all \
+      --seconds 1 --trace "$trace" | tail -n 1)
+    echo "$result" | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+      || { echo "FAIL: perfbench --trace $trace: $result" >&2; exit 1; }
+  done
 
-  echo "== timed engine benchmark =="
-  # The rawest engine hot loop (full runs, no cycle accounting): a
-  # wall-clock data point for the allocation/hashing hot paths plus the
-  # deterministic summed per-core cycles as a behavioural fingerprint.
-  "$EVALUATE" bench-engine --txs 600 --jobs 4 --no-result-store \
-    --json-dir "$bench_dir/engine" > /dev/null 2>&1
-  eng_ms=$(sed -n 's/.*"wall_ms": *\([0-9.]*\).*/\1/p' "$bench_dir/engine/bench-engine.json")
-  eng_cycles=$(grep -o '"total_cycles": *[0-9]*' "$bench_dir/engine/bench-engine.json" \
-    | awk -F: '{s += $2} END {printf "%d", s}')
-  printf '{"experiment": "bench-engine", "txs": 600, "jobs": 4, "wall_ms": %s, "total_cycles_sum": %s}\n' \
-    "$eng_ms" "$eng_cycles" > "$fresh_dir/BENCH_engine.json"
-  cat "$fresh_dir/BENCH_engine.json"
-
-  echo "== timed crashfuzz benchmark =="
-  # Checkpointed crash resimulation vs from-scratch resimulation on the
-  # same dense crash-point scan: one long-horizon Silo cell, 96 crash
-  # points on the op-boundary cycle axis. Per-point work is what the
-  # checkpoint machinery amortizes (a from-scratch point replays the
-  # whole crash prefix, a resumed point only the suffix past the nearest
-  # checkpoint), so the point count dominates and the wall-clock pair is
-  # the perf trajectory of resume itself. crash_runs is deterministic
-  # and pins the sweep shape. The speedup gate below holds the headline
-  # claim: the checkpointed scan must stay >= 3x faster than
-  # re-simulating every prefix from t=0.
+  echo "== crashfuzz checkpoint speed-up gate =="
+  # The same dense crash-point scan resimulated from checkpoints and from
+  # scratch: one long-horizon Silo cell, 96 crash points on the
+  # op-boundary cycle axis. A from-scratch point replays the whole crash
+  # prefix, a resumed one only the suffix past its nearest checkpoint, so
+  # the checkpointed scan must stay >= 3x faster. Both must report the
+  # same body: resuming may only trade time, never answers.
+  ckpt_dir="target/reports-ci-ckpt"
+  rm -rf "$ckpt_dir"
   "$EVALUATE" crashfuzz --txs 8000 --points 96 --jobs 1 --scheme Silo \
     --bench Hash --fault op-boundary --no-result-store \
-    --json-dir "$bench_dir/crashfuzz-ckpt" > /dev/null 2>&1
+    --json-dir "$ckpt_dir/ckpt" > /dev/null 2>&1
   "$EVALUATE" crashfuzz --txs 8000 --points 96 --jobs 1 --scheme Silo \
     --bench Hash --fault op-boundary --no-result-store --no-checkpoints \
-    --json-dir "$bench_dir/crashfuzz-nockpt" > /dev/null 2>&1
-  ckpt_ms=$(sed -n 's/.*"wall_ms": *\([0-9.]*\).*/\1/p' "$bench_dir/crashfuzz-ckpt/crashfuzz.json")
-  nockpt_ms=$(sed -n 's/.*"wall_ms": *\([0-9.]*\).*/\1/p' "$bench_dir/crashfuzz-nockpt/crashfuzz.json")
-  runs=$(sed -n 's/.*"crash_runs": *\([0-9]*\).*/\1/p' "$bench_dir/crashfuzz-ckpt/crashfuzz.json")
-  printf '{"experiment": "crashfuzz", "txs": 8000, "points": 96, "jobs": 1, "crash_runs": %s, "checkpointed_wall_ms": %s, "scratch_wall_ms": %s}\n' \
-    "$runs" "$ckpt_ms" "$nockpt_ms" > "$fresh_dir/BENCH_crashfuzz.json"
-  cat "$fresh_dir/BENCH_crashfuzz.json"
-  awk -v ckpt="$ckpt_ms" -v scratch="$nockpt_ms" \
-    'BEGIN { exit !(ckpt * 3 <= scratch) }' \
-    || { echo "FAIL: checkpointed crashfuzz ($ckpt_ms ms) not >= 3x faster than scratch ($nockpt_ms ms)" >&2
+    --json-dir "$ckpt_dir/scratch" > /dev/null 2>&1
+  cmp -s <(strip_envelope "$ckpt_dir/ckpt/crashfuzz.json") \
+         <(strip_envelope "$ckpt_dir/scratch/crashfuzz.json") \
+    || { echo "FAIL: checkpointed crashfuzz report differs from the from-scratch one" >&2
          exit 1; }
-
-  echo "== timed latency benchmark =="
-  # The open-system arrival layer end to end: Poisson admission, the
-  # per-core sojourn recorder, and the exact percentile reduction. The
-  # summed p99 over every row of the sweep is integer-exact and
-  # deterministic, so it fingerprints the arrival schedules, the
-  # admission semantics, and the percentile math at once; wall-clock
-  # tracks the admission layer's cost in the engine hot loop.
-  "$EVALUATE" latency --txs 240 --bench Hash --jobs 4 --no-result-store \
-    --json-dir "$bench_dir/latency" > /dev/null 2>&1
-  lat_ms=$(sed -n 's/.*"wall_ms": *\([0-9.]*\).*/\1/p' "$bench_dir/latency/latency.json")
-  p99_sum=$(grep -o '"p99": *[0-9]*' "$bench_dir/latency/latency.json" \
-    | awk -F: '{s += $2} END {printf "%d", s}')
-  printf '{"experiment": "latency", "txs": 240, "jobs": 4, "wall_ms": %s, "p99_sum": %s}\n' \
-    "$lat_ms" "$p99_sum" > "$fresh_dir/BENCH_latency.json"
-  cat "$fresh_dir/BENCH_latency.json"
-
-  echo "== timed fuzz benchmark =="
-  # The coverage-guided crash search end to end: per-candidate crash
-  # resimulation with the spec machine and the signature recorder
-  # enabled. Executions and the summed coverage-bit count over the full
-  # scheme x workload matrix are deterministic fingerprints of the
-  # search itself; wall-clock tracks the per-candidate overhead of the
-  # two observers.
-  "$EVALUATE" fuzz --txs 16 --execs 6 --jobs 4 --no-result-store --no-corpus \
-    --json-dir "$bench_dir/fuzz" > /dev/null 2>&1
-  fuzz_ms=$(sed -n 's/.*"wall_ms": *\([0-9.]*\).*/\1/p' "$bench_dir/fuzz/fuzz.json")
-  fuzz_execs=$(sed -n 's/.*"executions": *\([0-9]*\).*/\1/p' "$bench_dir/fuzz/fuzz.json")
-  cov_sum=$(grep -o '"coverage_bits": *[0-9]*' "$bench_dir/fuzz/fuzz.json" \
-    | awk -F: '{s += $2} END {printf "%d", s}')
-  printf '{"experiment": "fuzz", "txs": 16, "jobs": 4, "executions": %s, "coverage_sum": %s, "wall_ms": %s}\n' \
-    "$fuzz_execs" "$cov_sum" "$fuzz_ms" > "$fresh_dir/BENCH_fuzz.json"
-  cat "$fresh_dir/BENCH_fuzz.json"
-
-  echo "== timed result-store benchmark =="
-  # Cold vs warm on a scratch store: the perf trajectory of incremental
-  # evaluate itself. Cold pays simulation + persistence, warm pays trace
-  # fingerprinting + replay.
-  store_dir="target/bench-result-store"
-  rm -rf "$store_dir"
-  SILO_RESULT_STORE="$store_dir" "$EVALUATE" fig11 --txs 500 --jobs 4 \
-    --json-dir "$bench_dir/store-cold" > /dev/null 2>&1
-  SILO_RESULT_STORE="$store_dir" "$EVALUATE" fig11 --txs 500 --jobs 4 \
-    --json-dir "$bench_dir/store-warm" > /dev/null 2>&1
-  cold_ms=$(sed -n 's/.*"wall_ms": *\([0-9.]*\).*/\1/p' "$bench_dir/store-cold/fig11.json")
-  warm_ms=$(sed -n 's/.*"wall_ms": *\([0-9.]*\).*/\1/p' "$bench_dir/store-warm/fig11.json")
-  printf '{"experiment": "fig11", "txs": 500, "jobs": 4, "cold_wall_ms": %s, "warm_wall_ms": %s}\n' \
-    "$cold_ms" "$warm_ms" > "$fresh_dir/BENCH_store.json"
-  cat "$fresh_dir/BENCH_store.json"
-  rm -rf "$store_dir" "$bench_dir"
-
-  echo "== perf-regression gate =="
-  scripts/check_bench.sh "$fresh_dir"
+  ckpt_ms=$(wall_ms "$ckpt_dir/ckpt/crashfuzz.json")
+  scratch_ms=$(wall_ms "$ckpt_dir/scratch/crashfuzz.json")
+  awk -v ckpt="$ckpt_ms" -v scratch="$scratch_ms" \
+    'BEGIN { exit !(ckpt * 3 <= scratch) }' \
+    || { echo "FAIL: checkpointed crashfuzz ($ckpt_ms ms) not >= 3x faster than scratch ($scratch_ms ms)" >&2
+         exit 1; }
+  echo "checkpointed ${ckpt_ms} ms vs ${scratch_ms} ms from scratch, same report body"
+  rm -rf "$ckpt_dir"
 }
 
 stage="${1:-all}"
