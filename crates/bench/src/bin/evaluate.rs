@@ -69,8 +69,9 @@ fn main() {
         TraceCache::global().set_enabled(false);
     }
     let mut store_on = !args.iter().any(|a| a == "--no-result-store");
-    if let Some(path) = arg_string(&args, "--trace-events") {
-        if let Err(err) = EventTraceSink::global().enable(Path::new(&path)) {
+    let trace_events = arg_string(&args, "--trace-events");
+    if let Some(path) = &trace_events {
+        if let Err(err) = EventTraceSink::global().enable(Path::new(path)) {
             eprintln!("error: opening event trace {path}: {err}");
             std::process::exit(1);
         }
@@ -112,6 +113,12 @@ fn main() {
                 std::process::exit(2);
             }
         },
+    }
+    if let Some(path) = &trace_events {
+        if let Err(err) = EventTraceSink::global().finish() {
+            eprintln!("error: writing event trace {path}: {err}");
+            std::process::exit(1);
+        }
     }
 }
 

@@ -8,8 +8,8 @@
 //! * a stable content hash ([`CellSpec::spec_hash`]), so equal work is
 //!   *recognizably* equal across experiments and across processes;
 //! * one shared executor ([`CellSpec::execute`]) subsuming the
-//!   `run_one` / `run_one_delta` / `run_delta_with` call family, so the
-//!   execution seam is a single function instead of ~20 ad-hoc closures;
+//!   `run_one` / [`run_delta_with`] call family, so the execution seam is
+//!   a single function instead of ~20 ad-hoc closures;
 //! * persistent memoization: the [`ResultStore`](crate::ResultStore) keys
 //!   outcomes by `(spec hash, trace content hash, code fingerprint)` and
 //!   replays them across processes.
@@ -279,6 +279,8 @@ impl FaultSpec {
 pub enum CellWork {
     /// Steady-state measurement: run N and 2N transactions per core with
     /// fresh schemes and report the difference (the figure-grid shape).
+    /// Executed by [`run_delta_with`], which simulates the prefix the two
+    /// runs share only once.
     Delta(RunSpec),
     /// One full run, setup transaction included. `record_throughput`
     /// additionally stores the `tp` metric (Fig 15).
@@ -1176,10 +1178,17 @@ mod tests {
 
     #[test]
     fn executor_matches_the_run_family() {
-        // The Delta recipe must reproduce run_one_delta exactly — the
+        // The Delta recipe must reproduce run_delta_with exactly — the
         // whole grid migration rests on this equivalence.
         let w = workload_by_name("Bank").expect("bank exists");
-        let direct = crate::run_one_delta("Silo", w.as_ref(), 1, 6, 42);
+        let config = SimConfig::table_ii(1);
+        let direct = run_delta_with(
+            &config,
+            || crate::make_scheme("Silo", &config),
+            w.as_ref(),
+            6,
+            42,
+        );
         let via_spec = spec(CellWork::Delta(RunSpec::table_ii(
             "Silo",
             WorkloadSpec::plain("Bank"),

@@ -231,7 +231,8 @@ impl<'a> Taken<'a> {
 }
 
 /// The declarative scheme × workload × cores sweep (the paper's Fig 11/12
-/// shape): every combination runs [`run_one_delta`], the chosen metric is
+/// shape): every combination runs
+/// [`run_delta_with`](crate::run_delta_with), the chosen metric is
 /// extracted, and each (workload, cores) row is normalized to the
 /// reference scheme column.
 pub struct GridSpec {

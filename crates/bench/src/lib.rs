@@ -41,7 +41,7 @@ use silo_baselines::{
     BaseScheme, EadrSwLogScheme, FwbScheme, LadScheme, MorLogScheme, SwLogScheme,
 };
 use silo_core::SiloScheme;
-use silo_sim::{Engine, LoggingScheme, SimConfig, SimStats, Transaction, TxStreams};
+use silo_sim::{Engine, LoggingScheme, RunOutcome, SimConfig, SimStats, Transaction, TxStreams};
 use silo_workloads::Workload;
 
 /// The evaluated designs, in the paper's legend order.
@@ -97,35 +97,20 @@ pub fn run_one(
     run_streams(scheme_name, &config, &trace)
 }
 
-/// Steady-state measurement of `workload` under `scheme_name`: runs the
-/// deterministic workload twice (N and 2N transactions per core) and
-/// returns the difference, which excludes the setup transaction and any
-/// cold-start effects. This is how every figure generator measures.
-pub fn run_one_delta(
-    scheme_name: &str,
-    workload: &dyn Workload,
-    cores: usize,
-    txs_per_core: usize,
-    seed: u64,
-) -> SimStats {
-    let config = SimConfig::table_ii(cores);
-    let cache = TraceCache::global();
-    let short = run_streams(
-        scheme_name,
-        &config,
-        cache.get_or_build(workload, cores, txs_per_core, seed),
-    );
-    let long = run_streams(
-        scheme_name,
-        &config,
-        cache.get_or_build(workload, cores, txs_per_core * 2, seed),
-    );
-    long.delta_from(&short)
-}
-
-/// Steady-state delta measurement with an explicit scheme factory (for
-/// ablations and parameter sweeps). The factory must produce equivalent
+/// Steady-state delta measurement: runs `workload` at N and at 2N
+/// transactions per core and returns the difference, which excludes the
+/// setup transaction and any cold-start effects. This is how every figure,
+/// ablation and study cell measures. The factory must produce equivalent
 /// fresh schemes for both runs.
+///
+/// The two runs are the same simulation until the N-run's first core runs
+/// out of transactions, so that shared prefix is simulated once: the
+/// N-run captures its [`ForkPoint`](silo_sim::ForkPoint) there and the
+/// 2N-run continues from it. This needs the 2N trace to start with the N
+/// trace, streams and arrival schedules alike (every registered generator
+/// does; a diurnal arrival ramp does not), and a snapshot-capable scheme.
+/// Otherwise the 2N-run starts from t=0. Either way the result equals
+/// `long.delta_from(&short)` of two from-scratch runs.
 pub fn run_delta_with(
     config: &SimConfig,
     mut factory: impl FnMut() -> Box<dyn LoggingScheme>,
@@ -134,19 +119,25 @@ pub fn run_delta_with(
     seed: u64,
 ) -> SimStats {
     let cache = TraceCache::global();
-    let mut s1 = factory();
-    let short = run_with_scheme(
-        s1.as_mut(),
-        config,
-        cache.get_or_build(workload, config.cores, txs_per_core, seed),
-    );
-    let mut s2 = factory();
-    let long = run_with_scheme(
-        s2.as_mut(),
-        config,
-        cache.get_or_build(workload, config.cores, txs_per_core * 2, seed),
-    );
-    long.delta_from(&short)
+    let short_trace = cache.get_or_build(workload, config.cores, txs_per_core, seed);
+    let long_trace = cache.get_or_build(workload, config.cores, txs_per_core * 2, seed);
+    let (short, fork) = {
+        let mut scheme = factory();
+        let engine = traced_engine(config, scheme.as_mut());
+        if long_trace.starts_with(&short_trace) {
+            let (outcome, fork) = engine.run_forking(&short_trace);
+            (finish(outcome), fork)
+        } else {
+            (finish(engine.run(&short_trace, None)), None)
+        }
+    };
+    let mut scheme = factory();
+    let engine = traced_engine(config, scheme.as_mut());
+    let long = match fork {
+        Some(fork) => engine.run_continued(&long_trace, fork),
+        None => engine.run(&long_trace, None),
+    };
+    finish(long).delta_from(&short)
 }
 
 /// Runs pre-generated streams (owned `Vec`s or a shared
@@ -168,9 +159,19 @@ pub fn run_with_scheme(
     config: &SimConfig,
     streams: impl Into<TxStreams>,
 ) -> SimStats {
+    finish(traced_engine(config, scheme).run(streams, None))
+}
+
+/// An engine whose timeline feeds the [`EventTraceSink`] when it is on.
+fn traced_engine<'a>(config: &SimConfig, scheme: &'a mut dyn LoggingScheme) -> Engine<'a> {
     let mut engine = Engine::new(config, scheme);
     EventTraceSink::global().attach(engine.machine_mut());
-    let outcome = engine.run(streams, None);
+    engine
+}
+
+/// Sinks a finished run's timeline and keeps only its statistics, so the
+/// run's PM image is dropped here rather than held by the caller.
+fn finish(outcome: RunOutcome) -> SimStats {
     probe::sink_outcome(&outcome);
     outcome.stats
 }

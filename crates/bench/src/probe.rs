@@ -38,7 +38,13 @@ use crate::{make_scheme, TraceCache};
 /// machines untouched, so engines never record events and runs stay
 /// byte-identical to a build without the observability layer.
 pub struct EventTraceSink {
-    writer: Mutex<Option<BufWriter<File>>>,
+    file: Mutex<Option<TraceFile>>,
+}
+
+/// The open trace file and the first error writing it.
+struct TraceFile {
+    writer: BufWriter<File>,
+    error: Option<std::io::Error>,
 }
 
 impl EventTraceSink {
@@ -46,26 +52,31 @@ impl EventTraceSink {
     pub fn global() -> &'static EventTraceSink {
         static GLOBAL: OnceLock<EventTraceSink> = OnceLock::new();
         GLOBAL.get_or_init(|| EventTraceSink {
-            writer: Mutex::new(None),
+            file: Mutex::new(None),
         })
     }
 
-    /// Opens (truncating) the trace file and writes the schema header
-    /// line. Every subsequent engine run in this process records and
-    /// appends its timeline.
+    /// Opens (truncating) the trace file and writes and flushes the
+    /// schema header line, so a file that cannot be written fails here.
+    /// Every subsequent engine run in this process records and appends
+    /// its timeline.
     pub fn enable(&self, path: &Path) -> std::io::Result<()> {
-        let mut w = BufWriter::new(File::create(path)?);
+        let mut writer = BufWriter::new(File::create(path)?);
         writeln!(
-            w,
+            writer,
             "{{\"v\":{TIMELINE_SCHEMA_VERSION},\"stream\":\"silo-events\"}}"
         )?;
-        *self.writer.lock().expect("sink lock") = Some(w);
+        writer.flush()?;
+        *self.file.lock().expect("sink lock") = Some(TraceFile {
+            writer,
+            error: None,
+        });
         Ok(())
     }
 
     /// Whether a trace file is open.
     pub fn is_enabled(&self) -> bool {
-        self.writer.lock().expect("sink lock").is_some()
+        self.file.lock().expect("sink lock").is_some()
     }
 
     /// Enables the machine's timeline probe when the sink is active.
@@ -77,21 +88,45 @@ impl EventTraceSink {
 
     /// Appends one run's drained timeline: a run-header line (scheme,
     /// retained event count, events the ring dropped) followed by the
-    /// event lines. No-op when disabled.
+    /// event lines. No-op when disabled. The first write error is kept
+    /// for [`finish`](Self::finish), and nothing is written after it.
     pub fn sink(&self, label: &str, lines: &[String], dropped: u64) {
-        let mut guard = self.writer.lock().expect("sink lock");
-        let Some(w) = guard.as_mut() else { return };
-        let _ = writeln!(
-            w,
-            "{{\"v\":{TIMELINE_SCHEMA_VERSION},\"run\":{},\"events\":{},\"dropped\":{dropped}}}",
-            silo_types::JsonValue::Str(label.to_string()),
-            lines.len(),
-        );
-        for line in lines {
-            let _ = writeln!(w, "{line}");
+        let mut guard = self.file.lock().expect("sink lock");
+        let Some(file) = guard.as_mut() else { return };
+        if file.error.is_some() {
+            return;
         }
-        let _ = w.flush();
+        if let Err(err) = write_run(&mut file.writer, label, lines, dropped) {
+            file.error = Some(err);
+        }
     }
+
+    /// The first error writing the trace file since it was opened, if
+    /// any (reported once). `Ok` when disabled.
+    pub fn finish(&self) -> std::io::Result<()> {
+        match self.file.lock().expect("sink lock").as_mut() {
+            Some(file) => file.error.take().map_or(Ok(()), Err),
+            None => Ok(()),
+        }
+    }
+}
+
+fn write_run(
+    w: &mut impl std::io::Write,
+    label: &str,
+    lines: &[String],
+    dropped: u64,
+) -> std::io::Result<()> {
+    writeln!(
+        w,
+        "{{\"v\":{TIMELINE_SCHEMA_VERSION},\"run\":{},\"events\":{},\"dropped\":{dropped}}}",
+        silo_types::JsonValue::Str(label.to_string()),
+        lines.len(),
+    )?;
+    for line in lines {
+        writeln!(w, "{line}")?;
+    }
+    w.flush()
 }
 
 /// Flushes a finished run's timeline (if any) into the global sink.
@@ -145,6 +180,24 @@ mod tests {
                 .map(|c| c.cycles.as_u64())
                 .sum::<u64>()
         );
+    }
+
+    #[test]
+    fn sink_keeps_the_first_write_error() {
+        let full = Path::new("/dev/full");
+        if !full.exists() {
+            return;
+        }
+        let sink = EventTraceSink {
+            file: Mutex::new(Some(TraceFile {
+                writer: BufWriter::new(File::create(full).expect("open /dev/full")),
+                error: None,
+            })),
+        };
+        sink.sink("Silo", &["{}".to_string()], 0);
+        sink.sink("Base", &[], 0);
+        let err = sink.finish().expect_err("a full device fails the write");
+        assert_eq!(err.kind(), std::io::ErrorKind::StorageFull, "{err}");
     }
 
     #[test]

@@ -49,6 +49,34 @@ fn bad_cores_txs_and_benchmarks_are_rejected_with_exit_2() {
 }
 
 #[test]
+fn unwritable_event_trace_exits_1() {
+    // /dev/full accepts the open and fails every write.
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let out = evaluate()
+        .args([
+            "fig13",
+            "--txs",
+            "40",
+            "--jobs",
+            "1",
+            "--no-result-store",
+            "--trace-events",
+            "/dev/full",
+        ])
+        .output()
+        .expect("run evaluate");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr:?}");
+    assert!(
+        stderr.contains("error:") && stderr.contains("event trace /dev/full"),
+        "{stderr:?}"
+    );
+    assert!(out.stdout.is_empty(), "no experiment ran");
+}
+
+#[test]
 fn unknown_experiment_is_rejected_with_exit_2() {
     let out = evaluate().arg("no_such_experiment").output().expect("run");
     assert_eq!(out.status.code(), Some(2));

@@ -6,13 +6,18 @@
 //! verdict, same recovered PM image — for every scheme and every fault
 //! model. The [`silo_types::Snapshot`] round-trip tests below pin the
 //! building block: restoring a snapshot reproduces the captured state
-//! exactly, under randomized operation sequences.
+//! exactly, under randomized operation sequences. The steady-state delta's
+//! fork (one run continued from another's last shared state) is held to
+//! the same standard against two runs from scratch.
 
-use silo_bench::{make_scheme, TraceCache, ALL_SCHEMES};
+use silo_bench::{make_scheme, run_delta_with, run_with_scheme, Batched, TraceCache, ALL_SCHEMES};
+use silo_core::{SiloOptions, SiloScheme};
 use silo_pm::{PagedMedia, PmDevice, PmDeviceConfig};
-use silo_sim::{CheckpointPolicy, CrashPlan, Engine, FaultModel, RunOutcome, SimConfig};
+use silo_sim::{
+    CheckpointPolicy, CrashPlan, Engine, FaultModel, LoggingScheme, RunOutcome, SimConfig, SimStats,
+};
 use silo_types::{Cycles, PhysAddr, Snapshot, SplitMix64};
-use silo_workloads::workload_by_name;
+use silo_workloads::{workload_by_name, ArrivalProcess, OpenLoop, Workload};
 
 const CORES: usize = 2;
 const TXS_PER_CORE: usize = 16;
@@ -152,6 +157,107 @@ fn every_valid_checkpoint_yields_the_same_outcome() {
         resumed_any += 1;
     }
     assert!(resumed_any > 0, "no checkpoint preceded event {n}");
+}
+
+/// The same delta the fork replaces: the N-run and the 2N-run, each from
+/// t=0, subtracted.
+fn delta_from_scratch(
+    config: &SimConfig,
+    make: impl Fn() -> Box<dyn LoggingScheme>,
+    w: &dyn Workload,
+    txs: usize,
+) -> SimStats {
+    let cache = TraceCache::global();
+    let short = run_with_scheme(
+        make().as_mut(),
+        config,
+        cache.get_or_build(w, config.cores, txs, SEED),
+    );
+    let long = run_with_scheme(
+        make().as_mut(),
+        config,
+        cache.get_or_build(w, config.cores, 2 * txs, SEED),
+    );
+    long.delta_from(&short)
+}
+
+/// Whether `run_delta_with` can fork `w` (its 2N trace starts with the N
+/// one) rather than fall back to two runs from t=0.
+fn forks(w: &dyn Workload, cores: usize, txs: usize) -> bool {
+    let cache = TraceCache::global();
+    cache
+        .get_or_build(w, cores, 2 * txs, SEED)
+        .starts_with(&cache.get_or_build(w, cores, txs, SEED))
+}
+
+/// `run_delta_with` simulates the prefix its two runs share once and
+/// forks; its delta must equal the two-runs-from-scratch delta exactly.
+#[test]
+fn forked_delta_matches_two_runs_from_scratch() {
+    const TXS: usize = 8;
+    for cores in [1, 2, 8] {
+        let config = SimConfig::table_ii(cores);
+        for name in ["Array", "Btree", "TPCC", "YCSB", "zipfmix"] {
+            let w = workload_by_name(name).expect("registered workload");
+            assert!(forks(w.as_ref(), cores, TXS), "{name} extends");
+            for scheme in ALL_SCHEMES {
+                let make = || make_scheme(scheme, &config);
+                assert_eq!(
+                    run_delta_with(&config, make, w.as_ref(), TXS, SEED)
+                        .to_json()
+                        .to_string(),
+                    delta_from_scratch(&config, make, w.as_ref(), TXS)
+                        .to_json()
+                        .to_string(),
+                    "{scheme} / {name} / {cores} cores"
+                );
+            }
+        }
+    }
+
+    // An ablation's Silo options, a batched workload, and the diurnal
+    // ramp, whose arrivals do not extend and so take the from-t=0 path.
+    let config = &SimConfig::table_ii(2);
+    let no_merging = SiloOptions {
+        log_merging: false,
+        onpm_coalescing: false,
+        ..SiloOptions::default()
+    };
+    let diurnal = ArrivalProcess::Diurnal {
+        start_gap: 2000,
+        end_gap: 100,
+    };
+    let check =
+        |what: &str, w: &dyn Workload, make: &dyn Fn() -> Box<dyn LoggingScheme>, extends| {
+            assert_eq!(forks(w, 2, TXS), extends, "{what}");
+            assert_eq!(
+                run_delta_with(config, make, w, TXS, SEED)
+                    .to_json()
+                    .to_string(),
+                delta_from_scratch(config, make, w, TXS)
+                    .to_json()
+                    .to_string(),
+                "{what}"
+            );
+        };
+    check(
+        "Silo without merging / Hash",
+        &*workload_by_name("Hash").expect("hash"),
+        &|| Box::new(SiloScheme::with_options(config, no_merging)),
+        true,
+    );
+    check(
+        "Silo / TPCC batched by 4",
+        &Batched::new(workload_by_name("TPCC").expect("tpcc"), 4),
+        &|| make_scheme("Silo", config),
+        true,
+    );
+    check(
+        "Base / diurnal Hash",
+        &OpenLoop::new(workload_by_name("Hash").expect("hash"), diurnal),
+        &|| make_scheme("Base", config),
+        false,
+    );
 }
 
 /// Randomized [`Snapshot`] round-trip on the wear-tracked media: capture,

@@ -119,8 +119,9 @@ impl std::ops::Sub for HierarchyStats {
     type Output = HierarchyStats;
 
     /// Saturating per-field difference: delta pairs are only approximately
-    /// nested (workload streams need not be prefix-extensive), so each
-    /// counter saturates at zero rather than panicking on underflow.
+    /// nested (the shorter run's tail and end-of-run drain are its own),
+    /// so each counter saturates at zero rather than panicking on
+    /// underflow.
     fn sub(self, r: HierarchyStats) -> HierarchyStats {
         let level =
             |a: (u64, u64), b: (u64, u64)| (a.0.saturating_sub(b.0), a.1.saturating_sub(b.1));

@@ -291,10 +291,12 @@ impl std::ops::Sub for MemCtrlStats {
 
     /// Saturating per-field difference. Delta pairs (an N-transaction run
     /// subtracted from a 2N-transaction run) are only approximately
-    /// nested: workload generators are not required to produce
-    /// prefix-extensive streams, so a transient counter such as WPQ stall
-    /// cycles can be *smaller* in the longer run. Saturating at zero keeps
-    /// the warmup-stripping heuristic total instead of panicking.
+    /// nested: the generators are prefix-extensive, so both runs share
+    /// every step until the N-run's first core runs out, but after that
+    /// the N-run's other cores finish alone and its end-of-run drain
+    /// differs from the 2N-run's path, so a transient counter such as WPQ
+    /// stall cycles can be *smaller* in the longer run. Saturating at zero
+    /// keeps the warmup-stripping heuristic total instead of panicking.
     fn sub(self, r: MemCtrlStats) -> MemCtrlStats {
         MemCtrlStats {
             writes: self.writes.saturating_sub(r.writes),

@@ -91,8 +91,9 @@ impl Sub for PmStats {
     type Output = PmStats;
 
     /// Saturating per-field difference: delta pairs are only approximately
-    /// nested (workload streams need not be prefix-extensive), so each
-    /// counter saturates at zero rather than panicking on underflow.
+    /// nested (the shorter run's tail and end-of-run drain are its own),
+    /// so each counter saturates at zero rather than panicking on
+    /// underflow.
     fn sub(self, rhs: PmStats) -> PmStats {
         PmStats {
             accepted_writes: self.accepted_writes.saturating_sub(rhs.accepted_writes),

@@ -185,6 +185,70 @@ impl std::fmt::Debug for EngineCheckpoint {
     }
 }
 
+/// The last state a clean run shares with a clean run of longer streams
+/// that start with its own: the first loop boundary at which the picked
+/// core has run out of transactions. Until then both runs step the same
+/// cores through the same ops; from there the shorter run retires that
+/// core while the longer one begins its next transaction.
+///
+/// Captured by [`Engine::run_forking`] and consumed by
+/// [`Engine::run_continued`]. Clean runs feed no [`TxOracle`], so a fork
+/// point carries no transaction history and is a type of its own: it can
+/// seed only a clean continuation, never a crash plan.
+///
+/// ```compile_fail
+/// # use silo_sim::{CrashPlan, Engine, SimConfig, Transaction, schemes::NullScheme};
+/// let config = SimConfig::table_ii(1);
+/// let streams = || vec![vec![Transaction::builder().compute(1).build()]];
+/// let mut a = NullScheme::default();
+/// let (_, fork) = Engine::new(&config, &mut a).run_forking(streams());
+/// let mut b = NullScheme::default();
+/// // A fork point is not an `EngineCheckpoint`: crash plans cannot resume from it.
+/// Engine::new(&config, &mut b).run_resumed(streams(), CrashPlan::at_event(1), &fork.unwrap());
+/// ```
+pub struct ForkPoint {
+    cp: EngineCheckpoint,
+    /// The streams the forking run executed; the continuation's must
+    /// start with them (checked in debug builds).
+    prefix: TxStreams,
+}
+
+impl ForkPoint {
+    /// The fork's position on the cycle axis: the clock of the core that
+    /// ran out of transactions.
+    pub fn cycle_pos(&self) -> Cycles {
+        self.cp.cycle_pos
+    }
+
+    /// Durability events both runs share: those counted up to the fork.
+    pub fn event_pos(&self) -> u64 {
+        self.cp.event_pos
+    }
+}
+
+impl std::fmt::Debug for ForkPoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("ForkPoint").field(&self.cp).finish()
+    }
+}
+
+/// Where a run starts.
+enum Start<'c> {
+    Scratch,
+    /// A recording run's checkpoint, shared by many crash plans.
+    Checkpoint(&'c EngineCheckpoint),
+    /// A fork point, consumed by the one run that continues it.
+    Fork(Box<ForkPoint>),
+}
+
+/// What a clean run captures on its way.
+#[derive(Clone, Copy)]
+enum Capture {
+    Nothing,
+    Checkpoints(CheckpointPolicy),
+    Fork,
+}
+
 /// How often a recording run captures checkpoints.
 ///
 /// Both cadences are active at once: a checkpoint is taken whenever either
@@ -277,6 +341,32 @@ struct CoreRun {
 }
 
 impl CoreRun {
+    fn state(&self) -> CoreState {
+        CoreState {
+            time: self.time,
+            tx_idx: self.tx_idx,
+            op_idx: self.op_idx,
+            phase: self.phase,
+            txid: self.txid,
+            tag: self.tag,
+            cur_writes: self.cur_writes.clone(),
+            committed: self.committed,
+            sojourns: self.sojourns.clone(),
+        }
+    }
+
+    fn resume(&mut self, s: CoreState) {
+        self.time = s.time;
+        self.tx_idx = s.tx_idx;
+        self.op_idx = s.op_idx;
+        self.phase = s.phase;
+        self.txid = s.txid;
+        self.tag = s.tag;
+        self.cur_writes = s.cur_writes;
+        self.committed = s.committed;
+        self.sojourns = s.sojourns;
+    }
+
     fn record(&self, committed: bool) -> TxRecord {
         let mut writes: Vec<(PhysAddr, Word)> = self
             .cur_writes
@@ -303,6 +393,9 @@ pub struct Engine<'a> {
     machine: Machine,
     scheme: &'a mut dyn LoggingScheme,
     oracle: TxOracle,
+    // Whether the oracle records transactions: only on runs that can
+    // crash or whose checkpoints seed crash runs.
+    track_txs: bool,
     spec: Option<SpecMachine>,
 }
 
@@ -313,6 +406,7 @@ impl<'a> Engine<'a> {
             machine: Machine::new(config),
             scheme,
             oracle: TxOracle::default(),
+            track_txs: false,
             spec: None,
         }
     }
@@ -368,7 +462,8 @@ impl<'a> Engine<'a> {
         streams: impl Into<TxStreams>,
         plan: Option<CrashPlan>,
     ) -> RunOutcome {
-        self.run_inner(streams.into(), plan, None, None).0
+        self.run_inner(streams.into(), plan, Capture::Nothing, Start::Scratch)
+            .0
     }
 
     /// Runs a clean (crash-free) reference run while capturing periodic
@@ -385,7 +480,48 @@ impl<'a> Engine<'a> {
         streams: impl Into<TxStreams>,
         policy: CheckpointPolicy,
     ) -> (RunOutcome, CheckpointSet) {
-        self.run_inner(streams.into(), None, Some(policy), None)
+        let (outcome, set, _) = self.run_inner(
+            streams.into(),
+            None,
+            Capture::Checkpoints(policy),
+            Start::Scratch,
+        );
+        (outcome, set)
+    }
+
+    /// Runs a clean run while capturing its [`ForkPoint`], from which
+    /// [`Engine::run_continued`] runs longer streams that start with
+    /// these. The outcome is the same as [`Engine::run`]'s. The fork is
+    /// `None` if the scheme does not support state snapshotting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream count differs from the configured core count.
+    pub fn run_forking(self, streams: impl Into<TxStreams>) -> (RunOutcome, Option<ForkPoint>) {
+        let (outcome, _, fork) =
+            self.run_inner(streams.into(), None, Capture::Fork, Start::Scratch);
+        (outcome, fork)
+    }
+
+    /// Runs `streams` clean from `fork` instead of t=0, consuming the fork
+    /// as it restores. The engine's scheme must be a fresh instance of the
+    /// forking run's scheme, and every stream and arrival schedule must
+    /// start with the forking run's (checked in debug builds); the outcome
+    /// is then byte-identical to running `streams` from scratch. The
+    /// probe configuration comes from the fork, as it does on a resume.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream count differs from the configured core count
+    /// or from the fork's core count.
+    pub fn run_continued(self, streams: impl Into<TxStreams>, fork: ForkPoint) -> RunOutcome {
+        let streams = streams.into();
+        debug_assert!(
+            streams.starts_with(&fork.prefix),
+            "a continued run's streams must start with the forking run's"
+        );
+        self.run_inner(streams, None, Capture::Nothing, Start::Fork(Box::new(fork)))
+            .0
     }
 
     /// Runs a crash plan starting from `checkpoint` instead of t=0. The
@@ -418,22 +554,47 @@ impl<'a> Engine<'a> {
                 checkpoint.event_pos
             ),
         }
-        self.run_inner(streams.into(), Some(plan), None, Some(checkpoint))
-            .0
+        self.run_inner(
+            streams.into(),
+            Some(plan),
+            Capture::Nothing,
+            Start::Checkpoint(checkpoint),
+        )
+        .0
+    }
+
+    /// The whole engine state at a loop boundary: machine, core cursors,
+    /// oracle and scheme. `None` if the scheme cannot snapshot its state.
+    fn capture(
+        &self,
+        cores: &[CoreRun],
+        cycle_pos: Cycles,
+        event_pos: u64,
+    ) -> Option<EngineCheckpoint> {
+        let scheme = self.scheme.snapshot_state()?;
+        Some(EngineCheckpoint {
+            cycle_pos,
+            event_pos,
+            machine: self.machine.snapshot(),
+            cores: cores.iter().map(CoreRun::state).collect(),
+            oracle: self.oracle.clone(),
+            scheme,
+        })
     }
 
     fn run_inner(
         mut self,
         streams: TxStreams,
         plan: Option<CrashPlan>,
-        policy: Option<CheckpointPolicy>,
-        resume: Option<&EngineCheckpoint>,
-    ) -> (RunOutcome, CheckpointSet) {
+        capture: Capture,
+        start: Start<'_>,
+    ) -> (RunOutcome, CheckpointSet, Option<ForkPoint>) {
         assert_eq!(
             streams.len(),
             self.machine.config.cores,
             "one transaction stream per core required"
         );
+        let prefix = matches!(capture, Capture::Fork).then(|| streams.clone());
         let mut scheds: Vec<Option<ArrivalSchedule>> = match streams.arrivals {
             Some(a) => {
                 assert_eq!(
@@ -475,30 +636,43 @@ impl<'a> Engine<'a> {
             })
             .collect();
 
-        if let Some(cp) = resume {
+        if !matches!(start, Start::Scratch) {
             assert!(
                 self.spec.is_none(),
                 "the spec machine requires a from-scratch run (checkpoints do not carry spec state)"
             );
-            assert_eq!(
-                cp.cores.len(),
-                cores.len(),
-                "checkpoint core count must match the streams"
-            );
-            self.machine.restore(&cp.machine);
-            for (core, s) in cores.iter_mut().zip(&cp.cores) {
-                core.time = s.time;
-                core.tx_idx = s.tx_idx;
-                core.op_idx = s.op_idx;
-                core.phase = s.phase;
-                core.txid = s.txid;
-                core.tag = s.tag;
-                core.cur_writes.clone_from(&s.cur_writes);
-                core.committed = s.committed;
-                core.sojourns.clone_from(&s.sojourns);
+        }
+        match start {
+            Start::Scratch => {}
+            Start::Checkpoint(cp) => {
+                assert_eq!(
+                    cp.cores.len(),
+                    cores.len(),
+                    "checkpoint core count must match the streams"
+                );
+                self.machine.restore(&cp.machine);
+                for (core, s) in cores.iter_mut().zip(&cp.cores) {
+                    core.resume(s.clone());
+                }
+                self.oracle = cp.oracle.clone();
+                self.scheme.restore_state(&*cp.scheme);
             }
-            self.oracle = cp.oracle.clone();
-            self.scheme.restore_state(&*cp.scheme);
+            Start::Fork(fork) => {
+                // Moved in rather than copied, and gone after this arm: a
+                // fork kept alive would share the PM pages, and the run
+                // would copy each one on its first write to it.
+                let ForkPoint { cp, .. } = *fork;
+                assert_eq!(
+                    cp.cores.len(),
+                    cores.len(),
+                    "fork core count must match the streams"
+                );
+                self.machine.restore_owned(cp.machine);
+                for (core, s) in cores.iter_mut().zip(cp.cores) {
+                    core.resume(s);
+                }
+                self.scheme.restore_state(&*cp.scheme);
+            }
         }
 
         // Arming happens *after* a restore: the clean recording run counts
@@ -514,13 +688,25 @@ impl<'a> Engine<'a> {
             self.machine.pm.arm_crash_at_event(n);
         }
 
-        // Checkpoints record only on clean runs with snapshot-capable
-        // schemes; capturing mid-crash-plan states would be useless (the
-        // suffix differs per plan) and is not requested by any caller.
-        let mut recording = policy.filter(|_| plan.is_none());
-        if recording.is_some() && self.scheme.snapshot_state().is_none() {
-            recording = None;
-        }
+        // Checkpoints and forks are captured only on clean runs with
+        // snapshot-capable schemes; capturing mid-crash-plan states would
+        // be useless (the suffix differs per plan) and is not requested by
+        // any caller.
+        let capture = match capture {
+            _ if plan.is_some() => Capture::Nothing,
+            Capture::Checkpoints(_) if self.scheme.snapshot_state().is_none() => Capture::Nothing,
+            c => c,
+        };
+        let mut recording = match capture {
+            Capture::Checkpoints(p) => Some(p),
+            _ => None,
+        };
+        let mut fork_pending = matches!(capture, Capture::Fork);
+        let mut fork = None;
+        // Only a crash reads the oracle: a crash run, or a recording run
+        // whose checkpoints seed crash runs, records every transaction;
+        // other clean runs skip the per-commit record entirely.
+        self.track_txs = plan.is_some() || recording.is_some();
         let mut set = CheckpointSet::default();
         let (mut next_event_due, mut next_cycle_due) = recording
             .map(|p| (p.every_events, p.every_cycles))
@@ -565,37 +751,27 @@ impl<'a> Engine<'a> {
                     i
                 }
             };
+            if fork_pending
+                && cores[ci].phase == Phase::BetweenTxs
+                && cores[ci].tx_idx >= cores[ci].txs.len()
+            {
+                // The picked core is about to retire; with a longer stream
+                // it would begin another transaction instead. Every step so
+                // far is common to both runs.
+                fork_pending = false;
+                let events_total = self.machine.pm.events().total();
+                fork = self.capture(&cores, cores[ci].time, events_total);
+            }
             if let Some(pol) = &mut recording {
                 // The winner's clock is the minimum unfinished clock, so
                 // this loop boundary *is* a position on the cycle axis.
                 let min_time = cores[ci].time;
                 let events_total = self.machine.pm.events().total();
                 if events_total >= next_event_due || min_time.as_u64() >= next_cycle_due {
-                    let scheme = self
-                        .scheme
-                        .snapshot_state()
-                        .expect("snapshot capability checked before the loop");
-                    set.cps.push(EngineCheckpoint {
-                        cycle_pos: min_time,
-                        event_pos: events_total,
-                        machine: self.machine.snapshot(),
-                        cores: cores
-                            .iter()
-                            .map(|c| CoreState {
-                                time: c.time,
-                                tx_idx: c.tx_idx,
-                                op_idx: c.op_idx,
-                                phase: c.phase,
-                                txid: c.txid,
-                                tag: c.tag,
-                                cur_writes: c.cur_writes.clone(),
-                                committed: c.committed,
-                                sojourns: c.sojourns.clone(),
-                            })
-                            .collect(),
-                        oracle: self.oracle.clone(),
-                        scheme,
-                    });
+                    set.cps.push(
+                        self.capture(&cores, min_time, events_total)
+                            .expect("snapshot capability checked before the loop"),
+                    );
                     if set.cps.len() >= pol.max {
                         // Thin to every other checkpoint and slow both
                         // cadences, keeping the set bounded on long runs.
@@ -704,7 +880,10 @@ impl<'a> Engine<'a> {
             timeline: self.machine.probe.drain_timeline(),
             signature: self.machine.probe.take_signature(),
         };
-        (outcome, set)
+        let fork = fork
+            .zip(prefix)
+            .map(|(cp, prefix)| ForkPoint { cp, prefix });
+        (outcome, set, fork)
     }
 
     /// Executes one step (transaction boundary or single op) on `core`.
@@ -785,7 +964,9 @@ impl<'a> Engine<'a> {
                         core.phase = Phase::Done;
                         return;
                     }
-                    self.oracle.observe(core.record(true));
+                    if self.track_txs {
+                        self.oracle.observe(core.record(true));
+                    }
                     if let Some(spec) = &mut self.spec {
                         let event = self.machine.pm.events().total();
                         spec.on_commit(core.id.as_usize(), core.tag, event);
@@ -856,7 +1037,9 @@ impl<'a> Engine<'a> {
                 self.handle_evictions(core, &acc.pm_writebacks);
                 let old = self.machine.shadow.load(addr, &self.machine.pm);
                 self.machine.shadow.store(addr, new);
-                core.cur_writes.insert(addr.word_aligned().as_u64(), new);
+                if self.track_txs {
+                    core.cur_writes.insert(addr.word_aligned().as_u64(), new);
+                }
                 if let Some(spec) = &mut self.spec {
                     let event = self.machine.pm.events().total();
                     spec.on_store(core.id.as_usize(), core.tag, addr, new, event);
@@ -1194,6 +1377,45 @@ mod tests {
             crash.consistency.is_consistent(),
             "nothing ran, PM all-zero"
         );
+    }
+
+    #[test]
+    fn recording_runs_keep_the_oracle_for_resumed_crashes() {
+        // Clean runs leave the oracle empty, but a recording run's
+        // checkpoints seed crash runs: a resumed crash must judge the same
+        // transactions as one from scratch. NullScheme loses every
+        // committed write, so the verdict names real violations.
+        let cfg = SimConfig::table_ii(2);
+        let streams = || -> Vec<Vec<Transaction>> {
+            (0..2u64)
+                .map(|c| {
+                    (0..40)
+                        .map(|i| tx_writing(&[(c * 4096 + i * 64, i + 1)]))
+                        .collect()
+                })
+                .collect()
+        };
+        let policy = CheckpointPolicy {
+            every_events: 4,
+            every_cycles: 256,
+            max: 64,
+        };
+        let mut s = NullScheme::default();
+        let (clean, set) = Engine::new(&cfg, &mut s).run_recording(streams(), policy);
+        let plan = CrashPlan::at_event(clean.pm.events().total() * 3 / 4);
+        let cp = set
+            .nearest(plan.trigger)
+            .expect("a checkpoint precedes the crash");
+        assert!(cp.event_pos() > 0, "the checkpoint carries a real prefix");
+
+        let mut s1 = NullScheme::default();
+        let scratch = Engine::new(&cfg, &mut s1).run_with_plan(streams(), Some(plan));
+        let mut s2 = NullScheme::default();
+        let resumed = Engine::new(&cfg, &mut s2).run_resumed(streams(), plan, cp);
+        let (scratch, resumed) = (scratch.crash.unwrap(), resumed.crash.unwrap());
+        assert!(!scratch.consistency.is_consistent());
+        assert_eq!(scratch.consistency, resumed.consistency);
+        assert_eq!(scratch.committed_txs, resumed.committed_txs);
     }
 
     #[test]

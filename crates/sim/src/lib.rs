@@ -39,6 +39,16 @@
 //! counters freeze at the instant of power loss and [`RunOutcome::pm`] is
 //! snapshotted immediately after the oracle's verdict.
 //!
+//! # Shared prefixes
+//!
+//! Runs that share a prefix share its simulation. A crash sweep resumes
+//! each crash point from the nearest [`EngineCheckpoint`] of one clean
+//! recording run ([`Engine::run_resumed`]); a steady-state delta continues
+//! its longer clean run from the shorter run's [`ForkPoint`]
+//! ([`Engine::run_continued`]). Both are byte-identical to running from
+//! t=0. Only runs that can crash, and recording runs whose checkpoints
+//! seed them, feed the oracle.
+//!
 //! # Examples
 //!
 //! ```
@@ -72,7 +82,7 @@ mod trace;
 pub use config::SimConfig;
 pub use engine::{
     CheckpointPolicy, CheckpointSet, CrashOutcome, CrashPlan, CrashTrigger, Engine,
-    EngineCheckpoint, RunOutcome,
+    EngineCheckpoint, ForkPoint, RunOutcome,
 };
 pub use machine::{Machine, MachineState, ShadowMem};
 pub use ops::{Op, Transaction, TransactionBuilder};

@@ -257,6 +257,24 @@ impl Snapshot for Machine {
     }
 }
 
+impl Machine {
+    /// [`Snapshot::restore`] for a state restored exactly once: the
+    /// captured components move in instead of being copied, so none of
+    /// them stays shared with the capture.
+    pub(crate) fn restore_owned(&mut self, state: MachineState) {
+        assert_eq!(
+            self.mcs.len(),
+            state.mcs.len(),
+            "machine snapshot restored into a different MC count"
+        );
+        self.caches.restore(&state.caches);
+        self.pm = state.pm;
+        self.mcs = state.mcs;
+        self.shadow = state.shadow;
+        self.probe = state.probe;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

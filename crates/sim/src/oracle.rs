@@ -1,10 +1,10 @@
 //! The atomic-durability oracle.
 //!
-//! While the engine executes, the oracle records every transaction's write
-//! set and commit status. After a crash + recovery, [`TxOracle::verify`]
-//! checks the PM image for the paper's correctness property (§II-A):
-//! *all* writes of committed transactions present, *no* writes of
-//! uncommitted transactions surviving.
+//! While the engine executes a run that can crash, the oracle records
+//! every transaction's write set and commit status. After a crash +
+//! recovery, [`TxOracle::verify`] checks the PM image for the paper's
+//! correctness property (§II-A): *all* writes of committed transactions
+//! present, *no* writes of uncommitted transactions surviving.
 
 use silo_pm::PmDevice;
 use silo_types::{FxHashMap, FxHashSet, PhysAddr, TxTag, Word, BUF_LINE_BYTES};
@@ -88,6 +88,11 @@ impl ConsistencyReport {
 
 /// Tracks per-word expected values across committed transactions and the
 /// addresses touched by uncommitted ones.
+///
+/// Only a crash reads the oracle, so the engine feeds it only on runs that
+/// can reach one: crash-plan runs, and recording runs, whose checkpoints
+/// carry it into the crash runs they seed. Other clean runs, the forking
+/// run of a steady-state delta among them, record nothing.
 ///
 /// The oracle relies on the paper's isolation assumption (§III-A: conflict
 /// isolation is provided by software locking), which our workloads satisfy

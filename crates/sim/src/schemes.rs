@@ -121,8 +121,9 @@ impl std::ops::Sub for SchemeStats {
     type Output = SchemeStats;
 
     /// Saturating per-field difference: delta pairs are only approximately
-    /// nested (workload streams need not be prefix-extensive), so each
-    /// counter saturates at zero rather than panicking on underflow.
+    /// nested (the shorter run's tail and end-of-run drain are its own),
+    /// so each counter saturates at zero rather than panicking on
+    /// underflow.
     fn sub(self, r: SchemeStats) -> SchemeStats {
         SchemeStats {
             log_entries_generated: self

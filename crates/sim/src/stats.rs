@@ -176,7 +176,12 @@ impl SimStats {
     /// The difference between this run and an `earlier` run that executed
     /// a strict prefix of the same deterministic workload — the
     /// steady-state measurement trick the figure generators use to exclude
-    /// the setup transaction: run N and 2N transactions, subtract.
+    /// the setup transaction: run N and 2N transactions, subtract. The 2N
+    /// run need not start from t=0: continued from the N run's
+    /// [`ForkPoint`](crate::ForkPoint) by
+    /// [`Engine::run_continued`](crate::Engine::run_continued), it yields
+    /// the same statistics, and the prefix the two runs share is
+    /// simulated once.
     ///
     /// # Panics
     ///

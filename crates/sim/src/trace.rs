@@ -184,6 +184,17 @@ impl TraceSet {
         self.streams.iter().map(|s| s.len()).sum()
     }
 
+    /// Whether every stream of this trace starts with the same-numbered
+    /// stream of `prefix`, and every arrival schedule with `prefix`'s
+    /// (same setup count, same leading arrival cycles). A clean run of
+    /// this trace then repeats a clean run of `prefix` step for step
+    /// until the first core runs out of `prefix`'s transactions, which is
+    /// what lets [`Engine::run_continued`](crate::Engine::run_continued)
+    /// continue from `prefix`'s fork point.
+    pub fn starts_with(&self, prefix: &TraceSet) -> bool {
+        TxStreams::from(self).starts_with(&prefix.into())
+    }
+
     /// Materialises owned `Vec`s for legacy callers. Transactions
     /// themselves still share their ops, so this clones pointers, not op
     /// buffers.
@@ -220,6 +231,27 @@ impl TxStreams {
     /// Whether the streams carry an open-system arrival schedule.
     pub fn is_open(&self) -> bool {
         self.arrivals.is_some()
+    }
+
+    /// [`TraceSet::starts_with`] over engine inputs.
+    pub(crate) fn starts_with(&self, prefix: &TxStreams) -> bool {
+        let arrivals_extend = match (&self.arrivals, &prefix.arrivals) {
+            (None, None) => true,
+            (Some(a), Some(p)) => {
+                a.len() == p.len()
+                    && a.iter().zip(p).all(|(a, p)| {
+                        a.measure_from == p.measure_from && a.arrivals.starts_with(&p.arrivals)
+                    })
+            }
+            _ => false,
+        };
+        arrivals_extend
+            && self.streams.len() == prefix.streams.len()
+            && self
+                .streams
+                .iter()
+                .zip(&prefix.streams)
+                .all(|(s, p)| s.starts_with(p))
     }
 }
 

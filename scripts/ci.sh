@@ -76,6 +76,16 @@ smoke_stage() {
   golden all target/ci-all.txt
   rm -rf target/reports-ci-all target/ci-all.txt
 
+  echo "== fig11 golden report at the benchmark's size =="
+  # The figgrid benchmark's fig11: its delta cells fork the shared prefix
+  # after 75 measured transactions per 8-core stream (the `all` pin above
+  # forks after 5), and the envelope-stripped report must not move.
+  "$EVALUATE" fig11 --txs 600 --jobs 2 --no-result-store \
+    --json-dir target/reports-ci-fig11 > /dev/null 2>&1
+  strip_envelope target/reports-ci-fig11/fig11.json > target/ci-fig11.json
+  golden fig11 target/ci-fig11.json
+  rm -rf target/reports-ci-fig11 target/ci-fig11.json
+
   echo "== evaluate smoke test =="
   smoke_dir="target/reports-ci-smoke"
   rm -rf "$smoke_dir"

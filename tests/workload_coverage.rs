@@ -4,7 +4,7 @@
 use silo::baselines::{BaseScheme, FwbScheme, LadScheme, MorLogScheme};
 use silo::core::SiloScheme;
 use silo::sim::{Engine, LoggingScheme, SimConfig};
-use silo::workloads::{fig4_set, Workload};
+use silo::workloads::{fig4_set, workload_by_name, ArrivalProcess, OpenLoop, Workload};
 
 fn schemes(config: &SimConfig) -> Vec<Box<dyn LoggingScheme>> {
     vec![
@@ -162,4 +162,127 @@ fn multi_mc_silo_is_consistent_and_scales() {
         "{:?}",
         crash.consistency.violations
     );
+}
+
+/// Every row of the workload registry: the Fig 4 eleven, the tpcc-mix
+/// alias and the memento-style zoo.
+const REGISTRY_ROWS: [&str; 16] = [
+    "array",
+    "btree",
+    "hash",
+    "queue",
+    "rbtree",
+    "tpcc",
+    "ycsb",
+    "rtree",
+    "ctrie",
+    "tatp",
+    "bank",
+    "tpcc-mix",
+    "msqueue",
+    "treiber",
+    "zipfmix",
+    "zipfmix-mt",
+];
+
+/// Whether `long`'s streams and arrival schedules start with `short`'s,
+/// compared transaction by transaction and cycle by cycle.
+fn extends(long: &silo::sim::TraceSet, short: &silo::sim::TraceSet) -> bool {
+    let streams = long.cores() == short.cores()
+        && long
+            .streams()
+            .iter()
+            .zip(short.streams())
+            .all(|(l, s)| l.len() >= s.len() && l[..s.len()] == s[..]);
+    let arrivals = match (long.arrivals(), short.arrivals()) {
+        (None, None) => true,
+        (Some(l), Some(s)) => l.iter().zip(s).all(|(l, s)| {
+            l.measure_from == s.measure_from
+                && l.arrivals.len() >= s.arrivals.len()
+                && l.arrivals[..s.arrivals.len()] == s.arrivals[..]
+        }),
+        _ => false,
+    };
+    let both = streams && arrivals;
+    assert_eq!(
+        long.starts_with(short),
+        both,
+        "TraceSet::starts_with agrees"
+    );
+    both
+}
+
+#[test]
+fn doubling_the_budget_extends_every_stream() {
+    // The steady-state delta simulates the prefix an N-run shares with
+    // its 2N-run once and forks; that is exact only while every generator
+    // is prefix-extensive.
+    assert!(fig4_set()
+        .iter()
+        .all(|w| REGISTRY_ROWS.contains(&w.name().to_ascii_lowercase().as_str())));
+    for name in REGISTRY_ROWS {
+        let w = workload_by_name(name).expect("registry row resolves");
+        for cores in [1, 2, 8] {
+            for txs in [1, 7, 75] {
+                for seed in [42, 7] {
+                    let short = w.build_trace(cores, txs, seed);
+                    let long = w.build_trace(cores, 2 * txs, seed);
+                    assert!(
+                        extends(&long, &short),
+                        "[{name}] {cores} cores, {txs} txs, seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn open_loop_arrivals_extend_except_the_diurnal_ramp() {
+    for process in [
+        ArrivalProcess::Poisson { mean_gap: 500 },
+        ArrivalProcess::Bursty {
+            mean_gap: 100,
+            burst: 8,
+            idle_gap: 5000,
+        },
+    ] {
+        for name in ["hash", "zipfmix"] {
+            let w = OpenLoop::new(workload_by_name(name).expect("row"), process.clone());
+            for cores in [1, 2, 8] {
+                for txs in [1, 7, 75] {
+                    let short = w.build_trace(cores, txs, 42);
+                    let long = w.build_trace(cores, 2 * txs, 42);
+                    assert!(
+                        short.arrivals().is_some(),
+                        "open-loop traces carry arrivals"
+                    );
+                    assert!(
+                        extends(&long, &short),
+                        "[{name} @ {}] {cores} cores, {txs} txs",
+                        process.ident()
+                    );
+                }
+            }
+        }
+    }
+    // The ramp interpolates across the whole measured budget, so doubling
+    // it changes the early gaps: the delta must run its 2N trace from t=0.
+    let diurnal = OpenLoop::new(
+        workload_by_name("hash").expect("row"),
+        ArrivalProcess::Diurnal {
+            start_gap: 2000,
+            end_gap: 100,
+        },
+    );
+    let short = diurnal.build_trace(2, 20, 42);
+    let long = diurnal.build_trace(2, 40, 42);
+    assert!(
+        long.streams()
+            .iter()
+            .zip(short.streams())
+            .all(|(l, s)| l[..s.len()] == s[..]),
+        "the transactions still extend"
+    );
+    assert!(!extends(&long, &short), "the arrival cycles do not");
 }
