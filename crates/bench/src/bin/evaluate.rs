@@ -47,9 +47,10 @@ code fingerprint, so re-evaluating unchanged work replays stored
 results. --no-result-store computes everything fresh and records
 nothing; `evaluate store-gc` prunes entries left by old builds.
 
-crashfuzz resimulates crash points from periodic checkpoints of the
-clean reference run; --no-checkpoints runs every point from scratch,
-which only costs time: resumed and from-scratch runs are byte-identical.
+crashfuzz resumes each crash point from a checkpoint that one walk of
+the clean reference run takes just before it; --no-checkpoints runs
+every point from scratch, which only costs time: resumed and
+from-scratch runs are byte-identical.
 --points K (default 4) sets how many crash points each cell scans and,
 unlike --no-checkpoints, is part of the computed result.
 

@@ -23,10 +23,9 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
 use silo_sim::{
-    CheckpointPolicy, CheckpointSet, CrashPlan, Engine, FaultModel, RunOutcome, SimConfig, TraceSet,
+    CrashPlan, Engine, EngineCheckpoint, FaultModel, RunOutcome, SimConfig, StepLog, TraceSet,
 };
 use silo_types::{Cycles, JsonValue, PhysAddr};
 use silo_workloads::workload_by_name;
@@ -124,12 +123,6 @@ impl Fault {
 /// the flag.
 static CHECKPOINTS_ENABLED: AtomicBool = AtomicBool::new(true);
 
-fn checkpoint_policy() -> Option<CheckpointPolicy> {
-    CHECKPOINTS_ENABLED
-        .load(Ordering::Relaxed)
-        .then(CheckpointPolicy::default)
-}
-
 /// The sweep configuration parsed from the experiment's extra flags.
 struct Config {
     schemes: Vec<String>,
@@ -202,9 +195,12 @@ fn parse_config(p: &ExpParams) -> Config {
         );
         std::process::exit(2);
     }
-    if p.extra.iter().any(|a| a == "--no-checkpoints") {
-        CHECKPOINTS_ENABLED.store(false, Ordering::Relaxed);
-    }
+    // Stored on every parse, so a run without the flag turns checkpoints
+    // back on after an earlier run in the same process turned them off.
+    CHECKPOINTS_ENABLED.store(
+        !p.extra.iter().any(|a| a == "--no-checkpoints"),
+        Ordering::Relaxed,
+    );
     Config {
         schemes,
         faults,
@@ -213,58 +209,23 @@ fn parse_config(p: &ExpParams) -> Config {
     }
 }
 
-/// A clean reference run together with the checkpoints its recording run
-/// captured, shared process-wide behind one `Arc`.
-struct CleanRef {
-    out: RunOutcome,
-    ckpts: CheckpointSet,
-}
-
-/// The clean (no-crash) reference run for one scheme × workload × stream
-/// shape, shared process-wide. The clean run does not depend on the fault
-/// model — faults only act at crash time — so the fault-model cells of one
-/// sweep row reuse a single run (and a single checkpoint set) instead of
-/// each recomputing it. The cached outcome is immutable and its PM image
-/// is copy-on-write, so sharing it is pointer bumps. The map lock covers
-/// only the per-key slot lookup; the run itself executes under the slot's
-/// own `OnceLock`, so two workers asking for the same key still share one
-/// computation while workers on *different* cells proceed concurrently
-/// (a single map-wide lock used to serialize every worker's clean run).
+/// The clean (no-crash) reference run of one scheme × workload × stream
+/// shape. With checkpoints on it also logs where its loop steps lie on
+/// both crash axes, so a walk of the same run can lend each crash point
+/// the state just before it ([`Cell::scan`]).
 fn clean_run(
     scheme: &str,
     config: &SimConfig,
     streams: &TraceSet,
-    bench: &str,
-    txs_per_core: usize,
-    seed: u64,
-) -> Arc<CleanRef> {
-    type Key = (String, String, usize, u64, u64);
-    type Slot = Arc<OnceLock<Arc<CleanRef>>>;
-    static CACHE: OnceLock<Mutex<HashMap<Key, Slot>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    // Keyed by the hasher scramble seed as well so the hash-order
-    // independence test exercises fresh clean runs under every scramble
-    // instead of reusing the first run's cached outcome.
-    let key = (
-        scheme.to_string(),
-        bench.to_string(),
-        txs_per_core,
-        seed,
-        silo_types::hash::scramble_seed(),
-    );
-    let slot = {
-        let mut guard = cache.lock().expect("clean-run cache poisoned");
-        Arc::clone(guard.entry(key).or_default())
-    };
-    Arc::clone(slot.get_or_init(|| {
-        let mut s = make_scheme(scheme, config);
-        let engine = Engine::new(config, s.as_mut());
-        let (out, ckpts) = match checkpoint_policy() {
-            Some(policy) => engine.run_recording(streams, policy),
-            None => (engine.run(streams, None), CheckpointSet::default()),
-        };
-        Arc::new(CleanRef { out, ckpts })
-    }))
+) -> (RunOutcome, Option<StepLog>) {
+    let mut s = make_scheme(scheme, config);
+    let engine = Engine::new(config, s.as_mut());
+    if CHECKPOINTS_ENABLED.load(Ordering::Relaxed) {
+        let (out, steps) = engine.run_logging_steps(streams);
+        (out, Some(steps))
+    } else {
+        (engine.run(streams, None), None)
+    }
 }
 
 /// Every distinct word address the workload writes, across setup and
@@ -348,13 +309,13 @@ fn run_point(
     footprint: &[PhysAddr],
     fault: Fault,
     point: u64,
-    ckpts: Option<&CheckpointSet>,
+    cp: Option<&EngineCheckpoint>,
 ) -> PointResult {
     let mut s = make_scheme(scheme, config);
     let plan = fault.plan(point);
     // Sharing the trace across crash points: this conversion is pointer
     // bumps, where it used to deep-clone every stream per point.
-    let out = match ckpts.and_then(|cs| cs.nearest(plan.trigger)) {
+    let out = match cp {
         Some(cp) => {
             let out = Engine::new(config, s.as_mut()).run_resumed(streams, plan, cp);
             // Debug builds prove the headline invariant on every resumed
@@ -393,6 +354,87 @@ fn run_point(
     }
 }
 
+/// One cell's crash runs: everything but the crash point.
+struct Cell<'a> {
+    scheme: &'a str,
+    config: &'a SimConfig,
+    streams: &'a TraceSet,
+    footprint: &'a [PhysAddr],
+    fault: Fault,
+}
+
+impl Cell<'_> {
+    /// Runs the crash `points` in order, handing each result to
+    /// `keep_going`; a `false` ends the scan. With a step log, one walk of
+    /// the clean run stops at the last step before each point and lends
+    /// that checkpoint to the point(s) resuming from it, so a resumed
+    /// point re-simulates at most one step; ascending points make
+    /// ascending stops. A point with no earlier step, and every point
+    /// without a step log (`--no-checkpoints`) or under a scheme that
+    /// cannot checkpoint, runs from scratch.
+    fn scan(
+        &self,
+        steps: Option<&StepLog>,
+        points: &[u64],
+        mut keep_going: impl FnMut(PointResult) -> bool,
+    ) {
+        let mut run = |i: usize, cp: Option<&EngineCheckpoint>| {
+            keep_going(run_point(
+                self.scheme,
+                self.config,
+                self.streams,
+                self.footprint,
+                self.fault,
+                points[i],
+                cp,
+            ))
+        };
+        let at: Vec<Option<u64>> = points
+            .iter()
+            .map(|&n| steps.and_then(|log| log.last_before(self.fault.plan(n).trigger)))
+            .collect();
+        let mut i = 0;
+        while i < points.len() && at[i].is_none() {
+            if !run(i, None) {
+                return;
+            }
+            i += 1;
+        }
+        let stops: Vec<u64> = at[i..].iter().flatten().copied().collect();
+        let mut ended = false;
+        let mut s = make_scheme(self.scheme, self.config);
+        Engine::new(self.config, s.as_mut()).walk(self.streams, &stops, |step, cp| {
+            while i < points.len() && at[i] == Some(step) {
+                i += 1;
+                if !run(i - 1, Some(cp)) {
+                    ended = true;
+                    return false;
+                }
+            }
+            true
+        });
+        if !ended {
+            for j in i..points.len() {
+                if !run(j, None) {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// The first of `points` whose crash run violates, in order.
+    fn first_violation(&self, steps: Option<&StepLog>, points: &[u64]) -> Option<u64> {
+        let mut found = None;
+        self.scan(steps, points, |r| {
+            if r.violations > 0 {
+                found = Some(r.point);
+            }
+            found.is_none()
+        });
+        found
+    }
+}
+
 /// Evenly spaced interior points: `(total * (2i + 1)) / (2 * k)`.
 fn spaced(total: u64, k: u64) -> Vec<u64> {
     (0..k).map(|i| (total * (2 * i + 1)) / (2 * k)).collect()
@@ -420,28 +462,25 @@ fn shrink(
     mut point: u64,
 ) -> (usize, u64) {
     let w = workload_by_name(workload).expect("benchmark");
-    let rescan = |txs: usize| -> Option<u64> {
+    // The first violating point at `txs` transactions per core, among the
+    // candidates `points` picks given the clean run's axis total.
+    let scan = |txs: usize, points: &dyn Fn(u64) -> Vec<u64>| -> Option<u64> {
         let streams = TraceCache::global().get_or_build(&w, CORES, txs, seed);
         let footprint = write_footprint(&streams);
-        let clean = clean_run(scheme, config, &streams, workload, txs, seed);
-        spaced(axis_total(fault, &clean.out), SHRINK_SCAN)
-            .into_iter()
-            .find(|&n| {
-                run_point(
-                    scheme,
-                    config,
-                    &streams,
-                    &footprint,
-                    fault,
-                    n,
-                    Some(&clean.ckpts),
-                )
-                .violations
-                    > 0
-            })
+        let (clean, steps) = clean_run(scheme, config, &streams);
+        let points = points(axis_total(fault, &clean));
+        drop(clean);
+        let cell = Cell {
+            scheme,
+            config,
+            streams: &streams,
+            footprint: &footprint,
+            fault,
+        };
+        cell.first_violation(steps.as_ref(), &points)
     };
     while txs_per_core > 1 {
-        match rescan(txs_per_core / 2) {
+        match scan(txs_per_core / 2, &|total| spaced(total, SHRINK_SCAN)) {
             Some(n) => {
                 txs_per_core /= 2;
                 point = n;
@@ -450,26 +489,12 @@ fn shrink(
         }
     }
     // Earliest violating point at the final stream length.
-    let streams = TraceCache::global().get_or_build(&w, CORES, txs_per_core, seed);
-    let footprint = write_footprint(&streams);
-    let clean = clean_run(scheme, config, &streams, workload, txs_per_core, seed);
-    let mut candidates = spaced(point, EARLIEST_SCAN);
-    candidates.dedup();
-    for n in candidates {
-        let r = run_point(
-            scheme,
-            config,
-            &streams,
-            &footprint,
-            fault,
-            n,
-            Some(&clean.ckpts),
-        );
-        if r.violations > 0 {
-            return (txs_per_core, n);
-        }
-    }
-    (txs_per_core, point)
+    let earliest = scan(txs_per_core, &|_| {
+        let mut candidates = spaced(point, EARLIEST_SCAN);
+        candidates.dedup();
+        candidates
+    });
+    (txs_per_core, earliest.unwrap_or(point))
 }
 
 /// Executor entry point for [`CellWork::CrashSweep`]: one sweep row —
@@ -500,24 +525,31 @@ pub(crate) fn execute_sweep(
     // run in the sweep.
     let streams = TraceCache::global().get_or_build(&w, CORES, txs_per_core, seed);
     let footprint = write_footprint(&streams);
-    let clean = clean_run(scheme, &config, &streams, workload, txs_per_core, seed);
-    let points = match point {
-        Some(n) => vec![n],
-        None => spaced(axis_total(fault, &clean.out), points_per_cell),
+    // Only the clean run's stats and axis total outlive this block; its
+    // PM image does not.
+    let (stats, points, steps) = {
+        let (clean, steps) = clean_run(scheme, &config, &streams);
+        let points = match point {
+            Some(n) => vec![n],
+            None => spaced(axis_total(fault, &clean), points_per_cell),
+        };
+        (clean.stats, points, steps)
     };
-    let mut out =
-        CellOutcome::from_stats(clean.out.stats.clone()).with_value("points", points.len() as f64);
+    let mut out = CellOutcome::from_stats(stats).with_value("points", points.len() as f64);
+    let mut results = Vec::with_capacity(points.len());
+    let cell = Cell {
+        scheme,
+        config: &config,
+        streams: &streams,
+        footprint: &footprint,
+        fault,
+    };
+    cell.scan(steps.as_ref(), &points, |r| {
+        results.push(r);
+        true
+    });
     let mut worst: Option<u64> = None;
-    for (j, &n) in points.iter().enumerate() {
-        let r = run_point(
-            scheme,
-            &config,
-            &streams,
-            &footprint,
-            fault,
-            n,
-            Some(&clean.ckpts),
-        );
+    for (j, r) in results.iter().enumerate() {
         if r.violations > 0 && worst.is_none() {
             worst = Some(r.point);
         }
@@ -745,5 +777,25 @@ pub fn spec() -> ExperimentSpec {
         description: "differential crash-surface fuzzing: schemes x faults x crash points",
         default_txs: 48,
         kind: ExpKind::Custom { build, render },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn no_checkpoints_lasts_only_for_its_own_run() {
+        let spec = spec();
+        let mut p = ExpParams::defaults(&spec);
+        p.extra = vec!["--no-checkpoints".to_string()];
+        build(&p);
+        assert!(!CHECKPOINTS_ENABLED.load(Ordering::Relaxed));
+        p.extra.clear();
+        build(&p);
+        assert!(
+            CHECKPOINTS_ENABLED.load(Ordering::Relaxed),
+            "a run without --no-checkpoints resumes from checkpoints again"
+        );
     }
 }

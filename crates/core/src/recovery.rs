@@ -4,7 +4,7 @@ use silo_pm::PmDevice;
 use silo_sim::RecoveryReport;
 use silo_types::{FxHashSet, PhysAddr, TxTag};
 
-use crate::{RecordKind, ThreadLogArea};
+use crate::{Record, RecordKind, ThreadLogArea};
 
 /// Recovers the PM data region from the per-thread log areas rooted at
 /// `area_bases`.
@@ -23,24 +23,27 @@ use crate::{RecordKind, ThreadLogArea};
 /// Headers are cleared afterwards, making recovery idempotent.
 pub fn recover(pm: &mut PmDevice, area_bases: &[PhysAddr]) -> RecoveryReport {
     let mut report = RecoveryReport::default();
+    // Each area is read once; pass 2 writes only data words and each
+    // area's own header, never another area's records.
+    let areas: Vec<Vec<Record>> = area_bases
+        .iter()
+        .map(|&base| ThreadLogArea::scan(pm, base))
+        .collect();
 
     // Pass 1: find every committed transaction across all areas.
     let mut committed: FxHashSet<TxTag> = FxHashSet::default();
-    for &base in area_bases {
-        for rec in ThreadLogArea::scan(pm, base) {
-            report.scanned_records += 1;
-            if rec.kind == RecordKind::IdTuple {
-                committed.insert(rec.tag);
-            }
+    for rec in areas.iter().flatten() {
+        report.scanned_records += 1;
+        if rec.kind == RecordKind::IdTuple {
+            committed.insert(rec.tag);
         }
     }
     report.committed_txs = committed.len() as u64;
 
     // Pass 2: replay / revoke per area.
-    for &base in area_bases {
-        let records = ThreadLogArea::scan(pm, base);
+    for (&base, records) in area_bases.iter().zip(&areas) {
         // Redo replay, forward order.
-        for rec in &records {
+        for rec in records {
             match rec.kind {
                 RecordKind::IdTuple => {}
                 RecordKind::Redo if committed.contains(&rec.tag) && !rec.flush_bit => {

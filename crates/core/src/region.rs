@@ -26,9 +26,10 @@ pub struct AreaHeader {
 impl AreaHeader {
     /// Reads the header at `base`.
     pub fn read(pm: &PmDevice, base: PhysAddr) -> AreaHeader {
-        let bytes = pm.peek(base, AREA_HEADER_BYTES);
+        let mut bytes = [0u8; AREA_HEADER_BYTES];
+        pm.peek_into(base, &mut bytes);
         AreaHeader {
-            valid_bytes: u64::from_le_bytes(bytes.try_into().expect("8 bytes")),
+            valid_bytes: u64::from_le_bytes(bytes),
         }
     }
 
@@ -140,12 +141,10 @@ impl ThreadLogArea {
         let header = AreaHeader::read(pm, base);
         let n = header.valid_bytes as usize / RECORD_BYTES;
         let mut out = Vec::with_capacity(n);
+        let mut bytes = [0u8; RECORD_BYTES];
         for i in 0..n {
             let addr = base.add((AREA_HEADER_BYTES + i * RECORD_BYTES) as u64);
-            let bytes: [u8; RECORD_BYTES] = pm
-                .peek(addr, RECORD_BYTES)
-                .try_into()
-                .expect("peek returns requested length");
+            pm.peek_into(addr, &mut bytes);
             match Record::decode(&bytes) {
                 Some(rec) => out.push(rec),
                 None => break,

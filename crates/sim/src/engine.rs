@@ -235,18 +235,88 @@ impl std::fmt::Debug for ForkPoint {
 /// Where a run starts.
 enum Start<'c> {
     Scratch,
-    /// A recording run's checkpoint, shared by many crash plans.
+    /// A clean run's checkpoint, shared by many crash plans.
     Checkpoint(&'c EngineCheckpoint),
     /// A fork point, consumed by the one run that continues it.
     Fork(Box<ForkPoint>),
 }
 
-/// What a clean run captures on its way.
-#[derive(Clone, Copy)]
-enum Capture {
+/// What a clean run captures on its way, into caller-owned places.
+enum Capture<'c> {
     Nothing,
-    Checkpoints(CheckpointPolicy),
-    Fork,
+    /// Every loop boundary's position on both crash axes.
+    StepLog(&'c mut StepLog),
+    Checkpoints(Checkpoints<'c>),
+    Fork(&'c mut Option<ForkPoint>),
+}
+
+/// A checkpointing clean run's one stop rule and one sink: at the
+/// policy's cadence into a collected set ([`Engine::run_recording`]), or
+/// at listed loop steps, lent to a callback ([`Engine::walk`]).
+enum Checkpoints<'c> {
+    Cadence {
+        policy: CheckpointPolicy,
+        next_event_due: u64,
+        next_cycle_due: u64,
+        set: &'c mut CheckpointSet,
+    },
+    Steps {
+        /// Ascending and distinct; `next` indexes the next stop.
+        steps: Vec<u64>,
+        next: usize,
+        visit: &'c mut dyn FnMut(u64, &EngineCheckpoint) -> bool,
+    },
+}
+
+impl Checkpoints<'_> {
+    /// Whether the loop boundary after `step` steps, at `min_time` and
+    /// `events`, is a stop.
+    fn due(&self, step: u64, min_time: Cycles, events: u64) -> bool {
+        match self {
+            Checkpoints::Cadence {
+                next_event_due,
+                next_cycle_due,
+                ..
+            } => events >= *next_event_due || min_time.as_u64() >= *next_cycle_due,
+            Checkpoints::Steps { steps, next, .. } => steps.get(*next) == Some(&step),
+        }
+    }
+
+    /// Hands the stop's checkpoint to the sink. Returns `false` when the
+    /// run should end here: the callback said so, or no stop is left.
+    fn take(&mut self, step: u64, cp: EngineCheckpoint) -> bool {
+        match self {
+            Checkpoints::Cadence {
+                policy,
+                next_event_due,
+                next_cycle_due,
+                set,
+            } => {
+                let (event_pos, cycle_pos) = (cp.event_pos, cp.cycle_pos.as_u64());
+                set.cps.push(cp);
+                if set.cps.len() >= policy.max {
+                    // Thin to every other checkpoint and slow both
+                    // cadences, keeping the set bounded on long runs.
+                    let mut keep = false;
+                    set.cps.retain(|_| {
+                        keep = !keep;
+                        keep
+                    });
+                    policy.every_events = policy.every_events.saturating_mul(2);
+                    policy.every_cycles = policy.every_cycles.saturating_mul(2);
+                }
+                *next_event_due = event_pos.saturating_add(policy.every_events);
+                *next_cycle_due = cycle_pos.saturating_add(policy.every_cycles);
+                true
+            }
+            Checkpoints::Steps { steps, next, visit } => {
+                // The checkpoint is dropped on return, before the run
+                // steps on: a walk holds one checkpoint at a time.
+                *next += 1;
+                visit(step, &cp) && *next < steps.len()
+            }
+        }
+    }
 }
 
 /// How often a recording run captures checkpoints.
@@ -317,6 +387,52 @@ impl CheckpointSet {
     }
 }
 
+/// Where every loop boundary of a clean run lies on both crash axes,
+/// logged by [`Engine::run_logging_steps`]. Boundary `k` is the state after
+/// `k` engine steps; both positions are non-decreasing in `k`.
+#[derive(Clone, Debug, Default)]
+pub struct StepLog {
+    /// The smallest unfinished core clock at each boundary.
+    cycles: Vec<u64>,
+    /// Durability events counted at each boundary.
+    events: Vec<u64>,
+}
+
+impl StepLog {
+    /// Number of loop boundaries logged.
+    pub fn len(&self) -> usize {
+        self.cycles.len()
+    }
+
+    /// Whether the run took no step.
+    pub fn is_empty(&self) -> bool {
+        self.cycles.is_empty()
+    }
+
+    /// The last loop step strictly before `trigger` on the trigger's own
+    /// axis: the latest state of the clean run that a crash run of that
+    /// trigger passes through, so [`Engine::walk`] can lend it as the
+    /// crash run's resume point, which then re-simulates at most one
+    /// step. `None` if no boundary lies strictly before the trigger (one
+    /// at t=0): run it from scratch.
+    pub fn last_before(&self, trigger: CrashTrigger) -> Option<u64> {
+        let before = match trigger {
+            CrashTrigger::Cycle(c) => self.cycles.partition_point(|&t| t < c.as_u64()),
+            CrashTrigger::Event(n) => self.events.partition_point(|&e| e < n),
+        };
+        before.checked_sub(1).map(|k| k as u64)
+    }
+
+    fn push(&mut self, min_time: Cycles, events: u64) {
+        debug_assert!(
+            self.cycles.last() <= Some(&min_time.as_u64()) && self.events.last() <= Some(&events),
+            "loop boundaries move forward on both crash axes"
+        );
+        self.cycles.push(min_time.as_u64());
+        self.events.push(events);
+    }
+}
+
 struct CoreRun {
     id: CoreId,
     time: Cycles,
@@ -381,6 +497,9 @@ impl CoreRun {
         }
     }
 }
+
+/// Why the public runs unwrap [`Engine::run_inner`]'s outcome.
+const FINISHES: &str = "only a walk ends before its run does";
 
 /// Executes per-core transaction streams under a logging scheme.
 ///
@@ -463,7 +582,7 @@ impl<'a> Engine<'a> {
         plan: Option<CrashPlan>,
     ) -> RunOutcome {
         self.run_inner(streams.into(), plan, Capture::Nothing, Start::Scratch)
-            .0
+            .expect(FINISHES)
     }
 
     /// Runs a clean (crash-free) reference run while capturing periodic
@@ -480,13 +599,73 @@ impl<'a> Engine<'a> {
         streams: impl Into<TxStreams>,
         policy: CheckpointPolicy,
     ) -> (RunOutcome, CheckpointSet) {
-        let (outcome, set, _) = self.run_inner(
-            streams.into(),
-            None,
-            Capture::Checkpoints(policy),
-            Start::Scratch,
-        );
+        let mut set = CheckpointSet::default();
+        let capture = Capture::Checkpoints(Checkpoints::Cadence {
+            policy,
+            next_event_due: policy.every_events,
+            next_cycle_due: policy.every_cycles,
+            set: &mut set,
+        });
+        let outcome = self
+            .run_inner(streams.into(), None, capture, Start::Scratch)
+            .expect(FINISHES);
         (outcome, set)
+    }
+
+    /// Runs a clean run while logging where each of its loop boundaries
+    /// lies on both crash axes. The outcome is the same as
+    /// [`Engine::run`]'s; the log tells a crash plan which step of a
+    /// [`walk`](Self::walk) over the same streams to resume from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream count differs from the configured core count.
+    pub fn run_logging_steps(self, streams: impl Into<TxStreams>) -> (RunOutcome, StepLog) {
+        let mut log = StepLog::default();
+        let outcome = self
+            .run_inner(
+                streams.into(),
+                None,
+                Capture::StepLog(&mut log),
+                Start::Scratch,
+            )
+            .expect(FINISHES);
+        (outcome, log)
+    }
+
+    /// Walks a clean run of `streams` once, stopping at each distinct
+    /// listed loop step in ascending order, whatever order `steps` lists
+    /// them in (step numbers as in a [`StepLog`] of the same streams). At
+    /// each stop it lends `visit` the step and a checkpoint of the whole
+    /// engine there, a resume base for [`Engine::run_resumed`], and drops
+    /// the checkpoint before stepping on, so one checkpoint is alive at a
+    /// time. A `false` from `visit` ends the walk, and so does its last
+    /// stop: the rest of the run is never simulated. A step the run never
+    /// reaches is never visited, and a scheme that cannot snapshot its
+    /// state ([`LoggingScheme::snapshot_state`] returns `None`) is visited
+    /// nowhere.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream count differs from the configured core count.
+    pub fn walk(
+        self,
+        streams: impl Into<TxStreams>,
+        steps: &[u64],
+        mut visit: impl FnMut(u64, &EngineCheckpoint) -> bool,
+    ) {
+        let mut steps = steps.to_vec();
+        steps.sort_unstable();
+        steps.dedup();
+        if steps.is_empty() || self.scheme.snapshot_state().is_none() {
+            return; // nowhere to stop, or nothing to lend there
+        }
+        let capture = Capture::Checkpoints(Checkpoints::Steps {
+            steps,
+            next: 0,
+            visit: &mut visit,
+        });
+        let _ = self.run_inner(streams.into(), None, capture, Start::Scratch);
     }
 
     /// Runs a clean run while capturing its [`ForkPoint`], from which
@@ -498,8 +677,15 @@ impl<'a> Engine<'a> {
     ///
     /// Panics if the stream count differs from the configured core count.
     pub fn run_forking(self, streams: impl Into<TxStreams>) -> (RunOutcome, Option<ForkPoint>) {
-        let (outcome, _, fork) =
-            self.run_inner(streams.into(), None, Capture::Fork, Start::Scratch);
+        let mut fork = None;
+        let outcome = self
+            .run_inner(
+                streams.into(),
+                None,
+                Capture::Fork(&mut fork),
+                Start::Scratch,
+            )
+            .expect(FINISHES);
         (outcome, fork)
     }
 
@@ -521,14 +707,15 @@ impl<'a> Engine<'a> {
             "a continued run's streams must start with the forking run's"
         );
         self.run_inner(streams, None, Capture::Nothing, Start::Fork(Box::new(fork)))
-            .0
+            .expect(FINISHES)
     }
 
     /// Runs a crash plan starting from `checkpoint` instead of t=0. The
-    /// streams must be the same ones the recording run executed, and the
-    /// checkpoint must satisfy the trigger-axis validity rule
-    /// ([`CheckpointSet::nearest`] guarantees it); the outcome is then
-    /// byte-identical to running the plan from scratch.
+    /// streams must be the same ones the checkpointing run executed, and
+    /// the checkpoint must satisfy the trigger-axis validity rule
+    /// ([`CheckpointSet::nearest`] and [`StepLog::last_before`] guarantee
+    /// it); the outcome is then byte-identical to running the plan from
+    /// scratch.
     ///
     /// # Panics
     ///
@@ -560,7 +747,7 @@ impl<'a> Engine<'a> {
             Capture::Nothing,
             Start::Checkpoint(checkpoint),
         )
-        .0
+        .expect(FINISHES)
     }
 
     /// The whole engine state at a loop boundary: machine, core cursors,
@@ -582,19 +769,21 @@ impl<'a> Engine<'a> {
         })
     }
 
+    /// Runs to the end, or to a crash, and returns the outcome; `None`
+    /// only for a walk, which ends at its last stop.
     fn run_inner(
         mut self,
         streams: TxStreams,
         plan: Option<CrashPlan>,
-        capture: Capture,
+        capture: Capture<'_>,
         start: Start<'_>,
-    ) -> (RunOutcome, CheckpointSet, Option<ForkPoint>) {
+    ) -> Option<RunOutcome> {
         assert_eq!(
             streams.len(),
             self.machine.config.cores,
             "one transaction stream per core required"
         );
-        let prefix = matches!(capture, Capture::Fork).then(|| streams.clone());
+        let prefix = matches!(capture, Capture::Fork(_)).then(|| streams.clone());
         let mut scheds: Vec<Option<ArrivalSchedule>> = match streams.arrivals {
             Some(a) => {
                 assert_eq!(
@@ -675,7 +864,7 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // Arming happens *after* a restore: the clean recording run counts
+        // Arming happens *after* a restore: the clean checkpointing run counts
         // events unarmed, and its prefix is byte-identical to an armed
         // run's (arming only sets the trip threshold), so the same
         // checkpoints serve every fault model. The checkpoint's
@@ -692,25 +881,22 @@ impl<'a> Engine<'a> {
         // snapshot-capable schemes; capturing mid-crash-plan states would
         // be useless (the suffix differs per plan) and is not requested by
         // any caller.
-        let capture = match capture {
-            _ if plan.is_some() => Capture::Nothing,
-            Capture::Checkpoints(_) if self.scheme.snapshot_state().is_none() => Capture::Nothing,
-            c => c,
+        let (mut step_log, mut checkpoints, fork_slot) = match capture {
+            _ if plan.is_some() => (None, None, None),
+            Capture::Checkpoints(_) if self.scheme.snapshot_state().is_none() => (None, None, None),
+            Capture::Nothing => (None, None, None),
+            Capture::StepLog(log) => (Some(log), None, None),
+            Capture::Checkpoints(ck) => (None, Some(ck), None),
+            Capture::Fork(slot) => (None, None, Some(slot)),
         };
-        let mut recording = match capture {
-            Capture::Checkpoints(p) => Some(p),
-            _ => None,
-        };
-        let mut fork_pending = matches!(capture, Capture::Fork);
+        let mut fork_pending = fork_slot.is_some();
         let mut fork = None;
-        // Only a crash reads the oracle: a crash run, or a recording run
-        // whose checkpoints seed crash runs, records every transaction;
-        // other clean runs skip the per-commit record entirely.
-        self.track_txs = plan.is_some() || recording.is_some();
-        let mut set = CheckpointSet::default();
-        let (mut next_event_due, mut next_cycle_due) = recording
-            .map(|p| (p.every_events, p.every_cycles))
-            .unwrap_or((u64::MAX, u64::MAX));
+        // Only a crash reads the oracle: a crash run, or a checkpointing
+        // run whose checkpoints seed crash runs, records every
+        // transaction; other clean runs skip the per-commit record
+        // entirely.
+        self.track_txs = plan.is_some() || checkpoints.is_some();
+        let mut step = 0u64;
 
         // Pick the unfinished core with the smallest clock, ties broken by
         // core id — the keys `(time, i)` are unique, so the minimum is
@@ -762,29 +948,23 @@ impl<'a> Engine<'a> {
                 let events_total = self.machine.pm.events().total();
                 fork = self.capture(&cores, cores[ci].time, events_total);
             }
-            if let Some(pol) = &mut recording {
+            if step_log.is_some() || checkpoints.is_some() {
                 // The winner's clock is the minimum unfinished clock, so
                 // this loop boundary *is* a position on the cycle axis.
                 let min_time = cores[ci].time;
                 let events_total = self.machine.pm.events().total();
-                if events_total >= next_event_due || min_time.as_u64() >= next_cycle_due {
-                    set.cps.push(
-                        self.capture(&cores, min_time, events_total)
-                            .expect("snapshot capability checked before the loop"),
-                    );
-                    if set.cps.len() >= pol.max {
-                        // Thin to every other checkpoint and slow both
-                        // cadences, keeping the set bounded on long runs.
-                        let mut keep = false;
-                        set.cps.retain(|_| {
-                            keep = !keep;
-                            keep
-                        });
-                        pol.every_events = pol.every_events.saturating_mul(2);
-                        pol.every_cycles = pol.every_cycles.saturating_mul(2);
+                if let Some(log) = &mut step_log {
+                    log.push(min_time, events_total);
+                }
+                if let Some(ck) = &mut checkpoints {
+                    if ck.due(step, min_time, events_total) {
+                        let cp = self
+                            .capture(&cores, min_time, events_total)
+                            .expect("snapshot capability checked before the loop");
+                        if !ck.take(step, cp) {
+                            return None;
+                        }
                     }
-                    next_event_due = events_total.saturating_add(pol.every_events);
-                    next_cycle_due = min_time.as_u64().saturating_add(pol.every_cycles);
                 }
             }
             match plan.map(|p| p.trigger) {
@@ -797,6 +977,7 @@ impl<'a> Engine<'a> {
                 _ => {}
             }
             self.step(&mut cores[ci]);
+            step += 1;
             let now = cores[ci].time;
             self.scheme.on_tick(&mut self.machine, now);
         }
@@ -880,10 +1061,12 @@ impl<'a> Engine<'a> {
             timeline: self.machine.probe.drain_timeline(),
             signature: self.machine.probe.take_signature(),
         };
-        let fork = fork
-            .zip(prefix)
-            .map(|(cp, prefix)| ForkPoint { cp, prefix });
-        (outcome, set, fork)
+        if let Some(slot) = fork_slot {
+            *slot = fork
+                .zip(prefix)
+                .map(|(cp, prefix)| ForkPoint { cp, prefix });
+        }
+        Some(outcome)
     }
 
     /// Executes one step (transaction boundary or single op) on `core`.

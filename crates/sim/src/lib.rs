@@ -41,13 +41,15 @@
 //!
 //! # Shared prefixes
 //!
-//! Runs that share a prefix share its simulation. A crash sweep resumes
-//! each crash point from the nearest [`EngineCheckpoint`] of one clean
-//! recording run ([`Engine::run_resumed`]); a steady-state delta continues
-//! its longer clean run from the shorter run's [`ForkPoint`]
+//! Runs that share a prefix share its simulation. A crash sweep walks its
+//! clean run once ([`Engine::walk`]), stopping at the last loop step
+//! before each crash point that its [`StepLog`] names, and resumes the
+//! point from the [`EngineCheckpoint`] lent there
+//! ([`Engine::run_resumed`]); a steady-state delta continues its longer
+//! clean run from the shorter run's [`ForkPoint`]
 //! ([`Engine::run_continued`]). Both are byte-identical to running from
-//! t=0. Only runs that can crash, and recording runs whose checkpoints
-//! seed them, feed the oracle.
+//! t=0. Only runs that can crash, and checkpointing runs whose
+//! checkpoints seed them, feed the oracle.
 //!
 //! # Examples
 //!
@@ -82,7 +84,7 @@ mod trace;
 pub use config::SimConfig;
 pub use engine::{
     CheckpointPolicy, CheckpointSet, CrashOutcome, CrashPlan, CrashTrigger, Engine,
-    EngineCheckpoint, ForkPoint, RunOutcome,
+    EngineCheckpoint, ForkPoint, RunOutcome, StepLog,
 };
 pub use machine::{Machine, MachineState, ShadowMem};
 pub use ops::{Op, Transaction, TransactionBuilder};

@@ -90,9 +90,10 @@ impl ConsistencyReport {
 /// addresses touched by uncommitted ones.
 ///
 /// Only a crash reads the oracle, so the engine feeds it only on runs that
-/// can reach one: crash-plan runs, and recording runs, whose checkpoints
-/// carry it into the crash runs they seed. Other clean runs, the forking
-/// run of a steady-state delta among them, record nothing.
+/// can reach one: crash-plan runs, and checkpointing runs (a walk or a
+/// recording run), whose checkpoints carry it into the crash runs they
+/// seed. Other clean runs, the forking run of a steady-state delta among
+/// them, record nothing.
 ///
 /// The oracle relies on the paper's isolation assumption (§III-A: conflict
 /// isolation is provided by software locking), which our workloads satisfy

@@ -3,10 +3,10 @@
 //! Crashfuzz re-simulates the same clean prefix for every crash point; the
 //! [`Snapshot`] trait lets each machine component capture its full state at
 //! a quiescent engine boundary and later restore it exactly, so a crash run
-//! can resume from the nearest checkpoint instead of t=0. The contract is
-//! strict byte-identity: a component restored from a snapshot must behave
-//! exactly as if the prefix had just been simulated — same observable state,
-//! same counters, same subsequent event stream.
+//! can resume from a checkpoint just before it instead of t=0. The contract
+//! is strict byte-identity: a component restored from a snapshot must
+//! behave exactly as if the prefix had just been simulated — same
+//! observable state, same counters, same subsequent event stream.
 
 /// A component whose complete state can be captured and restored.
 ///

@@ -48,6 +48,21 @@ wall_ms() {
   sed -n 's/.*"wall_ms": *\([0-9.]*\).*/\1/p' "$1"
 }
 
+# peak_rss_mb CMD...: runs CMD with its output discarded, fails if it
+# fails, and prints its peak resident set size in MB (`ru_maxrss` from
+# `os.wait4`, in KiB on Linux).
+peak_rss_mb() {
+  python3 - "$@" <<'PY'
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+code = os.waitstatus_to_exitcode(status)
+if code != 0:
+    sys.exit(f"FAIL: {' '.join(sys.argv[1:])} exited {code}")
+print(f"{usage.ru_maxrss / 1024:.1f}")
+PY
+}
+
 build_stage() {
   echo "== cargo build --release =="
   cargo build --release --workspace --all-targets
@@ -330,14 +345,16 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
   # The same dense crash-point scan resimulated from checkpoints and from
   # scratch: one long-horizon Silo cell, 96 crash points on the
   # op-boundary cycle axis. A from-scratch point replays the whole crash
-  # prefix, a resumed one only the suffix past its nearest checkpoint, so
-  # the checkpointed scan must stay >= 3x faster. Both must report the
-  # same body: resuming may only trade time, never answers.
+  # prefix, a resumed one at most the one step past the checkpoint its
+  # walk of the clean run lent it, so the checkpointed scan must stay
+  # >= 3x faster. Both must report the same body: resuming may only trade
+  # time, never answers. The walk holds one checkpoint at a time, so the
+  # checkpointed scan's peak RSS must also stay at or under 96 MB.
   ckpt_dir="target/reports-ci-ckpt"
   rm -rf "$ckpt_dir"
-  "$EVALUATE" crashfuzz --txs 8000 --points 96 --jobs 1 --scheme Silo \
-    --bench Hash --fault op-boundary --no-result-store \
-    --json-dir "$ckpt_dir/ckpt" > /dev/null 2>&1
+  ckpt_rss=$(peak_rss_mb "$EVALUATE" crashfuzz --txs 8000 --points 96 --jobs 1 \
+    --scheme Silo --bench Hash --fault op-boundary --no-result-store \
+    --json-dir "$ckpt_dir/ckpt")
   "$EVALUATE" crashfuzz --txs 8000 --points 96 --jobs 1 --scheme Silo \
     --bench Hash --fault op-boundary --no-result-store --no-checkpoints \
     --json-dir "$ckpt_dir/scratch" > /dev/null 2>&1
@@ -351,7 +368,10 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
     'BEGIN { exit !(ckpt * 3 <= scratch) }' \
     || { echo "FAIL: checkpointed crashfuzz ($ckpt_ms ms) not >= 3x faster than scratch ($scratch_ms ms)" >&2
          exit 1; }
-  echo "checkpointed ${ckpt_ms} ms vs ${scratch_ms} ms from scratch, same report body"
+  awk -v rss="$ckpt_rss" 'BEGIN { exit !(rss <= 96) }' \
+    || { echo "FAIL: checkpointed crashfuzz peaked at $ckpt_rss MB, over 96 MB" >&2
+         exit 1; }
+  echo "checkpointed ${ckpt_ms} ms (peak ${ckpt_rss} MB) vs ${scratch_ms} ms from scratch, same report body"
   rm -rf "$ckpt_dir"
 }
 

@@ -1,0 +1,216 @@
+//! A crash sweep walks its clean run once.
+//!
+//! A plain clean run logs where each of its loop steps lies on both crash
+//! axes ([`StepLog`]). Each crash point picks the last step strictly
+//! before its trigger, and one walk of the clean run ([`Engine::walk`])
+//! stops at those steps and lends each stop's checkpoint to the points
+//! that resume from it. A point resumed this way must be byte-identical
+//! to the same crash plan run from t=0: same `SimStats`, same oracle
+//! verdict, same recovered image. A point with no earlier step runs from
+//! scratch.
+
+use silo::baselines::{BaseScheme, MorLogScheme};
+use silo::core::SiloScheme;
+use silo::sim::{
+    CrashPlan, CrashTrigger, Engine, FaultModel, LoggingScheme, Op, RunOutcome, SimConfig, StepLog,
+    TraceSet,
+};
+use silo::types::{Cycles, PhysAddr};
+use silo::workloads::{workload_by_name, Workload};
+
+const CORES: usize = 2;
+const TXS_PER_CORE: usize = 12;
+const SEED: u64 = 42;
+const SCHEMES: [&str; 3] = ["Silo", "Base", "MorLog"];
+
+fn scheme(name: &str, config: &SimConfig) -> Box<dyn LoggingScheme> {
+    match name {
+        "Silo" => Box::new(SiloScheme::new(config)),
+        "Base" => Box::new(BaseScheme::new(config)),
+        "MorLog" => Box::new(MorLogScheme::new(config)),
+        other => panic!("no scheme {other}"),
+    }
+}
+
+fn trace() -> TraceSet {
+    workload_by_name("Hash")
+        .expect("registered workload")
+        .build_trace(CORES, TXS_PER_CORE, SEED)
+}
+
+/// Every word address the trace writes, sorted.
+fn footprint(trace: &TraceSet) -> Vec<PhysAddr> {
+    let mut addrs: Vec<u64> = trace
+        .streams()
+        .iter()
+        .flat_map(|s| s.iter())
+        .flat_map(|tx| tx.ops())
+        .filter_map(|op| match op {
+            Op::Write(a, _) => Some(a.as_u64()),
+            _ => None,
+        })
+        .collect();
+    addrs.sort_unstable();
+    addrs.dedup();
+    addrs.into_iter().map(PhysAddr::new).collect()
+}
+
+fn logged(name: &str, config: &SimConfig, trace: &TraceSet) -> (RunOutcome, StepLog) {
+    let mut s = scheme(name, config);
+    Engine::new(config, s.as_mut()).run_logging_steps(trace)
+}
+
+/// The steps one walk stops at, in order, with `stop_after` ending it.
+fn stops(name: &str, steps: &[u64], stop_after: Option<u64>) -> Vec<u64> {
+    let config = SimConfig::table_ii(CORES);
+    let trace = trace();
+    let mut s = scheme(name, &config);
+    let mut seen = Vec::new();
+    Engine::new(&config, s.as_mut()).walk(&trace, steps, |step, _| {
+        seen.push(step);
+        Some(step) != stop_after
+    });
+    seen
+}
+
+/// Runs each plan the way a crash sweep does: resumed through one walk
+/// from the last step before it, or from scratch when no step precedes
+/// it. Returns each plan's outcome with the step it resumed from.
+fn sweep(
+    name: &str,
+    config: &SimConfig,
+    trace: &TraceSet,
+    log: &StepLog,
+    plans: &[CrashPlan],
+) -> Vec<(Option<u64>, RunOutcome)> {
+    let at: Vec<Option<u64>> = plans.iter().map(|p| log.last_before(p.trigger)).collect();
+    let mut outcomes: Vec<Option<RunOutcome>> = plans
+        .iter()
+        .zip(&at)
+        .map(|(&plan, step)| {
+            step.is_none().then(|| {
+                let mut s = scheme(name, config);
+                Engine::new(config, s.as_mut()).run_with_plan(trace, Some(plan))
+            })
+        })
+        .collect();
+    let steps: Vec<u64> = at.iter().flatten().copied().collect();
+    let mut s = scheme(name, config);
+    Engine::new(config, s.as_mut()).walk(trace, &steps, |step, cp| {
+        for (i, &plan) in plans.iter().enumerate() {
+            if at[i] == Some(step) {
+                let mut s = scheme(name, config);
+                outcomes[i] = Some(Engine::new(config, s.as_mut()).run_resumed(trace, plan, cp));
+            }
+        }
+        true
+    });
+    at.into_iter()
+        .zip(outcomes)
+        .map(|(step, out)| (step, out.expect("every plan ran")))
+        .collect()
+}
+
+#[test]
+fn walked_points_on_both_axes_equal_their_runs_from_scratch() {
+    let config = SimConfig::table_ii(CORES);
+    let trace = trace();
+    let fp = footprint(&trace);
+    for name in SCHEMES {
+        let (clean, log) = logged(name, &config, &trace);
+        let cycles = clean.stats.sim_cycles.as_u64();
+        let events = clean.pm.events().total();
+        let mut plans = Vec::new();
+        for k in 1..=4 {
+            plans.push(CrashPlan::at_cycle(Cycles::new(cycles * k / 5)));
+            plans.push(
+                CrashPlan::at_event(events * k / 5)
+                    .with_fault(FaultModel::bounded_battery(64 * 1024)),
+            );
+            plans.push(
+                CrashPlan::at_event(events * k / 5 + 1).with_fault(FaultModel::torn_line(64)),
+            );
+        }
+        for ((step, resumed), plan) in sweep(name, &config, &trace, &log, &plans)
+            .into_iter()
+            .zip(&plans)
+        {
+            let what = format!("{name} @ {:?}", plan.trigger);
+            assert!(step.is_some(), "{what}: no step precedes an interior point");
+            let mut s = scheme(name, &config);
+            let scratch = Engine::new(&config, s.as_mut()).run_with_plan(&trace, Some(*plan));
+            assert_eq!(
+                scratch.stats.to_json().to_string(),
+                resumed.stats.to_json().to_string(),
+                "{what}: SimStats diverged"
+            );
+            let (a, b) = (scratch.crash.unwrap(), resumed.crash.unwrap());
+            assert_eq!(
+                a.consistency, b.consistency,
+                "{what}: oracle verdict diverged"
+            );
+            assert!(a.consistency.is_consistent(), "{what}: {:?}", a.consistency);
+            assert_eq!(
+                a.ambiguous_txs, b.ambiguous_txs,
+                "{what}: ambiguity diverged"
+            );
+            for &addr in &fp {
+                assert_eq!(
+                    scratch.pm.peek_word(addr),
+                    resumed.pm.peek_word(addr),
+                    "{what}: recovered word {addr:?} diverged"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn stops_arrive_once_each_in_ascending_step_order() {
+    for name in SCHEMES {
+        assert_eq!(
+            stops(name, &[40, 7, 40, 19, 7], None),
+            [7, 19, 40],
+            "{name}"
+        );
+        assert!(stops(name, &[], None).is_empty(), "{name}");
+    }
+}
+
+#[test]
+fn a_false_from_the_callback_ends_the_walk() {
+    assert_eq!(stops("Silo", &[5, 10, 15, 20], Some(10)), [5, 10]);
+    assert_eq!(stops("MorLog", &[5, 10, 15, 20], Some(5)), [5]);
+}
+
+#[test]
+fn a_point_with_no_earlier_step_runs_from_scratch() {
+    let config = SimConfig::table_ii(CORES);
+    let trace = trace();
+    let (clean, log) = logged("Silo", &config, &trace);
+    // Boundary 0 is t=0 on both axes: only a trigger at 0 has no step
+    // strictly before it; any later one resumes.
+    assert_eq!(log.last_before(CrashTrigger::Cycle(Cycles::ZERO)), None);
+    assert_eq!(log.last_before(CrashTrigger::Event(0)), None);
+    assert!(log.last_before(CrashTrigger::Event(1)).is_some());
+    assert!(log
+        .last_before(CrashTrigger::Cycle(Cycles::new(1)))
+        .is_some());
+    // A trigger past the run's end resumes from its last step.
+    let past = clean.pm.events().total() + 1;
+    assert_eq!(
+        log.last_before(CrashTrigger::Event(past)),
+        Some(log.len() as u64 - 1)
+    );
+
+    let plans = [
+        CrashPlan::at_cycle(Cycles::ZERO),
+        CrashPlan::at_cycle(Cycles::new(clean.stats.sim_cycles.as_u64() / 2)),
+    ];
+    let swept = sweep("Silo", &config, &trace, &log, &plans);
+    assert_eq!(swept[0].0, None, "the t=0 point runs from scratch");
+    assert!(swept[1].0.is_some(), "the later point resumes");
+    let crash = swept[0].1.crash.as_ref().expect("crash injected");
+    assert_eq!(swept[0].1.stats.txs_committed, 0, "nothing ran before t=0");
+    assert!(crash.consistency.is_consistent());
+}
