@@ -406,7 +406,7 @@ impl Cell<'_> {
         Engine::new(self.config, s.as_mut()).walk(self.streams, &stops, |step, cp| {
             while i < points.len() && at[i] == Some(step) {
                 i += 1;
-                if !run(i - 1, Some(cp)) {
+                if !run(i - 1, Some(&cp)) {
                     ended = true;
                     return false;
                 }

@@ -29,7 +29,10 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use silo_sim::{CrashPlan, Engine, FaultModel, Signature, SimConfig};
+use silo_sim::{
+    CrashPlan, CrashTrigger, Engine, EngineCheckpoint, FaultModel, RunOutcome, Signature,
+    SimConfig, TraceSet,
+};
 use silo_types::{JsonValue, Xoshiro256};
 use silo_workloads::{workload_by_name, ArrivalProcess};
 
@@ -298,7 +301,7 @@ fn parse_config(p: &ExpParams) -> Config {
 }
 
 /// What one candidate run produced.
-#[derive(Clone)]
+#[derive(Clone, Debug, PartialEq)]
 struct CandidateRun {
     signature: Signature,
     /// Oracle verdict on the recovered image.
@@ -308,35 +311,103 @@ struct CandidateRun {
     first_word: Option<(u64, u64, usize)>, // (addr, word event, kind index)
 }
 
-/// Runs one candidate from scratch with the spec machine and the
-/// signature recorder enabled. Always a from-scratch run: the spec
-/// machine cannot resume from checkpoints.
-fn run_candidate(
+impl CandidateRun {
+    fn of(out: RunOutcome) -> CandidateRun {
+        let crash = out.crash.as_ref().expect("crash injected");
+        let spec = crash.spec.as_ref().expect("spec machine enabled");
+        let first_word = spec.first_offender().map(|v| {
+            let kind = SPEC_KINDS
+                .iter()
+                .position(|k| *k == v.kind)
+                .expect("spec kind is in the table");
+            (v.addr.as_u64(), v.event, kind)
+        });
+        CandidateRun {
+            signature: out.signature.expect("signature recorder enabled"),
+            oracle_ok: crash.consistency.is_consistent(),
+            spec_ok: spec.is_consistent(),
+            first_word,
+        }
+    }
+}
+
+/// An engine with the spec machine and the signature recorder on, as
+/// every candidate run and the walk that checkpoints for them need.
+fn judging_engine<'s>(
+    scheme: &'s mut dyn silo_sim::LoggingScheme,
+    config: &SimConfig,
+) -> Engine<'s> {
+    let mut engine = Engine::new(config, scheme);
+    engine.enable_spec();
+    engine.machine_mut().probe.enable_signature();
+    engine
+}
+
+/// Runs one candidate from t=0.
+fn run_from_scratch(
     scheme: &str,
     config: &SimConfig,
-    streams: &silo_sim::TraceSet,
+    streams: &TraceSet,
     cand: Candidate,
 ) -> CandidateRun {
     let mut s = make_scheme(scheme, config);
-    let mut engine = Engine::new(config, s.as_mut());
-    engine.enable_spec();
-    engine.machine_mut().probe.enable_signature();
-    let out = engine.run_with_plan(streams, Some(cand.plan()));
-    let crash = out.crash.as_ref().expect("crash injected");
-    let spec = crash.spec.as_ref().expect("spec machine enabled");
-    let first_word = spec.first_offender().map(|v| {
-        let kind = SPEC_KINDS
-            .iter()
-            .position(|k| *k == v.kind)
-            .expect("spec kind is in the table");
-        (v.addr.as_u64(), v.event, kind)
+    CandidateRun::of(judging_engine(s.as_mut(), config).run_with_plan(streams, Some(cand.plan())))
+}
+
+/// Runs one candidate with the spec machine and the signature recorder
+/// on, resumed from the latest of `checkpoints` (ascending, taken by one
+/// walk of the clean run with both on) strictly before its crash event,
+/// or from scratch when none precedes it. Either way the run is the same
+/// as one from t=0: debug builds re-run every resumed candidate from
+/// scratch and assert it.
+fn run_candidate(
+    scheme: &str,
+    config: &SimConfig,
+    streams: &TraceSet,
+    checkpoints: &[EngineCheckpoint],
+    cand: Candidate,
+) -> CandidateRun {
+    let Some(cp) = checkpoints
+        .iter()
+        .rev()
+        .find(|cp| cp.event_pos() < cand.event)
+    else {
+        return run_from_scratch(scheme, config, streams, cand);
+    };
+    let mut s = make_scheme(scheme, config);
+    let run =
+        CandidateRun::of(Engine::new(config, s.as_mut()).run_resumed(streams, cand.plan(), cp));
+    #[cfg(debug_assertions)]
+    debug_assert_eq!(
+        run,
+        run_from_scratch(scheme, config, streams, cand),
+        "resume-vs-scratch divergence: {scheme} {cand:?}"
+    );
+    run
+}
+
+/// The resume bases of one cell: one walk of its clean run, with the spec
+/// machine and the signature recorder on, keeps the checkpoint at the
+/// last loop step before each of the `events` (at most one per event,
+/// fewer where two share a step), in ascending order.
+fn walk_checkpoints(
+    scheme: &str,
+    config: &SimConfig,
+    streams: &TraceSet,
+    steps: &silo_sim::StepLog,
+    events: &[u64],
+) -> Vec<EngineCheckpoint> {
+    let stops: Vec<u64> = events
+        .iter()
+        .filter_map(|&n| steps.last_before(CrashTrigger::Event(n)))
+        .collect();
+    let mut kept = Vec::new();
+    let mut s = make_scheme(scheme, config);
+    judging_engine(s.as_mut(), config).walk(streams, &stops, |_, cp| {
+        kept.push(cp);
+        true
     });
-    CandidateRun {
-        signature: out.signature.expect("signature recorder enabled"),
-        oracle_ok: crash.consistency.is_consistent(),
-        spec_ok: spec.is_consistent(),
-        first_word,
-    }
+    kept
 }
 
 /// FNV-1a 64 over the cell identity, seeding the mutation RNG.
@@ -491,8 +562,10 @@ fn persist_entry(dir: &std::path::Path, cand: Candidate, sig_digest: &str) {
 }
 
 /// Executor entry point for [`CellWork::Fuzz`]: one cell's full search —
-/// clean reference run, corpus + deterministic seeds, mutation loop to
-/// the execution budget, double-checked verdict on every recovered image.
+/// clean reference run, one walk of it keeping a checkpoint before each
+/// seed event, corpus + deterministic seeds, mutation loop to the
+/// execution budget, every candidate resumed from the latest checkpoint
+/// before its event, double-checked verdict on every recovered image.
 #[allow(clippy::too_many_arguments)] // mirrors the CellWork::Fuzz fields
 pub(crate) fn execute_fuzz(
     scheme: &str,
@@ -524,12 +597,22 @@ pub(crate) fn execute_fuzz(
     // search crashes are exactly the streams the cell key describes.
     let w = crate::cellspec::fuzz_workload_spec(workload, arrival).instantiate();
     let streams = TraceCache::global().get_or_build(&*w, CORES, txs_per_core, seed);
-    // Clean reference run: fixes the durability-event axis length.
-    let clean = {
+    // Clean reference run: fixes the durability-event axis length, and
+    // logs each loop step's position on it for the walk below.
+    let (clean, steps) = {
         let mut s = make_scheme(scheme, &config);
-        Engine::new(&config, s.as_mut()).run(&streams, None)
+        Engine::new(&config, s.as_mut()).run_logging_steps(&streams)
     };
     let total = clean.pm.events().total();
+    // The seed events (or the one replayed event) are where the walk of
+    // the clean run keeps its checkpoints; every candidate resumes from
+    // the latest one before its own event.
+    let seed_events = match crash_event {
+        Some(event) => vec![event.max(1)],
+        None => spaced(total, SEED_POINTS),
+    };
+    let checkpoints = walk_checkpoints(scheme, &config, &streams, &steps, &seed_events);
+    drop(steps);
 
     // Initial candidates: the persisted corpus (sorted), then the evenly
     // spaced deterministic seeds per allowed fault model. A fixed
@@ -537,9 +620,9 @@ pub(crate) fn execute_fuzz(
     let cell_dir = corpus_root().map(|root| root.join(workload).join(scheme));
     let mut initial: Vec<Candidate> = Vec::new();
     match crash_event {
-        Some(event) => initial.push(Candidate {
+        Some(_) => initial.push(Candidate {
             fault: restriction.expect("--crash-event requires one --fault"),
-            event: event.max(1),
+            event: seed_events[0],
             recovery_crash,
         }),
         None => {
@@ -555,7 +638,7 @@ pub(crate) fn execute_fuzz(
                 ],
             };
             for f in seed_faults {
-                for event in spaced(total, SEED_POINTS) {
+                for &event in &seed_events {
                     initial.push(Candidate {
                         fault: f,
                         event,
@@ -576,7 +659,7 @@ pub(crate) fn execute_fuzz(
                        coverage: &mut Signature,
                        corpus: &mut Vec<Candidate>,
                        executed: &mut u64| {
-        let run = run_candidate(scheme, &config, &streams, cand);
+        let run = run_candidate(scheme, &config, &streams, &checkpoints, cand);
         *executed += 1;
         if !run.oracle_ok || !run.spec_ok {
             violation_count += 1;

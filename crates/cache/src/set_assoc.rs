@@ -91,12 +91,22 @@ struct Way {
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
+    /// `sets - 1`: a line's set is the low bits of its line index.
+    set_mask: u64,
     /// All ways in one flat slab, set-major: set `s` owns
     /// `ways[s * config.ways .. (s + 1) * config.ways]`. One allocation
     /// per cache level — constructing the Table II hierarchy used to make
     /// one `Vec` per set (8192 for the L3 alone), a real cost for sweeps
-    /// that build thousands of short-lived machines (crashfuzz).
+    /// that build thousands of short-lived machines (crashfuzz). A set's
+    /// slots mean something only while the set is live (see `stamps`).
     ways: Vec<Option<Way>>,
+    /// The epoch each set was last written in. Set `s` is live iff
+    /// `stamps[s] == epoch`; a stale set reads as empty and is cleared on
+    /// its first write of the current epoch, so dropping every line is
+    /// one epoch bump instead of a sweep over the whole slab.
+    stamps: Vec<u32>,
+    /// The current epoch; never 0, the stamp of a set never written.
+    epoch: u32,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -105,10 +115,26 @@ pub struct SetAssocCache {
 
 impl SetAssocCache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry's set count is not a power of two: a line's
+    /// set is picked by masking its index.
     pub fn new(config: CacheConfig) -> Self {
+        let sets = config.sets();
+        assert!(
+            sets.is_power_of_two(),
+            "cache set count {sets} is not a power of two \
+             ({} B / ({} ways * {LINE_BYTES} B lines))",
+            config.size_bytes,
+            config.ways
+        );
         SetAssocCache {
             config,
-            ways: vec![None; config.ways * config.sets()],
+            set_mask: sets as u64 - 1,
+            ways: vec![None; config.ways * sets],
+            stamps: vec![0; sets],
+            epoch: 1,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -117,14 +143,56 @@ impl SetAssocCache {
     }
 
     fn set_of(&self, line: LineAddr) -> usize {
-        (line.index() % self.config.sets() as u64) as usize
+        (line.index() & self.set_mask) as usize
     }
 
-    /// Index range of `line`'s set within the flat `ways` slab.
-    fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
+    /// Index range of set `s` within the flat `ways` slab.
+    fn slots(&self, s: usize) -> std::ops::Range<usize> {
         let w = self.config.ways;
-        let s = self.set_of(line);
         s * w..(s + 1) * w
+    }
+
+    /// The ways of `line`'s set; empty if the set is not live.
+    fn set(&self, line: LineAddr) -> &[Option<Way>] {
+        let s = self.set_of(line);
+        if self.stamps[s] == self.epoch {
+            &self.ways[self.slots(s)]
+        } else {
+            &[]
+        }
+    }
+
+    /// The ways of `line`'s set, for in-place updates; empty if the set
+    /// is not live (it holds no line to update).
+    fn set_mut(&mut self, line: LineAddr) -> &mut [Option<Way>] {
+        let s = self.set_of(line);
+        if self.stamps[s] == self.epoch {
+            let r = self.slots(s);
+            &mut self.ways[r]
+        } else {
+            &mut []
+        }
+    }
+
+    /// The ways of set `s` for an allocation: a stale set is cleared and
+    /// stamped live first.
+    fn claim_set(&mut self, s: usize) -> &mut [Option<Way>] {
+        let r = self.slots(s);
+        let ways = &mut self.ways[r];
+        if self.stamps[s] != self.epoch {
+            self.stamps[s] = self.epoch;
+            ways.fill(None);
+        }
+        ways
+    }
+
+    /// The live sets' ways with their slab slot indices, in slab order.
+    fn live_slots(&self) -> impl Iterator<Item = (usize, &Option<Way>)> + '_ {
+        self.stamps
+            .iter()
+            .enumerate()
+            .filter(|&(_, &stamp)| stamp == self.epoch)
+            .flat_map(|(s, _)| self.slots(s).zip(&self.ways[self.slots(s)]))
     }
 
     /// Accesses `line`, allocating on miss (write-allocate for both reads
@@ -133,8 +201,8 @@ impl SetAssocCache {
     pub fn access(&mut self, line: LineAddr, is_write: bool) -> AccessOutcome {
         self.tick += 1;
         let tick = self.tick;
-        let r = self.set_range(line);
-        let ways = &mut self.ways[r];
+        let s = self.set_of(line);
+        let ways = self.claim_set(s);
 
         if let Some(way) = ways.iter_mut().flatten().find(|w| w.tag == line.index()) {
             way.lru = tick;
@@ -147,30 +215,7 @@ impl SetAssocCache {
         }
 
         self.misses += 1;
-        // Prefer an empty way; otherwise evict the least recently used.
-        let victim_idx = match ways.iter().position(|w| w.is_none()) {
-            Some(i) => i,
-            None => ways
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.expect("no empty ways here").lru)
-                .map(|(i, _)| i)
-                .expect("ways is non-empty"),
-        };
-        let evicted = ways[victim_idx].map(|w| {
-            if w.dirty {
-                self.dirty_evictions += 1;
-            }
-            Evicted {
-                line: LineAddr::containing(silo_types::PhysAddr::new(w.tag * LINE_BYTES as u64)),
-                dirty: w.dirty,
-            }
-        });
-        ways[victim_idx] = Some(Way {
-            tag: line.index(),
-            dirty: is_write,
-            lru: tick,
-        });
+        let evicted = self.allocate(s, line, is_write, tick);
         AccessOutcome {
             hit: false,
             evicted,
@@ -184,13 +229,22 @@ impl SetAssocCache {
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Evicted> {
         self.tick += 1;
         let tick = self.tick;
-        let r = self.set_range(line);
-        let ways = &mut self.ways[r];
+        let s = self.set_of(line);
+        let ways = self.claim_set(s);
         if let Some(way) = ways.iter_mut().flatten().find(|w| w.tag == line.index()) {
             way.lru = tick;
             way.dirty |= dirty;
             return None;
         }
+        self.allocate(s, line, dirty, tick)
+    }
+
+    /// Puts `line` into a live set `s` that misses it: into its first
+    /// empty way, else over its least recently used line, which is
+    /// returned.
+    fn allocate(&mut self, s: usize, line: LineAddr, dirty: bool, tick: u64) -> Option<Evicted> {
+        let r = self.slots(s);
+        let ways = &mut self.ways[r];
         let victim_idx = match ways.iter().position(|w| w.is_none()) {
             Some(i) => i,
             None => ways
@@ -205,7 +259,7 @@ impl SetAssocCache {
                 self.dirty_evictions += 1;
             }
             Evicted {
-                line: LineAddr::containing(silo_types::PhysAddr::new(w.tag * LINE_BYTES as u64)),
+                line: line_of(w.tag),
                 dirty: w.dirty,
             }
         });
@@ -219,7 +273,7 @@ impl SetAssocCache {
 
     /// Whether the line is present (no LRU update, no allocation).
     pub fn probe(&self, line: LineAddr) -> bool {
-        self.ways[self.set_range(line)]
+        self.set(line)
             .iter()
             .flatten()
             .any(|w| w.tag == line.index())
@@ -227,7 +281,7 @@ impl SetAssocCache {
 
     /// Whether the line is present and dirty.
     pub fn is_dirty(&self, line: LineAddr) -> bool {
-        self.ways[self.set_range(line)]
+        self.set(line)
             .iter()
             .flatten()
             .any(|w| w.tag == line.index() && w.dirty)
@@ -237,8 +291,7 @@ impl SetAssocCache {
     /// writes the line back without invalidating it). Returns whether the
     /// line was dirty.
     pub fn clean(&mut self, line: LineAddr) -> bool {
-        let r = self.set_range(line);
-        for way in self.ways[r].iter_mut().flatten() {
+        for way in self.set_mut(line).iter_mut().flatten() {
             if way.tag == line.index() {
                 let was = way.dirty;
                 way.dirty = false;
@@ -250,8 +303,7 @@ impl SetAssocCache {
 
     /// Removes the line if present; returns whether it was dirty.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        let r = self.set_range(line);
-        for way in self.ways[r].iter_mut() {
+        for way in self.set_mut(line).iter_mut() {
             if let Some(w) = way {
                 if w.tag == line.index() {
                     let dirty = w.dirty;
@@ -263,39 +315,50 @@ impl SetAssocCache {
         false
     }
 
-    /// All currently dirty lines, in unspecified order.
+    /// All currently dirty lines, in slab order.
     pub fn dirty_lines(&self) -> Vec<LineAddr> {
-        self.ways
-            .iter()
-            .flatten()
+        self.live_slots()
+            .filter_map(|(_, w)| *w)
             .filter(|w| w.dirty)
-            .map(|w| LineAddr::containing(silo_types::PhysAddr::new(w.tag * LINE_BYTES as u64)))
+            .map(|w| line_of(w.tag))
             .collect()
     }
 
     /// Clears every dirty bit and returns the lines that were dirty (a
-    /// force-write-back sweep, as FWB performs periodically).
+    /// force-write-back sweep, as FWB performs periodically), in slab
+    /// order.
     pub fn clean_all(&mut self) -> Vec<LineAddr> {
+        let w = self.config.ways;
         let mut out = Vec::new();
-        for way in self.ways.iter_mut().flatten() {
-            if way.dirty {
-                way.dirty = false;
-                out.push(LineAddr::containing(silo_types::PhysAddr::new(
-                    way.tag * LINE_BYTES as u64,
-                )));
+        for (s, &stamp) in self.stamps.iter().enumerate() {
+            if stamp != self.epoch {
+                continue;
+            }
+            for way in self.ways[s * w..(s + 1) * w].iter_mut().flatten() {
+                if way.dirty {
+                    way.dirty = false;
+                    out.push(line_of(way.tag));
+                }
             }
         }
         out
     }
 
-    /// Drops every line (volatile cache contents at a power failure).
+    /// Drops every line (volatile cache contents at a power failure): one
+    /// epoch bump, after which every set reads as empty.
     pub fn invalidate_all(&mut self) {
-        self.ways.fill(None);
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: a stamp left from 2^32 epochs ago could now read as
+            // live, so every set is reset to the never-written stamp.
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
     }
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.ways.iter().flatten().count()
+        self.live_slots().filter(|(_, w)| w.is_some()).count()
     }
 
     /// (hits, misses, dirty evictions) counters.
@@ -309,13 +372,19 @@ impl SetAssocCache {
     }
 }
 
+/// The line whose full line index is `tag`.
+fn line_of(tag: u64) -> LineAddr {
+    LineAddr::containing(silo_types::PhysAddr::new(tag * LINE_BYTES as u64))
+}
+
 /// Sparse captured state of one [`SetAssocCache`] level.
 ///
 /// The flat `ways` slab is dense in slots but sparse in residency at
 /// checkpoint time relative to its full size (the Table II L3 alone is
-/// 131 072 slots ≈ 4 MB when cloned wholesale), so the snapshot keeps only
-/// the occupied slots plus the LRU/counter state; restore clears the slab
-/// with one `fill(None)` and rewrites the occupied entries.
+/// 131 072 slots ≈ 3 MB when cloned wholesale), so the snapshot keeps only
+/// the occupied slots of the live sets plus the LRU/counter state; restore
+/// drops every line with one epoch bump and rewrites the occupied entries,
+/// so neither touches a set that holds no line.
 #[derive(Clone, Debug)]
 pub struct CacheLevelState {
     config: CacheConfig,
@@ -333,10 +402,8 @@ impl silo_types::Snapshot for SetAssocCache {
         CacheLevelState {
             config: self.config,
             occupied: self
-                .ways
-                .iter()
-                .enumerate()
-                .filter_map(|(i, w)| w.map(|w| (i as u32, w)))
+                .live_slots()
+                .filter_map(|(slot, w)| w.map(|w| (slot as u32, w)))
                 .collect(),
             tick: self.tick,
             hits: self.hits,
@@ -350,9 +417,11 @@ impl silo_types::Snapshot for SetAssocCache {
             self.config, state.config,
             "cache snapshot restored into a different geometry"
         );
-        self.ways.fill(None);
+        self.invalidate_all();
+        let w = self.config.ways;
         for &(slot, way) in &state.occupied {
-            self.ways[slot as usize] = Some(way);
+            let slot = slot as usize;
+            self.claim_set(slot / w)[slot % w] = Some(way);
         }
         self.tick = state.tick;
         self.hits = state.hits;
@@ -364,7 +433,7 @@ impl silo_types::Snapshot for SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use silo_types::PhysAddr;
+    use silo_types::{PhysAddr, Snapshot, Xoshiro256};
 
     fn line(n: u64) -> LineAddr {
         LineAddr::containing(PhysAddr::new(n * LINE_BYTES as u64))
@@ -527,5 +596,425 @@ mod tests {
                           // LRU is line 0 (probe didn't touch it): it is the victim.
         let ev = c.access(line(4), false).evicted.expect("eviction");
         assert_eq!(ev.line, line(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn set_count_must_be_a_power_of_two() {
+        // 3 sets of one way: a valid capacity, but no mask picks a set.
+        let _ = SetAssocCache::new(CacheConfig::new(3 * LINE_BYTES, 1));
+    }
+
+    #[test]
+    fn invalidate_all_survives_epoch_wraparound() {
+        // Set 0 is stamped in epoch 1, set 1 again in epoch 2.
+        let mut c = tiny();
+        c.access(line(0), true);
+        c.access(line(1), true);
+        c.invalidate_all();
+        c.access(line(1), false);
+        // 2^32 - 3 invalidations later the next one wraps: set 0's stale
+        // stamp 1 must not read as live in the new epoch.
+        c.epoch = u32::MAX;
+        c.invalidate_all();
+        assert_eq!(c.epoch, 1);
+        assert!(!c.probe(line(0)), "a line from 2^32 epochs ago came back");
+        assert_eq!(c.occupancy(), 0);
+        assert!(c.dirty_lines().is_empty());
+        assert!(!c.access(line(0), false).hit);
+        assert_eq!(c.occupancy(), 1);
+    }
+
+    #[test]
+    fn restore_into_a_used_cache_drops_what_it_held() {
+        let mut c = tiny();
+        c.access(line(0), true);
+        let snap = c.snapshot();
+        c.access(line(1), true);
+        c.access(line(2), true);
+        c.restore(&snap);
+        assert!(c.probe(line(0)) && c.is_dirty(line(0)));
+        assert!(!c.probe(line(1)) && !c.probe(line(2)));
+        assert_eq!(c.occupancy(), 1);
+        assert_eq!(c.dirty_lines(), vec![line(0)]);
+    }
+
+    /// The retained reference implementation: the array-of-structs level
+    /// that cleared its whole slab on every restore and invalidation, kept
+    /// verbatim so the epoch-stamped level can be differentially tested
+    /// against it.
+    mod reference {
+        use crate::set_assoc::{AccessOutcome, CacheConfig, Evicted};
+        use silo_types::{LineAddr, LINE_BYTES};
+
+        #[derive(Clone, Copy, Debug)]
+        struct Way {
+            tag: u64, // full line index; the set already encodes the low bits
+            dirty: bool,
+            lru: u64,
+        }
+
+        #[derive(Clone, Debug)]
+        pub struct RefSetAssocCache {
+            config: CacheConfig,
+            /// All ways in one flat slab, set-major: set `s` owns
+            /// `ways[s * config.ways .. (s + 1) * config.ways]`. One allocation
+            /// per cache level — constructing the Table II hierarchy used to make
+            /// one `Vec` per set (8192 for the L3 alone), a real cost for sweeps
+            /// that build thousands of short-lived machines (crashfuzz).
+            ways: Vec<Option<Way>>,
+            tick: u64,
+            hits: u64,
+            misses: u64,
+            dirty_evictions: u64,
+        }
+
+        impl RefSetAssocCache {
+            /// Creates an empty cache with the given geometry.
+            pub fn new(config: CacheConfig) -> Self {
+                RefSetAssocCache {
+                    config,
+                    ways: vec![None; config.ways * config.sets()],
+                    tick: 0,
+                    hits: 0,
+                    misses: 0,
+                    dirty_evictions: 0,
+                }
+            }
+
+            fn set_of(&self, line: LineAddr) -> usize {
+                (line.index() % self.config.sets() as u64) as usize
+            }
+
+            /// Index range of `line`'s set within the flat `ways` slab.
+            fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
+                let w = self.config.ways;
+                let s = self.set_of(line);
+                s * w..(s + 1) * w
+            }
+
+            /// Accesses `line`, allocating on miss (write-allocate for both reads
+            /// and writes). `is_write` marks the line dirty. Returns the hit/miss
+            /// outcome and any displaced victim.
+            pub fn access(&mut self, line: LineAddr, is_write: bool) -> AccessOutcome {
+                self.tick += 1;
+                let tick = self.tick;
+                let r = self.set_range(line);
+                let ways = &mut self.ways[r];
+
+                if let Some(way) = ways.iter_mut().flatten().find(|w| w.tag == line.index()) {
+                    way.lru = tick;
+                    way.dirty |= is_write;
+                    self.hits += 1;
+                    return AccessOutcome {
+                        hit: true,
+                        evicted: None,
+                    };
+                }
+
+                self.misses += 1;
+                // Prefer an empty way; otherwise evict the least recently used.
+                let victim_idx = match ways.iter().position(|w| w.is_none()) {
+                    Some(i) => i,
+                    None => ways
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, w)| w.expect("no empty ways here").lru)
+                        .map(|(i, _)| i)
+                        .expect("ways is non-empty"),
+                };
+                let evicted = ways[victim_idx].map(|w| {
+                    if w.dirty {
+                        self.dirty_evictions += 1;
+                    }
+                    Evicted {
+                        line: LineAddr::containing(silo_types::PhysAddr::new(
+                            w.tag * LINE_BYTES as u64,
+                        )),
+                        dirty: w.dirty,
+                    }
+                });
+                ways[victim_idx] = Some(Way {
+                    tag: line.index(),
+                    dirty: is_write,
+                    lru: tick,
+                });
+                AccessOutcome {
+                    hit: false,
+                    evicted,
+                }
+            }
+
+            /// Installs `line` without counting a demand hit or miss — the path a
+            /// writeback from an upper level takes (e.g. a dirty L1 victim landing
+            /// in L2). If the line is already present its dirty bit is OR-ed;
+            /// otherwise it is allocated, possibly displacing a victim.
+            pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Evicted> {
+                self.tick += 1;
+                let tick = self.tick;
+                let r = self.set_range(line);
+                let ways = &mut self.ways[r];
+                if let Some(way) = ways.iter_mut().flatten().find(|w| w.tag == line.index()) {
+                    way.lru = tick;
+                    way.dirty |= dirty;
+                    return None;
+                }
+                let victim_idx = match ways.iter().position(|w| w.is_none()) {
+                    Some(i) => i,
+                    None => ways
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, w)| w.expect("no empty ways here").lru)
+                        .map(|(i, _)| i)
+                        .expect("ways is non-empty"),
+                };
+                let evicted = ways[victim_idx].map(|w| {
+                    if w.dirty {
+                        self.dirty_evictions += 1;
+                    }
+                    Evicted {
+                        line: LineAddr::containing(silo_types::PhysAddr::new(
+                            w.tag * LINE_BYTES as u64,
+                        )),
+                        dirty: w.dirty,
+                    }
+                });
+                ways[victim_idx] = Some(Way {
+                    tag: line.index(),
+                    dirty,
+                    lru: tick,
+                });
+                evicted
+            }
+
+            /// Whether the line is present (no LRU update, no allocation).
+            pub fn probe(&self, line: LineAddr) -> bool {
+                self.ways[self.set_range(line)]
+                    .iter()
+                    .flatten()
+                    .any(|w| w.tag == line.index())
+            }
+
+            /// Whether the line is present and dirty.
+            pub fn is_dirty(&self, line: LineAddr) -> bool {
+                self.ways[self.set_range(line)]
+                    .iter()
+                    .flatten()
+                    .any(|w| w.tag == line.index() && w.dirty)
+            }
+
+            /// Clears the dirty bit if the line is present (a clwb-style flush
+            /// writes the line back without invalidating it). Returns whether the
+            /// line was dirty.
+            pub fn clean(&mut self, line: LineAddr) -> bool {
+                let r = self.set_range(line);
+                for way in self.ways[r].iter_mut().flatten() {
+                    if way.tag == line.index() {
+                        let was = way.dirty;
+                        way.dirty = false;
+                        return was;
+                    }
+                }
+                false
+            }
+
+            /// Removes the line if present; returns whether it was dirty.
+            pub fn invalidate(&mut self, line: LineAddr) -> bool {
+                let r = self.set_range(line);
+                for way in self.ways[r].iter_mut() {
+                    if let Some(w) = way {
+                        if w.tag == line.index() {
+                            let dirty = w.dirty;
+                            *way = None;
+                            return dirty;
+                        }
+                    }
+                }
+                false
+            }
+
+            /// All currently dirty lines, in unspecified order.
+            pub fn dirty_lines(&self) -> Vec<LineAddr> {
+                self.ways
+                    .iter()
+                    .flatten()
+                    .filter(|w| w.dirty)
+                    .map(|w| {
+                        LineAddr::containing(silo_types::PhysAddr::new(w.tag * LINE_BYTES as u64))
+                    })
+                    .collect()
+            }
+
+            /// Clears every dirty bit and returns the lines that were dirty (a
+            /// force-write-back sweep, as FWB performs periodically).
+            pub fn clean_all(&mut self) -> Vec<LineAddr> {
+                let mut out = Vec::new();
+                for way in self.ways.iter_mut().flatten() {
+                    if way.dirty {
+                        way.dirty = false;
+                        out.push(LineAddr::containing(silo_types::PhysAddr::new(
+                            way.tag * LINE_BYTES as u64,
+                        )));
+                    }
+                }
+                out
+            }
+
+            /// Drops every line (volatile cache contents at a power failure).
+            pub fn invalidate_all(&mut self) {
+                self.ways.fill(None);
+            }
+
+            /// Number of resident lines.
+            pub fn occupancy(&self) -> usize {
+                self.ways.iter().flatten().count()
+            }
+
+            /// (hits, misses, dirty evictions) counters.
+            pub fn counters(&self) -> (u64, u64, u64) {
+                (self.hits, self.misses, self.dirty_evictions)
+            }
+
+            /// The geometry.
+            pub fn config(&self) -> CacheConfig {
+                self.config
+            }
+        }
+
+        /// Sparse captured state of one [`RefSetAssocCache`] level.
+        ///
+        /// The flat `ways` slab is dense in slots but sparse in residency at
+        /// checkpoint time relative to its full size (the Table II L3 alone is
+        /// 131 072 slots ≈ 4 MB when cloned wholesale), so the snapshot keeps only
+        /// the occupied slots plus the LRU/counter state; restore clears the slab
+        /// with one `fill(None)` and rewrites the occupied entries.
+        #[derive(Clone, Debug)]
+        pub struct RefLevelState {
+            config: CacheConfig,
+            occupied: Vec<(u32, Way)>,
+            tick: u64,
+            hits: u64,
+            misses: u64,
+            dirty_evictions: u64,
+        }
+
+        impl silo_types::Snapshot for RefSetAssocCache {
+            type State = RefLevelState;
+
+            fn snapshot(&self) -> RefLevelState {
+                RefLevelState {
+                    config: self.config,
+                    occupied: self
+                        .ways
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, w)| w.map(|w| (i as u32, w)))
+                        .collect(),
+                    tick: self.tick,
+                    hits: self.hits,
+                    misses: self.misses,
+                    dirty_evictions: self.dirty_evictions,
+                }
+            }
+
+            fn restore(&mut self, state: &RefLevelState) {
+                assert_eq!(
+                    self.config, state.config,
+                    "cache snapshot restored into a different geometry"
+                );
+                self.ways.fill(None);
+                for &(slot, way) in &state.occupied {
+                    self.ways[slot as usize] = Some(way);
+                }
+                self.tick = state.tick;
+                self.hits = state.hits;
+                self.misses = state.misses;
+                self.dirty_evictions = state.dirty_evictions;
+            }
+        }
+    }
+
+    /// The geometries both implementations are driven at: Table II's three
+    /// levels, the tiny hierarchy the crash cells shrink to, and the 2-set
+    /// unit-test level.
+    fn geometries() -> Vec<CacheConfig> {
+        vec![
+            CacheConfig::new(32 * 1024, 8),
+            CacheConfig::new(256 * 1024, 8),
+            CacheConfig::new(8 * 1024 * 1024, 16),
+            CacheConfig::new(2 * 1024, 2),
+            CacheConfig::new(8 * 1024, 4),
+            CacheConfig::new(4 * LINE_BYTES, 2),
+        ]
+    }
+
+    /// A line in one of four hot sets, drawn from more tags than the set
+    /// has ways, so fills, LRU victims and dirty evictions happen at every
+    /// geometry.
+    fn random_line(rng: &mut Xoshiro256, config: CacheConfig) -> LineAddr {
+        let sets = config.sets() as u64;
+        let set = [0, 1, sets / 2, sets - 1][(rng.next_u64() % 4) as usize] % sets;
+        let tag = rng.next_u64() % (2 * config.ways as u64 + 1);
+        line(tag * sets + set)
+    }
+
+    fn assert_same(c: &SetAssocCache, r: &reference::RefSetAssocCache, what: &str) {
+        assert_eq!(c.config(), r.config());
+        assert_eq!(c.occupancy(), r.occupancy(), "occupancy after {what}");
+        assert_eq!(c.counters(), r.counters(), "counters after {what}");
+        assert_eq!(c.dirty_lines(), r.dirty_lines(), "dirty lines after {what}");
+    }
+
+    #[test]
+    fn differential_vs_reference_slab_cache() {
+        for config in geometries() {
+            let mut rng = Xoshiro256::seeded(0xca_c4e ^ config.sets() as u64);
+            let mut c = SetAssocCache::new(config);
+            let mut r = reference::RefSetAssocCache::new(config);
+            let mut saved = (c.snapshot(), r.snapshot());
+            for step in 0..3000 {
+                let l = random_line(&mut rng, config);
+                let what = format!("step {step} at {config:?}");
+                match rng.next_u64() % 16 {
+                    0..=5 => {
+                        let write = rng.next_u64().is_multiple_of(2);
+                        assert_eq!(c.access(l, write), r.access(l, write), "access, {what}");
+                    }
+                    6 | 7 => {
+                        let dirty = rng.next_u64().is_multiple_of(2);
+                        assert_eq!(c.fill(l, dirty), r.fill(l, dirty), "fill, {what}");
+                    }
+                    8 => assert_eq!(c.clean(l), r.clean(l), "clean, {what}"),
+                    9 => assert_eq!(c.invalidate(l), r.invalidate(l), "invalidate, {what}"),
+                    10 => {
+                        assert_eq!(c.probe(l), r.probe(l), "probe, {what}");
+                        assert_eq!(c.is_dirty(l), r.is_dirty(l), "is_dirty, {what}");
+                    }
+                    11 => assert_eq!(c.clean_all(), r.clean_all(), "clean_all, {what}"),
+                    12 => {
+                        c.invalidate_all();
+                        r.invalidate_all();
+                    }
+                    13 => saved = (c.snapshot(), r.snapshot()),
+                    14 => {
+                        // Round trip into the cache in use, which may
+                        // hold lines the snapshot does not.
+                        c.restore(&saved.0);
+                        r.restore(&saved.1);
+                    }
+                    _ => {
+                        // ... and into a fresh pair.
+                        c = SetAssocCache::new(config);
+                        r = reference::RefSetAssocCache::new(config);
+                        c.restore(&saved.0);
+                        r.restore(&saved.1);
+                    }
+                }
+                if step % 64 == 0 {
+                    assert_same(&c, &r, &what);
+                }
+            }
+            assert_same(&c, &r, &format!("the run at {config:?}"));
+        }
     }
 }

@@ -273,18 +273,26 @@ impl OnPmBuffer {
     /// Updates any staged copy of the written bytes *without* allocating
     /// new lines — used by the write-through path to keep a staged line
     /// coherent with bytes that bypassed the buffer. Returns how many bytes
-    /// were patched into staged lines.
+    /// were patched into staged lines. Staged lines are looked up once per
+    /// buffer line covered, not per byte, and not at all when none is
+    /// staged.
     pub fn patch_if_staged(&mut self, addr: PhysAddr, bytes: &[u8]) -> usize {
+        if self.lines.is_empty() {
+            return 0;
+        }
         let mut patched = 0;
-        for (i, &b) in bytes.iter().enumerate() {
-            let a = addr.as_u64() + i as u64;
-            let idx = a / BUF_LINE_BYTES as u64;
-            if let Some(staged) = self.lines.get_mut(&idx) {
-                let off = (a % BUF_LINE_BYTES as u64) as usize;
-                staged.data[off] = b;
-                staged.valid[off] = true;
-                patched += 1;
+        let mut cur = addr.as_u64();
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let off = (cur % BUF_LINE_BYTES as u64) as usize;
+            let chunk = rest.len().min(BUF_LINE_BYTES - off);
+            if let Some(staged) = self.lines.get_mut(&(cur / BUF_LINE_BYTES as u64)) {
+                staged.data[off..off + chunk].copy_from_slice(&rest[..chunk]);
+                staged.valid[off..off + chunk].fill(true);
+                patched += chunk;
             }
+            cur += chunk as u64;
+            rest = &rest[chunk..];
         }
         patched
     }
@@ -527,5 +535,39 @@ mod tests {
         buf.write(PhysAddr::new(1024), &batch, &mut media);
         buf.flush_all(&mut media);
         assert_eq!(media.line_writes(), 1);
+    }
+
+    #[test]
+    fn patch_spanning_two_staged_lines_patches_both() {
+        let (mut media, mut buf) = setup();
+        buf.write(PhysAddr::new(0), &[1; 8], &mut media);
+        buf.write(PhysAddr::new(256), &[2; 8], &mut media);
+        // 6 bytes at the end of line 0 and 6 at the start of line 1.
+        assert_eq!(buf.patch_if_staged(PhysAddr::new(250), &[7; 12]), 12);
+        assert_eq!(buf.occupancy(), 2, "patching allocates no line");
+        assert_eq!(
+            buf.read_through(PhysAddr::new(248), 16, &media),
+            [0, 0, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 2, 2]
+        );
+        buf.flush_all(&mut media);
+        assert_eq!(media.read(PhysAddr::new(250), 12), vec![7; 12]);
+        assert_eq!(media.read(PhysAddr::new(262), 2), vec![2; 2]);
+    }
+
+    #[test]
+    fn patch_counts_only_staged_bytes() {
+        let (mut media, mut buf) = setup();
+        // Nothing staged at all.
+        assert_eq!(buf.patch_if_staged(PhysAddr::new(0), &[7; 64]), 0);
+        // Line 0 staged, line 1 not: only line 0's 6 bytes are patched.
+        buf.write(PhysAddr::new(0), &[1; 8], &mut media);
+        assert_eq!(buf.patch_if_staged(PhysAddr::new(250), &[7; 12]), 6);
+        // A write wholly outside the staged line patches nothing.
+        assert_eq!(buf.patch_if_staged(PhysAddr::new(1024), &[7; 36]), 0);
+        assert_eq!(buf.occupancy(), 1);
+        buf.flush_all(&mut media);
+        assert_eq!(media.line_writes(), 1);
+        assert_eq!(media.read(PhysAddr::new(256), 6), vec![0; 6]);
+        assert_eq!(media.read(PhysAddr::new(1024), 36), vec![0; 36]);
     }
 }

@@ -147,6 +147,8 @@ struct CoreState {
 /// A full-machine checkpoint taken at an engine loop boundary of a clean
 /// (crash-free) run. Positions on both crash axes are recorded so one
 /// checkpoint set serves cycle-triggered *and* event-triggered crash plans.
+/// It carries the spec machine too, when the capturing run had it on, so
+/// a run resumed from it judges the recovered image the same way.
 pub struct EngineCheckpoint {
     /// Smallest unfinished core clock at capture. Valid as a resume base
     /// for [`CrashTrigger::Cycle(c)`] iff `cycle_pos < c` — the engine's
@@ -160,6 +162,7 @@ pub struct EngineCheckpoint {
     machine: MachineState,
     cores: Vec<CoreState>,
     oracle: TxOracle,
+    spec: Option<SpecMachine>,
     scheme: Box<dyn SchemeState>,
 }
 
@@ -252,7 +255,7 @@ enum Capture<'c> {
 
 /// A checkpointing clean run's one stop rule and one sink: at the
 /// policy's cadence into a collected set ([`Engine::run_recording`]), or
-/// at listed loop steps, lent to a callback ([`Engine::walk`]).
+/// at listed loop steps, handed to a callback ([`Engine::walk`]).
 enum Checkpoints<'c> {
     Cadence {
         policy: CheckpointPolicy,
@@ -264,7 +267,7 @@ enum Checkpoints<'c> {
         /// Ascending and distinct; `next` indexes the next stop.
         steps: Vec<u64>,
         next: usize,
-        visit: &'c mut dyn FnMut(u64, &EngineCheckpoint) -> bool,
+        visit: &'c mut dyn FnMut(u64, EngineCheckpoint) -> bool,
     },
 }
 
@@ -310,10 +313,10 @@ impl Checkpoints<'_> {
                 true
             }
             Checkpoints::Steps { steps, next, visit } => {
-                // The checkpoint is dropped on return, before the run
-                // steps on: a walk holds one checkpoint at a time.
+                // The callback owns the checkpoint: one that drops it
+                // before returning holds one checkpoint at a time.
                 *next += 1;
-                visit(step, &cp) && *next < steps.len()
+                visit(step, cp) && *next < steps.len()
             }
         }
     }
@@ -539,9 +542,11 @@ impl<'a> Engine<'a> {
     /// Attaches the executable crash-consistency spec
     /// ([`SpecMachine`]): every durability event feeds the per-word
     /// legal-value model, and a crash outcome carries the spec's
-    /// localized verdict alongside the oracle's. Off by default; not
-    /// supported on checkpoint-resumed runs (the checkpoint does not
-    /// carry spec state).
+    /// localized verdict alongside the oracle's. Off by default. A
+    /// checkpoint captured with the spec on carries its state, so crash
+    /// plans resumed from it ([`Engine::run_resumed`]) keep the spec on
+    /// without this call; calling it before resuming from a checkpoint
+    /// captured without the spec panics.
     pub fn enable_spec(&mut self) {
         self.spec = Some(SpecMachine::new());
     }
@@ -636,14 +641,17 @@ impl<'a> Engine<'a> {
     /// Walks a clean run of `streams` once, stopping at each distinct
     /// listed loop step in ascending order, whatever order `steps` lists
     /// them in (step numbers as in a [`StepLog`] of the same streams). At
-    /// each stop it lends `visit` the step and a checkpoint of the whole
-    /// engine there, a resume base for [`Engine::run_resumed`], and drops
-    /// the checkpoint before stepping on, so one checkpoint is alive at a
-    /// time. A `false` from `visit` ends the walk, and so does its last
-    /// stop: the rest of the run is never simulated. A step the run never
-    /// reaches is never visited, and a scheme that cannot snapshot its
-    /// state ([`LoggingScheme::snapshot_state`] returns `None`) is visited
-    /// nowhere.
+    /// each stop it hands `visit` the step and a checkpoint of the whole
+    /// engine there, a resume base for [`Engine::run_resumed`]. The
+    /// callback owns the checkpoint: dropping it before returning keeps
+    /// one checkpoint alive at a time (a crash sweep), keeping it builds a
+    /// set of resume bases (a crash search). The checkpoints carry what
+    /// the walking engine has on: the spec machine ([`Engine::enable_spec`])
+    /// and the probes. A `false` from `visit` ends the walk, and so does
+    /// its last stop: the rest of the run is never simulated. A step the
+    /// run never reaches is never visited, and a scheme that cannot
+    /// snapshot its state ([`LoggingScheme::snapshot_state`] returns
+    /// `None`) is visited nowhere.
     ///
     /// # Panics
     ///
@@ -652,7 +660,7 @@ impl<'a> Engine<'a> {
         self,
         streams: impl Into<TxStreams>,
         steps: &[u64],
-        mut visit: impl FnMut(u64, &EngineCheckpoint) -> bool,
+        mut visit: impl FnMut(u64, EngineCheckpoint) -> bool,
     ) {
         let mut steps = steps.to_vec();
         steps.sort_unstable();
@@ -715,13 +723,15 @@ impl<'a> Engine<'a> {
     /// the checkpoint must satisfy the trigger-axis validity rule
     /// ([`CheckpointSet::nearest`] and [`StepLog::last_before`] guarantee
     /// it); the outcome is then byte-identical to running the plan from
-    /// scratch.
+    /// scratch with the checkpointing run's probes and spec machine on,
+    /// which the resumed run takes from the checkpoint.
     ///
     /// # Panics
     ///
     /// Panics if the stream count differs from the configured core count
-    /// or from the checkpoint's core count, or if the checkpoint lies at
-    /// or past the plan's trigger.
+    /// or from the checkpoint's core count, if the checkpoint lies at or
+    /// past the plan's trigger, or if [`Engine::enable_spec`] was called
+    /// but the checkpoint was captured without the spec machine.
     pub fn run_resumed(
         self,
         streams: impl Into<TxStreams>,
@@ -751,7 +761,8 @@ impl<'a> Engine<'a> {
     }
 
     /// The whole engine state at a loop boundary: machine, core cursors,
-    /// oracle and scheme. `None` if the scheme cannot snapshot its state.
+    /// oracle, spec machine and scheme. `None` if the scheme cannot
+    /// snapshot its state.
     fn capture(
         &self,
         cores: &[CoreRun],
@@ -765,6 +776,7 @@ impl<'a> Engine<'a> {
             machine: self.machine.snapshot(),
             cores: cores.iter().map(CoreRun::state).collect(),
             oracle: self.oracle.clone(),
+            spec: self.spec.clone(),
             scheme,
         })
     }
@@ -825,12 +837,6 @@ impl<'a> Engine<'a> {
             })
             .collect();
 
-        if !matches!(start, Start::Scratch) {
-            assert!(
-                self.spec.is_none(),
-                "the spec machine requires a from-scratch run (checkpoints do not carry spec state)"
-            );
-        }
         match start {
             Start::Scratch => {}
             Start::Checkpoint(cp) => {
@@ -844,6 +850,12 @@ impl<'a> Engine<'a> {
                     core.resume(s.clone());
                 }
                 self.oracle = cp.oracle.clone();
+                assert!(
+                    self.spec.is_none() || cp.spec.is_some(),
+                    "the spec machine is on but the checkpoint carries no spec state \
+                     (enable it on the run that captures the checkpoint)"
+                );
+                self.spec = cp.spec.clone();
                 self.scheme.restore_state(&*cp.scheme);
             }
             Start::Fork(fork) => {

@@ -24,9 +24,9 @@
 use silo_pm::PmDevice;
 use silo_types::{FxHashMap, FxHashSet, PhysAddr, TxTag, Word};
 
-/// Most recent per-word transitions kept for violation reports. Older
-/// entries are dropped (and counted) — the interesting history of a crash
-/// is the recent past.
+/// Most recent per-word transitions a violation report carries. Older
+/// ones are dropped (and counted) — the interesting history of a crash is
+/// the recent past.
 const HISTORY_CAP: usize = 8;
 
 /// What a per-word history entry records.
@@ -70,24 +70,6 @@ pub struct WordEvent {
     pub kind: WordEventKind,
     /// The value associated with the transition (see [`WordEventKind`]).
     pub value: Word,
-}
-
-/// Bounded per-word history: the last [`HISTORY_CAP`] transitions plus a
-/// count of older, dropped ones.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct WordHistory {
-    recent: Vec<WordEvent>,
-    dropped: u64,
-}
-
-impl WordHistory {
-    fn push(&mut self, e: WordEvent) {
-        if self.recent.len() == HISTORY_CAP {
-            self.recent.remove(0);
-            self.dropped += 1;
-        }
-        self.recent.push(e);
-    }
 }
 
 /// One word whose recovered value is outside its legal set.
@@ -159,8 +141,11 @@ pub struct SpecMachine {
     ambiguous: Vec<Vec<(u64, Word, Word)>>,
     /// In-flight write set per core.
     pending: Vec<Pending>,
-    /// Bounded transition history per word.
-    history: FxHashMap<u64, WordHistory>,
+    /// Every word's transitions, interleaved in the order they happened:
+    /// one append-only log, so a clone (a checkpoint) is one copy rather
+    /// than one allocation per written word. [`SpecMachine::verify`]
+    /// reads each offending word's recent history out of it.
+    log: Vec<(u64, WordEvent)>,
 }
 
 impl SpecMachine {
@@ -184,7 +169,7 @@ impl SpecMachine {
     }
 
     fn record(&mut self, key: u64, e: WordEvent) {
-        self.history.entry(key).or_default().push(e);
+        self.log.push((key, e));
     }
 
     /// A store by transaction `tag` on `core` reached the word at `addr`
@@ -275,29 +260,43 @@ impl SpecMachine {
         writes
     }
 
-    fn violation(
-        &self,
-        key: u64,
-        legal: Vec<Word>,
-        actual: Word,
-        kind: &'static str,
-    ) -> SpecViolation {
-        let (history, dropped, event) = match self.history.get(&key) {
-            Some(h) => (
-                h.recent.clone(),
-                h.dropped,
-                h.recent.last().map(|e| e.event).unwrap_or(0),
-            ),
-            None => (Vec::new(), 0, 0),
-        };
+    fn violation(key: u64, legal: Vec<Word>, actual: Word, kind: &'static str) -> SpecViolation {
         SpecViolation {
             addr: PhysAddr::new(key),
             legal,
             actual,
-            event,
-            history,
-            dropped_history: dropped,
+            event: 0,
+            history: Vec::new(),
+            dropped_history: 0,
             kind,
+        }
+    }
+
+    /// Fills in each violation's history in one backward pass over the
+    /// log: an offending word's last [`HISTORY_CAP`] transitions, the
+    /// count of older ones, and the event of the latest.
+    fn attach_histories(&self, violations: &mut [SpecViolation]) {
+        if violations.is_empty() {
+            return;
+        }
+        let mut recent: FxHashMap<u64, (Vec<WordEvent>, u64)> = violations
+            .iter()
+            .map(|v| (v.addr.as_u64(), (Vec::new(), 0)))
+            .collect();
+        for (key, e) in self.log.iter().rev() {
+            if let Some((history, dropped)) = recent.get_mut(key) {
+                if history.len() < HISTORY_CAP {
+                    history.push(*e);
+                } else {
+                    *dropped += 1;
+                }
+            }
+        }
+        for v in violations {
+            let (history, dropped) = &recent[&v.addr.as_u64()];
+            v.event = history.first().map_or(0, |e| e.event);
+            v.history = history.iter().rev().copied().collect();
+            v.dropped_history = *dropped;
         }
     }
 
@@ -324,7 +323,7 @@ impl SpecMachine {
             let actual = pm.peek_word(PhysAddr::new(key));
             report.words_checked += 1;
             if actual != legal {
-                report.violations.push(self.violation(
+                report.violations.push(Self::violation(
                     key,
                     vec![legal],
                     actual,
@@ -343,7 +342,7 @@ impl SpecMachine {
             let actual = pm.peek_word(PhysAddr::new(key));
             report.words_checked += 1;
             if actual != legal {
-                report.violations.push(self.violation(
+                report.violations.push(Self::violation(
                     key,
                     vec![legal],
                     actual,
@@ -369,7 +368,7 @@ impl SpecMachine {
                 for &(key, rollback, new) in group {
                     let actual = pm.peek_word(PhysAddr::new(key));
                     if actual != new {
-                        report.violations.push(self.violation(
+                        report.violations.push(Self::violation(
                             key,
                             vec![rollback, new],
                             actual,
@@ -381,6 +380,7 @@ impl SpecMachine {
         }
 
         report.violations.sort_by_key(|v| (v.addr.as_u64(), v.kind));
+        self.attach_histories(&mut report.violations);
         report
     }
 }
@@ -511,5 +511,70 @@ mod tests {
         let report = spec.verify(&pm);
         assert!(report.is_consistent());
         assert_eq!(report.words_checked, 2);
+    }
+
+    #[test]
+    fn interleaved_words_keep_their_own_histories() {
+        // Three words written round-robin by one transaction per round:
+        // word 0 every round, word 8 every other, word 16 only in the
+        // first two. Each word's history is its own last transitions, in
+        // order, however the log interleaves them.
+        let mut spec = SpecMachine::new();
+        let mut event = 0;
+        let mut expected: FxHashMap<u64, Vec<WordEvent>> = FxHashMap::default();
+        for round in 0..12u64 {
+            let t = tag(0, (round + 1) as u16);
+            let mut written = vec![0u64];
+            if round % 2 == 0 {
+                written.push(8);
+            }
+            if round < 2 {
+                written.push(16);
+            }
+            for &addr in &written {
+                event += 1;
+                spec.on_store(0, t, PhysAddr::new(addr), Word::new(round + 1), event);
+                expected.entry(addr).or_default().push(WordEvent {
+                    event,
+                    core: 0,
+                    tag: t,
+                    kind: WordEventKind::Store,
+                    value: Word::new(round + 1),
+                });
+            }
+            event += 1;
+            spec.on_commit(0, t, event);
+            for &addr in &written {
+                expected.entry(addr).or_default().push(WordEvent {
+                    event,
+                    core: 0,
+                    tag: t,
+                    kind: WordEventKind::Commit,
+                    value: Word::new(round + 1),
+                });
+            }
+        }
+        // An all-zero image loses every committed word.
+        let report = spec.verify(&PmDevice::new(PmDeviceConfig::default()));
+        assert_eq!(report.violations.len(), 3);
+        for v in &report.violations {
+            let all = &expected[&v.addr.as_u64()];
+            let keep = all.len().min(HISTORY_CAP);
+            assert_eq!(v.history, all[all.len() - keep..], "word {}", v.addr);
+            assert_eq!(
+                v.dropped_history,
+                (all.len() - keep) as u64,
+                "word {}",
+                v.addr
+            );
+            assert_eq!(v.event, all.last().unwrap().event, "word {}", v.addr);
+        }
+        // Word 0: 24 transitions, word 8: 12, word 16: 4 (none dropped).
+        let dropped: Vec<u64> = report
+            .violations
+            .iter()
+            .map(|v| v.dropped_history)
+            .collect();
+        assert_eq!(dropped, vec![16, 4, 0]);
     }
 }

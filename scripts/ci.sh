@@ -10,7 +10,7 @@
 #   scripts/ci.sh lint         rustfmt + clippy
 #   scripts/ci.sh smoke        experiment smoke tests + determinism and golden gates
 #   scripts/ci.sh fuzz         coverage-guided crash-search gate
-#   scripts/ci.sh bench        perfbench tests and runs + checkpoint speed-up gate
+#   scripts/ci.sh bench        perfbench tests and runs + checkpoint speed and memory gates
 #   scripts/ci.sh all          everything above, in order (the default)
 #
 # `smoke`, `fuzz`, and `bench` expect `build` to have run first (they use
@@ -373,6 +373,20 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
          exit 1; }
   echo "checkpointed ${ckpt_ms} ms (peak ${ckpt_rss} MB) vs ${scratch_ms} ms from scratch, same report body"
   rm -rf "$ckpt_dir"
+
+  echo "== fuzz checkpoint memory gate =="
+  # Every fuzz candidate resumes from checkpoints that one walk of its
+  # cell's clean run keeps, at most one per seed event (SEED_POINTS), and
+  # a cell drops them when its search ends. So a serial search of the
+  # full default matrix at --txs 200 must peak at or under 40 MB RSS.
+  fuzz_rss_dir="target/reports-ci-fuzz-rss"
+  rm -rf "$fuzz_rss_dir"
+  fuzz_rss=$(peak_rss_mb "$EVALUATE" fuzz --no-corpus --txs 200 --jobs 1 \
+    --no-result-store --json-dir "$fuzz_rss_dir")
+  awk -v rss="$fuzz_rss" 'BEGIN { exit !(rss <= 40) }' \
+    || { echo "FAIL: fuzz --txs 200 peaked at $fuzz_rss MB, over 40 MB" >&2; exit 1; }
+  echo "fuzz --txs 200 peaked at ${fuzz_rss} MB"
+  rm -rf "$fuzz_rss_dir"
 }
 
 stage="${1:-all}"

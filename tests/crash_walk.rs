@@ -3,13 +3,16 @@
 //! A plain clean run logs where each of its loop steps lies on both crash
 //! axes ([`StepLog`]). Each crash point picks the last step strictly
 //! before its trigger, and one walk of the clean run ([`Engine::walk`])
-//! stops at those steps and lends each stop's checkpoint to the points
+//! stops at those steps and hands each stop's checkpoint to the points
 //! that resume from it. A point resumed this way must be byte-identical
 //! to the same crash plan run from t=0: same `SimStats`, same oracle
 //! verdict, same recovered image. A point with no earlier step runs from
-//! scratch.
+//! scratch. A walk with the spec machine and the signature recorder on
+//! hands out checkpoints that carry both, so a crash search can keep a
+//! few and resume every candidate from them: those candidates must judge
+//! the recovered image exactly as a run from t=0 does.
 
-use silo::baselines::{BaseScheme, MorLogScheme};
+use silo::baselines::{BaseScheme, LadScheme, MorLogScheme};
 use silo::core::SiloScheme;
 use silo::sim::{
     CrashPlan, CrashTrigger, Engine, FaultModel, LoggingScheme, Op, RunOutcome, SimConfig, StepLog,
@@ -28,6 +31,7 @@ fn scheme(name: &str, config: &SimConfig) -> Box<dyn LoggingScheme> {
         "Silo" => Box::new(SiloScheme::new(config)),
         "Base" => Box::new(BaseScheme::new(config)),
         "MorLog" => Box::new(MorLogScheme::new(config)),
+        "LAD" => Box::new(LadScheme::new(config)),
         other => panic!("no scheme {other}"),
     }
 }
@@ -100,7 +104,7 @@ fn sweep(
         for (i, &plan) in plans.iter().enumerate() {
             if at[i] == Some(step) {
                 let mut s = scheme(name, config);
-                outcomes[i] = Some(Engine::new(config, s.as_mut()).run_resumed(trace, plan, cp));
+                outcomes[i] = Some(Engine::new(config, s.as_mut()).run_resumed(trace, plan, &cp));
             }
         }
         true
@@ -213,4 +217,100 @@ fn a_point_with_no_earlier_step_runs_from_scratch() {
     let crash = swept[0].1.crash.as_ref().expect("crash injected");
     assert_eq!(swept[0].1.stats.txs_committed, 0, "nothing ran before t=0");
     assert!(crash.consistency.is_consistent());
+}
+
+/// An engine with the spec machine and the signature recorder on, the way
+/// the crash search judges every candidate.
+fn judging<'s>(scheme: &'s mut dyn LoggingScheme, config: &SimConfig) -> Engine<'s> {
+    let mut engine = Engine::new(config, scheme);
+    engine.enable_spec();
+    engine.machine_mut().probe.enable_signature();
+    engine
+}
+
+#[test]
+fn kept_checkpoints_resume_the_spec_machine_and_signature() {
+    let config = SimConfig::table_ii(CORES);
+    let trace = trace();
+    let mut cases = Vec::new();
+    for name in ["Silo", "Base", "LAD"] {
+        for fault in [
+            FaultModel::perfect_adr(),
+            FaultModel::torn_line(64),
+            FaultModel::bounded_battery(64 * 1024),
+        ] {
+            cases.push((name, fault));
+        }
+    }
+    // An undersized battery breaks Silo's recovery, so localization and
+    // history are compared on real violations too.
+    cases.push(("Silo", FaultModel::bounded_battery(64)));
+    let (mut violated, mut double_crashed) = (0, 0);
+    for (name, fault) in cases {
+        let (clean, log) = logged(name, &config, &trace);
+        let events = clean.pm.events().total();
+        let plans: Vec<CrashPlan> = (1..=4)
+            .map(|k| {
+                let plan = CrashPlan::at_event(events * k / 5).with_fault(fault);
+                // The last one also re-crashes recovery.
+                if k == 4 {
+                    plan.with_recovery_crash(1)
+                } else {
+                    plan
+                }
+            })
+            .collect();
+        let stops: Vec<u64> = plans
+            .iter()
+            .map(|p| log.last_before(p.trigger).expect("interior point"))
+            .collect();
+        let mut kept = Vec::new();
+        let mut s = scheme(name, &config);
+        judging(s.as_mut(), &config).walk(&trace, &stops, |_, cp| {
+            kept.push(cp);
+            true
+        });
+        assert_eq!(kept.len(), 4, "{name}: one kept checkpoint per stop");
+        for plan in &plans {
+            let what = format!("{name} {:?} @ {:?}", fault, plan.trigger);
+            let CrashTrigger::Event(n) = plan.trigger else {
+                unreachable!()
+            };
+            let cp = kept
+                .iter()
+                .rev()
+                .find(|cp| cp.event_pos() < n)
+                .expect("a kept checkpoint precedes every interior point");
+            // The checkpoint turns the spec machine and the signature
+            // recorder on: nothing is enabled on the resuming engine.
+            let mut s = scheme(name, &config);
+            let resumed = Engine::new(&config, s.as_mut()).run_resumed(&trace, *plan, cp);
+            let mut s = scheme(name, &config);
+            let scratch = judging(s.as_mut(), &config).run_with_plan(&trace, Some(*plan));
+            assert_eq!(
+                scratch.signature.expect("signature on").digest(),
+                resumed.signature.expect("signature carried").digest(),
+                "{what}: signature diverged"
+            );
+            let (a, b) = (scratch.crash.unwrap(), resumed.crash.unwrap());
+            assert_eq!(
+                a.consistency, b.consistency,
+                "{what}: oracle verdict diverged"
+            );
+            let (spec_a, spec_b) = (a.spec.expect("spec on"), b.spec.expect("spec carried"));
+            assert_eq!(spec_a, spec_b, "{what}: spec report diverged");
+            assert_eq!(
+                spec_a.is_consistent(),
+                a.consistency.is_consistent(),
+                "{what}: spec and oracle disagree"
+            );
+            if let Some(v) = spec_a.first_offender() {
+                assert!(!v.history.is_empty(), "{what}: violation without history");
+                violated += 1;
+            }
+            double_crashed += a.double_crash as usize;
+        }
+    }
+    assert!(violated > 0, "the 64 B battery never violated");
+    assert!(double_crashed > 0, "no plan re-crashed recovery");
 }
