@@ -1230,8 +1230,7 @@ impl<'a> Engine<'a> {
                     (core.time - before).as_u64(),
                 );
                 self.handle_evictions(core, &acc.pm_writebacks);
-                let old = self.machine.shadow.load(addr, &self.machine.pm);
-                self.machine.shadow.store(addr, new);
+                let old = self.machine.shadow.replace(addr, new, &self.machine.pm);
                 if self.track_txs {
                     core.cur_writes.insert(addr.word_aligned().as_u64(), new);
                 }

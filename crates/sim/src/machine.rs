@@ -5,17 +5,22 @@ use silo_cache::{CacheHierarchy, CacheHierarchyState};
 use silo_memctrl::{Admission, MemCtrl};
 use silo_pm::PmDevice;
 use silo_probe::ProbeHub;
-use silo_types::{Cycles, FxHashMap, LineAddr, PhysAddr, Snapshot, Word, LINE_BYTES, WORD_BYTES};
+use silo_types::{Cycles, LineAddr, PhysAddr, Snapshot, Word, WordImage, LINE_BYTES, WORD_BYTES};
 
 use crate::SimConfig;
 
 /// The architectural (CPU-visible) memory image.
 ///
 /// With write-back caches, persistent memory lags the program's view of
-/// memory; the shadow tracks the program's view at word granularity. Words
-/// never written fall through to the PM device's logical contents. At a
-/// power failure the shadow is discarded together with the caches — the
-/// machine's surviving state is exactly the PM device.
+/// memory; the shadow tracks the program's view at word granularity in a
+/// paged [`WordImage`]. Words never written fall through to the PM device's
+/// logical contents, staged on-PM buffer bytes included. A store is one
+/// page lookup, and so is the written part of a
+/// [`line_image`](Self::line_image); its unwritten words come from one
+/// 64 B read-through of the device. Cloning the shadow (every machine
+/// checkpoint) copies its page table and shares the pages copy-on-write.
+/// At a power failure the shadow is discarded together with the caches —
+/// the machine's surviving state is exactly the PM device.
 ///
 /// # Examples
 ///
@@ -29,34 +34,46 @@ use crate::SimConfig;
 /// shadow.store(PhysAddr::new(8), Word::new(5));
 /// assert_eq!(shadow.load(PhysAddr::new(8), &pm), Word::new(5));
 /// assert_eq!(shadow.load(PhysAddr::new(16), &pm), Word::ZERO); // falls through
+/// assert_eq!(shadow.replace(PhysAddr::new(8), Word::new(6), &pm), Word::new(5));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ShadowMem {
-    words: FxHashMap<u64, Word>,
+    words: WordImage,
 }
 
 impl ShadowMem {
     /// Records a store (architectural update; instant).
     pub fn store(&mut self, addr: PhysAddr, value: Word) {
-        self.words.insert(addr.word_aligned().as_u64(), value);
+        self.words.insert(addr, value);
+    }
+
+    /// Records a store and returns the architectural value it overwrote —
+    /// the engine's per-store path, one page lookup.
+    pub fn replace(&mut self, addr: PhysAddr, value: Word, pm: &PmDevice) -> Word {
+        self.words
+            .insert(addr, value)
+            .unwrap_or_else(|| pm.peek_word(addr.word_aligned()))
     }
 
     /// The architectural value of the word at `addr`.
     pub fn load(&self, addr: PhysAddr, pm: &PmDevice) -> Word {
-        let key = addr.word_aligned().as_u64();
-        match self.words.get(&key) {
-            Some(w) => *w,
-            None => pm.peek_word(PhysAddr::new(key)),
-        }
+        self.words
+            .get(addr)
+            .unwrap_or_else(|| pm.peek_word(addr.word_aligned()))
     }
 
     /// The architectural image of a full cacheline (what a dirty eviction
     /// or an explicit line flush writes to PM).
     pub fn line_image(&self, line: LineAddr, pm: &PmDevice) -> [u8; LINE_BYTES] {
+        let (words, written) = self.words.line(line);
         let mut out = [0u8; LINE_BYTES];
-        for (i, waddr) in line.words().enumerate() {
-            let w = self.load(waddr, pm);
-            out[i * WORD_BYTES..(i + 1) * WORD_BYTES].copy_from_slice(&w.to_le_bytes());
+        if written != u8::MAX {
+            pm.peek_into(line.base(), &mut out);
+        }
+        for (i, w) in words.iter().enumerate() {
+            if written >> i & 1 != 0 {
+                out[i * WORD_BYTES..(i + 1) * WORD_BYTES].copy_from_slice(&w.to_le_bytes());
+            }
         }
         out
     }
@@ -218,7 +235,8 @@ impl Machine {
 /// Captured state of a whole [`Machine`] minus its immutable `config`:
 /// the PM DIMM (media pages are Arc-COW, so this is near-free), the cache
 /// hierarchy (sparse per-level copies), the memory controllers, the shadow
-/// memory, and the probe hub (cycle accounting must resume mid-total).
+/// memory (Arc-COW pages too), and the probe hub (cycle accounting must
+/// resume mid-total).
 #[derive(Clone, Debug)]
 pub struct MachineState {
     pm: PmDevice,

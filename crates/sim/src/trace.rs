@@ -74,7 +74,9 @@ pub struct TraceProvenance {
     pub txs_per_core: usize,
     /// RNG seed the generator was invoked with.
     pub seed: u64,
-    /// FNV-1a hash over every op of every transaction of every stream.
+    /// Hash over every op of every transaction of every stream: each
+    /// `u64` of a canonical encoding folds in with one multiply-and-shift
+    /// mix (see `WordHash`), so changing any one word changes the digest.
     pub content_hash: u64,
 }
 
@@ -169,7 +171,7 @@ impl TraceSet {
         &self.provenance
     }
 
-    /// FNV-1a hash over the full op content (see [`TraceProvenance`]).
+    /// Hash over the full op content (see [`TraceProvenance`]).
     pub fn content_hash(&self) -> u64 {
         self.provenance.content_hash
     }
@@ -288,11 +290,11 @@ impl From<TraceSet> for TxStreams {
     }
 }
 
-/// FNV-1a over a canonical little-endian encoding of every op, with
-/// per-stream and per-transaction length separators so `[[a],[b]]` and
-/// `[[a,b]]` hash differently.
+/// [`WordHash`] over a canonical encoding of every op, with per-stream and
+/// per-transaction length separators so `[[a],[b]]` and `[[a,b]]` hash
+/// differently.
 fn hash_streams(streams: &[Vec<Transaction>]) -> u64 {
-    let mut h = Fnv1a::new();
+    let mut h = WordHash::new();
     h.write_u64(streams.len() as u64);
     for stream in streams {
         h.write_u64(stream.len() as u64);
@@ -325,7 +327,7 @@ fn hash_streams(streams: &[Vec<Transaction>]) -> u64 {
 /// with arrivals can never collide with a closed-loop trace whose op
 /// content happens to continue with the same words.
 fn hash_arrivals(stream_hash: u64, arrivals: &[ArrivalSchedule]) -> u64 {
-    let mut h = Fnv1a::new();
+    let mut h = WordHash::new();
     h.write_u64(stream_hash);
     h.write_u64(0x6172_7269_7661_6c73); // "arrivals"
     h.write_u64(arrivals.len() as u64);
@@ -339,29 +341,38 @@ fn hash_arrivals(stream_hash: u64, arrivals: &[ArrivalSchedule]) -> u64 {
     h.finish()
 }
 
-/// Dependency-free 64-bit FNV-1a.
-struct Fnv1a {
+/// The trace content hasher: a word at a time, where FNV-1a took eight byte
+/// steps per word. Each `u64` folds in as `state = mix(state ^ word)`, with
+/// `mix` one 64-bit multiply by an odd constant followed by an xor-shift.
+/// Both steps are bijections on `u64`, so for a fixed rest of the input
+/// every word maps to a distinct digest: flipping any bit of any one word
+/// always changes the hash. `finish` mixes once more so the last word's
+/// high bits spread too.
+struct WordHash {
     state: u64,
 }
 
-impl Fnv1a {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
+impl WordHash {
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
 
     fn new() -> Self {
-        Fnv1a {
-            state: Self::OFFSET_BASIS,
-        }
+        WordHash { state: Self::SEED }
     }
 
+    #[inline]
+    fn mix(x: u64) -> u64 {
+        let x = x.wrapping_mul(Self::K);
+        x ^ (x >> 32)
+    }
+
+    #[inline]
     fn write_u64(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.state = (self.state ^ u64::from(byte)).wrapping_mul(Self::PRIME);
-        }
+        self.state = Self::mix(self.state ^ value);
     }
 
     fn finish(&self) -> u64 {
-        self.state
+        Self::mix(self.state)
     }
 }
 
@@ -399,6 +410,116 @@ mod tests {
         let one = TraceSet::new("w", 1, 2, 7, vec![vec![tx(&[(0, 1)]), tx(&[(8, 2)])]]);
         let two = TraceSet::new("w", 2, 1, 7, vec![vec![tx(&[(0, 1)])], vec![tx(&[(8, 2)])]]);
         assert_ne!(one.content_hash(), two.content_hash());
+    }
+
+    /// Two streams mixing every op kind, as raw ops per transaction.
+    fn sample() -> Vec<Vec<Vec<Op>>> {
+        let read = |a: u64| Op::Read(PhysAddr::new(a));
+        let write = |a: u64, v: u64| Op::Write(PhysAddr::new(a), Word::new(v));
+        vec![
+            vec![
+                vec![read(0x40), write(0x48, 0xdead_beef), Op::Compute(7)],
+                vec![write(0x1000, 3), read(0x1008)],
+            ],
+            vec![vec![Op::Compute(12), write(0x2000, u64::MAX), read(0x2008)]],
+        ]
+    }
+
+    fn hash_of(streams: &[Vec<Vec<Op>>]) -> u64 {
+        let streams: Vec<Vec<Transaction>> = streams
+            .iter()
+            .map(|s| s.iter().map(|ops| Transaction::new(ops.clone())).collect())
+            .collect();
+        TraceSet::new("w", streams.len(), 1, 7, streams).content_hash()
+    }
+
+    /// Applies `variants` to every op of `sample()` in turn and asserts
+    /// each variant changes the hash; returns how many were checked.
+    fn assert_every_variant_rehashes(variants: impl Fn(Op) -> Vec<Op>) -> usize {
+        let base = sample();
+        let h = hash_of(&base);
+        let mut checked = 0;
+        for (s, stream) in base.iter().enumerate() {
+            for (t, ops) in stream.iter().enumerate() {
+                for (i, &op) in ops.iter().enumerate() {
+                    for variant in variants(op) {
+                        let mut changed = base.clone();
+                        changed[s][t][i] = variant;
+                        assert_ne!(hash_of(&changed), h, "{op:?} -> {variant:?}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn flipping_any_single_bit_of_an_op_changes_the_hash() {
+        let checked = assert_every_variant_rehashes(|op| match op {
+            // Addresses are 48-bit; store addresses stay word-aligned.
+            Op::Read(a) => (0..48)
+                .map(|b| Op::Read(PhysAddr::new(a.as_u64() ^ 1 << b)))
+                .collect(),
+            Op::Write(a, v) => (3..48)
+                .map(|b| Op::Write(PhysAddr::new(a.as_u64() ^ 1 << b), v))
+                .chain((0..64).map(|b| Op::Write(a, Word::new(v.as_u64() ^ 1 << b))))
+                .collect(),
+            Op::Compute(c) => (0..32).map(|b| Op::Compute(c ^ 1 << b)).collect(),
+        });
+        assert_eq!(checked, 3 * 48 + 3 * (45 + 64) + 2 * 32);
+    }
+
+    #[test]
+    fn changing_an_ops_kind_changes_the_hash() {
+        // The same payload under another kind, and a store turned into a
+        // load of its address.
+        assert_every_variant_rehashes(|op| match op {
+            Op::Read(a) => vec![
+                Op::Compute(a.as_u64() as u32),
+                Op::Write(a.word_aligned(), Word::ZERO),
+            ],
+            Op::Write(a, v) => vec![Op::Read(a), Op::Compute(v.as_u64() as u32)],
+            Op::Compute(c) => vec![Op::Read(PhysAddr::new(c.into()))],
+        });
+    }
+
+    #[test]
+    fn moving_a_transaction_or_stream_boundary_changes_the_hash() {
+        let base = sample();
+        let h = hash_of(&base);
+        // The first transaction's last op moves into the second.
+        let mut moved_op = base.clone();
+        let op = moved_op[0][0].pop().unwrap();
+        moved_op[0][1].insert(0, op);
+        assert_ne!(hash_of(&moved_op), h);
+        // One transaction splits in two, same ops in the same order.
+        let mut split = base.clone();
+        let tail = split[1][0].split_off(1);
+        split[1].push(tail);
+        assert_ne!(hash_of(&split), h);
+        // The first stream's last transaction moves to the second stream.
+        let mut moved_tx = base.clone();
+        let tx = moved_tx[0].pop().unwrap();
+        moved_tx[1].insert(0, tx);
+        assert_ne!(hash_of(&moved_tx), h);
+    }
+
+    #[test]
+    fn every_arrival_cycle_and_the_setup_count_fold_into_the_hash() {
+        let closed = TraceSet::new("w", 1, 1, 7, vec![vec![tx(&[(0, 1)]), tx(&[(8, 2)])]]);
+        let open = |arrivals: Vec<u64>, measure_from| {
+            closed
+                .clone()
+                .with_arrivals(vec![ArrivalSchedule::new(arrivals, measure_from)])
+                .content_hash()
+        };
+        let h = open(vec![0, 100], 1);
+        assert_ne!(h, closed.content_hash());
+        assert_ne!(h, open(vec![0, 100], 0));
+        for b in 0..64 {
+            assert_ne!(h, open(vec![0, 100 ^ 1 << b], 1), "arrival bit {b}");
+        }
     }
 
     #[test]

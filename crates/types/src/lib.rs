@@ -17,6 +17,9 @@
 //! * [`FxHashMap`] / [`FxHashSet`] — hot-path maps over the in-tree,
 //!   seed-free [`hash::FxHasher`], an order of magnitude cheaper than
 //!   SipHash for the simulator's small integer keys.
+//! * [`WordImage`] — a paged, copy-on-write image of written words, the
+//!   storage of the machine's architectural shadow and of the workload
+//!   recorder's logical memory.
 //!
 //! # Examples
 //!
@@ -37,6 +40,7 @@ mod addr;
 mod cycles;
 pub mod hash;
 mod ids;
+mod image;
 pub mod json;
 mod rng;
 mod snapshot;
@@ -46,6 +50,7 @@ pub use addr::{LineAddr, PhysAddr, BUF_LINE_BYTES, LINE_BYTES, WORD_BYTES};
 pub use cycles::{Cycles, CLOCK_GHZ};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{CoreId, ThreadId, TxId, TxTag};
+pub use image::WordImage;
 pub use json::{JsonObject, JsonValue};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use snapshot::Snapshot;

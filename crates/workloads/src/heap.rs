@@ -1,7 +1,7 @@
 //! The simulated PM heap and the transaction recorder workloads build on.
 
 use silo_sim::{Op, Transaction};
-use silo_types::{FxHashMap, PhysAddr, Word, WORD_BYTES};
+use silo_types::{PhysAddr, Word, WordImage, WORD_BYTES};
 
 /// A bump allocator over one core's private slice of the PM data region.
 ///
@@ -80,10 +80,12 @@ impl PmHeap {
 /// Records a workload's execution into transaction traces.
 ///
 /// The recorder holds the workload's logical view of PM (so data-structure
-/// code can read back what it wrote across transactions) and captures
-/// every access as an [`Op`]. Setup writes can bypass op recording is NOT
-/// offered on purpose: everything the structure does is a transaction, as
-/// in the paper's benchmarks.
+/// code can read back what it wrote across transactions) in a paged
+/// [`WordImage`], where a load or a store is one page lookup and a word
+/// never written reads as zero, and it captures every access as an [`Op`].
+/// A way for setup writes to bypass op recording is not offered on
+/// purpose: everything the structure does is a transaction, as in the
+/// paper's benchmarks.
 ///
 /// # Examples
 ///
@@ -99,7 +101,7 @@ impl PmHeap {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct TxRecorder {
-    mem: FxHashMap<u64, u64>,
+    mem: WordImage,
     ops: Vec<Op>,
 }
 
@@ -113,23 +115,20 @@ impl TxRecorder {
     pub fn read_u64(&mut self, addr: PhysAddr) -> u64 {
         let a = addr.word_aligned();
         self.ops.push(Op::Read(a));
-        self.mem.get(&a.as_u64()).copied().unwrap_or(0)
+        self.peek_u64(a)
     }
 
     /// Reads a word *without* recording a load (for generator-internal
     /// decisions that real hardware would have made from registers).
     pub fn peek_u64(&self, addr: PhysAddr) -> u64 {
-        self.mem
-            .get(&addr.word_aligned().as_u64())
-            .copied()
-            .unwrap_or(0)
+        self.mem.get(addr).map_or(0, Word::as_u64)
     }
 
     /// Writes a word, recording the store.
     pub fn write_u64(&mut self, addr: PhysAddr, value: u64) {
         let a = addr.word_aligned();
         self.ops.push(Op::Write(a, Word::new(value)));
-        self.mem.insert(a.as_u64(), value);
+        self.mem.insert(a, Word::new(value));
     }
 
     /// Records pure compute cycles (hash computation, comparisons...).

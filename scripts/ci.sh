@@ -101,6 +101,15 @@ smoke_stage() {
   golden fig11 target/ci-fig11.json
   rm -rf target/reports-ci-fig11 target/ci-fig11.json
 
+  echo "== fig14 golden report at the benchmark's size =="
+  # The figgrid benchmark's fig14: Silo's log-overflow path (§III-F) and
+  # the on-PM buffer's line programs at a size the `all` pin never reaches.
+  "$EVALUATE" fig14 --txs 600 --jobs 2 --no-result-store \
+    --json-dir target/reports-ci-fig14 > /dev/null 2>&1
+  strip_envelope target/reports-ci-fig14/fig14.json > target/ci-fig14.json
+  golden fig14 target/ci-fig14.json
+  rm -rf target/reports-ci-fig14 target/ci-fig14.json
+
   echo "== evaluate smoke test =="
   smoke_dir="target/reports-ci-smoke"
   rm -rf "$smoke_dir"
