@@ -3,97 +3,64 @@
 //! JSON report per experiment.
 //!
 //! ```text
-//! evaluate <experiment|all|list> [--txs N] [--seed S] [--jobs J] [--json-dir D]
-//!          [--cores C] [--bench Name[,Name...]] [--trace-events PATH]
+//! evaluate <experiment|all> [flags]
+//! evaluate list
 //! evaluate check <report.json>
 //! evaluate store-gc
 //! ```
 //!
-//! Experiments resolve by registry name (`fig11`, case-insensitively);
-//! the text output is identical at any `--jobs`. Reports land in
-//! `target/reports/` unless `--json-dir` says otherwise; progress lines go
-//! to stderr so stdout stays comparable.
+//! Experiments resolve by registry name (`fig11`, case-insensitively).
+//! The whole command line is checked against the flag tables
+//! (`silo_bench::flags`, printed by `evaluate --help`) before anything
+//! runs; a line they reject is one `error:` line and exit 2. The text
+//! output is identical at any `--jobs`. Reports land in `target/reports/`
+//! unless `--json-dir` says otherwise; progress lines go to stderr so
+//! stdout stays comparable.
 
 use std::path::Path;
 
 use silo_bench::{
-    arg_string, arg_u64, arg_usize, default_jobs, registry, run_experiment_checked, write_report,
-    EventTraceSink, ExpParams, ExperimentError, ExperimentSpec, PanicPolicy, ResultStore,
-    TraceCache,
+    default_jobs, flags, registry, run_experiment_checked, write_report, EventTraceSink,
+    ExperimentError, ExperimentSpec, Invocation, PanicPolicy, ResultStore, TraceCache,
 };
 use silo_types::JsonValue;
 
 const USAGE: &str = "\
-usage: evaluate <experiment|all|list> [--txs N] [--seed S] [--jobs J] [--json-dir D]
-                [--cores C] [--bench Name[,Name...]] [--no-trace-cache]
-                [--no-result-store] [--trace-events PATH] [--catch-cell-panics]
+usage: evaluate <experiment|all> [flags]
+       evaluate list
        evaluate check <report.json>
        evaluate store-gc
+
+Every flag is checked before anything runs: an unknown, repeated,
+valueless, out-of-range or undeclared flag, a stray argument, or an
+unknown name is an error (exit 2). A cell that fails exits 3; a render
+failure exits 4.
 
 check validates a report: a string \"experiment\", a \"cells\" array, and
 exact integer counters in every cycle breakdown (exit 1 otherwise).
 
-A cell that fails exits 3; a render failure exits 4.
---catch-cell-panics turns a panicking cell into a recorded failed
-outcome instead of aborting the run.
-
---trace-events writes a schema-versioned JSONL event timeline (tx
-begin/commit, log merge/ignore/overflow, buffer drains, WPQ admissions,
-crash/recovery) for every run to PATH.
-
 Cell outcomes are memoized on disk under target/result-store/ (override
 with SILO_RESULT_STORE=<dir>), keyed by spec hash, trace content, and
 code fingerprint, so re-evaluating unchanged work replays stored
-results. --no-result-store computes everything fresh and records
-nothing; `evaluate store-gc` prunes entries left by old builds.
-
-crashfuzz resumes each crash point from a checkpoint that one walk of
-the clean reference run takes just before it; --no-checkpoints runs
-every point from scratch, which only costs time: resumed and
-from-scratch runs are byte-identical.
---points K (default 4) sets how many crash points each cell scans and,
-unlike --no-checkpoints, is part of the computed result.
-
-fuzz runs the coverage-guided crash search: --execs N sets the per-cell
-execution budget, --fault adr|torn-line|battery (with --torn-keep /
---battery-bytes) restricts the fault models, --arrival IDENT fuzzes an
-open-system workload, and --crash-event E (with one --fault, optional
---recovery-crash R) replays one exact candidate. Interesting candidates
-persist under target/fuzz-corpus/ (--corpus DIR overrides,
---no-corpus disables); the search itself is a pure function of --seed.
+results; `evaluate store-gc` prunes entries left by old builds.
 
 Run `evaluate list` for the registered experiments.";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--no-trace-cache") {
-        TraceCache::global().set_enabled(false);
-    }
-    let mut store_on = !args.iter().any(|a| a == "--no-result-store");
-    let trace_events = arg_string(&args, "--trace-events");
-    if let Some(path) = &trace_events {
-        if let Err(err) = EventTraceSink::global().enable(Path::new(path)) {
-            eprintln!("error: opening event trace {path}: {err}");
-            std::process::exit(1);
+    match args.get(1).map(String::as_str) {
+        None => {
+            eprintln!("{USAGE}");
+            std::process::exit(2);
         }
-        // A replayed outcome emits no events, so a run that asks for the
-        // timeline must compute every cell fresh.
-        store_on = false;
-    }
-    ResultStore::global().set_enabled(store_on);
-    let Some(cmd) = args.get(1).map(String::as_str) else {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    };
-    match cmd {
-        "-h" | "--help" => println!("{USAGE}"),
-        "list" => {
+        Some("-h" | "--help") => println!("{USAGE}\n\n{}", flags::help()),
+        Some("list") => {
             for spec in registry::all() {
                 println!("{:<24}{}", spec.name, spec.description);
             }
         }
-        "check" => check(args.get(2).map(String::as_str)),
-        "store-gc" => match ResultStore::global().gc() {
+        Some("check") => check(args.get(2).map(String::as_str)),
+        Some("store-gc") => match ResultStore::global().gc() {
             Ok((dirs, files)) => {
                 println!("result store gc: removed {dirs} stale fingerprint dirs, {files} entries")
             }
@@ -102,20 +69,37 @@ fn main() {
                 std::process::exit(1);
             }
         },
-        "all" => {
-            for spec in registry::all() {
-                run(&spec, &args);
-            }
-        }
-        name => match registry::find(name) {
-            Some(spec) => run(&spec, &args),
-            None => {
-                eprintln!("error: unknown experiment {name:?}; run `evaluate list`");
+        Some(_) => {
+            let invocation = Invocation::parse(&args).unwrap_or_else(|err| {
+                eprintln!("error: {err}");
                 std::process::exit(2);
-            }
-        },
+            });
+            evaluate(&invocation);
+        }
     }
-    if let Some(path) = &trace_events {
+}
+
+/// Runs a checked invocation's experiments, after switching the trace
+/// cache, the result store and the event trace as its flags say.
+fn evaluate(invocation: &Invocation) {
+    let line = &invocation.line;
+    if line.switch("--no-trace-cache") {
+        TraceCache::global().set_enabled(false);
+    }
+    let trace_events = line.text("--trace-events");
+    if let Some(path) = trace_events {
+        if let Err(err) = EventTraceSink::global().enable(Path::new(path)) {
+            eprintln!("error: opening event trace {path}: {err}");
+            std::process::exit(1);
+        }
+    }
+    // A replayed outcome emits no events, so a run that asks for the
+    // timeline must compute every cell fresh.
+    ResultStore::global().set_enabled(!line.switch("--no-result-store") && trace_events.is_none());
+    for spec in &invocation.specs {
+        run(spec, invocation);
+    }
+    if let Some(path) = trace_events {
         if let Err(err) = EventTraceSink::global().finish() {
             eprintln!("error: writing event trace {path}: {err}");
             std::process::exit(1);
@@ -123,32 +107,12 @@ fn main() {
     }
 }
 
-fn run(spec: &ExperimentSpec, args: &[String]) {
-    let mut params = ExpParams::defaults(spec);
-    params.txs = arg_usize(args, "--txs", params.txs);
-    params.seed = arg_u64(args, "--seed", params.seed);
-    params.cores = arg_usize(args, "--cores", params.cores);
-    if let Some(list) = arg_string(args, "--bench") {
-        params.benches = list.split(',').map(str::to_string).collect();
-    }
-    params.extra = args.to_vec();
-    let jobs = arg_usize(args, "--jobs", default_jobs());
-    if jobs == 0 {
-        eprintln!("error: --jobs must be at least 1");
-        std::process::exit(2);
-    }
-    // The tables simulate nothing and default to 0 transactions, so only
-    // an explicit --txs must be positive.
-    if params.txs == 0 && args.iter().any(|a| a == "--txs") {
-        eprintln!("error: --txs must be at least 1");
-        std::process::exit(2);
-    }
-    if !(1..=255).contains(&params.cores) {
-        eprintln!("error: --cores must be in 1..=255");
-        std::process::exit(2);
-    }
-    let dir = arg_string(args, "--json-dir").unwrap_or_else(|| "target/reports".to_string());
-    let policy = if args.iter().any(|a| a == "--catch-cell-panics") {
+fn run(spec: &ExperimentSpec, invocation: &Invocation) {
+    let line = &invocation.line;
+    let params = invocation.params(spec);
+    let jobs = line.int("--jobs").map_or_else(default_jobs, |j| j as usize);
+    let dir = line.text("--json-dir").unwrap_or("target/reports");
+    let policy = if line.switch("--catch-cell-panics") {
         PanicPolicy::Capture
     } else {
         PanicPolicy::Propagate
@@ -168,31 +132,24 @@ fn run(spec: &ExperimentSpec, args: &[String]) {
     print!("{}", run.text);
     let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
     // Cumulative process-wide counts; stderr so stdout stays comparable.
-    let cache = TraceCache::global().stats();
+    let off = |enabled: bool| if enabled { "" } else { " (disabled)" };
+    let (cache, store) = (TraceCache::global(), ResultStore::global());
+    let (c, s) = (cache.stats(), store.stats());
     eprintln!(
         "[trace-cache] {} unique keys, {} generated, {} hits{}",
-        cache.unique_keys,
-        cache.generations,
-        cache.hits,
-        if TraceCache::global().enabled() {
-            ""
-        } else {
-            " (disabled)"
-        }
+        c.unique_keys,
+        c.generations,
+        c.hits,
+        off(cache.enabled())
     );
-    let store = ResultStore::global().stats();
     eprintln!(
         "[result-store] {} hits, {} misses, {} invalidated{}",
-        store.hits,
-        store.misses,
-        store.invalidated,
-        if ResultStore::global().enabled() {
-            ""
-        } else {
-            " (disabled)"
-        }
+        s.hits,
+        s.misses,
+        s.invalidated,
+        off(store.enabled())
     );
-    match write_report(&run, Path::new(&dir), jobs, wall_ms) {
+    match write_report(&run, Path::new(dir), jobs, wall_ms) {
         Ok(path) => eprintln!(
             "[{}] done in {:.0} ms ({} jobs), report {}",
             spec.name,

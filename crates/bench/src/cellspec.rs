@@ -19,10 +19,12 @@
 //! result even when different experiments print them under different
 //! headings (fig11 and fig12 sweep the identical grid).
 
+use std::path::PathBuf;
+
 use silo_core::{SiloOptions, SiloScheme};
 use silo_pm::PCM_CELL_ENDURANCE;
 use silo_sim::{Engine, LoggingScheme, SimConfig};
-use silo_types::{Cycles, CLOCK_GHZ};
+use silo_types::{Cycles, Fnv1a, CLOCK_GHZ};
 use silo_workloads::{workload_by_name, ArrivalProcess, OpenLoop, Workload};
 
 use crate::exp::{CellLabel, CellOutcome};
@@ -45,7 +47,7 @@ impl SchemeSpec {
         }
     }
 
-    fn hash_into(&self, h: &mut Fnv) {
+    fn hash_into(&self, h: &mut Encoder) {
         match self {
             SchemeSpec::Named(name) => {
                 h.tag(0);
@@ -136,7 +138,7 @@ impl WorkloadSpec {
         }
     }
 
-    fn hash_into(&self, h: &mut Fnv) {
+    fn hash_into(&self, h: &mut Encoder) {
         h.str(&self.name);
         h.usize(self.batch);
         match &self.arrival {
@@ -193,7 +195,7 @@ impl ConfigDelta {
         c
     }
 
-    fn hash_into(&self, h: &mut Fnv) {
+    fn hash_into(&self, h: &mut Encoder) {
         let ConfigDelta {
             log_buffer_latency,
             log_buffer_entries,
@@ -236,7 +238,7 @@ impl RunSpec {
         }
     }
 
-    fn hash_into(&self, h: &mut Fnv) {
+    fn hash_into(&self, h: &mut Encoder) {
         self.scheme.hash_into(h);
         self.workload.hash_into(h);
         h.usize(self.cores);
@@ -245,8 +247,9 @@ impl RunSpec {
     }
 }
 
-/// The crash fault model of one `crashfuzz` cell (mirrors the sweep's
-/// internal `Fault`, as serializable data).
+/// The fault model of one crash cell. A `crashfuzz` sweep works on it
+/// directly; a `fuzz` cell, whose triggers are all event-indexed, reads
+/// `OpBoundary` as the perfect-ADR model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultSpec {
     /// Cycle-sampled crash at an op boundary, perfect ADR drain.
@@ -258,7 +261,7 @@ pub enum FaultSpec {
 }
 
 impl FaultSpec {
-    fn hash_into(&self, h: &mut Fnv) {
+    fn hash_into(&self, h: &mut Encoder) {
         match *self {
             FaultSpec::OpBoundary => h.tag(0),
             FaultSpec::TornLine(keep) => {
@@ -339,14 +342,19 @@ pub enum CellWork {
         points: u64,
         /// A fixed crash point (`--point`), or spaced sweep points.
         point: Option<u64>,
+        /// Resume each crash point from a checkpoint of the clean run
+        /// (`false` under `--no-checkpoints`: every point from scratch).
+        /// Resumed and from-scratch points are byte-identical, so this
+        /// stays out of [`CellSpec::spec_hash`].
+        checkpoints: bool,
     },
     /// One coverage-guided crash-search cell (`fuzz`): a seeded corpus of
     /// `(fault, crash event, recovery crash)` candidates is mutated toward
     /// novel probe-event coverage signatures, every recovered image checked
     /// by both the digest oracle and the per-word executable spec. The
-    /// cell reads and extends an on-disk corpus (a process-global toggle,
-    /// like the crashfuzz checkpoint flags), so it is **never** served
-    /// from the result store — see [`CellSpec::cacheable`].
+    /// cell reads and extends an on-disk corpus (its `corpus` field), so
+    /// it is **never** served from the result store — see
+    /// [`CellSpec::cacheable`].
     Fuzz {
         /// Scheme legend name.
         scheme: String,
@@ -368,6 +376,11 @@ pub enum CellWork {
         /// Open-system arrival process ident (`--arrival`), or the classic
         /// closed loop.
         arrival: Option<String>,
+        /// The corpus root the cell reads and extends (`--corpus`), or
+        /// none (`--no-corpus`). It picks where candidates persist, not
+        /// what a search on a fresh root computes, so it stays out of
+        /// [`CellSpec::spec_hash`].
+        corpus: Option<PathBuf>,
     },
 }
 
@@ -402,7 +415,7 @@ impl CellSpec {
     /// FNV-1a 64 over a canonical byte encoding with variant tags,
     /// little-endian integers, and length-prefixed strings.
     pub fn spec_hash(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Encoder::new();
         h.tag(2); // encoding version (2: WorkloadSpec grew the arrival knob)
         h.u64(self.seed);
         match &self.work {
@@ -453,6 +466,7 @@ impl CellSpec {
                 fault,
                 points,
                 point,
+                checkpoints: _,
             } => {
                 h.tag(7);
                 h.str(scheme);
@@ -471,6 +485,7 @@ impl CellSpec {
                 crash_event,
                 recovery_crash,
                 arrival,
+                corpus: _,
             } => {
                 h.tag(8);
                 h.str(scheme);
@@ -505,62 +520,35 @@ impl CellSpec {
     /// a workload-generator change flows into this hash even if the spec
     /// text happens to collide.
     pub fn trace_fingerprint(&self) -> u64 {
-        let cache = TraceCache::global();
-        let mut h = Fnv::new();
+        let mut h = Encoder::new();
+        let mut fold = |w: &dyn Workload, cores: usize, txs: usize| {
+            let trace = TraceCache::global().get_or_build(w, cores, txs, self.seed);
+            h.u64(trace.content_hash());
+        };
+        let plain = |name: &str| WorkloadSpec::plain(name).instantiate();
         match &self.work {
             CellWork::Delta(run) => {
                 let w = run.workload.instantiate();
-                h.u64(
-                    cache
-                        .get_or_build(&*w, run.cores, run.txs_per_core, self.seed)
-                        .content_hash(),
-                );
-                h.u64(
-                    cache
-                        .get_or_build(&*w, run.cores, run.txs_per_core * 2, self.seed)
-                        .content_hash(),
-                );
+                fold(&*w, run.cores, run.txs_per_core);
+                fold(&*w, run.cores, run.txs_per_core * 2);
             }
             CellWork::Full { run, .. } | CellWork::Profiled(run) | CellWork::Wear(run) => {
-                let w = run.workload.instantiate();
-                h.u64(
-                    cache
-                        .get_or_build(&*w, run.cores, run.txs_per_core, self.seed)
-                        .content_hash(),
-                );
+                fold(&*run.workload.instantiate(), run.cores, run.txs_per_core)
             }
-            CellWork::TraceStats { workload, txs } => {
-                let w = WorkloadSpec::plain(workload).instantiate();
-                h.u64(cache.get_or_build(&*w, 1, *txs, self.seed).content_hash());
-            }
-            CellWork::LargeTx { workload, .. } => {
-                // The probe trace determines the batch group; the final
-                // batched trace is derived from the same generator, so the
-                // probe hash (plus the code fingerprint) covers it without
-                // generating the full batched trace on warm runs.
-                let w = WorkloadSpec::plain(workload).instantiate();
-                h.u64(cache.get_or_build(&*w, 1, 50, self.seed).content_hash());
-            }
+            CellWork::TraceStats { workload, txs } => fold(&*plain(workload), 1, *txs),
+            // The probe trace determines the batch group; the final batched
+            // trace is derived from the same generator, so the probe hash
+            // (plus the code fingerprint) covers it without generating the
+            // full batched trace on warm runs.
+            CellWork::LargeTx { workload, .. } => fold(&*plain(workload), 1, 50),
             CellWork::Recovery { txs, .. } => {
-                let w = WorkloadSpec::plain("TPCC").instantiate();
-                h.u64(
-                    cache
-                        .get_or_build(&*w, RECOVERY_CORES, txs / RECOVERY_CORES, self.seed)
-                        .content_hash(),
-                );
+                fold(&*plain("TPCC"), RECOVERY_CORES, txs / RECOVERY_CORES)
             }
             CellWork::CrashSweep {
                 workload,
                 txs_per_core,
                 ..
-            } => {
-                let w = WorkloadSpec::plain(workload).instantiate();
-                h.u64(
-                    cache
-                        .get_or_build(&*w, CRASH_CORES, *txs_per_core, self.seed)
-                        .content_hash(),
-                );
-            }
+            } => fold(&*plain(workload), CRASH_CORES, *txs_per_core),
             CellWork::Fuzz {
                 workload,
                 txs_per_core,
@@ -568,11 +556,7 @@ impl CellSpec {
                 ..
             } => {
                 let w = fuzz_workload_spec(workload, arrival.as_deref()).instantiate();
-                h.u64(
-                    cache
-                        .get_or_build(&*w, CRASH_CORES, *txs_per_core, self.seed)
-                        .content_hash(),
-                );
+                fold(&*w, CRASH_CORES, *txs_per_core)
             }
         }
         h.finish()
@@ -631,42 +615,8 @@ impl CellSpec {
                 txs,
             } => execute_large_tx(workload, *mult, *txs, seed),
             CellWork::Recovery { txs, crash_at } => execute_recovery(*txs, *crash_at, seed),
-            CellWork::CrashSweep {
-                scheme,
-                workload,
-                txs_per_core,
-                fault,
-                points,
-                point,
-            } => crate::experiments::crashfuzz::execute_sweep(
-                scheme,
-                workload,
-                *txs_per_core,
-                seed,
-                *fault,
-                *points,
-                *point,
-            ),
-            CellWork::Fuzz {
-                scheme,
-                workload,
-                txs_per_core,
-                execs,
-                fault,
-                crash_event,
-                recovery_crash,
-                arrival,
-            } => crate::experiments::fuzz::execute_fuzz(
-                scheme,
-                workload,
-                *txs_per_core,
-                seed,
-                *execs,
-                *fault,
-                *crash_event,
-                *recovery_crash,
-                arrival.as_deref(),
-            ),
+            CellWork::CrashSweep { .. } => crate::experiments::crashfuzz::execute_sweep(self),
+            CellWork::Fuzz { .. } => crate::experiments::fuzz::execute_fuzz(self),
         }
     }
 }
@@ -792,36 +742,26 @@ fn execute_recovery(txs: usize, crash_at: u64, seed: u64) -> CellOutcome {
         .with_value("us", us)
 }
 
-/// The canonical-encoding hasher behind [`CellSpec::spec_hash`]: FNV-1a
-/// 64 with variant tags, little-endian integers, and length-prefixed
+/// The canonical encoding behind [`CellSpec::spec_hash`], fed to
+/// [`Fnv1a`]: variant tags, little-endian integers, and length-prefixed
 /// strings, so distinct specs cannot collide by concatenation.
-struct Fnv(u64);
+struct Encoder(Fnv1a);
 
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
+impl Encoder {
     fn new() -> Self {
-        Fnv(Self::OFFSET)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
+        Encoder(Fnv1a::new())
     }
 
     fn tag(&mut self, t: u8) {
-        self.write(&[t]);
+        self.0.write(&[t]);
     }
 
     fn bool(&mut self, b: bool) {
-        self.write(&[u8::from(b)]);
+        self.tag(u8::from(b));
     }
 
     fn u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
+        self.0.write_u64(v);
     }
 
     fn usize(&mut self, v: usize) {
@@ -830,7 +770,7 @@ impl Fnv {
 
     fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
-        self.write(s.as_bytes());
+        self.0.write(s.as_bytes());
     }
 
     fn opt_u64(&mut self, v: Option<u64>) {
@@ -848,7 +788,7 @@ impl Fnv {
     }
 
     fn finish(&self) -> u64 {
-        self.0
+        self.0.finish()
     }
 }
 
@@ -1039,6 +979,7 @@ mod tests {
             fault: FaultSpec::OpBoundary,
             points: 4,
             point: None,
+            checkpoints: true,
         }));
         check(spec(CellWork::CrashSweep {
             scheme: "Silo".into(),
@@ -1047,6 +988,7 @@ mod tests {
             fault: FaultSpec::TornLine(64),
             points: 4,
             point: None,
+            checkpoints: true,
         }));
         check(spec(CellWork::CrashSweep {
             scheme: "Silo".into(),
@@ -1055,6 +997,7 @@ mod tests {
             fault: FaultSpec::Battery(65_536),
             points: 4,
             point: Some(7),
+            checkpoints: true,
         }));
         let fuzz = |fault, crash_event, recovery_crash, arrival: Option<&str>| CellWork::Fuzz {
             scheme: "Silo".into(),
@@ -1065,6 +1008,7 @@ mod tests {
             crash_event,
             recovery_crash,
             arrival: arrival.map(str::to_string),
+            corpus: None,
         };
         check(spec(fuzz(None, None, None, None)));
         check(spec(fuzz(Some(FaultSpec::Battery(64)), None, None, None)));
@@ -1090,6 +1034,7 @@ mod tests {
             crash_event: None,
             recovery_crash: None,
             arrival: None,
+            corpus: None,
         }));
     }
 
@@ -1104,6 +1049,7 @@ mod tests {
             crash_event: None,
             recovery_crash: None,
             arrival: None,
+            corpus: None,
         });
         assert!(!fuzz.cacheable());
         let sweep = spec(CellWork::CrashSweep {
@@ -1113,6 +1059,7 @@ mod tests {
             fault: FaultSpec::OpBoundary,
             points: 4,
             point: None,
+            checkpoints: true,
         });
         assert!(sweep.cacheable());
         assert!(spec(CellWork::TraceStats {

@@ -20,6 +20,7 @@ use silo_sim::SimStats;
 use silo_types::JsonValue;
 
 use crate::cellspec::{CellSpec, CellWork, RunSpec, WorkloadSpec};
+use crate::flags::{Flag, Line};
 use crate::format_normalized;
 
 /// Runtime parameters of one experiment invocation.
@@ -31,19 +32,20 @@ pub struct ExpParams {
     pub txs: usize,
     /// Workload generation seed.
     pub seed: u64,
-    /// Core count override (used by `compare` only).
+    /// Core count (`--cores`: `compare`, `profile` and `latency`).
     pub cores: usize,
-    /// Workload selection (used by `compare` and `crashfuzz`).
+    /// Workload selection (`--bench`: `compare`, `profile`, `latency`,
+    /// `crashfuzz` and `fuzz`).
     pub benches: Vec<String>,
-    /// The raw command line, for experiments with flags beyond the common
-    /// set (`crashfuzz`'s fault-model selection). Empty by default;
-    /// experiments parse it with [`try_arg`](crate::try_arg).
+    /// The whole command line: program, experiment, then flags. The crash
+    /// experiments read their own flags from it through [`ExpParams::line`].
+    /// Empty by default.
     pub extra: Vec<String>,
 }
 
 impl ExpParams {
     /// Defaults for a spec: its transaction budget, seed 42, and the
-    /// `compare` extras at their historical defaults.
+    /// `--cores`/`--bench` defaults.
     pub fn defaults(spec: &ExperimentSpec) -> Self {
         ExpParams {
             txs: spec.default_txs,
@@ -52,6 +54,14 @@ impl ExpParams {
             benches: vec!["Hash".into(), "TPCC".into(), "YCSB".into()],
             extra: Vec::new(),
         }
+    }
+
+    /// The flags of [`extra`](ExpParams::extra). Panics on a line the
+    /// flag tables reject, as [`Invocation::parse`](crate::Invocation)
+    /// does before anything is built.
+    pub fn line(&self) -> Line {
+        let flags = self.extra.get(2..).unwrap_or_default();
+        Line::split(flags).unwrap_or_else(|err| panic!("unchecked command line: {err}"))
     }
 }
 
@@ -276,6 +286,8 @@ pub struct ExperimentSpec {
     pub description: &'static str,
     /// Default transaction budget (the pre-framework binary's default).
     pub default_txs: usize,
+    /// The flags only this experiment reads, beyond [`COMMON`](crate::flags::COMMON).
+    pub flags: &'static [Flag],
     /// Grid or custom behaviour.
     pub kind: ExpKind,
 }

@@ -112,6 +112,7 @@ pub fn batch_size() -> ExperimentSpec {
         name: "ablation_batch_size",
         description: "overflow batch size 1/4/14 on overflow-heavy batched transactions",
         default_txs: 2_000,
+        flags: &[],
         kind: ExpKind::Custom {
             build: build_batch_size,
             render: render_batch_size,
@@ -196,6 +197,7 @@ pub fn coalescing() -> ExperimentSpec {
         name: "ablation_coalescing",
         description: "Silo with the on-PM write-coalescing buffer on vs off",
         default_txs: 2_000,
+        flags: &[],
         kind: ExpKind::Custom {
             build: build_coalescing,
             render: render_coalescing,
@@ -289,6 +291,7 @@ pub fn flushbit() -> ExperimentSpec {
         name: "ablation_flushbit",
         description: "flush-bit on vs off under eviction pressure (tiny hierarchy, 16x batches)",
         default_txs: 2_000,
+        flags: &[],
         kind: ExpKind::Custom {
             build: build_flushbit,
             render: render_flushbit,
@@ -394,6 +397,7 @@ pub fn log_reduction() -> ExperimentSpec {
         description:
             "log ignorance and merging contributions: full / no-ignore / no-merge / neither",
         default_txs: 2_000,
+        flags: &[],
         kind: ExpKind::Custom {
             build: build_log_reduction,
             render: render_log_reduction,

@@ -1,24 +1,20 @@
 //! Quick-look comparison utility: one table of absolute and normalized
-//! throughput and write traffic for chosen workloads, schemes, and core
-//! count. Not a paper figure — a debugging/exploration tool. The only
-//! experiment that consumes the `--cores` and `--bench` parameters.
+//! throughput and write traffic for chosen workloads and core count
+//! (`--bench`, `--cores`). Not a paper figure — a debugging/exploration
+//! tool.
 
 use std::fmt::Write as _;
 
 use silo_types::JsonValue;
-use silo_workloads::workload_by_name;
 
 use crate::cellspec::{CellSpec, CellWork, RunSpec, WorkloadSpec};
 use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec, Taken};
+use crate::flags::{BENCH, CORES};
 use crate::SCHEMES;
 
 fn build(p: &ExpParams) -> Vec<CellSpec> {
     let mut cells = Vec::new();
     for name in &p.benches {
-        if workload_by_name(name).is_none() {
-            eprintln!("error: unknown benchmark {name:?}");
-            std::process::exit(2);
-        }
         for s in SCHEMES {
             cells.push(CellSpec::new(
                 CellLabel::swc(s, name, p.cores),
@@ -93,6 +89,7 @@ pub fn spec() -> ExperimentSpec {
         name: "compare",
         description: "quick-look scheme comparison on chosen workloads/cores (debug utility)",
         default_txs: 200,
+        flags: &[CORES, BENCH],
         kind: ExpKind::Custom { build, render },
     }
 }

@@ -22,205 +22,114 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use silo_sim::{
     CrashPlan, Engine, EngineCheckpoint, FaultModel, RunOutcome, SimConfig, StepLog, TraceSet,
 };
-use silo_types::{Cycles, JsonValue, PhysAddr};
+use silo_types::{Cycles, Fnv1a, JsonValue, PhysAddr};
 use silo_workloads::workload_by_name;
 
 use crate::cellspec::{CellSpec, CellWork, FaultSpec};
 use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec};
-use crate::{arg_string, arg_u64, arg_usize, make_scheme, TraceCache, ALL_SCHEMES};
+use crate::flags::{
+    schemes, Flag, Line, Value::*, BATTERY_BYTES, BENCH, DEFAULT_BATTERY_BYTES, DEFAULT_TORN_KEEP,
+    MAX, SCHEME, TORN_KEEP,
+};
+use crate::{make_scheme, TraceCache};
 
 /// Two cores keep the sweep cheap while still exercising cross-core
 /// interleaving at the shared memory controller.
 const CORES: usize = 2;
 /// Default crash points per cell in sweep mode (`--points` overrides).
 const POINTS: u64 = 4;
-/// Default residual-energy budget: ample — it covers the whole on-PM
-/// buffer plus the crash records, so a correct scheme must not violate.
-const DEFAULT_BATTERY_BYTES: u64 = 64 * 1024;
-/// Default torn-line prefix: a quarter of a 256 B line survives.
-const DEFAULT_TORN_KEEP: usize = 64;
 /// Shrink search widths.
 const SHRINK_SCAN: u64 = 16;
 const EARLIEST_SCAN: u64 = 64;
 
-/// One fault model of the sweep, with its parameters resolved.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Fault {
-    /// Cycle-sampled crash at an op boundary, perfect ADR drain.
-    OpBoundary,
-    /// Event-indexed crash; the in-flight line program keeps `keep` bytes.
-    TornLine(usize),
-    /// Event-indexed crash; the ADR drain persists at most `bytes` bytes.
-    Battery(u64),
+const FAULT: Flag = Flag::new("--fault", OneOf(&["op-boundary", "torn-line", "battery"]))
+    .help("sweep one fault model (default: all three)");
+const POINTS_FLAG: Flag =
+    Flag::new("--points", Int(1, MAX)).help("crash points per cell (default 4)");
+// A point means something on one fault's axis only: cycles under
+// op-boundary, durability-event indices under torn-line and battery.
+const POINT: Flag = Flag::new("--point", Int(0, MAX))
+    .requires("--fault")
+    .help("one crash point: a cycle (op-boundary) or an event index");
+const NO_CHECKPOINTS: Flag = Flag::new("--no-checkpoints", Switch)
+    .help("run every crash point from scratch (same answers, slower)");
+
+/// The fault models the line selects: the one `--fault` names, or all
+/// three, with the `--torn-keep` and `--battery-bytes` knobs.
+fn faults(line: &Line) -> Vec<FaultSpec> {
+    let keep = line.int(TORN_KEEP.name).unwrap_or(DEFAULT_TORN_KEEP);
+    let bytes = line
+        .int(BATTERY_BYTES.name)
+        .unwrap_or(DEFAULT_BATTERY_BYTES);
+    let all = [
+        FaultSpec::OpBoundary,
+        FaultSpec::TornLine(keep as usize),
+        FaultSpec::Battery(bytes),
+    ];
+    let chosen = line.text(FAULT.name);
+    all.into_iter()
+        .filter(|&f| chosen.is_none_or(|name| name == fault_name(f)))
+        .collect()
 }
 
-impl Fault {
-    fn from_spec(spec: FaultSpec) -> Fault {
-        match spec {
-            FaultSpec::OpBoundary => Fault::OpBoundary,
-            FaultSpec::TornLine(keep) => Fault::TornLine(keep),
-            FaultSpec::Battery(bytes) => Fault::Battery(bytes),
-        }
+/// The `--fault` value naming `fault`.
+fn fault_name(fault: FaultSpec) -> &'static str {
+    match fault {
+        FaultSpec::OpBoundary => "op-boundary",
+        FaultSpec::TornLine(_) => "torn-line",
+        FaultSpec::Battery(_) => "battery",
     }
+}
 
-    fn to_spec(self) -> FaultSpec {
-        match self {
-            Fault::OpBoundary => FaultSpec::OpBoundary,
-            Fault::TornLine(keep) => FaultSpec::TornLine(keep),
-            Fault::Battery(bytes) => FaultSpec::Battery(bytes),
-        }
+fn describe(fault: FaultSpec) -> String {
+    match fault {
+        FaultSpec::OpBoundary => "op-boundary".to_string(),
+        FaultSpec::TornLine(keep) => format!("torn-line(keep={keep})"),
+        FaultSpec::Battery(bytes) => format!("battery({bytes} B)"),
     }
+}
 
-    fn name(self) -> &'static str {
-        match self {
-            Fault::OpBoundary => "op-boundary",
-            Fault::TornLine(_) => "torn-line",
-            Fault::Battery(_) => "battery",
+/// A crash at `point` under `fault`: a cycle-sampled op-boundary crash
+/// with a perfect ADR drain, or an event-indexed one with a torn line or
+/// a bounded battery.
+fn plan(fault: FaultSpec, point: u64) -> CrashPlan {
+    match fault {
+        FaultSpec::OpBoundary => CrashPlan::at_cycle(Cycles::new(point)),
+        FaultSpec::TornLine(keep) => {
+            CrashPlan::at_event(point).with_fault(FaultModel::torn_line(keep))
         }
-    }
-
-    fn describe(self) -> String {
-        match self {
-            Fault::OpBoundary => "op-boundary".to_string(),
-            Fault::TornLine(keep) => format!("torn-line(keep={keep})"),
-            Fault::Battery(bytes) => format!("battery({bytes} B)"),
-        }
-    }
-
-    fn plan(self, point: u64) -> CrashPlan {
-        match self {
-            Fault::OpBoundary => CrashPlan::at_cycle(Cycles::new(point)),
-            Fault::TornLine(keep) => {
-                CrashPlan::at_event(point).with_fault(FaultModel::torn_line(keep))
-            }
-            Fault::Battery(bytes) => {
-                CrashPlan::at_event(point).with_fault(FaultModel::bounded_battery(bytes))
-            }
-        }
-    }
-
-    /// The extra repro flags beyond `--fault <name>`.
-    fn repro_flags(self) -> String {
-        match self {
-            Fault::OpBoundary => String::new(),
-            Fault::TornLine(keep) => format!(" --torn-keep {keep}"),
-            Fault::Battery(bytes) => format!(" --battery-bytes {bytes}"),
+        FaultSpec::Battery(bytes) => {
+            CrashPlan::at_event(point).with_fault(FaultModel::bounded_battery(bytes))
         }
     }
 }
 
-/// The checkpointing toggle (`--no-checkpoints`), process-global like the
-/// trace cache's enable flag. It changes only how fast a crash point
-/// simulates — resumed and from-scratch runs are byte-identical by the
-/// engine's resume-equivalence guarantee — so it deliberately stays
-/// **out** of the cell spec hash: a result-store entry computed with
-/// checkpoints on serves a run with them off, and reports do not depend on
-/// the flag.
-static CHECKPOINTS_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// The sweep configuration parsed from the experiment's extra flags.
-struct Config {
-    schemes: Vec<String>,
-    faults: Vec<Fault>,
-    points: u64,
-    point: Option<u64>,
-}
-
-fn parse_config(p: &ExpParams) -> Config {
-    let battery = arg_u64(&p.extra, "--battery-bytes", DEFAULT_BATTERY_BYTES);
-    let torn = arg_usize(&p.extra, "--torn-keep", DEFAULT_TORN_KEEP);
-    let faults = match arg_string(&p.extra, "--fault").as_deref() {
-        None => vec![
-            Fault::OpBoundary,
-            Fault::TornLine(torn),
-            Fault::Battery(battery),
-        ],
-        Some("op-boundary") => vec![Fault::OpBoundary],
-        Some("torn-line") => vec![Fault::TornLine(torn)],
-        Some("battery") => vec![Fault::Battery(battery)],
-        Some(other) => {
-            eprintln!(
-                "error: unknown fault model {other:?} \
-                 (expected op-boundary, torn-line, or battery)"
-            );
-            std::process::exit(2);
-        }
-    };
-    let schemes = match arg_string(&p.extra, "--scheme") {
-        None => ALL_SCHEMES.iter().map(|s| s.to_string()).collect(),
-        Some(list) => {
-            let schemes: Vec<String> = list.split(',').map(str::to_string).collect();
-            for s in &schemes {
-                if !ALL_SCHEMES.contains(&s.as_str()) {
-                    eprintln!("error: unknown scheme {s:?} (see ALL_SCHEMES)");
-                    std::process::exit(2);
-                }
-            }
-            schemes
-        }
-    };
-    let point = match crate::try_arg::<u64>(&p.extra, "--point") {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
-    let points = match crate::try_arg::<u64>(&p.extra, "--points") {
-        Ok(Some(0)) => {
-            eprintln!("error: --points must be positive");
-            std::process::exit(2);
-        }
-        Ok(v) => v.unwrap_or(POINTS),
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
-    // A crash point only means something on one fault's axis: op-boundary
-    // points are cycles, torn-line/battery points are durability-event
-    // indices. Applying one number to both axes lands on unrelated
-    // machine states, so `--point` requires exactly one fault model.
-    if point.is_some() && faults.len() != 1 {
-        eprintln!(
-            "error: --point requires exactly one --fault: op-boundary points \
-             are cycles while torn-line/battery points are durability-event \
-             indices, so one point cannot apply across fault models \
-             (add e.g. --fault battery)"
-        );
-        std::process::exit(2);
-    }
-    // Stored on every parse, so a run without the flag turns checkpoints
-    // back on after an earlier run in the same process turned them off.
-    CHECKPOINTS_ENABLED.store(
-        !p.extra.iter().any(|a| a == "--no-checkpoints"),
-        Ordering::Relaxed,
-    );
-    Config {
-        schemes,
-        faults,
-        points,
-        point,
+/// The repro flags beyond `--fault <name>`.
+fn repro_flags(fault: FaultSpec) -> String {
+    match fault {
+        FaultSpec::OpBoundary => String::new(),
+        FaultSpec::TornLine(keep) => format!(" --torn-keep {keep}"),
+        FaultSpec::Battery(bytes) => format!(" --battery-bytes {bytes}"),
     }
 }
 
 /// The clean (no-crash) reference run of one scheme × workload × stream
-/// shape. With checkpoints on it also logs where its loop steps lie on
+/// shape. With `checkpoints` it also logs where its loop steps lie on
 /// both crash axes, so a walk of the same run can lend each crash point
 /// the state just before it ([`Cell::scan`]).
 fn clean_run(
     scheme: &str,
     config: &SimConfig,
     streams: &TraceSet,
+    checkpoints: bool,
 ) -> (RunOutcome, Option<StepLog>) {
     let mut s = make_scheme(scheme, config);
     let engine = Engine::new(config, s.as_mut());
-    if CHECKPOINTS_ENABLED.load(Ordering::Relaxed) {
+    if checkpoints {
         let (out, steps) = engine.run_logging_steps(streams);
         (out, Some(steps))
     } else {
@@ -244,18 +153,6 @@ fn write_footprint(trace: &TraceSet) -> Vec<PhysAddr> {
     addrs.sort_unstable();
     addrs.dedup();
     addrs.into_iter().map(PhysAddr::new).collect()
-}
-
-/// 64-bit FNV-1a, folded to 32 bits so it survives an `f64` cell value.
-fn fnv_fold(chunks: impl IntoIterator<Item = u64>) -> u32 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for c in chunks {
-        for b in c.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    ((h >> 32) ^ h) as u32
 }
 
 /// What one crash run produced, condensed for the cell's value list.
@@ -282,24 +179,26 @@ fn image_digest(out: &RunOutcome, footprint: &[PhysAddr]) -> u32 {
     const LINE: u64 = silo_types::BUF_LINE_BYTES as u64;
     let mut line = [0u8; silo_types::BUF_LINE_BYTES];
     let mut line_base = u64::MAX;
-    fnv_fold(
-        out.stats
-            .per_core
-            .iter()
-            .map(|c| c.txs_committed)
-            .chain(footprint.iter().map(move |&a| {
-                let base = a.as_u64() / LINE * LINE;
-                let off = (a.as_u64() - base) as usize;
-                if off + 8 > silo_types::BUF_LINE_BYTES {
-                    return out.pm.peek_word(a).as_u64(); // straddles two lines
-                }
-                if base != line_base {
-                    out.pm.peek_into(PhysAddr::new(base), &mut line);
-                    line_base = base;
-                }
-                u64::from_le_bytes(line[off..off + 8].try_into().expect("word within line"))
-            })),
-    )
+    let mut h = Fnv1a::new();
+    for c in &out.stats.per_core {
+        h.write_u64(c.txs_committed);
+    }
+    for &a in footprint {
+        let base = a.as_u64() / LINE * LINE;
+        let off = (a.as_u64() - base) as usize;
+        if off + 8 > silo_types::BUF_LINE_BYTES {
+            h.write_u64(out.pm.peek_word(a).as_u64()); // straddles two lines
+            continue;
+        }
+        if base != line_base {
+            out.pm.peek_into(PhysAddr::new(base), &mut line);
+            line_base = base;
+        }
+        h.write(&line[off..off + 8]);
+    }
+    // Folded to 32 bits so it survives an `f64` cell value.
+    let h = h.finish();
+    ((h >> 32) ^ h) as u32
 }
 
 fn run_point(
@@ -307,12 +206,12 @@ fn run_point(
     config: &SimConfig,
     streams: &TraceSet,
     footprint: &[PhysAddr],
-    fault: Fault,
+    fault: FaultSpec,
     point: u64,
     cp: Option<&EngineCheckpoint>,
 ) -> PointResult {
     let mut s = make_scheme(scheme, config);
-    let plan = fault.plan(point);
+    let plan = plan(fault, point);
     // Sharing the trace across crash points: this conversion is pointer
     // bumps, where it used to deep-clone every stream per point.
     let out = match cp {
@@ -329,13 +228,13 @@ fn run_point(
                     scratch.stats.to_json().to_string(),
                     out.stats.to_json().to_string(),
                     "resume-vs-scratch SimStats divergence: {scheme} {} point {point}",
-                    fault.describe(),
+                    describe(fault),
                 );
                 debug_assert_eq!(
                     image_digest(&scratch, footprint),
                     image_digest(&out, footprint),
                     "resume-vs-scratch recovered-image divergence: {scheme} {} point {point}",
-                    fault.describe(),
+                    describe(fault),
                 );
             }
             out
@@ -360,7 +259,7 @@ struct Cell<'a> {
     config: &'a SimConfig,
     streams: &'a TraceSet,
     footprint: &'a [PhysAddr],
-    fault: Fault,
+    fault: FaultSpec,
 }
 
 impl Cell<'_> {
@@ -391,7 +290,7 @@ impl Cell<'_> {
         };
         let at: Vec<Option<u64>> = points
             .iter()
-            .map(|&n| steps.and_then(|log| log.last_before(self.fault.plan(n).trigger)))
+            .map(|&n| steps.and_then(|log| log.last_before(plan(self.fault, n).trigger)))
             .collect();
         let mut i = 0;
         while i < points.len() && at[i].is_none() {
@@ -442,9 +341,9 @@ fn spaced(total: u64, k: u64) -> Vec<u64> {
 
 /// The crash-point axis length for `fault` on a clean run: cycles for the
 /// op-boundary trigger, durability events for the event-indexed ones.
-fn axis_total(fault: Fault, clean: &silo_sim::RunOutcome) -> u64 {
+fn axis_total(fault: FaultSpec, clean: &silo_sim::RunOutcome) -> u64 {
     match fault {
-        Fault::OpBoundary => clean.stats.sim_cycles.as_u64(),
+        FaultSpec::OpBoundary => clean.stats.sim_cycles.as_u64(),
         _ => clean.pm.events().total(),
     }
 }
@@ -452,12 +351,14 @@ fn axis_total(fault: Fault, clean: &silo_sim::RunOutcome) -> u64 {
 /// Shrinks a violating `(txs_per_core, point)` pair: halve the stream
 /// while a bounded re-scan still violates, then scan for the earliest
 /// violating point at the final length.
+#[allow(clippy::too_many_arguments)] // the sweep's coordinates, passed through
 fn shrink(
     scheme: &str,
     workload: &str,
     config: &SimConfig,
-    fault: Fault,
+    fault: FaultSpec,
     seed: u64,
+    checkpoints: bool,
     mut txs_per_core: usize,
     mut point: u64,
 ) -> (usize, u64) {
@@ -467,7 +368,7 @@ fn shrink(
     let scan = |txs: usize, points: &dyn Fn(u64) -> Vec<u64>| -> Option<u64> {
         let streams = TraceCache::global().get_or_build(&w, CORES, txs, seed);
         let footprint = write_footprint(&streams);
-        let (clean, steps) = clean_run(scheme, config, &streams);
+        let (clean, steps) = clean_run(scheme, config, &streams, checkpoints);
         let points = points(axis_total(fault, &clean));
         drop(clean);
         let cell = Cell {
@@ -500,16 +401,20 @@ fn shrink(
 /// Executor entry point for [`CellWork::CrashSweep`]: one sweep row —
 /// clean reference run, the spaced (or one fixed) crash point(s) under
 /// `fault`, and shrinking of the first violation found.
-pub(crate) fn execute_sweep(
-    scheme: &str,
-    workload: &str,
-    txs_per_core: usize,
-    seed: u64,
-    fault: FaultSpec,
-    points_per_cell: u64,
-    point: Option<u64>,
-) -> CellOutcome {
-    let fault = Fault::from_spec(fault);
+pub(crate) fn execute_sweep(cell: &CellSpec) -> CellOutcome {
+    let CellWork::CrashSweep {
+        ref scheme,
+        ref workload,
+        txs_per_core,
+        fault,
+        points: points_per_cell,
+        point,
+        checkpoints,
+    } = cell.work
+    else {
+        unreachable!("not a sweep: {:?}", cell.work)
+    };
+    let seed = cell.seed;
     // A stale spec (e.g. a result-store entry naming a since-renamed
     // workload) must surface as a reportable cell error, not take down the
     // whole sweep: the other cells of the run are still valid.
@@ -517,7 +422,7 @@ pub(crate) fn execute_sweep(
         return CellOutcome::failed(format!(
             "unknown workload {workload:?} in cell \
              {scheme}/{workload}/txs={txs_per_core}/fault={}",
-            fault.describe()
+            describe(fault)
         ));
     };
     let config = SimConfig::table_ii(CORES);
@@ -528,7 +433,7 @@ pub(crate) fn execute_sweep(
     // Only the clean run's stats and axis total outlive this block; its
     // PM image does not.
     let (stats, points, steps) = {
-        let (clean, steps) = clean_run(scheme, &config, &streams);
+        let (clean, steps) = clean_run(scheme, &config, &streams, checkpoints);
         let points = match point {
             Some(n) => vec![n],
             None => spaced(axis_total(fault, &clean), points_per_cell),
@@ -569,6 +474,7 @@ pub(crate) fn execute_sweep(
             &config,
             fault,
             seed,
+            checkpoints,
             txs_per_core,
             first_bad,
         );
@@ -580,27 +486,27 @@ pub(crate) fn execute_sweep(
 }
 
 fn build(p: &ExpParams) -> Vec<CellSpec> {
-    let cfg = parse_config(p);
+    let line = p.line();
     let txs_per_core = (p.txs / CORES).max(1);
+    let points = line.int(POINTS_FLAG.name).unwrap_or(POINTS);
+    let point = line.int(POINT.name);
+    let checkpoints = !line.switch(NO_CHECKPOINTS.name);
     let mut cells = Vec::new();
     for bench in &p.benches {
-        if workload_by_name(bench).is_none() {
-            eprintln!("error: unknown benchmark {bench:?}");
-            std::process::exit(2);
-        }
-        for scheme in &cfg.schemes {
-            for &fault in &cfg.faults {
+        for scheme in schemes(&line) {
+            for fault in faults(&line) {
                 cells.push(CellSpec::new(
-                    CellLabel::swc(scheme, bench, CORES)
-                        .with_param(format!("fault={}", fault.describe())),
+                    CellLabel::swc(&scheme, bench, CORES)
+                        .with_param(format!("fault={}", describe(fault))),
                     p.seed,
                     CellWork::CrashSweep {
                         scheme: scheme.clone(),
                         workload: bench.clone(),
                         txs_per_core,
-                        fault: fault.to_spec(),
-                        points: cfg.points,
-                        point: cfg.point,
+                        fault,
+                        points,
+                        point,
+                        checkpoints,
                     },
                 ));
             }
@@ -610,7 +516,7 @@ fn build(p: &ExpParams) -> Vec<CellSpec> {
 }
 
 fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -> JsonValue {
-    let cfg = parse_config(p);
+    let faults = faults(&p.line());
     let txs_per_core = (p.txs / CORES).max(1);
     writeln!(out, "Crash-surface fuzzing (differential, {CORES} cores)").unwrap();
     writeln!(
@@ -618,9 +524,9 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
         "{} txs/core, seed {}, faults: {}",
         txs_per_core,
         p.seed,
-        cfg.faults
+        faults
             .iter()
-            .map(|f| f.describe())
+            .map(|&f| describe(f))
             .collect::<Vec<_>>()
             .join(", ")
     )
@@ -635,7 +541,8 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
     let mut total_runs = 0u64;
     let mut total_violations = 0u64;
     let mut rows = Vec::new();
-    let mut repros = Vec::new();
+    // Every violation's report block, printed after the total line.
+    let mut blocks = String::new();
     // progress -> (digest, "scheme/bench/fault@point") per workload.
     let mut groups: HashMap<(String, Vec<u64>), (u32, String)> = HashMap::new();
     let mut divergences = Vec::new();
@@ -662,9 +569,9 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
         let points = outcome.value("points") as usize;
         let (mut viols, mut ambig) = (0u64, 0u64);
         for j in 0..points {
+            let value = |key: &str| outcome.value(&format!("p{j}_{key}")) as u64;
+            let (v, amb) = (value("viol"), value("amb"));
             total_runs += 1;
-            let v = outcome.value(&format!("p{j}_viol")) as u64;
-            let amb = outcome.value(&format!("p{j}_amb")) as u64;
             viols += v;
             ambig += amb;
             // Differential compare: equal progress on the same workload
@@ -672,23 +579,13 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
             // and fault models alike. Commit-racing (ambiguous) runs are
             // legitimately bimodal, so they stay out.
             if amb == 0 && v == 0 {
-                let prog: Vec<u64> = (0..CORES)
-                    .map(|i| outcome.value(&format!("p{j}_prog{i}")) as u64)
-                    .collect();
-                let dig = outcome.value(&format!("p{j}_dig")) as u32;
-                let at = outcome.value(&format!("p{j}_at")) as u64;
+                let prog: Vec<u64> = (0..CORES).map(|i| value(&format!("prog{i}"))).collect();
+                let (dig, at) = (value("dig") as u32, value("at"));
                 let who = format!("{}/{}/{}@{at}", label.scheme, label.workload, label.param);
-                match groups.entry((label.workload.clone(), prog.clone())) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert((dig, who));
-                    }
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        let (d0, who0) = e.get();
-                        if *d0 != dig {
-                            divergences
-                                .push(format!("{who} disagrees with {who0} at progress {prog:?}"));
-                        }
-                    }
+                let key = (label.workload.clone(), prog.clone());
+                let (d0, who0) = groups.entry(key).or_insert_with(|| (dig, who.clone()));
+                if *d0 != dig {
+                    divergences.push(format!("{who} disagrees with {who0} at progress {prog:?}"));
                 }
             }
         }
@@ -704,16 +601,15 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
             ambig
         )
         .unwrap();
-        let fault = cfg
-            .faults
+        let fault = faults
             .iter()
-            .find(|f| label.param == format!("fault={}", f.describe()))
+            .find(|&&f| label.param == format!("fault={}", describe(f)))
             .copied()
             .expect("cell fault is one of the configured models");
         let mut row = JsonValue::object()
             .field("scheme", label.scheme.as_str())
             .field("workload", label.workload.as_str())
-            .field("fault", fault.name())
+            .field("fault", fault_name(fault))
             .field("points", points as f64)
             .field("violations", viols as f64)
             .field("ambiguous", ambig as f64);
@@ -726,10 +622,16 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
                 label.scheme,
                 label.workload,
                 p.seed,
-                fault.name(),
-                fault.repro_flags()
+                fault_name(fault),
+                repro_flags(fault)
             );
-            repros.push((label, repro.clone()));
+            let at = format!(
+                "{} / {} / {}",
+                label.scheme,
+                label.workload,
+                describe(fault)
+            );
+            writeln!(blocks, "VIOLATION {at}\n  minimal repro: {repro}").unwrap();
             row = row.field("repro", repro.as_str());
         }
         rows.push(row.build());
@@ -750,17 +652,7 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
         "total: {total_violations} violations across {total_runs} crash runs"
     )
     .unwrap();
-    for (label, repro) in &repros {
-        writeln!(
-            out,
-            "VIOLATION {} / {} / {}",
-            label.scheme,
-            label.workload,
-            label.param.trim_start_matches("fault=")
-        )
-        .unwrap();
-        writeln!(out, "  minimal repro: {repro}").unwrap();
-    }
+    out.push_str(&blocks);
 
     JsonValue::object()
         .field("total_violations", total_violations as f64)
@@ -776,6 +668,16 @@ pub fn spec() -> ExperimentSpec {
         name: "crashfuzz",
         description: "differential crash-surface fuzzing: schemes x faults x crash points",
         default_txs: 48,
+        flags: &[
+            BENCH,
+            SCHEME,
+            FAULT,
+            TORN_KEEP,
+            BATTERY_BYTES,
+            POINTS_FLAG,
+            POINT,
+            NO_CHECKPOINTS,
+        ],
         kind: ExpKind::Custom { build, render },
     }
 }
@@ -783,19 +685,47 @@ pub fn spec() -> ExperimentSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::fuzz;
+
+    fn built(spec: &ExperimentSpec, flags: &[&str]) -> Vec<CellSpec> {
+        let mut p = ExpParams::defaults(spec);
+        p.extra = ["evaluate", spec.name]
+            .iter()
+            .chain(flags)
+            .map(|s| s.to_string())
+            .collect();
+        spec.build(&p)
+    }
 
     #[test]
-    fn no_checkpoints_lasts_only_for_its_own_run() {
+    fn run_options_ride_in_the_cells_and_stay_out_of_the_spec_hash() {
         let spec = spec();
-        let mut p = ExpParams::defaults(&spec);
-        p.extra = vec!["--no-checkpoints".to_string()];
-        build(&p);
-        assert!(!CHECKPOINTS_ENABLED.load(Ordering::Relaxed));
-        p.extra.clear();
-        build(&p);
-        assert!(
-            CHECKPOINTS_ENABLED.load(Ordering::Relaxed),
-            "a run without --no-checkpoints resumes from checkpoints again"
-        );
+        let on = built(&spec, &[]);
+        let off = built(&spec, &["--no-checkpoints"]);
+        let again = built(&spec, &[]);
+        assert_eq!(on.len(), off.len());
+        for ((on, off), again) in on.iter().zip(&off).zip(&again) {
+            let checkpoints = |c: &CellSpec| match c.work {
+                CellWork::CrashSweep { checkpoints, .. } => checkpoints,
+                _ => panic!("crashfuzz builds sweeps"),
+            };
+            assert!(!checkpoints(off), "--no-checkpoints turns them off");
+            assert!(checkpoints(again), "a later build without it resumes");
+            assert_eq!(on.spec_hash(), off.spec_hash());
+        }
+        let fuzz = fuzz::spec();
+        let corpus = |flags: &[&str]| -> Vec<Option<std::path::PathBuf>> {
+            built(&fuzz, flags)
+                .into_iter()
+                .map(|c| match c.work {
+                    CellWork::Fuzz { corpus, .. } => corpus,
+                    _ => panic!("fuzz builds searches"),
+                })
+                .collect()
+        };
+        assert!(corpus(&["--no-corpus"]).iter().all(Option::is_none));
+        assert!(corpus(&["--corpus", "elsewhere"])
+            .iter()
+            .all(|c| c.as_deref() == Some(std::path::Path::new("elsewhere"))));
     }
 }

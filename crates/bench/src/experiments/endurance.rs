@@ -109,6 +109,7 @@ pub fn spec() -> ExperimentSpec {
         name: "endurance",
         description: "PM wear and lifetime estimates per scheme (endurance extension)",
         default_txs: 2_000,
+        flags: &[],
         kind: ExpKind::Custom { build, render },
     }
 }

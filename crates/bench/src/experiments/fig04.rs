@@ -78,6 +78,7 @@ pub fn spec() -> ExperimentSpec {
         name: "fig04",
         description: "write size per transaction across eleven workloads (motivation for the small log buffer)",
         default_txs: 2_000,
+        flags: &[],
         kind: ExpKind::Custom { build, render },
     }
 }

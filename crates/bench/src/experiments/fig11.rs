@@ -16,6 +16,7 @@ pub fn spec() -> ExperimentSpec {
         name: "fig11",
         description: "write traffic to the PM media, normalized to Base (5 schemes x 7 benchmarks x 1/2/4/8 cores)",
         default_txs: 10_000,
+        flags: &[],
         kind: ExpKind::Grid(GridSpec {
             title: "Fig 11: write traffic to PM (media line programs), normalized to Base",
             schemes: &SCHEMES,

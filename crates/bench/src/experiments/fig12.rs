@@ -17,6 +17,7 @@ pub fn spec() -> ExperimentSpec {
         description:
             "transaction throughput, normalized to Base (5 schemes x 7 benchmarks x 1/2/4/8 cores)",
         default_txs: 10_000,
+        flags: &[],
         kind: ExpKind::Grid(GridSpec {
             title: "Fig 12: transaction throughput, normalized to Base",
             schemes: &SCHEMES,

@@ -96,6 +96,7 @@ pub fn spec() -> ExperimentSpec {
         name: "fig13",
         description: "on-chip log entries per transaction under log ignorance and merging (sizes the 20-entry buffer)",
         default_txs: 10_000,
+        flags: &[],
         kind: ExpKind::Custom { build, render },
     }
 }

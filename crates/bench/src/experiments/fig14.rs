@@ -131,6 +131,7 @@ pub fn spec() -> ExperimentSpec {
         name: "fig14",
         description: "Silo on large transactions: throughput and write traffic vs 1-16x write-set multipliers",
         default_txs: 4_000,
+        flags: &[],
         kind: ExpKind::Custom { build, render },
     }
 }

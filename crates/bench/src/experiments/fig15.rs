@@ -92,6 +92,7 @@ pub fn spec() -> ExperimentSpec {
         name: "fig15",
         description: "throughput sensitivity to log-buffer access latency (8-128 cycles)",
         default_txs: 4_000,
+        flags: &[],
         kind: ExpKind::Custom { build, render },
     }
 }

@@ -26,19 +26,22 @@
 //! nightly run resumes where the last one stopped.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::sync::Mutex;
+use std::path::{Path, PathBuf};
 
 use silo_sim::{
     CrashPlan, CrashTrigger, Engine, EngineCheckpoint, FaultModel, RunOutcome, Signature,
     SimConfig, TraceSet,
 };
-use silo_types::{JsonValue, Xoshiro256};
+use silo_types::{Fnv1a, JsonValue, Xoshiro256};
 use silo_workloads::{workload_by_name, ArrivalProcess};
 
 use crate::cellspec::{CellSpec, CellWork, FaultSpec};
 use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec};
-use crate::{arg_string, arg_u64, arg_usize, make_scheme, TraceCache, ALL_SCHEMES};
+use crate::flags::{
+    any, schemes, Flag, Line, Value::*, BATTERY_BYTES, BENCH, DEFAULT_BATTERY_BYTES,
+    DEFAULT_TORN_KEEP, MAX, SCHEME, TORN_KEEP,
+};
+use crate::{make_scheme, TraceCache};
 
 /// Two cores, like `crashfuzz`: cheap, but still cross-core interleaving.
 pub(crate) const CORES: usize = 2;
@@ -46,10 +49,6 @@ pub(crate) const CORES: usize = 2;
 const DEFAULT_EXECS: u64 = 24;
 /// Deterministic seed candidates per fault model: evenly spaced events.
 const SEED_POINTS: u64 = 4;
-/// Default residual-energy budget for seeded battery candidates.
-const DEFAULT_BATTERY_BYTES: u64 = 64 * 1024;
-/// Default torn-line prefix for seeded torn-line candidates.
-const DEFAULT_TORN_KEEP: usize = 64;
 /// Violations recorded in full (event/fault/word detail) per cell.
 const MAX_RECORDED: usize = 8;
 /// Corpus entry format version.
@@ -182,122 +181,35 @@ impl Candidate {
     }
 }
 
-/// The corpus root directory, process-global like the crashfuzz
-/// checkpoint toggles: it selects *where* interesting candidates persist,
-/// never *what* the search computes on a fresh directory, so it stays out
-/// of the cell spec hash. `None` (the library default) touches no
-/// filesystem; the CLI layer sets the default root.
-static CORPUS_ROOT: Mutex<Option<PathBuf>> = Mutex::new(None);
+const FAULT: Flag = Flag::new("--fault", OneOf(&["adr", "torn-line", "battery"]))
+    .help("search one fault model (default: all three)");
+const EXECS: Flag = Flag::new("--execs", Int(1, MAX)).help("runs per cell (default 24)");
+const CRASH_EVENT: Flag = Flag::new("--crash-event", Int(0, MAX))
+    .requires("--fault")
+    .help("replay one candidate crashing at this durability event");
+const RECOVERY_CRASH: Flag = Flag::new("--recovery-crash", Int(0, MAX))
+    .requires("--crash-event")
+    .help("re-crash its recovery after this many writes");
+const ARRIVAL: Flag = Flag::new(
+    "--arrival",
+    Name("ident", |n| ArrivalProcess::parse(n).is_some()),
+)
+.help("arrivals: closed, poisson<G>, bursty<G>x<B>i<I> or diurnal<S>-<E>");
+const CORPUS: Flag =
+    Flag::new("--corpus", Name("dir", any)).help("corpus root (default target/fuzz-corpus)");
+const NO_CORPUS: Flag = Flag::new("--no-corpus", Switch).help("read and write no corpus");
 
-fn corpus_root() -> Option<PathBuf> {
-    CORPUS_ROOT.lock().expect("corpus root lock").clone()
-}
-
-/// The search configuration parsed from the experiment's extra flags.
-struct Config {
-    schemes: Vec<String>,
-    /// Candidate restriction (`--fault`), or search across all models.
-    fault: Option<Fault>,
-    execs: u64,
-    crash_event: Option<u64>,
-    recovery_crash: Option<u64>,
-    arrival: Option<String>,
-}
-
-fn parse_config(p: &ExpParams) -> Config {
-    let battery = arg_u64(&p.extra, "--battery-bytes", DEFAULT_BATTERY_BYTES);
-    let torn = arg_usize(&p.extra, "--torn-keep", DEFAULT_TORN_KEEP);
-    let fault = match arg_string(&p.extra, "--fault").as_deref() {
-        None => None,
-        Some("adr") => Some(Fault::Adr),
-        Some("torn-line") => Some(Fault::Torn(torn)),
-        Some("battery") => Some(Fault::Battery(battery)),
-        Some(other) => {
-            eprintln!(
-                "error: unknown fault model {other:?} \
-                 (expected adr, torn-line, or battery)"
-            );
-            std::process::exit(2);
-        }
+/// The fault model `--fault` restricts the search to, with its
+/// `--torn-keep` or `--battery-bytes` knob.
+fn fault(line: &Line) -> Option<Fault> {
+    let name = line.text(FAULT.name)?;
+    let arg = match name {
+        "torn-line" => line.int(TORN_KEEP.name).unwrap_or(DEFAULT_TORN_KEEP),
+        _ => line
+            .int(BATTERY_BYTES.name)
+            .unwrap_or(DEFAULT_BATTERY_BYTES),
     };
-    let schemes = match arg_string(&p.extra, "--scheme") {
-        None => ALL_SCHEMES.iter().map(|s| s.to_string()).collect(),
-        Some(list) => {
-            let schemes: Vec<String> = list.split(',').map(str::to_string).collect();
-            for s in &schemes {
-                if !ALL_SCHEMES.contains(&s.as_str()) {
-                    eprintln!("error: unknown scheme {s:?} (see ALL_SCHEMES)");
-                    std::process::exit(2);
-                }
-            }
-            schemes
-        }
-    };
-    let execs = match crate::try_arg::<u64>(&p.extra, "--execs") {
-        Ok(Some(0)) => {
-            eprintln!("error: --execs must be positive");
-            std::process::exit(2);
-        }
-        Ok(v) => v.unwrap_or(DEFAULT_EXECS),
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
-    let crash_event = match crate::try_arg::<u64>(&p.extra, "--crash-event") {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
-    // A fixed crash event is a single deterministic candidate — it needs
-    // one fully specified fault model, exactly like crashfuzz's --point.
-    if crash_event.is_some() && fault.is_none() {
-        eprintln!(
-            "error: --crash-event replays one exact candidate, so it \
-             requires a single --fault (add e.g. --fault battery)"
-        );
-        std::process::exit(2);
-    }
-    let recovery_crash = match crate::try_arg::<u64>(&p.extra, "--recovery-crash") {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
-    if recovery_crash.is_some() && crash_event.is_none() {
-        eprintln!("error: --recovery-crash only applies to a --crash-event replay");
-        std::process::exit(2);
-    }
-    let arrival = arg_string(&p.extra, "--arrival");
-    if let Some(ident) = &arrival {
-        if ArrivalProcess::parse(ident).is_none() {
-            eprintln!(
-                "error: unparseable arrival ident {ident:?} \
-                 (expected closed, poisson<G>, bursty<G>x<B>i<I>, or diurnal<S>-<E>)"
-            );
-            std::process::exit(2);
-        }
-    }
-    // Corpus persistence: default root, explicit root, or none.
-    let root = if p.extra.iter().any(|a| a == "--no-corpus") {
-        None
-    } else {
-        Some(PathBuf::from(
-            arg_string(&p.extra, "--corpus").unwrap_or_else(|| "target/fuzz-corpus".to_string()),
-        ))
-    };
-    *CORPUS_ROOT.lock().expect("corpus root lock") = root;
-    Config {
-        schemes,
-        fault,
-        execs,
-        crash_event,
-        recovery_crash,
-        arrival,
-    }
+    Fault::from_name(name, arg)
 }
 
 /// What one candidate run produced.
@@ -412,20 +324,14 @@ fn walk_checkpoints(
 
 /// FNV-1a 64 over the cell identity, seeding the mutation RNG.
 fn rng_seed(seed: u64, scheme: &str, workload: &str, arrival: Option<&str>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&seed.to_le_bytes());
-    eat(scheme.as_bytes());
-    eat(&[0]);
-    eat(workload.as_bytes());
-    eat(&[0]);
-    eat(arrival.unwrap_or("").as_bytes());
-    h
+    let mut h = Fnv1a::new();
+    h.write_u64(seed);
+    h.write(scheme.as_bytes());
+    h.write(&[0]);
+    h.write(workload.as_bytes());
+    h.write(&[0]);
+    h.write(arrival.unwrap_or("").as_bytes());
+    h.finish()
 }
 
 /// Evenly spaced interior points, like crashfuzz, floored to event 1.
@@ -447,7 +353,7 @@ fn mutate(rng: &mut Xoshiro256, base: Candidate, total: u64, restricted: bool) -
         3 if !restricted => {
             // Rotate the fault kind, entering each with its default knob.
             c.fault = match c.fault {
-                Fault::Adr => Fault::Torn(DEFAULT_TORN_KEEP),
+                Fault::Adr => Fault::Torn(DEFAULT_TORN_KEEP as usize),
                 Fault::Torn(_) => Fault::Battery(DEFAULT_BATTERY_BYTES),
                 Fault::Battery(_) => Fault::Adr,
             };
@@ -526,7 +432,7 @@ fn decode_entry(text: &str) -> Option<Candidate> {
 
 /// Loads the persisted corpus of one cell, sorted by file name so the
 /// replay order (and therefore the whole search) is deterministic.
-fn load_corpus(dir: &std::path::Path, restriction: Option<Fault>) -> Vec<Candidate> {
+fn load_corpus(dir: &Path, restriction: Option<Fault>) -> Vec<Candidate> {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return Vec::new();
     };
@@ -550,7 +456,7 @@ fn load_corpus(dir: &std::path::Path, restriction: Option<Fault>) -> Vec<Candida
 /// Persists one interesting candidate under its signature digest.
 /// Best-effort, like the result store: a read-only disk degrades
 /// persistence, never the search.
-fn persist_entry(dir: &std::path::Path, cand: Candidate, sig_digest: &str) {
+fn persist_entry(dir: &Path, cand: Candidate, sig_digest: &str) {
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
@@ -566,18 +472,23 @@ fn persist_entry(dir: &std::path::Path, cand: Candidate, sig_digest: &str) {
 /// seed event, corpus + deterministic seeds, mutation loop to the
 /// execution budget, every candidate resumed from the latest checkpoint
 /// before its event, double-checked verdict on every recovered image.
-#[allow(clippy::too_many_arguments)] // mirrors the CellWork::Fuzz fields
-pub(crate) fn execute_fuzz(
-    scheme: &str,
-    workload: &str,
-    txs_per_core: usize,
-    seed: u64,
-    execs: u64,
-    fault: Option<FaultSpec>,
-    crash_event: Option<u64>,
-    recovery_crash: Option<u64>,
-    arrival: Option<&str>,
-) -> CellOutcome {
+/// Interesting candidates persist under `corpus` when one is given.
+pub(crate) fn execute_fuzz(cell: &CellSpec) -> CellOutcome {
+    let CellWork::Fuzz {
+        ref scheme,
+        ref workload,
+        txs_per_core,
+        execs,
+        fault,
+        crash_event,
+        recovery_crash,
+        ref arrival,
+        ref corpus,
+    } = cell.work
+    else {
+        unreachable!("not a crash search: {:?}", cell.work)
+    };
+    let (arrival, seed) = (arrival.as_deref(), cell.seed);
     let restriction = fault.map(Fault::from_spec);
     if workload_by_name(workload).is_none() {
         return CellOutcome::failed(format!(
@@ -617,7 +528,7 @@ pub(crate) fn execute_fuzz(
     // Initial candidates: the persisted corpus (sorted), then the evenly
     // spaced deterministic seeds per allowed fault model. A fixed
     // --crash-event collapses the whole search to one exact candidate.
-    let cell_dir = corpus_root().map(|root| root.join(workload).join(scheme));
+    let cell_dir = corpus.as_ref().map(|root| root.join(workload).join(scheme));
     let mut initial: Vec<Candidate> = Vec::new();
     match crash_event {
         Some(_) => initial.push(Candidate {
@@ -633,7 +544,7 @@ pub(crate) fn execute_fuzz(
                 Some(f) => vec![f],
                 None => vec![
                     Fault::Adr,
-                    Fault::Torn(DEFAULT_TORN_KEEP),
+                    Fault::Torn(DEFAULT_TORN_KEEP as usize),
                     Fault::Battery(DEFAULT_BATTERY_BYTES),
                 ],
             };
@@ -728,31 +639,31 @@ pub(crate) fn execute_fuzz(
 }
 
 fn build(p: &ExpParams) -> Vec<CellSpec> {
-    let cfg = parse_config(p);
+    let line = p.line();
     let txs_per_core = (p.txs / CORES).max(1);
+    let arrival = line.text(ARRIVAL.name);
+    let corpus = (!line.switch(NO_CORPUS.name))
+        .then(|| PathBuf::from(line.text(CORPUS.name).unwrap_or("target/fuzz-corpus")));
     let mut cells = Vec::new();
     for bench in &p.benches {
-        if workload_by_name(bench).is_none() {
-            eprintln!("error: unknown benchmark {bench:?}");
-            std::process::exit(2);
-        }
-        for scheme in &cfg.schemes {
-            let mut label = CellLabel::swc(scheme, bench, CORES);
-            if let Some(ident) = &cfg.arrival {
+        for scheme in schemes(&line) {
+            let mut label = CellLabel::swc(&scheme, bench, CORES);
+            if let Some(ident) = arrival {
                 label = label.with_param(format!("arrival={ident}"));
             }
             cells.push(CellSpec::new(
                 label,
                 p.seed,
                 CellWork::Fuzz {
-                    scheme: scheme.clone(),
+                    scheme,
                     workload: bench.clone(),
                     txs_per_core,
-                    execs: cfg.execs,
-                    fault: cfg.fault.map(Fault::to_spec),
-                    crash_event: cfg.crash_event,
-                    recovery_crash: cfg.recovery_crash,
-                    arrival: cfg.arrival.clone(),
+                    execs: line.int(EXECS.name).unwrap_or(DEFAULT_EXECS),
+                    fault: fault(&line).map(Fault::to_spec),
+                    crash_event: line.int(CRASH_EVENT.name),
+                    recovery_crash: line.int(RECOVERY_CRASH.name),
+                    arrival: arrival.map(str::to_string),
+                    corpus: corpus.clone(),
                 },
             ));
         }
@@ -761,23 +672,27 @@ fn build(p: &ExpParams) -> Vec<CellSpec> {
 }
 
 fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -> JsonValue {
-    let cfg = parse_config(p);
+    let line = p.line();
+    let arrival = line.text(ARRIVAL.name);
     let txs_per_core = (p.txs / CORES).max(1);
     writeln!(out, "Coverage-guided crash search ({CORES} cores)").unwrap();
-    let faults = match cfg.fault {
+    let faults = match fault(&line) {
         Some(f) => f.describe(),
         None => {
             format!("adr, torn-line(keep={DEFAULT_TORN_KEEP}), battery({DEFAULT_BATTERY_BYTES} B)")
         }
     };
-    let arrival_note = match &cfg.arrival {
-        Some(ident) => format!(", arrival {ident}"),
-        None => String::new(),
-    };
+    let arrival_note = arrival
+        .map(|a| format!(", arrival {a}"))
+        .unwrap_or_default();
     writeln!(
         out,
         "{} txs/core, seed {}, budget {} execs/cell, faults: {}{}",
-        txs_per_core, p.seed, cfg.execs, faults, arrival_note
+        txs_per_core,
+        p.seed,
+        line.int(EXECS.name).unwrap_or(DEFAULT_EXECS),
+        faults,
+        arrival_note
     )
     .unwrap();
     writeln!(
@@ -790,7 +705,8 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
     let mut total_execs = 0u64;
     let mut total_violations = 0u64;
     let mut rows = Vec::new();
-    let mut repros: Vec<(String, Vec<String>)> = Vec::new();
+    // Every violation's report block, printed after the total line.
+    let mut blocks = String::new();
     for (label, outcome) in cells {
         if let Some(err) = &outcome.error {
             writeln!(out, "ERROR {:<12}{:<10}{err}", label.scheme, label.workload).unwrap();
@@ -829,26 +745,15 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
             .field("signature", digest.as_str())
             .field("violations", viols as f64);
         if viols > 0 {
-            let recorded = outcome.value("recorded") as usize;
-            let mut detail = Vec::new();
             let mut row_repros = Vec::new();
-            for i in 0..recorded {
-                let fault = Fault::from_parts(
-                    outcome.value(&format!("v{i}_fault")) as u64,
-                    outcome.value(&format!("v{i}_arg")) as u64,
-                )
-                .expect("stored fault kind is valid");
-                let event = outcome.value(&format!("v{i}_event")) as u64;
-                let rc = outcome.value(&format!("v{i}_rc"));
-                let arrival_flag = match &cfg.arrival {
-                    Some(ident) => format!(" --arrival {ident}"),
-                    None => String::new(),
-                };
-                let rc_flag = if rc >= 0.0 {
-                    format!(" --recovery-crash {}", rc as u64)
-                } else {
-                    String::new()
-                };
+            for i in 0..outcome.value("recorded") as usize {
+                let v = |key: &str| outcome.value(&format!("v{i}_{key}"));
+                let fault = Fault::from_parts(v("fault") as u64, v("arg") as u64)
+                    .expect("stored fault kind is valid");
+                let (event, rc) = (v("event") as u64, v("rc"));
+                let arrival_flag = arrival.map_or(String::new(), |a| format!(" --arrival {a}"));
+                let rc_flag = (rc >= 0.0).then(|| format!(" --recovery-crash {}", rc as u64));
+                let rc_flag = rc_flag.unwrap_or_default();
                 let repro = format!(
                     "evaluate fuzz --scheme {} --bench {} --txs {} --seed {} \
                      --fault {}{} --crash-event {event}{rc_flag}{arrival_flag} \
@@ -860,52 +765,35 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
                     fault.name(),
                     fault.repro_flags(),
                 );
-                let word = outcome
-                    .values
-                    .iter()
-                    .any(|(k, _)| k == &format!("v{i}_wevent"))
-                    .then(|| {
-                        let addr = ((outcome.value(&format!("v{i}_addr_hi")) as u64) << 32)
-                            | outcome.value(&format!("v{i}_addr_lo")) as u64;
-                        let wevent = outcome.value(&format!("v{i}_wevent")) as u64;
-                        let kind = SPEC_KINDS[outcome.value(&format!("v{i}_kind")) as usize];
-                        (addr, wevent, kind)
-                    });
-                detail.push((fault, event, rc, word, repro.clone()));
-                row_repros.push(repro);
-            }
-            let mut blocks = Vec::new();
-            for (fault, event, rc, word, repro) in &detail {
-                let mut block = format!(
+                write!(
+                    blocks,
                     "VIOLATION {} / {} / {} @ event {event}",
                     label.scheme,
                     label.workload,
                     fault.describe()
-                );
-                if *rc >= 0.0 {
-                    write!(block, " (recovery re-crash after {} writes)", *rc as u64).unwrap();
+                )
+                .unwrap();
+                if rc >= 0.0 {
+                    write!(blocks, " (recovery re-crash after {} writes)", rc as u64).unwrap();
                 }
-                block.push('\n');
-                if let Some((addr, wevent, kind)) = word {
+                blocks.push('\n');
+                if outcome
+                    .values
+                    .iter()
+                    .any(|(k, _)| *k == format!("v{i}_wevent"))
+                {
+                    let addr = ((v("addr_hi") as u64) << 32) | v("addr_lo") as u64;
+                    let (kind, wevent) = (SPEC_KINDS[v("kind") as usize], v("wevent") as u64);
                     writeln!(
-                        block,
+                        blocks,
                         "  first offending word: {addr:#018x} ({kind}, word event {wevent})"
                     )
                     .unwrap();
                 }
-                writeln!(block, "  minimal repro: {repro}").unwrap();
-                blocks.push(block);
+                writeln!(blocks, "  minimal repro: {repro}").unwrap();
+                row_repros.push(JsonValue::Str(repro));
             }
-            repros.push((blocks.concat(), row_repros.clone()));
-            row = row.field(
-                "repros",
-                JsonValue::Arr(
-                    row_repros
-                        .iter()
-                        .map(|r| JsonValue::Str(r.clone()))
-                        .collect(),
-                ),
-            );
+            row = row.field("repros", JsonValue::Arr(row_repros));
         }
         rows.push(row.build());
     }
@@ -914,9 +802,7 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
         "total: {total_violations} violations across {total_execs} executions"
     )
     .unwrap();
-    for (block, _) in &repros {
-        out.push_str(block);
-    }
+    out.push_str(&blocks);
     JsonValue::object()
         .field("total_violations", total_violations as f64)
         .field("executions", total_execs as f64)
@@ -930,6 +816,19 @@ pub fn spec() -> ExperimentSpec {
         name: "fuzz",
         description: "coverage-guided crash search with the per-word executable spec",
         default_txs: 16,
+        flags: &[
+            BENCH,
+            SCHEME,
+            FAULT,
+            TORN_KEEP,
+            BATTERY_BYTES,
+            EXECS,
+            CRASH_EVENT,
+            RECOVERY_CRASH,
+            ARRIVAL,
+            CORPUS,
+            NO_CORPUS,
+        ],
         kind: ExpKind::Custom { build, render },
     }
 }
@@ -937,6 +836,22 @@ pub fn spec() -> ExperimentSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A Silo/Hash search cell with no corpus.
+    fn search(execs: u64, fault: Option<FaultSpec>) -> CellSpec {
+        let work = CellWork::Fuzz {
+            scheme: "Silo".into(),
+            workload: "Hash".into(),
+            txs_per_core: 8,
+            execs,
+            fault,
+            crash_event: None,
+            recovery_crash: None,
+            arrival: None,
+            corpus: None,
+        };
+        CellSpec::new(CellLabel::default(), 42, work)
+    }
 
     #[test]
     fn spaced_points_never_hit_event_zero() {
@@ -1023,17 +938,7 @@ mod tests {
     fn single_candidate_search_finds_battery_violation() {
         // The undersized battery must violate at a mid-stream event on
         // Silo, and the spec machine must agree with the oracle.
-        let out = execute_fuzz(
-            "Silo",
-            "Hash",
-            8,
-            42,
-            6,
-            Some(FaultSpec::Battery(64)),
-            None,
-            None,
-            None,
-        );
+        let out = execute_fuzz(&search(6, Some(FaultSpec::Battery(64))));
         assert!(out.error.is_none());
         assert!(out.value("viols") > 0.0, "64 B battery must violate");
         assert!(out.value("v0_oracle") == 1.0 || out.value("v0_spec") == 1.0);
@@ -1042,7 +947,7 @@ mod tests {
     #[test]
     fn search_is_a_pure_function_of_its_inputs() {
         let run = || {
-            let out = execute_fuzz("Silo", "Hash", 8, 42, 10, None, None, None, None);
+            let out = execute_fuzz(&search(10, None));
             (
                 out.value("execs"),
                 out.value("corpus"),

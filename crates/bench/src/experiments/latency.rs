@@ -30,6 +30,7 @@ use silo_workloads::ArrivalProcess;
 
 use crate::cellspec::{CellSpec, CellWork, RunSpec, WorkloadSpec};
 use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec, Taken};
+use crate::flags::{BENCH, CORES};
 use crate::ALL_SCHEMES;
 
 /// Per-core mean inter-arrival gaps of the Poisson sweep, in cycles,
@@ -179,6 +180,7 @@ pub fn spec() -> ExperimentSpec {
         name: "latency",
         description: "open-system sojourn-latency percentiles vs offered load (arrival layer)",
         default_txs: 2_000,
+        flags: &[CORES, BENCH],
         kind: ExpKind::Custom { build, render },
     }
 }

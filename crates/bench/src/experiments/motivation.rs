@@ -102,6 +102,7 @@ pub fn spec() -> ExperimentSpec {
         name: "motivation",
         description: "software vs hardware logging on one core (Fig 1 motivation)",
         default_txs: 2_000,
+        flags: &[],
         kind: ExpKind::Custom { build, render },
     }
 }

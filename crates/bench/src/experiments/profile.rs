@@ -21,6 +21,7 @@ use silo_types::JsonValue;
 
 use crate::cellspec::{CellSpec, CellWork, RunSpec, WorkloadSpec};
 use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec, Taken};
+use crate::flags::{BENCH, CORES};
 use crate::ALL_SCHEMES;
 
 fn build(p: &ExpParams) -> Vec<CellSpec> {
@@ -112,6 +113,7 @@ pub fn spec() -> ExperimentSpec {
         name: "profile",
         description: "per-scheme cycle-attribution breakdown (observability layer)",
         default_txs: 2_000,
+        flags: &[CORES, BENCH],
         kind: ExpKind::Custom { build, render },
     }
 }

@@ -97,6 +97,7 @@ pub fn buffer_capacity() -> ExperimentSpec {
         name: "study_buffer_capacity",
         description: "per-core log buffer sized 5-80 entries: overflow rate, traffic, throughput",
         default_txs: 4_000,
+        flags: &[],
         kind: ExpKind::Custom {
             build: build_buffer_capacity,
             render: render_buffer_capacity,
@@ -194,6 +195,7 @@ pub fn multi_mc() -> ExperimentSpec {
         name: "study_multi_mc",
         description: "Silo with 1/2/4 memory controllers: scaling without cross-MC coordination",
         default_txs: 4_000,
+        flags: &[],
         kind: ExpKind::Custom {
             build: build_multi_mc,
             render: render_multi_mc,
@@ -284,6 +286,7 @@ pub fn onpm_buffer() -> ExperimentSpec {
         name: "study_onpm_buffer",
         description: "on-PM coalescing buffer sized 4-256 lines: media programs and drains",
         default_txs: 4_000,
+        flags: &[],
         kind: ExpKind::Custom {
             build: build_onpm_buffer,
             render: render_onpm_buffer,
@@ -366,6 +369,7 @@ pub fn recovery() -> ExperimentSpec {
         name: "study_recovery",
         description: "recovery cost after crashes at varying cycles (selective-flush survivors)",
         default_txs: 1_000,
+        flags: &[],
         kind: ExpKind::Custom {
             build: build_recovery,
             render: render_recovery,

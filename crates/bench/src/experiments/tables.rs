@@ -221,6 +221,7 @@ pub fn table1() -> ExperimentSpec {
         name: "table1",
         description: "hardware overhead of Silo in the processor (no simulation)",
         default_txs: 0,
+        flags: &[],
         kind: ExpKind::Custom {
             build: build_none,
             render: render_table1,
@@ -234,6 +235,7 @@ pub fn table2() -> ExperimentSpec {
         name: "table2",
         description: "simulated system configuration, printed from the live config structs",
         default_txs: 0,
+        flags: &[],
         kind: ExpKind::Custom {
             build: build_none,
             render: render_table2,
@@ -247,6 +249,7 @@ pub fn table4() -> ExperimentSpec {
         name: "table4",
         description: "battery requirements of eADR, BBB, and Silo (no simulation)",
         default_txs: 0,
+        flags: &[],
         kind: ExpKind::Custom {
             build: build_none,
             render: render_table4,

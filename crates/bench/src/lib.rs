@@ -5,7 +5,8 @@
 //! render function reproducing the paper's tables. The [`runner`] fans the
 //! independent grid cells across worker threads, [`report`] persists JSON
 //! reports, and `evaluate` (the one binary, `src/bin/evaluate.rs`) resolves
-//! experiments by registry name and drives it all.
+//! experiments by registry name and drives it all, after [`flags`] has
+//! checked its command line against every flag table.
 //!
 //! The simulation primitives build on [`run_one`]: construct the Table II
 //! machine, instantiate a scheme by name, generate a workload's per-core
@@ -19,6 +20,7 @@
 pub mod cellspec;
 pub mod exp;
 pub mod experiments;
+pub mod flags;
 pub mod probe;
 pub mod registry;
 pub mod report;
@@ -28,6 +30,7 @@ pub mod trace_cache;
 
 pub use cellspec::{CellSpec, CellWork, ConfigDelta, FaultSpec, RunSpec, SchemeSpec, WorkloadSpec};
 pub use exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec, GridSpec};
+pub use flags::{Flag, Invocation, Line, UsageError};
 pub use probe::{run_profiled, EventTraceSink};
 pub use report::{
     render_finished, render_finished_checked, run_experiment, run_experiment_checked, write_report,
@@ -94,7 +97,7 @@ pub fn run_one(
 ) -> SimStats {
     let config = SimConfig::table_ii(cores);
     let trace = TraceCache::global().get_or_build(workload, cores, txs_per_core, seed);
-    run_streams(scheme_name, &config, &trace)
+    run_with_scheme(make_scheme(scheme_name, &config).as_mut(), &config, &trace)
 }
 
 /// Steady-state delta measurement: runs `workload` at N and at 2N
@@ -138,17 +141,6 @@ pub fn run_delta_with(
         None => engine.run(&long_trace, None),
     };
     finish(long).delta_from(&short)
-}
-
-/// Runs pre-generated streams (owned `Vec`s or a shared
-/// [`silo_sim::TraceSet`]) under `scheme_name` and `config`.
-pub fn run_streams(
-    scheme_name: &str,
-    config: &SimConfig,
-    streams: impl Into<TxStreams>,
-) -> SimStats {
-    let mut scheme = make_scheme(scheme_name, config);
-    run_with_scheme(scheme.as_mut(), config, streams)
 }
 
 /// Runs pre-generated streams under an explicit scheme instance. When the
@@ -311,60 +303,6 @@ impl<W: Workload> Workload for Batched<W> {
     }
 }
 
-/// Parses a `--flag value` override from an argument list.
-///
-/// Returns `Ok(None)` when the flag is absent, `Ok(Some(v))` on a
-/// well-formed value, and `Err` with a user-facing message when the flag
-/// is present but the value is missing or malformed. Malformed overrides
-/// must never be silently replaced by the default — an experiment would
-/// quietly run with the wrong parameters.
-pub fn try_arg<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    let Some(raw) = args.get(i + 1) else {
-        return Err(format!("{flag} expects a value"));
-    };
-    raw.parse()
-        .map(Some)
-        .map_err(|_| format!("invalid value {raw:?} for {flag}"))
-}
-
-fn arg_or_exit<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    match try_arg(args, flag) {
-        Ok(Some(v)) => v,
-        Ok(None) => default,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parses `--txs N` style overrides; returns `default` when the flag is
-/// absent and exits with an error message on a malformed value.
-pub fn arg_usize(args: &[String], flag: &str, default: usize) -> usize {
-    arg_or_exit(args, flag, default)
-}
-
-/// Parses `--seed S` style `u64` overrides; returns `default` when the
-/// flag is absent and exits with an error message on a malformed value.
-pub fn arg_u64(args: &[String], flag: &str, default: u64) -> u64 {
-    arg_or_exit(args, flag, default)
-}
-
-/// Parses a `--flag value` string override; `None` when absent, fatal
-/// when the value is missing.
-pub fn arg_string(args: &[String], flag: &str) -> Option<String> {
-    match try_arg::<String>(args, flag) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    }
-}
-
 #[cfg(test)]
 mod batched_tests {
     use super::*;
@@ -380,42 +318,6 @@ mod batched_tests {
         let batched_words: usize = batched[0][1..].iter().map(|t| t.store_count()).sum();
         assert_eq!(plain_words, batched_words);
         assert!(batched[0][1].store_count() >= 3 * plain[0][1].store_count());
-    }
-
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn arg_parsing() {
-        let args = argv(&["bin", "--txs", "500", "--seed", "9"]);
-        assert_eq!(arg_usize(&args, "--txs", 100), 500);
-        assert_eq!(arg_usize(&args, "--cores", 8), 8);
-        assert_eq!(arg_u64(&args, "--seed", 42), 9);
-        assert_eq!(arg_u64(&args, "--other", 42), 42);
-    }
-
-    #[test]
-    fn malformed_arg_values_are_errors_not_defaults() {
-        let args = argv(&["bin", "--txs", "5oo"]);
-        let err = try_arg::<usize>(&args, "--txs").unwrap_err();
-        assert!(err.contains("--txs"), "message names the flag: {err}");
-        assert!(err.contains("5oo"), "message shows the bad value: {err}");
-        // A flag at the end of the line is missing its value.
-        let args = argv(&["bin", "--seed"]);
-        let err = try_arg::<u64>(&args, "--seed").unwrap_err();
-        assert!(err.contains("expects a value"), "{err}");
-        // Negative numbers don't parse as unsigned overrides.
-        let args = argv(&["bin", "--seed", "-1"]);
-        assert!(try_arg::<u64>(&args, "--seed").is_err());
-    }
-
-    #[test]
-    fn well_formed_and_absent_args_round_trip() {
-        let args = argv(&["bin", "--txs", "500"]);
-        assert_eq!(try_arg::<usize>(&args, "--txs").unwrap(), Some(500));
-        assert_eq!(try_arg::<usize>(&args, "--cores").unwrap(), None);
-        assert_eq!(arg_string(&args, "--bench"), None);
     }
 
     #[test]

@@ -1,9 +1,21 @@
 //! CLI contract tests for the `evaluate` driver binary.
 
+use std::path::PathBuf;
 use std::process::Command;
+
+use silo_types::JsonValue;
 
 fn evaluate() -> Command {
     Command::new(env!("CARGO_BIN_EXE_evaluate"))
+}
+
+/// A per-test scratch directory under the target dir (removed on entry so
+/// reruns start clean; left behind on failure for inspection).
+fn scratch(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
 }
 
 /// Runs `evaluate` and asserts a usage error: exit 2, an `error:` line
@@ -107,27 +119,108 @@ fn render_failure_exits_4() {
 
 #[test]
 fn failed_cell_exits_3_under_catch_cell_panics() {
-    // An unknown workload panics inside the cell; --catch-cell-panics
-    // records it as a failed outcome and the run exits 3 naming the cell
-    // instead of aborting with the panic's 101.
-    let out = evaluate()
-        .args([
-            "latency",
-            "--txs",
-            "8",
-            "--bench",
-            "NoSuchWorkload",
-            "--jobs",
-            "2",
-            "--catch-cell-panics",
-            "--no-result-store",
-        ])
-        .output()
-        .expect("run evaluate");
+    // The flag table refuses unknown names before anything runs, so the
+    // failing cell comes from the result store instead: a cold run fills a
+    // scratch store, every entry is rewritten to what a stale spec leaves
+    // (an error and no values), and the warm run that replays them must
+    // exit 3 naming the cell instead of aborting with a panic's 101.
+    let dir = scratch("failed-cell");
+    let store = dir.join("store");
+    let run = || {
+        evaluate()
+            .args(["compare", "--txs", "8", "--cores", "1", "--bench", "Hash"])
+            .args(["--jobs", "2", "--catch-cell-panics", "--json-dir"])
+            .arg(dir.join("reports"))
+            .env("SILO_RESULT_STORE", &store)
+            .output()
+            .expect("run evaluate")
+    };
+    let cold = run();
+    assert!(cold.status.success(), "{:?}", cold);
+    let mut entries = 0;
+    for fingerprint in std::fs::read_dir(&store).expect("store written").flatten() {
+        for entry in std::fs::read_dir(fingerprint.path())
+            .expect("entries")
+            .flatten()
+        {
+            let path = entry.path();
+            let text = std::fs::read_to_string(&path).expect("read entry");
+            let v = JsonValue::parse(&text).expect("entry is JSON");
+            let stale = JsonValue::object()
+                .field(
+                    "v",
+                    v.get("v").and_then(JsonValue::as_u64).expect("version"),
+                )
+                .field(
+                    "spec",
+                    v.get("spec").and_then(JsonValue::as_str).expect("spec"),
+                )
+                .field(
+                    "trace",
+                    v.get("trace").and_then(JsonValue::as_str).expect("trace"),
+                )
+                .field("values", JsonValue::Arr(Vec::new()))
+                .field("error", "unknown workload \"NoSuchWorkload\" in cell")
+                .build();
+            std::fs::write(&path, format!("{stale}\n")).expect("rewrite entry");
+            entries += 1;
+        }
+    }
+    assert_eq!(entries, 5, "one entry per compare cell");
+    let out = run();
     assert_eq!(out.status.code(), Some(3), "cell failure is exit 3");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cell"), "{stderr:?}");
     assert!(stderr.contains("NoSuchWorkload"), "{stderr:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn usage_errors_exit_2_before_anything_runs() {
+    // Each line is refused with one `error:` line naming its token, and
+    // leaves no report, trace file, or store entry behind: the scratch
+    // directory it runs in stays empty.
+    for (line, token) in [
+        ("fig04 --txz 100", "--txz"),
+        ("fig04 --bench Nope", "--bench"),
+        ("fig04 --fault battery", "--fault"),
+        ("fig13 --cores 4", "--cores"),
+        ("fig04 --txs 10 --txs 20", "--txs"),
+        ("fig04 100", "100"),
+        ("fig04 --json-dir --no-result-store", "--json-dir"),
+        ("latency --bench Nope", "Nope"),
+        ("profile --bench Nope", "Nope"),
+        (
+            "crashfuzz --fault battery --battery-byte 64",
+            "--battery-byte",
+        ),
+        ("crashfuzz --fault torn", "torn"),
+        ("crashfuzz --points", "--points"),
+        ("fuzz --fault op-boundary", "op-boundary"),
+        ("crashfuzz --fault adr", "adr"),
+        ("fig04 --trace-events events.jsonl --txz 1", "--txz"),
+    ] {
+        let dir = scratch("usage");
+        let out = evaluate()
+            .args(line.split_whitespace())
+            .current_dir(&dir)
+            .env("SILO_RESULT_STORE", dir.join("store"))
+            .output()
+            .expect("run evaluate");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr:?}");
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert!(
+            lines.len() == 1 && lines[0].starts_with("error:") && lines[0].contains(token),
+            "{line}: one error line naming {token}: {stderr:?}"
+        );
+        assert!(out.stdout.is_empty(), "{line}: no experiment output");
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .expect("scratch")
+            .flatten()
+            .collect();
+        assert!(left.is_empty(), "{line}: left {left:?} behind");
+    }
 }
 
 #[test]

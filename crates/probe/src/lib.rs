@@ -52,7 +52,7 @@
 
 use std::collections::VecDeque;
 
-use silo_types::JsonValue;
+use silo_types::{Fnv1a, JsonValue};
 
 /// Schema version stamped on every timeline JSONL line (`"v"` field).
 pub const TIMELINE_SCHEMA_VERSION: u64 = 1;
@@ -570,14 +570,11 @@ impl Signature {
     /// the words). Equal signatures always produce equal digests, on any
     /// host.
     pub fn digest(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for w in &self.bits {
-            for b in w.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+        let mut h = Fnv1a::new();
+        for &w in &self.bits {
+            h.write_u64(w);
         }
-        format!("{h:016x}")
+        format!("{:016x}", h.finish())
     }
 }
 

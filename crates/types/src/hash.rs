@@ -15,6 +15,9 @@
 //! exists to verify: tests flip the seed to force a different bucket order
 //! and assert the rendered reports do not change.
 //!
+//! Digests that must outlive one build — content hashes, coverage
+//! signatures — use [`Fnv1a`] instead, the byte-stream FNV-1a 64.
+//!
 //! # Examples
 //!
 //! ```
@@ -147,6 +150,55 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` using the deterministic in-tree Fx hasher.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
+/// FNV-1a 64 over a byte stream: the digest behind content hashes that
+/// must stay byte-identical across processes, builds and hosts (cell spec
+/// hashes, recovered-image digests, coverage signatures, fuzz RNG seeds).
+/// Integers are fed little-endian, so no digest depends on the host.
+///
+/// ```
+/// use silo_types::Fnv1a;
+///
+/// let mut h = Fnv1a::new();
+/// h.write(b"a");
+/// assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// A hasher at the FNV-1a 64 offset basis.
+    pub fn new() -> Self {
+        Fnv1a(Self::OFFSET)
+    }
+
+    /// Folds in `bytes`, one FNV-1a step each.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// Folds in `v` as its 8 little-endian bytes.
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// The digest of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,6 +235,25 @@ mod tests {
             h.finish()
         };
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_test_vectors() {
+        let digest = |bytes: &[u8]| {
+            let mut h = Fnv1a::new();
+            h.write(bytes);
+            h.finish()
+        };
+        assert_eq!(digest(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(digest(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(digest(b"foobar"), 0x8594_4171_f739_67e8);
+        let mut h = Fnv1a::default();
+        h.write_u64(0x0102_0304_0506_0708);
+        assert_eq!(
+            h.finish(),
+            digest(&[8, 7, 6, 5, 4, 3, 2, 1]),
+            "little-endian"
+        );
     }
 
     #[test]

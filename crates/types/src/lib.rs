@@ -48,7 +48,7 @@ mod word;
 
 pub use addr::{LineAddr, PhysAddr, BUF_LINE_BYTES, LINE_BYTES, WORD_BYTES};
 pub use cycles::{Cycles, CLOCK_GHZ};
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{Fnv1a, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{CoreId, ThreadId, TxId, TxTag};
 pub use image::WordImage;
 pub use json::{JsonObject, JsonValue};

@@ -269,6 +269,13 @@ smoke_stage() {
     --scheme Silo --fault battery --battery-bytes 64 --jobs 2)
   echo "$broken" | grep -q "minimal repro: evaluate crashfuzz" \
     || { echo "FAIL: crashfuzz missed the injected battery violation" >&2; exit 1; }
+  # ... and the first repro command, run verbatim, must reproduce it: the
+  # printed command is the contract, so the flag table must accept it.
+  repro=$(echo "$broken" | sed -n 's/^  minimal repro: evaluate //p' | head -n 1)
+  # shellcheck disable=SC2086
+  repro_out=$("$EVALUATE" $repro)
+  echo "$repro_out" | grep -q "^total: [1-9]" \
+    || { echo "FAIL: emitted crashfuzz repro did not reproduce the violation" >&2; exit 1; }
   # Workload-zoo sweeps: the pointer-chasing structures and the zipfian
   # mix must also recover consistently across every scheme and fault
   # model. zipfmix is the workload that shrank the Silo pending-IPU

@@ -12,29 +12,18 @@
 //! few and resume every candidate from them: those candidates must judge
 //! the recovered image exactly as a run from t=0 does.
 
-use silo::baselines::{BaseScheme, LadScheme, MorLogScheme};
-use silo::core::SiloScheme;
 use silo::sim::{
     CrashPlan, CrashTrigger, Engine, FaultModel, LoggingScheme, Op, RunOutcome, SimConfig, StepLog,
     TraceSet,
 };
 use silo::types::{Cycles, PhysAddr};
 use silo::workloads::{workload_by_name, Workload};
+use silo_bench::make_scheme;
 
 const CORES: usize = 2;
 const TXS_PER_CORE: usize = 12;
 const SEED: u64 = 42;
 const SCHEMES: [&str; 3] = ["Silo", "Base", "MorLog"];
-
-fn scheme(name: &str, config: &SimConfig) -> Box<dyn LoggingScheme> {
-    match name {
-        "Silo" => Box::new(SiloScheme::new(config)),
-        "Base" => Box::new(BaseScheme::new(config)),
-        "MorLog" => Box::new(MorLogScheme::new(config)),
-        "LAD" => Box::new(LadScheme::new(config)),
-        other => panic!("no scheme {other}"),
-    }
-}
 
 fn trace() -> TraceSet {
     workload_by_name("Hash")
@@ -60,7 +49,7 @@ fn footprint(trace: &TraceSet) -> Vec<PhysAddr> {
 }
 
 fn logged(name: &str, config: &SimConfig, trace: &TraceSet) -> (RunOutcome, StepLog) {
-    let mut s = scheme(name, config);
+    let mut s = make_scheme(name, config);
     Engine::new(config, s.as_mut()).run_logging_steps(trace)
 }
 
@@ -68,7 +57,7 @@ fn logged(name: &str, config: &SimConfig, trace: &TraceSet) -> (RunOutcome, Step
 fn stops(name: &str, steps: &[u64], stop_after: Option<u64>) -> Vec<u64> {
     let config = SimConfig::table_ii(CORES);
     let trace = trace();
-    let mut s = scheme(name, &config);
+    let mut s = make_scheme(name, &config);
     let mut seen = Vec::new();
     Engine::new(&config, s.as_mut()).walk(&trace, steps, |step, _| {
         seen.push(step);
@@ -93,17 +82,17 @@ fn sweep(
         .zip(&at)
         .map(|(&plan, step)| {
             step.is_none().then(|| {
-                let mut s = scheme(name, config);
+                let mut s = make_scheme(name, config);
                 Engine::new(config, s.as_mut()).run_with_plan(trace, Some(plan))
             })
         })
         .collect();
     let steps: Vec<u64> = at.iter().flatten().copied().collect();
-    let mut s = scheme(name, config);
+    let mut s = make_scheme(name, config);
     Engine::new(config, s.as_mut()).walk(trace, &steps, |step, cp| {
         for (i, &plan) in plans.iter().enumerate() {
             if at[i] == Some(step) {
-                let mut s = scheme(name, config);
+                let mut s = make_scheme(name, config);
                 outcomes[i] = Some(Engine::new(config, s.as_mut()).run_resumed(trace, plan, &cp));
             }
         }
@@ -141,7 +130,7 @@ fn walked_points_on_both_axes_equal_their_runs_from_scratch() {
         {
             let what = format!("{name} @ {:?}", plan.trigger);
             assert!(step.is_some(), "{what}: no step precedes an interior point");
-            let mut s = scheme(name, &config);
+            let mut s = make_scheme(name, &config);
             let scratch = Engine::new(&config, s.as_mut()).run_with_plan(&trace, Some(*plan));
             assert_eq!(
                 scratch.stats.to_json().to_string(),
@@ -265,7 +254,7 @@ fn kept_checkpoints_resume_the_spec_machine_and_signature() {
             .map(|p| log.last_before(p.trigger).expect("interior point"))
             .collect();
         let mut kept = Vec::new();
-        let mut s = scheme(name, &config);
+        let mut s = make_scheme(name, &config);
         judging(s.as_mut(), &config).walk(&trace, &stops, |_, cp| {
             kept.push(cp);
             true
@@ -283,9 +272,9 @@ fn kept_checkpoints_resume_the_spec_machine_and_signature() {
                 .expect("a kept checkpoint precedes every interior point");
             // The checkpoint turns the spec machine and the signature
             // recorder on: nothing is enabled on the resuming engine.
-            let mut s = scheme(name, &config);
+            let mut s = make_scheme(name, &config);
             let resumed = Engine::new(&config, s.as_mut()).run_resumed(&trace, *plan, cp);
-            let mut s = scheme(name, &config);
+            let mut s = make_scheme(name, &config);
             let scratch = judging(s.as_mut(), &config).run_with_plan(&trace, Some(*plan));
             assert_eq!(
                 scratch.signature.expect("signature on").digest(),

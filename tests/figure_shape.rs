@@ -3,35 +3,24 @@
 //! scalability claim, checked at reduced transaction counts so the suite
 //! stays fast.
 
-use silo::baselines::{BaseScheme, FwbScheme, LadScheme, MorLogScheme};
 use silo::core::SiloScheme;
-use silo::sim::{Engine, LoggingScheme, SimConfig, SimStats};
+use silo::sim::{Engine, SimConfig, SimStats};
 use silo::workloads::{workload_by_name, Workload};
+use silo_bench::{make_scheme, run_delta_with};
 
-fn run_raw(scheme_name: &str, bench: &str, cores: usize, txs: usize) -> SimStats {
-    let config = SimConfig::table_ii(cores);
-    let mut scheme: Box<dyn LoggingScheme> = match scheme_name {
-        "Base" => Box::new(BaseScheme::new(&config)),
-        "FWB" => Box::new(FwbScheme::new(&config)),
-        "MorLog" => Box::new(MorLogScheme::new(&config)),
-        "LAD" => Box::new(LadScheme::new(&config)),
-        "Silo" => Box::new(SiloScheme::new(&config)),
-        other => panic!("unknown scheme {other}"),
-    };
-    let w = workload_by_name(bench).expect("benchmark exists");
-    let streams = w.raw_streams(cores, txs, 42);
-    Engine::new(&config, scheme.as_mut())
-        .run(streams, None)
-        .stats
-}
-
-/// Steady-state measurement: run N and 2N transactions of the same
-/// deterministic stream and subtract, excluding the setup transaction
-/// (the same trick the figure generators use).
+/// Steady-state measurement: the 2N-run of a deterministic stream minus
+/// its N-run, excluding the setup transaction. This is the figure
+/// generators' own recipe, and it equals two runs from scratch.
 fn run(scheme_name: &str, bench: &str, cores: usize, txs: usize) -> SimStats {
-    let long = run_raw(scheme_name, bench, cores, txs * 2);
-    let short = run_raw(scheme_name, bench, cores, txs);
-    long.delta_from(&short)
+    let config = SimConfig::table_ii(cores);
+    let w = workload_by_name(bench).expect("benchmark exists");
+    run_delta_with(
+        &config,
+        || make_scheme(scheme_name, &config),
+        w.as_ref(),
+        txs,
+        42,
+    )
 }
 
 #[test]
