@@ -23,7 +23,7 @@ use std::path::PathBuf;
 
 use silo_core::{SiloOptions, SiloScheme};
 use silo_pm::PCM_CELL_ENDURANCE;
-use silo_sim::{Engine, LoggingScheme, SimConfig};
+use silo_sim::{CrashPlan, Engine, FaultModel, LoggingScheme, SimConfig};
 use silo_types::{Cycles, Fnv1a, CLOCK_GHZ};
 use silo_workloads::{workload_by_name, ArrivalProcess, OpenLoop, Workload};
 
@@ -247,9 +247,9 @@ impl RunSpec {
     }
 }
 
-/// The fault model of one crash cell. A `crashfuzz` sweep works on it
-/// directly; a `fuzz` cell, whose triggers are all event-indexed, reads
-/// `OpBoundary` as the perfect-ADR model.
+/// The fault model of one `crashfuzz` sweep cell, with the trigger axis
+/// its crash points lie on. A `fuzz` cell, whose crashes all lie on the
+/// event axis, names its fault with a [`FaultModel`] instead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultSpec {
     /// Cycle-sampled crash at an op boundary, perfect ADR drain.
@@ -261,6 +261,21 @@ pub enum FaultSpec {
 }
 
 impl FaultSpec {
+    /// The crash at `point`: a cycle-sampled op-boundary crash with a
+    /// perfect ADR drain, or an event-indexed one with a torn line or a
+    /// bounded battery.
+    pub fn plan(self, point: u64) -> CrashPlan {
+        match self {
+            FaultSpec::OpBoundary => CrashPlan::at_cycle(Cycles::new(point)),
+            FaultSpec::TornLine(keep) => {
+                CrashPlan::at_event(point).with_fault(FaultModel::torn_line(keep))
+            }
+            FaultSpec::Battery(bytes) => {
+                CrashPlan::at_event(point).with_fault(FaultModel::bounded_battery(bytes))
+            }
+        }
+    }
+
     fn hash_into(&self, h: &mut Encoder) {
         match *self {
             FaultSpec::OpBoundary => h.tag(0),
@@ -349,11 +364,11 @@ pub enum CellWork {
         checkpoints: bool,
     },
     /// One coverage-guided crash-search cell (`fuzz`): a seeded corpus of
-    /// `(fault, crash event, recovery crash)` candidates is mutated toward
-    /// novel probe-event coverage signatures, every recovered image checked
-    /// by both the digest oracle and the per-word executable spec. The
-    /// cell reads and extends an on-disk corpus (its `corpus` field), so
-    /// it is **never** served from the result store — see
+    /// crash plans (fault model, crash event, recovery crash) is mutated
+    /// toward novel probe-event coverage signatures, every recovered image
+    /// checked by both the digest oracle and the per-word executable spec.
+    /// The cell reads and extends an on-disk corpus (its `corpus` field),
+    /// so it is **never** served from the result store — see
     /// [`CellSpec::cacheable`].
     Fuzz {
         /// Scheme legend name.
@@ -364,9 +379,10 @@ pub enum CellWork {
         txs_per_core: usize,
         /// Execution budget: total crash runs, seeds included.
         execs: u64,
-        /// Restrict candidates to one fault model (`--fault`), or search
-        /// across all of them.
-        fault: Option<FaultSpec>,
+        /// Restrict candidates to one kind of fault model (`--fault`; the
+        /// seeds take this model, mutants tweak its knob), or search across
+        /// perfect ADR, torn lines and bounded batteries.
+        fault: Option<FaultModel>,
         /// A fixed crash event (`--crash-event`, repro mode): exactly one
         /// candidate runs, no mutation.
         crash_event: Option<u64>,
@@ -496,7 +512,8 @@ impl CellSpec {
                     None => h.tag(0),
                     Some(f) => {
                         h.tag(1);
-                        f.hash_into(&mut h);
+                        h.opt_usize(f.torn_line_keep_bytes);
+                        h.opt_u64(f.battery_budget_bytes);
                     }
                 }
                 h.opt_u64(*crash_event);
@@ -555,7 +572,7 @@ impl CellSpec {
                 arrival,
                 ..
             } => {
-                let w = fuzz_workload_spec(workload, arrival.as_deref()).instantiate();
+                let w = crash_workload_spec(workload, arrival.as_deref()).instantiate();
                 fold(&*w, CRASH_CORES, *txs_per_core)
             }
         }
@@ -615,21 +632,23 @@ impl CellSpec {
                 txs,
             } => execute_large_tx(workload, *mult, *txs, seed),
             CellWork::Recovery { txs, crash_at } => execute_recovery(*txs, *crash_at, seed),
-            CellWork::CrashSweep { .. } => crate::experiments::crashfuzz::execute_sweep(self),
-            CellWork::Fuzz { .. } => crate::experiments::fuzz::execute_fuzz(self),
+            CellWork::CrashSweep { .. } => crate::experiments::crash::execute_sweep(self),
+            CellWork::Fuzz { .. } => crate::experiments::crash::execute_fuzz(self),
         }
     }
 }
 
 const LARGE_TX_CORES: usize = 8;
 const RECOVERY_CORES: usize = 4;
-const CRASH_CORES: usize = 2;
+/// The crash experiments' cores: two keep crash runs cheap while still
+/// interleaving cores at the shared memory controller.
+pub(crate) const CRASH_CORES: usize = 2;
 
-/// The workload spec a fuzz cell consumes: the plain workload, or the
-/// open-system wrapping when an arrival ident is set. An unparseable
-/// ident (a stale spec) degrades to the plain workload here; the executor
-/// reports it as a cell error before any simulation runs.
-pub(crate) fn fuzz_workload_spec(workload: &str, arrival: Option<&str>) -> WorkloadSpec {
+/// The workload spec a crash cell consumes: the plain workload, or the
+/// open-system wrapping when an arrival ident is set (`fuzz` only). An
+/// unparseable ident (a stale spec) degrades to the plain workload here;
+/// the executor reports it as a cell error before any simulation runs.
+pub(crate) fn crash_workload_spec(workload: &str, arrival: Option<&str>) -> WorkloadSpec {
     match arrival.and_then(ArrivalProcess::parse) {
         Some(p) => WorkloadSpec::open(workload, p),
         None => WorkloadSpec::plain(workload),
@@ -1011,19 +1030,22 @@ mod tests {
             corpus: None,
         };
         check(spec(fuzz(None, None, None, None)));
-        check(spec(fuzz(Some(FaultSpec::Battery(64)), None, None, None)));
+        let battery = Some(FaultModel::bounded_battery(64));
+        check(spec(fuzz(battery, None, None, None)));
         check(spec(fuzz(
-            Some(FaultSpec::Battery(64)),
-            Some(9),
+            Some(FaultModel::perfect_adr()),
+            None,
             None,
             None,
         )));
         check(spec(fuzz(
-            Some(FaultSpec::Battery(64)),
-            Some(9),
-            Some(3),
+            Some(FaultModel::torn_line(64)),
+            None,
+            None,
             None,
         )));
+        check(spec(fuzz(battery, Some(9), None, None)));
+        check(spec(fuzz(battery, Some(9), Some(3), None)));
         check(spec(fuzz(None, None, None, Some("poisson2000"))));
         check(spec(CellWork::Fuzz {
             scheme: "Silo".into(),

@@ -3,8 +3,8 @@
 
 use crate::exp::ExperimentSpec;
 use crate::experiments::{
-    ablations, compare, crashfuzz, endurance, fig04, fig11, fig12, fig13, fig14, fig15, fuzz,
-    latency, motivation, profile, studies, tables,
+    ablations, compare, crash, endurance, fig04, fig11, fig12, fig13, fig14, fig15, latency,
+    motivation, profile, studies, tables,
 };
 
 /// Every registered experiment, in the order `evaluate all` runs them:
@@ -33,8 +33,8 @@ pub fn all() -> Vec<ExperimentSpec> {
         compare::spec(),
         profile::spec(),
         latency::spec(),
-        crashfuzz::spec(),
-        fuzz::spec(),
+        crash::crashfuzz(),
+        crash::fuzz(),
     ]
 }
 

@@ -48,10 +48,10 @@ wall_ms() {
   sed -n 's/.*"wall_ms": *\([0-9.]*\).*/\1/p' "$1"
 }
 
-# peak_rss_mb CMD...: runs CMD with its output discarded, fails if it
-# fails, and prints its peak resident set size in MB (`ru_maxrss` from
-# `os.wait4`, in KiB on Linux).
-peak_rss_mb() {
+# rusage CMD...: runs CMD with its output discarded, fails if it fails,
+# and prints its peak resident set size in MB (`ru_maxrss`, in KiB on
+# Linux) and its CPU time in seconds (user + sys), both from `os.wait4`.
+rusage() {
   python3 - "$@" <<'PY'
 import os, subprocess, sys
 child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -59,7 +59,7 @@ _, status, usage = os.wait4(child.pid, 0)
 code = os.waitstatus_to_exitcode(status)
 if code != 0:
     sys.exit(f"FAIL: {' '.join(sys.argv[1:])} exited {code}")
-print(f"{usage.ru_maxrss / 1024:.1f}")
+print(f"{usage.ru_maxrss / 1024:.1f} {usage.ru_utime + usage.ru_stime:.3f}")
 PY
 }
 
@@ -363,31 +363,33 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
   # op-boundary cycle axis. A from-scratch point replays the whole crash
   # prefix, a resumed one at most the one step past the checkpoint its
   # walk of the clean run lent it, so the checkpointed scan must stay
-  # >= 3x faster. Both must report the same body: resuming may only trade
-  # time, never answers. The walk holds one checkpoint at a time, so the
-  # checkpointed scan's peak RSS must also stay at or under 96 MB.
+  # >= 3x cheaper. The clock is each run's CPU time (user + sys), not
+  # its wall time, which other load on the host stretches. Both must
+  # report the same body: resuming may only trade time, never answers.
+  # The walk holds one checkpoint at a time, so the checkpointed scan's
+  # peak RSS must also stay at or under 96 MB.
   ckpt_dir="target/reports-ci-ckpt"
   rm -rf "$ckpt_dir"
-  ckpt_rss=$(peak_rss_mb "$EVALUATE" crashfuzz --txs 8000 --points 96 --jobs 1 \
+  ckpt=$(rusage "$EVALUATE" crashfuzz --txs 8000 --points 96 --jobs 1 \
     --scheme Silo --bench Hash --fault op-boundary --no-result-store \
     --json-dir "$ckpt_dir/ckpt")
-  "$EVALUATE" crashfuzz --txs 8000 --points 96 --jobs 1 --scheme Silo \
-    --bench Hash --fault op-boundary --no-result-store --no-checkpoints \
-    --json-dir "$ckpt_dir/scratch" > /dev/null 2>&1
+  scratch=$(rusage "$EVALUATE" crashfuzz --txs 8000 --points 96 --jobs 1 \
+    --scheme Silo --bench Hash --fault op-boundary --no-result-store \
+    --no-checkpoints --json-dir "$ckpt_dir/scratch")
+  read -r ckpt_rss ckpt_cpu <<< "$ckpt"
+  read -r _ scratch_cpu <<< "$scratch"
   cmp -s <(strip_envelope "$ckpt_dir/ckpt/crashfuzz.json") \
          <(strip_envelope "$ckpt_dir/scratch/crashfuzz.json") \
     || { echo "FAIL: checkpointed crashfuzz report differs from the from-scratch one" >&2
          exit 1; }
-  ckpt_ms=$(wall_ms "$ckpt_dir/ckpt/crashfuzz.json")
-  scratch_ms=$(wall_ms "$ckpt_dir/scratch/crashfuzz.json")
-  awk -v ckpt="$ckpt_ms" -v scratch="$scratch_ms" \
+  awk -v ckpt="$ckpt_cpu" -v scratch="$scratch_cpu" \
     'BEGIN { exit !(ckpt * 3 <= scratch) }' \
-    || { echo "FAIL: checkpointed crashfuzz ($ckpt_ms ms) not >= 3x faster than scratch ($scratch_ms ms)" >&2
+    || { echo "FAIL: checkpointed crashfuzz (${ckpt_cpu} s CPU) not >= 3x cheaper than scratch (${scratch_cpu} s CPU)" >&2
          exit 1; }
   awk -v rss="$ckpt_rss" 'BEGIN { exit !(rss <= 96) }' \
     || { echo "FAIL: checkpointed crashfuzz peaked at $ckpt_rss MB, over 96 MB" >&2
          exit 1; }
-  echo "checkpointed ${ckpt_ms} ms (peak ${ckpt_rss} MB) vs ${scratch_ms} ms from scratch, same report body"
+  echo "checkpointed ${ckpt_cpu} s CPU (peak ${ckpt_rss} MB) vs ${scratch_cpu} s CPU from scratch, same report body"
   rm -rf "$ckpt_dir"
 
   echo "== fuzz checkpoint memory gate =="
@@ -397,8 +399,9 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
   # full default matrix at --txs 200 must peak at or under 40 MB RSS.
   fuzz_rss_dir="target/reports-ci-fuzz-rss"
   rm -rf "$fuzz_rss_dir"
-  fuzz_rss=$(peak_rss_mb "$EVALUATE" fuzz --no-corpus --txs 200 --jobs 1 \
+  fuzz_usage=$(rusage "$EVALUATE" fuzz --no-corpus --txs 200 --jobs 1 \
     --no-result-store --json-dir "$fuzz_rss_dir")
+  read -r fuzz_rss _ <<< "$fuzz_usage"
   awk -v rss="$fuzz_rss" 'BEGIN { exit !(rss <= 40) }' \
     || { echo "FAIL: fuzz --txs 200 peaked at $fuzz_rss MB, over 40 MB" >&2; exit 1; }
   echo "fuzz --txs 200 peaked at ${fuzz_rss} MB"

@@ -143,7 +143,12 @@ fn every_bad_line_is_a_usage_error_naming_its_token() {
         ("crashfuzz --torn-keep 257", "--torn-keep"),
         ("crashfuzz --point 5", "--point"),
         ("fuzz --crash-event 5", "--crash-event"),
+        ("fuzz --fault adr --crash-event 0", "--crash-event"),
         ("fuzz --fault adr --recovery-crash 2", "--recovery-crash"),
+        (
+            "fuzz --fault battery --crash-event 1777 --recovery-crash 0",
+            "--recovery-crash",
+        ),
         ("fuzz --arrival poisson", "poisson"),
         ("crashfuzz --scheme Silo,Nope", "Nope"),
         ("all --fault adr", "adr"),

@@ -11,6 +11,11 @@
 //! hands out checkpoints that carry both, so a crash search can keep a
 //! few and resume every candidate from them: those candidates must judge
 //! the recovered image exactly as a run from t=0 does.
+//!
+//! The two crash experiments' cells run here through the cell executor
+//! too. Their crash runs resume from the walk, and a debug build re-runs
+//! each resumed run from t=0 and asserts it is the same run, so this
+//! suite is where that check runs.
 
 use silo::sim::{
     CrashPlan, CrashTrigger, Engine, FaultModel, LoggingScheme, Op, RunOutcome, SimConfig, StepLog,
@@ -18,7 +23,7 @@ use silo::sim::{
 };
 use silo::types::{Cycles, PhysAddr};
 use silo::workloads::{workload_by_name, Workload};
-use silo_bench::make_scheme;
+use silo_bench::{make_scheme, CellLabel, CellSpec, CellWork, FaultSpec};
 
 const CORES: usize = 2;
 const TXS_PER_CORE: usize = 12;
@@ -302,4 +307,51 @@ fn kept_checkpoints_resume_the_spec_machine_and_signature() {
     }
     assert!(violated > 0, "the 64 B battery never violated");
     assert!(double_crashed > 0, "no plan re-crashed recovery");
+}
+
+/// The `crashfuzz` cell behind the pinned battery repro (`evaluate
+/// crashfuzz --txs 16 --bench Hash --scheme Silo --fault battery
+/// --battery-bytes 64`): its sweep finds the violation, and shrinking
+/// lands on the repro's 2 transactions and crash event 1020.
+#[test]
+fn the_sweep_cell_shrinks_to_the_pinned_battery_repro() {
+    let work = CellWork::CrashSweep {
+        scheme: "Silo".into(),
+        workload: "Hash".into(),
+        txs_per_core: 8,
+        fault: FaultSpec::Battery(64),
+        points: 4,
+        point: None,
+        checkpoints: true,
+    };
+    let out = CellSpec::new(CellLabel::default(), SEED, work).execute();
+    assert!(out.error.is_none(), "{:?}", out.error);
+    assert_eq!(out.value("shrunk_txs"), 2.0);
+    assert_eq!(out.value("shrunk_point"), 1020.0);
+}
+
+/// The `fuzz` cell of `evaluate fuzz --txs 16 --bench Hash --scheme Silo
+/// --fault battery --battery-bytes 64 --execs 8 --no-corpus`: its first
+/// recorded violation is the one the command prints first.
+#[test]
+fn the_search_cell_records_its_first_violation_at_event_1777() {
+    let work = CellWork::Fuzz {
+        scheme: "Silo".into(),
+        workload: "Hash".into(),
+        txs_per_core: 8,
+        execs: 8,
+        fault: Some(FaultModel::bounded_battery(64)),
+        crash_event: None,
+        recovery_crash: None,
+        arrival: None,
+        corpus: None,
+    };
+    let out = CellSpec::new(CellLabel::default(), SEED, work).execute();
+    assert!(out.error.is_none(), "{:?}", out.error);
+    assert_eq!(out.value("execs"), 8.0);
+    assert!(
+        out.value("recorded") >= 1.0,
+        "the 64 B battery must violate"
+    );
+    assert_eq!(out.value("v0_event"), 1777.0);
 }
