@@ -15,6 +15,10 @@
 //! that run once to lend its checkpoints to the crash runs
 //! (`Target::run`). A resumed crash run equals the same plan run from
 //! t=0; debug builds re-run every resumed plan from scratch and assert it.
+//! Every engine of a cell runs on a machine the cell owns
+//! ([`Engine::on`]): a sweep cell builds two, the walk's and the one its
+//! other runs share, and a search cell one, so a crash run pays neither
+//! for new cache slabs nor for page faults on them.
 //!
 //! * `crashfuzz` sweeps evenly spaced crash points × fault models × every
 //!   scheme × workloads. `op-boundary` is the cycle-sampled trigger (cores
@@ -43,8 +47,8 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use silo_sim::{
-    CrashPlan, CrashTrigger, Engine, EngineCheckpoint, FaultModel, LoggingScheme, RunOutcome,
-    Signature, SimConfig, SimStats, StepLog, TraceSet,
+    CrashPlan, CrashTrigger, Engine, EngineCheckpoint, FaultModel, LoggingScheme, Machine,
+    RunOutcome, Signature, SimConfig, SimStats, StepLog, TraceSet,
 };
 use silo_types::{Cycles, Fnv1a, JsonValue, PhysAddr, Xoshiro256, BUF_LINE_BYTES};
 use silo_workloads::{workload_by_name, ArrivalProcess};
@@ -262,9 +266,8 @@ impl Target {
         make_scheme(&self.scheme, &self.config)
     }
 
-    /// An engine on a fresh machine, judging if the target does.
-    fn engine<'s>(&self, scheme: &'s mut dyn LoggingScheme) -> Engine<'s> {
-        let mut engine = Engine::new(&self.config, scheme);
+    /// `engine`, judging if the target does.
+    fn judged<'s>(&self, mut engine: Engine<'s>) -> Engine<'s> {
         if self.judging {
             engine.enable_spec();
             engine.machine_mut().probe.enable_signature();
@@ -272,21 +275,24 @@ impl Target {
         engine
     }
 
-    /// The clean (no-crash) reference run, with the log of where its loop
-    /// steps lie on both crash axes.
-    fn clean_run(&self) -> (RunOutcome, StepLog) {
+    /// The clean (no-crash) reference run on `machine`, with the log of
+    /// where its loop steps lie on both crash axes.
+    fn clean_run(&self, machine: &mut Machine) -> (RunOutcome, StepLog) {
         let mut s = self.new_scheme();
-        Engine::new(&self.config, s.as_mut()).run_logging_steps(&self.streams)
+        Engine::on(machine, s.as_mut()).run_logging_steps(&self.streams)
     }
 
-    /// Walks the clean run once (`steps` is its log), stopping at the last
-    /// step before each of `plans` in ascending step order, and hands
-    /// `visit` each stop's step and checkpoint, which carries the spec
-    /// machine and signature recorder when the target judges. The callback
-    /// owns the checkpoint: a sweep drops it, a search keeps it. A `false`
-    /// from `visit` ends the walk.
+    /// Walks the clean run once on `machine` (`steps` is its log),
+    /// stopping at the last step before each of `plans` in ascending step
+    /// order, and hands `visit` each stop's step and checkpoint, which
+    /// carries the spec machine and signature recorder when the target
+    /// judges. The callback owns the checkpoint: a sweep drops it, a
+    /// search keeps it. A `false` from `visit` ends the walk. The walk
+    /// holds `machine` until it ends, so crash runs inside `visit` need
+    /// another.
     fn walk(
         &self,
+        machine: &mut Machine,
         steps: &StepLog,
         plans: &[CrashPlan],
         visit: impl FnMut(u64, EngineCheckpoint) -> bool,
@@ -297,26 +303,35 @@ impl Target {
             .collect();
         if !stops.is_empty() {
             let mut s = self.new_scheme();
-            self.engine(s.as_mut()).walk(&self.streams, &stops, visit);
+            self.judged(Engine::on(machine, s.as_mut()))
+                .walk(&self.streams, &stops, visit);
         }
     }
 
-    /// Runs `plan` from t=0, or resumed from a checkpoint of the walk
-    /// that lies before its trigger. Both are the same run: debug builds
-    /// re-run every resumed plan from t=0 and assert equal statistics,
-    /// oracle and spec verdicts, recovery, signature and recovered
-    /// footprint.
-    fn run(&self, plan: CrashPlan, from: Option<&EngineCheckpoint>) -> RunOutcome {
+    /// Runs `plan` on `machine` from t=0, or resumed from a checkpoint of
+    /// the walk that lies before its trigger. Both are the same run:
+    /// debug builds re-run every resumed plan from t=0 on a new machine
+    /// and assert equal statistics, oracle and spec verdicts, recovery,
+    /// signature and recovered footprint.
+    fn run(
+        &self,
+        machine: &mut Machine,
+        plan: CrashPlan,
+        from: Option<&EngineCheckpoint>,
+    ) -> RunOutcome {
         let mut s = self.new_scheme();
         let Some(cp) = from else {
             return self
-                .engine(s.as_mut())
+                .judged(Engine::on(machine, s.as_mut()))
                 .run_with_plan(&self.streams, Some(plan));
         };
-        let out = Engine::new(&self.config, s.as_mut()).run_resumed(&self.streams, plan, cp);
+        let out = Engine::on(machine, s.as_mut()).run_resumed(&self.streams, plan, cp);
         #[cfg(debug_assertions)]
         {
-            let scratch = self.run(plan, None);
+            let mut s = self.new_scheme();
+            let scratch = self
+                .judged(Engine::new(&self.config, s.as_mut()))
+                .run_with_plan(&self.streams, Some(plan));
             let seen = |o: &RunOutcome| {
                 let crash = o.crash.clone().expect("crash injected");
                 let image: Vec<_> = self.footprint.iter().map(|&a| o.pm.peek_word(a)).collect();
@@ -396,18 +411,21 @@ impl Target {
     /// re-simulates at most one step; ascending points make ascending
     /// stops. A point with no earlier step, and every point without
     /// `checkpoints` or under a scheme that cannot checkpoint, runs from
-    /// scratch.
+    /// scratch. The walk runs on `machines[0]`, every other run on
+    /// `machines[1]`.
     fn sweep(
         &self,
+        machines: &mut [Machine; 2],
         fault: FaultSpec,
         checkpoints: bool,
         pick: impl FnOnce(u64) -> Vec<u64>,
         mut keep_going: impl FnMut(PointResult) -> bool,
     ) -> SimStats {
+        let [walker, machine] = machines;
         // Only the clean run's statistics and step log outlive this
         // block; its PM image does not.
         let (stats, plans, steps) = {
-            let (clean, steps) = self.clean_run();
+            let (clean, steps) = self.clean_run(machine);
             let total = match fault {
                 FaultSpec::OpBoundary => clean.stats.sim_cycles.as_u64(),
                 _ => clean.pm.events().total(),
@@ -420,7 +438,7 @@ impl Target {
             .map(|p| steps.last_before(p.trigger).filter(|_| checkpoints))
             .collect();
         let mut run = |i: usize, cp: Option<&EngineCheckpoint>| {
-            let out = self.run(plans[i], cp);
+            let out = self.run(machine, plans[i], cp);
             let crash = out.crash.as_ref().expect("crash injected");
             keep_going(PointResult {
                 point: point(&plans[i]),
@@ -438,7 +456,7 @@ impl Target {
             i += 1;
         }
         let mut ended = false;
-        self.walk(&steps, &plans[i..], |step, cp| {
+        self.walk(walker, &steps, &plans[i..], |step, cp| {
             while i < plans.len() && at[i] == Some(step) {
                 i += 1;
                 if !run(i - 1, Some(&cp)) {
@@ -479,9 +497,11 @@ pub(crate) fn execute_sweep(cell: &CellSpec) -> CellOutcome {
             return CellOutcome::failed(format!("{err}/fault={}", describe(&fault.plan(0))))
         }
     };
+    // Every engine of the cell, shrink sweeps included, runs on these.
+    let mut machines = [Machine::new(&t.config), Machine::new(&t.config)];
     let mut results = Vec::new();
     let pick = |total| point.map_or_else(|| spaced(total, points), |n| vec![n]);
-    let stats = t.sweep(fault, checkpoints, pick, |r| {
+    let stats = t.sweep(&mut machines, fault, checkpoints, pick, |r| {
         results.push(r);
         true
     });
@@ -501,10 +521,10 @@ pub(crate) fn execute_sweep(cell: &CellSpec) -> CellOutcome {
     };
     // Shrinking: halve the stream while a bounded re-scan still violates,
     // then scan for the earliest violating point at the final length.
-    let first_violation = |txs: usize, pick: &dyn Fn(u64) -> Vec<u64>| {
+    let mut first_violation = |txs: usize, pick: &dyn Fn(u64) -> Vec<u64>| {
         let mut found = None;
         let t = target(txs).expect("the cell's workload resolved above");
-        t.sweep(fault, checkpoints, pick, |r| {
+        t.sweep(&mut machines, fault, checkpoints, pick, |r| {
             found = found.or((r.violations > 0).then_some(r.point));
             found.is_none()
         });
@@ -929,9 +949,12 @@ pub(crate) fn execute_fuzz(cell: &CellSpec) -> CellOutcome {
         Ok(t) => t,
         Err(err) => return CellOutcome::failed(err),
     };
+    // Every engine of the cell runs on this one machine: the walk ends
+    // before the first candidate runs.
+    let mut machine = Machine::new(&target.config);
     // Clean reference run: fixes the durability-event axis length, and
     // logs each loop step's position on it for the walk below.
-    let (clean, steps) = target.clean_run();
+    let (clean, steps) = target.clean_run(&mut machine);
     let total = clean.pm.events().total();
     // A fixed --crash-event collapses the whole search to one exact
     // candidate; otherwise the seeds are evenly spaced events per allowed
@@ -951,7 +974,7 @@ pub(crate) fn execute_fuzz(cell: &CellSpec) -> CellOutcome {
     // checkpoints; every candidate resumes from the latest one before its
     // own event.
     let mut checkpoints = Vec::new();
-    target.walk(&steps, &seeds, |_, cp| {
+    target.walk(&mut machine, &steps, &seeds, |_, cp| {
         checkpoints.push(cp);
         true
     });
@@ -983,7 +1006,7 @@ pub(crate) fn execute_fuzz(cell: &CellSpec) -> CellOutcome {
             .iter()
             .rev()
             .find(|cp| cp.event_pos() < point(&cand));
-        let out = target.run(cand, from);
+        let out = target.run(&mut machine, cand, from);
         executed += 1;
         let crash = out.crash.as_ref().expect("crash injected");
         let spec = crash.spec.as_ref().expect("spec machine enabled");

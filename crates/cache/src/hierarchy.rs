@@ -294,6 +294,16 @@ impl CacheHierarchy {
         self.l3.invalidate_all();
     }
 
+    /// Returns the hierarchy to the state [`CacheHierarchy::new`] builds,
+    /// keeping every level's slab (see [`SetAssocCache::reset`]).
+    pub fn reset(&mut self) {
+        for level in self.l1.iter_mut().chain(&mut self.l2) {
+            level.reset();
+        }
+        self.l3.reset();
+        self.pm_writebacks = 0;
+    }
+
     /// All lines that are dirty anywhere in the hierarchy (volatile data
     /// that a crash would lose).
     pub fn all_dirty_lines(&self) -> Vec<LineAddr> {

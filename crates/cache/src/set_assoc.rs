@@ -356,6 +356,17 @@ impl SetAssocCache {
         }
     }
 
+    /// Returns the level to the state [`SetAssocCache::new`] builds: no
+    /// line, LRU clock and counters at zero. Drops every line with one
+    /// epoch bump, so the slab is reused, not reallocated.
+    pub fn reset(&mut self) {
+        self.invalidate_all();
+        self.tick = 0;
+        self.hits = 0;
+        self.misses = 0;
+        self.dirty_evictions = 0;
+    }
+
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
         self.live_slots().filter(|(_, w)| w.is_some()).count()
@@ -637,6 +648,28 @@ mod tests {
         assert!(!c.probe(line(1)) && !c.probe(line(2)));
         assert_eq!(c.occupancy(), 1);
         assert_eq!(c.dirty_lines(), vec![line(0)]);
+    }
+
+    #[test]
+    fn a_reset_level_replays_like_a_new_one() {
+        let mut rng = Xoshiro256::seeded(0x2e5e7);
+        let ops: Vec<(u64, bool)> = (0..400).map(|_| (rng.below(16), rng.percent(40))).collect();
+        let run = |c: &mut SetAssocCache| -> Vec<AccessOutcome> {
+            ops.iter().map(|&(l, w)| c.access(line(l), w)).collect()
+        };
+        let mut used = tiny();
+        run(&mut used);
+        used.reset();
+        assert_eq!(used.occupancy(), 0);
+        assert_eq!(used.counters(), (0, 0, 0));
+        let mut fresh = tiny();
+        assert_eq!(run(&mut used), run(&mut fresh));
+        assert_eq!(used.counters(), fresh.counters());
+        assert_eq!(used.dirty_lines(), fresh.dirty_lines());
+        assert_eq!(
+            used.snapshot().occupied.len(),
+            fresh.snapshot().occupied.len()
+        );
     }
 
     /// The retained reference implementation: the array-of-structs level

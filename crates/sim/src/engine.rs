@@ -504,6 +504,33 @@ impl CoreRun {
 /// Why the public runs unwrap [`Engine::run_inner`]'s outcome.
 const FINISHES: &str = "only a walk ends before its run does";
 
+/// The machine an engine runs on: its own ([`Engine::new`]), or one its
+/// caller owns and lends to engine after engine ([`Engine::on`]).
+enum Host<'a> {
+    Owned(Box<Machine>),
+    Lent(&'a mut Machine),
+}
+
+impl std::ops::Deref for Host<'_> {
+    type Target = Machine;
+
+    fn deref(&self) -> &Machine {
+        match self {
+            Host::Owned(m) => m,
+            Host::Lent(m) => m,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Host<'_> {
+    fn deref_mut(&mut self) -> &mut Machine {
+        match self {
+            Host::Owned(m) => m,
+            Host::Lent(m) => m,
+        }
+    }
+}
+
 /// Executes per-core transaction streams under a logging scheme.
 ///
 /// The engine always steps the core with the smallest local clock
@@ -512,7 +539,7 @@ const FINISHES: &str = "only a walk ends before its run does";
 ///
 /// See the crate docs for an end-to-end example.
 pub struct Engine<'a> {
-    machine: Machine,
+    machine: Host<'a>,
     scheme: &'a mut dyn LoggingScheme,
     oracle: TxOracle,
     // Whether the oracle records transactions: only on runs that can
@@ -524,8 +551,41 @@ pub struct Engine<'a> {
 impl<'a> Engine<'a> {
     /// Builds an engine over a fresh machine.
     pub fn new(config: &SimConfig, scheme: &'a mut dyn LoggingScheme) -> Self {
+        Engine::with(Host::Owned(Box::new(Machine::new(config))), scheme)
+    }
+
+    /// Builds an engine over a machine the caller owns, reset first
+    /// ([`Machine::reset`]): every run is the one [`Engine::new`] makes
+    /// on a fresh machine of `machine.config`, and a resumed run restores
+    /// the whole machine from its checkpoint. The machine stays the
+    /// caller's when the engine is done, so a caller that runs many
+    /// engines (a crash cell) builds its machines, cache slabs and all,
+    /// once.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use silo_sim::{schemes::NullScheme, Engine, Machine, SimConfig, Transaction};
+    /// use silo_types::{PhysAddr, Word};
+    ///
+    /// let config = SimConfig::table_ii(1);
+    /// let tx = Transaction::builder().write(PhysAddr::new(0), Word::new(1)).build();
+    /// let run = |engine: Engine| engine.run(vec![vec![tx.clone()]], None).stats.to_json();
+    /// let mut machine = Machine::new(&config);
+    /// let (mut a, mut b, mut c) = (NullScheme::default(), NullScheme::default(), NullScheme::default());
+    /// let first = run(Engine::on(&mut machine, &mut a));
+    /// let again = run(Engine::on(&mut machine, &mut b));
+    /// assert_eq!(first, run(Engine::new(&config, &mut c)));
+    /// assert_eq!(again, first);
+    /// ```
+    pub fn on(machine: &'a mut Machine, scheme: &'a mut dyn LoggingScheme) -> Self {
+        machine.reset();
+        Engine::with(Host::Lent(machine), scheme)
+    }
+
+    fn with(machine: Host<'a>, scheme: &'a mut dyn LoggingScheme) -> Self {
         Engine {
-            machine: Machine::new(config),
+            machine,
             scheme,
             oracle: TxOracle::default(),
             track_txs: false,
@@ -1012,8 +1072,8 @@ impl<'a> Engine<'a> {
                 // drain the ADR on-PM buffer so traffic stats cover all
                 // writes.
                 self.scheme.on_run_end(&mut self.machine, sim_cycles);
-                let (pm, probe) = (&mut self.machine.pm, &mut self.machine.probe);
-                pm.flush_all_probed(probe, sim_cycles.as_u64());
+                let m = &mut *self.machine;
+                m.pm.flush_all_probed(&mut m.probe, sim_cycles.as_u64());
                 (None, self.machine.pm.stats(), self.machine.pm.clone())
             }
         };
@@ -1230,7 +1290,8 @@ impl<'a> Engine<'a> {
                     (core.time - before).as_u64(),
                 );
                 self.handle_evictions(core, &acc.pm_writebacks);
-                let old = self.machine.shadow.replace(addr, new, &self.machine.pm);
+                let m = &mut *self.machine;
+                let old = m.shadow.replace(addr, new, &m.pm);
                 if self.track_txs {
                     core.cur_writes.insert(addr.word_aligned().as_u64(), new);
                 }

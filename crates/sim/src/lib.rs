@@ -49,7 +49,10 @@
 //! clean run from the shorter run's [`ForkPoint`]
 //! ([`Engine::run_continued`]). Both are byte-identical to running from
 //! t=0. Only runs that can crash, and checkpointing runs whose
-//! checkpoints seed them, feed the oracle.
+//! checkpoints seed them, feed the oracle. A caller that runs many
+//! engines can also share machines between them: [`Engine::on`] runs on a
+//! machine the caller owns, [`Machine::reset`] to the state a new one
+//! has, so its cache slabs are allocated once.
 //!
 //! # Examples
 //!

@@ -136,6 +136,23 @@ impl Machine {
         }
     }
 
+    /// Returns the machine to the idle state [`Machine::new`] builds from
+    /// its configuration, observably equal to a new one: fresh PM device
+    /// and memory controllers, no cached line, an empty shadow, every
+    /// probe off. The cache levels keep their slabs and drop their lines
+    /// with one epoch bump each, which is what makes a reset cheaper than
+    /// a new machine: a crash cell runs hundreds of engines on one
+    /// ([`Engine::on`](crate::Engine::on)).
+    pub fn reset(&mut self) {
+        self.pm = PmDevice::new(self.config.pm_device_config());
+        self.caches.reset();
+        for mc in &mut self.mcs {
+            *mc = MemCtrl::new(self.config.memctrl);
+        }
+        self.shadow.clear();
+        self.probe = ProbeHub::default();
+    }
+
     /// The MC demand traffic for `addr` interleaves to (by cacheline).
     pub fn mc_for_addr(&self, addr: PhysAddr) -> usize {
         (addr.line_index() % self.mcs.len() as u64) as usize
@@ -413,6 +430,28 @@ mod tests {
         let mut cfg = SimConfig::table_ii(1);
         cfg.num_mcs = 0;
         let _ = Machine::new(&cfg);
+    }
+
+    #[test]
+    fn a_reset_machine_is_idle_again() {
+        let mut m = machine();
+        m.shadow.store(PhysAddr::new(128), Word::new(42));
+        m.writeback_line(Cycles::ZERO, LineAddr::containing(PhysAddr::new(128)), true);
+        m.caches
+            .access(silo_types::CoreId::new(1), PhysAddr::new(64).line(), true);
+        m.probe.enable_signature();
+        m.reset();
+        assert!(m.shadow.is_empty());
+        assert_eq!(m.pm.peek_word(PhysAddr::new(128)), Word::ZERO);
+        assert_eq!(m.pm.stats().accepted_writes, 0);
+        assert_eq!(m.pm.events().total(), 0);
+        assert_eq!(m.mc_stats_total().writes, 0);
+        assert_eq!(m.caches.stats().l1, (0, 0));
+        assert!(m.caches.all_dirty_lines().is_empty());
+        assert!(!m.probe.signature_on());
+        // The next write is admitted as on an idle controller.
+        let a = m.pm_write_through(Cycles::ZERO, PhysAddr::new(0), &[1u8; 64]);
+        assert_eq!(a.complete.as_u64(), m.config.memctrl.service_cycles(64, 1));
     }
 
     #[test]

@@ -7,26 +7,28 @@
 //! present, *no* writes of uncommitted transactions surviving.
 
 use silo_pm::PmDevice;
-use silo_types::{FxHashMap, FxHashSet, PhysAddr, TxTag, Word, BUF_LINE_BYTES};
+use silo_types::{FxHashSet, PhysAddr, TxTag, Word, WordImage, BUF_LINE_BYTES};
 
 /// Sequential word peeks over a sorted address stream, fetched one buffer
 /// line at a time: crash verification scans tens of thousands of footprint
 /// words per crash point, and one media-page lookup per *line* beats one
 /// per word. Logical values are identical to [`PmDevice::peek_word`].
-struct LinePeeker {
+/// Both verdicts ([`TxOracle::verify`] and
+/// [`SpecMachine::verify`](crate::SpecMachine::verify)) read through it.
+pub(crate) struct LinePeeker {
     line: [u8; BUF_LINE_BYTES],
     base: u64,
 }
 
 impl LinePeeker {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LinePeeker {
             line: [0u8; BUF_LINE_BYTES],
             base: u64::MAX,
         }
     }
 
-    fn word(&mut self, pm: &PmDevice, addr: PhysAddr) -> Word {
+    pub(crate) fn word(&mut self, pm: &PmDevice, addr: PhysAddr) -> Word {
         let base = addr.as_u64() / BUF_LINE_BYTES as u64 * BUF_LINE_BYTES as u64;
         let off = (addr.as_u64() - base) as usize;
         if off + 8 > BUF_LINE_BYTES {
@@ -95,6 +97,12 @@ impl ConsistencyReport {
 /// seed. Other clean runs, the forking run of a steady-state delta among
 /// them, record nothing.
 ///
+/// The expected words live in two paged copy-on-write [`WordImage`]s, so
+/// a checkpoint's copy of the oracle copies page tables, not words, and a
+/// page is duplicated only when a later commit writes to it.
+/// [`TxOracle::verify`] reads both images in ascending address order
+/// through one line-at-a-time peek of the device, sorting no keys.
+///
 /// The oracle relies on the paper's isolation assumption (§III-A: conflict
 /// isolation is provided by software locking), which our workloads satisfy
 /// by partitioning addresses across threads; [`TxOracle::observe`] asserts
@@ -118,10 +126,10 @@ impl ConsistencyReport {
 #[derive(Clone, Debug, Default)]
 pub struct TxOracle {
     /// Expected post-recovery value per word: the last committed write.
-    committed_state: FxHashMap<u64, Word>,
+    committed_state: WordImage,
     /// Words touched by uncommitted transactions, with the value they must
     /// roll back to.
-    uncommitted_touched: FxHashMap<u64, Word>,
+    uncommitted_touched: WordImage,
     /// Write sets of transactions whose commit raced the power failure:
     /// `(word key, rollback value, new value)` per write. Either outcome
     /// is legal, but it must be all-or-nothing per transaction.
@@ -138,19 +146,13 @@ impl TxOracle {
         if record.committed {
             self.committed_txs += 1;
             for (addr, value) in record.writes {
-                let key = addr.word_aligned().as_u64();
-                self.committed_state.insert(key, value);
+                self.committed_state.insert(addr, value);
             }
         } else {
             self.uncommitted_txs += 1;
             for (addr, _) in record.writes {
-                let key = addr.word_aligned().as_u64();
-                let rollback = self
-                    .committed_state
-                    .get(&key)
-                    .copied()
-                    .unwrap_or(Word::ZERO);
-                self.uncommitted_touched.insert(key, rollback);
+                let rollback = self.committed_state.get(addr).unwrap_or(Word::ZERO);
+                self.uncommitted_touched.insert(addr, rollback);
             }
         }
     }
@@ -166,13 +168,8 @@ impl TxOracle {
             .writes
             .iter()
             .map(|&(addr, new)| {
-                let key = addr.word_aligned().as_u64();
-                let rollback = self
-                    .committed_state
-                    .get(&key)
-                    .copied()
-                    .unwrap_or(Word::ZERO);
-                (key, rollback, new)
+                let rollback = self.committed_state.get(addr).unwrap_or(Word::ZERO);
+                (addr.word_aligned().as_u64(), rollback, new)
             })
             .collect();
         self.ambiguous_groups.push(group);
@@ -180,19 +177,17 @@ impl TxOracle {
 
     /// The value atomic durability requires at `addr` after recovery.
     pub fn expected_value(&self, addr: PhysAddr) -> Word {
-        let key = addr.word_aligned().as_u64();
-        self.committed_state.get(&key).copied().unwrap_or_else(|| {
-            self.uncommitted_touched
-                .get(&key)
-                .copied()
-                .unwrap_or(Word::ZERO)
-        })
+        self.committed_state
+            .get(addr)
+            .or_else(|| self.uncommitted_touched.get(addr))
+            .unwrap_or(Word::ZERO)
     }
 
     /// Checks the PM image against the expected state. Words written by an
     /// ambiguous transaction (see [`observe_ambiguous`]
     /// (Self::observe_ambiguous)) are checked per group — all-new or
     /// all-rollback — instead of against a single expected value.
+    /// Violations of each kind come out in ascending address order.
     pub fn verify(&self, pm: &PmDevice) -> ConsistencyReport {
         let ambiguous_keys: FxHashSet<u64> = self
             .ambiguous_groups
@@ -202,14 +197,10 @@ impl TxOracle {
             .collect();
         let mut report = ConsistencyReport::default();
         let mut peeker = LinePeeker::new();
-        let mut keys: Vec<u64> = self.committed_state.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            if ambiguous_keys.contains(&key) {
+        for (addr, expected) in self.committed_state.iter() {
+            if ambiguous_keys.contains(&addr.as_u64()) {
                 continue; // group-checked below
             }
-            let addr = PhysAddr::new(key);
-            let expected = self.committed_state[&key];
             let actual = peeker.word(pm, addr);
             report.words_checked += 1;
             if actual != expected {
@@ -221,15 +212,11 @@ impl TxOracle {
                 });
             }
         }
-        let mut ukeys: Vec<u64> = self.uncommitted_touched.keys().copied().collect();
-        ukeys.sort_unstable();
         let mut peeker = LinePeeker::new();
-        for key in ukeys {
-            if self.committed_state.contains_key(&key) || ambiguous_keys.contains(&key) {
+        for (addr, expected) in self.uncommitted_touched.iter() {
+            if self.committed_state.get(addr).is_some() || ambiguous_keys.contains(&addr.as_u64()) {
                 continue; // already checked against the committed value
             }
-            let addr = PhysAddr::new(key);
-            let expected = self.uncommitted_touched[&key];
             let actual = peeker.word(pm, addr);
             report.words_checked += 1;
             if actual != expected {
@@ -379,6 +366,77 @@ mod tests {
     fn expected_value_of_untouched_word_is_zero() {
         let oracle = TxOracle::default();
         assert_eq!(oracle.expected_value(PhysAddr::new(12345 * 8)), Word::ZERO);
+    }
+
+    /// Two words on each of four pages, highest address first.
+    fn descending_across_pages() -> Vec<u64> {
+        let mut addrs: Vec<u64> = (0..4u64)
+            .flat_map(|p| [p * 4096 + 8, p * 4096 + 4088])
+            .collect();
+        addrs.reverse();
+        addrs
+    }
+
+    #[test]
+    fn violations_ascend_within_each_kind_whatever_the_observe_order() {
+        let mut oracle = TxOracle::default();
+        let mut pm = PmDevice::new(PmDeviceConfig::default());
+        for (i, &a) in descending_across_pages().iter().enumerate() {
+            // A committed word PM lost, and next to it a cut-off word
+            // whose partial update PM kept.
+            oracle.observe(committed(a, i as u64 + 1));
+            oracle.observe(TxRecord {
+                tag: tag(1, i as u16 + 1),
+                writes: vec![(PhysAddr::new(a - 8), Word::new(99))],
+                committed: false,
+            });
+            pm.write_word(PhysAddr::new(a - 8), Word::new(99));
+        }
+        let report = oracle.verify(&pm);
+        assert_eq!(report.words_checked, 16);
+        assert_eq!(report.violations.len(), 16);
+        // All of the first kind, then all of the second, each ascending.
+        let (lost, survived) = report.violations.split_at(8);
+        for (kind, group, offset) in [
+            ("committed write", lost, 0),
+            ("partial update", survived, 8),
+        ] {
+            assert!(group.iter().all(|v| v.kind.contains(kind)), "{kind}");
+            let addrs: Vec<u64> = group.iter().map(|v| v.addr.as_u64()).collect();
+            let mut want: Vec<u64> = descending_across_pages()
+                .iter()
+                .map(|a| a - offset)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(addrs, want, "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_clone_verifies_as_the_original_did_when_it_was_taken() {
+        let mut oracle = TxOracle::default();
+        let addrs = descending_across_pages();
+        for (i, &a) in addrs.iter().enumerate() {
+            oracle.observe(committed(a, i as u64 + 1));
+        }
+        let mut pm = PmDevice::new(PmDeviceConfig::default());
+        for &a in &addrs[..4] {
+            pm.write_word(PhysAddr::new(a), Word::new(5));
+        }
+        let before = oracle.verify(&pm);
+        let clone = oracle.clone();
+        // Later observes land on every page the clone shares.
+        for &a in &addrs {
+            oracle.observe(committed(a, 5));
+            oracle.observe(TxRecord {
+                tag: tag(1, 1),
+                writes: vec![(PhysAddr::new(a - 8), Word::new(1))],
+                committed: false,
+            });
+        }
+        assert_eq!(clone.verify(&pm), before);
+        assert_eq!(clone.tx_counts(), (8, 0));
+        assert_ne!(oracle.verify(&pm), before, "the original moved on");
     }
 
     fn ambiguous_two_words(oracle: &mut TxOracle) {

@@ -22,7 +22,9 @@
 //! *localization*, not a different notion of correctness.
 
 use silo_pm::PmDevice;
-use silo_types::{FxHashMap, FxHashSet, PhysAddr, TxTag, Word};
+use silo_types::{FxHashMap, FxHashSet, PhysAddr, TxTag, Word, WordImage};
+
+use crate::oracle::LinePeeker;
 
 /// Most recent per-word transitions a violation report carries. Older
 /// ones are dropped (and counted) — the interesting history of a crash is
@@ -129,13 +131,16 @@ struct Pending {
 ///
 /// Fed by the engine via `on_store` / `on_commit` / `on_ambiguous` /
 /// `on_crash_inflight`; queried once after recovery via
-/// [`SpecMachine::verify`].
+/// [`SpecMachine::verify`]. Its legal values live in two paged
+/// copy-on-write [`WordImage`]s, as the oracle's do, so a checkpoint's
+/// copy shares their pages, and `verify` reads them in ascending address
+/// order without sorting keys.
 #[derive(Clone, Debug, Default)]
 pub struct SpecMachine {
     /// Legal value per word whose last owning transaction committed.
-    committed: FxHashMap<u64, Word>,
+    committed: WordImage,
     /// Rollback value per word touched only by cut-off transactions.
-    uncommitted: FxHashMap<u64, Word>,
+    uncommitted: WordImage,
     /// All-or-nothing groups: `(key, rollback, new)` per word of each
     /// commit that raced the power failure.
     ambiguous: Vec<Vec<(u64, Word, Word)>>,
@@ -194,7 +199,7 @@ impl SpecMachine {
     pub fn on_commit(&mut self, core: usize, tag: TxTag, event: u64) {
         let writes = self.take_pending(core, tag);
         for &(key, value) in &writes {
-            self.committed.insert(key, value);
+            self.committed.insert(PhysAddr::new(key), value);
             self.record(
                 key,
                 WordEvent {
@@ -213,8 +218,9 @@ impl SpecMachine {
     pub fn on_crash_inflight(&mut self, core: usize, tag: TxTag, event: u64) {
         let writes = self.take_pending(core, tag);
         for &(key, _) in &writes {
-            let rollback = self.committed.get(&key).copied().unwrap_or(Word::ZERO);
-            self.uncommitted.insert(key, rollback);
+            let addr = PhysAddr::new(key);
+            let rollback = self.committed.get(addr).unwrap_or(Word::ZERO);
+            self.uncommitted.insert(addr, rollback);
             self.record(
                 key,
                 WordEvent {
@@ -235,7 +241,7 @@ impl SpecMachine {
         let writes = self.take_pending(core, tag);
         let mut group = Vec::with_capacity(writes.len());
         for &(key, new) in &writes {
-            let rollback = self.committed.get(&key).copied().unwrap_or(Word::ZERO);
+            let rollback = self.committed.get(PhysAddr::new(key)).unwrap_or(Word::ZERO);
             group.push((key, rollback, new));
             self.record(
                 key,
@@ -313,18 +319,16 @@ impl SpecMachine {
             .collect();
         let mut report = SpecReport::default();
 
-        let mut keys: Vec<u64> = self.committed.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            if ambiguous_keys.contains(&key) {
+        let mut peeker = LinePeeker::new();
+        for (addr, legal) in self.committed.iter() {
+            if ambiguous_keys.contains(&addr.as_u64()) {
                 continue; // group-checked below
             }
-            let legal = self.committed[&key];
-            let actual = pm.peek_word(PhysAddr::new(key));
+            let actual = peeker.word(pm, addr);
             report.words_checked += 1;
             if actual != legal {
                 report.violations.push(Self::violation(
-                    key,
+                    addr.as_u64(),
                     vec![legal],
                     actual,
                     "committed write lost or corrupted",
@@ -332,18 +336,16 @@ impl SpecMachine {
             }
         }
 
-        let mut ukeys: Vec<u64> = self.uncommitted.keys().copied().collect();
-        ukeys.sort_unstable();
-        for key in ukeys {
-            if self.committed.contains_key(&key) || ambiguous_keys.contains(&key) {
+        let mut peeker = LinePeeker::new();
+        for (addr, legal) in self.uncommitted.iter() {
+            if self.committed.get(addr).is_some() || ambiguous_keys.contains(&addr.as_u64()) {
                 continue; // already checked against the committed value
             }
-            let legal = self.uncommitted[&key];
-            let actual = pm.peek_word(PhysAddr::new(key));
+            let actual = peeker.word(pm, addr);
             report.words_checked += 1;
             if actual != legal {
                 report.violations.push(Self::violation(
-                    key,
+                    addr.as_u64(),
                     vec![legal],
                     actual,
                     "partial update of uncommitted transaction survived",
@@ -477,6 +479,81 @@ mod tests {
         let addrs: Vec<u64> = report.violations.iter().map(|v| v.addr.as_u64()).collect();
         assert_eq!(addrs, vec![0, 64, 128]);
         assert_eq!(report.first_offender().unwrap().addr, PhysAddr::new(0));
+    }
+
+    /// Two words on each of four pages, highest address first.
+    fn descending_across_pages() -> Vec<u64> {
+        let mut addrs: Vec<u64> = (0..4u64)
+            .flat_map(|p| [p * 4096 + 8, p * 4096 + 4088])
+            .collect();
+        addrs.reverse();
+        addrs
+    }
+
+    #[test]
+    fn violations_ascend_within_each_kind_whatever_the_store_order() {
+        let mut spec = SpecMachine::new();
+        let mut pm = PmDevice::new(PmDeviceConfig::default());
+        let mut event = 0;
+        for (i, &a) in descending_across_pages().iter().enumerate() {
+            // A committed word PM lost ...
+            let t = tag(0, i as u16 + 1);
+            event += 1;
+            spec.on_store(0, t, PhysAddr::new(a), Word::new(i as u64 + 1), event);
+            spec.on_commit(0, t, event);
+            // ... and a cut-off word whose partial update PM kept.
+            let t = tag(1, i as u16 + 1);
+            spec.on_store(1, t, PhysAddr::new(a - 8), Word::new(99), event);
+            spec.on_crash_inflight(1, t, event);
+            pm.write_word(PhysAddr::new(a - 8), Word::new(99));
+        }
+        let report = spec.verify(&pm);
+        assert_eq!(report.words_checked, 16);
+        assert_eq!(report.violations.len(), 16);
+        for (kind, offset) in [("committed write", 0), ("partial update", 8)] {
+            let addrs: Vec<u64> = report
+                .violations
+                .iter()
+                .filter(|v| v.kind.contains(kind))
+                .map(|v| v.addr.as_u64())
+                .collect();
+            let mut want: Vec<u64> = descending_across_pages()
+                .iter()
+                .map(|a| a - offset)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(addrs, want, "{kind}");
+        }
+        let all: Vec<u64> = report.violations.iter().map(|v| v.addr.as_u64()).collect();
+        assert!(all.windows(2).all(|w| w[0] < w[1]), "{all:?}");
+    }
+
+    #[test]
+    fn a_clone_verifies_as_the_original_did_when_it_was_taken() {
+        let mut spec = SpecMachine::new();
+        let addrs = descending_across_pages();
+        for (i, &a) in addrs.iter().enumerate() {
+            let t = tag(0, i as u16 + 1);
+            spec.on_store(0, t, PhysAddr::new(a), Word::new(i as u64 + 1), i as u64);
+            spec.on_commit(0, t, i as u64);
+        }
+        let mut pm = PmDevice::new(PmDeviceConfig::default());
+        for &a in &addrs[..4] {
+            pm.write_word(PhysAddr::new(a), Word::new(5));
+        }
+        let before = spec.verify(&pm);
+        let clone = spec.clone();
+        // Later transitions land on every page the clone shares.
+        for (i, &a) in addrs.iter().enumerate() {
+            let t = tag(0, 100 + i as u16);
+            spec.on_store(0, t, PhysAddr::new(a), Word::new(5), 100);
+            spec.on_commit(0, t, 101);
+            let t = tag(1, 100 + i as u16);
+            spec.on_store(1, t, PhysAddr::new(a - 8), Word::new(1), 102);
+            spec.on_crash_inflight(1, t, 103);
+        }
+        assert_eq!(clone.verify(&pm), before);
+        assert_ne!(spec.verify(&pm), before, "the original moved on");
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! A sparse, paged, copy-on-write image of written 8-byte words.
 //!
-//! The simulator keeps two word-granular memory images on its hottest
-//! paths: the machine's architectural shadow (every simulated store and
-//! every cacheline eviction) and the workload recorder's logical memory
-//! (every generated load and store). [`WordImage`] serves both with the
-//! layout of the paged PM media: a page table of 4 KiB pages of words, each
-//! page with a bitmap of the words ever written, the pages held in [`Arc`].
-//! A store or a load is one page-table lookup; a cacheline's eight words and
-//! their written mask come from one lookup too, because a line never
-//! straddles a page. Cloning an image copies the page table and bumps
-//! refcounts; a page is duplicated only when a write lands on it while a
-//! clone still shares it.
+//! The simulator keeps its word-granular memory images in [`WordImage`]:
+//! the machine's architectural shadow (every simulated store and every
+//! cacheline eviction), the workload recorder's logical memory (every
+//! generated load and store), and the crash verdicts' expected words (the
+//! oracle's and the spec machine's committed and rollback values, which
+//! every crash checkpoint copies). They share the layout of the paged PM
+//! media: a page table of 4 KiB pages of words, each page with a bitmap of
+//! the words ever written, the pages held in [`Arc`]. A store or a load is
+//! one page-table lookup; a cacheline's eight words and their written mask
+//! come from one lookup too, because a line never straddles a page.
+//! Cloning an image copies the page table and bumps refcounts; a page is
+//! duplicated only when a write lands on it while a clone still shares it.
+//! [`WordImage::iter`] reads the written words in ascending address order,
+//! sorting only the page indices.
 
 use std::sync::Arc;
 
@@ -44,6 +47,31 @@ impl Page {
     fn is_written(&self, w: usize) -> bool {
         self.written[w / 64] >> (w % 64) & 1 != 0
     }
+
+    /// The indices of the written words, ascending.
+    fn written_words(&self) -> impl Iterator<Item = usize> + '_ {
+        self.written
+            .iter()
+            .enumerate()
+            .flat_map(|(chunk, &bits)| SetBits(bits).map(move |b| chunk * 64 + b))
+    }
+}
+
+/// The set bits of a word, lowest first.
+struct SetBits(u64);
+
+impl Iterator for SetBits {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let b = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(b)
+    }
 }
 
 /// The page index and the word index within that page of `addr`'s word.
@@ -75,6 +103,9 @@ fn split(addr: PhysAddr) -> (u64, usize) {
 /// assert_eq!(snap.get(PhysAddr::new(8)), Some(Word::new(6)));
 /// let (words, written) = img.line(LineAddr::containing(PhysAddr::new(0)));
 /// assert_eq!((words[1], written), (Word::new(7), 0b10));
+/// img.insert(PhysAddr::new(0), Word::ZERO);
+/// let words: Vec<(u64, Word)> = img.iter().map(|(a, w)| (a.as_u64(), w)).collect();
+/// assert_eq!(words, [(0, Word::ZERO), (8, Word::new(7))]);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct WordImage {
@@ -131,6 +162,23 @@ impl WordImage {
             *out = Word::new(p.words[w + i]);
         }
         (words, written)
+    }
+
+    /// Every written word with its word-aligned address, in ascending
+    /// address order. Sorts the page indices, not the words: a page's
+    /// words come out of its written bitmap already in order.
+    pub fn iter(&self) -> impl Iterator<Item = (PhysAddr, Word)> + '_ {
+        let mut pages: Vec<(u64, &Page)> = self.pages.iter().map(|(&i, p)| (i, &**p)).collect();
+        pages.sort_unstable_by_key(|&(i, _)| i);
+        pages.into_iter().flat_map(|(i, p)| {
+            let base = i * PAGE_BYTES as u64;
+            p.written_words().map(move |w| {
+                (
+                    PhysAddr::new(base + (w * WORD_BYTES) as u64),
+                    Word::new(p.words[w]),
+                )
+            })
+        })
     }
 
     /// Forgets every written word.

@@ -1,23 +1,25 @@
 //! Restorable component state for shared-prefix resimulation.
 //!
-//! Crashfuzz re-simulates the same clean prefix for every crash point; the
+//! Every crash run of a crash cell shares the cell's clean prefix; the
 //! [`Snapshot`] trait lets each machine component capture its full state at
 //! a quiescent engine boundary and later restore it exactly, so a crash run
 //! can resume from a checkpoint just before it instead of t=0. The contract
 //! is strict byte-identity: a component restored from a snapshot must
 //! behave exactly as if the prefix had just been simulated — same
-//! observable state, same counters, same subsequent event stream.
+//! observable state, same counters, same subsequent event stream —
+//! whatever state the component held before the restore. A crash cell
+//! restores checkpoints into machines that earlier runs of the cell used.
 
 /// A component whose complete state can be captured and restored.
 ///
 /// Implementations must guarantee that after `restore(&s)` the component is
 /// indistinguishable from its state at the moment `s = snapshot()` was
-/// taken. For Arc-COW backed components (the paged PM media) a snapshot is a
-/// pointer bump; for flat slabs (the caches) it is a sparse copy of the
-/// occupied entries.
+/// taken. For Arc-COW backed components (the paged PM media, the word
+/// images) a snapshot is a page-table copy and pointer bumps; for flat
+/// slabs (the caches) it is a sparse copy of the occupied entries.
 pub trait Snapshot {
-    /// The captured state. `Send + Sync` so checkpoint sets can be shared
-    /// across sweep worker threads behind an `Arc`.
+    /// The captured state. `Send + Sync`, so a checkpoint can move to or
+    /// be read from any worker thread.
     type State: Send + Sync;
 
     /// Capture the component's complete state.

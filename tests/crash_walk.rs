@@ -12,14 +12,19 @@
 //! few and resume every candidate from them: those candidates must judge
 //! the recovered image exactly as a run from t=0 does.
 //!
+//! A crash cell runs all its engines on machines it owns
+//! ([`Engine::on`]): each run resets the machine or restores it from a
+//! checkpoint, so one machine taken through any sequence of plans must
+//! give the outcomes new machines give.
+//!
 //! The two crash experiments' cells run here through the cell executor
 //! too. Their crash runs resume from the walk, and a debug build re-runs
 //! each resumed run from t=0 and asserts it is the same run, so this
 //! suite is where that check runs.
 
 use silo::sim::{
-    CrashPlan, CrashTrigger, Engine, FaultModel, LoggingScheme, Op, RunOutcome, SimConfig, StepLog,
-    TraceSet,
+    CrashPlan, CrashTrigger, Engine, EngineCheckpoint, FaultModel, LoggingScheme, Machine, Op,
+    RunOutcome, SimConfig, StepLog, TraceSet,
 };
 use silo::types::{Cycles, PhysAddr};
 use silo::workloads::{workload_by_name, Workload};
@@ -216,7 +221,11 @@ fn a_point_with_no_earlier_step_runs_from_scratch() {
 /// An engine with the spec machine and the signature recorder on, the way
 /// the crash search judges every candidate.
 fn judging<'s>(scheme: &'s mut dyn LoggingScheme, config: &SimConfig) -> Engine<'s> {
-    let mut engine = Engine::new(config, scheme);
+    judged(Engine::new(config, scheme))
+}
+
+/// `engine` with the spec machine and the signature recorder on.
+fn judged(mut engine: Engine<'_>) -> Engine<'_> {
     engine.enable_spec();
     engine.machine_mut().probe.enable_signature();
     engine
@@ -303,6 +312,117 @@ fn kept_checkpoints_resume_the_spec_machine_and_signature() {
                 violated += 1;
             }
             double_crashed += a.double_crash as usize;
+        }
+    }
+    assert!(violated > 0, "the 64 B battery never violated");
+    assert!(double_crashed > 0, "no plan re-crashed recovery");
+}
+
+/// What a crash run must reproduce exactly, whichever machine it ran on:
+/// its statistics, both verdicts, its recovery, whether recovery
+/// re-crashed, its coverage signature and its recovered footprint.
+fn observed(out: &RunOutcome, fp: &[PhysAddr]) -> impl PartialEq + std::fmt::Debug {
+    let crash = out.crash.clone().expect("crash injected");
+    (
+        out.stats.to_json().to_string(),
+        crash.consistency,
+        crash.spec,
+        crash.recovery,
+        crash.double_crash,
+        out.signature.map(|s| s.digest()),
+        fp.iter().map(|&a| out.pm.peek_word(a)).collect::<Vec<_>>(),
+    )
+}
+
+#[test]
+fn one_reused_machine_runs_every_plan_as_a_new_machine_does() {
+    let config = SimConfig::table_ii(CORES);
+    let trace = trace();
+    let fp = footprint(&trace);
+    let (mut violated, mut double_crashed) = (0, 0);
+    for name in ["Silo", "Base", "LAD"] {
+        // One machine for everything: the clean run, the walk, and every
+        // crash run after it, resumed or from scratch.
+        let mut machine = Machine::new(&config);
+        let mut s = make_scheme(name, &config);
+        let (clean, log) = Engine::on(&mut machine, s.as_mut()).run_logging_steps(&trace);
+        let events = clean.pm.events().total();
+        let at = |k: u64| events * k / 5;
+        let stops: Vec<u64> = (1..=4)
+            .map(|k| {
+                log.last_before(CrashTrigger::Event(at(k)))
+                    .expect("interior")
+            })
+            .collect();
+        let mut kept: Vec<EngineCheckpoint> = Vec::new();
+        let mut s = make_scheme(name, &config);
+        // The walk ends at its last stop, leaving its signature recorder
+        // on the machine's probe: the next run must not see it.
+        judged(Engine::on(&mut machine, s.as_mut())).walk(&trace, &stops, |_, cp| {
+            kept.push(cp);
+            true
+        });
+        assert_eq!(kept.len(), 4, "{name}: one kept checkpoint per stop");
+
+        // `None` runs from scratch; a judging scratch run has the spec
+        // machine and signature on, as a kept checkpoint does. The first
+        // plan judges nothing, so a signature recorder left over from the
+        // walk would show in its outcome.
+        let battery = FaultModel::bounded_battery(64 * 1024);
+        let mut plans: Vec<(CrashPlan, Option<usize>, bool)> = vec![
+            (
+                CrashPlan::at_event(at(5) / 2).with_fault(FaultModel::torn_line(64)),
+                None,
+                false,
+            ),
+            (CrashPlan::at_event(at(3) + 1), Some(2), true),
+            (
+                CrashPlan::at_event(at(1) + 2).with_fault(battery),
+                Some(0),
+                true,
+            ),
+            (
+                CrashPlan::at_event(at(4) + 1).with_recovery_crash(1),
+                Some(3),
+                true,
+            ),
+            (CrashPlan::at_event(at(2) + 3), None, true),
+            (
+                CrashPlan::at_event(at(2) + 1)
+                    .with_fault(FaultModel::torn_line(0))
+                    .with_recovery_crash(2),
+                Some(1),
+                true,
+            ),
+        ];
+        if name == "Silo" {
+            let undersized = FaultModel::bounded_battery(64);
+            plans.insert(
+                3,
+                (
+                    CrashPlan::at_event(at(4) + 2).with_fault(undersized),
+                    Some(3),
+                    true,
+                ),
+            );
+        }
+        for (plan, from, judge) in plans {
+            let what = format!("{name} {plan:?} from {from:?}");
+            let mut s = make_scheme(name, &config);
+            let engine = Engine::on(&mut machine, s.as_mut());
+            let reused = match from {
+                Some(i) => engine.run_resumed(&trace, plan, &kept[i]),
+                None if judge => judged(engine).run_with_plan(&trace, Some(plan)),
+                None => engine.run_with_plan(&trace, Some(plan)),
+            };
+            let mut s = make_scheme(name, &config);
+            let engine = Engine::new(&config, s.as_mut());
+            let fresh =
+                if judge { judged(engine) } else { engine }.run_with_plan(&trace, Some(plan));
+            assert_eq!(observed(&reused, &fp), observed(&fresh, &fp), "{what}");
+            let crash = fresh.crash.expect("crash injected");
+            violated += !crash.consistency.is_consistent() as usize;
+            double_crashed += crash.double_crash as usize;
         }
     }
     assert!(violated > 0, "the 64 B battery never violated");

@@ -2,19 +2,23 @@
 //!
 //! The machine's architectural shadow ([`ShadowMem`]) and the workload
 //! recorder's logical memory ([`TxRecorder`]) both keep their words in a
-//! paged, copy-on-write [`silo::types::WordImage`]. Here seeded random
+//! paged, copy-on-write [`WordImage`]. Here seeded random
 //! operations drive both against the simplest possible model, a
 //! `HashMap<u64, Word>` of written words. For the shadow, a word that
 //! model lacks falls through to [`PmDevice::peek_word`], which reads the
 //! media with staged on-PM buffer bytes laid over it; the device under
 //! the shadow holds both while the stream runs. Clones taken mid-stream
 //! must keep their own contents however the original moves on.
+//!
+//! The crash verdicts read their images in address order
+//! ([`WordImage::iter`]), so the image's iteration is checked against an
+//! ordered reference, a `BTreeMap`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use silo::pm::{PmDevice, PmDeviceConfig};
 use silo::sim::ShadowMem;
-use silo::types::{LineAddr, PhysAddr, Word, Xoshiro256, LINE_BYTES, WORD_BYTES};
+use silo::types::{LineAddr, PhysAddr, Word, WordImage, Xoshiro256, LINE_BYTES, WORD_BYTES};
 use silo::workloads::TxRecorder;
 
 /// Image page size: the spans below straddle page boundaries on purpose.
@@ -237,5 +241,77 @@ fn recorder_reads_its_writes_across_page_boundaries() {
             let want = clone_ref.get(&a.as_u64()).copied().unwrap_or(0);
             assert_eq!(clone.peek_u64(a), want, "{a}");
         }
+    }
+}
+
+/// Every word of `image` in iteration order, as `(address, value)`.
+fn listed(image: &WordImage) -> Vec<(u64, u64)> {
+    image
+        .iter()
+        .map(|(a, w)| (a.as_u64(), w.as_u64()))
+        .collect()
+}
+
+fn ordered(reference: &BTreeMap<u64, u64>) -> Vec<(u64, u64)> {
+    reference.iter().map(|(&a, &v)| (a, v)).collect()
+}
+
+#[test]
+fn iteration_lists_each_written_word_once_in_ascending_address_order() {
+    let mut rng = Xoshiro256::seeded(0x17e4);
+    // Eight pages around a page boundary, a few far ones, every address
+    // unaligned half the time; a fifth of the values written are zero.
+    let base = 40 * PAGE - PAGE / 2;
+    let pick = |rng: &mut Xoshiro256| {
+        let a = if rng.percent(10) {
+            rng.below(1 << 20) * PAGE + rng.below(PAGE)
+        } else {
+            base + rng.below(8 * PAGE)
+        };
+        PhysAddr::new(a)
+    };
+    let mut image = WordImage::new();
+    let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut clones: Vec<(WordImage, Vec<(u64, u64)>)> = Vec::new();
+    let (mut zeros, mut pages) = (0, 0);
+    for step in 0..4_000 {
+        match rng.below(100) {
+            0..=97 => {
+                let addr = pick(&mut rng);
+                let value = if rng.percent(20) { 0 } else { rng.next_u64() };
+                zeros += (value == 0) as u32;
+                image.insert(addr, Word::new(value));
+                reference.insert(addr.word_aligned().as_u64(), value);
+            }
+            98 => {
+                // A clone keeps the listing it had when it was taken.
+                clones.push((image.clone(), ordered(&reference)));
+            }
+            _ if step % 4 == 0 => {
+                image.clear();
+                reference.clear();
+                assert!(listed(&image).is_empty(), "cleared at step {step}");
+            }
+            _ => {}
+        }
+        if step % 250 == 0 {
+            assert_eq!(listed(&image), ordered(&reference), "step {step}");
+            let mut touched: Vec<u64> = reference.keys().map(|a| a / PAGE).collect();
+            touched.dedup();
+            pages = pages.max(touched.len());
+        }
+    }
+    assert!(zeros > 100, "{zeros} zeros written");
+    assert!(pages >= 8, "the image spanned {pages} pages");
+    let live = listed(&image);
+    assert_eq!(live, ordered(&reference), "live image");
+    assert_eq!(live.len(), image.len());
+    assert!(
+        live.windows(2).all(|w| w[0].0 < w[1].0),
+        "addresses strictly ascend"
+    );
+    assert!(clones.len() >= 20, "{} clones", clones.len());
+    for (i, (clone, at_clone)) in clones.iter().enumerate() {
+        assert_eq!(&listed(clone), at_clone, "clone {i}");
     }
 }
