@@ -47,8 +47,8 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use silo_sim::{
-    CrashPlan, CrashTrigger, Engine, EngineCheckpoint, FaultModel, LoggingScheme, Machine,
-    RunOutcome, Signature, SimConfig, SimStats, StepLog, TraceSet,
+    CrashPlan, CrashTrigger, Engine, EngineCheckpoint, FaultModel, LinePeeker, LoggingScheme,
+    Machine, RunOutcome, Signature, SimConfig, SimStats, StepLog, TraceSet,
 };
 use silo_types::{Cycles, Fnv1a, JsonValue, PhysAddr, Xoshiro256, BUF_LINE_BYTES};
 use silo_workloads::{workload_by_name, ArrivalProcess};
@@ -370,29 +370,17 @@ struct PointResult {
 /// per-core committed counts folded in so equal digests imply equal
 /// progress losslessly. Only word *values* are folded — the footprint
 /// addresses are the same for every crash point of a cell, so hashing
-/// them adds cost without discrimination. Words are fetched a buffer
-/// line at a time: the footprint is sorted, so one media-page lookup
-/// serves every footprint word on the line instead of one lookup each.
+/// them adds cost without discrimination. The footprint is sorted, so
+/// the verdicts' [`LinePeeker`] serves every footprint word of a buffer
+/// line from one media-page lookup.
 fn image_digest(out: &RunOutcome, footprint: &[PhysAddr]) -> u32 {
-    const LINE: u64 = BUF_LINE_BYTES as u64;
-    let mut line = [0u8; BUF_LINE_BYTES];
-    let mut line_base = u64::MAX;
+    let mut peeker = LinePeeker::default();
     let mut h = Fnv1a::new();
     for c in &out.stats.per_core {
         h.write_u64(c.txs_committed);
     }
     for &a in footprint {
-        let base = a.as_u64() / LINE * LINE;
-        let off = (a.as_u64() - base) as usize;
-        if off + 8 > BUF_LINE_BYTES {
-            h.write_u64(out.pm.peek_word(a).as_u64()); // straddles two lines
-            continue;
-        }
-        if base != line_base {
-            out.pm.peek_into(PhysAddr::new(base), &mut line);
-            line_base = base;
-        }
-        h.write(&line[off..off + 8]);
+        h.write_u64(peeker.word(&out.pm, a).as_u64());
     }
     // Folded to 32 bits so it survives an `f64` cell value.
     let h = h.finish();
@@ -854,7 +842,8 @@ fn encode_entry(plan: &CrashPlan, sig_digest: &str) -> String {
 /// entry is skipped, not fatal — a stale corpus must never kill a run).
 /// Corpus files are untrusted input, so an entry must name a crash the
 /// command line can replay: a `fuzz --fault` kind, a torn line within
-/// `--torn-keep`'s range and a recovery crash of at least one write.
+/// `--torn-keep`'s range, a crash event of at least 1 (as `--crash-event`
+/// takes) and a recovery crash of at least one write.
 fn decode_entry(text: &str) -> Option<CrashPlan> {
     let v = JsonValue::parse(text).ok()?;
     if v.get("v").and_then(JsonValue::as_u64) != Some(CORPUS_VERSION) {
@@ -862,7 +851,7 @@ fn decode_entry(text: &str) -> Option<CrashPlan> {
     }
     let name = v.get("fault").and_then(JsonValue::as_str)?;
     let arg = v.get("arg").and_then(JsonValue::as_u64)?;
-    let event = v.get("event").and_then(JsonValue::as_u64)?.max(1);
+    let event = v.get("event")?.as_u64().filter(|&n| n >= 1)?;
     let recovery_crash_at = match v.get("rc") {
         Some(rc) => Some(rc.as_u64().filter(|&n| n >= 1)?),
         None => None,
@@ -912,6 +901,19 @@ fn persist_entry(dir: &Path, plan: &CrashPlan, sig_digest: &str) {
     if std::fs::write(&tmp, encode_entry(plan, sig_digest)).is_ok() {
         let _ = std::fs::rename(&tmp, path);
     }
+}
+
+/// The candidates a search runs before it mutates: the persisted corpus in
+/// its load order, then the seeds, each distinct plan once, where it first
+/// appears.
+fn first_candidates(stored: Vec<CrashPlan>, seeds: Vec<CrashPlan>) -> Vec<CrashPlan> {
+    let mut initial: Vec<CrashPlan> = Vec::new();
+    for plan in stored.into_iter().chain(seeds) {
+        if !initial.contains(&plan) {
+            initial.push(plan);
+        }
+    }
+    initial
 }
 
 /// A violating candidate the search records in full.
@@ -980,12 +982,11 @@ pub(crate) fn execute_fuzz(cell: &CellSpec) -> CellOutcome {
     });
     drop(steps);
     let cell_dir = corpus.as_ref().map(|root| root.join(workload).join(scheme));
-    let mut initial = match (&cell_dir, crash_event) {
+    let stored = match (&cell_dir, crash_event) {
         (Some(dir), None) => load_corpus(dir, fault),
         _ => Vec::new(),
     };
-    initial.extend(seeds);
-    initial.dedup();
+    let initial = first_candidates(stored, seeds);
 
     let mut coverage = Signature::default();
     let mut corpus: Vec<CrashPlan> = Vec::new();
@@ -1399,19 +1400,34 @@ mod tests {
             assert_eq!(encode_entry(&plan, sig), line);
         }
         // Anomalies are skipped: a foreign version, an unknown or
-        // sweep-only kind, a torn line past one 256 B line, and a
-        // recovery crash after no write, none of which the command line
-        // can replay.
+        // sweep-only kind, a torn line past one 256 B line, a crash at
+        // event 0 and a recovery crash after no write, none of which the
+        // command line can replay.
         for text in [
             "",
             r#"{"v":999}"#,
             r#"{"v":1,"fault":"nope","arg":0,"event":1,"sig":"0000000000000001"}"#,
             r#"{"v":1,"fault":"op-boundary","arg":0,"event":1,"sig":"0000000000000001"}"#,
             r#"{"v":1,"fault":"torn-line","arg":257,"event":900,"sig":"0000000000000001"}"#,
+            r#"{"v":1,"fault":"adr","arg":0,"event":0,"sig":"0000000000000001"}"#,
             r#"{"v":1,"fault":"adr","arg":0,"event":3,"rc":0,"sig":"0000000000000001"}"#,
         ] {
             assert_eq!(decode_entry(text), None, "{text}");
         }
+    }
+
+    #[test]
+    fn first_candidates_run_each_plan_once_corpus_first() {
+        let adr = CrashPlan::at_event;
+        let torn = |e| CrashPlan::at_event(e).with_fault(FaultModel::torn_line(64));
+        // A stored entry equal to a seed, a seed equal to a non-adjacent
+        // seed, and a stored entry repeated out of order.
+        let stored = vec![torn(30), adr(10), adr(20), torn(30)];
+        let seeds = vec![adr(5), adr(10), torn(5), adr(5), torn(30)];
+        assert_eq!(
+            first_candidates(stored, seeds),
+            vec![torn(30), adr(10), adr(20), adr(5), torn(5)]
+        );
     }
 
     #[test]

@@ -111,8 +111,8 @@ pub fn run_one(
 /// N-run captures its [`ForkPoint`](silo_sim::ForkPoint) there and the
 /// 2N-run continues from it. This needs the 2N trace to start with the N
 /// trace, streams and arrival schedules alike (every registered generator
-/// does; a diurnal arrival ramp does not), and a snapshot-capable scheme.
-/// Otherwise the 2N-run starts from t=0. Either way the result equals
+/// does; a diurnal arrival ramp does not); otherwise the 2N-run starts
+/// from t=0. Either way the result equals
 /// `long.delta_from(&short)` of two from-scratch runs.
 pub fn run_delta_with(
     config: &SimConfig,
@@ -129,7 +129,7 @@ pub fn run_delta_with(
         let engine = traced_engine(config, scheme.as_mut());
         if long_trace.starts_with(&short_trace) {
             let (outcome, fork) = engine.run_forking(&short_trace);
-            (finish(outcome), fork)
+            (finish(outcome), Some(fork))
         } else {
             (finish(engine.run(&short_trace, None)), None)
         }

@@ -1,39 +1,37 @@
 //! Property tests: cache structure invariants under random access
 //! streams.
 
-#![cfg(feature = "proptest")]
-
-use proptest::prelude::*;
 use silo_cache::{CacheConfig, CacheHierarchy, HierarchyConfig, SetAssocCache};
+use silo_types::prop::check;
 use silo_types::{CoreId, Cycles, LineAddr, PhysAddr};
 
 fn line(n: u64) -> LineAddr {
     LineAddr::containing(PhysAddr::new(n * 64))
 }
 
-proptest! {
-    /// Occupancy never exceeds capacity, and an accessed line is resident
-    /// immediately afterwards.
-    #[test]
-    fn occupancy_bounded_and_access_allocates(
-        accesses in prop::collection::vec((0u64..256, any::<bool>()), 1..200),
-    ) {
+/// Occupancy never exceeds capacity, and an accessed line is resident
+/// immediately afterwards.
+#[test]
+fn occupancy_bounded_and_access_allocates() {
+    check("occupancy_bounded_and_access_allocates", 256, |g| {
+        let accesses = g.vec(1..200, |g| (g.range(0..256), g.bool()));
         let mut c = SetAssocCache::new(CacheConfig::new(16 * 64, 4));
         for (n, w) in &accesses {
             c.access(line(*n), *w);
-            prop_assert!(c.probe(line(*n)));
-            prop_assert!(c.occupancy() <= 16);
+            assert!(c.probe(line(*n)));
+            assert!(c.occupancy() <= 16);
         }
         let (h, m, _) = c.counters();
-        prop_assert_eq!(h + m, accesses.len() as u64);
-    }
+        assert_eq!(h + m, accesses.len() as u64);
+    });
+}
 
-    /// Dirty lines are exactly those written and not yet cleaned/evicted;
-    /// a full sweep leaves nothing dirty.
-    #[test]
-    fn dirty_tracking_is_sound(
-        accesses in prop::collection::vec((0u64..64, any::<bool>()), 1..150),
-    ) {
+/// Dirty lines are exactly those written and not yet cleaned/evicted;
+/// a full sweep leaves nothing dirty.
+#[test]
+fn dirty_tracking_is_sound() {
+    check("dirty_tracking_is_sound", 256, |g| {
+        let accesses = g.vec(1..150, |g| (g.range(0..64), g.bool()));
         let mut c = SetAssocCache::new(CacheConfig::new(32 * 64, 4));
         let mut written = std::collections::HashSet::new();
         for (n, w) in &accesses {
@@ -46,18 +44,19 @@ proptest! {
             }
         }
         for l in c.dirty_lines() {
-            prop_assert!(written.contains(&l), "{l:?} dirty but never written");
+            assert!(written.contains(&l), "{l:?} dirty but never written");
         }
         c.clean_all();
-        prop_assert!(c.dirty_lines().is_empty());
-    }
+        assert!(c.dirty_lines().is_empty());
+    });
+}
 
-    /// Hierarchy: every dirty line lost at invalidate_all was previously
-    /// written; a force-writeback returns each dirty line exactly once.
-    #[test]
-    fn hierarchy_force_writeback_is_exact(
-        accesses in prop::collection::vec((0u64..128, any::<bool>(), 0usize..2), 1..200),
-    ) {
+/// Hierarchy: every dirty line lost at invalidate_all was previously
+/// written; a force-writeback returns each dirty line exactly once.
+#[test]
+fn hierarchy_force_writeback_is_exact() {
+    check("hierarchy_force_writeback_is_exact", 256, |g| {
+        let accesses = g.vec(1..200, |g| (g.range(0..128), g.bool(), g.range(0..2)));
         let mut h = CacheHierarchy::new(HierarchyConfig {
             cores: 2,
             l1: CacheConfig::new(4 * 64, 2),
@@ -70,7 +69,7 @@ proptest! {
         let mut written = std::collections::HashSet::new();
         let mut evicted_to_pm = Vec::new();
         for (n, w, core) in &accesses {
-            let acc = h.access(CoreId::new(*core), line(*n), *w);
+            let acc = h.access(CoreId::new(*core as usize), line(*n), *w);
             evicted_to_pm.extend(acc.pm_writebacks);
             if *w {
                 written.insert(line(*n));
@@ -80,13 +79,13 @@ proptest! {
         swept.sort();
         let mut unique = swept.clone();
         unique.dedup();
-        prop_assert_eq!(&swept, &unique, "no line swept twice");
+        assert_eq!(&swept, &unique, "no line swept twice");
         for l in &swept {
-            prop_assert!(written.contains(l));
+            assert!(written.contains(l));
         }
         for l in &evicted_to_pm {
-            prop_assert!(written.contains(l), "{l:?} evicted dirty but never written");
+            assert!(written.contains(l), "{l:?} evicted dirty but never written");
         }
-        prop_assert!(h.all_dirty_lines().is_empty());
-    }
+        assert!(h.all_dirty_lines().is_empty());
+    });
 }

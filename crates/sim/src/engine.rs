@@ -207,7 +207,7 @@ impl std::fmt::Debug for EngineCheckpoint {
 /// let (_, fork) = Engine::new(&config, &mut a).run_forking(streams());
 /// let mut b = NullScheme::default();
 /// // A fork point is not an `EngineCheckpoint`: crash plans cannot resume from it.
-/// Engine::new(&config, &mut b).run_resumed(streams(), CrashPlan::at_event(1), &fork.unwrap());
+/// Engine::new(&config, &mut b).run_resumed(streams(), CrashPlan::at_event(1), &fork);
 /// ```
 pub struct ForkPoint {
     cp: EngineCheckpoint,
@@ -652,9 +652,7 @@ impl<'a> Engine<'a> {
 
     /// Runs a clean (crash-free) reference run while capturing periodic
     /// full-machine checkpoints per `policy`. The returned set feeds
-    /// [`Engine::run_resumed`]; it is empty if the scheme does not support
-    /// state snapshotting ([`LoggingScheme::snapshot_state`] returns
-    /// `None`).
+    /// [`Engine::run_resumed`].
     ///
     /// # Panics
     ///
@@ -709,9 +707,7 @@ impl<'a> Engine<'a> {
     /// the walking engine has on: the spec machine ([`Engine::enable_spec`])
     /// and the probes. A `false` from `visit` ends the walk, and so does
     /// its last stop: the rest of the run is never simulated. A step the
-    /// run never reaches is never visited, and a scheme that cannot
-    /// snapshot its state ([`LoggingScheme::snapshot_state`] returns
-    /// `None`) is visited nowhere.
+    /// run never reaches is never visited.
     ///
     /// # Panics
     ///
@@ -725,8 +721,8 @@ impl<'a> Engine<'a> {
         let mut steps = steps.to_vec();
         steps.sort_unstable();
         steps.dedup();
-        if steps.is_empty() || self.scheme.snapshot_state().is_none() {
-            return; // nowhere to stop, or nothing to lend there
+        if steps.is_empty() {
+            return; // nowhere to stop
         }
         let capture = Capture::Checkpoints(Checkpoints::Steps {
             steps,
@@ -738,13 +734,12 @@ impl<'a> Engine<'a> {
 
     /// Runs a clean run while capturing its [`ForkPoint`], from which
     /// [`Engine::run_continued`] runs longer streams that start with
-    /// these. The outcome is the same as [`Engine::run`]'s. The fork is
-    /// `None` if the scheme does not support state snapshotting.
+    /// these. The outcome is the same as [`Engine::run`]'s.
     ///
     /// # Panics
     ///
     /// Panics if the stream count differs from the configured core count.
-    pub fn run_forking(self, streams: impl Into<TxStreams>) -> (RunOutcome, Option<ForkPoint>) {
+    pub fn run_forking(self, streams: impl Into<TxStreams>) -> (RunOutcome, ForkPoint) {
         let mut fork = None;
         let outcome = self
             .run_inner(
@@ -754,6 +749,7 @@ impl<'a> Engine<'a> {
                 Start::Scratch,
             )
             .expect(FINISHES);
+        let fork = fork.expect("a clean run retires a core, and forks there");
         (outcome, fork)
     }
 
@@ -821,24 +817,17 @@ impl<'a> Engine<'a> {
     }
 
     /// The whole engine state at a loop boundary: machine, core cursors,
-    /// oracle, spec machine and scheme. `None` if the scheme cannot
-    /// snapshot its state.
-    fn capture(
-        &self,
-        cores: &[CoreRun],
-        cycle_pos: Cycles,
-        event_pos: u64,
-    ) -> Option<EngineCheckpoint> {
-        let scheme = self.scheme.snapshot_state()?;
-        Some(EngineCheckpoint {
+    /// oracle, spec machine and scheme.
+    fn capture(&self, cores: &[CoreRun], cycle_pos: Cycles, event_pos: u64) -> EngineCheckpoint {
+        EngineCheckpoint {
             cycle_pos,
             event_pos,
             machine: self.machine.snapshot(),
             cores: cores.iter().map(CoreRun::state).collect(),
             oracle: self.oracle.clone(),
             spec: self.spec.clone(),
-            scheme,
-        })
+            scheme: self.scheme.snapshot_state(),
+        }
     }
 
     /// Runs to the end, or to a crash, and returns the outcome; `None`
@@ -949,13 +938,11 @@ impl<'a> Engine<'a> {
             self.machine.pm.arm_crash_at_event(n);
         }
 
-        // Checkpoints and forks are captured only on clean runs with
-        // snapshot-capable schemes; capturing mid-crash-plan states would
-        // be useless (the suffix differs per plan) and is not requested by
-        // any caller.
+        // Checkpoints and forks are captured only on clean runs;
+        // capturing mid-crash-plan states would be useless (the suffix
+        // differs per plan) and is not requested by any caller.
         let (mut step_log, mut checkpoints, fork_slot) = match capture {
             _ if plan.is_some() => (None, None, None),
-            Capture::Checkpoints(_) if self.scheme.snapshot_state().is_none() => (None, None, None),
             Capture::Nothing => (None, None, None),
             Capture::StepLog(log) => (Some(log), None, None),
             Capture::Checkpoints(ck) => (None, Some(ck), None),
@@ -1018,7 +1005,7 @@ impl<'a> Engine<'a> {
                 // far is common to both runs.
                 fork_pending = false;
                 let events_total = self.machine.pm.events().total();
-                fork = self.capture(&cores, cores[ci].time, events_total);
+                fork = Some(self.capture(&cores, cores[ci].time, events_total));
             }
             if step_log.is_some() || checkpoints.is_some() {
                 // The winner's clock is the minimum unfinished clock, so
@@ -1030,9 +1017,7 @@ impl<'a> Engine<'a> {
                 }
                 if let Some(ck) = &mut checkpoints {
                     if ck.due(step, min_time, events_total) {
-                        let cp = self
-                            .capture(&cores, min_time, events_total)
-                            .expect("snapshot capability checked before the loop");
+                        let cp = self.capture(&cores, min_time, events_total);
                         if !ck.take(step, cp) {
                             return None;
                         }
@@ -1704,6 +1689,7 @@ mod tests {
     /// marker at commit (so commits produce durability events), stages
     /// `crash_bytes` at `crash_addr` in `on_crash`, and replays a fixed
     /// word in `recover`.
+    #[derive(Clone)]
     struct ProbeScheme {
         commit_addr: Option<PhysAddr>,
         crash_addr: PhysAddr,
@@ -1784,6 +1770,7 @@ mod tests {
         fn stats(&self) -> crate::SchemeStats {
             crate::SchemeStats::default()
         }
+        crate::impl_scheme_snapshot!();
     }
 
     #[test]

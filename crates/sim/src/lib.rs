@@ -91,7 +91,7 @@ pub use engine::{
 };
 pub use machine::{Machine, MachineState, ShadowMem};
 pub use ops::{Op, Transaction, TransactionBuilder};
-pub use oracle::{ConsistencyReport, TxOracle, TxRecord, Violation};
+pub use oracle::{ConsistencyReport, LinePeeker, TxOracle, TxRecord, Violation};
 pub use schemes::{EvictAction, LoggingScheme, RecoveryReport, SchemeState, SchemeStats};
 pub use spec::{SpecMachine, SpecReport, SpecViolation, WordEvent, WordEventKind};
 pub use stats::{CoreStats, LatencyStats, SimStats};

@@ -14,21 +14,25 @@ use silo_types::{FxHashSet, PhysAddr, TxTag, Word, WordImage, BUF_LINE_BYTES};
 /// words per crash point, and one media-page lookup per *line* beats one
 /// per word. Logical values are identical to [`PmDevice::peek_word`].
 /// Both verdicts ([`TxOracle::verify`] and
-/// [`SpecMachine::verify`](crate::SpecMachine::verify)) read through it.
-pub(crate) struct LinePeeker {
+/// [`SpecMachine::verify`](crate::SpecMachine::verify)) and the crash
+/// experiments' recovered-image digest read through it.
+pub struct LinePeeker {
     line: [u8; BUF_LINE_BYTES],
     base: u64,
 }
 
-impl LinePeeker {
-    pub(crate) fn new() -> Self {
+impl Default for LinePeeker {
+    fn default() -> Self {
         LinePeeker {
             line: [0u8; BUF_LINE_BYTES],
             base: u64::MAX,
         }
     }
+}
 
-    pub(crate) fn word(&mut self, pm: &PmDevice, addr: PhysAddr) -> Word {
+impl LinePeeker {
+    /// The word at `addr` in `pm`, as [`PmDevice::peek_word`] reads it.
+    pub fn word(&mut self, pm: &PmDevice, addr: PhysAddr) -> Word {
         let base = addr.as_u64() / BUF_LINE_BYTES as u64 * BUF_LINE_BYTES as u64;
         let off = (addr.as_u64() - base) as usize;
         if off + 8 > BUF_LINE_BYTES {
@@ -196,7 +200,7 @@ impl TxOracle {
             .map(|&(key, _, _)| key)
             .collect();
         let mut report = ConsistencyReport::default();
-        let mut peeker = LinePeeker::new();
+        let mut peeker = LinePeeker::default();
         for (addr, expected) in self.committed_state.iter() {
             if ambiguous_keys.contains(&addr.as_u64()) {
                 continue; // group-checked below
@@ -212,7 +216,7 @@ impl TxOracle {
                 });
             }
         }
-        let mut peeker = LinePeeker::new();
+        let mut peeker = LinePeeker::default();
         for (addr, expected) in self.uncommitted_touched.iter() {
             if self.committed_state.get(addr).is_some() || ambiguous_keys.contains(&addr.as_u64()) {
                 continue; // already checked against the committed value

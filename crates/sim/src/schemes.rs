@@ -193,8 +193,8 @@ impl<T: std::any::Any + Send + Sync> SchemeState for T {
 #[macro_export]
 macro_rules! impl_scheme_snapshot {
     () => {
-        fn snapshot_state(&self) -> Option<Box<dyn $crate::SchemeState>> {
-            Some(Box::new(self.clone()))
+        fn snapshot_state(&self) -> Box<dyn $crate::SchemeState> {
+            Box::new(self.clone())
         }
 
         fn restore_state(&mut self, state: &dyn $crate::SchemeState) {
@@ -277,28 +277,14 @@ pub trait LoggingScheme {
     /// Counter snapshot.
     fn stats(&self) -> SchemeStats;
 
-    /// Captures the scheme's complete private state for checkpointing, or
-    /// `None` if the scheme does not support it (the engine then records
-    /// no checkpoints and every crash point resimulates from t=0). All
-    /// shipped schemes implement this via [`impl_scheme_snapshot!`].
-    fn snapshot_state(&self) -> Option<Box<dyn SchemeState>> {
-        None
-    }
+    /// Captures the scheme's complete private state for checkpointing. A
+    /// `Clone` scheme implements this and [`LoggingScheme::restore_state`]
+    /// with [`impl_scheme_snapshot!`].
+    fn snapshot_state(&self) -> Box<dyn SchemeState>;
 
     /// Restores private state captured by [`LoggingScheme::snapshot_state`]
     /// on the same scheme type.
-    ///
-    /// # Panics
-    ///
-    /// The default panics: a scheme that returns `None` from
-    /// `snapshot_state` can never be handed a state to restore, so
-    /// reaching it is an engine bug.
-    fn restore_state(&mut self, _state: &dyn SchemeState) {
-        panic!(
-            "scheme {} advertises no snapshot support but was asked to restore one",
-            self.name()
-        );
-    }
+    fn restore_state(&mut self, state: &dyn SchemeState);
 }
 
 /// A no-op scheme: no logging, no ordering, no recovery. Useful as the

@@ -319,7 +319,7 @@ impl SpecMachine {
             .collect();
         let mut report = SpecReport::default();
 
-        let mut peeker = LinePeeker::new();
+        let mut peeker = LinePeeker::default();
         for (addr, legal) in self.committed.iter() {
             if ambiguous_keys.contains(&addr.as_u64()) {
                 continue; // group-checked below
@@ -336,7 +336,7 @@ impl SpecMachine {
             }
         }
 
-        let mut peeker = LinePeeker::new();
+        let mut peeker = LinePeeker::default();
         for (addr, legal) in self.uncommitted.iter() {
             if self.committed.get(addr).is_some() || ambiguous_keys.contains(&addr.as_u64()) {
                 continue; // already checked against the committed value

@@ -20,6 +20,8 @@
 //! * [`WordImage`] — a paged, copy-on-write image of written words, the
 //!   storage of the machine's architectural shadow and of the workload
 //!   recorder's logical memory.
+//! * [`prop`] — the seeded property-test harness every crate's property
+//!   suites run on.
 //!
 //! # Examples
 //!
@@ -42,6 +44,7 @@ pub mod hash;
 mod ids;
 mod image;
 pub mod json;
+pub mod prop;
 mod rng;
 mod snapshot;
 mod word;

@@ -68,9 +68,11 @@ build_stage() {
   cargo build --release --workspace --all-targets
 }
 
+# The tier-1 command: every crate's tests (the root manifest's
+# default-members), with debug assertions on.
 test_stage() {
   echo "== cargo test =="
-  cargo test -q --release --workspace
+  cargo test -q
 }
 
 lint_stage() {

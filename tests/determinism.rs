@@ -151,7 +151,6 @@ fn forked_and_continued_runs_equal_runs_from_scratch() {
             let what = format!("{} / {}", make(&config).name(), w.trace_ident());
             let mut s = make(&config);
             let (forked, fork) = engine(&config, s.as_mut()).run_forking(&short);
-            let fork = fork.unwrap_or_else(|| panic!("{what}: every scheme snapshots"));
             assert!(
                 fork.event_pos() > 0 && fork.event_pos() < forked.pm.events().total(),
                 "{what}: the fork lies inside the short run"

@@ -5,24 +5,24 @@
 //! write pattern and wherever the power fails, the recovered PM image is
 //! all-or-nothing per transaction.
 
-#![cfg(feature = "proptest")]
-
-use proptest::prelude::*;
 use silo::baselines::{
     BaseScheme, EadrSwLogScheme, FwbScheme, LadScheme, MorLogScheme, SwLogScheme,
 };
 use silo::core::{SiloOptions, SiloScheme};
 use silo::sim::{Engine, LoggingScheme, SimConfig, Transaction};
+use silo::types::prop::{check, Gen};
 use silo::types::{Cycles, PhysAddr, Word};
 
 /// A compact random workload description: per core, a list of
 /// transactions, each a list of (word slot, value) writes.
 type Spec = Vec<Vec<Vec<(u64, u64)>>>;
 
-fn spec_strategy() -> impl Strategy<Value = Spec> {
-    let tx = prop::collection::vec((0u64..24, 1u64..1_000_000), 1..10);
-    let stream = prop::collection::vec(tx, 1..6);
-    prop::collection::vec(stream, 1..3)
+fn spec(g: &mut Gen) -> Spec {
+    g.vec(1..3, |g| {
+        g.vec(1..6, |g| {
+            g.vec(1..10, |g| (g.range(0..24), g.range(1..1_000_000)))
+        })
+    })
 }
 
 fn build_streams(spec: &Spec) -> Vec<Vec<Transaction>> {
@@ -45,94 +45,113 @@ fn build_streams(spec: &Spec) -> Vec<Vec<Transaction>> {
         .collect()
 }
 
-fn check_scheme(
-    make: impl Fn(&SimConfig) -> Box<dyn LoggingScheme>,
-    spec: &Spec,
-    crash_at: u64,
-) -> Result<(), TestCaseError> {
+fn check_scheme(make: impl Fn(&SimConfig) -> Box<dyn LoggingScheme>, spec: &Spec, crash_at: u64) {
     let config = SimConfig::table_ii(spec.len());
     let mut scheme = make(&config);
     let name = scheme.name();
     let out =
         Engine::new(&config, scheme.as_mut()).run(build_streams(spec), Some(Cycles::new(crash_at)));
     let crash = out.crash.expect("crash injected");
-    prop_assert!(
+    assert!(
         crash.consistency.is_consistent(),
         "[{}] crash at {}: {:?}",
         name,
         crash_at,
         crash.consistency.violations
     );
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// Checks `make`'s scheme on 48 random specs, each crashed at a random
+/// cycle below 30,000.
+fn recovers_any_random_crash(name: &str, make: impl Fn(&SimConfig) -> Box<dyn LoggingScheme>) {
+    check(name, 48, |g| {
+        let spec = spec(g);
+        check_scheme(&make, &spec, g.range(0..30_000));
+    });
+}
 
-    #[test]
-    fn silo_recovers_any_random_crash(spec in spec_strategy(), crash_at in 0u64..30_000) {
-        check_scheme(|c| Box::new(SiloScheme::new(c)), &spec, crash_at)?;
-    }
+#[test]
+fn silo_recovers_any_random_crash() {
+    recovers_any_random_crash("silo_recovers_any_random_crash", |c| {
+        Box::new(SiloScheme::new(c))
+    });
+}
 
-    #[test]
-    fn silo_with_slow_drain_recovers_any_random_crash(
-        spec in spec_strategy(),
-        crash_at in 0u64..30_000,
-        drain in prop_oneof![Just(0u64), Just(64), Just(100_000), Just(u64::MAX / 2)],
-    ) {
+#[test]
+fn silo_with_slow_drain_recovers_any_random_crash() {
+    check("silo_with_slow_drain_recovers_any_random_crash", 48, |g| {
+        let spec = spec(g);
+        let crash_at = g.range(0..30_000);
+        let drain = g.pick(&[0u64, 64, 100_000, u64::MAX / 2]);
         check_scheme(
             |c| {
                 Box::new(SiloScheme::with_options(
                     c,
-                    SiloOptions { ipu_drain_delay: drain, ..SiloOptions::default() },
+                    SiloOptions {
+                        ipu_drain_delay: drain,
+                        ..SiloOptions::default()
+                    },
                 ))
             },
             &spec,
             crash_at,
-        )?;
-    }
+        );
+    });
+}
 
-    #[test]
-    fn base_recovers_any_random_crash(spec in spec_strategy(), crash_at in 0u64..30_000) {
-        check_scheme(|c| Box::new(BaseScheme::new(c)), &spec, crash_at)?;
-    }
+#[test]
+fn base_recovers_any_random_crash() {
+    recovers_any_random_crash("base_recovers_any_random_crash", |c| {
+        Box::new(BaseScheme::new(c))
+    });
+}
 
-    #[test]
-    fn fwb_recovers_any_random_crash(spec in spec_strategy(), crash_at in 0u64..30_000) {
-        check_scheme(|c| Box::new(FwbScheme::new(c)), &spec, crash_at)?;
-    }
+#[test]
+fn fwb_recovers_any_random_crash() {
+    recovers_any_random_crash("fwb_recovers_any_random_crash", |c| {
+        Box::new(FwbScheme::new(c))
+    });
+}
 
-    #[test]
-    fn morlog_recovers_any_random_crash(spec in spec_strategy(), crash_at in 0u64..30_000) {
-        check_scheme(|c| Box::new(MorLogScheme::new(c)), &spec, crash_at)?;
-    }
+#[test]
+fn morlog_recovers_any_random_crash() {
+    recovers_any_random_crash("morlog_recovers_any_random_crash", |c| {
+        Box::new(MorLogScheme::new(c))
+    });
+}
 
-    #[test]
-    fn lad_recovers_any_random_crash(spec in spec_strategy(), crash_at in 0u64..30_000) {
-        check_scheme(|c| Box::new(LadScheme::new(c)), &spec, crash_at)?;
-    }
+#[test]
+fn lad_recovers_any_random_crash() {
+    recovers_any_random_crash("lad_recovers_any_random_crash", |c| {
+        Box::new(LadScheme::new(c))
+    });
+}
 
-    #[test]
-    fn swlog_recovers_any_random_crash(spec in spec_strategy(), crash_at in 0u64..30_000) {
-        check_scheme(|c| Box::new(SwLogScheme::new(c)), &spec, crash_at)?;
-    }
+#[test]
+fn swlog_recovers_any_random_crash() {
+    recovers_any_random_crash("swlog_recovers_any_random_crash", |c| {
+        Box::new(SwLogScheme::new(c))
+    });
+}
 
-    #[test]
-    fn eadr_swlog_recovers_any_random_crash(spec in spec_strategy(), crash_at in 0u64..30_000) {
-        check_scheme(|c| Box::new(EadrSwLogScheme::new(c)), &spec, crash_at)?;
-    }
+#[test]
+fn eadr_swlog_recovers_any_random_crash() {
+    recovers_any_random_crash("eadr_swlog_recovers_any_random_crash", |c| {
+        Box::new(EadrSwLogScheme::new(c))
+    });
+}
 
-    /// Transactions big enough to overflow Silo's log buffer several times
-    /// over, crashed anywhere.
-    #[test]
-    fn silo_overflowing_transactions_recover(
-        words in 30u64..200,
-        crash_at in 0u64..60_000,
-        txs in 1usize..4,
-    ) {
+/// Transactions big enough to overflow Silo's log buffer several times
+/// over, crashed anywhere.
+#[test]
+fn silo_overflowing_transactions_recover() {
+    check("silo_overflowing_transactions_recover", 48, |g| {
+        let words = g.range(30..200);
+        let crash_at = g.range(0..60_000);
+        let txs = g.range(1..4);
         let spec: Spec = vec![(0..txs)
-            .map(|t| (0..words).map(|i| (i, t as u64 * 1_000 + i + 1)).collect())
+            .map(|t| (0..words).map(|i| (i, t * 1_000 + i + 1)).collect())
             .collect()];
-        check_scheme(|c| Box::new(SiloScheme::new(c)), &spec, crash_at)?;
-    }
+        check_scheme(|c| Box::new(SiloScheme::new(c)), &spec, crash_at);
+    });
 }
