@@ -21,7 +21,7 @@ use std::path::Path;
 
 use silo_bench::{
     default_jobs, flags, registry, run_experiment_checked, write_report, EventTraceSink,
-    ExperimentError, ExperimentSpec, Invocation, PanicPolicy, ResultStore, TraceCache,
+    ExperimentError, ExperimentSpec, Invocation, ResultStore, TraceCache,
 };
 use silo_types::JsonValue;
 
@@ -112,14 +112,9 @@ fn run(spec: &ExperimentSpec, invocation: &Invocation) {
     let params = invocation.params(spec);
     let jobs = line.int("--jobs").map_or_else(default_jobs, |j| j as usize);
     let dir = line.text("--json-dir").unwrap_or("target/reports");
-    let policy = if line.switch("--catch-cell-panics") {
-        PanicPolicy::Capture
-    } else {
-        PanicPolicy::Propagate
-    };
 
     let start = std::time::Instant::now();
-    let run = match run_experiment_checked(spec, &params, jobs, policy) {
+    let run = match run_experiment_checked(spec, &params, jobs) {
         Ok(run) => run,
         Err(err) => {
             eprintln!("error: {err}");

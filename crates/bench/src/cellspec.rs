@@ -366,7 +366,8 @@ pub enum CellWork {
     /// One coverage-guided crash-search cell (`fuzz`): a seeded corpus of
     /// crash plans (fault model, crash event, recovery crash) is mutated
     /// toward novel probe-event coverage signatures, every recovered image
-    /// checked by both the digest oracle and the per-word executable spec.
+    /// judged once by the oracle, whose transition log localizes each
+    /// violation to its first offending word.
     /// The cell reads and extends an on-disk corpus (its `corpus` field),
     /// so it is **never** served from the result store — see
     /// [`CellSpec::cacheable`].

@@ -2,13 +2,13 @@
 //!
 //! Both cut power in one scheme on the 2-core Table II machine running a
 //! cached workload trace, let the scheme recover, and judge the recovered
-//! image with the [`silo_sim::TxOracle`]. Every crash is a [`CrashPlan`]:
-//! a trigger (a cycle, or the N-th durability event) and a [`FaultModel`]
-//! for the post-crash drain (perfect ADR, a torn 256 B line program, or a
-//! bounded battery, paper Table IV), optionally re-crashing recovery. One
-//! set of naming helpers (`fault_parts`, `named_plan`, `describe`)
-//! turns plans into report text, repro lines, value lists and corpus
-//! entries and back.
+//! image once, with the [`silo_sim::TxOracle`]. Every crash is a
+//! [`CrashPlan`]: a trigger (a cycle, or the N-th durability event) and a
+//! [`FaultModel`] for the post-crash drain (perfect ADR, a torn 256 B line
+//! program, or a bounded battery, paper Table IV), optionally re-crashing
+//! recovery. One set of naming helpers (`fault_parts`, `named_plan`,
+//! `describe`) turns plans into report text, repro lines, value lists and
+//! corpus entries and back.
 //!
 //! Every cell builds one `Target`, runs its clean reference run once
 //! while logging where each engine step lies on both crash axes, and walks
@@ -32,10 +32,10 @@
 //! * `fuzz` *searches*: a corpus of crash plans at durability events is
 //!   mutated libFuzzer-style toward novel probe-event **coverage
 //!   signatures** ([`silo_sim::Signature`]). A candidate that lights up new
-//!   features joins the corpus. The executable per-word spec
-//!   ([`silo_sim::SpecMachine`]) judges every image beside the oracle and
-//!   localizes a divergence to the first offending word; a violation
-//!   prints as a runnable `evaluate fuzz ... --crash-event N --execs 1
+//!   features joins the corpus. The oracle's per-word transition log is
+//!   on, so a violation is localized to its first offending word and the
+//!   durability event of that word's last transition; it prints as a
+//!   runnable `evaluate fuzz ... --crash-event N --execs 1
 //!   --no-corpus` (arrival idents included). The search is a pure function
 //!   of its seed, byte-identical at any `--jobs`, and persists its corpus
 //!   under `target/fuzz-corpus/<workload>/<scheme>/` (`--corpus DIR`,
@@ -48,7 +48,7 @@ use std::path::{Path, PathBuf};
 
 use silo_sim::{
     CrashPlan, CrashTrigger, Engine, EngineCheckpoint, FaultModel, LinePeeker, LoggingScheme,
-    Machine, RunOutcome, Signature, SimConfig, SimStats, StepLog, TraceSet,
+    Machine, RunOutcome, Signature, SimConfig, SimStats, StepLog, TraceSet, VIOLATION_KINDS,
 };
 use silo_types::{Cycles, Fnv1a, JsonValue, PhysAddr, Xoshiro256, BUF_LINE_BYTES};
 use silo_workloads::{workload_by_name, ArrivalProcess};
@@ -74,12 +74,6 @@ const SEED_POINTS: u64 = 4;
 const MAX_RECORDED: usize = 8;
 /// Corpus entry format version.
 const CORPUS_VERSION: u64 = 1;
-/// The spec machine's violation kinds, indexable for the value list.
-const SPEC_KINDS: [&str; 3] = [
-    "committed write lost or corrupted",
-    "partial update of uncommitted transaction survived",
-    "ambiguous commit applied partially (torn commit)",
-];
 /// The `--fault` names of a sweep and of a search. A search crashes only
 /// at durability events, so where the sweep has the cycle-sampled
 /// `op-boundary` trigger it names perfect ADR `adr`.
@@ -211,8 +205,8 @@ struct Target {
     /// Every distinct word address the workload writes, sorted, across
     /// setup and measured transactions.
     footprint: Vec<PhysAddr>,
-    /// Whether crash runs judge with the spec machine and record coverage
-    /// signatures (`fuzz`).
+    /// Whether crash runs log every word's transitions, so violations
+    /// carry histories, and record coverage signatures (`fuzz`).
     judging: bool,
 }
 
@@ -285,7 +279,7 @@ impl Target {
     /// Walks the clean run once on `machine` (`steps` is its log),
     /// stopping at the last step before each of `plans` in ascending step
     /// order, and hands `visit` each stop's step and checkpoint, which
-    /// carries the spec machine and signature recorder when the target
+    /// carries the transition log and signature recorder when the target
     /// judges. The callback owns the checkpoint: a sweep drops it, a
     /// search keeps it. A `false` from `visit` ends the walk. The walk
     /// holds `machine` until it ends, so crash runs inside `visit` need
@@ -311,8 +305,8 @@ impl Target {
     /// Runs `plan` on `machine` from t=0, or resumed from a checkpoint of
     /// the walk that lies before its trigger. Both are the same run:
     /// debug builds re-run every resumed plan from t=0 on a new machine
-    /// and assert equal statistics, oracle and spec verdicts, recovery,
-    /// signature and recovered footprint.
+    /// and assert equal statistics, verdict (histories included),
+    /// recovery, signature and recovered footprint.
     fn run(
         &self,
         machine: &mut Machine,
@@ -335,13 +329,8 @@ impl Target {
             let seen = |o: &RunOutcome| {
                 let crash = o.crash.clone().expect("crash injected");
                 let image: Vec<_> = self.footprint.iter().map(|&a| o.pm.peek_word(a)).collect();
-                let verdicts = (
-                    crash.consistency,
-                    crash.spec,
-                    crash.recovery,
-                    crash.double_crash,
-                );
-                (o.stats.to_json().to_string(), verdicts, o.signature, image)
+                let verdict = (crash.consistency, crash.recovery, crash.double_crash);
+                (o.stats.to_json().to_string(), verdict, o.signature, image)
             };
             debug_assert!(
                 seen(&scratch) == seen(&out),
@@ -919,17 +908,16 @@ fn first_candidates(stored: Vec<CrashPlan>, seeds: Vec<CrashPlan>) -> Vec<CrashP
 /// A violating candidate the search records in full.
 struct Finding {
     plan: CrashPlan,
-    oracle_ok: bool,
-    spec_ok: bool,
-    /// The spec's first offending word: address, word event, kind index.
-    first_word: Option<(u64, u64, usize)>,
+    /// Its first offending word: address, word event, index in
+    /// [`VIOLATION_KINDS`].
+    first_word: (u64, u64, usize),
 }
 
 /// Executor entry point for [`CellWork::Fuzz`]: one cell's full search —
 /// clean reference run, one walk of it keeping a checkpoint before each
 /// seed event, corpus + deterministic seeds, mutation loop to the
 /// execution budget, every candidate resumed from the latest checkpoint
-/// before its event, double-checked verdict on every recovered image.
+/// before its event, one verdict on every recovered image.
 /// Interesting candidates persist under `corpus` when one is given.
 pub(crate) fn execute_fuzz(cell: &CellSpec) -> CellOutcome {
     let CellWork::Fuzz {
@@ -1010,25 +998,15 @@ pub(crate) fn execute_fuzz(cell: &CellSpec) -> CellOutcome {
         let out = target.run(&mut machine, cand, from);
         executed += 1;
         let crash = out.crash.as_ref().expect("crash injected");
-        let spec = crash.spec.as_ref().expect("spec machine enabled");
         let signature = out.signature.expect("signature recorder enabled");
-        let (oracle_ok, spec_ok) = (crash.consistency.is_consistent(), spec.is_consistent());
-        if !oracle_ok || !spec_ok {
+        if let Some(v) = crash.consistency.first_offender() {
             violation_count += 1;
             if findings.len() < MAX_RECORDED && !findings.iter().any(|f| f.plan == cand) {
-                let first_word = spec.first_offender().map(|v| {
-                    let kind = SPEC_KINDS.iter().position(|k| *k == v.kind);
-                    (
-                        v.addr.as_u64(),
-                        v.event,
-                        kind.expect("spec kind is in the table"),
-                    )
-                });
+                let kind = VIOLATION_KINDS.iter().position(|k| *k == v.kind);
+                let kind = kind.expect("a verdict kind");
                 findings.push(Finding {
                     plan: cand,
-                    oracle_ok,
-                    spec_ok,
-                    first_word,
+                    first_word: (v.addr.as_u64(), v.event, kind),
                 });
             }
         }
@@ -1057,22 +1035,19 @@ pub(crate) fn execute_fuzz(cell: &CellSpec) -> CellOutcome {
         .with_value("recorded", findings.len() as f64);
     for (i, f) in findings.iter().enumerate() {
         let (name, arg) = fault_parts(&f.plan);
-        let kind = SEARCH_FAULTS.iter().position(|&n| n == name);
+        let fault = SEARCH_FAULTS.iter().position(|&n| n == name);
+        let fault = fault.expect("a search fault");
+        let (addr, wevent, kind) = f.first_word;
         let rc = f.plan.recovery_crash_at.map_or(-1.0, |r| r as f64);
         out = out
             .with_value(&format!("v{i}_event"), point(&f.plan) as f64)
-            .with_value(&format!("v{i}_fault"), kind.expect("a search fault") as f64)
+            .with_value(&format!("v{i}_fault"), fault as f64)
             .with_value(&format!("v{i}_arg"), arg as f64)
             .with_value(&format!("v{i}_rc"), rc)
-            .with_value(&format!("v{i}_oracle"), if f.oracle_ok { 0.0 } else { 1.0 })
-            .with_value(&format!("v{i}_spec"), if f.spec_ok { 0.0 } else { 1.0 });
-        if let Some((addr, wevent, kind)) = f.first_word {
-            out = out
-                .with_value(&format!("v{i}_addr_hi"), (addr >> 32) as u32 as f64)
-                .with_value(&format!("v{i}_addr_lo"), addr as u32 as f64)
-                .with_value(&format!("v{i}_wevent"), wevent as f64)
-                .with_value(&format!("v{i}_kind"), kind as f64);
-        }
+            .with_value(&format!("v{i}_addr_hi"), (addr >> 32) as u32 as f64)
+            .with_value(&format!("v{i}_addr_lo"), addr as u32 as f64)
+            .with_value(&format!("v{i}_wevent"), wevent as f64)
+            .with_value(&format!("v{i}_kind"), kind as f64);
     }
     out
 }
@@ -1197,19 +1172,13 @@ fn render_search(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut St
                     write!(blocks, " (recovery re-crash after {} writes)", rc as u64).unwrap();
                 }
                 blocks.push('\n');
-                if outcome
-                    .values
-                    .iter()
-                    .any(|(k, _)| *k == format!("v{i}_wevent"))
-                {
-                    let addr = ((v("addr_hi") as u64) << 32) | v("addr_lo") as u64;
-                    let (kind, wevent) = (SPEC_KINDS[v("kind") as usize], v("wevent") as u64);
-                    writeln!(
-                        blocks,
-                        "  first offending word: {addr:#018x} ({kind}, word event {wevent})"
-                    )
-                    .unwrap();
-                }
+                let addr = ((v("addr_hi") as u64) << 32) | v("addr_lo") as u64;
+                let (kind, wevent) = (VIOLATION_KINDS[v("kind") as usize], v("wevent") as u64);
+                writeln!(
+                    blocks,
+                    "  first offending word: {addr:#018x} ({kind}, word event {wevent})"
+                )
+                .unwrap();
                 writeln!(blocks, "  minimal repro: {repro}").unwrap();
                 row_repros.push(JsonValue::Str(repro));
             }
@@ -1475,11 +1444,13 @@ mod tests {
     #[test]
     fn single_candidate_search_finds_battery_violation() {
         // The undersized battery must violate at a mid-stream event on
-        // Silo, and the spec machine must agree with the oracle.
+        // Silo, and the first finding must name its offending word.
         let out = execute_fuzz(&search(6, Some(FaultModel::bounded_battery(64))));
         assert!(out.error.is_none());
         assert!(out.value("viols") > 0.0, "64 B battery must violate");
-        assert!(out.value("v0_oracle") == 1.0 || out.value("v0_spec") == 1.0);
+        assert!(out.value("recorded") > 0.0);
+        assert!(out.value("v0_wevent") > 0.0, "the word's last event");
+        assert!((out.value("v0_kind") as usize) < VIOLATION_KINDS.len());
     }
 
     #[test]

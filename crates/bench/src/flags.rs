@@ -147,7 +147,6 @@ pub const COMMON: &[Flag] = &[
     Flag::new("--no-trace-cache", Switch).help("generate every trace afresh"),
     Flag::new("--no-result-store", Switch).help("compute every cell fresh, record nothing"),
     Flag::new("--trace-events", Name("path", any)).help("write a JSONL event timeline here"),
-    Flag::new("--catch-cell-panics", Switch).help("a panicking cell fails the run (exit 3)"),
 ];
 
 /// `--cores`, within the core counts `SimConfig` models.

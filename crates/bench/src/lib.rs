@@ -37,7 +37,7 @@ pub use report::{
     ExperimentError, ExperimentRun,
 };
 pub use result_store::{ResultStore, ResultStoreStats, Served};
-pub use runner::{default_jobs, run_cells, run_cells_with, PanicPolicy};
+pub use runner::{default_jobs, run_cells};
 pub use trace_cache::{TraceCache, TraceCacheStats, TraceKey};
 
 use silo_baselines::{

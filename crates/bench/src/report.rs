@@ -13,7 +13,7 @@ use silo_sim::SimConfig;
 use silo_types::JsonValue;
 
 use crate::exp::{CellLabel, CellOutcome, ExpParams, ExperimentSpec};
-use crate::runner::{run_cells_with, PanicPolicy};
+use crate::runner::run_cells;
 
 /// Everything one experiment invocation produced.
 pub struct ExperimentRun {
@@ -31,8 +31,8 @@ pub struct ExperimentRun {
 /// exit code (3 for a cell, 4 for the render).
 #[derive(Clone, Debug)]
 pub enum ExperimentError {
-    /// A cell failed to execute (a captured panic or a recorded error) and
-    /// rendering could not proceed.
+    /// A cell recorded an error (a stale spec, say) and rendering could
+    /// not proceed.
     Cell {
         /// The failing cell's label, as [`CellLabel::describe`] prints it.
         origin: String,
@@ -60,22 +60,21 @@ impl std::fmt::Display for ExperimentError {
 /// Builds, runs (across `jobs` workers), and renders one experiment.
 pub fn run_experiment(spec: &ExperimentSpec, params: &ExpParams, jobs: usize) -> ExperimentRun {
     let cells = spec.build(params);
-    let finished = run_cells_with(cells, jobs, PanicPolicy::Propagate);
+    let finished = run_cells(cells, jobs);
     render_finished(spec, params, &finished)
 }
 
-/// [`run_experiment`] with explicit panic handling: cells run under
-/// `policy`, and render failures come back as a typed
-/// [`ExperimentError`] instead of a propagating panic. The CLI maps the
-/// two variants to distinct exit codes.
+/// [`run_experiment`] with its failures typed: a cell that recorded an
+/// error, or a render that panicked, comes back as an
+/// [`ExperimentError`], which the CLI maps to distinct exit codes. A
+/// panicking cell still propagates.
 pub fn run_experiment_checked(
     spec: &ExperimentSpec,
     params: &ExpParams,
     jobs: usize,
-    policy: PanicPolicy,
 ) -> Result<ExperimentRun, ExperimentError> {
     let cells = spec.build(params);
-    let finished = run_cells_with(cells, jobs, policy);
+    let finished = run_cells(cells, jobs);
     render_finished_checked(spec, params, &finished)
 }
 

@@ -34,8 +34,8 @@
 //! per-slot locks serialize execution of one cell so a spec is executed
 //! **exactly once** per process even when racing workers request it, while
 //! distinct cells execute concurrently. Every lock recovers from
-//! poisoning: a captured cell panic (`--catch-cell-panics`) must not
-//! wedge the store for later requests.
+//! poisoning: a cell panic that a caller catches (a test's
+//! `catch_unwind`) must not wedge the store for later requests.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};

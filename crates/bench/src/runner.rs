@@ -14,11 +14,10 @@
 //! directly. Either way the runner stamps the outcome's `origin` with the
 //! cell label so downstream accessor failures name their cell.
 //!
-//! A [`PanicPolicy`] decides what a panicking cell does. The CLI keeps
-//! the historical propagate-and-die behavior by default (a panic is a bug
-//! and should be loud); under `--catch-cell-panics` it captures the panic
-//! into a labeled failed outcome so one poisoned cell neither kills the
-//! process nor loses the other slots.
+//! A panic inside a cell propagates to the caller: a panicking cell is a
+//! bug, and a debug assertion in a crash cell (the resume-vs-scratch
+//! check) must fail the run that hits it. A cell that cannot run (a stale
+//! spec) records an error in its outcome instead.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -34,65 +33,16 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// What a panic inside one cell does to the run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PanicPolicy {
-    /// Propagate to the caller: the historical CLI behavior, where a
-    /// panicking cell is a bug that should kill the process.
-    Propagate,
-    /// Capture into a labeled [`CellOutcome::failed`] for that cell only;
-    /// every other slot still completes (`--catch-cell-panics`).
-    Capture,
-}
-
-/// Runs one spec through `store`, converting a panic anywhere in the
-/// trace/execute path into a labeled failed outcome.
-fn run_spec_capturing(store: &ResultStore, spec: &CellSpec) -> CellOutcome {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.get_or_run(spec)));
-    result.unwrap_or_else(|payload| {
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "<non-string panic>".to_string());
-        CellOutcome::failed(format!("panic in cell {}: {msg}", spec.label.describe()))
-    })
-}
-
-fn run_spec(store: &ResultStore, spec: &CellSpec, policy: PanicPolicy) -> CellOutcome {
-    match policy {
-        PanicPolicy::Propagate => store.get_or_run(spec),
-        PanicPolicy::Capture => run_spec_capturing(store, spec),
-    }
-}
-
 /// Runs every cell spec and returns `(label, outcome)` pairs in cell
 /// order.
 ///
 /// `jobs <= 1` runs serially on the calling thread; any larger value
 /// spawns `min(jobs, cells.len())` scoped workers. A panic inside a cell
-/// propagates to the caller either way — see [`run_cells_with`] for the
-/// capturing variant.
+/// propagates to the caller either way.
 pub fn run_cells(cells: Vec<CellSpec>, jobs: usize) -> Vec<(CellLabel, CellOutcome)> {
-    run_cells_with(cells, jobs, PanicPolicy::Propagate)
-}
-
-/// [`run_cells`] with an explicit [`PanicPolicy`].
-///
-/// Under [`PanicPolicy::Capture`] a panicking cell yields a
-/// `CellOutcome::failed` naming the cell, and every other slot is still
-/// filled — nothing propagates and no slot is lost.
-pub fn run_cells_with(
-    cells: Vec<CellSpec>,
-    jobs: usize,
-    policy: PanicPolicy,
-) -> Vec<(CellLabel, CellOutcome)> {
     let store = ResultStore::global();
     let outcomes: Vec<CellOutcome> = if jobs <= 1 || cells.len() <= 1 {
-        cells
-            .iter()
-            .map(|spec| run_spec(store, spec, policy))
-            .collect()
+        cells.iter().map(|spec| store.get_or_run(spec)).collect()
     } else {
         let workers = jobs.min(cells.len());
         let slots: Vec<Mutex<Option<CellOutcome>>> =
@@ -103,7 +53,7 @@ pub fn run_cells_with(
                 scope.spawn(|| loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(spec) = cells.get(i) else { break };
-                    let outcome = run_spec(store, spec, policy);
+                    let outcome = store.get_or_run(spec);
                     *slots[i].lock().unwrap() = Some(outcome);
                 });
             }
@@ -220,32 +170,14 @@ mod tests {
     }
 
     #[test]
-    fn captured_panic_keeps_the_other_slots() {
-        for jobs in [1, 4] {
-            let mut cells = counting_cells(4);
-            cells.insert(2, poisoned_cell());
-            let done = run_cells_with(cells, jobs, PanicPolicy::Capture);
-            assert_eq!(done.len(), 5, "jobs={jobs}");
-            for (i, (label, outcome)) in done.iter().enumerate() {
-                if i == 2 {
-                    let err = outcome.error.as_deref().expect("captured failure");
-                    assert!(err.contains("panic in cell poisoned"), "{err}");
-                    assert!(err.contains("NoSuchWorkload"), "labels the cause: {err}");
-                } else {
-                    assert!(outcome.error.is_none(), "jobs={jobs} {}", label.param);
-                    assert!(outcome.value("avg_b") > 0.0, "jobs={jobs} i={i}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn propagate_policy_still_dies() {
-        let err = std::panic::catch_unwind(|| {
-            run_cells_with(vec![poisoned_cell()], 1, PanicPolicy::Propagate)
-        })
-        .unwrap_err();
+        // A panicking cell kills the run: with its own message serially,
+        // and through the worker scope in parallel.
+        let err = std::panic::catch_unwind(|| run_cells(vec![poisoned_cell()], 1)).unwrap_err();
         let msg = err.downcast_ref::<String>().expect("string panic");
         assert!(msg.contains("NoSuchWorkload"), "{msg}");
+        let mut cells = counting_cells(4);
+        cells.insert(2, poisoned_cell());
+        assert!(std::panic::catch_unwind(|| run_cells(cells, 4)).is_err());
     }
 }

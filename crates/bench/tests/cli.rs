@@ -119,7 +119,9 @@ fn render_failure_exits_4() {
 
 #[test]
 fn failed_cell_exits_3_under_catch_cell_panics() {
-    // The flag table refuses unknown names before anything runs, so the
+    // (Named for the retired `--catch-cell-panics`: a failed cell exits 3
+    // without any flag, and a panicking one still aborts with 101.) The
+    // flag table refuses unknown names before anything runs, so the
     // failing cell comes from the result store instead: a cold run fills a
     // scratch store, every entry is rewritten to what a stale spec leaves
     // (an error and no values), and the warm run that replays them must
@@ -129,7 +131,7 @@ fn failed_cell_exits_3_under_catch_cell_panics() {
     let run = || {
         evaluate()
             .args(["compare", "--txs", "8", "--cores", "1", "--bench", "Hash"])
-            .args(["--jobs", "2", "--catch-cell-panics", "--json-dir"])
+            .args(["--jobs", "2", "--json-dir"])
             .arg(dir.join("reports"))
             .env("SILO_RESULT_STORE", &store)
             .output()

@@ -1,6 +1,6 @@
-//! End-to-end tests of the coverage-guided crash search and the per-word
-//! executable spec: the spec machine must agree with the digest-level
-//! oracle across the clean scheme matrix, localize an injected battery
+//! End-to-end tests of the coverage-guided crash search and its one
+//! verdict: with the oracle's per-word transition log on, the verdict must
+//! hold across the clean scheme matrix and localize an injected battery
 //! violation to the exact word, and the CLI's corpus entries and printed
 //! repro commands must replay bit-for-bit.
 
@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use silo_bench::{make_scheme, TraceCache, ALL_SCHEMES};
-use silo_sim::{CrashPlan, Engine, FaultModel, SimConfig};
+use silo_sim::{ConsistencyReport, CrashPlan, Engine, FaultModel, RunOutcome, SimConfig};
 use silo_types::JsonValue;
 use silo_workloads::workload_by_name;
 
@@ -25,27 +25,26 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Runs one crash plan with both observers and returns
-/// `(oracle consistent, spec consistent, spec report)`.
-fn crash_with_spec(
+/// Runs one crash plan with the transition log on, and returns the run
+/// and its verdict, which `CrashOutcome::spec` must repeat.
+fn judged_crash(
     scheme: &str,
     config: &SimConfig,
     streams: &silo_sim::TraceSet,
     plan: CrashPlan,
-) -> (bool, silo_sim::ConsistencyReport, silo_sim::SpecReport) {
+) -> (RunOutcome, ConsistencyReport) {
     let mut s = make_scheme(scheme, config);
     let mut engine = Engine::new(config, s.as_mut());
     engine.enable_spec();
     let out = engine.run_with_plan(streams, Some(plan));
-    let crash = out.crash.expect("crash injected");
-    let spec = crash.spec.expect("spec enabled");
-    (crash.consistency.is_consistent(), crash.consistency, spec)
+    let crash = out.crash.clone().expect("crash injected");
+    assert_eq!(crash.spec, Some(crash.consistency.clone()), "{scheme}");
+    (out, crash.consistency)
 }
 
-/// Differential check: on every scheme of the clean matrix, under every
-/// event-indexed fault model, the digest-level oracle and the per-word
-/// spec machine must reach the same verdict — and that verdict must be
-/// "consistent" (these schemes are correct).
+/// On every scheme of the clean matrix, under every event-indexed fault
+/// model, the one verdict must be "consistent" (these schemes are
+/// correct), and `CrashOutcome::spec` must agree with it.
 #[test]
 fn spec_agrees_with_oracle_across_the_clean_matrix() {
     let config = SimConfig::table_ii(2);
@@ -63,28 +62,20 @@ fn spec_agrees_with_oracle_across_the_clean_matrix() {
         ] {
             for event in [total / 4, total / 2, (3 * total) / 4] {
                 let plan = CrashPlan::at_event(event.max(1)).with_fault(fault);
-                let (ok, oracle, spec) = crash_with_spec(scheme, &config, &streams, plan);
-                assert_eq!(
-                    ok,
-                    spec.is_consistent(),
-                    "{scheme} @ event {event}: oracle and spec disagree \
-                     (oracle {:?}, spec {:?})",
-                    oracle.violations,
-                    spec.violations
-                );
+                let (_, verdict) = judged_crash(scheme, &config, &streams, plan);
                 assert!(
-                    ok,
+                    verdict.is_consistent(),
                     "{scheme} @ event {event}: clean scheme violated: {:?}",
-                    oracle.violations
+                    verdict.violations
                 );
-                assert!(spec.words_checked > 0, "{scheme}: spec checked no words");
+                assert!(verdict.words_checked > 0, "{scheme}: checked no words");
             }
         }
     }
 }
 
-/// An undersized battery on Silo must violate, and the spec machine must
-/// localize the failure to a word the oracle also flags — with the legal
+/// An undersized battery on Silo must violate, and the verdict must
+/// localize the failure to a word of the recovered image, with the legal
 /// value set excluding the recovered value and an event history attached.
 #[test]
 fn battery_violation_is_localized_to_the_exact_word() {
@@ -95,24 +86,25 @@ fn battery_violation_is_localized_to_the_exact_word() {
     let clean = Engine::new(&config, s.as_mut()).run(&streams, None);
     let total = clean.pm.events().total();
     let plan = CrashPlan::at_event(total / 8).with_fault(FaultModel::bounded_battery(64));
-    let (ok, oracle, spec) = crash_with_spec("Silo", &config, &streams, plan);
-    assert!(!ok, "64 B battery must break Silo recovery");
-    assert!(!spec.is_consistent(), "spec must catch the broken image");
-    let first = spec.first_offender().expect("at least one violation");
+    let (out, verdict) = judged_crash("Silo", &config, &streams, plan);
+    assert!(
+        !verdict.is_consistent(),
+        "64 B battery must break Silo recovery"
+    );
+    let first = verdict.first_offender().expect("at least one violation");
     // The first offender is the lowest flagged address...
-    for v in &spec.violations {
+    for v in &verdict.violations {
         assert!(
             first.addr <= v.addr,
             "first_offender is not the lowest word"
         );
     }
-    // ...names a word the oracle flags too, with the same recovered value...
-    let twin = oracle
-        .violations
-        .iter()
-        .find(|v| v.addr == first.addr)
-        .expect("spec's first offender must be an oracle violation too");
-    assert_eq!(first.actual, twin.actual, "recovered values disagree");
+    // ...names the value the recovered image holds there...
+    assert_eq!(
+        first.actual,
+        out.pm.peek_word(first.addr),
+        "recovered values disagree"
+    );
     // ...and carries the evidence: an illegal value plus word history.
     assert!(
         !first.legal.contains(&first.actual),

@@ -202,8 +202,8 @@ impl MemCtrl {
         }
     }
 
-    /// [`MemCtrl::enqueue_write`] with the admission reported to a probe:
-    /// when the probe wants events, every admission emits a
+    /// [`MemCtrl::enqueue_write`] with the admission reported to a probe
+    /// hub: every admission emits a
     /// [`silo_probe::ProbeEventKind::WpqAdmit`] event whose `arg` is the
     /// producer's stall (0 on an uncontended queue). The probed path is
     /// what the simulated machine uses; the unprobed method remains for
@@ -213,18 +213,12 @@ impl MemCtrl {
         now: Cycles,
         bytes: u64,
         new_buffer_lines: u64,
-        probe: &mut dyn silo_probe::Probe,
+        probe: &mut silo_probe::ProbeHub,
         core: Option<u32>,
     ) -> Admission {
         let adm = self.enqueue_write(now, bytes, new_buffer_lines);
-        if probe.wants_events() {
-            probe.event(silo_probe::ProbeEvent {
-                at: now.as_u64(),
-                core,
-                kind: silo_probe::ProbeEventKind::WpqAdmit,
-                arg: adm.stall.as_u64(),
-            });
-        }
+        let kind = silo_probe::ProbeEventKind::WpqAdmit;
+        probe.emit(kind, core, now.as_u64(), adm.stall.as_u64());
         adm
     }
 

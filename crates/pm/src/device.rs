@@ -298,17 +298,12 @@ impl PmDevice {
     }
 
     /// Drains the on-PM buffer to the media, emitting a `BufferDrain`
-    /// timeline event (arg = lines drained) when the probe wants events.
-    pub fn flush_all_probed(&mut self, probe: &mut dyn silo_probe::Probe, at: u64) {
+    /// event (arg = lines drained) to `probe` when it drained any.
+    pub fn flush_all_probed(&mut self, probe: &mut silo_probe::ProbeHub, at: u64) {
         let drained = self.buffer.occupancy() as u64;
         self.buffer.flush_all(&mut self.media);
-        if drained > 0 && probe.wants_events() {
-            probe.event(silo_probe::ProbeEvent {
-                at,
-                core: None,
-                kind: silo_probe::ProbeEventKind::BufferDrain,
-                arg: drained,
-            });
+        if drained > 0 {
+            probe.emit(silo_probe::ProbeEventKind::BufferDrain, None, at, drained);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Zero-cost-when-off observability for the Silo simulator.
 //!
 //! Two production probes plug into the simulated machine through the
-//! [`Probe`] trait and the [`ProbeHub`] that every `Machine` carries:
+//! [`ProbeHub`] that every `Machine` carries:
 //!
 //! * the [`CycleAccountant`] attributes **every** simulated cycle of every
 //!   core to one of the closed [`CycleCategory`] set, with the invariant
@@ -290,23 +290,6 @@ impl ProbeEvent {
     }
 }
 
-/// A probe attached to the simulated machine. Implementations must be
-/// cheap enough to call on the hot path when enabled and are never called
-/// when disabled (the [`ProbeHub`] gates every call).
-pub trait Probe {
-    /// `cycles` of core `core`'s clock advance belong to `cat`.
-    fn stall(&mut self, core: usize, cat: CycleCategory, cycles: u64);
-
-    /// A timeline event occurred.
-    fn event(&mut self, event: ProbeEvent);
-
-    /// Whether this probe wants [`Probe::event`] calls (lets emitters skip
-    /// building event payloads entirely).
-    fn wants_events(&self) -> bool {
-        false
-    }
-}
-
 /// Production probe #1: per-core, per-category cycle counters.
 #[derive(Clone, Debug, Default)]
 pub struct CycleAccountant {
@@ -321,20 +304,17 @@ impl CycleAccountant {
         }
     }
 
+    /// `cycles` of core `core`'s clock advance belong to `cat`.
+    pub fn stall(&mut self, core: usize, cat: CycleCategory, cycles: u64) {
+        self.rows[core][cat.index()] += cycles;
+    }
+
     /// The finished attribution.
     pub fn breakdown(&self) -> CycleBreakdown {
         CycleBreakdown {
             per_core: self.rows.clone(),
         }
     }
-}
-
-impl Probe for CycleAccountant {
-    fn stall(&mut self, core: usize, cat: CycleCategory, cycles: u64) {
-        self.rows[core][cat.index()] += cycles;
-    }
-
-    fn event(&mut self, _event: ProbeEvent) {}
 }
 
 /// Production probe #2: a bounded ring buffer of timeline events, drained
@@ -378,16 +358,8 @@ impl JsonlTimeline {
         self.events.is_empty()
     }
 
-    /// Drains the buffered events as JSONL lines, oldest first.
-    pub fn drain_lines(&mut self) -> Vec<String> {
-        self.events.drain(..).map(|e| e.to_jsonl()).collect()
-    }
-}
-
-impl Probe for JsonlTimeline {
-    fn stall(&mut self, _core: usize, _cat: CycleCategory, _cycles: u64) {}
-
-    fn event(&mut self, event: ProbeEvent) {
+    /// Records `event`, dropping the oldest one when the ring is full.
+    pub fn event(&mut self, event: ProbeEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -395,8 +367,9 @@ impl Probe for JsonlTimeline {
         self.events.push_back(event);
     }
 
-    fn wants_events(&self) -> bool {
-        true
+    /// Drains the buffered events as JSONL lines, oldest first.
+    pub fn drain_lines(&mut self) -> Vec<String> {
+        self.events.drain(..).map(|e| e.to_jsonl()).collect()
     }
 }
 
@@ -710,7 +683,8 @@ impl ProbeHub {
     }
 
     /// Records a timeline event (no-op unless the timeline or signature
-    /// recorder is on).
+    /// recorder is on). The engine, the memory controller's admissions and
+    /// the device's buffer drains all emit through here.
     pub fn emit(&mut self, kind: ProbeEventKind, core: Option<u32>, at: u64, arg: u64) {
         if let Some(rec) = &mut self.signature {
             rec.observe(kind);
@@ -737,25 +711,6 @@ impl ProbeHub {
         self.timeline
             .as_mut()
             .map(|tl| (tl.drain_lines(), tl.dropped()))
-    }
-}
-
-impl Probe for ProbeHub {
-    fn stall(&mut self, core: usize, cat: CycleCategory, cycles: u64) {
-        self.claim(core, cat, cycles);
-    }
-
-    fn event(&mut self, event: ProbeEvent) {
-        if let Some(rec) = &mut self.signature {
-            rec.observe(event.kind);
-        }
-        if let Some(tl) = &mut self.timeline {
-            tl.event(event);
-        }
-    }
-
-    fn wants_events(&self) -> bool {
-        self.events_on() || self.signature_on()
     }
 }
 
@@ -843,7 +798,6 @@ mod tests {
     fn disabled_hub_is_inert() {
         let mut hub = ProbeHub::default();
         assert!(!hub.accounting_on() && !hub.events_on() && !hub.signature_on());
-        assert!(!hub.wants_events());
         hub.charge(0, CycleCategory::Execute, 100);
         hub.claim(0, CycleCategory::Drain, 100);
         hub.charge_window(0, CycleCategory::Execute, 100);
@@ -916,20 +870,13 @@ mod tests {
 
     #[test]
     fn hub_signature_observes_both_event_paths() {
+        // Core events (the engine's) and machine-level ones (a WPQ
+        // admission, a buffer drain) reach a signature-only hub alike.
         let mut hub = ProbeHub::default();
         hub.enable_signature();
-        assert!(
-            hub.wants_events(),
-            "signature-only hubs must receive Probe::event calls"
-        );
         assert!(!hub.events_on(), "timeline stays off");
         hub.emit(ProbeEventKind::TxBegin, Some(0), 1, 1);
-        hub.event(ProbeEvent {
-            at: 2,
-            core: None,
-            kind: ProbeEventKind::WpqAdmit,
-            arg: 0,
-        });
+        hub.emit(ProbeEventKind::WpqAdmit, None, 2, 0);
         let sig = hub.take_signature().expect("recorder attached");
         assert_eq!(sig.count(), 2);
         assert!(hub.take_signature().is_none(), "recorder detached");

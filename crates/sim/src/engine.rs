@@ -7,7 +7,6 @@ use silo_probe::{CycleCategory, ProbeEventKind, Signature};
 use silo_types::{CoreId, Cycles, FxHashMap, PhysAddr, TxId, TxTag, Word};
 
 use crate::schemes::{EvictAction, SchemeState};
-use crate::spec::{SpecMachine, SpecReport};
 use crate::stats::LatencyStats;
 use crate::trace::ArrivalSchedule;
 use crate::{
@@ -97,9 +96,11 @@ pub struct CrashOutcome {
     pub drain: DrainReport,
     /// Whether a second power failure interrupted recovery.
     pub double_crash: bool,
-    /// The executable spec's per-word verdict on the recovered image;
-    /// `None` unless [`Engine::enable_spec`] was called before the run.
-    pub spec: Option<SpecReport>,
+    /// The same verdict as [`consistency`](Self::consistency), when the
+    /// oracle's transition log was on ([`Engine::enable_spec`]); `None`
+    /// otherwise. It stays only because `perfbench/tracer` reads it, and
+    /// goes with the tracer (ROADMAP item 3).
+    pub spec: Option<ConsistencyReport>,
 }
 
 /// Everything a run returns.
@@ -147,8 +148,8 @@ struct CoreState {
 /// A full-machine checkpoint taken at an engine loop boundary of a clean
 /// (crash-free) run. Positions on both crash axes are recorded so one
 /// checkpoint set serves cycle-triggered *and* event-triggered crash plans.
-/// It carries the spec machine too, when the capturing run had it on, so
-/// a run resumed from it judges the recovered image the same way.
+/// Its oracle carries the transition log too, when the capturing run had
+/// it on, so a run resumed from it judges the recovered image the same way.
 pub struct EngineCheckpoint {
     /// Smallest unfinished core clock at capture. Valid as a resume base
     /// for [`CrashTrigger::Cycle(c)`] iff `cycle_pos < c` — the engine's
@@ -162,7 +163,6 @@ pub struct EngineCheckpoint {
     machine: MachineState,
     cores: Vec<CoreState>,
     oracle: TxOracle,
-    spec: Option<SpecMachine>,
     scheme: Box<dyn SchemeState>,
 }
 
@@ -486,7 +486,7 @@ impl CoreRun {
         self.sojourns = s.sojourns;
     }
 
-    fn record(&self, committed: bool) -> TxRecord {
+    fn record(&self, committed: bool, event: u64) -> TxRecord {
         let mut writes: Vec<(PhysAddr, Word)> = self
             .cur_writes
             .iter()
@@ -497,6 +497,7 @@ impl CoreRun {
             tag: self.tag,
             writes,
             committed,
+            event,
         }
     }
 }
@@ -545,7 +546,6 @@ pub struct Engine<'a> {
     // Whether the oracle records transactions: only on runs that can
     // crash or whose checkpoints seed crash runs.
     track_txs: bool,
-    spec: Option<SpecMachine>,
 }
 
 impl<'a> Engine<'a> {
@@ -589,7 +589,6 @@ impl<'a> Engine<'a> {
             scheme,
             oracle: TxOracle::default(),
             track_txs: false,
-            spec: None,
         }
     }
 
@@ -599,16 +598,17 @@ impl<'a> Engine<'a> {
         &mut self.machine
     }
 
-    /// Attaches the executable crash-consistency spec
-    /// ([`SpecMachine`]): every durability event feeds the per-word
-    /// legal-value model, and a crash outcome carries the spec's
-    /// localized verdict alongside the oracle's. Off by default. A
-    /// checkpoint captured with the spec on carries its state, so crash
-    /// plans resumed from it ([`Engine::run_resumed`]) keep the spec on
-    /// without this call; calling it before resuming from a checkpoint
-    /// captured without the spec panics.
+    /// Turns on the oracle's per-word transition log
+    /// ([`TxOracle::with_history`]): every store, commit, cut and raced
+    /// commit is logged with its durability-event index, so each violation
+    /// of a crash outcome carries its word's recent history, and
+    /// [`CrashOutcome::spec`] repeats the verdict. Off by default. A
+    /// checkpoint captured with the log on carries it, so crash plans
+    /// resumed from it ([`Engine::run_resumed`]) keep it on without this
+    /// call; calling it before resuming from a checkpoint captured without
+    /// the log panics.
     pub fn enable_spec(&mut self) {
-        self.spec = Some(SpecMachine::new());
+        self.oracle = TxOracle::with_history();
     }
 
     /// Runs `streams[i]` on core `i`. With `crash_at = Some(c)`, power
@@ -704,10 +704,10 @@ impl<'a> Engine<'a> {
     /// callback owns the checkpoint: dropping it before returning keeps
     /// one checkpoint alive at a time (a crash sweep), keeping it builds a
     /// set of resume bases (a crash search). The checkpoints carry what
-    /// the walking engine has on: the spec machine ([`Engine::enable_spec`])
-    /// and the probes. A `false` from `visit` ends the walk, and so does
-    /// its last stop: the rest of the run is never simulated. A step the
-    /// run never reaches is never visited.
+    /// the walking engine has on: the transition log
+    /// ([`Engine::enable_spec`]) and the probes. A `false` from `visit`
+    /// ends the walk, and so does its last stop: the rest of the run is
+    /// never simulated. A step the run never reaches is never visited.
     ///
     /// # Panics
     ///
@@ -779,7 +779,7 @@ impl<'a> Engine<'a> {
     /// the checkpoint must satisfy the trigger-axis validity rule
     /// ([`CheckpointSet::nearest`] and [`StepLog::last_before`] guarantee
     /// it); the outcome is then byte-identical to running the plan from
-    /// scratch with the checkpointing run's probes and spec machine on,
+    /// scratch with the checkpointing run's probes and transition log on,
     /// which the resumed run takes from the checkpoint.
     ///
     /// # Panics
@@ -787,7 +787,7 @@ impl<'a> Engine<'a> {
     /// Panics if the stream count differs from the configured core count
     /// or from the checkpoint's core count, if the checkpoint lies at or
     /// past the plan's trigger, or if [`Engine::enable_spec`] was called
-    /// but the checkpoint was captured without the spec machine.
+    /// but the checkpoint was captured without the transition log.
     pub fn run_resumed(
         self,
         streams: impl Into<TxStreams>,
@@ -817,7 +817,7 @@ impl<'a> Engine<'a> {
     }
 
     /// The whole engine state at a loop boundary: machine, core cursors,
-    /// oracle, spec machine and scheme.
+    /// oracle and scheme.
     fn capture(&self, cores: &[CoreRun], cycle_pos: Cycles, event_pos: u64) -> EngineCheckpoint {
         EngineCheckpoint {
             cycle_pos,
@@ -825,7 +825,6 @@ impl<'a> Engine<'a> {
             machine: self.machine.snapshot(),
             cores: cores.iter().map(CoreRun::state).collect(),
             oracle: self.oracle.clone(),
-            spec: self.spec.clone(),
             scheme: self.scheme.snapshot_state(),
         }
     }
@@ -898,13 +897,12 @@ impl<'a> Engine<'a> {
                 for (core, s) in cores.iter_mut().zip(&cp.cores) {
                     core.resume(s.clone());
                 }
-                self.oracle = cp.oracle.clone();
                 assert!(
-                    self.spec.is_none() || cp.spec.is_some(),
-                    "the spec machine is on but the checkpoint carries no spec state \
+                    !self.oracle.logs_history() || cp.oracle.logs_history(),
+                    "the transition log is on but the checkpoint carries none \
                      (enable it on the run that captures the checkpoint)"
                 );
-                self.spec = cp.spec.clone();
+                self.oracle = cp.oracle.clone();
                 self.scheme.restore_state(&*cp.scheme);
             }
             Start::Fork(fork) => {
@@ -1196,20 +1194,14 @@ impl<'a> Engine<'a> {
                         // the scheme persisted the commit marker before
                         // the cut is its own business. Either outcome is
                         // legal — atomically.
-                        self.oracle.observe_ambiguous(core.record(false));
-                        if let Some(spec) = &mut self.spec {
-                            let event = self.machine.pm.events().total();
-                            spec.on_ambiguous(core.id.as_usize(), core.tag, event);
-                        }
+                        let event = self.machine.pm.events().total();
+                        self.oracle.observe_ambiguous(core.record(false, event));
                         core.phase = Phase::Done;
                         return;
                     }
                     if self.track_txs {
-                        self.oracle.observe(core.record(true));
-                    }
-                    if let Some(spec) = &mut self.spec {
                         let event = self.machine.pm.events().total();
-                        spec.on_commit(core.id.as_usize(), core.tag, event);
+                        self.oracle.observe(core.record(true, event));
                     }
                     core.committed += 1;
                     if let Some(sched) = &core.arrivals {
@@ -1279,10 +1271,8 @@ impl<'a> Engine<'a> {
                 let old = m.shadow.replace(addr, new, &m.pm);
                 if self.track_txs {
                     core.cur_writes.insert(addr.word_aligned().as_u64(), new);
-                }
-                if let Some(spec) = &mut self.spec {
                     let event = self.machine.pm.events().total();
-                    spec.on_store(core.id.as_usize(), core.tag, addr, new, event);
+                    self.oracle.log_store(core.tag, addr, new, event);
                 }
                 let before = core.time;
                 self.machine.probe.begin_claim_window();
@@ -1340,10 +1330,7 @@ impl<'a> Engine<'a> {
         let event_at_cut = self.machine.pm.events().total();
         for core in cores.iter_mut() {
             if core.phase == Phase::InTx {
-                self.oracle.observe(core.record(false));
-                if let Some(spec) = &mut self.spec {
-                    spec.on_crash_inflight(core.id.as_usize(), core.tag, event_at_cut);
-                }
+                self.oracle.observe(core.record(false, event_at_cut));
                 inflight += 1;
             }
             core.phase = Phase::Done;
@@ -1390,7 +1377,7 @@ impl<'a> Engine<'a> {
             recovery.replayed_words + recovery.revoked_words,
         );
         let consistency = self.oracle.verify(&self.machine.pm);
-        let spec = self.spec.as_ref().map(|s| s.verify(&self.machine.pm));
+        let spec = self.oracle.logs_history().then(|| consistency.clone());
         let outcome = CrashOutcome {
             crash_at,
             recovery,
@@ -1429,6 +1416,7 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::schemes::NullScheme;
+    use crate::WordEventKind;
 
     fn tx_writing(addrs: &[(u64, u64)]) -> Transaction {
         let mut b = Transaction::builder();
@@ -1933,9 +1921,9 @@ mod tests {
 
     #[test]
     fn spec_machine_agrees_with_oracle_and_localizes() {
-        // NullScheme loses the committed write; both the digest oracle and
-        // the spec must flag it, and the spec names the exact word with
-        // its history.
+        // NullScheme loses the committed write; with the transition log
+        // on, `spec` repeats the oracle's verdict, which names the exact
+        // word with its history.
         let cfg = SimConfig::table_ii(1);
         let txs = vec![tx_writing(&[(0, 7), (64, 8)])];
         let mut scheme = NullScheme::default();
@@ -1944,20 +1932,55 @@ mod tests {
         engine.machine_mut().probe.enable_signature();
         let out = engine.run(vec![txs], Some(Cycles::new(1_000_000)));
         let crash = out.crash.expect("crash requested");
-        let spec = crash.spec.expect("spec enabled");
-        assert_eq!(
-            spec.is_consistent(),
-            crash.consistency.is_consistent(),
-            "spec and oracle must agree"
-        );
-        assert!(!spec.is_consistent());
-        let v = spec.first_offender().expect("violation");
+        assert_eq!(crash.spec.as_ref(), Some(&crash.consistency));
+        assert!(!crash.consistency.is_consistent());
+        let v = crash.consistency.first_offender().expect("violation");
         assert_eq!(v.addr, PhysAddr::new(0), "lowest offending word first");
         assert_eq!(v.legal, vec![Word::new(7)]);
         assert!(v.event > 0, "history carries the durability-event index");
         assert!(!v.history.is_empty());
         let sig = out.signature.expect("signature recorder enabled");
         assert!(sig.count() > 0, "tx/crash events produce coverage bits");
+    }
+
+    #[test]
+    fn a_cores_next_transaction_does_not_inherit_the_last_ones_writes() {
+        // One core commits word 0, then word 8, and is cut at its third
+        // transaction's first store (word 16, the run's third event).
+        // NullScheme persists nothing, so both committed words are lost,
+        // and each one's history names only the transaction that wrote
+        // it: a record that inherited the last transaction's writes would
+        // re-commit word 0 and roll words 0 and 8 back at the cut.
+        let cfg = SimConfig::table_ii(1);
+        let txs = vec![
+            tx_writing(&[(0, 1)]),
+            tx_writing(&[(8, 2)]),
+            tx_writing(&[(16, 3), (24, 4)]),
+        ];
+        let mut scheme = NullScheme::default();
+        let mut engine = Engine::new(&cfg, &mut scheme);
+        engine.enable_spec();
+        let out = engine.run_with_plan(vec![txs], Some(CrashPlan::at_event(3)));
+        let crash = out.crash.expect("crash injected");
+        assert_eq!((crash.committed_txs, crash.inflight_txs), (2, 1));
+        assert_eq!(crash.consistency.words_checked, 3);
+        let seen: Vec<(u64, Vec<(WordEventKind, u16)>)> = crash
+            .consistency
+            .violations
+            .iter()
+            .map(|v| {
+                let history = v.history.iter().map(|e| (e.kind, e.tag.txid().as_u16()));
+                (v.addr.as_u64(), history.collect())
+            })
+            .collect();
+        use WordEventKind::{Commit, Store};
+        assert_eq!(
+            seen,
+            vec![
+                (0, vec![(Store, 1), (Commit, 1)]),
+                (8, vec![(Store, 2), (Commit, 2)]),
+            ]
+        );
     }
 
     #[test]

@@ -35,9 +35,13 @@
 //! [`TxOracle`] built during execution checks the recovered PM image for
 //! **atomic durability**: every committed transaction fully applied,
 //! every uncommitted transaction fully absent, and a commit that raced
-//! the power cut applied all-or-nothing. On crash runs the traffic
-//! counters freeze at the instant of power loss and [`RunOutcome::pm`] is
-//! snapshotted immediately after the oracle's verdict.
+//! the power cut applied all-or-nothing. It is the one crash verdict:
+//! each [`Violation`] names the word, its legal values and the rule it
+//! broke, and with the oracle's transition log on
+//! ([`Engine::enable_spec`]) the word's recent history too. On crash runs
+//! the traffic counters freeze at the instant of power loss and
+//! [`RunOutcome::pm`] is snapshotted immediately after the oracle's
+//! verdict.
 //!
 //! # Shared prefixes
 //!
@@ -91,9 +95,9 @@ pub use engine::{
 };
 pub use machine::{Machine, MachineState, ShadowMem};
 pub use ops::{Op, Transaction, TransactionBuilder};
-pub use oracle::{ConsistencyReport, LinePeeker, TxOracle, TxRecord, Violation};
+pub use oracle::{ConsistencyReport, LinePeeker, TxOracle, TxRecord, Violation, VIOLATION_KINDS};
 pub use schemes::{EvictAction, LoggingScheme, RecoveryReport, SchemeState, SchemeStats};
-pub use spec::{SpecMachine, SpecReport, SpecViolation, WordEvent, WordEventKind};
+pub use spec::{WordEvent, WordEventKind};
 pub use stats::{CoreStats, LatencyStats, SimStats};
 pub use trace::{ArrivalSchedule, TraceProvenance, TraceSet, TxStreams};
 
@@ -104,6 +108,6 @@ pub use silo_pm::{DrainReport, EventCounters, EventKind, FaultModel};
 // Re-exported so callers can enable/consume the observability layer (the
 // [`Machine::probe`] hub) without depending on `silo-probe` directly.
 pub use silo_probe::{
-    CycleBreakdown, CycleCategory, Probe, ProbeEvent, ProbeEventKind, ProbeHub, SchemePhase,
-    Signature, SignatureRecorder, DEFAULT_TIMELINE_CAPACITY, TIMELINE_SCHEMA_VERSION,
+    CycleBreakdown, CycleCategory, ProbeEvent, ProbeEventKind, ProbeHub, SchemePhase, Signature,
+    SignatureRecorder, DEFAULT_TIMELINE_CAPACITY, TIMELINE_SCHEMA_VERSION,
 };

@@ -5,7 +5,7 @@
 # Stages are runnable individually so the CI workflow can fan them out as
 # separate jobs (and so a developer can re-run just the piece that failed):
 #
-#   scripts/ci.sh build        compile the workspace (all targets)
+#   scripts/ci.sh build        compile the workspace (all targets) and perfbench/tracer
 #   scripts/ci.sh test         run the test suite
 #   scripts/ci.sh lint         rustfmt + clippy
 #   scripts/ci.sh smoke        experiment smoke tests + determinism and golden gates
@@ -66,6 +66,13 @@ PY
 build_stage() {
   echo "== cargo build --release =="
   cargo build --release --workspace --all-targets
+
+  # perfbench/tracer is its own cargo workspace and calls the library
+  # directly, so a library change that breaks its API fails here, not
+  # only in the bench stage's traced run.
+  echo "== cargo build --release perfbench/tracer =="
+  CARGO_TARGET_DIR=target cargo build --release --offline \
+    --manifest-path perfbench/tracer/Cargo.toml
 }
 
 # The tier-1 command: every crate's tests (the root manifest's

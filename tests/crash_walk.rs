@@ -7,10 +7,10 @@
 //! that resume from it. A point resumed this way must be byte-identical
 //! to the same crash plan run from t=0: same `SimStats`, same oracle
 //! verdict, same recovered image. A point with no earlier step runs from
-//! scratch. A walk with the spec machine and the signature recorder on
-//! hands out checkpoints that carry both, so a crash search can keep a
-//! few and resume every candidate from them: those candidates must judge
-//! the recovered image exactly as a run from t=0 does.
+//! scratch. A walk with the oracle's transition log and the signature
+//! recorder on hands out checkpoints that carry both, so a crash search
+//! can keep a few and resume every candidate from them: those candidates
+//! must judge the recovered image exactly as a run from t=0 does.
 //!
 //! A crash cell runs all its engines on machines it owns
 //! ([`Engine::on`]): each run resets the machine or restores it from a
@@ -218,13 +218,13 @@ fn a_point_with_no_earlier_step_runs_from_scratch() {
     assert!(crash.consistency.is_consistent());
 }
 
-/// An engine with the spec machine and the signature recorder on, the way
-/// the crash search judges every candidate.
+/// An engine with the transition log and the signature recorder on, the
+/// way the crash search judges every candidate.
 fn judging<'s>(scheme: &'s mut dyn LoggingScheme, config: &SimConfig) -> Engine<'s> {
     judged(Engine::new(config, scheme))
 }
 
-/// `engine` with the spec machine and the signature recorder on.
+/// `engine` with the transition log and the signature recorder on.
 fn judged(mut engine: Engine<'_>) -> Engine<'_> {
     engine.enable_spec();
     engine.machine_mut().probe.enable_signature();
@@ -284,7 +284,7 @@ fn kept_checkpoints_resume_the_spec_machine_and_signature() {
                 .rev()
                 .find(|cp| cp.event_pos() < n)
                 .expect("a kept checkpoint precedes every interior point");
-            // The checkpoint turns the spec machine and the signature
+            // The checkpoint turns the transition log and the signature
             // recorder on: nothing is enabled on the resuming engine.
             let mut s = make_scheme(name, &config);
             let resumed = Engine::new(&config, s.as_mut()).run_resumed(&trace, *plan, cp);
@@ -300,14 +300,9 @@ fn kept_checkpoints_resume_the_spec_machine_and_signature() {
                 a.consistency, b.consistency,
                 "{what}: oracle verdict diverged"
             );
-            let (spec_a, spec_b) = (a.spec.expect("spec on"), b.spec.expect("spec carried"));
-            assert_eq!(spec_a, spec_b, "{what}: spec report diverged");
-            assert_eq!(
-                spec_a.is_consistent(),
-                a.consistency.is_consistent(),
-                "{what}: spec and oracle disagree"
-            );
-            if let Some(v) = spec_a.first_offender() {
+            assert_eq!(a.spec.as_ref(), Some(&a.consistency), "{what}: log off");
+            assert_eq!(b.spec, a.spec, "{what}: the checkpoint carried no log");
+            if let Some(v) = a.consistency.first_offender() {
                 assert!(!v.history.is_empty(), "{what}: violation without history");
                 violated += 1;
             }
@@ -319,8 +314,9 @@ fn kept_checkpoints_resume_the_spec_machine_and_signature() {
 }
 
 /// What a crash run must reproduce exactly, whichever machine it ran on:
-/// its statistics, both verdicts, its recovery, whether recovery
-/// re-crashed, its coverage signature and its recovered footprint.
+/// its statistics, its verdict and whether the transition log was on
+/// (`spec`), its recovery, whether recovery re-crashed, its coverage
+/// signature and its recovered footprint.
 fn observed(out: &RunOutcome, fp: &[PhysAddr]) -> impl PartialEq + std::fmt::Debug {
     let crash = out.crash.clone().expect("crash injected");
     (
@@ -364,10 +360,10 @@ fn one_reused_machine_runs_every_plan_as_a_new_machine_does() {
         });
         assert_eq!(kept.len(), 4, "{name}: one kept checkpoint per stop");
 
-        // `None` runs from scratch; a judging scratch run has the spec
-        // machine and signature on, as a kept checkpoint does. The first
-        // plan judges nothing, so a signature recorder left over from the
-        // walk would show in its outcome.
+        // `None` runs from scratch; a judging scratch run has the
+        // transition log and signature on, as a kept checkpoint does. The
+        // first plan judges nothing, so a signature recorder left over
+        // from the walk would show in its outcome.
         let battery = FaultModel::bounded_battery(64 * 1024);
         let mut plans: Vec<(CrashPlan, Option<usize>, bool)> = vec![
             (

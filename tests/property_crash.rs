@@ -1,5 +1,5 @@
 //! Property test: atomic durability holds for random transaction streams
-//! crashed at random cycles, under every logging scheme.
+//! crashed at random cycles inside the run, under every logging scheme.
 //!
 //! This is the repository's strongest correctness statement: whatever the
 //! write pattern and wherever the power fails, the recovered PM image is
@@ -45,8 +45,14 @@ fn build_streams(spec: &Spec) -> Vec<Vec<Transaction>> {
         .collect()
 }
 
-fn check_scheme(make: impl Fn(&SimConfig) -> Box<dyn LoggingScheme>, spec: &Spec, crash_at: u64) {
+/// Runs `spec` clean under `make`'s scheme, then crashes it at a cycle
+/// drawn from `0..` the clean run's length, so the cut lands inside the
+/// run, and checks the recovered image.
+fn check_scheme(g: &mut Gen, make: impl Fn(&SimConfig) -> Box<dyn LoggingScheme>, spec: &Spec) {
     let config = SimConfig::table_ii(spec.len());
+    let mut scheme = make(&config);
+    let clean = Engine::new(&config, scheme.as_mut()).run(build_streams(spec), None);
+    let crash_at = g.range(0..clean.stats.sim_cycles.as_u64().max(1));
     let mut scheme = make(&config);
     let name = scheme.name();
     let out =
@@ -62,11 +68,11 @@ fn check_scheme(make: impl Fn(&SimConfig) -> Box<dyn LoggingScheme>, spec: &Spec
 }
 
 /// Checks `make`'s scheme on 48 random specs, each crashed at a random
-/// cycle below 30,000.
+/// cycle of its run.
 fn recovers_any_random_crash(name: &str, make: impl Fn(&SimConfig) -> Box<dyn LoggingScheme>) {
     check(name, 48, |g| {
         let spec = spec(g);
-        check_scheme(&make, &spec, g.range(0..30_000));
+        check_scheme(g, &make, &spec);
     });
 }
 
@@ -81,9 +87,9 @@ fn silo_recovers_any_random_crash() {
 fn silo_with_slow_drain_recovers_any_random_crash() {
     check("silo_with_slow_drain_recovers_any_random_crash", 48, |g| {
         let spec = spec(g);
-        let crash_at = g.range(0..30_000);
         let drain = g.pick(&[0u64, 64, 100_000, u64::MAX / 2]);
         check_scheme(
+            g,
             |c| {
                 Box::new(SiloScheme::with_options(
                     c,
@@ -94,7 +100,6 @@ fn silo_with_slow_drain_recovers_any_random_crash() {
                 ))
             },
             &spec,
-            crash_at,
         );
     });
 }
@@ -142,16 +147,15 @@ fn eadr_swlog_recovers_any_random_crash() {
 }
 
 /// Transactions big enough to overflow Silo's log buffer several times
-/// over, crashed anywhere.
+/// over, crashed anywhere in the run.
 #[test]
 fn silo_overflowing_transactions_recover() {
     check("silo_overflowing_transactions_recover", 48, |g| {
         let words = g.range(30..200);
-        let crash_at = g.range(0..60_000);
         let txs = g.range(1..4);
         let spec: Spec = vec![(0..txs)
             .map(|t| (0..words).map(|i| (i, t * 1_000 + i + 1)).collect())
             .collect()];
-        check_scheme(|c| Box::new(SiloScheme::new(c)), &spec, crash_at);
+        check_scheme(g, |c| Box::new(SiloScheme::new(c)), &spec);
     });
 }

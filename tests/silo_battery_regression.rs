@@ -35,10 +35,10 @@ fn run_repro(bench: &str, txs_per_core: usize, point: u64, fault: FaultModel) ->
         .iter()
         .map(|v| {
             format!(
-                "{}: addr={:#x} expected={:#x} actual={:#x} (ambiguous_txs={})",
+                "{}: addr={:#x} legal={:x?} actual={:#x} (ambiguous_txs={})",
                 v.kind,
                 v.addr.as_u64(),
-                v.expected.as_u64(),
+                v.legal,
                 v.actual.as_u64(),
                 crash.ambiguous_txs,
             )
