@@ -40,9 +40,10 @@ check validates a report: a string \"experiment\", a \"cells\" array, and
 exact integer counters in every cycle breakdown (exit 1 otherwise).
 
 Cell outcomes are memoized on disk under target/result-store/ (override
-with SILO_RESULT_STORE=<dir>), keyed by spec hash, trace content, and
-code fingerprint, so re-evaluating unchanged work replays stored
-results; `evaluate store-gc` prunes entries left by old builds.
+with SILO_RESULT_STORE=<dir>), keyed by code fingerprint and spec hash,
+so re-evaluating unchanged work replays stored results without
+generating a trace; `evaluate store-gc` prunes entries left by old
+builds.
 
 Run `evaluate list` for the registered experiments.";
 

@@ -11,13 +11,16 @@
 //!   `run_one` / [`run_delta_with`] call family, so the execution seam is
 //!   a single function instead of ~20 ad-hoc closures;
 //! * persistent memoization: the [`ResultStore`](crate::ResultStore) keys
-//!   outcomes by `(spec hash, trace content hash, code fingerprint)` and
-//!   replays them across processes.
+//!   outcomes by spec hash and code fingerprint and replays them across
+//!   processes.
 //!
 //! Hashing covers every execution-relevant field and **excludes** the
 //! display label: two cells that run the same simulation share one stored
 //! result even when different experiments print them under different
-//! headings (fig11 and fig12 sweep the identical grid).
+//! headings (fig11 and fig12 sweep the identical grid). Every trace
+//! generation parameter is such a field, and generators read nothing but
+//! their parameters, so the spec hash and the code fingerprint name each
+//! trace a cell consumes without generating it.
 
 use std::path::PathBuf;
 
@@ -526,55 +529,6 @@ impl CellSpec {
                         h.str(ident);
                     }
                 }
-            }
-        }
-        h.finish()
-    }
-
-    /// FNV-1a fold of the content hashes of every trace this cell's run
-    /// consumes, resolved through the [`TraceCache`] (so a warm-store run
-    /// pays trace generation, never simulation). Together with the spec
-    /// hash and the build's code fingerprint this is the result-store key:
-    /// a workload-generator change flows into this hash even if the spec
-    /// text happens to collide.
-    pub fn trace_fingerprint(&self) -> u64 {
-        let mut h = Encoder::new();
-        let mut fold = |w: &dyn Workload, cores: usize, txs: usize| {
-            let trace = TraceCache::global().get_or_build(w, cores, txs, self.seed);
-            h.u64(trace.content_hash());
-        };
-        let plain = |name: &str| WorkloadSpec::plain(name).instantiate();
-        match &self.work {
-            CellWork::Delta(run) => {
-                let w = run.workload.instantiate();
-                fold(&*w, run.cores, run.txs_per_core);
-                fold(&*w, run.cores, run.txs_per_core * 2);
-            }
-            CellWork::Full { run, .. } | CellWork::Profiled(run) | CellWork::Wear(run) => {
-                fold(&*run.workload.instantiate(), run.cores, run.txs_per_core)
-            }
-            CellWork::TraceStats { workload, txs } => fold(&*plain(workload), 1, *txs),
-            // The probe trace determines the batch group; the final batched
-            // trace is derived from the same generator, so the probe hash
-            // (plus the code fingerprint) covers it without generating the
-            // full batched trace on warm runs.
-            CellWork::LargeTx { workload, .. } => fold(&*plain(workload), 1, 50),
-            CellWork::Recovery { txs, .. } => {
-                fold(&*plain("TPCC"), RECOVERY_CORES, txs / RECOVERY_CORES)
-            }
-            CellWork::CrashSweep {
-                workload,
-                txs_per_core,
-                ..
-            } => fold(&*plain(workload), CRASH_CORES, *txs_per_core),
-            CellWork::Fuzz {
-                workload,
-                txs_per_core,
-                arrival,
-                ..
-            } => {
-                let w = crash_workload_spec(workload, arrival.as_deref()).instantiate();
-                fold(&*w, CRASH_CORES, *txs_per_core)
             }
         }
         h.finish()
@@ -1122,28 +1076,6 @@ mod tests {
         )));
         assert_eq!(s.spec_hash(), s.spec_hash());
         assert_eq!(s.spec_hash(), s.clone().spec_hash());
-    }
-
-    #[test]
-    fn trace_fingerprint_tracks_trace_content() {
-        let a = spec(CellWork::TraceStats {
-            workload: "Bank".into(),
-            txs: 4,
-        });
-        let b = spec(CellWork::TraceStats {
-            workload: "Bank".into(),
-            txs: 4,
-        });
-        assert_eq!(a.trace_fingerprint(), b.trace_fingerprint());
-        let c = CellSpec::new(
-            CellLabel::default(),
-            43,
-            CellWork::TraceStats {
-                workload: "Bank".into(),
-                txs: 4,
-            },
-        );
-        assert_ne!(a.trace_fingerprint(), c.trace_fingerprint());
     }
 
     #[test]

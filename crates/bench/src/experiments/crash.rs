@@ -231,8 +231,8 @@ impl Target {
                 "unparseable arrival ident {ident:?} in cell {cell}"
             ));
         }
-        // Same construction the trace fingerprint hashes, so the streams
-        // crashed are exactly the streams the cell key describes.
+        // The streams the cell's spec names (workload, arrival process,
+        // transactions per core, seed) on the crash cells' fixed cores.
         let w = crash_workload_spec(workload, arrival).instantiate();
         let streams = TraceCache::global().get_or_build(&*w, CORES, txs_per_core, seed);
         let mut footprint: Vec<u64> = streams
@@ -1203,7 +1203,7 @@ fn render_search(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut St
 pub fn fuzz() -> ExperimentSpec {
     ExperimentSpec {
         name: "fuzz",
-        description: "coverage-guided crash search with the per-word executable spec",
+        description: "coverage-guided crash search with the oracle's per-word transition log",
         default_txs: 16,
         flags: &[
             BENCH,

@@ -2,10 +2,10 @@
 //!
 //! Generalizes the in-process [`TraceCache`](crate::TraceCache) idea to
 //! *finished cell outcomes*, persisted across processes: every cell is
-//! keyed by `(spec hash, trace fingerprint, code fingerprint)` and its
-//! outcome is written to `target/result-store/<code-fp>/<spec>-<trace>.json`
-//! after first execution. A warm `evaluate` run re-renders every report
-//! byte-identically while paying only trace generation, never simulation.
+//! keyed by its code fingerprint and spec hash, and its outcome is written
+//! to `target/result-store/<code-fp>/<spec>.json` after first execution. A
+//! warm `evaluate` run re-renders every report byte-identically from one
+//! file read per cell: it generates no trace and simulates nothing.
 //!
 //! The store is **two-tier**: an in-memory map of decoded
 //! [`CellOutcome`]s sits in front of the on-disk entries, so a cell that
@@ -17,13 +17,14 @@
 //! Invalidation is conservative and needs no dependency tracking:
 //!
 //! * **code fingerprint** — a build-script hash of every workspace source
-//!   file ([`build.rs`]); entries live under a per-fingerprint directory,
-//!   so *any* source change makes the whole store cold (and `evaluate
-//!   store-gc` deletes the orphaned fingerprint directories);
-//! * **trace fingerprint** — the content hashes of the trace sets the cell
-//!   consumes, so workload-generator output changes flow into the key even
-//!   within one build;
+//!   file (`crates/bench/build.rs`); entries live under a per-fingerprint
+//!   directory, so *any* source change makes the whole store cold (and
+//!   `evaluate store-gc` deletes the orphaned fingerprint directories);
 //! * **spec hash** — every execution-relevant parameter of the cell.
+//!
+//! The two name every trace a cell consumes: generators are workspace
+//! sources and read nothing but the generation parameters the spec hash
+//! covers, so hashing the traces themselves would add nothing to the key.
 //!
 //! Corrupt, truncated, or otherwise unparseable entries are treated as
 //! misses and recomputed (counted as `invalidated`). Writes go through a
@@ -50,7 +51,7 @@ use crate::exp::CellOutcome;
 
 /// On-disk entry format version; bumped on any layout change so old
 /// entries read as corrupt (and recompute) instead of misparsing.
-const STORE_VERSION: u64 = 1;
+const STORE_VERSION: u64 = 2;
 
 /// Locks a mutex, recovering the data if a previous holder panicked: a
 /// captured cell panic poisons the slot it executed under, and the next
@@ -71,14 +72,12 @@ pub struct ResultStore {
     misses: AtomicU64,
     invalidated: AtomicU64,
     memory_hits: AtomicU64,
-    /// Per-key execution locks.
-    slots: Mutex<HashMap<Key, Arc<Mutex<()>>>>,
-    /// The memory tier: every outcome this process decoded or executed.
-    memory: Mutex<HashMap<Key, CellOutcome>>,
+    /// Per-spec-hash execution locks.
+    slots: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
+    /// The memory tier: every outcome this process decoded or executed,
+    /// by spec hash.
+    memory: Mutex<HashMap<u64, CellOutcome>>,
 }
-
-/// A cell's store key: `(spec hash, trace fingerprint)`.
-type Key = (u64, u64);
 
 /// Store effectiveness counters (the `[result-store]` stderr line).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,7 +167,7 @@ impl ResultStore {
     }
 
     /// A memory-tier hit for `key`, counted, or `None`.
-    fn memory_get(&self, key: Key) -> Option<CellOutcome> {
+    fn memory_get(&self, key: u64) -> Option<CellOutcome> {
         let outcome = lock_recovering(&self.memory).get(&key)?.clone();
         self.hits.fetch_add(1, Ordering::Relaxed);
         self.memory_hits.fetch_add(1, Ordering::Relaxed);
@@ -196,7 +195,7 @@ impl ResultStore {
         if !self.enabled() || !spec.cacheable() {
             return (spec.execute(), Served::Executed);
         }
-        let key = (spec.spec_hash(), spec.trace_fingerprint());
+        let key = spec.spec_hash();
         if let Some(outcome) = self.memory_get(key) {
             return (outcome, Served::Memory);
         }
@@ -237,11 +236,11 @@ impl ResultStore {
         (outcome, Served::Executed)
     }
 
-    /// `<dir>/<code fingerprint>/<spec hash>-<trace fingerprint>.json`.
-    fn entry_path(&self, key: Key) -> PathBuf {
+    /// `<dir>/<code fingerprint>/<spec hash>.json`.
+    fn entry_path(&self, key: u64) -> PathBuf {
         self.dir
             .join(&self.fingerprint)
-            .join(format!("{:016x}-{:016x}.json", key.0, key.1))
+            .join(format!("{key:016x}.json"))
     }
 
     /// Atomic write: unique temp file in the same directory, then rename.
@@ -306,7 +305,7 @@ fn is_fingerprint(name: &str) -> bool {
 /// floats, so the store must reproduce them bit-exactly — including the
 /// non-finite values (`endurance` stores `inf` lifetimes) that JSON text
 /// cannot carry as numbers.
-fn encode_entry(outcome: &CellOutcome, key: Key) -> String {
+fn encode_entry(outcome: &CellOutcome, key: u64) -> String {
     let values = JsonValue::Arr(
         outcome
             .values
@@ -316,8 +315,7 @@ fn encode_entry(outcome: &CellOutcome, key: Key) -> String {
     );
     let mut obj = JsonValue::object()
         .field("v", STORE_VERSION)
-        .field("spec", format!("{:016x}", key.0))
-        .field("trace", format!("{:016x}", key.1))
+        .field("spec", format!("{key:016x}"))
         .field("values", values);
     if let Some(stats) = &outcome.stats {
         obj = obj.field("stats", stats.to_json());
@@ -331,14 +329,14 @@ fn encode_entry(outcome: &CellOutcome, key: Key) -> String {
 }
 
 /// Rebuilds an outcome from its stored form. `None` on *any* anomaly —
-/// wrong version, key mismatch (hash collision on the truncated file
-/// name), malformed values, unknown scheme, or a stats counter that fails
-/// the strict [`SimStats::from_json`] parse — and the caller recomputes.
-fn decode_entry(text: &str, key: Key) -> Option<CellOutcome> {
+/// wrong version, an entry that names another spec hash (a file copied or
+/// renamed into place), malformed values, unknown scheme, or a stats
+/// counter that fails the strict [`SimStats::from_json`] parse — and the
+/// caller recomputes.
+fn decode_entry(text: &str, key: u64) -> Option<CellOutcome> {
     let v = JsonValue::parse(text).ok()?;
     if v.get("v").and_then(JsonValue::as_u64) != Some(STORE_VERSION)
-        || v.get("spec").and_then(JsonValue::as_str) != Some(&format!("{:016x}", key.0))
-        || v.get("trace").and_then(JsonValue::as_str) != Some(&format!("{:016x}", key.1))
+        || v.get("spec").and_then(JsonValue::as_str) != Some(&format!("{key:016x}"))
     {
         return None;
     }
@@ -440,7 +438,7 @@ mod tests {
             ],
             ..CellOutcome::default()
         };
-        let key = (0xdead_beef, 0xfeed_face);
+        let key = 0xdead_beef;
         let text = encode_entry(&outcome, key);
         let back = decode_entry(&text, key).expect("round trip");
         assert_eq!(back.values.len(), outcome.values.len());
@@ -453,7 +451,7 @@ mod tests {
             outcome.stats.as_ref().unwrap().to_json().to_string()
         );
         // A key mismatch (same bytes under another name) is rejected.
-        assert!(decode_entry(&text, (key.0, key.1 ^ 1)).is_none());
+        assert!(decode_entry(&text, key ^ 1).is_none());
     }
 
     #[test]
@@ -498,13 +496,29 @@ mod tests {
         store.set_enabled(true);
         let spec = small_spec(5);
         let good = store.get_or_run(&spec);
-        let path = store.entry_path((spec.spec_hash(), spec.trace_fingerprint()));
+        let path = store.entry_path(spec.spec_hash());
         let full = std::fs::read_to_string(&path).expect("entry written");
+        // The version-1 layout: this entry with a trace fingerprint beside
+        // the spec hash.
+        let spec_field = format!("\"spec\":\"{:016x}\",", spec.spec_hash());
+        let v1 = full.replacen(
+            &format!("{{\"v\":{STORE_VERSION},{spec_field}"),
+            &format!("{{\"v\":1,{spec_field}\"trace\":\"00000000deadbeef\","),
+            1,
+        );
+        assert!(v1.starts_with("{\"v\":1,"), "{v1}");
+        // Another spec's entry, copied into this one's place.
+        let other = small_spec(6);
+        store.get_or_run(&other);
+        let misplaced = std::fs::read_to_string(store.entry_path(other.spec_hash()))
+            .expect("other entry written");
         for bad in [
             "",                                        // empty
             "{",                                       // malformed JSON
             &full[..full.len() / 2],                   // truncated mid-entry
             "{\"v\":999}",                             // future version
+            &v1,                                       // version 1
+            &misplaced,                                // names another spec
             &full.replace("Silo", "Nope"),             // unknown scheme
             &full.replace("sim_cycles", "sim_cyclez"), // renamed counter
         ] {
@@ -524,6 +538,32 @@ mod tests {
             // The recompute heals the entry on disk.
             assert_eq!(std::fs::read_to_string(&path).expect("rewritten"), full);
         }
+        let _ = std::fs::remove_dir_all(&store.dir);
+    }
+
+    #[test]
+    fn an_entry_lives_at_its_fingerprint_and_spec_hash() {
+        let store = tmp_store("path");
+        store.set_enabled(true);
+        let spec = small_spec(9);
+        store.get_or_run(&spec);
+        let entries: Vec<PathBuf> = std::fs::read_dir(store.dir.join(FP_TEST))
+            .expect("fingerprint dir")
+            .flatten()
+            .map(|e| e.path())
+            .collect();
+        let want = store
+            .dir
+            .join(FP_TEST)
+            .join(format!("{:016x}.json", spec.spec_hash()));
+        assert_eq!(entries, std::slice::from_ref(&want));
+        let entry = JsonValue::parse(&std::fs::read_to_string(&want).expect("entry"))
+            .expect("entry parses");
+        assert_eq!(
+            entry.get("v").and_then(JsonValue::as_u64),
+            Some(STORE_VERSION)
+        );
+        assert!(entry.get("trace").is_none(), "no trace field in the key");
         let _ = std::fs::remove_dir_all(&store.dir);
     }
 

@@ -7,12 +7,12 @@
 //! run regardless of worker count or scheduling: rendering only ever sees
 //! the in-order slice.
 //!
-//! Every cell resolves through the process-wide
-//! [`ResultStore`](crate::ResultStore): with the store enabled, a
-//! previously computed `(spec, trace, code)` key skips the simulation
-//! entirely; disabled (the default outside the CLI), the spec executes
-//! directly. Either way the runner stamps the outcome's `origin` with the
-//! cell label so downstream accessor failures name their cell.
+//! Every cell resolves through the process-wide [`ResultStore`]: with the
+//! store enabled, a cell whose spec hash this build has computed before
+//! skips trace generation and simulation entirely; disabled (the default
+//! outside the CLI), the spec executes directly. Either way the runner
+//! stamps the outcome's `origin` with the cell label so downstream
+//! accessor failures name their cell.
 //!
 //! A panic inside a cell propagates to the caller: a panicking cell is a
 //! bug, and a debug assertion in a crash cell (the resume-vs-scratch

@@ -184,7 +184,7 @@ impl Default for TraceCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use silo_workloads::BankWorkload;
+    use silo_workloads::{ArrivalProcess, BankWorkload, OpenLoop};
 
     #[test]
     fn same_key_generates_once_and_hits_after() {
@@ -222,6 +222,32 @@ mod tests {
         assert_eq!(cached.content_hash(), fresh.content_hash());
         assert!(!Arc::ptr_eq(&cached.streams()[0], &fresh.streams()[0]));
         assert_eq!(cache.stats().generations, 2);
+    }
+
+    #[test]
+    fn equal_keys_give_equal_content_hashes_and_seeds_differ() {
+        let w = BankWorkload::default();
+        let a = TraceCache::new().get_or_build(&w, 1, 4, 42);
+        let b = TraceCache::new().get_or_build(&w, 1, 4, 42);
+        assert!(!Arc::ptr_eq(&a.streams()[0], &b.streams()[0]));
+        assert_eq!(a.content_hash(), b.content_hash());
+        let c = TraceCache::new().get_or_build(&w, 1, 4, 43);
+        assert_ne!(a.content_hash(), c.content_hash());
+    }
+
+    /// The digest of one closed-loop trace and of its open-loop variant,
+    /// pinned: a change to the hash's encoding, or to what it folds in,
+    /// moves one of them.
+    #[test]
+    fn content_hashes_are_pinned() {
+        let closed = BankWorkload::default().build_trace(2, 4, 42);
+        let open = OpenLoop::new(
+            BankWorkload::default(),
+            ArrivalProcess::Poisson { mean_gap: 500 },
+        )
+        .build_trace(2, 4, 42);
+        assert_eq!(closed.content_hash(), 0xd247_1ec5_710c_2086);
+        assert_eq!(open.content_hash(), 0x112c_b702_8029_1cbe);
     }
 
     #[test]

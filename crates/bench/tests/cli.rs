@@ -157,10 +157,6 @@ fn failed_cell_exits_3_under_catch_cell_panics() {
                     "spec",
                     v.get("spec").and_then(JsonValue::as_str).expect("spec"),
                 )
-                .field(
-                    "trace",
-                    v.get("trace").and_then(JsonValue::as_str).expect("trace"),
-                )
                 .field("values", JsonValue::Arr(Vec::new()))
                 .field("error", "unknown workload \"NoSuchWorkload\" in cell")
                 .build();

@@ -2,10 +2,11 @@
 //!
 //! The unit tests in `result_store.rs` cover the store in isolation;
 //! these drive the real CLI with `SILO_RESULT_STORE` pointed at a scratch
-//! directory and assert the tentpole contract: warm (memoized) runs emit
-//! byte-identical stdout and reports to cold runs at any `--jobs`,
-//! corruption degrades to recomputation, and entries stamped by another
-//! build are invisible until `store-gc` prunes them (and only them).
+//! directory and assert the store's contract: warm (memoized) runs emit
+//! byte-identical stdout and reports to cold runs at any `--jobs` and
+//! generate no trace, corruption degrades to recomputation, and entries
+//! stamped by another build are invisible until `store-gc` prunes them
+//! (and only them).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -46,17 +47,27 @@ fn stripped_report(json_dir: &Path, experiment: &str) -> String {
     format!("{}}}", &text[..i])
 }
 
-/// The `(hits, misses, invalidated)` triple from a run's stderr.
-fn store_counts(stderr: &str) -> (u64, u64, u64) {
+/// The numbers on a run's stderr line that starts with `prefix`.
+fn counts(stderr: &str, prefix: &str) -> Vec<u64> {
     let line = stderr
         .lines()
-        .find(|l| l.starts_with("[result-store]"))
-        .expect("store stats line on stderr");
-    let nums: Vec<u64> = line
-        .split_whitespace()
+        .find(|l| l.starts_with(prefix))
+        .unwrap_or_else(|| panic!("{prefix} line on stderr"));
+    line.split_whitespace()
         .filter_map(|w| w.trim_end_matches(',').parse().ok())
-        .collect();
+        .collect()
+}
+
+/// The `(hits, misses, invalidated)` triple from a run's stderr.
+fn store_counts(stderr: &str) -> (u64, u64, u64) {
+    let nums = counts(stderr, "[result-store]");
     (nums[0], nums[1], nums[2])
+}
+
+/// How many traces a run generated, from its `[trace-cache] K unique
+/// keys, G generated, H hits` line.
+fn traces_generated(stderr: &str) -> u64 {
+    counts(stderr, "[trace-cache]")[1]
 }
 
 #[test]
@@ -82,6 +93,11 @@ fn cold_and_warm_reports_are_byte_identical_across_jobs() {
                 "{experiment}: warm run at --jobs {jobs} never hit"
             );
             assert_eq!(misses, 0, "{experiment}: warm run at --jobs {jobs} missed");
+            assert_eq!(
+                traces_generated(&warm_err),
+                0,
+                "{experiment}: warm run at --jobs {jobs} generated traces"
+            );
             assert_eq!(warm_out, cold_out, "{experiment}: stdout drifted warm");
             assert_eq!(
                 stripped_report(&warm_json, experiment),

@@ -400,9 +400,10 @@ impl PmDevice {
     }
 
     /// Switches to residual-energy operation after power loss: staged
-    /// writes become unbounded (charged at [`battery_drain`]
-    /// (Self::battery_drain)), bypass writes charge `fault`'s byte budget
-    /// immediately, and the armed crash point no longer fires.
+    /// writes become unbounded (charged at
+    /// [`battery_drain`](Self::battery_drain)), bypass writes charge
+    /// `fault`'s byte budget immediately, and the armed crash point no
+    /// longer fires.
     pub fn begin_battery(&mut self, fault: &FaultModel) {
         self.power = Power::Battery;
         self.tripped = false;

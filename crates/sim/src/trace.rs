@@ -3,8 +3,9 @@
 //! A [`TraceSet`] is the first-class form of "the input to a simulation
 //! run": one operation stream per core, frozen behind `Arc`s, plus the
 //! provenance that produced it (workload identity, core count,
-//! transactions per core, RNG seed) and a content hash over every op.
-//! Cloning a `TraceSet` — or converting it into the [`TxStreams`] the
+//! transactions per core, RNG seed). [`TraceSet::content_hash`] digests
+//! every op when it is asked for; nothing on the run path asks. Cloning a
+//! `TraceSet` — or converting it into the [`TxStreams`] the
 //! [`Engine`](crate::Engine) consumes — is a handful of pointer bumps, so
 //! one generated trace can be swept across many schemes, crash points, and
 //! worker threads without re-running the generator or copying ops.
@@ -53,13 +54,9 @@ impl ArrivalSchedule {
     }
 }
 
-/// Where a [`TraceSet`] came from: the full generation key plus a content
-/// hash of the resulting streams.
-///
-/// Two traces built from the same `(workload, cores, txs_per_core, seed)`
-/// must have equal `content_hash` — generation is deterministic — and the
-/// hash gives consumers (caches, reports, tests) a cheap identity check
-/// that does not require walking the ops again.
+/// Where a [`TraceSet`] came from: the full generation key. Generation is
+/// deterministic, so two traces built from the same `(workload, cores,
+/// txs_per_core, seed)` by the same code hold the same ops.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceProvenance {
     /// Workload identity, including any generation-affecting parameters
@@ -74,10 +71,6 @@ pub struct TraceProvenance {
     pub txs_per_core: usize,
     /// RNG seed the generator was invoked with.
     pub seed: u64,
-    /// Hash over every op of every transaction of every stream: each
-    /// `u64` of a canonical encoding folds in with one multiply-and-shift
-    /// mix (see `WordHash`), so changing any one word changes the digest.
-    pub content_hash: u64,
 }
 
 /// An immutable set of per-core transaction streams with provenance.
@@ -110,7 +103,6 @@ impl TraceSet {
             cores,
             "trace stream count must match its provenance core count"
         );
-        let content_hash = hash_streams(&streams);
         let streams: Arc<[Arc<[Transaction]>]> = streams
             .into_iter()
             .map(Arc::from)
@@ -124,15 +116,13 @@ impl TraceSet {
                 cores,
                 txs_per_core,
                 seed,
-                content_hash,
             },
         }
     }
 
     /// Attaches per-core arrival schedules to a closed-loop trace, turning
-    /// it into an open-system trace. The schedules are folded into the
-    /// content hash so open and closed variants of one trace never alias
-    /// in a content-addressed cache.
+    /// it into an open-system trace, whose
+    /// [`content_hash`](Self::content_hash) folds the schedules in.
     ///
     /// # Panics
     ///
@@ -151,7 +141,6 @@ impl TraceSet {
                 "core {core} arrival schedule length must match its stream"
             );
         }
-        self.provenance.content_hash = hash_arrivals(self.provenance.content_hash, &arrivals);
         self.arrivals = Some(arrivals.into());
         self
     }
@@ -166,14 +155,23 @@ impl TraceSet {
         &self.streams
     }
 
-    /// The generation key and content hash.
+    /// The generation key.
     pub fn provenance(&self) -> &TraceProvenance {
         &self.provenance
     }
 
-    /// Hash over the full op content (see [`TraceProvenance`]).
+    /// Digest of every op of every transaction of every stream, and of
+    /// the arrival schedules if there are any, so open and closed variants
+    /// of one trace differ. Each `u64` of a canonical encoding folds in
+    /// with one multiply-and-shift mix (see `WordHash`), so changing any
+    /// one word changes the digest. Computed on each call: it walks every
+    /// op.
     pub fn content_hash(&self) -> u64 {
-        self.provenance.content_hash
+        let streams = hash_streams(&self.streams);
+        match self.arrivals.as_deref() {
+            Some(arrivals) => hash_arrivals(streams, arrivals),
+            None => streams,
+        }
     }
 
     /// Number of per-core streams.
@@ -293,12 +291,12 @@ impl From<TraceSet> for TxStreams {
 /// [`WordHash`] over a canonical encoding of every op, with per-stream and
 /// per-transaction length separators so `[[a],[b]]` and `[[a,b]]` hash
 /// differently.
-fn hash_streams(streams: &[Vec<Transaction>]) -> u64 {
+fn hash_streams(streams: &[Arc<[Transaction]>]) -> u64 {
     let mut h = WordHash::new();
     h.write_u64(streams.len() as u64);
     for stream in streams {
         h.write_u64(stream.len() as u64);
-        for tx in stream {
+        for tx in stream.iter() {
             h.write_u64(tx.ops().len() as u64);
             for op in tx.ops() {
                 match op {

@@ -89,10 +89,10 @@ use silo_sim::{TraceSet, Transaction};
 ///
 /// The primary product is [`build_trace`](Workload::build_trace): an
 /// immutable [`TraceSet`] carrying shared per-core streams plus the full
-/// generation provenance and a content hash, so one generated trace can be
-/// swept across schemes and crash points without regeneration. Callers
-/// that only need raw per-core `Vec`s use
-/// [`raw_streams`](Workload::raw_streams) directly.
+/// generation provenance, so one generated trace can be swept across
+/// schemes and crash points without regeneration. Callers that only need
+/// raw per-core `Vec`s use [`raw_streams`](Workload::raw_streams)
+/// directly.
 pub trait Workload {
     /// Short name used in figure rows ("Array", "TPCC", ...).
     fn name(&self) -> &'static str;
@@ -110,12 +110,13 @@ pub trait Workload {
     /// Generates one raw transaction stream per core: a setup prefix
     /// (building the initial structure) followed by `txs_per_core`
     /// measured transactions. Streams across cores touch disjoint PM
-    /// regions. Implementation detail of [`build_trace`]
-    /// (Workload::build_trace) — callers should prefer the trace form.
+    /// regions. Implementation detail of
+    /// [`build_trace`](Workload::build_trace) — callers should prefer the
+    /// trace form.
     fn raw_streams(&self, cores: usize, txs_per_core: usize, seed: u64) -> Vec<Vec<Transaction>>;
 
     /// Generates and freezes the streams into an immutable, shareable
-    /// [`TraceSet`] stamped with provenance and a content hash.
+    /// [`TraceSet`] stamped with its provenance.
     ///
     /// ```
     /// use silo_workloads::{Workload, HashWorkload};

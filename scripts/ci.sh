@@ -7,7 +7,7 @@
 #
 #   scripts/ci.sh build        compile the workspace (all targets) and perfbench/tracer
 #   scripts/ci.sh test         run the test suite
-#   scripts/ci.sh lint         rustfmt + clippy
+#   scripts/ci.sh lint         rustfmt + clippy + rustdoc, warnings denied
 #   scripts/ci.sh smoke        experiment smoke tests + determinism and golden gates
 #   scripts/ci.sh fuzz         coverage-guided crash-search gate
 #   scripts/ci.sh bench        perfbench tests and runs + checkpoint speed and memory gates
@@ -88,6 +88,9 @@ lint_stage() {
 
   echo "== cargo clippy -D warnings =="
   cargo clippy --workspace --all-targets --release -- -D warnings
+
+  echo "== cargo doc -D warnings =="
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 }
 
 smoke_stage() {
@@ -129,30 +132,32 @@ smoke_stage() {
   rm -rf "$smoke_dir"
 
   echo "== trace-cache smoke test =="
-  # Same small grid twice: cached across 8 workers vs uncached serial must
-  # print identical report bytes, and the cached run must generate each
-  # unique trace at most once (generated <= unique keys).
+  # Same small grid twice, computed fresh: cached across 8 workers vs
+  # uncached serial must print identical report bytes, and the cached run
+  # must generate each unique trace at most once (0 < generated <= unique
+  # keys). Both skip the result store, whose served cells build no trace.
   cache_dir="target/reports-ci-cache"
   rm -rf "$cache_dir"
-  cached_err=$("$EVALUATE" fig11 --txs 200 --jobs 8 \
+  cached_err=$("$EVALUATE" fig11 --txs 200 --jobs 8 --no-result-store \
     --json-dir "$cache_dir/cached" 2>&1 >"$cache_dir.cached.txt")
-  uncached_err=$("$EVALUATE" fig11 --txs 200 --jobs 1 --no-trace-cache \
+  uncached_err=$("$EVALUATE" fig11 --txs 200 --jobs 1 --no-trace-cache --no-result-store \
     --json-dir "$cache_dir/uncached" 2>&1 >"$cache_dir.uncached.txt")
   cmp "$cache_dir.cached.txt" "$cache_dir.uncached.txt" \
     || { echo "FAIL: trace cache changed the experiment output" >&2; exit 1; }
   keys=$(echo "$cached_err" | sed -n 's/^\[trace-cache\] \([0-9]*\) unique keys, .*/\1/p')
   gens=$(echo "$cached_err" | sed -n 's/.* unique keys, \([0-9]*\) generated, .*/\1/p')
-  [ -n "$keys" ] && [ -n "$gens" ] && [ "$gens" -le "$keys" ] \
+  [ -n "$keys" ] && [ -n "$gens" ] && [ "$gens" -gt 0 ] && [ "$gens" -le "$keys" ] \
     || { echo "FAIL: cached run generated $gens traces for $keys keys" >&2; exit 1; }
-  echo "$uncached_err" | grep -q "(disabled)" \
+  echo "$uncached_err" | grep -q '^\[trace-cache\] .*(disabled)$' \
     || { echo "FAIL: --no-trace-cache did not disable the cache" >&2; exit 1; }
   rm -rf "$cache_dir" "$cache_dir.cached.txt" "$cache_dir.uncached.txt"
 
   echo "== result-store smoke test =="
   # Cold then warm on a scratch store: the warm run must serve >= 90% of
-  # its cells from the store, finish in well under 25% of the cold wall
-  # time, and print byte-identical stdout and report bytes (modulo the
-  # jobs/wall_ms envelope).
+  # its cells from the store, generate no trace (a stored cell is named by
+  # its spec hash and the code fingerprint alone), finish in well under 25%
+  # of the cold wall time, and print byte-identical stdout and report bytes
+  # (modulo the jobs/wall_ms envelope).
   store_dir="target/ci-result-store"
   store_rep="target/reports-ci-store"
   rm -rf "$store_dir" "$store_rep" target/ci-store.*.txt
@@ -170,12 +175,15 @@ smoke_stage() {
   [ -n "$hits" ] && [ -n "$misses" ] && [ "$hits" -gt 0 ] \
     && [ "$((misses * 9))" -le "$hits" ] \
     || { echo "FAIL: warm run hit rate below 90% ($hits hits, $misses misses)" >&2; exit 1; }
+  warm_gens=$(echo "$warm_err" | sed -n 's/^\[trace-cache\] [0-9]* unique keys, \([0-9]*\) generated, .*/\1/p')
+  [ "$warm_gens" = 0 ] \
+    || { echo "FAIL: warm run generated ${warm_gens:-an unknown number of} traces" >&2; exit 1; }
   cold_ms=$(wall_ms "$store_rep/cold/fig11.json")
   warm_ms=$(wall_ms "$store_rep/warm/fig11.json")
   awk -v cold="$cold_ms" -v warm="$warm_ms" \
     'BEGIN { exit !(warm < cold / 4) }' \
     || { echo "FAIL: warm run ($warm_ms ms) not under 25% of cold ($cold_ms ms)" >&2; exit 1; }
-  echo "warm store: $hits hits, $misses misses; ${warm_ms} ms vs ${cold_ms} ms cold"
+  echo "warm store: $hits hits, $misses misses, 0 traces; ${warm_ms} ms vs ${cold_ms} ms cold"
   rm -rf "$store_dir" "$store_rep" target/ci-store.cold.txt target/ci-store.warm.txt
 
   echo "== cycle-accounting smoke test =="

@@ -25,8 +25,9 @@ fn every_line_that_must_keep_working_is_accepted() {
         "fig11 --txs 600 --jobs 2 --no-result-store --json-dir target/reports-ci-fig11",
         "fig14 --txs 600 --jobs 2 --no-result-store --json-dir target/reports-ci-fig14",
         "fig11 --txs 200 --jobs 2 --json-dir target/reports-ci-smoke",
-        "fig11 --txs 200 --jobs 8 --json-dir target/reports-ci-cache/cached",
-        "fig11 --txs 200 --jobs 1 --no-trace-cache --json-dir target/reports-ci-cache/uncached",
+        "fig11 --txs 200 --jobs 8 --no-result-store --json-dir target/reports-ci-cache/cached",
+        "fig11 --txs 200 --jobs 1 --no-trace-cache --no-result-store \
+         --json-dir target/reports-ci-cache/uncached",
         "fig11 --txs 200 --jobs 4 --json-dir target/reports-ci-store/cold",
         "profile --txs 120 --jobs 2 --json-dir target/reports-ci-profile",
         "profile --txs 60 --bench Hash --jobs 2 --trace-events target/ci-events.jsonl \
