@@ -21,7 +21,7 @@ use std::path::Path;
 
 use silo_bench::{
     default_jobs, flags, registry, run_experiment_checked, write_report, EventTraceSink,
-    ExperimentError, ExperimentSpec, Invocation, ResultStore, TraceCache,
+    ExperimentSpec, Invocation, ResultStore, TraceCache,
 };
 use silo_types::JsonValue;
 
@@ -33,8 +33,8 @@ usage: evaluate <experiment|all> [flags]
 
 Every flag is checked before anything runs: an unknown, repeated,
 valueless, out-of-range or undeclared flag, a stray argument, or an
-unknown name is an error (exit 2). A cell that fails exits 3; a render
-failure exits 4.
+unknown name is an error (exit 2). A render failure (a stored outcome
+that lacks what the report reads, say) exits 4.
 
 check validates a report: a string \"experiment\", a \"cells\" array, and
 exact integer counters in every cycle breakdown (exit 1 otherwise).
@@ -80,13 +80,10 @@ fn main() {
     }
 }
 
-/// Runs a checked invocation's experiments, after switching the trace
-/// cache, the result store and the event trace as its flags say.
+/// Runs a checked invocation's experiments, after switching the result
+/// store and the event trace as its flags say.
 fn evaluate(invocation: &Invocation) {
     let line = &invocation.line;
-    if line.switch("--no-trace-cache") {
-        TraceCache::global().set_enabled(false);
-    }
     let trace_events = line.text("--trace-events");
     if let Some(path) = trace_events {
         if let Err(err) = EventTraceSink::global().enable(Path::new(path)) {
@@ -115,35 +112,25 @@ fn run(spec: &ExperimentSpec, invocation: &Invocation) {
     let dir = line.text("--json-dir").unwrap_or("target/reports");
 
     let start = std::time::Instant::now();
-    let run = match run_experiment_checked(spec, &params, jobs) {
-        Ok(run) => run,
-        Err(err) => {
-            eprintln!("error: {err}");
-            std::process::exit(match err {
-                ExperimentError::Cell { .. } => 3,
-                ExperimentError::Render { .. } => 4,
-            });
-        }
-    };
+    let run = run_experiment_checked(spec, &params, jobs).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(4);
+    });
     print!("{}", run.text);
     let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
     // Cumulative process-wide counts; stderr so stdout stays comparable.
-    let off = |enabled: bool| if enabled { "" } else { " (disabled)" };
-    let (cache, store) = (TraceCache::global(), ResultStore::global());
-    let (c, s) = (cache.stats(), store.stats());
+    let (c, store) = (TraceCache::global().stats(), ResultStore::global());
+    let s = store.stats();
     eprintln!(
-        "[trace-cache] {} unique keys, {} generated, {} hits{}",
-        c.unique_keys,
-        c.generations,
-        c.hits,
-        off(cache.enabled())
+        "[trace-cache] {} unique keys, {} generated, {} hits",
+        c.unique_keys, c.generations, c.hits
     );
     eprintln!(
         "[result-store] {} hits, {} misses, {} invalidated{}",
         s.hits,
         s.misses,
         s.invalidated,
-        off(store.enabled())
+        if store.enabled() { "" } else { " (disabled)" }
     );
     match write_report(&run, Path::new(dir), jobs, wall_ms) {
         Ok(path) => eprintln!(

@@ -7,9 +7,9 @@
 //!
 //! * a stable content hash ([`CellSpec::spec_hash`]), so equal work is
 //!   *recognizably* equal across experiments and across processes;
-//! * one shared executor ([`CellSpec::execute`]) subsuming the
-//!   `run_one` / [`run_delta_with`] call family, so the execution seam is
-//!   a single function instead of ~20 ad-hoc closures;
+//! * one shared executor ([`CellSpec::execute`]) over the
+//!   [`run_delta_with`] / [`run_with_scheme`] call family, so the
+//!   execution seam is a single function instead of ~20 ad-hoc closures;
 //! * persistent memoization: the [`ResultStore`](crate::ResultStore) keys
 //!   outcomes by spec hash and code fingerprint and replays them across
 //!   processes.
@@ -600,12 +600,20 @@ const RECOVERY_CORES: usize = 4;
 pub(crate) const CRASH_CORES: usize = 2;
 
 /// The workload spec a crash cell consumes: the plain workload, or the
-/// open-system wrapping when an arrival ident is set (`fuzz` only). An
-/// unparseable ident (a stale spec) degrades to the plain workload here;
-/// the executor reports it as a cell error before any simulation runs.
+/// open-system wrapping when an arrival ident is set (`fuzz` only).
+///
+/// # Panics
+///
+/// Panics on an arrival ident that does not parse, as an unknown workload
+/// name panics where the spec is instantiated: the flag table has checked
+/// both before any cell is built.
 pub(crate) fn crash_workload_spec(workload: &str, arrival: Option<&str>) -> WorkloadSpec {
-    match arrival.and_then(ArrivalProcess::parse) {
-        Some(p) => WorkloadSpec::open(workload, p),
+    match arrival {
+        Some(ident) => WorkloadSpec::open(
+            workload,
+            ArrivalProcess::parse(ident)
+                .unwrap_or_else(|| panic!("unparseable arrival ident {ident:?}")),
+        ),
         None => WorkloadSpec::plain(workload),
     }
 }

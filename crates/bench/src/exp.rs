@@ -126,11 +126,6 @@ pub struct CellOutcome {
     pub stats: Option<SimStats>,
     /// Named derived metrics (insertion-ordered).
     pub values: Vec<(String, f64)>,
-    /// Set when the cell could not execute (e.g. a stale spec naming a
-    /// renamed workload): the message carries the cell key so render
-    /// functions can report the failure instead of panicking. Persisted
-    /// through the result store like any other outcome field.
-    pub error: Option<String>,
     /// Which cell produced this outcome ([`CellLabel::describe`]), stamped
     /// by the runner so accessor failures name the cell instead of dying
     /// anonymously. Display-only: never serialized, never compared.
@@ -142,14 +137,6 @@ impl CellOutcome {
     pub fn from_stats(stats: SimStats) -> Self {
         CellOutcome {
             stats: Some(stats),
-            ..CellOutcome::default()
-        }
-    }
-
-    /// A cell that failed to execute, with a message naming the cell key.
-    pub fn failed(message: impl Into<String>) -> Self {
-        CellOutcome {
-            error: Some(message.into()),
             ..CellOutcome::default()
         }
     }

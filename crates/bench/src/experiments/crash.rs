@@ -51,7 +51,7 @@ use silo_sim::{
     Machine, RunOutcome, Signature, SimConfig, SimStats, StepLog, TraceSet, VIOLATION_KINDS,
 };
 use silo_types::{Cycles, Fnv1a, JsonValue, PhysAddr, Xoshiro256, BUF_LINE_BYTES};
-use silo_workloads::{workload_by_name, ArrivalProcess};
+use silo_workloads::ArrivalProcess;
 
 use crate::cellspec::{crash_workload_spec, CellSpec, CellWork, FaultSpec, CRASH_CORES as CORES};
 use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec};
@@ -211,9 +211,12 @@ struct Target {
 }
 
 impl Target {
-    /// The target of one cell. A stale spec (e.g. a result-store entry
-    /// naming a since-renamed workload) is a reportable cell error, not a
-    /// panic: the other cells of the run are still valid.
+    /// The target of one cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown workload or an unparseable arrival ident,
+    /// which the flag table rejects before any cell is built.
     fn new(
         scheme: &str,
         workload: &str,
@@ -221,16 +224,7 @@ impl Target {
         txs_per_core: usize,
         seed: u64,
         judging: bool,
-    ) -> Result<Target, String> {
-        let cell = format!("{scheme}/{workload}/txs={txs_per_core}");
-        if workload_by_name(workload).is_none() {
-            return Err(format!("unknown workload {workload:?} in cell {cell}"));
-        }
-        if let Some(ident) = arrival.filter(|a| ArrivalProcess::parse(a).is_none()) {
-            return Err(format!(
-                "unparseable arrival ident {ident:?} in cell {cell}"
-            ));
-        }
+    ) -> Target {
         // The streams the cell's spec names (workload, arrival process,
         // transactions per core, seed) on the crash cells' fixed cores.
         let w = crash_workload_spec(workload, arrival).instantiate();
@@ -247,13 +241,13 @@ impl Target {
             .collect();
         footprint.sort_unstable();
         footprint.dedup();
-        Ok(Target {
+        Target {
             scheme: scheme.to_string(),
             config: SimConfig::table_ii(CORES),
             streams,
             footprint: footprint.into_iter().map(PhysAddr::new).collect(),
             judging,
-        })
+        }
     }
 
     fn new_scheme(&self) -> Box<dyn LoggingScheme> {
@@ -468,12 +462,7 @@ pub(crate) fn execute_sweep(cell: &CellSpec) -> CellOutcome {
         unreachable!("not a sweep: {:?}", cell.work)
     };
     let target = |txs| Target::new(scheme, workload, None, txs, cell.seed, false);
-    let t = match target(txs_per_core) {
-        Ok(t) => t,
-        Err(err) => {
-            return CellOutcome::failed(format!("{err}/fault={}", describe(&fault.plan(0))))
-        }
-    };
+    let t = target(txs_per_core);
     // Every engine of the cell, shrink sweeps included, runs on these.
     let mut machines = [Machine::new(&t.config), Machine::new(&t.config)];
     let mut results = Vec::new();
@@ -500,7 +489,7 @@ pub(crate) fn execute_sweep(cell: &CellSpec) -> CellOutcome {
     // then scan for the earliest violating point at the final length.
     let mut first_violation = |txs: usize, pick: &dyn Fn(u64) -> Vec<u64>| {
         let mut found = None;
-        let t = target(txs).expect("the cell's workload resolved above");
+        let t = target(txs);
         t.sweep(&mut machines, fault, checkpoints, pick, |r| {
             found = found.or((r.violations > 0).then_some(r.point));
             found.is_none()
@@ -535,15 +524,6 @@ fn faults(line: &Line) -> Vec<FaultSpec> {
     all.into_iter()
         .filter(|f| chosen.is_none_or(|name| name == fault_parts(&f.plan(0)).0))
         .collect()
-}
-
-/// The cell-level error row both renders print.
-fn error_row(label: &CellLabel, err: &str) -> JsonValue {
-    JsonValue::object()
-        .field("scheme", label.scheme.as_str())
-        .field("workload", label.workload.as_str())
-        .field("error", err)
-        .build()
 }
 
 fn build_sweep(p: &ExpParams) -> Vec<CellSpec> {
@@ -606,12 +586,6 @@ fn render_sweep(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut Str
 
     for (label, outcome) in cells {
         let fault_text = label.param.trim_start_matches("fault=");
-        if let Some(err) = &outcome.error {
-            let (scheme, bench) = (&label.scheme, &label.workload);
-            writeln!(out, "ERROR {scheme:<12}{bench:<8}{fault_text:<22}{err}").unwrap();
-            rows.push(error_row(label, err));
-            continue;
-        }
         let points = outcome.value("points") as usize;
         let (mut viols, mut ambig) = (0u64, 0u64);
         for j in 0..points {
@@ -935,10 +909,7 @@ pub(crate) fn execute_fuzz(cell: &CellSpec) -> CellOutcome {
         unreachable!("not a crash search: {:?}", cell.work)
     };
     let (arrival, seed) = (arrival.as_deref(), cell.seed);
-    let target = match Target::new(scheme, workload, arrival, txs_per_core, seed, true) {
-        Ok(t) => t,
-        Err(err) => return CellOutcome::failed(err),
-    };
+    let target = Target::new(scheme, workload, arrival, txs_per_core, seed, true);
     // Every engine of the cell runs on this one machine: the walk ends
     // before the first candidate runs.
     let mut machine = Machine::new(&target.config);
@@ -1117,11 +1088,6 @@ fn render_search(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut St
     // Every violation's report block, printed after the total line.
     let mut blocks = String::new();
     for (label, outcome) in cells {
-        if let Some(err) = &outcome.error {
-            writeln!(out, "ERROR {:<12}{:<10}{err}", label.scheme, label.workload).unwrap();
-            rows.push(error_row(label, err));
-            continue;
-        }
         let execs = outcome.value("execs") as u64;
         let corpus = outcome.value("corpus") as u64;
         let cov = outcome.value("cov") as u64;
@@ -1446,7 +1412,6 @@ mod tests {
         // The undersized battery must violate at a mid-stream event on
         // Silo, and the first finding must name its offending word.
         let out = execute_fuzz(&search(6, Some(FaultModel::bounded_battery(64))));
-        assert!(out.error.is_none());
         assert!(out.value("viols") > 0.0, "64 B battery must violate");
         assert!(out.value("recorded") > 0.0);
         assert!(out.value("v0_wevent") > 0.0, "the word's last event");

@@ -144,7 +144,6 @@ pub const COMMON: &[Flag] = &[
     Flag::new("--seed", Int(0, MAX)).help("workload generation seed (default 42)"),
     Flag::new("--jobs", Int(1, MAX)).help("worker threads (default: one per CPU)"),
     Flag::new("--json-dir", Name("dir", any)).help("report directory (default target/reports)"),
-    Flag::new("--no-trace-cache", Switch).help("generate every trace afresh"),
     Flag::new("--no-result-store", Switch).help("compute every cell fresh, record nothing"),
     Flag::new("--trace-events", Name("path", any)).help("write a JSONL event timeline here"),
 ];

@@ -8,11 +8,12 @@
 //! experiments by registry name and drives it all, after [`flags`] has
 //! checked its command line against every flag table.
 //!
-//! The simulation primitives build on [`run_one`]: construct the Table II
-//! machine, instantiate a scheme by name, generate a workload's per-core
-//! transaction streams, run the engine, and return the statistics. Figures
-//! normalize exactly as the paper does (to `Base`, or to a reference
-//! configuration).
+//! Every cell runs through [`CellSpec::execute`], whose recipes share the
+//! simulation primitives here: [`make_scheme`] instantiates a scheme by
+//! name, [`TraceCache`] resolves a workload's per-core transaction streams,
+//! and [`run_delta_with`] and [`run_with_scheme`] run the engine and return
+//! its statistics. Figures normalize exactly as the paper does (to `Base`,
+//! or to a reference configuration).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +45,7 @@ use silo_baselines::{
     BaseScheme, EadrSwLogScheme, FwbScheme, LadScheme, MorLogScheme, SwLogScheme,
 };
 use silo_core::SiloScheme;
-use silo_sim::{Engine, LoggingScheme, RunOutcome, SimConfig, SimStats, Transaction, TxStreams};
+use silo_sim::{Engine, LoggingScheme, RunOutcome, SimConfig, SimStats, TraceSet, Transaction};
 use silo_workloads::Workload;
 
 /// The evaluated designs, in the paper's legend order.
@@ -82,22 +83,6 @@ pub fn make_scheme(name: &str, config: &SimConfig) -> Box<dyn LoggingScheme> {
         "Silo" => Box::new(SiloScheme::new(config)),
         other => panic!("unknown scheme {other}"),
     }
-}
-
-/// Runs `workload` under `scheme_name` on the Table II machine. The trace
-/// is resolved through the process-wide [`TraceCache`], so repeated calls
-/// for the same `(workload, cores, txs, seed)` share one generated
-/// artifact.
-pub fn run_one(
-    scheme_name: &str,
-    workload: &dyn Workload,
-    cores: usize,
-    txs_per_core: usize,
-    seed: u64,
-) -> SimStats {
-    let config = SimConfig::table_ii(cores);
-    let trace = TraceCache::global().get_or_build(workload, cores, txs_per_core, seed);
-    run_with_scheme(make_scheme(scheme_name, &config).as_mut(), &config, &trace)
 }
 
 /// Steady-state delta measurement: runs `workload` at N and at 2N
@@ -149,7 +134,7 @@ pub fn run_delta_with(
 pub fn run_with_scheme(
     scheme: &mut dyn LoggingScheme,
     config: &SimConfig,
-    streams: impl Into<TxStreams>,
+    streams: impl Into<TraceSet>,
 ) -> SimStats {
     finish(traced_engine(config, scheme).run(streams, None))
 }
@@ -233,8 +218,10 @@ mod tests {
     #[test]
     fn smoke_run_every_scheme_on_one_workload() {
         let w = workload_by_name("Bank").expect("bank exists");
+        let config = SimConfig::table_ii(1);
+        let trace = TraceCache::global().get_or_build(&*w, 1, 20, 42);
         for s in SCHEMES {
-            let stats = run_one(s, w.as_ref(), 1, 20, 42);
+            let stats = run_with_scheme(make_scheme(s, &config).as_mut(), &config, &trace);
             assert_eq!(stats.txs_committed, 21, "{s}: setup + 20 txs");
             assert!(stats.sim_cycles.as_u64() > 0);
         }
@@ -273,16 +260,17 @@ impl<W: Workload> Workload for Batched<W> {
     fn raw_streams(&self, cores: usize, txs_per_core: usize, seed: u64) -> Vec<Vec<Transaction>> {
         // The inner trace resolves through the cache: the five Fig 14
         // batch multipliers often share the same inner stream.
-        let raw = TraceCache::global()
-            .get_or_build(&self.inner, cores, txs_per_core * self.group, seed)
-            .to_vecs();
-        raw.into_iter()
+        let inner =
+            TraceCache::global().get_or_build(&self.inner, cores, txs_per_core * self.group, seed);
+        inner
+            .streams()
+            .iter()
             .map(|stream| {
                 let mut out = Vec::with_capacity(txs_per_core + 1);
-                let mut iter = stream.into_iter();
+                let mut iter = stream.iter();
                 // The setup transaction stays as-is.
                 if let Some(setup) = iter.next() {
-                    out.push(setup);
+                    out.push(setup.clone());
                 }
                 let mut ops = Vec::new();
                 let mut n = 0;

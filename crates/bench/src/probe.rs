@@ -203,7 +203,9 @@ mod tests {
     #[test]
     fn unprofiled_runs_carry_no_breakdown() {
         let w = workload_by_name("Bank").expect("bank exists");
-        let stats = crate::run_one("Silo", w.as_ref(), 1, 5, 42);
+        let config = SimConfig::table_ii(1);
+        let trace = TraceCache::global().get_or_build(&*w, 1, 5, 42);
+        let stats = crate::run_with_scheme(make_scheme("Silo", &config).as_mut(), &config, &trace);
         assert!(stats.breakdown.is_none());
     }
 }

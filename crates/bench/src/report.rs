@@ -27,19 +27,12 @@ pub struct ExperimentRun {
     pub body: JsonValue,
 }
 
-/// Why an experiment run failed, with enough provenance to map onto an
-/// exit code (3 for a cell, 4 for the render).
+/// Why an experiment run failed: its render step panicked, which the CLI
+/// maps to exit 4. A panicking cell propagates instead.
 #[derive(Clone, Debug)]
 pub enum ExperimentError {
-    /// A cell recorded an error (a stale spec, say) and rendering could
-    /// not proceed.
-    Cell {
-        /// The failing cell's label, as [`CellLabel::describe`] prints it.
-        origin: String,
-        /// The cell's recorded error message.
-        message: String,
-    },
-    /// Every cell succeeded but the render step itself panicked.
+    /// The render step panicked (on a store entry that decodes but lacks
+    /// what the render reads, say).
     Render {
         /// The captured panic message.
         message: String,
@@ -49,9 +42,6 @@ pub enum ExperimentError {
 impl std::fmt::Display for ExperimentError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ExperimentError::Cell { origin, message } => {
-                write!(f, "cell {origin} failed: {message}")
-            }
             ExperimentError::Render { message } => write!(f, "render failed: {message}"),
         }
     }
@@ -64,10 +54,9 @@ pub fn run_experiment(spec: &ExperimentSpec, params: &ExpParams, jobs: usize) ->
     render_finished(spec, params, &finished)
 }
 
-/// [`run_experiment`] with its failures typed: a cell that recorded an
-/// error, or a render that panicked, comes back as an
-/// [`ExperimentError`], which the CLI maps to distinct exit codes. A
-/// panicking cell still propagates.
+/// [`run_experiment`] with a render panic typed as an
+/// [`ExperimentError`], which the CLI maps to its exit code. A panicking
+/// cell still propagates.
 pub fn run_experiment_checked(
     spec: &ExperimentSpec,
     params: &ExpParams,
@@ -96,40 +85,24 @@ pub fn render_finished(
 }
 
 /// [`render_finished`] with the render step guarded: a panic while
-/// rendering is attributed to the first failed cell when one exists
-/// (render functions panic when they unwrap a failed outcome's metrics),
-/// otherwise reported as a genuine render failure.
-///
-/// Tests can force the render-failure path with the
-/// `SILO_TEST_RENDER_PANIC` environment variable.
+/// rendering comes back as [`ExperimentError::Render`] with its message,
+/// which names the cell when an outcome accessor raised it.
 pub fn render_finished_checked(
     spec: &ExperimentSpec,
     params: &ExpParams,
     finished: &[(CellLabel, CellOutcome)],
 ) -> Result<ExperimentRun, ExperimentError> {
-    let rendered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if std::env::var_os("SILO_TEST_RENDER_PANIC").is_some() {
-            panic!("forced render panic (SILO_TEST_RENDER_PANIC)");
-        }
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         render_finished(spec, params, finished)
-    }));
-    match rendered {
-        Ok(run) => Ok(run),
-        Err(payload) => {
-            if let Some((label, outcome)) = finished.iter().find(|(_, o)| o.error.is_some()) {
-                return Err(ExperimentError::Cell {
-                    origin: label.describe(),
-                    message: outcome.error.clone().unwrap_or_default(),
-                });
-            }
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "<non-string panic>".to_string());
-            Err(ExperimentError::Render { message })
-        }
-    }
+    }))
+    .map_err(|payload| {
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "<non-string panic>".to_string());
+        ExperimentError::Render { message }
+    })
 }
 
 fn cell_json(label: &CellLabel, outcome: &CellOutcome) -> JsonValue {

@@ -31,17 +31,17 @@
 //! unique temp file plus an atomic rename, so a crashed or racing process
 //! can never leave a half-written entry that later parses.
 //!
-//! Like the trace cache, the map lock only resolves the key to a slot;
-//! per-slot locks serialize execution of one cell so a spec is executed
-//! **exactly once** per process even when racing workers request it, while
-//! distinct cells execute concurrently. Every lock recovers from
-//! poisoning: a cell panic that a caller catches (a test's
-//! `catch_unwind`) must not wedge the store for later requests.
+//! Like the trace cache, the memory tier gives each spec hash one
+//! `OnceLock` slot and holds the map lock only to resolve it: the slot's
+//! `get_or_init` reads or executes a spec **exactly once** per process even
+//! when racing workers request it, while distinct cells execute
+//! concurrently. A cell that panics leaves its slot empty, so a caller
+//! that catches the panic (a test's `catch_unwind`) can request it again.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use silo_sim::SimStats;
 use silo_types::JsonValue;
@@ -51,14 +51,7 @@ use crate::exp::CellOutcome;
 
 /// On-disk entry format version; bumped on any layout change so old
 /// entries read as corrupt (and recompute) instead of misparsing.
-const STORE_VERSION: u64 = 2;
-
-/// Locks a mutex, recovering the data if a previous holder panicked: a
-/// captured cell panic poisons the slot it executed under, and the next
-/// request must still be servable.
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+const STORE_VERSION: u64 = 3;
 
 /// Process-wide persistent store of finished cell outcomes.
 pub struct ResultStore {
@@ -72,11 +65,9 @@ pub struct ResultStore {
     misses: AtomicU64,
     invalidated: AtomicU64,
     memory_hits: AtomicU64,
-    /// Per-spec-hash execution locks.
-    slots: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
-    /// The memory tier: every outcome this process decoded or executed,
-    /// by spec hash.
-    memory: Mutex<HashMap<u64, CellOutcome>>,
+    /// The memory tier: one slot per spec hash, holding the outcome this
+    /// process decoded or executed for it.
+    memory: Mutex<HashMap<u64, Arc<OnceLock<CellOutcome>>>>,
 }
 
 /// Store effectiveness counters (the `[result-store]` stderr line).
@@ -141,7 +132,6 @@ impl ResultStore {
             misses: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
             memory_hits: AtomicU64::new(0),
-            slots: Mutex::new(HashMap::new()),
             memory: Mutex::new(HashMap::new()),
         }
     }
@@ -166,14 +156,6 @@ impl ResultStore {
         }
     }
 
-    /// A memory-tier hit for `key`, counted, or `None`.
-    fn memory_get(&self, key: u64) -> Option<CellOutcome> {
-        let outcome = lock_recovering(&self.memory).get(&key)?.clone();
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.memory_hits.fetch_add(1, Ordering::Relaxed);
-        Some(outcome)
-    }
-
     /// The outcome of `spec`: served from memory, then disk, then computed
     /// by [`CellSpec::execute`] (and persisted). See
     /// [`ResultStore::get_or_run_traced`] for the provenance-reporting
@@ -189,31 +171,42 @@ impl ResultStore {
     /// outcome would skip the corpus side effects the cell exists to
     /// produce.
     ///
-    /// The slot lock is held across execution, so concurrent requests for
-    /// the same spec run it exactly once per process.
+    /// The spec's memory slot is filled once, so concurrent requests for
+    /// the same spec read or run it exactly once per process; the others
+    /// wait for it and are served from memory.
     pub fn get_or_run_traced(&self, spec: &CellSpec) -> (CellOutcome, Served) {
         if !self.enabled() || !spec.cacheable() {
             return (spec.execute(), Served::Executed);
         }
         let key = spec.spec_hash();
-        if let Some(outcome) = self.memory_get(key) {
-            return (outcome, Served::Memory);
+        let slot = Arc::clone(
+            self.memory
+                .lock()
+                .expect("result store map poisoned")
+                .entry(key)
+                .or_default(),
+        );
+        let mut served = Served::Memory;
+        let outcome = slot.get_or_init(|| {
+            let (outcome, from) = self.read_or_execute(spec, key);
+            served = from;
+            outcome
+        });
+        if served == Served::Memory {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.memory_hits.fetch_add(1, Ordering::Relaxed);
         }
-        let slot = {
-            let mut map = lock_recovering(&self.slots);
-            Arc::clone(map.entry(key).or_default())
-        };
-        let _running = lock_recovering(&slot);
-        // Whoever held the slot before us filled the memory tier.
-        if let Some(outcome) = self.memory_get(key) {
-            return (outcome, Served::Memory);
-        }
+        (outcome.clone(), served)
+    }
+
+    /// The outcome of `spec` from its disk entry, or executed (and
+    /// persisted) when there is no readable entry.
+    fn read_or_execute(&self, spec: &CellSpec, key: u64) -> (CellOutcome, Served) {
         let path = self.entry_path(key);
         match std::fs::read_to_string(&path) {
             Ok(text) => {
                 if let Some(outcome) = decode_entry(&text, key) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    lock_recovering(&self.memory).insert(key, outcome.clone());
                     return (outcome, Served::Disk);
                 }
                 // Corrupt/truncated/stale-format entry: recompute (and
@@ -232,7 +225,6 @@ impl ResultStore {
         // Persistence is best-effort: a read-only disk degrades the store
         // to in-memory memoization, it never fails the experiment.
         let _ = self.persist(&path, encode_entry(&outcome, key));
-        lock_recovering(&self.memory).insert(key, outcome.clone());
         (outcome, Served::Executed)
     }
 
@@ -320,9 +312,6 @@ fn encode_entry(outcome: &CellOutcome, key: u64) -> String {
     if let Some(stats) = &outcome.stats {
         obj = obj.field("stats", stats.to_json());
     }
-    if let Some(error) = &outcome.error {
-        obj = obj.field("error", error.as_str());
-    }
     let mut text = obj.build().to_string();
     text.push('\n');
     text
@@ -358,14 +347,9 @@ fn decode_entry(text: &str, key: u64) -> Option<CellOutcome> {
         }
         None => None,
     };
-    let error = match v.get("error") {
-        Some(e) => Some(e.as_str()?.to_string()),
-        None => None,
-    };
     Some(CellOutcome {
         stats,
         values,
-        error,
         ..CellOutcome::default()
     })
 }
@@ -507,6 +491,10 @@ mod tests {
             1,
         );
         assert!(v1.starts_with("{\"v\":1,"), "{v1}");
+        // The version-2 layout's failed cell: an error and no values.
+        let v2_failed = format!(
+            "{{\"v\":2,{spec_field}\"values\":[],\"error\":\"unknown workload \\\"Nope\\\"\"}}\n"
+        );
         // Another spec's entry, copied into this one's place.
         let other = small_spec(6);
         store.get_or_run(&other);
@@ -518,6 +506,7 @@ mod tests {
             &full[..full.len() / 2],                   // truncated mid-entry
             "{\"v\":999}",                             // future version
             &v1,                                       // version 1
+            &v2_failed,                                // version 2, failed cell
             &misplaced,                                // names another spec
             &full.replace("Silo", "Nope"),             // unknown scheme
             &full.replace("sim_cycles", "sim_cyclez"), // renamed counter
@@ -619,18 +608,11 @@ mod tests {
 
     #[test]
     fn poisoned_slot_recovers_for_the_next_request() {
-        struct Bomb;
-        impl Drop for Bomb {
-            fn drop(&mut self) {
-                // Poison the store's internal locks by panicking while a
-                // get_or_run execution is in flight on this thread.
-            }
-        }
         let store = tmp_store("poison");
         store.set_enabled(true);
-        // A spec whose execution panics (unknown workload) poisons the
-        // slot lock it ran under; the identical request afterwards must
-        // still execute (and panic again) instead of wedging.
+        // A spec whose execution panics (unknown workload) leaves its slot
+        // empty; the identical request afterwards must execute (and panic)
+        // again instead of wedging or serving a half-made outcome.
         let bad = CellSpec::new(
             CellLabel::default().with_param("bad"),
             42,
@@ -640,7 +622,6 @@ mod tests {
             },
         );
         for _ in 0..2 {
-            let _bomb = Bomb;
             let err =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.get_or_run(&bad)))
                     .unwrap_err();
@@ -650,6 +631,7 @@ mod tests {
                 .unwrap_or_else(|| "?".into());
             assert!(msg.contains("NoSuchWorkload"), "{msg}");
         }
+        assert_eq!(store.stats().misses, 2, "each request executed the cell");
         // A well-formed spec still resolves through the same store.
         let good = store.get_or_run(&small_spec(8));
         assert!(good.stats.is_some());

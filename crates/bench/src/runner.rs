@@ -14,10 +14,10 @@
 //! stamps the outcome's `origin` with the cell label so downstream
 //! accessor failures name their cell.
 //!
-//! A panic inside a cell propagates to the caller: a panicking cell is a
-//! bug, and a debug assertion in a crash cell (the resume-vs-scratch
-//! check) must fail the run that hits it. A cell that cannot run (a stale
-//! spec) records an error in its outcome instead.
+//! A cell is a pure function of its spec, and every spec the flag table
+//! lets through can run, so a panic inside a cell is a bug and propagates
+//! to the caller: a debug assertion in a crash cell (the resume-vs-scratch
+//! check) must fail the run that hits it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

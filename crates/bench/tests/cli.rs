@@ -98,35 +98,13 @@ fn unknown_experiment_is_rejected_with_exit_2() {
 
 #[test]
 fn render_failure_exits_4() {
-    let out = evaluate()
-        .args([
-            "profile",
-            "--txs",
-            "8",
-            "--bench",
-            "Hash",
-            "--jobs",
-            "2",
-            "--no-result-store",
-        ])
-        .env("SILO_TEST_RENDER_PANIC", "1")
-        .output()
-        .expect("run evaluate");
-    assert_eq!(out.status.code(), Some(4), "render failure is exit 4");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("render failed"), "{stderr:?}");
-}
-
-#[test]
-fn failed_cell_exits_3_under_catch_cell_panics() {
-    // (Named for the retired `--catch-cell-panics`: a failed cell exits 3
-    // without any flag, and a panicking one still aborts with 101.) The
-    // flag table refuses unknown names before anything runs, so the
-    // failing cell comes from the result store instead: a cold run fills a
-    // scratch store, every entry is rewritten to what a stale spec leaves
-    // (an error and no values), and the warm run that replays them must
-    // exit 3 naming the cell instead of aborting with a panic's 101.
-    let dir = scratch("failed-cell");
+    // The flag table refuses every line a cell could not run, so a render
+    // failure comes from an untrusted store entry instead: a cold run
+    // fills a scratch store, every entry is rewritten to one that decodes
+    // but holds no statistics, and the warm run that replays them must
+    // exit 4 with a `render failed` line naming the cell, not abort with
+    // a panic's 101.
+    let dir = scratch("render-failure");
     let store = dir.join("store");
     let run = || {
         evaluate()
@@ -148,28 +126,27 @@ fn failed_cell_exits_3_under_catch_cell_panics() {
             let path = entry.path();
             let text = std::fs::read_to_string(&path).expect("read entry");
             let v = JsonValue::parse(&text).expect("entry is JSON");
-            let stale = JsonValue::object()
-                .field(
-                    "v",
-                    v.get("v").and_then(JsonValue::as_u64).expect("version"),
-                )
+            let hollow = JsonValue::object()
+                .field("v", 3u64)
                 .field(
                     "spec",
                     v.get("spec").and_then(JsonValue::as_str).expect("spec"),
                 )
                 .field("values", JsonValue::Arr(Vec::new()))
-                .field("error", "unknown workload \"NoSuchWorkload\" in cell")
                 .build();
-            std::fs::write(&path, format!("{stale}\n")).expect("rewrite entry");
+            std::fs::write(&path, format!("{hollow}\n")).expect("rewrite entry");
             entries += 1;
         }
     }
     assert_eq!(entries, 5, "one entry per compare cell");
     let out = run();
-    assert_eq!(out.status.code(), Some(3), "cell failure is exit 3");
+    assert_eq!(out.status.code(), Some(4), "render failure is exit 4");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("cell"), "{stderr:?}");
-    assert!(stderr.contains("NoSuchWorkload"), "{stderr:?}");
+    assert!(
+        stderr.contains("error: render failed: cell Base/Hash/1c"),
+        "{stderr:?}"
+    );
+    assert!(out.stdout.is_empty(), "nothing rendered");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

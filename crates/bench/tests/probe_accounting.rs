@@ -13,7 +13,7 @@
 
 use std::process::Command;
 
-use silo_bench::{run_one, run_profiled, ALL_SCHEMES};
+use silo_bench::{make_scheme, run_profiled, run_with_scheme, TraceCache, ALL_SCHEMES};
 use silo_sim::{CycleCategory, Engine, SimConfig, DEFAULT_TIMELINE_CAPACITY};
 use silo_types::JsonValue;
 use silo_workloads::workload_by_name;
@@ -63,7 +63,9 @@ fn unprofiled_runs_stay_breakdown_free_even_after_profiling() {
     let profiled = run_profiled("Silo", w.as_ref(), 2, 8, 7);
     assert!(profiled.breakdown.is_some());
 
-    let plain = run_one("Silo", w.as_ref(), 2, 8, 7);
+    let config = SimConfig::table_ii(2);
+    let trace = TraceCache::global().get_or_build(&*w, 2, 8, 7);
+    let plain = run_with_scheme(make_scheme("Silo", &config).as_mut(), &config, &trace);
     assert!(plain.breakdown.is_none(), "accounting leaked across runs");
     let json = plain.to_json().to_string();
     assert!(

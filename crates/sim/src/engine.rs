@@ -11,7 +11,7 @@ use crate::stats::LatencyStats;
 use crate::trace::ArrivalSchedule;
 use crate::{
     ConsistencyReport, LoggingScheme, Machine, MachineState, Op, RecoveryReport, SimConfig,
-    SimStats, Transaction, TxOracle, TxRecord, TxStreams,
+    SimStats, TraceSet, Transaction, TxOracle, TxRecord,
 };
 use silo_types::Snapshot;
 
@@ -213,7 +213,7 @@ pub struct ForkPoint {
     cp: EngineCheckpoint,
     /// The streams the forking run executed; the continuation's must
     /// start with them (checked in debug builds).
-    prefix: TxStreams,
+    prefix: TraceSet,
 }
 
 impl ForkPoint {
@@ -616,15 +616,14 @@ impl<'a> Engine<'a> {
     /// [`run_with_plan`](Self::run_with_plan) with
     /// [`CrashPlan::at_cycle`].
     ///
-    /// Accepts anything convertible to [`TxStreams`]: an owned
-    /// `Vec<Vec<Transaction>>`, a [`crate::TraceSet`] (by value or
-    /// reference — pointer bumps, no op copies), or pre-shared
-    /// `Vec<Arc<[Transaction]>>`.
+    /// Every run method takes a [`TraceSet`], by value or by reference
+    /// (pointer bumps, no op copies), or owned `Vec<Vec<Transaction>>`
+    /// streams, which it freezes into one.
     ///
     /// # Panics
     ///
     /// Panics if the stream count differs from the configured core count.
-    pub fn run(self, streams: impl Into<TxStreams>, crash_at: Option<Cycles>) -> RunOutcome {
+    pub fn run(self, streams: impl Into<TraceSet>, crash_at: Option<Cycles>) -> RunOutcome {
         self.run_with_plan(streams, crash_at.map(CrashPlan::at_cycle))
     }
 
@@ -643,7 +642,7 @@ impl<'a> Engine<'a> {
     /// Panics if the stream count differs from the configured core count.
     pub fn run_with_plan(
         self,
-        streams: impl Into<TxStreams>,
+        streams: impl Into<TraceSet>,
         plan: Option<CrashPlan>,
     ) -> RunOutcome {
         self.run_inner(streams.into(), plan, Capture::Nothing, Start::Scratch)
@@ -659,7 +658,7 @@ impl<'a> Engine<'a> {
     /// Panics if the stream count differs from the configured core count.
     pub fn run_recording(
         self,
-        streams: impl Into<TxStreams>,
+        streams: impl Into<TraceSet>,
         policy: CheckpointPolicy,
     ) -> (RunOutcome, CheckpointSet) {
         let mut set = CheckpointSet::default();
@@ -683,7 +682,7 @@ impl<'a> Engine<'a> {
     /// # Panics
     ///
     /// Panics if the stream count differs from the configured core count.
-    pub fn run_logging_steps(self, streams: impl Into<TxStreams>) -> (RunOutcome, StepLog) {
+    pub fn run_logging_steps(self, streams: impl Into<TraceSet>) -> (RunOutcome, StepLog) {
         let mut log = StepLog::default();
         let outcome = self
             .run_inner(
@@ -714,7 +713,7 @@ impl<'a> Engine<'a> {
     /// Panics if the stream count differs from the configured core count.
     pub fn walk(
         self,
-        streams: impl Into<TxStreams>,
+        streams: impl Into<TraceSet>,
         steps: &[u64],
         mut visit: impl FnMut(u64, EngineCheckpoint) -> bool,
     ) {
@@ -739,7 +738,7 @@ impl<'a> Engine<'a> {
     /// # Panics
     ///
     /// Panics if the stream count differs from the configured core count.
-    pub fn run_forking(self, streams: impl Into<TxStreams>) -> (RunOutcome, ForkPoint) {
+    pub fn run_forking(self, streams: impl Into<TraceSet>) -> (RunOutcome, ForkPoint) {
         let mut fork = None;
         let outcome = self
             .run_inner(
@@ -764,7 +763,7 @@ impl<'a> Engine<'a> {
     ///
     /// Panics if the stream count differs from the configured core count
     /// or from the fork's core count.
-    pub fn run_continued(self, streams: impl Into<TxStreams>, fork: ForkPoint) -> RunOutcome {
+    pub fn run_continued(self, streams: impl Into<TraceSet>, fork: ForkPoint) -> RunOutcome {
         let streams = streams.into();
         debug_assert!(
             streams.starts_with(&fork.prefix),
@@ -790,7 +789,7 @@ impl<'a> Engine<'a> {
     /// but the checkpoint was captured without the transition log.
     pub fn run_resumed(
         self,
-        streams: impl Into<TxStreams>,
+        streams: impl Into<TraceSet>,
         plan: CrashPlan,
         checkpoint: &EngineCheckpoint,
     ) -> RunOutcome {
@@ -833,57 +832,36 @@ impl<'a> Engine<'a> {
     /// only for a walk, which ends at its last stop.
     fn run_inner(
         mut self,
-        streams: TxStreams,
+        streams: TraceSet,
         plan: Option<CrashPlan>,
         capture: Capture<'_>,
         start: Start<'_>,
     ) -> Option<RunOutcome> {
         assert_eq!(
-            streams.len(),
+            streams.cores(),
             self.machine.config.cores,
             "one transaction stream per core required"
         );
-        let prefix = matches!(capture, Capture::Fork(_)).then(|| streams.clone());
-        let mut scheds: Vec<Option<ArrivalSchedule>> = match streams.arrivals {
-            Some(a) => {
-                assert_eq!(
-                    a.len(),
-                    streams.streams.len(),
-                    "one arrival schedule per stream required"
-                );
-                a.into_iter().map(Some).collect()
-            }
-            None => vec![None; streams.streams.len()],
-        };
         let mut cores: Vec<CoreRun> = streams
-            .streams
-            .into_iter()
+            .streams()
+            .iter()
             .enumerate()
-            .map(|(i, txs)| {
-                let arrivals = scheds[i].take();
-                if let Some(sched) = &arrivals {
-                    assert_eq!(
-                        sched.arrivals.len(),
-                        txs.len(),
-                        "core {i} arrival schedule length must match its stream"
-                    );
-                }
-                CoreRun {
-                    id: CoreId::new(i),
-                    time: Cycles::ZERO,
-                    txs,
-                    tx_idx: 0,
-                    op_idx: 0,
-                    phase: Phase::BetweenTxs,
-                    txid: TxId::new(0),
-                    tag: TxTag::default(),
-                    cur_writes: FxHashMap::default(),
-                    committed: 0,
-                    arrivals,
-                    sojourns: Vec::new(),
-                }
+            .map(|(i, txs)| CoreRun {
+                id: CoreId::new(i),
+                time: Cycles::ZERO,
+                txs: Arc::clone(txs),
+                tx_idx: 0,
+                op_idx: 0,
+                phase: Phase::BetweenTxs,
+                txid: TxId::new(0),
+                tag: TxTag::default(),
+                cur_writes: FxHashMap::default(),
+                committed: 0,
+                arrivals: streams.arrivals().map(|a| a[i].clone()),
+                sojourns: Vec::new(),
             })
             .collect();
+        let prefix = matches!(capture, Capture::Fork(_)).then_some(streams);
 
         match start {
             Start::Scratch => {}
@@ -1472,7 +1450,7 @@ mod tests {
         // A far-future arrival stalls the core until the arrival cycle, so
         // the run takes at least that long and every sojourn is bounded by
         // the service time alone (the queue is empty at admission).
-        let trace = crate::TraceSet::new("t", 1, 2, 0, vec![txs])
+        let trace = crate::TraceSet::new(vec![txs])
             .with_arrivals(vec![ArrivalSchedule::new(vec![0, 50_000, 50_000], 1)]);
         let mut s = NullScheme::default();
         let open = Engine::new(&cfg, &mut s).run(&trace, None);
@@ -1503,7 +1481,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            crate::TraceSet::new("t", 2, 5, 0, streams).with_arrivals(
+            crate::TraceSet::new(streams).with_arrivals(
                 (0..2)
                     .map(|c| {
                         ArrivalSchedule::new(

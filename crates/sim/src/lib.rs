@@ -99,7 +99,7 @@ pub use oracle::{ConsistencyReport, LinePeeker, TxOracle, TxRecord, Violation, V
 pub use schemes::{EvictAction, LoggingScheme, RecoveryReport, SchemeState, SchemeStats};
 pub use spec::{WordEvent, WordEventKind};
 pub use stats::{CoreStats, LatencyStats, SimStats};
-pub use trace::{ArrivalSchedule, TraceProvenance, TraceSet, TxStreams};
+pub use trace::{ArrivalSchedule, TraceSet};
 
 // Re-exported so scheme crates and tests can build [`CrashPlan`]s without
 // depending on `silo-pm` directly.

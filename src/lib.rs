@@ -5,11 +5,15 @@
 //! the whole workspace behind one facade:
 //!
 //! * [`core`] — the Silo design itself ([`core::SiloScheme`]).
-//! * [`baselines`] — Base, FWB, MorLog, and LAD for comparison.
+//! * [`baselines`] — Base, FWB, MorLog and LAD, the paper's comparison
+//!   targets, plus the software WAL (SwLog) and its eADR variant.
 //! * [`sim`] — the multicore discrete-event simulator with crash
-//!   injection and the atomic-durability oracle.
+//!   injection and the atomic-durability oracle. It also re-exports the
+//!   observability layer of `silo-probe` (cycle accounting, the event
+//!   timeline, coverage signatures).
 //! * [`pm`], [`cache`], [`memctrl`] — the memory-system substrates.
-//! * [`workloads`] — the eleven transactional benchmarks of the paper.
+//! * [`workloads`] — the eleven transactional benchmarks of the paper,
+//!   the msqueue, treiber and zipfmix zoo, and open-system arrivals.
 //! * [`types`] — shared value types.
 //!
 //! # Quickstart
@@ -33,8 +37,8 @@
 //! ```
 //!
 //! See `examples/` for crash-recovery, YCSB, banking and overflow-stress
-//! walkthroughs, and `crates/bench` for the binaries that regenerate every
-//! table and figure of the paper.
+//! walkthroughs, and `crates/bench` for `evaluate`, the one binary that
+//! regenerates every table and figure of the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

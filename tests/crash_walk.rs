@@ -441,7 +441,6 @@ fn the_sweep_cell_shrinks_to_the_pinned_battery_repro() {
         checkpoints: true,
     };
     let out = CellSpec::new(CellLabel::default(), SEED, work).execute();
-    assert!(out.error.is_none(), "{:?}", out.error);
     assert_eq!(out.value("shrunk_txs"), 2.0);
     assert_eq!(out.value("shrunk_point"), 1020.0);
 }
@@ -463,7 +462,6 @@ fn the_search_cell_records_its_first_violation_at_event_1777() {
         corpus: None,
     };
     let out = CellSpec::new(CellLabel::default(), SEED, work).execute();
-    assert!(out.error.is_none(), "{:?}", out.error);
     assert_eq!(out.value("execs"), 8.0);
     assert!(
         out.value("recorded") >= 1.0,
