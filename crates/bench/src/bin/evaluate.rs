@@ -20,8 +20,8 @@
 use std::path::Path;
 
 use silo_bench::{
-    default_jobs, flags, registry, run_experiment_checked, write_report, EventTraceSink,
-    ExperimentSpec, Invocation, ResultStore, TraceCache,
+    default_jobs, flags, registry, render_finished_checked, write_report, CellSpec, EventTraceSink,
+    ExpParams, ExperimentSpec, Invocation, ResultStore, TraceCache, TraceScope,
 };
 use silo_types::JsonValue;
 
@@ -94,8 +94,22 @@ fn evaluate(invocation: &Invocation) {
     // A replayed outcome emits no events, so a run that asks for the
     // timeline must compute every cell fresh.
     ResultStore::global().set_enabled(!line.switch("--no-result-store") && trace_events.is_none());
-    for spec in &invocation.specs {
-        run(spec, invocation);
+    // One trace scope counts the cells of every experiment before the
+    // first runs: a trace that several experiments read (fig12 repeats
+    // fig11's grid) is generated once per invocation, and goes after the
+    // last cell of its family in any of them.
+    let experiments: Vec<(&ExperimentSpec, ExpParams, Vec<CellSpec>)> = invocation
+        .specs
+        .iter()
+        .map(|spec| {
+            let params = invocation.params(spec);
+            let cells = spec.build(&params);
+            (spec, params, cells)
+        })
+        .collect();
+    let traces = TraceScope::open(experiments.iter().flat_map(|(_, _, cells)| cells));
+    for (spec, params, cells) in experiments {
+        run(spec, &params, cells, &traces, invocation);
     }
     if let Some(path) = trace_events {
         if let Err(err) = EventTraceSink::global().finish() {
@@ -105,14 +119,20 @@ fn evaluate(invocation: &Invocation) {
     }
 }
 
-fn run(spec: &ExperimentSpec, invocation: &Invocation) {
+fn run(
+    spec: &ExperimentSpec,
+    params: &ExpParams,
+    cells: Vec<CellSpec>,
+    traces: &TraceScope,
+    invocation: &Invocation,
+) {
     let line = &invocation.line;
-    let params = invocation.params(spec);
     let jobs = line.int("--jobs").map_or_else(default_jobs, |j| j as usize);
     let dir = line.text("--json-dir").unwrap_or("target/reports");
 
     let start = std::time::Instant::now();
-    let run = run_experiment_checked(spec, &params, jobs).unwrap_or_else(|err| {
+    let finished = traces.run_cells(cells, jobs);
+    let run = render_finished_checked(spec, params, &finished).unwrap_or_else(|err| {
         eprintln!("error: {err}");
         std::process::exit(4);
     });
@@ -122,8 +142,8 @@ fn run(spec: &ExperimentSpec, invocation: &Invocation) {
     let (c, store) = (TraceCache::global().stats(), ResultStore::global());
     let s = store.stats();
     eprintln!(
-        "[trace-cache] {} unique keys, {} generated, {} hits",
-        c.unique_keys, c.generations, c.hits
+        "[trace-cache] {} unique keys, {} generated, {} hits, {} peak resident",
+        c.unique_keys, c.generations, c.hits, c.peak_resident
     );
     eprintln!(
         "[result-store] {} hits, {} misses, {} invalidated{}",

@@ -31,6 +31,7 @@ use silo_types::{Cycles, Fnv1a, CLOCK_GHZ};
 use silo_workloads::{workload_by_name, ArrivalProcess, OpenLoop, Workload};
 
 use crate::exp::{CellLabel, CellOutcome};
+use crate::trace_cache::TraceFamily;
 use crate::{run_delta_with, run_profiled, run_with_scheme, Batched, TraceCache};
 
 /// Which logging scheme a run instantiates.
@@ -431,6 +432,26 @@ impl CellSpec {
         !matches!(self.work, CellWork::Fuzz { .. })
     }
 
+    /// The trace family the cell reads: the workload its work names, on
+    /// the cores the work runs, under its seed. Every trace the cell
+    /// fetches belongs to it (see [`TraceFamily`]), and a scope drops the
+    /// family's traces after its last cell. Naming it generates nothing.
+    pub(crate) fn family(&self) -> TraceFamily {
+        let (workload, cores) = match &self.work {
+            CellWork::Delta(run)
+            | CellWork::Full { run, .. }
+            | CellWork::Profiled(run)
+            | CellWork::Wear(run) => (run.workload.name.as_str(), run.cores),
+            CellWork::TraceStats { workload, .. } => (workload.as_str(), 1),
+            CellWork::LargeTx { workload, .. } => (workload.as_str(), LARGE_TX_CORES),
+            CellWork::Recovery { .. } => (RECOVERY_WORKLOAD, RECOVERY_CORES),
+            CellWork::CrashSweep { workload, .. } | CellWork::Fuzz { workload, .. } => {
+                (workload.as_str(), CRASH_CORES)
+            }
+        };
+        TraceFamily::new(workload, cores, self.seed)
+    }
+
     /// Content hash over every execution-relevant field (label excluded):
     /// FNV-1a 64 over a canonical byte encoding with variant tags,
     /// little-endian integers, and length-prefixed strings.
@@ -595,6 +616,7 @@ impl CellSpec {
 
 const LARGE_TX_CORES: usize = 8;
 const RECOVERY_CORES: usize = 4;
+const RECOVERY_WORKLOAD: &str = "TPCC";
 /// The crash experiments' cores: two keep crash runs cheap while still
 /// interleaving cores at the shared memory controller.
 pub(crate) const CRASH_CORES: usize = 2;
@@ -701,7 +723,7 @@ fn execute_large_tx(workload: &str, mult: usize, txs: usize, seed: u64) -> CellO
 /// the oracle verify the recovered image, and model the recovery cost
 /// from the surviving log records.
 fn execute_recovery(txs: usize, crash_at: u64, seed: u64) -> CellOutcome {
-    let w = WorkloadSpec::plain("TPCC").instantiate();
+    let w = WorkloadSpec::plain(RECOVERY_WORKLOAD).instantiate();
     let config = SimConfig::table_ii(RECOVERY_CORES);
     let mut silo = SiloScheme::new(&config);
     // One trace for all six crash points.

@@ -34,11 +34,11 @@ pub use exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec, GridSp
 pub use flags::{Flag, Invocation, Line, UsageError};
 pub use probe::{run_profiled, EventTraceSink};
 pub use report::{
-    render_finished, render_finished_checked, run_experiment, run_experiment_checked, write_report,
-    ExperimentError, ExperimentRun,
+    render_finished, render_finished_checked, run_experiment, write_report, ExperimentError,
+    ExperimentRun,
 };
 pub use result_store::{ResultStore, ResultStoreStats, Served};
-pub use runner::{default_jobs, run_cells};
+pub use runner::{default_jobs, run_cells, TraceScope};
 pub use trace_cache::{TraceCache, TraceCacheStats, TraceKey};
 
 use silo_baselines::{

@@ -54,19 +54,6 @@ pub fn run_experiment(spec: &ExperimentSpec, params: &ExpParams, jobs: usize) ->
     render_finished(spec, params, &finished)
 }
 
-/// [`run_experiment`] with a render panic typed as an
-/// [`ExperimentError`], which the CLI maps to its exit code. A panicking
-/// cell still propagates.
-pub fn run_experiment_checked(
-    spec: &ExperimentSpec,
-    params: &ExpParams,
-    jobs: usize,
-) -> Result<ExperimentRun, ExperimentError> {
-    let cells = spec.build(params);
-    let finished = run_cells(cells, jobs);
-    render_finished_checked(spec, params, &finished)
-}
-
 /// Renders already-executed cells into an [`ExperimentRun`]. A panic in
 /// the experiment's render function propagates; see
 /// [`render_finished_checked`].

@@ -14,17 +14,28 @@
 //! stamps the outcome's `origin` with the cell label so downstream
 //! accessor failures name their cell.
 //!
+//! A [`TraceScope`] holds each generated trace only as long as the cells
+//! that read it: before any cell runs, it counts the cells of each trace
+//! family (`CellSpec::family`) on the process-wide [`TraceCache`], and
+//! every finished cell, executed or served, counts its family down. The
+//! cache drops a family's traces at zero, so the fig11 grid, whose five
+//! scheme cells of one (benchmark, cores) pair run side by side, keeps
+//! about one pair of traces per worker instead of all 56. [`run_cells`]
+//! opens a scope over its own cells; `evaluate` opens one over every
+//! experiment it runs, so fig12 reads the traces fig11 generated.
+//!
 //! A cell is a pure function of its spec, and every spec the flag table
 //! lets through can run, so a panic inside a cell is a bug and propagates
 //! to the caller: a debug assertion in a crash cell (the resume-vs-scratch
-//! check) must fail the run that hits it.
+//! check) must fail the run that hits it. The scope's traces go with it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::cellspec::CellSpec;
 use crate::exp::{CellLabel, CellOutcome};
-use crate::ResultStore;
+use crate::trace_cache::TraceRun;
+use crate::{ResultStore, TraceCache};
 
 /// The machine's available parallelism (the `--jobs` default).
 pub fn default_jobs() -> usize {
@@ -34,44 +45,67 @@ pub fn default_jobs() -> usize {
 }
 
 /// Runs every cell spec and returns `(label, outcome)` pairs in cell
-/// order.
+/// order, in a [`TraceScope`] of its own.
 ///
 /// `jobs <= 1` runs serially on the calling thread; any larger value
 /// spawns `min(jobs, cells.len())` scoped workers. A panic inside a cell
-/// propagates to the caller either way.
+/// propagates to the caller either way. A trace that one family reads is
+/// generated once per call and dropped after the family's last cell.
 pub fn run_cells(cells: Vec<CellSpec>, jobs: usize) -> Vec<(CellLabel, CellOutcome)> {
-    let store = ResultStore::global();
-    let outcomes: Vec<CellOutcome> = if jobs <= 1 || cells.len() <= 1 {
-        cells.iter().map(|spec| store.get_or_run(spec)).collect()
-    } else {
-        let workers = jobs.min(cells.len());
-        let slots: Vec<Mutex<Option<CellOutcome>>> =
-            cells.iter().map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = cells.get(i) else { break };
-                    let outcome = store.get_or_run(spec);
-                    *slots[i].lock().unwrap() = Some(outcome);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().unwrap().expect("worker filled every slot"))
-            .collect()
-    };
+    TraceScope::open(&cells).run_cells(cells, jobs)
+}
 
-    cells
-        .into_iter()
-        .zip(outcomes)
-        .map(|(spec, mut outcome)| {
-            outcome.origin = spec.label.describe();
-            (spec.label, outcome)
-        })
-        .collect()
+/// The span a generated trace can live in: every cell that will run in
+/// it, counted by trace family before the first runs. A trace goes after
+/// the last cell of its family, so an invocation that opens one scope
+/// over several experiments generates a trace they share once, and holds
+/// it no longer than its last reader. Dropping the scope, on return or
+/// unwind, drops whatever its cells left.
+pub struct TraceScope(TraceRun<'static>);
+
+impl TraceScope {
+    /// Opens a scope over `cells`: every cell its [`TraceScope::run_cells`]
+    /// calls will run. Counting generates nothing.
+    pub fn open<'a>(cells: impl IntoIterator<Item = &'a CellSpec>) -> TraceScope {
+        TraceScope(TraceCache::global().open_run(cells.into_iter().map(CellSpec::family)))
+    }
+
+    /// Runs every cell spec, each one the scope counted when it opened,
+    /// as [`run_cells`] does.
+    pub fn run_cells(&self, cells: Vec<CellSpec>, jobs: usize) -> Vec<(CellLabel, CellOutcome)> {
+        let store = ResultStore::global();
+        let run = |spec: &CellSpec| self.0.cell(spec.family(), || store.get_or_run(spec));
+        let outcomes: Vec<CellOutcome> = if jobs <= 1 || cells.len() <= 1 {
+            cells.iter().map(run).collect()
+        } else {
+            let workers = jobs.min(cells.len());
+            let slots: Vec<Mutex<Option<CellOutcome>>> =
+                cells.iter().map(|_| Mutex::new(None)).collect();
+            let cursor = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(spec) = cells.get(i) else { break };
+                        *slots[i].lock().unwrap() = Some(run(spec));
+                    });
+                }
+            });
+            slots
+                .into_iter()
+                .map(|s| s.into_inner().unwrap().expect("worker filled every slot"))
+                .collect()
+        };
+
+        cells
+            .into_iter()
+            .zip(outcomes)
+            .map(|(spec, mut outcome)| {
+                outcome.origin = spec.label.describe();
+                (spec.label, outcome)
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -89,6 +89,36 @@ fn unwritable_event_trace_exits_1() {
 }
 
 #[test]
+fn a_serial_fig11_holds_one_familys_traces_at_a_time() {
+    // Five adjacent scheme cells read each (benchmark, cores) pair's N and
+    // 2N traces and no later cell reads them, so a serial grid never
+    // holds more than that one pair.
+    let dir = scratch("trace-lifetime");
+    let out = evaluate()
+        .args(["fig11", "--txs", "40", "--jobs", "1", "--no-result-store"])
+        .arg("--json-dir")
+        .arg(&dir)
+        .output()
+        .expect("run evaluate");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("[trace-cache] "))
+        .unwrap_or_else(|| panic!("a [trace-cache] line: {stderr}"));
+    let peak: u64 = line
+        .strip_suffix(" peak resident")
+        .and_then(|l| l.rsplit(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("a peak resident count: {line}"));
+    assert!(
+        line.starts_with("[trace-cache] 56 unique keys, 56 generated, "),
+        "{line}"
+    );
+    assert!((1..=2).contains(&peak), "{line}");
+}
+
+#[test]
 fn unknown_experiment_is_rejected_with_exit_2() {
     let out = evaluate().arg("no_such_experiment").output().expect("run");
     assert_eq!(out.status.code(), Some(2));

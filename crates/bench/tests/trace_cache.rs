@@ -1,8 +1,9 @@
 //! Integration tests for the shared trace artifact layer: cache identity,
 //! the cache's transparency on the traces it serves, report invariance at
 //! any worker count, engine equivalence between owned and Arc-shared
-//! streams, and the exactly-once generation guarantee across the fig11
-//! grid.
+//! streams, and the run-scoped lifetime: each run generates each of its
+//! keys exactly once and keeps none of them after its last cell, and one
+//! scope over two experiments generates the traces they share once.
 //!
 //! The cache is process-global, so every test that reads or counts through
 //! it serializes on [`CACHE_LOCK`] and uses seeds unique to this file: a
@@ -10,8 +11,11 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use silo_bench::{registry, run_experiment, ExpParams, TraceCache, TraceCacheStats};
-use silo_sim::{Engine, SimConfig};
+use silo_bench::{
+    registry, render_finished, run_cells, run_experiment, CellLabel, CellSpec, CellWork, ExpParams,
+    FaultSpec, RunSpec, TraceCache, TraceCacheStats, TraceScope, WorkloadSpec,
+};
+use silo_sim::{Engine, FaultModel, SimConfig};
 use silo_workloads::{workload_by_name, Workload};
 
 /// Serializes the tests that go through the global cache.
@@ -82,12 +86,12 @@ fn gained(before: TraceCacheStats) -> (u64, u64) {
 }
 
 /// The fig11 grid at `--txs 40` checks both halves of the contract. The
-/// cache is invisible: every trace it serves equals a fresh build, and
-/// the grid renders the same text and report body serially and across
-/// eight workers. And each of the grid's 56 unique trace keys (7
-/// benchmarks x 4 core counts x N and 2N transactions per core; the 5
-/// schemes share them) is generated exactly once per process, even when
-/// the grid runs again.
+/// cache is invisible: the grid renders the same text and report body
+/// serially and across eight workers, and it runs on traces equal to
+/// fresh builds. And each run generates each of the grid's 56 unique
+/// trace keys (7 benchmarks x 4 core counts x N and 2N transactions per
+/// core; the 5 schemes share them) exactly once and keeps none after its
+/// last cell, so the rerun generates its own 56.
 #[test]
 fn fig11_cache_is_invisible_and_generates_each_trace_exactly_once() {
     let _guard = cache_lock();
@@ -95,7 +99,19 @@ fn fig11_cache_is_invisible_and_generates_each_trace_exactly_once() {
     let before = TraceCache::global().stats();
     let serial = fig11_run(1, seed);
     assert_eq!(gained(before), (56, 56), "one generation per trace key");
+    assert_eq!(TraceCache::global().stats().resident, before.resident);
 
+    let parallel = fig11_run(8, seed);
+    assert_eq!(serial, parallel, "report differs (jobs 1 vs jobs 8)");
+    assert_eq!(
+        gained(before),
+        (112, 112),
+        "each run generates its 56 keys once"
+    );
+    assert_eq!(TraceCache::global().stats().resident, before.resident);
+
+    // Fetched outside any run, the grid's keys stay resident, each checked
+    // against a fresh build...
     let cores = [1, 2, 4, 8];
     for bench in silo_bench::FIG11_BENCHMARKS {
         let w = workload_by_name(bench).expect("figure workload");
@@ -110,14 +126,136 @@ fn fig11_cache_is_invisible_and_generates_each_trace_exactly_once() {
             }
         }
     }
-
-    // A second pass over the same grid, fanned out across workers, hits
-    // the cache for every cell: the generation count must not move.
-    let parallel = fig11_run(8, seed);
-    assert_eq!(serial, parallel, "report differs (jobs 1 vs jobs 8)");
+    // ...and a third run reads exactly those: it resolves the 56 keys,
+    // generates none, and renders what the first run rendered.
+    let pinned = TraceCache::global().stats();
+    assert_eq!(pinned.resident - before.resident, 56);
     assert_eq!(
-        gained(before),
-        (56, 56),
-        "rerunning the grid regenerated traces"
+        fig11_run(8, seed),
+        serial,
+        "report differs on pinned traces"
+    );
+    assert_eq!(gained(pinned), (56, 0), "the grid read the pinned traces");
+}
+
+/// One trace scope over fig11 and fig12, as `evaluate all` opens over its
+/// experiments: fig12 repeats fig11's grid, and with the result store off
+/// it runs every cell again on the traces fig11 generated, so the pair
+/// costs the grid's 56 generations, not 112, and leaves none resident.
+#[test]
+fn one_scope_over_two_experiments_generates_what_they_share_once() {
+    let _guard = cache_lock();
+    let seed = 90_005;
+    let specs = ["fig11", "fig12"].map(|name| registry::find(name).expect("registered"));
+    let params = specs.each_ref().map(|spec| {
+        let mut params = ExpParams::defaults(spec);
+        params.txs = 40;
+        params.seed = seed;
+        params
+    });
+    let cells = [0, 1].map(|i| specs[i].build(&params[i]));
+    let before = TraceCache::global().stats();
+    let scope = TraceScope::open(cells.iter().flatten());
+    let finished = cells.map(|cells| scope.run_cells(cells, 2));
+    drop(scope);
+    assert_eq!(gained(before), (56, 56), "fig12 reads fig11's traces");
+    assert_eq!(TraceCache::global().stats().resident, before.resident);
+    for i in [0, 1] {
+        let alone = run_experiment(&specs[i], &params[i], 2);
+        let scoped = render_finished(&specs[i], &params[i], &finished[i]);
+        assert_eq!(scoped.text, alone.text, "{}", specs[i].name);
+        assert_eq!(scoped.body.to_string(), alone.body.to_string());
+    }
+}
+
+/// One cell of every kind of work, in one run on two workers: the run
+/// generates each key it fetches exactly once, and none stays resident
+/// after it, so every trace a recipe fetches belongs to its cell's
+/// family. The battery cell violates, so its shrinker fetches halved
+/// traces; the large-transaction cell fetches a one-core probe, a
+/// batched trace and that trace's inner stream.
+#[test]
+fn every_kind_of_cell_drops_what_it_fetched_after_one_generation_each() {
+    let _guard = cache_lock();
+    let seed = 90_004;
+    let run = |scheme: &str, bench: &str, cores| {
+        RunSpec::table_ii(scheme, WorkloadSpec::plain(bench), cores, 10)
+    };
+    let works = [
+        CellWork::Delta(run("Base", "Hash", 2)),
+        CellWork::Delta(run("Silo", "hash", 2)),
+        CellWork::Full {
+            run: run("Silo", "Btree", 2),
+            record_throughput: true,
+        },
+        CellWork::Delta(RunSpec::table_ii(
+            "Silo",
+            WorkloadSpec::batched("Btree", 3),
+            2,
+            10,
+        )),
+        CellWork::Profiled(run("Silo", "Queue", 2)),
+        CellWork::Wear(run("Silo", "Array", 1)),
+        CellWork::TraceStats {
+            workload: "RBtree".into(),
+            txs: 20,
+        },
+        CellWork::LargeTx {
+            workload: "YCSB".into(),
+            mult: 2,
+            txs: 64,
+        },
+        CellWork::LargeTx {
+            workload: "YCSB".into(),
+            mult: 4,
+            txs: 64,
+        },
+        CellWork::Recovery {
+            txs: 40,
+            crash_at: 1_000,
+        },
+        CellWork::Recovery {
+            txs: 40,
+            crash_at: 5_000,
+        },
+        CellWork::CrashSweep {
+            scheme: "Silo".into(),
+            workload: "Hash".into(),
+            txs_per_core: 8,
+            fault: FaultSpec::Battery(64),
+            points: 4,
+            point: None,
+            checkpoints: true,
+        },
+        CellWork::Fuzz {
+            scheme: "Base".into(),
+            workload: "TPCC".into(),
+            txs_per_core: 4,
+            execs: 4,
+            fault: Some(FaultModel::bounded_battery(64)),
+            crash_event: None,
+            recovery_crash: None,
+            arrival: None,
+            corpus: None,
+        },
+    ];
+    let cells: Vec<CellSpec> = works
+        .into_iter()
+        .map(|work| CellSpec::new(CellLabel::default(), seed, work))
+        .collect();
+    let before = TraceCache::global().stats();
+    let done = run_cells(cells, 2);
+    let (keys, generations) = gained(before);
+    assert!(generations > 0);
+    assert_eq!(generations, keys, "a key generated twice in one run");
+    let after = TraceCache::global().stats();
+    assert_eq!(
+        after.resident, before.resident,
+        "a trace outlived its cells"
+    );
+    let sweep = &done[11].1;
+    assert!(
+        sweep.value("shrunk_txs") < 16.0,
+        "the battery cell shrinks its stream"
     );
 }

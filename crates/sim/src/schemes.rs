@@ -1,6 +1,6 @@
 //! The pluggable hardware-logging-scheme interface.
 //!
-//! Silo (`silo-core`) and the four baselines (`silo-baselines`) implement
+//! Silo (`silo-core`) and the six baselines (`silo-baselines`) implement
 //! [`LoggingScheme`]; the [`Engine`](crate::Engine) drives whichever it is
 //! handed. The hook set mirrors the hardware events of the paper: a
 //! transaction boundary reaching the log generator, a store retiring in

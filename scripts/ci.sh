@@ -98,9 +98,18 @@ smoke_stage() {
   # Every registered experiment at a small budget, computed fresh: the
   # concatenated stdout is deterministic (identical at any --jobs), so any
   # drift is a behavioural change in some experiment's text output.
-  "$EVALUATE" all --txs 40 --jobs 2 --no-result-store --no-corpus \
-    --json-dir target/reports-ci-all > target/ci-all.txt 2>/dev/null
+  all_err=$("$EVALUATE" all --txs 40 --jobs 2 --no-result-store --no-corpus \
+    --json-dir target/reports-ci-all 2>&1 >target/ci-all.txt)
   golden all target/ci-all.txt
+  # One trace scope spans the invocation, so experiments share the traces
+  # they have in common: its 162 distinct keys cost 162 generations, where
+  # a scope per experiment would regenerate the shared ones (338).
+  all_cache=$(echo "$all_err" | grep '^\[trace-cache\]' | tail -n 1)
+  case "$all_cache" in
+    "[trace-cache] 162 unique keys, 162 generated, "*) ;;
+    *) echo "FAIL: evaluate all: '$all_cache', want 162 unique keys, 162 generated" >&2
+       exit 1 ;;
+  esac
   rm -rf target/reports-ci-all target/ci-all.txt
 
   echo "== fig11 golden report at the benchmark's size =="
@@ -134,8 +143,8 @@ smoke_stage() {
   echo "== trace-cache smoke test =="
   # Same small grid twice, computed fresh: across 8 workers vs serial must
   # print identical report bytes, and the 8-worker run must generate each
-  # unique trace at most once (0 < generated <= unique keys). Both skip the
-  # result store, whose served cells build no trace.
+  # key it resolved at most once (0 < generated <= unique keys). Both skip
+  # the result store, whose served cells build no trace.
   cache_dir="target/reports-ci-cache"
   rm -rf "$cache_dir"
   cached_err=$("$EVALUATE" fig11 --txs 200 --jobs 8 --no-result-store \
@@ -421,6 +430,24 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
     || { echo "FAIL: fuzz --txs 200 peaked at $fuzz_rss MB, over 40 MB" >&2; exit 1; }
   echo "fuzz --txs 200 peaked at ${fuzz_rss} MB"
   rm -rf "$fuzz_rss_dir"
+
+  echo "== trace lifetime memory gate =="
+  # A run drops each trace after the last cell of its family (workload,
+  # cores, seed), so the figure grids hold about one family's traces per
+  # worker: fig11 and fig14 at the benchmark's size must each peak at or
+  # under 64 MB RSS (~35 MB measured; 97 and 68 MB while every trace
+  # stayed for the process).
+  grid_rss_dir="target/reports-ci-grid-rss"
+  rm -rf "$grid_rss_dir"
+  for exp in fig11 fig14; do
+    grid_usage=$(rusage "$EVALUATE" "$exp" --txs 600 --jobs 2 --no-result-store \
+      --json-dir "$grid_rss_dir")
+    read -r grid_rss _ <<< "$grid_usage"
+    awk -v rss="$grid_rss" 'BEGIN { exit !(rss <= 64) }' \
+      || { echo "FAIL: $exp --txs 600 peaked at $grid_rss MB, over 64 MB" >&2; exit 1; }
+    echo "$exp --txs 600 peaked at ${grid_rss} MB"
+  done
+  rm -rf "$grid_rss_dir"
 }
 
 stage="${1:-all}"
