@@ -1,10 +1,10 @@
 //! Base: per-store log + cacheline flush (paper §VI-A).
 
-use silo_core::{recover_log_region, LogEntry};
+use silo_core::LogEntry;
 use silo_sim::{EvictAction, LoggingScheme, Machine, RecoveryReport, SchemeStats, SimConfig};
 use silo_types::{CoreId, Cycles, LineAddr, PhysAddr, TxTag, Word};
 
-use crate::common::{area_bases, write_line, write_records, CoreCursor};
+use crate::common::{area_bases, recover_areas, write_line, write_records, CoreCursor};
 
 /// The hardware logging baseline: for **every** store it writes an
 /// undo+redo log entry to the log region and flushes the updated cacheline
@@ -114,17 +114,12 @@ impl LoggingScheme for BaseScheme {
 
     fn on_crash(&mut self, m: &mut Machine) {
         for c in &mut self.cores {
-            c.area.write_crash_header(&mut m.pm);
-            c.current_tag = None;
+            c.crash(m);
         }
     }
 
     fn recover(&mut self, m: &mut Machine) -> RecoveryReport {
-        let report = recover_log_region(&mut m.pm, &self.bases);
-        for c in &mut self.cores {
-            c.area.truncate();
-        }
-        report
+        recover_areas(m, &self.bases, &mut self.cores)
     }
 
     fn stats(&self) -> SchemeStats {

@@ -1,11 +1,11 @@
 //! State shared by the logging baselines: per-core log cursors and the
 //! commit persist barrier.
 
-use silo_core::{Record, ThreadLogArea, RECORD_BYTES};
-use silo_sim::{Machine, SimConfig};
+use silo_core::{recover_log_region, Record, ThreadLogArea, RECORD_BYTES};
+use silo_sim::{Machine, RecoveryReport, SimConfig};
 use silo_types::{CoreId, Cycles, PhysAddr, TxTag};
 
-/// Per-core bookkeeping common to Base / FWB / MorLog: the thread's log
+/// Per-core bookkeeping common to the log-cursor baselines: the thread's log
 /// area cursor, the in-flight transaction, and the latest WPQ admission
 /// time the commit barrier must wait for.
 #[derive(Clone, Debug)]
@@ -36,6 +36,27 @@ impl CoreCursor {
     pub fn barrier_wait(&self, now: Cycles) -> Cycles {
         now.max(self.persist_barrier)
     }
+
+    /// Power failure: writes the area's crash header, which bounds the
+    /// records recovery reads, and forgets the in-flight transaction.
+    pub fn crash(&mut self, m: &mut Machine) {
+        self.area.write_crash_header(&mut m.pm);
+        self.current_tag = None;
+    }
+}
+
+/// The recovery every log-cursor baseline shares: replay or revoke what
+/// the log areas at `bases` hold, then truncate each core's area.
+pub(crate) fn recover_areas<'c>(
+    m: &mut Machine,
+    bases: &[PhysAddr],
+    cursors: impl IntoIterator<Item = &'c mut CoreCursor>,
+) -> RecoveryReport {
+    let report = recover_log_region(&mut m.pm, bases);
+    for c in cursors {
+        c.area.truncate();
+    }
+    report
 }
 
 /// Writes `records` contiguously into the core's log area via the

@@ -12,11 +12,11 @@
 //! working set. Durability is free (persistent caches); atomicity still
 //! needs the logs.
 
-use silo_core::{recover_log_region, LogEntry, Record, RECORD_BYTES};
+use silo_core::{LogEntry, Record, RECORD_BYTES};
 use silo_sim::{EvictAction, LoggingScheme, Machine, RecoveryReport, SchemeStats, SimConfig};
 use silo_types::{CoreId, Cycles, LineAddr, PhysAddr, TxTag, Word};
 
-use crate::common::{area_bases, CoreCursor};
+use crate::common::{area_bases, recover_areas, CoreCursor};
 
 /// Cycles of instruction overhead for composing a log entry in software.
 const SW_LOG_COMPOSE_CYCLES: u64 = 30;
@@ -159,17 +159,12 @@ impl LoggingScheme for EadrSwLogScheme {
         // Table IV) is represented by the already-persistent log records;
         // only the headers bounding the valid region remain to write.
         for c in &mut self.cores {
-            c.area.write_crash_header(&mut m.pm);
-            c.current_tag = None;
+            c.crash(m);
         }
     }
 
     fn recover(&mut self, m: &mut Machine) -> RecoveryReport {
-        let report = recover_log_region(&mut m.pm, &self.bases);
-        for c in &mut self.cores {
-            c.area.truncate();
-        }
-        report
+        recover_areas(m, &self.bases, &mut self.cores)
     }
 
     fn stats(&self) -> SchemeStats {

@@ -1,11 +1,11 @@
 //! FWB: hardware undo+redo logging with periodic cache force write-back
 //! (Ogleari et al., HPCA'18; paper §II-D, §VI-A).
 
-use silo_core::{recover_log_region, LogEntry, Record, RECORD_BYTES};
+use silo_core::{LogEntry, Record, RECORD_BYTES};
 use silo_sim::{EvictAction, LoggingScheme, Machine, RecoveryReport, SchemeStats, SimConfig};
 use silo_types::{CoreId, Cycles, LineAddr, PhysAddr, TxTag, Word};
 
-use crate::common::{area_bases, write_records, CoreCursor};
+use crate::common::{area_bases, recover_areas, write_records, CoreCursor};
 
 /// FWB: every store writes an undo+redo log entry to the log region
 /// *before* the data may persist; updated cachelines stay dirty in the
@@ -152,17 +152,12 @@ impl LoggingScheme for FwbScheme {
 
     fn on_crash(&mut self, m: &mut Machine) {
         for c in &mut self.cores {
-            c.area.write_crash_header(&mut m.pm);
-            c.current_tag = None;
+            c.crash(m);
         }
     }
 
     fn recover(&mut self, m: &mut Machine) -> RecoveryReport {
-        let report = recover_log_region(&mut m.pm, &self.bases);
-        for c in &mut self.cores {
-            c.area.truncate();
-        }
-        report
+        recover_areas(m, &self.bases, &mut self.cores)
     }
 
     fn stats(&self) -> SchemeStats {

@@ -1,11 +1,11 @@
 //! LAD: distributed logless atomic durability (Gupta et al., MICRO'19;
 //! paper §V, §VI-A).
 
-use silo_core::{recover_log_region, Record, RecordKind, RECORD_BYTES};
+use silo_core::{Record, RecordKind, RECORD_BYTES};
 use silo_sim::{EvictAction, LoggingScheme, Machine, RecoveryReport, SchemeStats, SimConfig};
 use silo_types::{CoreId, Cycles, FxHashSet, LineAddr, PhysAddr, TxTag, Word};
 
-use crate::common::{area_bases, write_records, CoreCursor};
+use crate::common::{area_bases, recover_areas, write_records, CoreCursor};
 
 #[derive(Clone, Debug)]
 struct LadCore {
@@ -243,8 +243,7 @@ impl LoggingScheme for LadScheme {
                 }
             }
             c.prepared.clear();
-            c.cursor.area.write_crash_header(&mut m.pm);
-            c.cursor.current_tag = None;
+            c.cursor.crash(m);
             c.written_lines.clear();
             c.absorbed.clear();
         }
@@ -253,9 +252,9 @@ impl LoggingScheme for LadScheme {
     fn recover(&mut self, m: &mut Machine) -> RecoveryReport {
         // No ID tuples are ever written: every surviving record is an undo
         // of an uncommitted transaction's slow-mode line.
-        let report = recover_log_region(&mut m.pm, &self.bases);
+        let cursors = self.cores.iter_mut().map(|c| &mut c.cursor);
+        let report = recover_areas(m, &self.bases, cursors);
         for c in &mut self.cores {
-            c.cursor.area.truncate();
             c.prepared.clear();
         }
         report

@@ -1,11 +1,11 @@
 //! MorLog: morphable hardware logging (Wei et al., ISCA'20; paper §II-D,
 //! §VI-A).
 
-use silo_core::{recover_log_region, LogBuffer, LogEntry, Record, RECORD_BYTES};
+use silo_core::{LogBuffer, LogEntry, Record, RECORD_BYTES};
 use silo_sim::{EvictAction, LoggingScheme, Machine, RecoveryReport, SchemeStats, SimConfig};
 use silo_types::{CoreId, Cycles, LineAddr, PhysAddr, TxTag, Word};
 
-use crate::common::{area_bases, write_entry_records, write_records, CoreCursor};
+use crate::common::{area_bases, recover_areas, write_entry_records, write_records, CoreCursor};
 
 #[derive(Clone, Debug)]
 struct MorCore {
@@ -174,17 +174,13 @@ impl LoggingScheme for MorLogScheme {
                 self.stats.log_entries_written_to_pm += entries.len() as u64;
                 self.stats.log_bytes_written_to_pm += bytes.len() as u64;
             }
-            c.cursor.area.write_crash_header(&mut m.pm);
-            c.cursor.current_tag = None;
+            c.cursor.crash(m);
         }
     }
 
     fn recover(&mut self, m: &mut Machine) -> RecoveryReport {
-        let report = recover_log_region(&mut m.pm, &self.bases);
-        for c in &mut self.cores {
-            c.cursor.area.truncate();
-        }
-        report
+        let cursors = self.cores.iter_mut().map(|c| &mut c.cursor);
+        recover_areas(m, &self.bases, cursors)
     }
 
     fn stats(&self) -> SchemeStats {

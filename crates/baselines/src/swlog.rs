@@ -9,11 +9,11 @@
 
 use std::collections::BTreeSet;
 
-use silo_core::{recover_log_region, LogEntry, Record, RECORD_BYTES};
+use silo_core::{LogEntry, Record, RECORD_BYTES};
 use silo_sim::{EvictAction, LoggingScheme, Machine, RecoveryReport, SchemeStats, SimConfig};
 use silo_types::{CoreId, Cycles, LineAddr, PhysAddr, TxTag, Word};
 
-use crate::common::{area_bases, write_line, write_records, CoreCursor};
+use crate::common::{area_bases, recover_areas, write_line, write_records, CoreCursor};
 
 /// Cycles of instruction overhead for composing a log entry in software
 /// (address arithmetic, stores to the log cacheline, clwb issue).
@@ -137,18 +137,13 @@ impl LoggingScheme for SwLogScheme {
 
     fn on_crash(&mut self, m: &mut Machine) {
         for (ci, c) in self.cores.iter_mut().enumerate() {
-            c.area.write_crash_header(&mut m.pm);
-            c.current_tag = None;
+            c.crash(m);
             self.written_lines[ci].clear();
         }
     }
 
     fn recover(&mut self, m: &mut Machine) -> RecoveryReport {
-        let report = recover_log_region(&mut m.pm, &self.bases);
-        for c in &mut self.cores {
-            c.area.truncate();
-        }
-        report
+        recover_areas(m, &self.bases, &mut self.cores)
     }
 
     fn stats(&self) -> SchemeStats {

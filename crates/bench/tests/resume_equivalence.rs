@@ -4,19 +4,21 @@
 //! is **byte-identical** to the same crash plan executed from scratch —
 //! same `SimStats` JSON (including the probe cycle breakdown), same oracle
 //! verdict, same recovered PM image — for every scheme and every fault
-//! model. The [`silo_types::Snapshot`] round-trip tests below pin the
-//! building block: restoring a snapshot reproduces the captured state
-//! exactly, under randomized operation sequences. The steady-state delta's
-//! fork (one run continued from another's last shared state) is held to
-//! the same standard against two runs from scratch.
+//! model. A checkpoint is a set of clones, so the round-trip tests below
+//! pin the building block: `clone_from` a clone taken earlier reproduces
+//! the media's and the device's captured state exactly, under randomized
+//! operation sequences. The cadence recording (`Engine::run_recording`)
+//! keeps its checkpoint positions, pinned on one case. The steady-state
+//! delta's fork (one run continued from another's last shared state) is
+//! held to the same standard against two runs from scratch.
 
 use silo_bench::{make_scheme, run_delta_with, run_with_scheme, Batched, TraceCache, ALL_SCHEMES};
 use silo_core::{SiloOptions, SiloScheme};
-use silo_pm::{PagedMedia, PmDevice, PmDeviceConfig};
+use silo_pm::{Media, PmDevice, PmDeviceConfig};
 use silo_sim::{
     CheckpointPolicy, CrashPlan, Engine, FaultModel, LoggingScheme, RunOutcome, SimConfig, SimStats,
 };
-use silo_types::{Cycles, PhysAddr, Snapshot, SplitMix64};
+use silo_types::{Cycles, PhysAddr, SplitMix64};
 use silo_workloads::{workload_by_name, ArrivalProcess, OpenLoop, Workload};
 
 const CORES: usize = 2;
@@ -159,6 +161,49 @@ fn every_valid_checkpoint_yields_the_same_outcome() {
     assert!(resumed_any > 0, "no checkpoint preceded event {n}");
 }
 
+/// The cadence recording keeps its checkpoint positions: perfbench's
+/// tracer reports their count and resumes its crash points from them, so
+/// a change to the cadence or the thinning moves its numbers. Silo on
+/// 2-core Hash, 24 transactions per core, seed 42: the default policy
+/// (29 checkpoints, no thinning) and one that thins three times.
+#[test]
+fn recording_keeps_its_checkpoint_positions() {
+    let config = SimConfig::table_ii(2);
+    let w = workload_by_name("Hash").expect("registered workload");
+    let trace = TraceCache::global().get_or_build(w.as_ref(), 2, 24, 42);
+    let positions = |policy| {
+        let mut s = make_scheme("Silo", &config);
+        let (_, set) = Engine::new(&config, s.as_mut()).run_recording(&trace, policy);
+        let at: Vec<(u64, u64)> = set
+            .iter()
+            .map(|cp| (cp.event_pos(), cp.cycle_pos().as_u64()))
+            .collect();
+        assert_eq!(at.len(), set.len());
+        at
+    };
+    #[rustfmt::skip]
+    let default = [
+        (77, 1303), (672, 6342), (1216, 10777), (1780, 15297), (2402, 20391),
+        (2941, 24711), (3486, 29235), (4030, 33550), (4696, 38979), (5208, 43174),
+        (5731, 47479), (6243, 51594), (6761, 55729), (7273, 59764), (7794, 63710),
+        (8319, 67795), (9087, 73952), (9599, 78067), (10111, 81937), (10638, 85878),
+        (11150, 89875), (11666, 94035), (12182, 98153), (12697, 102170), (13211, 106165),
+        (13738, 110408), (14250, 114753), (14762, 118923), (15274, 123268),
+    ];
+    assert_eq!(positions(CheckpointPolicy::default()), default);
+    let thinning = CheckpointPolicy {
+        every_events: 16,
+        every_cycles: 1024,
+        max: 8,
+    };
+    #[rustfmt::skip]
+    let thinned = [
+        (16, 334), (2712, 22828), (5293, 43858), (7353, 60339),
+        (10452, 84620), (12500, 100740), (14548, 117281),
+    ];
+    assert_eq!(positions(thinning), thinned);
+}
+
 /// The same delta the fork replaces: the N-run and the 2N-run, each from
 /// t=0, subtracted.
 fn delta_from_scratch(
@@ -260,17 +305,17 @@ fn forked_delta_matches_two_runs_from_scratch() {
     );
 }
 
-/// Randomized [`Snapshot`] round-trip on the wear-tracked media: capture,
-/// observe, mutate arbitrarily, restore — every observable must match the
-/// capture-time value.
+/// Randomized clone round-trip on the wear-tracked media: clone, observe,
+/// mutate arbitrarily, `clone_from` the clone — every observable must match
+/// the capture-time value.
 #[test]
 fn paged_media_snapshot_round_trip_randomized() {
     const LINE: u64 = 256;
     const LINES: u64 = 64;
     let mut rng = SplitMix64::new(0x5110_c0de);
     for _trial in 0..8 {
-        let mut media = PagedMedia::new();
-        let scribble = |media: &mut PagedMedia, rng: &mut SplitMix64| {
+        let mut media = Media::new();
+        let scribble = |media: &mut Media, rng: &mut SplitMix64| {
             for _ in 0..32 {
                 let base = PhysAddr::new((rng.next_u64() % LINES) * LINE);
                 let offset = (rng.next_u64() % 31) as usize * 8;
@@ -281,7 +326,7 @@ fn paged_media_snapshot_round_trip_randomized() {
         };
         scribble(&mut media, &mut rng);
 
-        let snap = media.snapshot();
+        let snap = media.clone();
         let image: Vec<Vec<u8>> = (0..LINES)
             .map(|i| media.read(PhysAddr::new(i * LINE), LINE as usize))
             .collect();
@@ -296,7 +341,7 @@ fn paged_media_snapshot_round_trip_randomized() {
         );
 
         scribble(&mut media, &mut rng);
-        media.restore(&snap);
+        media.clone_from(&snap);
 
         for (i, want) in image.iter().enumerate() {
             assert_eq!(
@@ -321,8 +366,8 @@ fn paged_media_snapshot_round_trip_randomized() {
     }
 }
 
-/// Randomized [`Snapshot`] round-trip on the full device: buffer staging,
-/// drains, traffic stats, and durability-event counters all restore.
+/// Randomized clone round-trip on the full device: buffer staging, drains,
+/// traffic stats, and durability-event counters all restore.
 #[test]
 fn pm_device_snapshot_round_trip_randomized() {
     let mut rng = SplitMix64::new(0xd1_90_be_ef);
@@ -339,7 +384,7 @@ fn pm_device_snapshot_round_trip_randomized() {
         };
         scribble(&mut dev, &mut rng);
 
-        let snap = dev.snapshot();
+        let snap = dev.clone();
         let peeks: Vec<(PhysAddr, u64)> = (0..2048)
             .map(|i| {
                 let a = PhysAddr::new(i * 8);
@@ -350,7 +395,7 @@ fn pm_device_snapshot_round_trip_randomized() {
         let events = dev.events().total();
 
         scribble(&mut dev, &mut rng);
-        dev.restore(&snap);
+        dev.clone_from(&snap);
 
         for &(a, want) in &peeks {
             assert_eq!(

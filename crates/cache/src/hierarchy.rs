@@ -1,6 +1,6 @@
 //! The three-level hierarchy of paper Table II.
 
-use silo_types::{CoreId, Cycles, LineAddr, Snapshot};
+use silo_types::{CoreId, Cycles, LineAddr};
 
 use crate::set_assoc::{CacheConfig, CacheLevelState, SetAssocCache};
 
@@ -353,19 +353,20 @@ pub struct CacheHierarchyState {
     pm_writebacks: u64,
 }
 
-impl Snapshot for CacheHierarchy {
-    type State = CacheHierarchyState;
-
-    fn snapshot(&self) -> CacheHierarchyState {
+impl CacheHierarchy {
+    /// Captures every level's resident lines and counters.
+    pub fn snapshot(&self) -> CacheHierarchyState {
         CacheHierarchyState {
-            l1: self.l1.iter().map(Snapshot::snapshot).collect(),
-            l2: self.l2.iter().map(Snapshot::snapshot).collect(),
+            l1: self.l1.iter().map(SetAssocCache::snapshot).collect(),
+            l2: self.l2.iter().map(SetAssocCache::snapshot).collect(),
             l3: self.l3.snapshot(),
             pm_writebacks: self.pm_writebacks,
         }
     }
 
-    fn restore(&mut self, state: &CacheHierarchyState) {
+    /// Restores exactly the captured state, dropping whatever the levels
+    /// held before.
+    pub fn restore(&mut self, state: &CacheHierarchyState) {
         assert_eq!(
             self.l1.len(),
             state.l1.len(),

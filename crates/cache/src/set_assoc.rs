@@ -406,10 +406,10 @@ pub struct CacheLevelState {
     dirty_evictions: u64,
 }
 
-impl silo_types::Snapshot for SetAssocCache {
-    type State = CacheLevelState;
-
-    fn snapshot(&self) -> CacheLevelState {
+impl SetAssocCache {
+    /// Captures the occupied slots of the live sets and the LRU and
+    /// counter state.
+    pub fn snapshot(&self) -> CacheLevelState {
         CacheLevelState {
             config: self.config,
             occupied: self
@@ -423,7 +423,9 @@ impl silo_types::Snapshot for SetAssocCache {
         }
     }
 
-    fn restore(&mut self, state: &CacheLevelState) {
+    /// Restores exactly the captured state: drops every line with one
+    /// epoch bump and rewrites the captured ones.
+    pub fn restore(&mut self, state: &CacheLevelState) {
         assert_eq!(
             self.config, state.config,
             "cache snapshot restored into a different geometry"
@@ -444,7 +446,7 @@ impl silo_types::Snapshot for SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use silo_types::{PhysAddr, Snapshot, Xoshiro256};
+    use silo_types::{PhysAddr, Xoshiro256};
 
     fn line(n: u64) -> LineAddr {
         LineAddr::containing(PhysAddr::new(n * LINE_BYTES as u64))
@@ -931,10 +933,8 @@ mod tests {
             dirty_evictions: u64,
         }
 
-        impl silo_types::Snapshot for RefSetAssocCache {
-            type State = RefLevelState;
-
-            fn snapshot(&self) -> RefLevelState {
+        impl RefSetAssocCache {
+            pub fn snapshot(&self) -> RefLevelState {
                 RefLevelState {
                     config: self.config,
                     occupied: self
@@ -950,7 +950,7 @@ mod tests {
                 }
             }
 
-            fn restore(&mut self, state: &RefLevelState) {
+            pub fn restore(&mut self, state: &RefLevelState) {
                 assert_eq!(
                     self.config, state.config,
                     "cache snapshot restored into a different geometry"

@@ -479,5 +479,3 @@ mod tests {
         assert!(now.as_u64() >= (500 - 64) * LINE_SERVICE, "now = {now}");
     }
 }
-
-silo_types::impl_snapshot_via_clone!(MemCtrl);

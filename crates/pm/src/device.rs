@@ -694,5 +694,3 @@ mod tests {
         assert_eq!(pm.stats().accepted_writes, 2);
     }
 }
-
-silo_types::impl_snapshot_via_clone!(PmDevice);

@@ -69,7 +69,7 @@ impl Page {
 /// assert_eq!(m.read(PhysAddr::new(1), 2), vec![2, 3]);
 /// ```
 #[derive(Clone, Debug, Default)]
-pub struct PagedMedia {
+pub struct Media {
     pages: FxHashMap<u64, Arc<Page>>,
     touched_count: usize,
     line_writes: u64,
@@ -77,10 +77,6 @@ pub struct PagedMedia {
     dcw_suppressed: u64,
     wear: WearTracker,
 }
-
-/// The media type the rest of the simulator names; today it is the paged,
-/// copy-on-write [`PagedMedia`].
-pub type Media = PagedMedia;
 
 #[inline]
 fn split_line(line_idx: u64) -> (u64, usize) {
@@ -125,10 +121,10 @@ fn changed_bits(old: &[u8], new: &[u8]) -> u64 {
     bits
 }
 
-impl PagedMedia {
+impl Media {
     /// Creates empty (all-zero) media.
     pub fn new() -> Self {
-        PagedMedia::default()
+        Media::default()
     }
 
     /// Mutable access to one buffer line, materializing (and, under a live
@@ -801,5 +797,3 @@ mod tests {
         }
     }
 }
-
-silo_types::impl_snapshot_via_clone!(PagedMedia);

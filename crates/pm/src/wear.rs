@@ -226,5 +226,3 @@ mod tests {
         assert!((slower - 1e7).abs() / 1e7 < 1e-9);
     }
 }
-
-silo_types::impl_snapshot_via_clone!(WearTracker);

@@ -13,7 +13,6 @@ use crate::{
     ConsistencyReport, LoggingScheme, Machine, MachineState, Op, RecoveryReport, SimConfig,
     SimStats, TraceSet, Transaction, TxOracle, TxRecord,
 };
-use silo_types::Snapshot;
 
 /// When a [`CrashPlan`] cuts power.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,38 +129,21 @@ enum Phase {
     Done,
 }
 
-/// Captured execution state of one core: everything in `CoreRun` except the
-/// shared (immutable) transaction stream, which the resuming caller supplies.
-#[derive(Clone, Debug)]
-struct CoreState {
-    time: Cycles,
-    tx_idx: usize,
-    op_idx: usize,
-    phase: Phase,
-    txid: TxId,
-    tag: TxTag,
-    cur_writes: FxHashMap<u64, Word>,
-    committed: u64,
-    sojourns: Vec<u64>,
-}
-
 /// A full-machine checkpoint taken at an engine loop boundary of a clean
-/// (crash-free) run. Positions on both crash axes are recorded so one
-/// checkpoint set serves cycle-triggered *and* event-triggered crash plans.
-/// Its oracle carries the transition log too, when the capturing run had
-/// it on, so a run resumed from it judges the recovered image the same way.
+/// (crash-free) run: clones of the machine's components (the cache levels
+/// as sparse copies), the cores, the oracle and the scheme. Positions on
+/// both crash axes are recorded so one checkpoint serves cycle-triggered
+/// *and* event-triggered crash plans ([`precedes`](Self::precedes)). Its
+/// oracle carries the transition log too, when the capturing run had it
+/// on, so a run resumed from it judges the recovered image the same way.
 pub struct EngineCheckpoint {
-    /// Smallest unfinished core clock at capture. Valid as a resume base
-    /// for [`CrashTrigger::Cycle(c)`] iff `cycle_pos < c` — the engine's
-    /// minimum clock is non-decreasing and the crash check runs at the
-    /// loop top, so no earlier iteration of the crashing run can have
-    /// tripped.
+    /// Smallest unfinished core clock at capture.
     cycle_pos: Cycles,
-    /// Total durability events counted at capture. Valid as a resume base
-    /// for [`CrashTrigger::Event(n)`] iff `event_pos < n`.
+    /// Total durability events counted at capture.
     event_pos: u64,
     machine: MachineState,
-    cores: Vec<CoreState>,
+    /// The cores as they were, streams and arrival schedules shared.
+    cores: Vec<CoreRun>,
     oracle: TxOracle,
     scheme: Box<dyn SchemeState>,
 }
@@ -175,6 +157,18 @@ impl EngineCheckpoint {
     /// The checkpoint's position on the durability-event axis.
     pub fn event_pos(&self) -> u64 {
         self.event_pos
+    }
+
+    /// Whether the checkpoint can seed a crash run of `trigger`
+    /// ([`Engine::run_resumed`]): it lies strictly before the trigger on
+    /// the trigger's own axis. Both positions never decrease along a run
+    /// and the crash check runs at the loop top, so no earlier iteration
+    /// of the crashing run can have tripped.
+    pub fn precedes(&self, trigger: CrashTrigger) -> bool {
+        match trigger {
+            CrashTrigger::Cycle(c) => self.cycle_pos < c,
+            CrashTrigger::Event(n) => self.event_pos < n,
+        }
     }
 }
 
@@ -244,80 +238,34 @@ enum Start<'c> {
     Fork(Box<ForkPoint>),
 }
 
-/// What a clean run captures on its way, into caller-owned places.
-enum Capture<'c> {
-    Nothing,
-    /// Every loop boundary's position on both crash axes.
-    StepLog(&'c mut StepLog),
-    Checkpoints(Checkpoints<'c>),
-    Fork(&'c mut Option<ForkPoint>),
+/// One loop boundary of a clean run, as [`Engine::run_visiting`] shows it
+/// to its visitor: the state after `step` engine steps, before the next.
+struct Boundary<'r, 'a> {
+    /// Engine steps taken so far.
+    step: u64,
+    /// The smallest unfinished core clock: the boundary's position on the
+    /// cycle axis.
+    cycle_pos: Cycles,
+    /// Durability events counted so far: its position on the event axis.
+    event_pos: u64,
+    /// Whether the next step retires its core, which has run out of
+    /// transactions; with a longer stream it would begin another one.
+    retiring: bool,
+    engine: &'r Engine<'a>,
+    cores: &'r [CoreRun],
 }
 
-/// A checkpointing clean run's one stop rule and one sink: at the
-/// policy's cadence into a collected set ([`Engine::run_recording`]), or
-/// at listed loop steps, handed to a callback ([`Engine::walk`]).
-enum Checkpoints<'c> {
-    Cadence {
-        policy: CheckpointPolicy,
-        next_event_due: u64,
-        next_cycle_due: u64,
-        set: &'c mut CheckpointSet,
-    },
-    Steps {
-        /// Ascending and distinct; `next` indexes the next stop.
-        steps: Vec<u64>,
-        next: usize,
-        visit: &'c mut dyn FnMut(u64, EngineCheckpoint) -> bool,
-    },
-}
-
-impl Checkpoints<'_> {
-    /// Whether the loop boundary after `step` steps, at `min_time` and
-    /// `events`, is a stop.
-    fn due(&self, step: u64, min_time: Cycles, events: u64) -> bool {
-        match self {
-            Checkpoints::Cadence {
-                next_event_due,
-                next_cycle_due,
-                ..
-            } => events >= *next_event_due || min_time.as_u64() >= *next_cycle_due,
-            Checkpoints::Steps { steps, next, .. } => steps.get(*next) == Some(&step),
-        }
-    }
-
-    /// Hands the stop's checkpoint to the sink. Returns `false` when the
-    /// run should end here: the callback said so, or no stop is left.
-    fn take(&mut self, step: u64, cp: EngineCheckpoint) -> bool {
-        match self {
-            Checkpoints::Cadence {
-                policy,
-                next_event_due,
-                next_cycle_due,
-                set,
-            } => {
-                let (event_pos, cycle_pos) = (cp.event_pos, cp.cycle_pos.as_u64());
-                set.cps.push(cp);
-                if set.cps.len() >= policy.max {
-                    // Thin to every other checkpoint and slow both
-                    // cadences, keeping the set bounded on long runs.
-                    let mut keep = false;
-                    set.cps.retain(|_| {
-                        keep = !keep;
-                        keep
-                    });
-                    policy.every_events = policy.every_events.saturating_mul(2);
-                    policy.every_cycles = policy.every_cycles.saturating_mul(2);
-                }
-                *next_event_due = event_pos.saturating_add(policy.every_events);
-                *next_cycle_due = cycle_pos.saturating_add(policy.every_cycles);
-                true
-            }
-            Checkpoints::Steps { steps, next, visit } => {
-                // The callback owns the checkpoint: one that drops it
-                // before returning holds one checkpoint at a time.
-                *next += 1;
-                visit(step, cp) && *next < steps.len()
-            }
+impl Boundary<'_, '_> {
+    /// The whole engine state here: machine, cores, oracle and scheme.
+    fn checkpoint(&self) -> EngineCheckpoint {
+        let e = self.engine;
+        EngineCheckpoint {
+            cycle_pos: self.cycle_pos,
+            event_pos: self.event_pos,
+            machine: e.machine.snapshot(),
+            cores: self.cores.to_vec(),
+            oracle: e.oracle.clone(),
+            scheme: e.scheme.snapshot_state(),
         }
     }
 }
@@ -372,21 +320,10 @@ impl CheckpointSet {
         self.cps.iter()
     }
 
-    /// The latest checkpoint strictly before `trigger` on the trigger's
-    /// own axis, or `None` (resimulate from t=0).
+    /// The latest checkpoint that [`precedes`](EngineCheckpoint::precedes)
+    /// `trigger`, or `None` (resimulate from t=0).
     pub fn nearest(&self, trigger: CrashTrigger) -> Option<&EngineCheckpoint> {
-        match trigger {
-            CrashTrigger::Cycle(c) => self
-                .cps
-                .iter()
-                .filter(|cp| cp.cycle_pos < c)
-                .max_by_key(|cp| (cp.cycle_pos, cp.event_pos)),
-            CrashTrigger::Event(n) => self
-                .cps
-                .iter()
-                .filter(|cp| cp.event_pos < n)
-                .max_by_key(|cp| cp.event_pos),
-        }
+        self.cps.iter().rev().find(|cp| cp.precedes(trigger))
     }
 }
 
@@ -436,6 +373,7 @@ impl StepLog {
     }
 }
 
+#[derive(Clone, Debug)]
 struct CoreRun {
     id: CoreId,
     time: Cycles,
@@ -460,30 +398,15 @@ struct CoreRun {
 }
 
 impl CoreRun {
-    fn state(&self) -> CoreState {
-        CoreState {
-            time: self.time,
-            tx_idx: self.tx_idx,
-            op_idx: self.op_idx,
-            phase: self.phase,
-            txid: self.txid,
-            tag: self.tag,
-            cur_writes: self.cur_writes.clone(),
-            committed: self.committed,
-            sojourns: self.sojourns.clone(),
-        }
-    }
-
-    fn resume(&mut self, s: CoreState) {
-        self.time = s.time;
-        self.tx_idx = s.tx_idx;
-        self.op_idx = s.op_idx;
-        self.phase = s.phase;
-        self.txid = s.txid;
-        self.tag = s.tag;
-        self.cur_writes = s.cur_writes;
-        self.committed = s.committed;
-        self.sojourns = s.sojourns;
+    /// Takes up `saved`'s place in its run, keeping this run's stream and
+    /// arrival schedule: a continued run's are longer than the forking
+    /// run's.
+    fn resume(&mut self, saved: CoreRun) {
+        *self = CoreRun {
+            txs: Arc::clone(&self.txs),
+            arrivals: self.arrivals.take(),
+            ..saved
+        };
     }
 
     fn record(&self, committed: bool, event: u64) -> TxRecord {
@@ -645,7 +568,7 @@ impl<'a> Engine<'a> {
         streams: impl Into<TraceSet>,
         plan: Option<CrashPlan>,
     ) -> RunOutcome {
-        self.run_inner(streams.into(), plan, Capture::Nothing, Start::Scratch)
+        self.run_inner(streams.into(), plan, Start::Scratch, None)
             .expect(FINISHES)
     }
 
@@ -657,19 +580,35 @@ impl<'a> Engine<'a> {
     ///
     /// Panics if the stream count differs from the configured core count.
     pub fn run_recording(
-        self,
+        mut self,
         streams: impl Into<TraceSet>,
-        policy: CheckpointPolicy,
+        mut policy: CheckpointPolicy,
     ) -> (RunOutcome, CheckpointSet) {
         let mut set = CheckpointSet::default();
-        let capture = Capture::Checkpoints(Checkpoints::Cadence {
-            policy,
-            next_event_due: policy.every_events,
-            next_cycle_due: policy.every_cycles,
-            set: &mut set,
-        });
+        let (mut next_event_due, mut next_cycle_due) = (policy.every_events, policy.every_cycles);
+        // The checkpoints seed crash runs, so the oracle records this run.
+        self.track_txs = true;
         let outcome = self
-            .run_inner(streams.into(), None, capture, Start::Scratch)
+            .run_visiting(streams.into(), &mut |b| {
+                if b.event_pos < next_event_due && b.cycle_pos.as_u64() < next_cycle_due {
+                    return true;
+                }
+                set.cps.push(b.checkpoint());
+                if set.cps.len() >= policy.max {
+                    // Thin to every other checkpoint and slow both
+                    // cadences, keeping the set bounded on long runs.
+                    let mut keep = false;
+                    set.cps.retain(|_| {
+                        keep = !keep;
+                        keep
+                    });
+                    policy.every_events = policy.every_events.saturating_mul(2);
+                    policy.every_cycles = policy.every_cycles.saturating_mul(2);
+                }
+                next_event_due = b.event_pos.saturating_add(policy.every_events);
+                next_cycle_due = b.cycle_pos.as_u64().saturating_add(policy.every_cycles);
+                true
+            })
             .expect(FINISHES);
         (outcome, set)
     }
@@ -685,12 +624,10 @@ impl<'a> Engine<'a> {
     pub fn run_logging_steps(self, streams: impl Into<TraceSet>) -> (RunOutcome, StepLog) {
         let mut log = StepLog::default();
         let outcome = self
-            .run_inner(
-                streams.into(),
-                None,
-                Capture::StepLog(&mut log),
-                Start::Scratch,
-            )
+            .run_visiting(streams.into(), &mut |b| {
+                log.push(b.cycle_pos, b.event_pos);
+                true
+            })
             .expect(FINISHES);
         (outcome, log)
     }
@@ -712,7 +649,7 @@ impl<'a> Engine<'a> {
     ///
     /// Panics if the stream count differs from the configured core count.
     pub fn walk(
-        self,
+        mut self,
         streams: impl Into<TraceSet>,
         steps: &[u64],
         mut visit: impl FnMut(u64, EngineCheckpoint) -> bool,
@@ -723,12 +660,15 @@ impl<'a> Engine<'a> {
         if steps.is_empty() {
             return; // nowhere to stop
         }
-        let capture = Capture::Checkpoints(Checkpoints::Steps {
-            steps,
-            next: 0,
-            visit: &mut visit,
+        let mut stops = steps.into_iter().peekable();
+        // The checkpoints seed crash runs, so the oracle records this run.
+        self.track_txs = true;
+        let _ = self.run_visiting(streams.into(), &mut |b| {
+            if stops.next_if_eq(&b.step).is_none() {
+                return true;
+            }
+            visit(b.step, b.checkpoint()) && stops.peek().is_some()
         });
-        let _ = self.run_inner(streams.into(), None, capture, Start::Scratch);
     }
 
     /// Runs a clean run while capturing its [`ForkPoint`], from which
@@ -739,17 +679,21 @@ impl<'a> Engine<'a> {
     ///
     /// Panics if the stream count differs from the configured core count.
     pub fn run_forking(self, streams: impl Into<TraceSet>) -> (RunOutcome, ForkPoint) {
+        let prefix = streams.into();
         let mut fork = None;
         let outcome = self
-            .run_inner(
-                streams.into(),
-                None,
-                Capture::Fork(&mut fork),
-                Start::Scratch,
-            )
+            .run_visiting(prefix.clone(), &mut |b| {
+                // The first core to retire is the first whose next step a
+                // longer stream would not take: every step so far is
+                // common to both runs.
+                if fork.is_none() && b.retiring {
+                    fork = Some(b.checkpoint());
+                }
+                true
+            })
             .expect(FINISHES);
-        let fork = fork.expect("a clean run retires a core, and forks there");
-        (outcome, fork)
+        let cp = fork.expect("a clean run retires a core, and forks there");
+        (outcome, ForkPoint { cp, prefix })
     }
 
     /// Runs `streams` clean from `fork` instead of t=0, consuming the fork
@@ -769,17 +713,18 @@ impl<'a> Engine<'a> {
             streams.starts_with(&fork.prefix),
             "a continued run's streams must start with the forking run's"
         );
-        self.run_inner(streams, None, Capture::Nothing, Start::Fork(Box::new(fork)))
+        self.run_inner(streams, None, Start::Fork(Box::new(fork)), None)
             .expect(FINISHES)
     }
 
     /// Runs a crash plan starting from `checkpoint` instead of t=0. The
     /// streams must be the same ones the checkpointing run executed, and
-    /// the checkpoint must satisfy the trigger-axis validity rule
-    /// ([`CheckpointSet::nearest`] and [`StepLog::last_before`] guarantee
-    /// it); the outcome is then byte-identical to running the plan from
-    /// scratch with the checkpointing run's probes and transition log on,
-    /// which the resumed run takes from the checkpoint.
+    /// the checkpoint must [`precede`](EngineCheckpoint::precedes) the
+    /// plan's trigger ([`CheckpointSet::nearest`] and
+    /// [`StepLog::last_before`] guarantee it); the outcome is then
+    /// byte-identical to running the plan from scratch with the
+    /// checkpointing run's probes and transition log on, which the resumed
+    /// run takes from the checkpoint.
     ///
     /// # Panics
     ///
@@ -793,49 +738,41 @@ impl<'a> Engine<'a> {
         plan: CrashPlan,
         checkpoint: &EngineCheckpoint,
     ) -> RunOutcome {
-        match plan.trigger {
-            CrashTrigger::Cycle(c) => assert!(
-                checkpoint.cycle_pos < c,
-                "checkpoint at cycle {} is not before the crash cycle {}",
-                checkpoint.cycle_pos.as_u64(),
-                c.as_u64()
-            ),
-            CrashTrigger::Event(n) => assert!(
-                checkpoint.event_pos < n,
-                "checkpoint at event {} is not before the crash event {n}",
-                checkpoint.event_pos
-            ),
-        }
+        assert!(
+            checkpoint.precedes(plan.trigger),
+            "{checkpoint:?} is not before the crash at {:?}",
+            plan.trigger
+        );
         self.run_inner(
             streams.into(),
             Some(plan),
-            Capture::Nothing,
             Start::Checkpoint(checkpoint),
+            None,
         )
         .expect(FINISHES)
     }
 
-    /// The whole engine state at a loop boundary: machine, core cursors,
-    /// oracle and scheme.
-    fn capture(&self, cores: &[CoreRun], cycle_pos: Cycles, event_pos: u64) -> EngineCheckpoint {
-        EngineCheckpoint {
-            cycle_pos,
-            event_pos,
-            machine: self.machine.snapshot(),
-            cores: cores.iter().map(CoreRun::state).collect(),
-            oracle: self.oracle.clone(),
-            scheme: self.scheme.snapshot_state(),
-        }
+    /// The one hook of every clean-run capture: runs `streams` clean from
+    /// t=0 and shows `visit` each loop boundary once, in step order,
+    /// before the step it precedes. A `false` from `visit` ends the run
+    /// there, with `None`. Crash runs take no visitor: their states past
+    /// the cut differ per plan, so none is worth capturing.
+    fn run_visiting(
+        self,
+        streams: TraceSet,
+        visit: &mut dyn FnMut(&Boundary) -> bool,
+    ) -> Option<RunOutcome> {
+        self.run_inner(streams, None, Start::Scratch, Some(visit))
     }
 
     /// Runs to the end, or to a crash, and returns the outcome; `None`
-    /// only for a walk, which ends at its last stop.
+    /// only when `visit`, which only clean runs take, ended the run.
     fn run_inner(
         mut self,
         streams: TraceSet,
         plan: Option<CrashPlan>,
-        capture: Capture<'_>,
         start: Start<'_>,
+        mut visit: Option<&mut dyn FnMut(&Boundary) -> bool>,
     ) -> Option<RunOutcome> {
         assert_eq!(
             streams.cores(),
@@ -861,20 +798,10 @@ impl<'a> Engine<'a> {
                 sojourns: Vec::new(),
             })
             .collect();
-        let prefix = matches!(capture, Capture::Fork(_)).then_some(streams);
-
-        match start {
-            Start::Scratch => {}
+        let saved = match start {
+            Start::Scratch => None,
             Start::Checkpoint(cp) => {
-                assert_eq!(
-                    cp.cores.len(),
-                    cores.len(),
-                    "checkpoint core count must match the streams"
-                );
                 self.machine.restore(&cp.machine);
-                for (core, s) in cores.iter_mut().zip(&cp.cores) {
-                    core.resume(s.clone());
-                }
                 assert!(
                     !self.oracle.logs_history() || cp.oracle.logs_history(),
                     "the transition log is on but the checkpoint carries none \
@@ -882,22 +809,26 @@ impl<'a> Engine<'a> {
                 );
                 self.oracle = cp.oracle.clone();
                 self.scheme.restore_state(&*cp.scheme);
+                Some(cp.cores.clone())
             }
             Start::Fork(fork) => {
                 // Moved in rather than copied, and gone after this arm: a
                 // fork kept alive would share the PM pages, and the run
                 // would copy each one on its first write to it.
                 let ForkPoint { cp, .. } = *fork;
-                assert_eq!(
-                    cp.cores.len(),
-                    cores.len(),
-                    "fork core count must match the streams"
-                );
                 self.machine.restore_owned(cp.machine);
-                for (core, s) in cores.iter_mut().zip(cp.cores) {
-                    core.resume(s);
-                }
                 self.scheme.restore_state(&*cp.scheme);
+                Some(cp.cores)
+            }
+        };
+        if let Some(saved) = saved {
+            assert_eq!(
+                saved.len(),
+                cores.len(),
+                "checkpoint core count must match the streams"
+            );
+            for (core, s) in cores.iter_mut().zip(saved) {
+                core.resume(s);
             }
         }
 
@@ -914,23 +845,11 @@ impl<'a> Engine<'a> {
             self.machine.pm.arm_crash_at_event(n);
         }
 
-        // Checkpoints and forks are captured only on clean runs;
-        // capturing mid-crash-plan states would be useless (the suffix
-        // differs per plan) and is not requested by any caller.
-        let (mut step_log, mut checkpoints, fork_slot) = match capture {
-            _ if plan.is_some() => (None, None, None),
-            Capture::Nothing => (None, None, None),
-            Capture::StepLog(log) => (Some(log), None, None),
-            Capture::Checkpoints(ck) => (None, Some(ck), None),
-            Capture::Fork(slot) => (None, None, Some(slot)),
-        };
-        let mut fork_pending = fork_slot.is_some();
-        let mut fork = None;
         // Only a crash reads the oracle: a crash run, or a checkpointing
-        // run whose checkpoints seed crash runs, records every
-        // transaction; other clean runs skip the per-commit record
-        // entirely.
-        self.track_txs = plan.is_some() || checkpoints.is_some();
+        // run whose checkpoints seed crash runs (it turned this on),
+        // records every transaction; other clean runs skip the per-commit
+        // record entirely.
+        self.track_txs |= plan.is_some();
         let mut step = 0u64;
 
         // Pick the unfinished core with the smallest clock, ties broken by
@@ -972,32 +891,21 @@ impl<'a> Engine<'a> {
                     i
                 }
             };
-            if fork_pending
-                && cores[ci].phase == Phase::BetweenTxs
-                && cores[ci].tx_idx >= cores[ci].txs.len()
-            {
-                // The picked core is about to retire; with a longer stream
-                // it would begin another transaction instead. Every step so
-                // far is common to both runs.
-                fork_pending = false;
-                let events_total = self.machine.pm.events().total();
-                fork = Some(self.capture(&cores, cores[ci].time, events_total));
-            }
-            if step_log.is_some() || checkpoints.is_some() {
-                // The winner's clock is the minimum unfinished clock, so
-                // this loop boundary *is* a position on the cycle axis.
-                let min_time = cores[ci].time;
-                let events_total = self.machine.pm.events().total();
-                if let Some(log) = &mut step_log {
-                    log.push(min_time, events_total);
-                }
-                if let Some(ck) = &mut checkpoints {
-                    if ck.due(step, min_time, events_total) {
-                        let cp = self.capture(&cores, min_time, events_total);
-                        if !ck.take(step, cp) {
-                            return None;
-                        }
-                    }
+            if let Some(visit) = &mut visit {
+                let core = &cores[ci];
+                let boundary = Boundary {
+                    step,
+                    // The winner's clock is the minimum unfinished clock,
+                    // so this loop boundary *is* a position on the cycle
+                    // axis.
+                    cycle_pos: core.time,
+                    event_pos: self.machine.pm.events().total(),
+                    retiring: core.phase == Phase::BetweenTxs && core.tx_idx >= core.txs.len(),
+                    engine: &self,
+                    cores: &cores,
+                };
+                if !visit(&boundary) {
+                    return None;
                 }
             }
             match plan.map(|p| p.trigger) {
@@ -1094,11 +1002,6 @@ impl<'a> Engine<'a> {
             timeline: self.machine.probe.drain_timeline(),
             signature: self.machine.probe.take_signature(),
         };
-        if let Some(slot) = fork_slot {
-            *slot = fork
-                .zip(prefix)
-                .map(|(cp, prefix)| ForkPoint { cp, prefix });
-        }
         Some(outcome)
     }
 
@@ -1737,6 +1640,61 @@ mod tests {
             crate::SchemeStats::default()
         }
         crate::impl_scheme_snapshot!();
+    }
+
+    #[test]
+    fn the_visitor_sees_every_loop_boundary_once_in_step_order() {
+        // Two cores of 12 two-store transactions: each transaction takes
+        // a begin step, one step per op and an end step, and each core one
+        // more step to retire, so the run has 2 * (12 * 4 + 1) boundaries.
+        let cfg = SimConfig::table_ii(2);
+        let streams = || -> TraceSet {
+            let stream = |c: u64| -> Vec<Transaction> {
+                (0..12)
+                    .map(|i| tx_writing(&[(c * 4096 + i * 64, i + 1), (c * 4096 + i * 64 + 8, i)]))
+                    .collect()
+            };
+            vec![stream(0), stream(1)].into()
+        };
+        let scheme = || {
+            let mut s = ProbeScheme::quiet();
+            s.commit_addr = Some(PhysAddr::new(1 << 18));
+            s
+        };
+        let mut s = scheme();
+        let (clean, log) = Engine::new(&cfg, &mut s).run_logging_steps(streams());
+        assert_eq!(log.len(), 98);
+
+        let mut seen = Vec::new();
+        let mut s = scheme();
+        let out = Engine::new(&cfg, &mut s).run_visiting(streams(), &mut |b| {
+            seen.push((b.step, b.cycle_pos.as_u64(), b.event_pos, b.retiring));
+            true
+        });
+        let out = out.expect("a visitor that never says false sees the run end");
+        assert_eq!(out.stats.to_json(), clean.stats.to_json());
+        let steps: Vec<u64> = seen.iter().map(|b| b.0).collect();
+        assert_eq!(steps, (0..98).collect::<Vec<u64>>());
+        let at: Vec<(u64, u64)> = seen.iter().map(|b| (b.1, b.2)).collect();
+        let logged: Vec<(u64, u64)> = log.cycles.iter().copied().zip(log.events).collect();
+        assert_eq!(at, logged);
+        assert!(
+            at.last().unwrap().1 > 24,
+            "commits and stores count as events"
+        );
+        let retiring: Vec<u64> = seen.iter().filter(|b| b.3).map(|b| b.0).collect();
+        assert_eq!(retiring.len(), 2, "each core retires once: {retiring:?}");
+
+        // A `false` ends the run at that boundary: the step after it never
+        // runs, and the run returns nothing.
+        let mut shown = 0;
+        let mut s = scheme();
+        let out = Engine::new(&cfg, &mut s).run_visiting(streams(), &mut |b| {
+            shown += 1;
+            b.step < 40
+        });
+        assert!(out.is_none());
+        assert_eq!(shown, 41);
     }
 
     #[test]

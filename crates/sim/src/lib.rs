@@ -52,7 +52,12 @@
 //! ([`Engine::run_resumed`]); a steady-state delta continues its longer
 //! clean run from the shorter run's [`ForkPoint`]
 //! ([`Engine::run_continued`]). Both are byte-identical to running from
-//! t=0. Only runs that can crash, and checkpointing runs whose
+//! t=0. A checkpoint is a set of clones taken at a loop boundary: the
+//! machine's components ([`Machine::snapshot`], the cache levels as
+//! sparse copies), the cores, the oracle and the scheme. The step log,
+//! the walk, the fork and the cadence recording
+//! ([`Engine::run_recording`]) are each one visitor of the engine's loop
+//! boundaries. Only runs that can crash, and checkpointing runs whose
 //! checkpoints seed them, feed the oracle. A caller that runs many
 //! engines can also share machines between them: [`Engine::on`] runs on a
 //! machine the caller owns, [`Machine::reset`] to the state a new one

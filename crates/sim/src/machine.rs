@@ -5,7 +5,7 @@ use silo_cache::{CacheHierarchy, CacheHierarchyState};
 use silo_memctrl::{Admission, MemCtrl};
 use silo_pm::PmDevice;
 use silo_probe::ProbeHub;
-use silo_types::{Cycles, LineAddr, PhysAddr, Snapshot, Word, WordImage, LINE_BYTES, WORD_BYTES};
+use silo_types::{Cycles, LineAddr, PhysAddr, Word, WordImage, LINE_BYTES, WORD_BYTES};
 
 use crate::SimConfig;
 
@@ -250,10 +250,10 @@ impl Machine {
 }
 
 /// Captured state of a whole [`Machine`] minus its immutable `config`:
-/// the PM DIMM (media pages are Arc-COW, so this is near-free), the cache
-/// hierarchy (sparse per-level copies), the memory controllers, the shadow
-/// memory (Arc-COW pages too), and the probe hub (cycle accounting must
-/// resume mid-total).
+/// clones of the PM DIMM (its media pages are Arc-COW, so this is
+/// near-free), the memory controllers, the shadow memory (Arc-COW pages
+/// too) and the probe hub (cycle accounting must resume mid-total), and
+/// the cache hierarchy's sparse per-level copy.
 #[derive(Clone, Debug)]
 pub struct MachineState {
     pm: PmDevice,
@@ -263,37 +263,37 @@ pub struct MachineState {
     probe: ProbeHub,
 }
 
-impl Snapshot for Machine {
-    type State = MachineState;
-
-    fn snapshot(&self) -> MachineState {
+impl Machine {
+    /// Captures the machine's complete state but its `config`, for a later
+    /// [`restore`](Self::restore).
+    pub fn snapshot(&self) -> MachineState {
         MachineState {
-            pm: self.pm.snapshot(),
+            pm: self.pm.clone(),
             caches: self.caches.snapshot(),
-            mcs: self.mcs.iter().map(Snapshot::snapshot).collect(),
+            mcs: self.mcs.clone(),
             shadow: self.shadow.clone(),
             probe: self.probe.clone(),
         }
     }
 
-    fn restore(&mut self, state: &MachineState) {
+    /// Restores exactly the captured state, whatever the machine held
+    /// before: afterwards it behaves as the captured machine would, same
+    /// counters and same subsequent event stream. A crash cell restores
+    /// checkpoints into machines that earlier runs of the cell used.
+    pub fn restore(&mut self, state: &MachineState) {
         assert_eq!(
             self.mcs.len(),
             state.mcs.len(),
             "machine snapshot restored into a different MC count"
         );
-        self.pm.restore(&state.pm);
+        self.pm.clone_from(&state.pm);
         self.caches.restore(&state.caches);
-        for (mc, s) in self.mcs.iter_mut().zip(&state.mcs) {
-            mc.restore(s);
-        }
+        self.mcs.clone_from(&state.mcs);
         self.shadow.clone_from(&state.shadow);
         self.probe.clone_from(&state.probe);
     }
-}
 
-impl Machine {
-    /// [`Snapshot::restore`] for a state restored exactly once: the
+    /// [`restore`](Self::restore) for a state restored exactly once: the
     /// captured components move in instead of being copied, so none of
     /// them stays shared with the capture.
     pub(crate) fn restore_owned(&mut self, state: MachineState) {

@@ -46,7 +46,6 @@ mod image;
 pub mod json;
 pub mod prop;
 mod rng;
-mod snapshot;
 mod word;
 
 pub use addr::{LineAddr, PhysAddr, BUF_LINE_BYTES, LINE_BYTES, WORD_BYTES};
@@ -56,5 +55,4 @@ pub use ids::{CoreId, ThreadId, TxId, TxTag};
 pub use image::WordImage;
 pub use json::{JsonObject, JsonValue};
 pub use rng::{SplitMix64, Xoshiro256};
-pub use snapshot::Snapshot;
 pub use word::Word;

@@ -98,9 +98,15 @@ smoke_stage() {
   # Every registered experiment at a small budget, computed fresh: the
   # concatenated stdout is deterministic (identical at any --jobs), so any
   # drift is a behavioural change in some experiment's text output.
+  rm -rf target/reports-ci-all
   all_err=$("$EVALUATE" all --txs 40 --jobs 2 --no-result-store --no-corpus \
     --json-dir target/reports-ci-all 2>&1 >target/ci-all.txt)
   golden all target/ci-all.txt
+  # ... and so is every report that run writes: the 24 bodies, envelope
+  # stripped and joined in name order, pin each experiment's derived JSON.
+  find target/reports-ci-all -name '*.json' | LC_ALL=C sort \
+    | while read -r report; do strip_envelope "$report"; done > target/ci-all-reports.json
+  golden all-reports target/ci-all-reports.json
   # One trace scope spans the invocation, so experiments share the traces
   # they have in common: its 162 distinct keys cost 162 generations, where
   # a scope per experiment would regenerate the shared ones (338).
@@ -110,7 +116,7 @@ smoke_stage() {
     *) echo "FAIL: evaluate all: '$all_cache', want 162 unique keys, 162 generated" >&2
        exit 1 ;;
   esac
-  rm -rf target/reports-ci-all target/ci-all.txt
+  rm -rf target/reports-ci-all target/ci-all.txt target/ci-all-reports.json
 
   echo "== fig11 golden report at the benchmark's size =="
   # The figgrid benchmark's fig11: its delta cells fork the shared prefix
