@@ -3,7 +3,7 @@
 
 use silo_core::{recover_log_region, Record, ThreadLogArea, RECORD_BYTES};
 use silo_sim::{Machine, RecoveryReport, SimConfig};
-use silo_types::{CoreId, Cycles, PhysAddr, TxTag};
+use silo_types::{CoreId, Cycles, PhysAddr, TxTag, LINE_BYTES, WORD_BYTES};
 
 /// Per-core bookkeeping common to the log-cursor baselines: the thread's log
 /// area cursor, the in-flight transaction, and the latest WPQ admission
@@ -59,9 +59,13 @@ pub(crate) fn recover_areas<'c>(
     report
 }
 
+/// The most records one write request carries: one per word of a
+/// cacheline (LAD's eviction undo image).
+const MAX_RECORDS_PER_WRITE: usize = LINE_BYTES / WORD_BYTES;
+
 /// Writes `records` contiguously into the core's log area via the
-/// write-through path, raising the persist barrier. Returns the admission
-/// time.
+/// write-through path, as one PM write request (one media program),
+/// raising the persist barrier. Returns the admission time.
 pub(crate) fn write_records(
     m: &mut Machine,
     cursor: &mut CoreCursor,
@@ -69,13 +73,19 @@ pub(crate) fn write_records(
     now: Cycles,
 ) -> Cycles {
     debug_assert!(!records.is_empty());
+    assert!(
+        records.len() <= MAX_RECORDS_PER_WRITE,
+        "{} records in one log write",
+        records.len()
+    );
     let addr = cursor.area.reserve(records.len());
-    let mut bytes = Vec::with_capacity(records.len() * RECORD_BYTES);
-    for r in records {
-        bytes.extend_from_slice(&r.encode());
+    let mut buf = [0u8; MAX_RECORDS_PER_WRITE * RECORD_BYTES];
+    for (chunk, r) in buf.chunks_exact_mut(RECORD_BYTES).zip(records) {
+        chunk.copy_from_slice(&r.encode());
     }
+    let bytes = &buf[..records.len() * RECORD_BYTES];
     let dropped = m.pm.dropped();
-    let adm = m.pm_write_through(now, addr, &bytes);
+    let adm = m.pm_write_through(now, addr, bytes);
     if m.pm.dropped() != dropped {
         // Power failed at this write: the device never received the
         // records, so the reservation must not survive into the crash
@@ -84,25 +94,6 @@ pub(crate) fn write_records(
     }
     cursor.cover(adm.admit);
     adm.admit
-}
-
-/// Writes one group of records per hardware log-entry write: each group
-/// is a single contiguous PM write request (one media program), the
-/// convention of the per-entry logging paths. Returns the last admission.
-pub(crate) fn write_entry_records(
-    m: &mut Machine,
-    cursor: &mut CoreCursor,
-    groups: &[Vec<Record>],
-    now: Cycles,
-) -> Cycles {
-    let mut last = now;
-    for group in groups {
-        if group.is_empty() {
-            continue;
-        }
-        last = write_records(m, cursor, group, now);
-    }
-    last
 }
 
 /// Writes a full-cacheline architectural image via write-through and

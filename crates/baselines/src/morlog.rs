@@ -5,7 +5,7 @@ use silo_core::{LogBuffer, LogEntry, Record, RECORD_BYTES};
 use silo_sim::{EvictAction, LoggingScheme, Machine, RecoveryReport, SchemeStats, SimConfig};
 use silo_types::{CoreId, Cycles, LineAddr, PhysAddr, TxTag, Word};
 
-use crate::common::{area_bases, recover_areas, write_entry_records, write_records, CoreCursor};
+use crate::common::{area_bases, recover_areas, write_records, CoreCursor};
 
 #[derive(Clone, Debug)]
 struct MorCore {
@@ -86,17 +86,16 @@ impl LoggingScheme for MorLogScheme {
             // Buffer overflow: flush the oldest entries as undo+redo
             // records so the transaction can keep running.
             self.stats.overflow_events += 1;
-            let batch = self.cores[ci]
-                .buffer
-                .take_overflow_batch(self.overflow_batch);
-            let groups: Vec<Vec<Record>> = batch
-                .iter()
-                .map(|e| vec![e.undo_record(), e.redo_record()])
-                .collect();
-            let n: usize = groups.iter().map(Vec::len).sum();
-            let core_state = &mut self.cores[ci];
-            // Overflow flushing stalls the store only via WPQ back-pressure.
-            t = t.max(write_entry_records(m, &mut core_state.cursor, &groups, now));
+            let MorCore { cursor, buffer } = &mut self.cores[ci];
+            let batch = buffer.take_overflow_batch(self.overflow_batch);
+            // One hardware log write per entry; overflow flushing stalls
+            // the store only via WPQ back-pressure on the last of them.
+            let mut last = now;
+            for e in &batch {
+                last = write_records(m, cursor, &[e.undo_record(), e.redo_record()], now);
+            }
+            t = t.max(last);
+            let n = 2 * batch.len();
             self.stats.log_entries_written_to_pm += n as u64;
             self.stats.log_bytes_written_to_pm += (n * RECORD_BYTES) as u64;
         }
@@ -128,33 +127,30 @@ impl LoggingScheme for MorLogScheme {
         // the "morphable" saving). The ADR buffer keeps the entries until
         // the commit sequence finishes: a power failure mid-way must
         // still find them for `on_crash`'s undo flush.
-        let groups: Vec<Vec<Record>> = self.cores[ci]
-            .buffer
-            .entries()
-            .map(|e| {
-                if m.caches.line_dirty(core, e.addr().line()) {
-                    vec![e.undo_record(), e.redo_record()]
-                } else {
-                    vec![e.undo_record()]
-                }
-            })
-            .collect();
-        let n: usize = groups.iter().map(Vec::len).sum::<usize>() + 1;
-        let core_state = &mut self.cores[ci];
-        write_entry_records(m, &mut core_state.cursor, &groups, now);
-        let commit_admit = write_records(m, &mut core_state.cursor, &[Record::id_tuple(tag)], now);
+        let MorCore { cursor, buffer } = &mut self.cores[ci];
+        let mut n = 1;
+        for e in buffer.entries() {
+            let pair = [e.undo_record(), e.redo_record()];
+            let records = if m.caches.line_dirty(core, e.addr().line()) {
+                &pair[..]
+            } else {
+                &pair[..1]
+            };
+            write_records(m, cursor, records, now);
+            n += records.len();
+        }
+        let commit_admit = write_records(m, cursor, &[Record::id_tuple(tag)], now);
         self.stats.log_entries_written_to_pm += n as u64;
         self.stats.log_bytes_written_to_pm += (n * RECORD_BYTES) as u64;
-        let done = core_state.cursor.barrier_wait(now).max(commit_admit);
+        let done = cursor.barrier_wait(now).max(commit_admit);
         if m.pm.power_tripped() {
             // Power failed inside the commit sequence: the ADR log buffer
             // still holds the entries for `on_crash`'s undo flush, and
             // the dead core never ran the post-commit cleanup.
             return done;
         }
-        let core_state = &mut self.cores[ci];
-        core_state.buffer.drain_all();
-        core_state.cursor.current_tag = None;
+        buffer.drain_all();
+        cursor.current_tag = None;
         done
     }
 

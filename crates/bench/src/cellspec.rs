@@ -405,6 +405,23 @@ pub enum CellWork {
     },
 }
 
+/// What the cells of one execution unit share: the runner hands a unit's
+/// cells to one worker together, and the result store runs the ones it
+/// cannot serve in one call ([`CellSpec::execute_unit`]). Only crash sweeps
+/// form units of several cells: a sweep's key is every
+/// [`CellWork::CrashSweep`] field but the fault, and the seed, so the
+/// fault cells of one scheme × workload share one clean run.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct UnitKey {
+    scheme: String,
+    workload: String,
+    txs_per_core: usize,
+    points: u64,
+    point: Option<u64>,
+    checkpoints: bool,
+    seed: u64,
+}
+
 /// One independent unit of work, fully described as data: display label,
 /// seed, and the work. The label is display-only — it does not enter the
 /// content hash.
@@ -430,6 +447,53 @@ impl CellSpec {
     /// they always execute fresh; everything else is cacheable.
     pub fn cacheable(&self) -> bool {
         !matches!(self.work, CellWork::Fuzz { .. })
+    }
+
+    /// Whether the cell's outcome carries simulation statistics: every
+    /// kind but [`CellWork::TraceStats`], which simulates nothing. A
+    /// stored entry that disagrees is unusable.
+    pub(crate) fn records_stats(&self) -> bool {
+        !matches!(self.work, CellWork::TraceStats { .. })
+    }
+
+    /// The execution unit the cell belongs to; `None` for a unit of one,
+    /// which every cell but a crash sweep is.
+    pub(crate) fn unit_key(&self) -> Option<UnitKey> {
+        // Explicit destructuring: a new sweep field breaks this compile
+        // until the key decides whether the unit's cells share it.
+        let CellWork::CrashSweep {
+            ref scheme,
+            ref workload,
+            txs_per_core,
+            fault: _,
+            points,
+            point,
+            checkpoints,
+        } = self.work
+        else {
+            return None;
+        };
+        Some(UnitKey {
+            scheme: scheme.clone(),
+            workload: workload.clone(),
+            txs_per_core,
+            points,
+            point,
+            checkpoints,
+            seed: self.seed,
+        })
+    }
+
+    /// Runs the cells of one execution unit, all of one
+    /// [`CellSpec::unit_key`], in one call, and returns their outcomes in
+    /// order: each equals its cell's [`CellSpec::execute`]. Crash sweeps
+    /// share one clean run and one walk of it; a unit of any other kind
+    /// holds one cell.
+    pub(crate) fn execute_unit(unit: &[&CellSpec]) -> Vec<CellOutcome> {
+        match unit.first().map(|cell| &cell.work) {
+            Some(CellWork::CrashSweep { .. }) => crate::experiments::crash::execute_sweeps(unit),
+            _ => unit.iter().map(|cell| cell.execute()).collect(),
+        }
     }
 
     /// The trace family the cell reads: the workload its work names, on
@@ -608,7 +672,10 @@ impl CellSpec {
                 txs,
             } => execute_large_tx(workload, *mult, *txs, seed),
             CellWork::Recovery { txs, crash_at } => execute_recovery(*txs, *crash_at, seed),
-            CellWork::CrashSweep { .. } => crate::experiments::crash::execute_sweep(self),
+            CellWork::CrashSweep { .. } => {
+                let mut alone = crate::experiments::crash::execute_sweeps(&[self]);
+                alone.pop().expect("one outcome per cell")
+            }
             CellWork::Fuzz { .. } => crate::experiments::crash::execute_fuzz(self),
         }
     }

@@ -10,15 +10,17 @@
 //! `describe`) turns plans into report text, repro lines, value lists and
 //! corpus entries and back.
 //!
-//! Every cell builds one `Target`, runs its clean reference run once
-//! while logging where each engine step lies on both crash axes, and walks
-//! that run once to lend its checkpoints to the crash runs
-//! (`Target::run`). A resumed crash run equals the same plan run from
-//! t=0; debug builds re-run every resumed plan from scratch and assert it.
-//! Every engine of a cell runs on a machine the cell owns
-//! ([`Engine::on`]): a sweep cell builds two, the walk's and the one its
-//! other runs share, and a search cell one, so a crash run pays neither
-//! for new cache slabs nor for page faults on them.
+//! Every crash target, a `fuzz` cell or a `crashfuzz` unit (the fault
+//! cells of one scheme × workload, `CellSpec::unit_key`), builds one
+//! `Target`, runs its clean reference run once while logging where each
+//! engine step lies on both crash axes, and walks that run once to lend
+//! its checkpoints to the crash runs (`Target::run`) of all its cells. A
+//! resumed crash run equals the same plan run from t=0; debug builds
+//! re-run every resumed plan from scratch and assert it. Every engine of
+//! a target runs on a machine the target owns ([`Engine::on`]): a sweep
+//! unit builds two, the walk's and the one its other runs share, and a
+//! search cell one, so a crash run pays neither for new cache slabs nor
+//! for page faults on them.
 //!
 //! * `crashfuzz` sweeps evenly spaced crash points × fault models × every
 //!   scheme × workloads. `op-boundary` is the cycle-sampled trigger (cores
@@ -196,7 +198,7 @@ fn spaced(total: u64, k: u64) -> Vec<u64> {
     (0..k).map(|i| (total * (2 * i + 1)) / (2 * k)).collect()
 }
 
-/// What every crash run of one cell shares: its scheme on the 2-core
+/// What every crash run of one target shares: its scheme on the 2-core
 /// Table II machine, the cached trace, and every word the trace writes.
 struct Target {
     scheme: String,
@@ -211,7 +213,7 @@ struct Target {
 }
 
 impl Target {
-    /// The target of one cell.
+    /// The target of one search cell, or of one sweep unit's cells.
     ///
     /// # Panics
     ///
@@ -225,7 +227,7 @@ impl Target {
         seed: u64,
         judging: bool,
     ) -> Target {
-        // The streams the cell's spec names (workload, arrival process,
+        // The streams the cells' specs name (workload, arrival process,
         // transactions per core, seed) on the crash cells' fixed cores.
         let w = crash_workload_spec(workload, arrival).instantiate();
         let streams = TraceCache::global().get_or_build(&*w, CORES, txs_per_core, seed);
@@ -266,33 +268,31 @@ impl Target {
     /// The clean (no-crash) reference run on `machine`, with the log of
     /// where its loop steps lie on both crash axes.
     fn clean_run(&self, machine: &mut Machine) -> (RunOutcome, StepLog) {
+        #[cfg(test)]
+        tests::CLEAN_RUNS.with(|n| n.set(n.get() + 1));
         let mut s = self.new_scheme();
         Engine::on(machine, s.as_mut()).run_logging_steps(&self.streams)
     }
 
-    /// Walks the clean run once on `machine` (`steps` is its log),
-    /// stopping at the last step before each of `plans` in ascending step
-    /// order, and hands `visit` each stop's step and checkpoint, which
-    /// carries the transition log and signature recorder when the target
-    /// judges. The callback owns the checkpoint: a sweep drops it, a
-    /// search keeps it. A `false` from `visit` ends the walk. The walk
-    /// holds `machine` until it ends, so crash runs inside `visit` need
-    /// another.
+    /// Walks the clean run once on `machine`, stopping at each of `stops`
+    /// (steps of its log) in ascending order, and hands `visit` each
+    /// stop's step and checkpoint, which carries the transition log and
+    /// signature recorder when the target judges. The callback owns the
+    /// checkpoint: a sweep drops it, a search keeps it. A `false` from
+    /// `visit` ends the walk. The walk holds `machine` until it ends, so
+    /// crash runs inside `visit` need another.
     fn walk(
         &self,
         machine: &mut Machine,
-        steps: &StepLog,
-        plans: &[CrashPlan],
+        stops: &[u64],
         visit: impl FnMut(u64, EngineCheckpoint) -> bool,
     ) {
-        let stops: Vec<u64> = plans
-            .iter()
-            .filter_map(|p| steps.last_before(p.trigger))
-            .collect();
         if !stops.is_empty() {
+            #[cfg(test)]
+            tests::WALKS.with(|n| n.set(n.get() + 1));
             let mut s = self.new_scheme();
             self.judged(Engine::on(machine, s.as_mut()))
-                .walk(&self.streams, &stops, visit);
+                .walk(&self.streams, stops, visit);
         }
     }
 
@@ -371,105 +371,159 @@ fn image_digest(out: &RunOutcome, footprint: &[PhysAddr]) -> u32 {
 }
 
 impl Target {
-    /// Crashes the target under `fault` at the points `pick` takes from
-    /// its clean run's axis total (cycles for op-boundary, durability
-    /// events otherwise), in order, handing each result to `keep_going`;
-    /// a `false` ends the sweep. Returns the clean run's statistics.
+    /// Crashes the target under each of `faults` at the points `pick`
+    /// takes from its clean run's total on that fault's axis (cycles for
+    /// op-boundary, durability events otherwise), handing each result to
+    /// `keep_going` with its fault's index; a `false` ends the sweep. Each
+    /// fault's results come in its points' order. Returns the clean run's
+    /// statistics.
     ///
-    /// With `checkpoints`, one walk of the clean run stops at the last
-    /// step before each point and lends that checkpoint to the point(s)
-    /// resuming there, dropping it before stepping on, so a resumed point
-    /// re-simulates at most one step; ascending points make ascending
-    /// stops. A point with no earlier step, and every point without
-    /// `checkpoints`, runs from scratch. The walk runs on `machines[0]`,
-    /// every other run on `machines[1]`.
+    /// One clean run serves every fault. With `checkpoints`, one walk of
+    /// it stops at the last step before each point of any fault and lends
+    /// that checkpoint to every point resuming there, dropping it before
+    /// stepping on, so a resumed point re-simulates at most one step;
+    /// ascending points make ascending stops. A point with no earlier
+    /// step, and every point without `checkpoints`, runs from scratch
+    /// before the walk. The walk runs on `machines[0]`, every other run on
+    /// `machines[1]`.
     fn sweep(
         &self,
         machines: &mut [Machine; 2],
-        fault: FaultSpec,
+        faults: &[FaultSpec],
         checkpoints: bool,
-        pick: impl FnOnce(u64) -> Vec<u64>,
-        mut keep_going: impl FnMut(PointResult) -> bool,
+        pick: impl Fn(u64) -> Vec<u64>,
+        mut keep_going: impl FnMut(usize, PointResult) -> bool,
     ) -> SimStats {
         let [walker, machine] = machines;
         // Only the clean run's statistics and step log outlive this
         // block; its PM image does not.
         let (stats, plans, steps) = {
             let (clean, steps) = self.clean_run(machine);
-            let total = match fault {
-                FaultSpec::OpBoundary => clean.stats.sim_cycles.as_u64(),
-                _ => clean.pm.events().total(),
-            };
-            let plans: Vec<CrashPlan> = pick(total).into_iter().map(|n| fault.plan(n)).collect();
+            let (cycles, events) = (clean.stats.sim_cycles.as_u64(), clean.pm.events().total());
+            let plans: Vec<Vec<CrashPlan>> = faults
+                .iter()
+                .map(|&fault| {
+                    let total = match fault {
+                        FaultSpec::OpBoundary => cycles,
+                        _ => events,
+                    };
+                    pick(total).into_iter().map(|n| fault.plan(n)).collect()
+                })
+                .collect();
             (clean.stats, plans, steps)
         };
-        let at: Vec<Option<u64>> = plans
+        // Where each plan resumes: the walk's stop, or `None` for scratch.
+        let at: Vec<Vec<Option<u64>>> = plans
             .iter()
-            .map(|p| steps.last_before(p.trigger).filter(|_| checkpoints))
-            .collect();
-        let mut run = |i: usize, cp: Option<&EngineCheckpoint>| {
-            let out = self.run(machine, plans[i], cp);
-            let crash = out.crash.as_ref().expect("crash injected");
-            keep_going(PointResult {
-                point: point(&plans[i]),
-                violations: crash.consistency.violations.len() as u64,
-                ambiguous: crash.ambiguous_txs,
-                progress: out.stats.per_core.iter().map(|c| c.txs_committed).collect(),
-                digest: image_digest(&out, &self.footprint),
+            .map(|plans| {
+                let at = |p: &CrashPlan| steps.last_before(p.trigger).filter(|_| checkpoints);
+                plans.iter().map(at).collect()
             })
-        };
-        let mut i = 0;
-        while i < plans.len() && at[i].is_none() {
-            if !run(i, None) {
-                return stats;
-            }
-            i += 1;
-        }
-        let mut ended = false;
-        self.walk(walker, &steps, &plans[i..], |step, cp| {
-            while i < plans.len() && at[i] == Some(step) {
-                i += 1;
-                if !run(i - 1, Some(&cp)) {
-                    ended = true;
-                    return false;
+            .collect();
+        drop(steps);
+        // Each fault's next plan to run.
+        let mut next = vec![0; faults.len()];
+        // Runs every fault's plans that resume at `stop`, from `cp`.
+        let mut run_due = |stop: Option<u64>, cp: Option<&EngineCheckpoint>| {
+            for (f, plans) in plans.iter().enumerate() {
+                while next[f] < plans.len() && at[f][next[f]] == stop {
+                    let plan = plans[next[f]];
+                    next[f] += 1;
+                    let out = self.run(machine, plan, cp);
+                    let crash = out.crash.as_ref().expect("crash injected");
+                    let result = PointResult {
+                        point: point(&plan),
+                        violations: crash.consistency.violations.len() as u64,
+                        ambiguous: crash.ambiguous_txs,
+                        progress: out.stats.per_core.iter().map(|c| c.txs_committed).collect(),
+                        digest: image_digest(&out, &self.footprint),
+                    };
+                    if !keep_going(f, result) {
+                        return false;
+                    }
                 }
             }
             true
+        };
+        if !run_due(None, None) {
+            return stats;
+        }
+        let stops: Vec<u64> = at.iter().flatten().flatten().copied().collect();
+        let mut ended = false;
+        self.walk(walker, &stops, |step, cp| {
+            ended = !run_due(Some(step), Some(&cp));
+            !ended
         });
-        // The plans ascend on their axis, so their resume steps ascend;
-        // the steps come from this clean run's own log, so the walk
-        // reaches every one unless a `false` ended the sweep.
-        debug_assert!(ended || i == plans.len(), "the walk left plans over");
+        // Each fault's plans ascend on its axis, so their resume steps
+        // ascend; the steps come from this clean run's own log, so the
+        // walk reaches every one unless a `false` ended the sweep.
+        debug_assert!(
+            ended || next.iter().zip(&plans).all(|(&n, p)| n == p.len()),
+            "the walk left plans over"
+        );
         stats
     }
 }
 
-/// Executor entry point for [`CellWork::CrashSweep`]: one sweep row —
-/// clean reference run, the spaced (or one fixed) crash point(s) under
-/// `fault`, and shrinking of the first violation found.
-pub(crate) fn execute_sweep(cell: &CellSpec) -> CellOutcome {
+/// Executor of [`CellWork::CrashSweep`] units: the fault cells of one
+/// scheme × workload (equal [`CellSpec::unit_key`]s), each a sweep row.
+/// One target, one clean run and one walk of it serve every cell's spaced
+/// (or one fixed) crash points, each cell's on its own fault's axis; then
+/// each cell shrinks its first violation alone. Every outcome equals its
+/// cell's outcome in a unit of one.
+pub(crate) fn execute_sweeps(unit: &[&CellSpec]) -> Vec<CellOutcome> {
+    let fault_of = |cell: &CellSpec| match cell.work {
+        CellWork::CrashSweep { fault, .. } => fault,
+        _ => unreachable!("not a sweep: {:?}", cell.work),
+    };
+    let faults: Vec<FaultSpec> = unit.iter().map(|&cell| fault_of(cell)).collect();
+    let first = unit[0];
+    debug_assert!(
+        unit.iter().all(|cell| cell.unit_key() == first.unit_key()),
+        "one unit's cells share their target"
+    );
     let CellWork::CrashSweep {
         ref scheme,
         ref workload,
         txs_per_core,
-        fault,
         points,
         point,
         checkpoints,
-    } = cell.work
+        ..
+    } = first.work
     else {
-        unreachable!("not a sweep: {:?}", cell.work)
+        unreachable!("checked above")
     };
-    let target = |txs| Target::new(scheme, workload, None, txs, cell.seed, false);
+    let target = |txs| Target::new(scheme, workload, None, txs, first.seed, false);
     let t = target(txs_per_core);
-    // Every engine of the cell, shrink sweeps included, runs on these.
+    // Every engine of the unit, shrink sweeps included, runs on these.
     let mut machines = [Machine::new(&t.config), Machine::new(&t.config)];
-    let mut results = Vec::new();
+    let mut results: Vec<Vec<PointResult>> = faults.iter().map(|_| Vec::new()).collect();
     let pick = |total| point.map_or_else(|| spaced(total, points), |n| vec![n]);
-    let stats = t.sweep(&mut machines, fault, checkpoints, pick, |r| {
-        results.push(r);
+    let stats = t.sweep(&mut machines, &faults, checkpoints, pick, |f, r| {
+        results[f].push(r);
         true
     });
+    drop(t);
+    faults
+        .into_iter()
+        .zip(results)
+        .map(|(fault, results)| {
+            let out = sweep_row(stats.clone(), &results);
+            let Some(first_bad) = results.iter().find(|r| r.violations > 0) else {
+                return out;
+            };
+            let found = (txs_per_core, first_bad.point);
+            let (txs, point) = shrink(&mut machines, &target, fault, checkpoints, found);
+            out.with_value("shrunk_txs", (txs * CORES) as f64)
+                .with_value("shrunk_point", point as f64)
+        })
+        .collect()
+}
+
+/// One sweep row's values: the clean run's statistics and each point's
+/// position, verdict counts, progress and image digest.
+fn sweep_row(stats: SimStats, results: &[PointResult]) -> CellOutcome {
     let mut out = CellOutcome::from_stats(stats).with_value("points", results.len() as f64);
     for (j, r) in results.iter().enumerate() {
         out = out
@@ -481,21 +535,28 @@ pub(crate) fn execute_sweep(cell: &CellSpec) -> CellOutcome {
             out = out.with_value(&format!("p{j}_prog{i}"), c as f64);
         }
     }
-    let Some(first_bad) = results.iter().find(|r| r.violations > 0) else {
-        return out;
-    };
-    // Shrinking: halve the stream while a bounded re-scan still violates,
-    // then scan for the earliest violating point at the final length.
+    out
+}
+
+/// Shrinks a violation of `fault` found at `(txs, point)`: halves the
+/// stream while a bounded re-scan still violates, then scans for the
+/// earliest violating point at the final length. Returns the shrunk
+/// transactions per core and crash point.
+fn shrink(
+    machines: &mut [Machine; 2],
+    target: &dyn Fn(usize) -> Target,
+    fault: FaultSpec,
+    checkpoints: bool,
+    (mut txs, mut point): (usize, u64),
+) -> (usize, u64) {
     let mut first_violation = |txs: usize, pick: &dyn Fn(u64) -> Vec<u64>| {
         let mut found = None;
-        let t = target(txs);
-        t.sweep(&mut machines, fault, checkpoints, pick, |r| {
+        target(txs).sweep(machines, &[fault], checkpoints, pick, |_, r| {
             found = found.or((r.violations > 0).then_some(r.point));
             found.is_none()
         });
         found
     };
-    let (mut txs, mut point) = (txs_per_core, first_bad.point);
     while txs > 1 {
         match first_violation(txs / 2, &|total| spaced(total, SHRINK_SCAN)) {
             Some(n) => (txs, point) = (txs / 2, n),
@@ -507,8 +568,7 @@ pub(crate) fn execute_sweep(cell: &CellSpec) -> CellOutcome {
         candidates.dedup();
         candidates
     });
-    out.with_value("shrunk_txs", (txs * CORES) as f64)
-        .with_value("shrunk_point", earliest.unwrap_or(point) as f64)
+    (txs, earliest.unwrap_or(point))
 }
 
 /// The fault models the sweep line selects: the one `--fault` names, or
@@ -933,12 +993,16 @@ pub(crate) fn execute_fuzz(cell: &CellSpec) -> CellOutcome {
     // The seed events are where the walk of the clean run keeps its
     // checkpoints; every candidate resumes from the latest one before its
     // own event.
+    let stops: Vec<u64> = seeds
+        .iter()
+        .filter_map(|p| steps.last_before(p.trigger))
+        .collect();
+    drop(steps);
     let mut checkpoints = Vec::new();
-    target.walk(&mut machine, &steps, &seeds, |_, cp| {
+    target.walk(&mut machine, &stops, |_, cp| {
         checkpoints.push(cp);
         true
     });
-    drop(steps);
     let cell_dir = corpus.as_ref().map(|root| root.join(workload).join(scheme));
     let stored = match (&cell_dir, crash_event) {
         (Some(dir), None) => load_corpus(dir, fault),
@@ -1193,6 +1257,14 @@ pub fn fuzz() -> ExperimentSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Clean runs this thread's targets ran.
+        pub(super) static CLEAN_RUNS: Cell<u64> = const { Cell::new(0) };
+        /// Walks this thread's targets started.
+        pub(super) static WALKS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn built(spec: &ExperimentSpec, flags: &[&str]) -> Vec<CellSpec> {
         let mut p = ExpParams::defaults(spec);
@@ -1250,6 +1322,41 @@ mod tests {
         assert!(corpus(&["--corpus", "elsewhere"])
             .iter()
             .all(|c| c.as_deref() == Some(Path::new("elsewhere"))));
+    }
+
+    #[test]
+    fn a_unit_runs_one_clean_run_and_one_walk_whatever_its_faults() {
+        let sweep = |fault| {
+            let work = CellWork::CrashSweep {
+                scheme: "Silo".into(),
+                workload: "Hash".into(),
+                txs_per_core: 8,
+                fault,
+                points: POINTS,
+                point: None,
+                checkpoints: true,
+            };
+            CellSpec::new(CellLabel::default(), 42, work)
+        };
+        let cells = [
+            FaultSpec::OpBoundary,
+            FaultSpec::TornLine(DEFAULT_TORN_KEEP as usize),
+            FaultSpec::Battery(DEFAULT_BATTERY_BYTES),
+        ]
+        .map(sweep);
+        let counted = |run: &dyn Fn()| {
+            CLEAN_RUNS.with(|n| n.set(0));
+            WALKS.with(|n| n.set(0));
+            run();
+            (CLEAN_RUNS.with(Cell::get), WALKS.with(Cell::get))
+        };
+        for n in 1..=cells.len() {
+            let unit: Vec<&CellSpec> = cells[..n].iter().collect();
+            let runs = counted(&|| assert_eq!(CellSpec::execute_unit(&unit).len(), n));
+            assert_eq!(runs, (1, 1), "a unit of {n}");
+        }
+        let alone = counted(&|| cells.iter().for_each(|cell| drop(cell.execute())));
+        assert_eq!(alone, (3, 3), "each cell alone runs its own");
     }
 
     #[test]

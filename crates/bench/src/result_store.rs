@@ -31,17 +31,24 @@
 //! unique temp file plus an atomic rename, so a crashed or racing process
 //! can never leave a half-written entry that later parses.
 //!
-//! Like the trace cache, the memory tier gives each spec hash one
-//! `OnceLock` slot and holds the map lock only to resolve it: the slot's
-//! `get_or_init` reads or executes a spec **exactly once** per process even
-//! when racing workers request it, while distinct cells execute
-//! concurrently. A cell that panics leaves its slot empty, so a caller
-//! that catches the panic (a test's `catch_unwind`) can request it again.
+//! The memory tier gives each spec hash one slot and holds the map lock
+//! only to resolve it. A request locks its cells' slots, fills the empty
+//! ones and only then lets go, so a spec is read or executed **exactly
+//! once** per process even when racing workers request it, while distinct
+//! cells execute concurrently. A cell that panics leaves its slot empty,
+//! so a caller that catches the panic (a test's `catch_unwind`) can
+//! request it again.
+//!
+//! The runner requests an execution unit's cells together
+//! (`CellSpec::unit_key`: the fault cells of one crash target). Each cell
+//! is served and counted as it would be alone, from memory, then from its
+//! own disk entry; the cells neither holds execute together in one
+//! `CellSpec::execute_unit` call, and each persists to its own entry.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use silo_sim::SimStats;
 use silo_types::JsonValue;
@@ -67,7 +74,7 @@ pub struct ResultStore {
     memory_hits: AtomicU64,
     /// The memory tier: one slot per spec hash, holding the outcome this
     /// process decoded or executed for it.
-    memory: Mutex<HashMap<u64, Arc<OnceLock<CellOutcome>>>>,
+    memory: Mutex<HashMap<u64, Arc<Mutex<Option<CellOutcome>>>>>,
 }
 
 /// Store effectiveness counters (the `[result-store]` stderr line).
@@ -175,57 +182,97 @@ impl ResultStore {
     /// the same spec read or run it exactly once per process; the others
     /// wait for it and are served from memory.
     pub fn get_or_run_traced(&self, spec: &CellSpec) -> (CellOutcome, Served) {
-        if !self.enabled() || !spec.cacheable() {
-            return (spec.execute(), Served::Executed);
-        }
-        let key = spec.spec_hash();
-        let slot = Arc::clone(
-            self.memory
-                .lock()
-                .expect("result store map poisoned")
-                .entry(key)
-                .or_default(),
-        );
-        let mut served = Served::Memory;
-        let outcome = slot.get_or_init(|| {
-            let (outcome, from) = self.read_or_execute(spec, key);
-            served = from;
-            outcome
-        });
-        if served == Served::Memory {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.memory_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        (outcome.clone(), served)
+        let mut alone = self.get_or_run_unit(&[spec]);
+        alone.pop().expect("one outcome per cell")
     }
 
-    /// The outcome of `spec` from its disk entry, or executed (and
-    /// persisted) when there is no readable entry.
-    fn read_or_execute(&self, spec: &CellSpec, key: u64) -> (CellOutcome, Served) {
-        let path = self.entry_path(key);
-        match std::fs::read_to_string(&path) {
-            Ok(text) => {
-                if let Some(outcome) = decode_entry(&text, key) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (outcome, Served::Disk);
+    /// The outcomes of one execution unit's cells (equal
+    /// [`CellSpec::unit_key`]s), in order, each served and counted as
+    /// [`ResultStore::get_or_run_traced`] serves it alone. The cells that
+    /// neither memory nor disk holds execute together in one
+    /// [`CellSpec::execute_unit`] call.
+    pub(crate) fn get_or_run_unit(&self, unit: &[&CellSpec]) -> Vec<(CellOutcome, Served)> {
+        if !self.enabled() || !unit.iter().all(|spec| spec.cacheable()) {
+            let outcomes = CellSpec::execute_unit(unit);
+            return outcomes
+                .into_iter()
+                .map(|o| (o, Served::Executed))
+                .collect();
+        }
+        let keys: Vec<u64> = unit.iter().map(|spec| spec.spec_hash()).collect();
+        // The unit's distinct cells in spec-hash order: racing requests
+        // whose units share cells lock their common slots in one order, so
+        // neither holds a slot the other waits on first.
+        let mut cells: Vec<(u64, &CellSpec)> =
+            keys.iter().copied().zip(unit.iter().copied()).collect();
+        cells.sort_by_key(|&(key, _)| key);
+        cells.dedup_by_key(|&mut (key, _)| key);
+        let slots: Vec<Arc<Mutex<Option<CellOutcome>>>> = {
+            let mut memory = self.memory.lock().expect("result store map poisoned");
+            let slot = |&(key, _): &(u64, &CellSpec)| Arc::clone(memory.entry(key).or_default());
+            cells.iter().map(slot).collect()
+        };
+        // A panic leaves the slot it interrupted empty, never half made.
+        let mut held: Vec<MutexGuard<'_, Option<CellOutcome>>> = slots
+            .iter()
+            .map(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+        let mut served = vec![Served::Memory; cells.len()];
+        let mut missing = Vec::new();
+        for (d, &(key, spec)) in cells.iter().enumerate() {
+            if held[d].is_none() {
+                match self.read(spec, key) {
+                    Some(outcome) => (*held[d], served[d]) = (Some(outcome), Served::Disk),
+                    None => missing.push(d),
                 }
-                // Corrupt/truncated/stale-format entry: recompute (and
-                // overwrite it below with a good one).
-                self.invalidated.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            // Unreadable entry (permissions, I/O error): same as corrupt.
-            Err(_) => {
-                self.invalidated.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let outcome = spec.execute();
-        // Persistence is best-effort: a read-only disk degrades the store
-        // to in-memory memoization, it never fails the experiment.
-        let _ = self.persist(&path, encode_entry(&outcome, key));
-        (outcome, Served::Executed)
+        let run: Vec<&CellSpec> = missing.iter().map(|&d| cells[d].1).collect();
+        for (&d, outcome) in missing.iter().zip(CellSpec::execute_unit(&run)) {
+            let key = cells[d].0;
+            // Persistence is best-effort: a read-only disk degrades the
+            // store to in-memory memoization, it never fails the
+            // experiment.
+            let _ = self.persist(&self.entry_path(key), encode_entry(&outcome, key));
+            (*held[d], served[d]) = (Some(outcome), Served::Executed);
+        }
+        // A cell is served where its slot's outcome came from; a repeat
+        // of it in the unit, like a racing request, from memory.
+        keys.iter()
+            .map(|key| {
+                let d = cells.binary_search_by_key(key, |&(key, _)| key);
+                let d = d.expect("a cell of the unit");
+                let from = std::mem::replace(&mut served[d], Served::Memory);
+                if from == Served::Memory {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    self.memory_hits.fetch_add(1, Ordering::Relaxed);
+                }
+                (held[d].clone().expect("every slot filled"), from)
+            })
+            .collect()
+    }
+
+    /// The outcome of `spec` from its disk entry, counted as a hit, or
+    /// `None` when there is no usable entry, counted as a miss (no entry)
+    /// or invalidated (an unreadable entry, or one that does not decode
+    /// into what `spec` records).
+    fn read(&self, spec: &CellSpec, key: u64) -> Option<CellOutcome> {
+        let counter = match std::fs::read_to_string(self.entry_path(key)) {
+            Ok(text) => match decode_entry(&text, key, spec.records_stats()) {
+                Some(outcome) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Some(outcome);
+                }
+                // Corrupt/truncated/stale-format entry: recompute (and
+                // overwrite it with a good one).
+                None => &self.invalidated,
+            },
+            Err(err) if err.kind() == std::io::ErrorKind::NotFound => &self.misses,
+            // Unreadable entry (permissions, I/O error): same as corrupt.
+            Err(_) => &self.invalidated,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
     /// `<dir>/<code fingerprint>/<spec hash>.json`.
@@ -317,12 +364,14 @@ fn encode_entry(outcome: &CellOutcome, key: u64) -> String {
     text
 }
 
-/// Rebuilds an outcome from its stored form. `None` on *any* anomaly —
-/// wrong version, an entry that names another spec hash (a file copied or
-/// renamed into place), malformed values, unknown scheme, or a stats
+/// Rebuilds an outcome from its stored form, for a cell that records
+/// statistics iff `with_stats` ([`CellSpec::records_stats`]). `None` on
+/// *any* anomaly — wrong version, an entry that names another spec hash (a
+/// file copied or renamed into place), malformed values, statistics where
+/// the cell records none or none where it does, unknown scheme, or a stats
 /// counter that fails the strict [`SimStats::from_json`] parse — and the
 /// caller recomputes.
-fn decode_entry(text: &str, key: u64) -> Option<CellOutcome> {
+fn decode_entry(text: &str, key: u64, with_stats: bool) -> Option<CellOutcome> {
     let v = JsonValue::parse(text).ok()?;
     if v.get("v").and_then(JsonValue::as_u64) != Some(STORE_VERSION)
         || v.get("spec").and_then(JsonValue::as_str) != Some(&format!("{key:016x}"))
@@ -336,8 +385,8 @@ fn decode_entry(text: &str, key: u64) -> Option<CellOutcome> {
         };
         values.push((k.as_str()?.to_string(), f64::from_bits(bits.as_u64()?)));
     }
-    let stats = match v.get("stats") {
-        Some(s) => {
+    let stats = match (v.get("stats"), with_stats) {
+        (Some(s), true) => {
             // SimStats stores its scheme as `&'static str`: intern the
             // stored name against the known-scheme table first. An unknown
             // name means a stale or foreign entry — recompute.
@@ -345,7 +394,8 @@ fn decode_entry(text: &str, key: u64) -> Option<CellOutcome> {
             let interned = crate::ALL_SCHEMES.iter().find(|s| **s == name)?;
             Some(SimStats::from_json(s, interned)?)
         }
-        None => None,
+        (None, false) => None,
+        _ => return None,
     };
     Some(CellOutcome {
         stats,
@@ -357,7 +407,7 @@ fn decode_entry(text: &str, key: u64) -> Option<CellOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cellspec::{CellWork, RunSpec, WorkloadSpec};
+    use crate::cellspec::{CellWork, FaultSpec, RunSpec, WorkloadSpec};
     use crate::exp::CellLabel;
 
     /// Fingerprint-shaped names (16 lowercase hex digits), so `gc` treats
@@ -424,7 +474,7 @@ mod tests {
         };
         let key = 0xdead_beef;
         let text = encode_entry(&outcome, key);
-        let back = decode_entry(&text, key).expect("round trip");
+        let back = decode_entry(&text, key, true).expect("round trip");
         assert_eq!(back.values.len(), outcome.values.len());
         for ((ka, va), (kb, vb)) in outcome.values.iter().zip(&back.values) {
             assert_eq!(ka, kb);
@@ -435,7 +485,7 @@ mod tests {
             outcome.stats.as_ref().unwrap().to_json().to_string()
         );
         // A key mismatch (same bytes under another name) is rejected.
-        assert!(decode_entry(&text, key ^ 1).is_none());
+        assert!(decode_entry(&text, key ^ 1, true).is_none());
     }
 
     #[test]
@@ -527,6 +577,103 @@ mod tests {
             // The recompute heals the entry on disk.
             assert_eq!(std::fs::read_to_string(&path).expect("rewritten"), full);
         }
+        let _ = std::fs::remove_dir_all(&store.dir);
+    }
+
+    #[test]
+    fn an_entry_carries_statistics_iff_its_cell_records_them() {
+        let spec = small_spec(3);
+        let key = spec.spec_hash();
+        let with = encode_entry(&spec.execute(), key);
+        let without = encode_entry(&CellOutcome::default().with_value("x", 1.0), key);
+        assert!(decode_entry(&with, key, true).is_some());
+        assert!(decode_entry(&without, key, false).is_some());
+        assert!(decode_entry(&without, key, true).is_none(), "stats missing");
+        assert!(
+            decode_entry(&with, key, false).is_none(),
+            "stats unasked for"
+        );
+    }
+
+    /// A crash sweep cell of a small Silo target under `fault`.
+    fn sweep_spec(fault: FaultSpec) -> CellSpec {
+        let work = CellWork::CrashSweep {
+            scheme: "Silo".into(),
+            workload: "Hash".into(),
+            txs_per_core: 4,
+            fault,
+            points: 2,
+            point: None,
+            checkpoints: true,
+        };
+        CellSpec::new(CellLabel::default(), 42, work)
+    }
+
+    #[test]
+    fn racing_units_that_share_cells_resolve_each_cell_once() {
+        let store = tmp_store("units");
+        store.set_enabled(true);
+        let [a, b, c] = [
+            FaultSpec::OpBoundary,
+            FaultSpec::TornLine(64),
+            FaultSpec::Battery(1 << 16),
+        ]
+        .map(sweep_spec);
+        // Overlapping units in different orders, one with a cell twice.
+        let units: [Vec<&CellSpec>; 4] = [vec![&a, &b, &c], vec![&c, &b], vec![&b], vec![&a, &a]];
+        let requested: usize = units.iter().map(Vec::len).sum();
+        let start = std::sync::Barrier::new(units.len());
+        let served: Vec<Vec<(CellOutcome, Served)>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = units
+                .iter()
+                .map(|unit| {
+                    scope.spawn(|| {
+                        start.wait();
+                        store.get_or_run_unit(unit)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let s = store.stats();
+        assert_eq!(s.misses, 3, "each cell executed once");
+        assert_eq!(
+            (s.hits, s.memory_hits),
+            (requested as u64 - 3, requested as u64 - 3)
+        );
+        for (unit, served) in units.iter().zip(&served) {
+            for (spec, (outcome, _)) in unit.iter().zip(served) {
+                let alone = spec.execute();
+                assert_eq!(outcome.values, alone.values);
+            }
+        }
+        assert_eq!(
+            served[3][1].1,
+            Served::Memory,
+            "a repeated cell is served from memory"
+        );
+        let _ = std::fs::remove_dir_all(&store.dir);
+    }
+
+    #[test]
+    fn a_partly_stored_unit_executes_only_its_missing_cells() {
+        let store = tmp_store("partial");
+        store.set_enabled(true);
+        let cells = [FaultSpec::OpBoundary, FaultSpec::TornLine(64)].map(sweep_spec);
+        let unit: Vec<&CellSpec> = cells.iter().collect();
+        let cold = store.get_or_run_unit(&unit);
+        std::fs::remove_file(store.entry_path(cells[1].spec_hash())).expect("an entry");
+        let fresh = ResultStore::new(store.dir.clone(), FP_TEST);
+        fresh.set_enabled(true);
+        let warm = fresh.get_or_run_unit(&unit);
+        let served: Vec<Served> = warm.iter().map(|(_, from)| *from).collect();
+        assert_eq!(served, [Served::Disk, Served::Executed]);
+        let s = fresh.stats();
+        assert_eq!((s.hits, s.misses, s.invalidated), (1, 1, 0));
+        for ((a, _), (b, _)) in cold.iter().zip(&warm) {
+            assert_eq!(a.values, b.values);
+        }
+        assert!(store.entry_path(cells[1].spec_hash()).exists(), "rewritten");
         let _ = std::fs::remove_dir_all(&store.dir);
     }
 

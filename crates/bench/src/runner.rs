@@ -7,17 +7,24 @@
 //! run regardless of worker count or scheduling: rendering only ever sees
 //! the in-order slice.
 //!
-//! Every cell resolves through the process-wide [`ResultStore`]: with the
+//! The cursor hands out execution units, not cells: the cells of one
+//! `CellSpec::unit_key` (the fault cells of one crash target) go to one
+//! worker together, in the order of each unit's first cell, and run in
+//! one call that shares their common work; every other cell is a unit of
+//! one. Nothing a unit's call builds outlives it.
+//!
+//! Every unit resolves through the process-wide [`ResultStore`]: with the
 //! store enabled, a cell whose spec hash this build has computed before
-//! skips trace generation and simulation entirely; disabled (the default
-//! outside the CLI), the spec executes directly. Either way the runner
-//! stamps the outcome's `origin` with the cell label so downstream
-//! accessor failures name their cell.
+//! skips trace generation and simulation entirely, and only the unit's
+//! other cells execute; disabled (the default outside the CLI), the unit
+//! executes directly. Either way the runner stamps each outcome's `origin`
+//! with its cell's label so downstream accessor failures name their cell.
 //!
 //! A [`TraceScope`] holds each generated trace only as long as the cells
 //! that read it: before any cell runs, it counts the cells of each trace
 //! family (`CellSpec::family`) on the process-wide [`TraceCache`], and
-//! every finished cell, executed or served, counts its family down. The
+//! every finished cell, executed or served, counts its family down (a
+//! unit's cells share one family, and count it down together). The
 //! cache drops a family's traces at zero, so the fig11 grid, whose five
 //! scheme cells of one (benchmark, cores) pair run side by side, keeps
 //! about one pair of traces per worker instead of all 56. [`run_cells`]
@@ -29,10 +36,11 @@
 //! to the caller: a debug assertion in a crash cell (the resume-vs-scratch
 //! check) must fail the run that hits it. The scope's traces go with it.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::cellspec::CellSpec;
+use crate::cellspec::{CellSpec, UnitKey};
 use crate::exp::{CellLabel, CellOutcome};
 use crate::trace_cache::TraceRun;
 use crate::{ResultStore, TraceCache};
@@ -48,7 +56,8 @@ pub fn default_jobs() -> usize {
 /// order, in a [`TraceScope`] of its own.
 ///
 /// `jobs <= 1` runs serially on the calling thread; any larger value
-/// spawns `min(jobs, cells.len())` scoped workers. A panic inside a cell
+/// spawns one scoped worker per execution unit, at most `jobs`, each
+/// running whole units. A panic inside a cell
 /// propagates to the caller either way. A trace that one family reads is
 /// generated once per call and dropped after the family's last cell.
 pub fn run_cells(cells: Vec<CellSpec>, jobs: usize) -> Vec<(CellLabel, CellOutcome)> {
@@ -74,38 +83,68 @@ impl TraceScope {
     /// as [`run_cells`] does.
     pub fn run_cells(&self, cells: Vec<CellSpec>, jobs: usize) -> Vec<(CellLabel, CellOutcome)> {
         let store = ResultStore::global();
-        let run = |spec: &CellSpec| self.0.cell(spec.family(), || store.get_or_run(spec));
-        let outcomes: Vec<CellOutcome> = if jobs <= 1 || cells.len() <= 1 {
-            cells.iter().map(run).collect()
+        let units = units(&cells);
+        let slots: Vec<Mutex<Option<CellOutcome>>> =
+            cells.iter().map(|_| Mutex::new(None)).collect();
+        // A unit's cells share their trace family (a crash target's
+        // workload on the crash cores, under its seed).
+        let run = |unit: &[usize]| {
+            let specs: Vec<&CellSpec> = unit.iter().map(|&i| &cells[i]).collect();
+            let family = specs[0].family();
+            let outcomes = self
+                .0
+                .cells(family, specs.len(), || store.get_or_run_unit(&specs));
+            for (&i, (outcome, _)) in unit.iter().zip(outcomes) {
+                *slots[i].lock().expect("a slot's one writer never panics") = Some(outcome);
+            }
+        };
+        if jobs <= 1 || units.len() <= 1 {
+            units.iter().for_each(|unit| run(unit));
         } else {
-            let workers = jobs.min(cells.len());
-            let slots: Vec<Mutex<Option<CellOutcome>>> =
-                cells.iter().map(|_| Mutex::new(None)).collect();
             let cursor = AtomicUsize::new(0);
             std::thread::scope(|scope| {
-                for _ in 0..workers {
+                for _ in 0..jobs.min(units.len()) {
                     scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(spec) = cells.get(i) else { break };
-                        *slots[i].lock().unwrap() = Some(run(spec));
+                        let u = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(unit) = units.get(u) else { break };
+                        run(unit);
                     });
                 }
             });
-            slots
-                .into_iter()
-                .map(|s| s.into_inner().unwrap().expect("worker filled every slot"))
-                .collect()
-        };
+        }
 
         cells
             .into_iter()
-            .zip(outcomes)
-            .map(|(spec, mut outcome)| {
+            .zip(slots)
+            .map(|(spec, slot)| {
+                let slot = slot.into_inner().expect("a slot's one writer never panics");
+                let mut outcome = slot.expect("every unit filled its slots");
                 outcome.origin = spec.label.describe();
                 (spec.label, outcome)
             })
             .collect()
     }
+}
+
+/// The execution units of `cells`, each a list of cell indices: the cells
+/// of one [`CellSpec::unit_key`] together, every other cell alone, in the
+/// order of each unit's first cell.
+fn units(cells: &[CellSpec]) -> Vec<Vec<usize>> {
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    let mut by_key: HashMap<UnitKey, usize> = HashMap::new();
+    for (i, cell) in cells.iter().enumerate() {
+        match cell.unit_key() {
+            Some(key) => match by_key.entry(key) {
+                Entry::Occupied(u) => units[*u.get()].push(i),
+                Entry::Vacant(slot) => {
+                    slot.insert(units.len());
+                    units.push(vec![i]);
+                }
+            },
+            None => units.push(vec![i]),
+        }
+    }
+    units
 }
 
 #[cfg(test)]
@@ -156,6 +195,36 @@ mod tests {
                 assert_eq!(outcome.origin, format!("i={i}"), "jobs={jobs}");
             }
         }
+    }
+
+    #[test]
+    fn a_crash_targets_fault_cells_form_one_unit_in_first_appearance_order() {
+        use crate::cellspec::FaultSpec;
+        let sweep = |scheme: &str, fault, seed| {
+            let work = CellWork::CrashSweep {
+                scheme: scheme.into(),
+                workload: "Hash".into(),
+                txs_per_core: 8,
+                fault,
+                points: 4,
+                point: None,
+                checkpoints: true,
+            };
+            CellSpec::new(CellLabel::default(), seed, work)
+        };
+        let cells = vec![
+            sweep("Silo", FaultSpec::OpBoundary, 42),
+            counting_cells(1).remove(0),
+            sweep("Base", FaultSpec::OpBoundary, 42),
+            sweep("Silo", FaultSpec::TornLine(64), 42),
+            sweep("Silo", FaultSpec::Battery(64), 43),
+            counting_cells(1).remove(0),
+            sweep("Silo", FaultSpec::Battery(64), 42),
+        ];
+        assert_eq!(
+            units(&cells),
+            [vec![0, 3, 6], vec![1], vec![2], vec![4], vec![5]]
+        );
     }
 
     #[test]

@@ -286,18 +286,23 @@ pub(crate) struct TraceRun<'c> {
 }
 
 impl TraceRun<'_> {
-    /// Runs `cell`, one of the run's counted cells of `family`, on this
-    /// thread: the traces it fetches join `family`, which counts down when
-    /// `cell` returns and drops the traces no other live family holds at
-    /// zero.
-    pub(crate) fn cell<R>(&self, family: TraceFamily, cell: impl FnOnce() -> R) -> R {
+    /// Runs `cells` of the run's counted cells of `family` in one call,
+    /// `unit`, on this thread: the traces it fetches join `family`, which
+    /// counts down by `cells` when `unit` returns and drops the traces no
+    /// other live family holds at zero.
+    pub(crate) fn cells<R>(
+        &self,
+        family: TraceFamily,
+        cells: usize,
+        unit: impl FnOnce() -> R,
+    ) -> R {
         CELL.with(|c| *c.borrow_mut() = Some((self.id, family.clone())));
-        let out = cell();
+        let out = unit();
         CELL.with(|c| *c.borrow_mut() = None);
         let mut state = self.cache.lock();
         let pending = &mut state.runs.get_mut(&self.id).expect("open run").pending;
         let left = pending.get_mut(&family).expect("a counted family");
-        *left -= 1;
+        *left -= cells;
         if *left == 0 {
             pending.remove(&family);
             state.sweep();
@@ -426,6 +431,23 @@ mod tests {
     }
 
     #[test]
+    fn a_unit_counts_down_every_cell_it_ran() {
+        let cache = TraceCache::new();
+        let w = BankWorkload::default();
+        let family = TraceFamily::new("Bank", 1, 1);
+        let run = cache.open_run([family.clone(), family.clone(), family.clone()]);
+        run.cells(family.clone(), 2, || cache.get_or_build(&w, 1, 4, 1));
+        assert_eq!(cache.stats().resident, 1, "a cell of the family is left");
+        run.cells(family, 1, || cache.get_or_build(&w, 1, 4, 1));
+        assert_eq!(
+            cache.stats().resident,
+            0,
+            "the unit and the last cell ran all three"
+        );
+        assert_eq!(counts(&cache), (1, 1, 1, 1, 0));
+    }
+
+    #[test]
     fn a_familys_traces_go_when_its_last_counted_cell_finishes() {
         let cache = TraceCache::new();
         let w = BankWorkload::default();
@@ -434,17 +456,17 @@ mod tests {
             TraceFamily::new("Bank", 2, 1),
         );
         let run = cache.open_run([one.clone(), two.clone(), one.clone()]);
-        run.cell(one.clone(), || {
+        run.cells(one.clone(), 1, || {
             cache.get_or_build(&w, 1, 4, 1);
             cache.get_or_build(&w, 1, 8, 1);
         });
         assert_eq!(cache.stats().resident, 2, "a cell of the family is left");
         // Names compare case-insensitively: this is the family's last cell.
-        run.cell(TraceFamily::new("BANK", 1, 1), || {
+        run.cells(TraceFamily::new("BANK", 1, 1), 1, || {
             cache.get_or_build(&w, 1, 8, 1)
         });
         assert_eq!(cache.stats().resident, 0);
-        run.cell(two, || cache.get_or_build(&w, 2, 4, 1));
+        run.cells(two, 1, || cache.get_or_build(&w, 2, 4, 1));
         assert_eq!(counts(&cache), (3, 1, 3, 2, 0));
         drop(run);
         assert_eq!(counts(&cache), (3, 1, 3, 2, 0));
@@ -456,7 +478,7 @@ mod tests {
         let w = BankWorkload::default();
         let family = TraceFamily::new("Bank", 1, 3);
         let run = cache.open_run([family.clone()]);
-        let held = run.cell(family, || cache.get_or_build(&w, 1, 6, 3));
+        let held = run.cells(family, 1, || cache.get_or_build(&w, 1, 6, 3));
         assert_eq!(cache.stats().resident, 0);
         drop(run);
         assert_eq!(held, w.build_trace(1, 6, 3));
@@ -470,7 +492,7 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    run.cell(family.clone(), || {
+                    run.cells(family.clone(), 1, || {
                         cache.get_or_build(&BankWorkload::default(), 2, 6, 7_777)
                     })
                 });
@@ -495,13 +517,13 @@ mod tests {
         let (fetched, ended) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                run.cell(probe, || {
+                run.cells(probe, 1, || {
                     cache.get_or_build(&w, 1, 4, 11);
                     fetched.wait();
                     ended.wait();
                 })
             });
-            run.cell(grid, || {
+            run.cells(grid, 1, || {
                 fetched.wait();
                 cache.get_or_build(&w, 1, 4, 11)
             });
@@ -518,8 +540,8 @@ mod tests {
         let family = TraceFamily::new("Bank", 1, 5);
         let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let run = cache.open_run(vec![family.clone(); 3]);
-            run.cell(family.clone(), || cache.get_or_build(&w, 1, 4, 5));
-            run.cell(family.clone(), || {
+            run.cells(family.clone(), 1, || cache.get_or_build(&w, 1, 4, 5));
+            run.cells(family.clone(), 1, || {
                 cache.get_or_build(&w, 1, 4, 5);
                 panic!("the cell fails")
             })
@@ -539,7 +561,7 @@ mod tests {
         let pinned = cache.get_or_build(&w, 1, 4, 9);
         let family = TraceFamily::new("Bank", 1, 9);
         let run = cache.open_run([family.clone()]);
-        let in_run = run.cell(family, || cache.get_or_build(&w, 1, 4, 9));
+        let in_run = run.cells(family, 1, || cache.get_or_build(&w, 1, 4, 9));
         drop(run);
         assert!(Arc::ptr_eq(&pinned.streams()[0], &in_run.streams()[0]));
         assert_eq!(counts(&cache), (1, 1, 2, 1, 1));

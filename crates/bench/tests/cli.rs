@@ -126,29 +126,24 @@ fn unknown_experiment_is_rejected_with_exit_2() {
     assert!(stderr.contains("no_such_experiment"), "{stderr:?}");
 }
 
-#[test]
-fn render_failure_exits_4() {
-    // The flag table refuses every line a cell could not run, so a render
-    // failure comes from an untrusted store entry instead: a cold run
-    // fills a scratch store, every entry is rewritten to one that decodes
-    // but holds no statistics, and the warm run that replays them must
-    // exit 4 with a `render failed` line naming the cell, not abort with
-    // a panic's 101.
-    let dir = scratch("render-failure");
-    let store = dir.join("store");
-    let run = || {
-        evaluate()
-            .args(["compare", "--txs", "8", "--cores", "1", "--bench", "Hash"])
-            .args(["--jobs", "2", "--json-dir"])
-            .arg(dir.join("reports"))
-            .env("SILO_RESULT_STORE", &store)
-            .output()
-            .expect("run evaluate")
-    };
-    let cold = run();
-    assert!(cold.status.success(), "{:?}", cold);
+/// Runs `evaluate <args> --jobs 2` against a scratch store, writing its
+/// report under `dir`.
+fn run_on_store(args: &[&str], dir: &std::path::Path) -> std::process::Output {
+    evaluate()
+        .args(args)
+        .args(["--jobs", "2", "--json-dir"])
+        .arg(dir.join("reports"))
+        .env("SILO_RESULT_STORE", dir.join("store"))
+        .output()
+        .expect("run evaluate")
+}
+
+/// Rewrites every entry of the scratch store under `dir` with `rewrite`
+/// (the entry in, its replacement out) and returns how many there were.
+fn rewrite_entries(dir: &std::path::Path, rewrite: impl Fn(JsonValue) -> JsonValue) -> usize {
     let mut entries = 0;
-    for fingerprint in std::fs::read_dir(&store).expect("store written").flatten() {
+    let store = dir.join("store");
+    for fingerprint in std::fs::read_dir(store).expect("store written").flatten() {
         for entry in std::fs::read_dir(fingerprint.path())
             .expect("entries")
             .flatten()
@@ -156,27 +151,90 @@ fn render_failure_exits_4() {
             let path = entry.path();
             let text = std::fs::read_to_string(&path).expect("read entry");
             let v = JsonValue::parse(&text).expect("entry is JSON");
-            let hollow = JsonValue::object()
-                .field("v", 3u64)
-                .field(
-                    "spec",
-                    v.get("spec").and_then(JsonValue::as_str).expect("spec"),
-                )
-                .field("values", JsonValue::Arr(Vec::new()))
-                .build();
-            std::fs::write(&path, format!("{hollow}\n")).expect("rewrite entry");
+            std::fs::write(&path, format!("{}\n", rewrite(v))).expect("rewrite entry");
             entries += 1;
         }
     }
-    assert_eq!(entries, 5, "one entry per compare cell");
-    let out = run();
+    entries
+}
+
+#[test]
+fn render_failure_exits_4() {
+    // The flag table refuses every line a cell could not run, so a render
+    // failure comes from an untrusted store entry instead: a cold run
+    // fills a scratch store, its one entry is rewritten to one that
+    // decodes, statistics and all, but holds no values, and the warm run
+    // that replays it must exit 4 with a `render failed` line naming the
+    // cell, not abort with a panic's 101.
+    let dir = scratch("render-failure");
+    let args = [
+        "crashfuzz",
+        "--txs",
+        "8",
+        "--bench",
+        "Hash",
+        "--scheme",
+        "Silo",
+    ];
+    let args = [&args[..], &["--fault", "battery"]].concat();
+    let cold = run_on_store(&args, &dir);
+    assert!(cold.status.success(), "{:?}", cold);
+    let hollow = |v: JsonValue| match v {
+        JsonValue::Obj(fields) => JsonValue::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| match k.as_str() {
+                    "values" => (k, JsonValue::Arr(Vec::new())),
+                    _ => (k, v),
+                })
+                .collect(),
+        ),
+        other => panic!("an entry is an object: {other}"),
+    };
+    assert_eq!(rewrite_entries(&dir, hollow), 1, "one crashfuzz cell");
+    let out = run_on_store(&args, &dir);
     assert_eq!(out.status.code(), Some(4), "render failure is exit 4");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("error: render failed: cell Base/Hash/1c"),
+        stderr.contains("error: render failed: cell Silo/Hash/2c/fault=battery"),
         "{stderr:?}"
     );
     assert!(out.stdout.is_empty(), "nothing rendered");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_entry_without_the_statistics_its_cell_records_recomputes() {
+    // Every compare cell records statistics, so an entry rewritten to
+    // hold none is unusable: the warm run counts it invalidated,
+    // recomputes the cell and prints what the cold run printed.
+    let dir = scratch("statless-entries");
+    let args = ["compare", "--txs", "8", "--cores", "1", "--bench", "Hash"];
+    let cold = run_on_store(&args, &dir);
+    assert!(cold.status.success(), "{:?}", cold);
+    let statless = |v: JsonValue| {
+        JsonValue::object()
+            .field("v", 3u64)
+            .field(
+                "spec",
+                v.get("spec").and_then(JsonValue::as_str).expect("spec"),
+            )
+            .field("values", JsonValue::Arr(Vec::new()))
+            .build()
+    };
+    assert_eq!(
+        rewrite_entries(&dir, statless),
+        5,
+        "one entry per compare cell"
+    );
+    let warm = run_on_store(&args, &dir);
+    let stderr = String::from_utf8_lossy(&warm.stderr);
+    assert_eq!(warm.status.code(), Some(0), "{stderr:?}");
+    assert!(
+        stderr.contains("[result-store] 0 hits, 0 misses, 5 invalidated"),
+        "{stderr:?}"
+    );
+    assert_eq!(warm.stdout, cold.stdout);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

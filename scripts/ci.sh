@@ -10,7 +10,7 @@
 #   scripts/ci.sh lint         rustfmt + clippy + rustdoc, warnings denied
 #   scripts/ci.sh smoke        experiment smoke tests + determinism and golden gates
 #   scripts/ci.sh fuzz         coverage-guided crash-search gate
-#   scripts/ci.sh bench        perfbench tests and runs + checkpoint speed and memory gates
+#   scripts/ci.sh bench        perfbench tests and runs + checkpoint, unit and memory gates
 #   scripts/ci.sh all          everything above, in order (the default)
 #
 # `smoke`, `fuzz`, and `bench` expect `build` to have run first (they use
@@ -421,6 +421,26 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
          exit 1; }
   echo "checkpointed ${ckpt_cpu} s CPU (peak ${ckpt_rss} MB) vs ${scratch_cpu} s CPU from scratch, same report body"
   rm -rf "$ckpt_dir"
+
+  echo "== crashfuzz unit gate =="
+  # The fault cells of one scheme x workload run as one execution unit:
+  # one clean run and one walk of it serve all three faults' crash
+  # points. So sweeping all three faults must cost at most 2x the CPU
+  # time (user + sys) of sweeping op-boundary alone, which is a unit of
+  # one; a clean run per fault cell read 2.5-3.3x.
+  unit_dir="target/reports-ci-unit"
+  rm -rf "$unit_dir"
+  unit_all=$(rusage "$EVALUATE" crashfuzz --txs 2000 --bench Hash --jobs 1 \
+    --no-result-store --json-dir "$unit_dir/all")
+  unit_one=$(rusage "$EVALUATE" crashfuzz --txs 2000 --bench Hash --jobs 1 \
+    --no-result-store --fault op-boundary --json-dir "$unit_dir/one")
+  read -r _ all_cpu <<< "$unit_all"
+  read -r _ one_cpu <<< "$unit_one"
+  awk -v all="$all_cpu" -v one="$one_cpu" 'BEGIN { exit !(all <= 2 * one) }' \
+    || { echo "FAIL: crashfuzz over three faults (${all_cpu} s CPU) costs over 2x one fault (${one_cpu} s CPU)" >&2
+         exit 1; }
+  echo "three faults ${all_cpu} s CPU vs op-boundary alone ${one_cpu} s CPU"
+  rm -rf "$unit_dir"
 
   echo "== fuzz checkpoint memory gate =="
   # Every fuzz candidate resumes from checkpoints that one walk of its
