@@ -328,7 +328,10 @@ pub enum CellWork {
     },
     /// The Fig 14 large-transaction cell: probe the workload's write-set
     /// size, batch enough transactions to fill the log buffer `mult`
-    /// times over, run Silo full, and store per-inner-op metrics.
+    /// times over, run Silo full, and store per-inner-op metrics. The
+    /// multipliers of one workload, budget and seed form one execution
+    /// unit, which fetches one trace and simulates the setup once for
+    /// all of them.
     LargeTx {
         /// Workload name.
         workload: String,
@@ -407,19 +410,29 @@ pub enum CellWork {
 
 /// What the cells of one execution unit share: the runner hands a unit's
 /// cells to one worker together, and the result store runs the ones it
-/// cannot serve in one call ([`CellSpec::execute_unit`]). Only crash sweeps
-/// form units of several cells: a sweep's key is every
-/// [`CellWork::CrashSweep`] field but the fault, and the seed, so the
-/// fault cells of one scheme × workload share one clean run.
+/// cannot serve in one call ([`CellSpec::execute_unit`]). Crash sweeps and
+/// Fig 14's large transactions form units of several cells; every other
+/// cell is a unit of one.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct UnitKey {
-    scheme: String,
-    workload: String,
-    txs_per_core: usize,
-    points: u64,
-    point: Option<u64>,
-    checkpoints: bool,
-    seed: u64,
+pub(crate) enum UnitKey {
+    /// Every [`CellWork::CrashSweep`] field but the fault, and the seed:
+    /// the fault cells of one scheme × workload share one clean run.
+    CrashTarget {
+        scheme: String,
+        workload: String,
+        txs_per_core: usize,
+        points: u64,
+        point: Option<u64>,
+        checkpoints: bool,
+        seed: u64,
+    },
+    /// Every [`CellWork::LargeTx`] field but the multiplier, and the seed:
+    /// the multipliers of one workload share one trace and one setup run.
+    LargeTx {
+        workload: String,
+        txs: usize,
+        seed: u64,
+    },
 }
 
 /// One independent unit of work, fully described as data: display label,
@@ -457,42 +470,51 @@ impl CellSpec {
     }
 
     /// The execution unit the cell belongs to; `None` for a unit of one,
-    /// which every cell but a crash sweep is.
+    /// which every cell but a crash sweep and a large transaction is.
     pub(crate) fn unit_key(&self) -> Option<UnitKey> {
-        // Explicit destructuring: a new sweep field breaks this compile
-        // until the key decides whether the unit's cells share it.
-        let CellWork::CrashSweep {
-            ref scheme,
-            ref workload,
-            txs_per_core,
-            fault: _,
-            points,
-            point,
-            checkpoints,
-        } = self.work
-        else {
-            return None;
-        };
-        Some(UnitKey {
-            scheme: scheme.clone(),
-            workload: workload.clone(),
-            txs_per_core,
-            points,
-            point,
-            checkpoints,
-            seed: self.seed,
-        })
+        // Explicit destructuring: a new field breaks this compile until
+        // the key decides whether the unit's cells share it.
+        match self.work {
+            CellWork::CrashSweep {
+                ref scheme,
+                ref workload,
+                txs_per_core,
+                fault: _,
+                points,
+                point,
+                checkpoints,
+            } => Some(UnitKey::CrashTarget {
+                scheme: scheme.clone(),
+                workload: workload.clone(),
+                txs_per_core,
+                points,
+                point,
+                checkpoints,
+                seed: self.seed,
+            }),
+            CellWork::LargeTx {
+                ref workload,
+                mult: _,
+                txs,
+            } => Some(UnitKey::LargeTx {
+                workload: workload.clone(),
+                txs,
+                seed: self.seed,
+            }),
+            _ => None,
+        }
     }
 
     /// Runs the cells of one execution unit, all of one
     /// [`CellSpec::unit_key`], in one call, and returns their outcomes in
     /// order: each equals its cell's [`CellSpec::execute`]. Crash sweeps
-    /// share one clean run and one walk of it; a unit of any other kind
-    /// holds one cell.
+    /// share one clean run and one walk of it, large transactions one
+    /// trace and one setup run; a unit of any other kind holds one cell.
     pub(crate) fn execute_unit(unit: &[&CellSpec]) -> Vec<CellOutcome> {
-        match unit.first().map(|cell| &cell.work) {
-            Some(CellWork::CrashSweep { .. }) => crate::experiments::crash::execute_sweeps(unit),
-            _ => unit.iter().map(|cell| cell.execute()).collect(),
+        match unit.first().and_then(|cell| cell.unit_key()) {
+            Some(UnitKey::CrashTarget { .. }) => crate::experiments::crash::execute_sweeps(unit),
+            Some(UnitKey::LargeTx { .. }) => crate::experiments::fig14::execute_large_txs(unit),
+            None => unit.iter().map(|cell| cell.execute()).collect(),
         }
     }
 
@@ -507,7 +529,9 @@ impl CellSpec {
             | CellWork::Profiled(run)
             | CellWork::Wear(run) => (run.workload.name.as_str(), run.cores),
             CellWork::TraceStats { workload, .. } => (workload.as_str(), 1),
-            CellWork::LargeTx { workload, .. } => (workload.as_str(), LARGE_TX_CORES),
+            CellWork::LargeTx { workload, .. } => {
+                (workload.as_str(), crate::experiments::fig14::CORES)
+            }
             CellWork::Recovery { .. } => (RECOVERY_WORKLOAD, RECOVERY_CORES),
             CellWork::CrashSweep { workload, .. } | CellWork::Fuzz { workload, .. } => {
                 (workload.as_str(), CRASH_CORES)
@@ -666,11 +690,10 @@ impl CellSpec {
             }
             CellWork::Wear(run) => execute_wear(run, seed),
             CellWork::TraceStats { workload, txs } => execute_trace_stats(workload, *txs, seed),
-            CellWork::LargeTx {
-                workload,
-                mult,
-                txs,
-            } => execute_large_tx(workload, *mult, *txs, seed),
+            CellWork::LargeTx { .. } => {
+                let mut alone = crate::experiments::fig14::execute_large_txs(&[self]);
+                alone.pop().expect("one outcome per cell")
+            }
             CellWork::Recovery { txs, crash_at } => execute_recovery(*txs, *crash_at, seed),
             CellWork::CrashSweep { .. } => {
                 let mut alone = crate::experiments::crash::execute_sweeps(&[self]);
@@ -681,7 +704,6 @@ impl CellSpec {
     }
 }
 
-const LARGE_TX_CORES: usize = 8;
 const RECOVERY_CORES: usize = 4;
 const RECOVERY_WORKLOAD: &str = "TPCC";
 /// The crash experiments' cores: two keep crash runs cheap while still
@@ -752,38 +774,6 @@ fn execute_trace_stats(workload: &str, txs: usize, seed: u64) -> CellOutcome {
         .with_value("avg_b", total as f64 / measured.len() as f64)
         .with_value("max_b", max as f64)
         .with_value("avg_words", words as f64 / measured.len() as f64)
-}
-
-/// The Fig 14 large-transaction recipe: probe the average write-set size,
-/// group enough transactions that 1x roughly fills the 20-entry buffer,
-/// scale by the multiplier, and run Silo full. Metrics are per inner
-/// operation so the batching itself does not distort them.
-fn execute_large_tx(workload: &str, mult: usize, txs: usize, seed: u64) -> CellOutcome {
-    let w = WorkloadSpec::plain(workload).instantiate();
-    let probe = TraceCache::global().get_or_build(&*w, 1, 50, seed);
-    let probe0 = &probe.streams()[0];
-    let avg_words: f64 = probe0[1..]
-        .iter()
-        .map(|t| t.write_set_words())
-        .sum::<usize>() as f64
-        / (probe0.len() - 1) as f64;
-    let group_1x = ((20.0 / avg_words).ceil() as usize).max(1);
-    let group = group_1x * mult;
-    let inner_per_core = (txs / LARGE_TX_CORES).max(group);
-    let outer = inner_per_core / group;
-
-    let config = SimConfig::table_ii(LARGE_TX_CORES);
-    let mut silo = SiloScheme::new(&config);
-    let batched = Batched::new(WorkloadSpec::plain(workload).instantiate(), group);
-    let trace = TraceCache::global().get_or_build(&batched, LARGE_TX_CORES, outer, seed);
-    let stats = run_with_scheme(&mut silo, &config, &trace);
-    // Per inner-operation throughput.
-    let ops = stats.txs_committed * group as u64;
-    let overflow = stats.scheme_stats.overflow_events;
-    CellOutcome::from_stats(stats.clone())
-        .with_value("tp", ops as f64 / stats.sim_cycles.as_u64() as f64)
-        .with_value("wr", stats.media_writes() as f64 / ops as f64)
-        .with_value("overflow", overflow as f64)
 }
 
 /// The recovery-study recipe: crash Silo on TPCC at a fixed cycle, have

@@ -148,7 +148,7 @@ fn traced_engine<'a>(config: &SimConfig, scheme: &'a mut dyn LoggingScheme) -> E
 
 /// Sinks a finished run's timeline and keeps only its statistics, so the
 /// run's PM image is dropped here rather than held by the caller.
-fn finish(outcome: RunOutcome) -> SimStats {
+pub(crate) fn finish(outcome: RunOutcome) -> SimStats {
     probe::sink_outcome(&outcome);
     outcome.stats
 }
@@ -229,8 +229,11 @@ mod tests {
 }
 
 /// Wraps a workload so that every `group` consecutive measured
-/// transactions execute as **one** transaction, multiplying the write set —
-/// the knob behind the paper's Fig 14 large-transaction study.
+/// transactions execute as **one** transaction, multiplying the write set:
+/// the batch knob of [`WorkloadSpec::batched`] (the overflow ablations).
+/// Fig 14's large-transaction cells batch the same way, but from
+/// prefixes of the one trace their execution unit fetches, so their
+/// batched streams never enter the [`TraceCache`].
 pub struct Batched<W> {
     inner: W,
     group: usize,
@@ -258,37 +261,42 @@ impl<W: Workload> Workload for Batched<W> {
     }
 
     fn raw_streams(&self, cores: usize, txs_per_core: usize, seed: u64) -> Vec<Vec<Transaction>> {
-        // The inner trace resolves through the cache: the five Fig 14
-        // batch multipliers often share the same inner stream.
+        // The inner trace resolves through the cache, as every trace a
+        // cell fetches does, so it joins the cell's trace family.
         let inner =
             TraceCache::global().get_or_build(&self.inner, cores, txs_per_core * self.group, seed);
         inner
             .streams()
             .iter()
-            .map(|stream| {
-                let mut out = Vec::with_capacity(txs_per_core + 1);
-                let mut iter = stream.iter();
-                // The setup transaction stays as-is.
-                if let Some(setup) = iter.next() {
-                    out.push(setup.clone());
-                }
-                let mut ops = Vec::new();
-                let mut n = 0;
-                for tx in iter {
-                    ops.extend_from_slice(tx.ops());
-                    n += 1;
-                    if n == self.group {
-                        out.push(Transaction::new(std::mem::take(&mut ops)));
-                        n = 0;
-                    }
-                }
-                if !ops.is_empty() {
-                    out.push(Transaction::new(ops));
-                }
-                out
-            })
+            .map(|stream| batch_stream(stream, self.group))
             .collect()
     }
+}
+
+/// One stream as [`Batched`] emits it: the setup transaction as it is,
+/// then the ops of every `group` consecutive transactions as one
+/// transaction, and a shorter last group if `group` does not divide the
+/// rest.
+pub(crate) fn batch_stream(stream: &[Transaction], group: usize) -> Vec<Transaction> {
+    let mut iter = stream.iter();
+    let mut out = Vec::with_capacity(1 + stream.len().saturating_sub(1).div_ceil(group));
+    if let Some(setup) = iter.next() {
+        out.push(setup.clone());
+    }
+    let mut ops = Vec::new();
+    let mut n = 0;
+    for tx in iter {
+        ops.extend_from_slice(tx.ops());
+        n += 1;
+        if n == group {
+            out.push(Transaction::new(std::mem::take(&mut ops)));
+            n = 0;
+        }
+    }
+    if !ops.is_empty() {
+        out.push(Transaction::new(ops));
+    }
+    out
 }
 
 #[cfg(test)]

@@ -40,7 +40,8 @@
 //! request it again.
 //!
 //! The runner requests an execution unit's cells together
-//! (`CellSpec::unit_key`: the fault cells of one crash target). Each cell
+//! (`CellSpec::unit_key`: the fault cells of one crash target, or the
+//! multiplier cells of one Fig 14 workload). Each cell
 //! is served and counted as it would be alone, from memory, then from its
 //! own disk entry; the cells neither holds execute together in one
 //! `CellSpec::execute_unit` call, and each persists to its own entry.

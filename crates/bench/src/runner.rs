@@ -8,10 +8,11 @@
 //! the in-order slice.
 //!
 //! The cursor hands out execution units, not cells: the cells of one
-//! `CellSpec::unit_key` (the fault cells of one crash target) go to one
-//! worker together, in the order of each unit's first cell, and run in
-//! one call that shares their common work; every other cell is a unit of
-//! one. Nothing a unit's call builds outlives it.
+//! `CellSpec::unit_key` (the fault cells of one crash target, or the
+//! multiplier cells of one Fig 14 workload) go to one worker together, in
+//! the order of each unit's first cell, and run in one call that shares
+//! their common work; every other cell is a unit of one. Nothing a unit's
+//! call builds outlives it.
 //!
 //! Every unit resolves through the process-wide [`ResultStore`]: with the
 //! store enabled, a cell whose spec hash this build has computed before
@@ -86,8 +87,8 @@ impl TraceScope {
         let units = units(&cells);
         let slots: Vec<Mutex<Option<CellOutcome>>> =
             cells.iter().map(|_| Mutex::new(None)).collect();
-        // A unit's cells share their trace family (a crash target's
-        // workload on the crash cores, under its seed).
+        // A unit's cells share their trace family (the workload, cores
+        // and seed their unit key names).
         let run = |unit: &[usize]| {
             let specs: Vec<&CellSpec> = unit.iter().map(|&i| &cells[i]).collect();
             let family = specs[0].family();

@@ -21,12 +21,14 @@
 //! perfbench's tracer) stays resident for the process.
 //!
 //! "Exactly once per run" holds for a key that the cells of one family
-//! read. A key that two families read is generated again when every cell
-//! of the first has finished before the second fetches it. In `evaluate
-//! all` at `--txs 40` (the golden run) and `--txs 100` each key is read
-//! by one family; at `--txs 50`, fig14's one-core 50-transaction probe
-//! is also the one-core grid's trace, and 4 of the 152 keys are generated
-//! twice. A `[trace-cache]` line whose `G` exceeds its `K` shows it.
+//! read; a key that two families read would be generated again when every
+//! cell of the first had finished before the second fetched it. Every
+//! recipe fetches only traces of its own cell's workload, cores and seed,
+//! so no key has two families: fig14 reads its batch-sizing probe from
+//! its unit's 8-core trace, not from a one-core trace that a one-core
+//! grid cell reads too. `evaluate all` generates its 122 keys at `--txs
+//! 40` and its 119 at `--txs 50` once each; a `[trace-cache]` line whose
+//! `G` exceeded its `K` would show a key built twice.
 //!
 //! Keys are [`TraceKey`]: the workload's [`trace_ident`]
 //! (every generation-affecting parameter, not just the display name) plus
@@ -65,9 +67,9 @@ pub struct TraceKey {
 /// The traces one cell reads: the workload its work names (compared
 /// case-insensitively, as [`silo_workloads::workload_by_name`] resolves
 /// it), its core count and its seed. Every trace the cell fetches belongs
-/// to it, whatever that trace's own parameters: a delta cell's N and 2N
-/// traces, fig14's one-core probe with its batched and inner traces, the
-/// crash shrinker's halved traces.
+/// to it, whatever that trace's own budget: a delta cell's N and 2N
+/// traces, a fig14 unit's 8-core trace, the crash shrinker's halved
+/// traces.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct TraceFamily {
     workload: String,

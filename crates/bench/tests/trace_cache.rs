@@ -172,8 +172,8 @@ fn one_scope_over_two_experiments_generates_what_they_share_once() {
 /// generates each key it fetches exactly once, and none stays resident
 /// after it, so every trace a recipe fetches belongs to its cell's
 /// family. The battery cell violates, so its shrinker fetches halved
-/// traces; the large-transaction cell fetches a one-core probe, a
-/// batched trace and that trace's inner stream.
+/// traces; the two large-transaction cells form one unit, which fetches
+/// one 8-core trace.
 #[test]
 fn every_kind_of_cell_drops_what_it_fetched_after_one_generation_each() {
     let _guard = cache_lock();
@@ -258,4 +258,37 @@ fn every_kind_of_cell_drops_what_it_fetched_after_one_generation_each() {
         sweep.value("shrunk_txs") < 16.0,
         "the battery cell shrinks its stream"
     );
+}
+
+/// A Fig 14 unit, then a one-core grid cell of the same workload at 50
+/// transactions per core, in one run at `--jobs 1`. The unit reads its
+/// probe from its own 8-core trace, so no key belongs to both families:
+/// a one-core 50-transaction probe would be the grid cell's trace, which
+/// the run would build again after the unit's family ended.
+#[test]
+fn a_large_transaction_unit_shares_no_key_with_a_one_core_grid_cell() {
+    let _guard = cache_lock();
+    let seed = 90_006;
+    let mut works: Vec<CellWork> = [1, 2]
+        .map(|mult| CellWork::LargeTx {
+            workload: "Hash".into(),
+            mult,
+            txs: 40,
+        })
+        .into();
+    works.push(CellWork::Delta(RunSpec::table_ii(
+        "Silo",
+        WorkloadSpec::plain("Hash"),
+        1,
+        50,
+    )));
+    let cells: Vec<CellSpec> = works
+        .into_iter()
+        .map(|work| CellSpec::new(CellLabel::default(), seed, work))
+        .collect();
+    let before = TraceCache::global().stats();
+    run_cells(cells, 1);
+    let (keys, generations) = gained(before);
+    assert_eq!((keys, generations), (3, 3), "one generation per key");
+    assert_eq!(TraceCache::global().stats().resident, before.resident);
 }

@@ -1,21 +1,29 @@
-//! Execution units: the fault cells of one crash target run as one unit.
+//! Execution units: the fault cells of one crash target, and the
+//! multiplier cells of one Fig 14 workload, each run as one unit.
 //!
 //! `crashfuzz` builds one sweep cell per scheme × workload × fault. The
 //! cells of one scheme × workload share a unit key (every sweep field but
 //! the fault, and the seed), so the runner hands them to one worker
 //! together and the result store runs the ones it cannot serve in one
 //! call, which simulates their clean run and walks it once for all of
-//! them. None of that may show: every cell's outcome from its unit must
-//! equal the cell executed alone, the store must count and persist each
-//! cell as its own, and reports must not depend on the worker count.
+//! them. `fig14` builds one large-transaction cell per workload ×
+//! multiplier, and the multipliers of one workload, budget and seed share
+//! one trace and one setup run the same way. None of that may show: every
+//! cell's outcome from its unit must equal the cell's own run (executed
+//! alone, or from scratch), the store must count and persist each cell as
+//! its own, and reports must not depend on the worker count.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use silo_bench::{
-    registry, run_cells, CellLabel, CellOutcome, CellSpec, CellWork, ExpParams, FaultSpec,
-    ALL_SCHEMES,
+    registry, run_cells, run_with_scheme, Batched, CellLabel, CellOutcome, CellSpec, CellWork,
+    ExpParams, FaultSpec, ALL_SCHEMES,
 };
+use silo_core::SiloScheme;
+use silo_sim::SimConfig;
+use silo_workloads::{workload_by_name, Workload};
 
 /// The fault models of a default sweep.
 const FAULTS: [FaultSpec; 3] = [
@@ -105,6 +113,82 @@ fn a_violating_cell_shrinks_inside_its_unit_as_it_does_alone() {
     assert_units_equal_cells_alone(cells);
 }
 
+/// A Fig 14 cell run from scratch, the reference a unit's cell must
+/// equal: a one-core 50-transaction probe sizes the 1x batch to fill the
+/// 20-entry log buffer, and Silo runs the batched 8-core trace in full.
+fn large_tx_from_scratch(cell: &CellSpec) -> CellOutcome {
+    const CORES: usize = 8;
+    let CellWork::LargeTx {
+        ref workload,
+        mult,
+        txs,
+    } = cell.work
+    else {
+        panic!("not a large-transaction cell: {:?}", cell.work)
+    };
+    let w = || workload_by_name(workload).expect("a registered workload");
+    let probe = w().build_trace(1, 50, cell.seed);
+    let probe0 = &probe.streams()[0];
+    let avg_words = probe0[1..]
+        .iter()
+        .map(|t| t.write_set_words())
+        .sum::<usize>() as f64
+        / (probe0.len() - 1) as f64;
+    let group = ((20.0 / avg_words).ceil() as usize).max(1) * mult;
+    let outer = (txs / CORES).max(group) / group;
+    let config = SimConfig::table_ii(CORES);
+    let trace = Batched::new(w(), group).build_trace(CORES, outer, cell.seed);
+    let stats = run_with_scheme(&mut SiloScheme::new(&config), &config, &trace);
+    let ops = stats.txs_committed * group as u64;
+    let overflow = stats.scheme_stats.overflow_events;
+    let tp = ops as f64 / stats.sim_cycles.as_u64() as f64;
+    let wr = stats.media_writes() as f64 / ops as f64;
+    CellOutcome::from_stats(stats)
+        .with_value("tp", tp)
+        .with_value("wr", wr)
+        .with_value("overflow", overflow as f64)
+}
+
+#[test]
+fn a_large_transaction_units_cells_equal_their_runs_from_scratch() {
+    // Each workload × budget × seed forms one unit of all five
+    // multipliers and, in a second run, one of two of them. YCSB's cores
+    // size different batches at seed 42 (core 0's probe gives a 1x of
+    // three transactions, core 1's four), so it pins the probe's core.
+    let cells = |mults: &[usize]| -> Vec<CellSpec> {
+        let mut cells = Vec::new();
+        for workload in ["Hash", "TPCC", "Queue", "YCSB"] {
+            for txs in [40, 160] {
+                for seed in [42, 7] {
+                    for &mult in mults {
+                        let label = CellLabel::swc("Silo", workload, 8)
+                            .with_param(format!("txs={txs},seed={seed},mult={mult}"));
+                        let work = CellWork::LargeTx {
+                            workload: workload.to_string(),
+                            mult,
+                            txs,
+                        };
+                        cells.push(CellSpec::new(label, seed, work));
+                    }
+                }
+            }
+        }
+        cells
+    };
+    let whole = cells(&[1, 2, 4, 8, 16]);
+    let reference: HashMap<u64, _> = whole
+        .iter()
+        .map(|cell| (cell.spec_hash(), exact(&large_tx_from_scratch(cell))))
+        .collect();
+    for cells in [whole, cells(&[2, 16])] {
+        let units = run_cells(cells.clone(), 2);
+        for (cell, (label, outcome)) in cells.iter().zip(&units) {
+            let want = &reference[&cell.spec_hash()];
+            assert_eq!(&exact(outcome), want, "{}", label.describe());
+        }
+    }
+}
+
 fn evaluate() -> Command {
     Command::new(env!("CARGO_BIN_EXE_evaluate"))
 }
@@ -144,21 +228,28 @@ fn run(args: &[&str], json_dir: &Path, store: Option<&Path>) -> (String, String,
     (stdout, counts, body.to_string())
 }
 
-#[test]
-fn a_store_serves_and_counts_each_cell_of_a_unit() {
-    // A cold default sweep executes its 63 cells in 21 units and
-    // persists 63 entries; a warm one serves all 63. With the torn-line
-    // entries gone, each unit runs its one missing cell: exactly those
-    // 21 execute, are counted as misses and are written back.
-    let dir = scratch("units-store");
+/// Runs `args` three times on one fresh store, checking its
+/// `[result-store]` counts and that stdout and the stripped body equal
+/// the first run's each time: cold, every cell of `cells` (the cells the
+/// line builds) misses; warm, every one hits; and with the entries of the
+/// `dropped` cells that `drop` picks deleted, exactly those miss and are
+/// written back.
+fn assert_the_store_counts_each_cell(
+    name: &str,
+    args: &[&str],
+    cells: &[CellSpec],
+    dropped: usize,
+    drop: impl Fn(&CellSpec) -> bool,
+) {
+    let dir = scratch(name);
     let store = dir.join("store");
-    let (cold_out, cold_counts, cold_body) = run(&["crashfuzz"], &dir.join("cold"), Some(&store));
-    assert_eq!(cold_counts, "0 hits, 63 misses, 0 invalidated");
-    let (warm_out, warm_counts, warm_body) = run(&["crashfuzz"], &dir.join("warm"), Some(&store));
-    assert_eq!(warm_counts, "63 hits, 0 misses, 0 invalidated");
+    let n = cells.len();
+    let (cold_out, cold_counts, cold_body) = run(args, &dir.join("cold"), Some(&store));
+    assert_eq!(cold_counts, format!("0 hits, {n} misses, 0 invalidated"));
+    let (warm_out, warm_counts, warm_body) = run(args, &dir.join("warm"), Some(&store));
+    assert_eq!(warm_counts, format!("{n} hits, 0 misses, 0 invalidated"));
     assert_eq!((&warm_out, &warm_body), (&cold_out, &cold_body));
 
-    let spec = registry::find("crashfuzz").expect("crashfuzz is registered");
     let fingerprints: Vec<PathBuf> = std::fs::read_dir(&store)
         .expect("store written")
         .flatten()
@@ -167,32 +258,64 @@ fn a_store_serves_and_counts_each_cell_of_a_unit() {
     let [entries] = &fingerprints[..] else {
         panic!("one fingerprint directory: {fingerprints:?}")
     };
-    let torn: Vec<PathBuf> = spec
-        .build(&ExpParams::defaults(&spec))
+    let gone: Vec<PathBuf> = cells
         .iter()
-        .filter(|c| {
-            matches!(
-                c.work,
-                CellWork::CrashSweep {
-                    fault: FaultSpec::TornLine(_),
-                    ..
-                }
-            )
-        })
+        .filter(|c| drop(c))
         .map(|c| entries.join(format!("{:016x}.json", c.spec_hash())))
         .collect();
-    assert_eq!(torn.len(), 21);
-    for entry in &torn {
-        std::fs::remove_file(entry).expect("a torn-line entry");
+    assert_eq!(gone.len(), dropped);
+    for entry in &gone {
+        std::fs::remove_file(entry).expect("a stored entry");
     }
-    let (part_out, part_counts, part_body) = run(&["crashfuzz"], &dir.join("part"), Some(&store));
-    assert_eq!(part_counts, "42 hits, 21 misses, 0 invalidated");
+    let (part_out, part_counts, part_body) = run(args, &dir.join("part"), Some(&store));
+    let kept = n - dropped;
+    assert_eq!(
+        part_counts,
+        format!("{kept} hits, {dropped} misses, 0 invalidated")
+    );
     assert_eq!((&part_out, &part_body), (&cold_out, &cold_body));
     assert!(
-        torn.iter().all(|entry| entry.exists()),
+        gone.iter().all(|entry| entry.exists()),
         "missing cells persist"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The cells `evaluate <experiment> [--txs N]` builds.
+fn built(experiment: &str, txs: Option<usize>) -> Vec<CellSpec> {
+    let spec = registry::find(experiment).expect("a registered experiment");
+    let mut params = ExpParams::defaults(&spec);
+    params.txs = txs.unwrap_or(params.txs);
+    spec.build(&params)
+}
+
+#[test]
+fn a_store_serves_and_counts_each_cell_of_a_unit() {
+    // A cold default sweep executes its 63 cells in 21 units and
+    // persists 63 entries; a warm one serves all 63. With the torn-line
+    // entries gone, each unit runs its one missing cell: exactly those
+    // 21 execute, are counted as misses and are written back.
+    let torn = |c: &CellSpec| {
+        matches!(
+            c.work,
+            CellWork::CrashSweep {
+                fault: FaultSpec::TornLine(_),
+                ..
+            }
+        )
+    };
+    let cells = built("crashfuzz", None);
+    assert_the_store_counts_each_cell("units-store", &["crashfuzz"], &cells, 21, torn);
+}
+
+#[test]
+fn a_store_serves_and_counts_each_multiplier_of_a_large_transaction_unit() {
+    // fig14's 35 cells form 7 units, one per workload. With the 4x
+    // entries gone, each unit runs its one missing multiplier.
+    let quad = |c: &CellSpec| matches!(c.work, CellWork::LargeTx { mult: 4, .. });
+    let cells = built("fig14", Some(40));
+    let args = ["fig14", "--txs", "40"];
+    assert_the_store_counts_each_cell("units-store-fig14", &args, &cells, 7, quad);
 }
 
 #[test]

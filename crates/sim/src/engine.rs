@@ -145,7 +145,8 @@ pub struct EngineCheckpoint {
     /// The cores as they were, streams and arrival schedules shared.
     cores: Vec<CoreRun>,
     oracle: TxOracle,
-    scheme: Box<dyn SchemeState>,
+    /// Shared, not copied, by a fork's clones: a restore only reads it.
+    scheme: Arc<dyn SchemeState>,
 }
 
 impl EngineCheckpoint {
@@ -223,6 +224,30 @@ impl ForkPoint {
     }
 }
 
+/// A fork for one more continuation. It shares the fork's PM and shadow
+/// pages, its cache levels' sparse copy and its scheme state; a
+/// continuation only reads the last two, and copies a shared page when it
+/// first writes it. So when several runs continue one fork, each but the
+/// last continues from a clone, and the last takes the fork itself, by
+/// then the only holder of its pages.
+impl Clone for ForkPoint {
+    fn clone(&self) -> Self {
+        let cp = &self.cp;
+        let cp = EngineCheckpoint {
+            cycle_pos: cp.cycle_pos,
+            event_pos: cp.event_pos,
+            machine: cp.machine.clone(),
+            cores: cp.cores.clone(),
+            oracle: cp.oracle.clone(),
+            scheme: Arc::clone(&cp.scheme),
+        };
+        ForkPoint {
+            cp,
+            prefix: self.prefix.clone(),
+        }
+    }
+}
+
 impl std::fmt::Debug for ForkPoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_tuple("ForkPoint").field(&self.cp).finish()
@@ -265,7 +290,7 @@ impl Boundary<'_, '_> {
             machine: e.machine.snapshot(),
             cores: self.cores.to_vec(),
             oracle: e.oracle.clone(),
-            scheme: e.scheme.snapshot_state(),
+            scheme: Arc::from(e.scheme.snapshot_state()),
         }
     }
 }

@@ -1,6 +1,8 @@
 //! The simulated machine: caches + memory controller + PM + architectural
 //! state.
 
+use std::sync::Arc;
+
 use silo_cache::{CacheHierarchy, CacheHierarchyState};
 use silo_memctrl::{Admission, MemCtrl};
 use silo_pm::PmDevice;
@@ -253,11 +255,12 @@ impl Machine {
 /// clones of the PM DIMM (its media pages are Arc-COW, so this is
 /// near-free), the memory controllers, the shadow memory (Arc-COW pages
 /// too) and the probe hub (cycle accounting must resume mid-total), and
-/// the cache hierarchy's sparse per-level copy.
+/// the cache hierarchy's sparse per-level copy, which a restore only
+/// reads, so the state's clones share it.
 #[derive(Clone, Debug)]
 pub struct MachineState {
     pm: PmDevice,
-    caches: CacheHierarchyState,
+    caches: Arc<CacheHierarchyState>,
     mcs: Vec<MemCtrl>,
     shadow: ShadowMem,
     probe: ProbeHub,
@@ -269,7 +272,7 @@ impl Machine {
     pub fn snapshot(&self) -> MachineState {
         MachineState {
             pm: self.pm.clone(),
-            caches: self.caches.snapshot(),
+            caches: Arc::new(self.caches.snapshot()),
             mcs: self.mcs.clone(),
             shadow: self.shadow.clone(),
             probe: self.probe.clone(),

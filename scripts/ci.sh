@@ -108,12 +108,14 @@ smoke_stage() {
     | while read -r report; do strip_envelope "$report"; done > target/ci-all-reports.json
   golden all-reports target/ci-all-reports.json
   # One trace scope spans the invocation, so experiments share the traces
-  # they have in common: its 162 distinct keys cost 162 generations, where
-  # a scope per experiment would regenerate the shared ones (338).
+  # they have in common: its 122 distinct keys cost 122 generations, where
+  # a scope per experiment would regenerate the shared ones. fig14 fetches
+  # one 8-core trace per workload for its five multipliers, not a probe,
+  # an inner and a batched trace per cell (162 keys).
   all_cache=$(echo "$all_err" | grep '^\[trace-cache\]' | tail -n 1)
   case "$all_cache" in
-    "[trace-cache] 162 unique keys, 162 generated, "*) ;;
-    *) echo "FAIL: evaluate all: '$all_cache', want 162 unique keys, 162 generated" >&2
+    "[trace-cache] 122 unique keys, 122 generated, "*) ;;
+    *) echo "FAIL: evaluate all: '$all_cache', want 122 unique keys, 122 generated" >&2
        exit 1 ;;
   esac
   rm -rf target/reports-ci-all target/ci-all.txt target/ci-all-reports.json
@@ -460,18 +462,22 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
   echo "== trace lifetime memory gate =="
   # A run drops each trace after the last cell of its family (workload,
   # cores, seed), so the figure grids hold about one family's traces per
-  # worker: fig11 and fig14 at the benchmark's size must each peak at or
-  # under 64 MB RSS (~35 MB measured; 97 and 68 MB while every trace
-  # stayed for the process).
+  # worker: fig11 at the benchmark's size must peak at or under 64 MB RSS
+  # (~36 MB measured; 97 MB while every trace stayed for the process).
+  # A fig14 unit holds one trace, one setup fork and one machine for its
+  # workload's five multipliers at once, so fig14 must peak at or under
+  # 44 MB: figgrid's ~38 MB peak, which fig11 sets, plus the benchmark's
+  # 15 % peak_rss_mb bound (~36 MB measured).
   grid_rss_dir="target/reports-ci-grid-rss"
   rm -rf "$grid_rss_dir"
-  for exp in fig11 fig14; do
+  for gate in fig11:64 fig14:44; do
+    exp=${gate%%:*} bound=${gate#*:}
     grid_usage=$(rusage "$EVALUATE" "$exp" --txs 600 --jobs 2 --no-result-store \
       --json-dir "$grid_rss_dir")
     read -r grid_rss _ <<< "$grid_usage"
-    awk -v rss="$grid_rss" 'BEGIN { exit !(rss <= 64) }' \
-      || { echo "FAIL: $exp --txs 600 peaked at $grid_rss MB, over 64 MB" >&2; exit 1; }
-    echo "$exp --txs 600 peaked at ${grid_rss} MB"
+    awk -v rss="$grid_rss" -v bound="$bound" 'BEGIN { exit !(rss <= bound) }' \
+      || { echo "FAIL: $exp --txs 600 peaked at $grid_rss MB, over $bound MB" >&2; exit 1; }
+    echo "$exp --txs 600 peaked at ${grid_rss} MB (bound $bound MB)"
   done
   rm -rf "$grid_rss_dir"
 }

@@ -70,10 +70,10 @@ fn crash_runs_are_deterministic_too() {
     assert_eq!(runs[0], runs[1]);
 }
 
-/// A run forked at the shared prefix and the run continued from the fork
-/// each equal the same run from scratch, for every scheme, closed-loop and
-/// open-loop: statistics with cycle accounting (and sojourn latency), the
-/// event timeline and the PM image.
+/// A run forked at the shared prefix and the runs continued from the fork
+/// and from a clone of it each equal the same run from scratch, for every
+/// scheme, closed-loop and open-loop: statistics with cycle accounting
+/// (and sojourn latency), the event timeline and the PM image.
 #[test]
 fn forked_and_continued_runs_equal_runs_from_scratch() {
     use silo::baselines::{EadrSwLogScheme, SwLogScheme};
@@ -161,13 +161,15 @@ fn forked_and_continued_runs_equal_runs_from_scratch() {
                 &format!("{what} short"),
             );
 
+            // A clone continues as the fork does, and leaves the fork whole
+            // for the run that takes it.
+            let scratch = from_scratch(make, &long);
+            let mut s = make(&config);
+            let cloned = engine(&config, s.as_mut()).run_continued(&long, fork.clone());
+            assert_same(&scratch, &cloned, &format!("{what} long, from a clone"));
             let mut s = make(&config);
             let continued = engine(&config, s.as_mut()).run_continued(&long, fork);
-            assert_same(
-                &from_scratch(make, &long),
-                &continued,
-                &format!("{what} long"),
-            );
+            assert_same(&scratch, &continued, &format!("{what} long"));
         }
     }
 }

@@ -216,21 +216,50 @@ fn extends(long: &silo::sim::TraceSet, short: &silo::sim::TraceSet) -> bool {
 fn doubling_the_budget_extends_every_stream() {
     // The steady-state delta simulates the prefix an N-run shares with
     // its 2N-run once and forks; that is exact only while every generator
-    // is prefix-extensive.
+    // is prefix-extensive. Fig 14 reads each multiplier's inner streams
+    // as a prefix of one longer trace, so any larger budget must extend
+    // a smaller one, not only its double (50 -> 75: the probe's budget
+    // and `--txs 600`'s; 64 -> 72: two multipliers' inner budgets).
     assert!(fig4_set()
         .iter()
         .all(|w| REGISTRY_ROWS.contains(&w.name().to_ascii_lowercase().as_str())));
     for name in REGISTRY_ROWS {
         let w = workload_by_name(name).expect("registry row resolves");
         for cores in [1, 2, 8] {
-            for txs in [1, 7, 75] {
+            for (txs, longer) in [(1, 2), (7, 14), (75, 150), (50, 75), (64, 72)] {
                 for seed in [42, 7] {
                     let short = w.build_trace(cores, txs, seed);
-                    let long = w.build_trace(cores, 2 * txs, seed);
+                    let long = w.build_trace(cores, longer, seed);
                     assert!(
                         extends(&long, &short),
-                        "[{name}] {cores} cores, {txs} txs, seed {seed}"
+                        "[{name}] {cores} cores, {txs} -> {longer} txs, seed {seed}"
                     );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_cores_stream_does_not_depend_on_the_core_count() {
+    // Fig 14 sizes its batches from core 0 of its 8-core trace, which
+    // must be the one-core trace's stream, and reads every core's setup
+    // as its stream's first transaction.
+    for name in REGISTRY_ROWS {
+        let w = workload_by_name(name).expect("registry row resolves");
+        for seed in [42, 7] {
+            let traces = [1, 2, 8].map(|cores| w.build_trace(cores, 20, seed));
+            for trace in &traces {
+                assert!(
+                    trace.streams().iter().all(|s| s.len() == 1 + 20),
+                    "[{name}] seed {seed}: one setup transaction, then the budget"
+                );
+            }
+            for (i, stream) in traces[2].streams().iter().enumerate() {
+                for smaller in &traces[..2] {
+                    if let Some(same) = smaller.streams().get(i) {
+                        assert!(same == stream, "[{name}] seed {seed}: core {i}");
+                    }
                 }
             }
         }
