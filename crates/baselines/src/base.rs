@@ -4,7 +4,7 @@ use silo_core::LogEntry;
 use silo_sim::{EvictAction, LoggingScheme, Machine, RecoveryReport, SchemeStats, SimConfig};
 use silo_types::{CoreId, Cycles, LineAddr, PhysAddr, TxTag, Word};
 
-use crate::common::{area_bases, recover_areas, write_line, write_records, CoreCursor};
+use crate::common::{recover_areas, write_line, write_records, CoreCursor};
 
 /// The hardware logging baseline: for **every** store it writes an
 /// undo+redo log entry to the log region and flushes the updated cacheline
@@ -16,7 +16,6 @@ use crate::common::{area_bases, recover_areas, write_line, write_records, CoreCu
 #[derive(Clone, Debug)]
 pub struct BaseScheme {
     cores: Vec<CoreCursor>,
-    bases: Vec<PhysAddr>,
     stats: SchemeStats,
 }
 
@@ -27,7 +26,6 @@ impl BaseScheme {
             cores: (0..config.cores)
                 .map(|i| CoreCursor::new(config, i))
                 .collect(),
-            bases: area_bases(config),
             stats: SchemeStats::default(),
         }
     }
@@ -119,7 +117,7 @@ impl LoggingScheme for BaseScheme {
     }
 
     fn recover(&mut self, m: &mut Machine) -> RecoveryReport {
-        recover_areas(m, &self.bases, &mut self.cores)
+        recover_areas(m, &mut self.cores)
     }
 
     fn stats(&self) -> SchemeStats {

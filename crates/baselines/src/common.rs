@@ -3,7 +3,7 @@
 
 use silo_core::{recover_log_region, Record, ThreadLogArea, RECORD_BYTES};
 use silo_sim::{Machine, RecoveryReport, SimConfig};
-use silo_types::{CoreId, Cycles, PhysAddr, TxTag, LINE_BYTES, WORD_BYTES};
+use silo_types::{CoreId, Cycles, TxTag, LINE_BYTES, WORD_BYTES};
 
 /// Per-core bookkeeping common to the log-cursor baselines: the thread's log
 /// area cursor, the in-flight transaction, and the latest WPQ admission
@@ -46,13 +46,14 @@ impl CoreCursor {
 }
 
 /// The recovery every log-cursor baseline shares: replay or revoke what
-/// the log areas at `bases` hold, then truncate each core's area.
+/// the cores' log areas hold, then truncate each core's area.
 pub(crate) fn recover_areas<'c>(
     m: &mut Machine,
-    bases: &[PhysAddr],
     cursors: impl IntoIterator<Item = &'c mut CoreCursor>,
 ) -> RecoveryReport {
-    let report = recover_log_region(&mut m.pm, bases);
+    let cursors: Vec<&mut CoreCursor> = cursors.into_iter().collect();
+    let areas: Vec<ThreadLogArea> = cursors.iter().map(|c| c.area).collect();
+    let report = recover_log_region(&mut m.pm, &areas);
     for c in cursors {
         c.area.truncate();
     }
@@ -109,11 +110,4 @@ pub(crate) fn write_line(
     let adm = m.pm_write_through(now, line.base(), &image);
     cursor.cover(adm.admit);
     adm.admit
-}
-
-/// All thread log-area bases for `config`.
-pub(crate) fn area_bases(config: &SimConfig) -> Vec<PhysAddr> {
-    (0..config.cores)
-        .map(|i| config.thread_log_base(CoreId::new(i).thread()))
-        .collect()
 }

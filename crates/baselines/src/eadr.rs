@@ -16,7 +16,7 @@ use silo_core::{LogEntry, Record, RECORD_BYTES};
 use silo_sim::{EvictAction, LoggingScheme, Machine, RecoveryReport, SchemeStats, SimConfig};
 use silo_types::{CoreId, Cycles, LineAddr, PhysAddr, TxTag, Word};
 
-use crate::common::{area_bases, recover_areas, CoreCursor};
+use crate::common::{recover_areas, CoreCursor};
 
 /// Cycles of instruction overhead for composing a log entry in software.
 const SW_LOG_COMPOSE_CYCLES: u64 = 30;
@@ -35,7 +35,6 @@ const SW_LOG_COMPOSE_CYCLES: u64 = 30;
 #[derive(Clone, Debug)]
 pub struct EadrSwLogScheme {
     cores: Vec<CoreCursor>,
-    bases: Vec<PhysAddr>,
     stats: SchemeStats,
 }
 
@@ -46,7 +45,6 @@ impl EadrSwLogScheme {
             cores: (0..config.cores)
                 .map(|i| CoreCursor::new(config, i))
                 .collect(),
-            bases: area_bases(config),
             stats: SchemeStats::default(),
         }
     }
@@ -164,7 +162,7 @@ impl LoggingScheme for EadrSwLogScheme {
     }
 
     fn recover(&mut self, m: &mut Machine) -> RecoveryReport {
-        recover_areas(m, &self.bases, &mut self.cores)
+        recover_areas(m, &mut self.cores)
     }
 
     fn stats(&self) -> SchemeStats {

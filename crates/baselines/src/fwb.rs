@@ -5,7 +5,7 @@ use silo_core::{LogEntry, Record, RECORD_BYTES};
 use silo_sim::{EvictAction, LoggingScheme, Machine, RecoveryReport, SchemeStats, SimConfig};
 use silo_types::{CoreId, Cycles, LineAddr, PhysAddr, TxTag, Word};
 
-use crate::common::{area_bases, recover_areas, write_records, CoreCursor};
+use crate::common::{recover_areas, write_records, CoreCursor};
 
 /// FWB: every store writes an undo+redo log entry to the log region
 /// *before* the data may persist; updated cachelines stay dirty in the
@@ -18,7 +18,6 @@ pub struct FwbScheme {
     cores: Vec<CoreCursor>,
     /// Cycle of each core's newest log-region record.
     last_record: Vec<Cycles>,
-    bases: Vec<PhysAddr>,
     interval: u64,
     last_sweep: Cycles,
     sweeps: u64,
@@ -34,7 +33,6 @@ impl FwbScheme {
             cores: (0..config.cores)
                 .map(|i| CoreCursor::new(config, i))
                 .collect(),
-            bases: area_bases(config),
             interval: config.fwb_interval_cycles,
             last_sweep: Cycles::ZERO,
             sweeps: 0,
@@ -157,7 +155,7 @@ impl LoggingScheme for FwbScheme {
     }
 
     fn recover(&mut self, m: &mut Machine) -> RecoveryReport {
-        recover_areas(m, &self.bases, &mut self.cores)
+        recover_areas(m, &mut self.cores)
     }
 
     fn stats(&self) -> SchemeStats {

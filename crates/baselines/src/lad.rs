@@ -5,7 +5,7 @@ use silo_core::{Record, RecordKind, RECORD_BYTES};
 use silo_sim::{EvictAction, LoggingScheme, Machine, RecoveryReport, SchemeStats, SimConfig};
 use silo_types::{CoreId, Cycles, FxHashSet, LineAddr, PhysAddr, TxTag, Word};
 
-use crate::common::{area_bases, recover_areas, write_records, CoreCursor};
+use crate::common::{recover_areas, write_records, CoreCursor};
 
 #[derive(Clone, Debug)]
 struct LadCore {
@@ -34,7 +34,6 @@ struct LadCore {
 #[derive(Clone, Debug)]
 pub struct LadScheme {
     cores: Vec<LadCore>,
-    bases: Vec<PhysAddr>,
     mc_buffer_capacity: usize,
     commit_msg_cycles: u64,
     flush_chain: Cycles,
@@ -60,7 +59,6 @@ impl LadScheme {
                     prepared: Vec::new(),
                 })
                 .collect(),
-            bases: area_bases(config),
             mc_buffer_capacity: config.lad_mc_buffer_lines,
             commit_msg_cycles: config.commit_ack_cycles,
             flush_chain: config.hierarchy.flush_chain_latency(),
@@ -253,7 +251,7 @@ impl LoggingScheme for LadScheme {
         // No ID tuples are ever written: every surviving record is an undo
         // of an uncommitted transaction's slow-mode line.
         let cursors = self.cores.iter_mut().map(|c| &mut c.cursor);
-        let report = recover_areas(m, &self.bases, cursors);
+        let report = recover_areas(m, cursors);
         for c in &mut self.cores {
             c.prepared.clear();
         }

@@ -5,7 +5,7 @@ use silo_core::{LogBuffer, LogEntry, Record, RECORD_BYTES};
 use silo_sim::{EvictAction, LoggingScheme, Machine, RecoveryReport, SchemeStats, SimConfig};
 use silo_types::{CoreId, Cycles, LineAddr, PhysAddr, TxTag, Word};
 
-use crate::common::{area_bases, recover_areas, write_records, CoreCursor};
+use crate::common::{recover_areas, write_records, CoreCursor};
 
 #[derive(Clone, Debug)]
 struct MorCore {
@@ -30,7 +30,6 @@ struct MorCore {
 #[derive(Clone, Debug)]
 pub struct MorLogScheme {
     cores: Vec<MorCore>,
-    bases: Vec<PhysAddr>,
     overflow_batch: usize,
     stats: SchemeStats,
 }
@@ -46,7 +45,6 @@ impl MorLogScheme {
                     buffer: LogBuffer::new(config.log_buffer_entries),
                 })
                 .collect(),
-            bases: area_bases(config),
             overflow_batch: config.overflow_batch_entries(),
             stats: SchemeStats::default(),
         }
@@ -176,7 +174,7 @@ impl LoggingScheme for MorLogScheme {
 
     fn recover(&mut self, m: &mut Machine) -> RecoveryReport {
         let cursors = self.cores.iter_mut().map(|c| &mut c.cursor);
-        recover_areas(m, &self.bases, cursors)
+        recover_areas(m, cursors)
     }
 
     fn stats(&self) -> SchemeStats {

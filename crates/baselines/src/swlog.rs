@@ -13,7 +13,7 @@ use silo_core::{LogEntry, Record, RECORD_BYTES};
 use silo_sim::{EvictAction, LoggingScheme, Machine, RecoveryReport, SchemeStats, SimConfig};
 use silo_types::{CoreId, Cycles, LineAddr, PhysAddr, TxTag, Word};
 
-use crate::common::{area_bases, recover_areas, write_line, write_records, CoreCursor};
+use crate::common::{recover_areas, write_line, write_records, CoreCursor};
 
 /// Cycles of instruction overhead for composing a log entry in software
 /// (address arithmetic, stores to the log cacheline, clwb issue).
@@ -31,7 +31,6 @@ pub struct SwLogScheme {
     written_lines: Vec<BTreeSet<LineAddr>>,
     /// clwb + sfence acknowledgment round trip to the memory controller.
     fence_cycles: u64,
-    bases: Vec<PhysAddr>,
     stats: SchemeStats,
 }
 
@@ -46,7 +45,6 @@ impl SwLogScheme {
             // The fence waits for the MC's flush acknowledgment: one
             // memory round trip, same order as the device read latency.
             fence_cycles: config.memctrl.read_cycles,
-            bases: area_bases(config),
             stats: SchemeStats::default(),
         }
     }
@@ -143,7 +141,7 @@ impl LoggingScheme for SwLogScheme {
     }
 
     fn recover(&mut self, m: &mut Machine) -> RecoveryReport {
-        recover_areas(m, &self.bases, &mut self.cores)
+        recover_areas(m, &mut self.cores)
     }
 
     fn stats(&self) -> SchemeStats {

@@ -45,7 +45,9 @@ use silo_baselines::{
     BaseScheme, EadrSwLogScheme, FwbScheme, LadScheme, MorLogScheme, SwLogScheme,
 };
 use silo_core::SiloScheme;
-use silo_sim::{Engine, LoggingScheme, RunOutcome, SimConfig, SimStats, TraceSet, Transaction};
+use silo_sim::{
+    Engine, LoggingScheme, Machine, RunOutcome, SimConfig, SimStats, TraceSet, Transaction,
+};
 use silo_workloads::Workload;
 
 /// The evaluated designs, in the paper's legend order.
@@ -98,7 +100,9 @@ pub fn make_scheme(name: &str, config: &SimConfig) -> Box<dyn LoggingScheme> {
 /// trace, streams and arrival schedules alike (every registered generator
 /// does; a diurnal arrival ramp does not); otherwise the 2N-run starts
 /// from t=0. Either way the result equals
-/// `long.delta_from(&short)` of two from-scratch runs.
+/// `long.delta_from(&short)` of two from-scratch runs. Both runs use one
+/// machine ([`Engine::on`] resets it between them), so a cell builds its
+/// cache slabs once.
 pub fn run_delta_with(
     config: &SimConfig,
     mut factory: impl FnMut() -> Box<dyn LoggingScheme>,
@@ -109,9 +113,10 @@ pub fn run_delta_with(
     let cache = TraceCache::global();
     let short_trace = cache.get_or_build(workload, config.cores, txs_per_core, seed);
     let long_trace = cache.get_or_build(workload, config.cores, txs_per_core * 2, seed);
+    let mut machine = Machine::new(config);
     let (short, fork) = {
         let mut scheme = factory();
-        let engine = traced_engine(config, scheme.as_mut());
+        let engine = traced(Engine::on(&mut machine, scheme.as_mut()));
         if long_trace.starts_with(&short_trace) {
             let (outcome, fork) = engine.run_forking(&short_trace);
             (finish(outcome), Some(fork))
@@ -120,7 +125,7 @@ pub fn run_delta_with(
         }
     };
     let mut scheme = factory();
-    let engine = traced_engine(config, scheme.as_mut());
+    let engine = traced(Engine::on(&mut machine, scheme.as_mut()));
     let long = match fork {
         Some(fork) => engine.run_continued(&long_trace, fork),
         None => engine.run(&long_trace, None),
@@ -136,12 +141,11 @@ pub fn run_with_scheme(
     config: &SimConfig,
     streams: impl Into<TraceSet>,
 ) -> SimStats {
-    finish(traced_engine(config, scheme).run(streams, None))
+    finish(traced(Engine::new(config, scheme)).run(streams, None))
 }
 
-/// An engine whose timeline feeds the [`EventTraceSink`] when it is on.
-fn traced_engine<'a>(config: &SimConfig, scheme: &'a mut dyn LoggingScheme) -> Engine<'a> {
-    let mut engine = Engine::new(config, scheme);
+/// `engine`, its timeline feeding the [`EventTraceSink`] when it is on.
+fn traced(mut engine: Engine<'_>) -> Engine<'_> {
     EventTraceSink::global().attach(engine.machine_mut());
     engine
 }

@@ -2,12 +2,11 @@
 
 use silo_pm::PmDevice;
 use silo_sim::RecoveryReport;
-use silo_types::{FxHashSet, PhysAddr, TxTag};
+use silo_types::{FxHashSet, TxTag};
 
 use crate::{Record, RecordKind, ThreadLogArea};
 
-/// Recovers the PM data region from the per-thread log areas rooted at
-/// `area_bases`.
+/// Recovers the PM data region from the per-thread log `areas`.
 ///
 /// Classification follows the paper exactly:
 ///
@@ -21,18 +20,15 @@ use crate::{Record, RecordKind, ThreadLogArea};
 ///    re-logged within one transaction unwinds to its original value.
 ///
 /// Headers are cleared afterwards, making recovery idempotent.
-pub fn recover(pm: &mut PmDevice, area_bases: &[PhysAddr]) -> RecoveryReport {
+pub fn recover(pm: &mut PmDevice, areas: &[ThreadLogArea]) -> RecoveryReport {
     let mut report = RecoveryReport::default();
     // Each area is read once; pass 2 writes only data words and each
     // area's own header, never another area's records.
-    let areas: Vec<Vec<Record>> = area_bases
-        .iter()
-        .map(|&base| ThreadLogArea::scan(pm, base))
-        .collect();
+    let records: Vec<Vec<Record>> = areas.iter().map(|area| area.scan(pm)).collect();
 
     // Pass 1: find every committed transaction across all areas.
     let mut committed: FxHashSet<TxTag> = FxHashSet::default();
-    for rec in areas.iter().flatten() {
+    for rec in records.iter().flatten() {
         report.scanned_records += 1;
         if rec.kind == RecordKind::IdTuple {
             committed.insert(rec.tag);
@@ -41,7 +37,7 @@ pub fn recover(pm: &mut PmDevice, area_bases: &[PhysAddr]) -> RecoveryReport {
     report.committed_txs = committed.len() as u64;
 
     // Pass 2: replay / revoke per area.
-    for (&base, records) in area_bases.iter().zip(&areas) {
+    for (area, records) in areas.iter().zip(&records) {
         // Redo replay, forward order.
         for rec in records {
             match rec.kind {
@@ -65,7 +61,7 @@ pub fn recover(pm: &mut PmDevice, area_bases: &[PhysAddr]) -> RecoveryReport {
                 report.revoked_words += 1;
             }
         }
-        ThreadLogArea::clear_header(pm, base);
+        ThreadLogArea::clear_header(pm, area.base());
     }
     report
 }
@@ -75,7 +71,7 @@ mod tests {
     use super::*;
     use crate::{Record, RECORD_BYTES};
     use silo_pm::PmDeviceConfig;
-    use silo_types::{ThreadId, TxId, Word};
+    use silo_types::{PhysAddr, ThreadId, TxId, Word};
 
     const BASE: u64 = 0x10_000;
 
@@ -83,8 +79,12 @@ mod tests {
         TxTag::new(ThreadId::new(tid), TxId::new(txid))
     }
 
+    fn area(base: u64) -> ThreadLogArea {
+        ThreadLogArea::new(PhysAddr::new(base), PhysAddr::new(base + 0x10_000))
+    }
+
     fn write_area(pm: &mut PmDevice, base: u64, records: &[Record]) {
-        let mut area = ThreadLogArea::new(PhysAddr::new(base), PhysAddr::new(base + 0x10_000));
+        let mut area = area(base);
         let addr = area.reserve(records.len());
         let mut bytes = Vec::with_capacity(records.len() * RECORD_BYTES);
         for r in records {
@@ -127,7 +127,7 @@ mod tests {
                 Record::id_tuple(t),
             ],
         );
-        let report = recover(&mut pm, &[PhysAddr::new(BASE)]);
+        let report = recover(&mut pm, &[area(BASE)]);
         assert_eq!(report.committed_txs, 1);
         assert_eq!(report.replayed_words, 2);
         assert_eq!(pm.peek_word(PhysAddr::new(0x100)), Word::new(0xA2));
@@ -141,7 +141,7 @@ mod tests {
         pm.write_word(PhysAddr::new(0x200), Word::new(0xD1));
         let t = tag(1, 7);
         write_area(&mut pm, BASE, &[undo(t, 0x200, 0xD0, true)]);
-        let report = recover(&mut pm, &[PhysAddr::new(BASE)]);
+        let report = recover(&mut pm, &[area(BASE)]);
         assert_eq!(report.revoked_words, 1);
         assert_eq!(pm.peek_word(PhysAddr::new(0x200)), Word::new(0xD0));
     }
@@ -162,7 +162,7 @@ mod tests {
                 Record::id_tuple(t),
             ],
         );
-        let report = recover(&mut pm, &[PhysAddr::new(BASE)]);
+        let report = recover(&mut pm, &[area(BASE)]);
         assert_eq!(report.discarded_logs, 1);
         assert_eq!(pm.peek_word(PhysAddr::new(0x300)), Word::new(0xB2));
     }
@@ -182,7 +182,7 @@ mod tests {
                 undo(t, 0x400, 2, false), // later store saw 2
             ],
         );
-        recover(&mut pm, &[PhysAddr::new(BASE)]);
+        recover(&mut pm, &[area(BASE)]);
         assert_eq!(pm.peek_word(PhysAddr::new(0x400)), Word::new(1));
     }
 
@@ -210,10 +210,7 @@ mod tests {
             BASE + 0x10_000,
             &[undo(t2, d, 0xD0, true), undo(t2, f, 0xF0, true)],
         );
-        let report = recover(
-            &mut pm,
-            &[PhysAddr::new(BASE), PhysAddr::new(BASE + 0x10_000)],
-        );
+        let report = recover(&mut pm, &[area(BASE), area(BASE + 0x10_000)]);
         assert_eq!(report.replayed_words, 2);
         assert_eq!(report.revoked_words, 2);
         assert_eq!(pm.peek_word(PhysAddr::new(a)), Word::new(0xA2));
@@ -227,9 +224,9 @@ mod tests {
         let mut pm = PmDevice::new(PmDeviceConfig::default());
         let t = tag(0, 1);
         write_area(&mut pm, BASE, &[redo(t, 0x100, 5), Record::id_tuple(t)]);
-        let first = recover(&mut pm, &[PhysAddr::new(BASE)]);
+        let first = recover(&mut pm, &[area(BASE)]);
         assert_eq!(first.replayed_words, 1);
-        let second = recover(&mut pm, &[PhysAddr::new(BASE)]);
+        let second = recover(&mut pm, &[area(BASE)]);
         assert_eq!(second.replayed_words, 0, "headers were cleared");
         assert_eq!(pm.peek_word(PhysAddr::new(0x100)), Word::new(5));
     }
@@ -237,7 +234,7 @@ mod tests {
     #[test]
     fn empty_region_recovers_to_nothing() {
         let mut pm = PmDevice::new(PmDeviceConfig::default());
-        let report = recover(&mut pm, &[PhysAddr::new(BASE)]);
+        let report = recover(&mut pm, &[area(BASE)]);
         assert_eq!(report, RecoveryReport::default());
     }
 }

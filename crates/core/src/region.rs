@@ -135,22 +135,24 @@ impl ThreadLogArea {
         .write(pm, self.base);
     }
 
+    /// Bytes of records the area can hold after its header.
+    fn capacity_bytes(&self) -> u64 {
+        self.end.as_u64() - self.base.as_u64() - AREA_HEADER_BYTES as u64
+    }
+
     /// Reads back all valid records according to the persisted header
-    /// (recovery path). Unparseable slots terminate the scan defensively.
-    pub fn scan(pm: &PmDevice, base: PhysAddr) -> Vec<Record> {
-        let header = AreaHeader::read(pm, base);
-        let n = header.valid_bytes as usize / RECORD_BYTES;
-        let mut out = Vec::with_capacity(n);
-        let mut bytes = [0u8; RECORD_BYTES];
-        for i in 0..n {
-            let addr = base.add((AREA_HEADER_BYTES + i * RECORD_BYTES) as u64);
-            pm.peek_into(addr, &mut bytes);
-            match Record::decode(&bytes) {
-                Some(rec) => out.push(rec),
-                None => break,
-            }
-        }
-        out
+    /// (recovery path), with one device read of the records the header
+    /// bounds, or of the whole area when the header claims more.
+    /// Unparseable slots terminate the scan defensively.
+    pub fn scan(&self, pm: &PmDevice) -> Vec<Record> {
+        let header = AreaHeader::read(pm, self.base);
+        let n = header.valid_bytes.min(self.capacity_bytes()) as usize / RECORD_BYTES;
+        let mut bytes = vec![0u8; n * RECORD_BYTES];
+        pm.peek_into(self.base.add(AREA_HEADER_BYTES as u64), &mut bytes);
+        bytes
+            .chunks_exact(RECORD_BYTES)
+            .map_while(|slot| Record::decode(slot.try_into().expect("one record")))
+            .collect()
     }
 
     /// Clears the crash header after recovery completes.
@@ -229,14 +231,14 @@ mod tests {
         pm.write(addr, &bytes);
         a.write_crash_header(&mut pm);
 
-        let scanned = ThreadLogArea::scan(&pm, a.base());
+        let scanned = a.scan(&pm);
         assert_eq!(scanned, recs.to_vec());
     }
 
     #[test]
     fn scan_without_header_sees_nothing() {
         let pm = PmDevice::new(PmDeviceConfig::default());
-        assert!(ThreadLogArea::scan(&pm, PhysAddr::new(0x10_000)).is_empty());
+        assert!(area().scan(&pm).is_empty());
     }
 
     #[test]
@@ -253,7 +255,34 @@ mod tests {
         // ...then a "previous run" record lingering after them.
         let stale = a.base().add((AREA_HEADER_BYTES + 2 * RECORD_BYTES) as u64);
         pm.write(stale, &record(9, 0x900, 9).encode());
-        assert_eq!(ThreadLogArea::scan(&pm, a.base()).len(), 2);
+        assert_eq!(a.scan(&pm).len(), 2);
+    }
+
+    #[test]
+    fn a_header_past_the_area_scans_only_the_area() {
+        // A two-record area whose header claims a third record's bytes:
+        // the record stored past the area's end stays unread.
+        let mut pm = PmDevice::new(PmDeviceConfig::default());
+        let base = 0x10_000;
+        let end = base + (AREA_HEADER_BYTES + 2 * RECORD_BYTES) as u64;
+        let mut a = ThreadLogArea::new(PhysAddr::new(base), PhysAddr::new(end));
+        assert_eq!(a.capacity_bytes(), 2 * RECORD_BYTES as u64);
+        let addr = a.reserve(2);
+        let mut bytes = Vec::new();
+        for i in 0..3 {
+            bytes.extend_from_slice(&record(1, 0x100 + 8 * i, i).encode());
+        }
+        pm.write(addr, &bytes);
+        AreaHeader {
+            valid_bytes: 3 * RECORD_BYTES as u64,
+        }
+        .write(&mut pm, a.base());
+        assert_eq!(a.scan(&pm).len(), 2);
+        AreaHeader {
+            valid_bytes: u64::MAX,
+        }
+        .write(&mut pm, a.base());
+        assert_eq!(a.scan(&pm).len(), 2, "a garbage header reads one area");
     }
 
     #[test]
@@ -263,8 +292,8 @@ mod tests {
         let addr = a.reserve(1);
         pm.write(addr, &record(1, 0x100, 1).encode());
         a.write_crash_header(&mut pm);
-        assert_eq!(ThreadLogArea::scan(&pm, a.base()).len(), 1);
+        assert_eq!(a.scan(&pm).len(), 1);
         ThreadLogArea::clear_header(&mut pm, a.base());
-        assert!(ThreadLogArea::scan(&pm, a.base()).is_empty());
+        assert!(a.scan(&pm).is_empty());
     }
 }

@@ -566,8 +566,8 @@ impl LoggingScheme for SiloScheme {
     }
 
     fn recover(&mut self, m: &mut Machine) -> RecoveryReport {
-        let bases: Vec<PhysAddr> = self.cores.iter().map(|c| c.area.base()).collect();
-        let report = recovery::recover(&mut m.pm, &bases);
+        let areas: Vec<ThreadLogArea> = self.cores.iter().map(|c| c.area).collect();
+        let report = recovery::recover(&mut m.pm, &areas);
         for core in &mut self.cores {
             core.area.truncate();
             core.pending_ipu.clear();

@@ -136,7 +136,7 @@ fn recovery_replays_and_revokes_correctly() {
         pm.write(addr, &bytes);
         area.write_crash_header(&mut pm);
 
-        recover_log_region(&mut pm, &[PhysAddr::new(BASE)]);
+        recover_log_region(&mut pm, &[area]);
         for (slot, _, _) in &entries {
             let expected = if committed {
                 last_new[slot]
@@ -150,7 +150,7 @@ fn recovery_replays_and_revokes_correctly() {
             );
         }
         // Idempotence.
-        let again = recover_log_region(&mut pm, &[PhysAddr::new(BASE)]);
+        let again = recover_log_region(&mut pm, &[area]);
         assert_eq!(again.replayed_words + again.revoked_words, 0);
     });
 }

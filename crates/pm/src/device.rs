@@ -330,8 +330,9 @@ impl PmDevice {
     }
 
     /// Per-line wear counters (endurance analysis; see
-    /// [`WearTracker`](crate::WearTracker)).
-    pub fn wear(&self) -> &crate::WearTracker {
+    /// [`WearTracker`](crate::WearTracker)), derived from the media's
+    /// pages.
+    pub fn wear(&self) -> crate::WearTracker {
         self.media.wear()
     }
 

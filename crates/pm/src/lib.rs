@@ -48,7 +48,7 @@ mod wear;
 
 pub use device::{PmDevice, PmDeviceConfig};
 pub use fault::{DrainReport, EventCounters, EventKind, FaultModel};
-pub use media::Media;
+pub use media::{LineMask, Media};
 pub use onpm_buffer::{OnPmBuffer, DEFAULT_BUFFER_LINES};
 pub use stats::PmStats;
 pub use wear::{WearTracker, PCM_CELL_ENDURANCE};

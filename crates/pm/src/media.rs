@@ -6,7 +6,9 @@
 //! cloning the media (the engine's `RunOutcome::pm` snapshot, crashfuzz's
 //! per-crash-point images) is copy-on-write — the clone costs one page-table
 //! copy and refcount bumps, and only pages written *after* the snapshot are
-//! ever duplicated.
+//! ever duplicated. Each page carries its lines' wear counters, so a
+//! program is one page-table lookup, and [`Media::wear`] derives a
+//! [`WearTracker`] from the pages when one is asked for.
 
 use std::sync::Arc;
 
@@ -21,14 +23,16 @@ const PAGE_BYTES: usize = 4096;
 const LINES_PER_PAGE: usize = PAGE_BYTES / BUF_LINE_BYTES;
 
 /// One 4 KiB slab of media plus a per-buffer-line materialization bitmap
-/// (`LINES_PER_PAGE` == 16 bits). The bitmap preserves the reference
-/// `HashMap`-media notion of a "touched" line — lines count toward the
-/// footprint as soon as any write (even a fully DCW-suppressed one) or
-/// crash-time revert addresses them.
+/// (`LINES_PER_PAGE` == 16 bits) and per-line program counts. The bitmap
+/// preserves the reference `HashMap`-media notion of a "touched" line —
+/// lines count toward the footprint as soon as any write (even a fully
+/// DCW-suppressed one) or crash-time revert addresses them.
 #[derive(Clone, Debug)]
 struct Page {
     data: Box<[u8; PAGE_BYTES]>,
     touched: u16,
+    /// Programs of each line: its wear.
+    programs: [u64; LINES_PER_PAGE],
 }
 
 impl Page {
@@ -36,6 +40,7 @@ impl Page {
         Page {
             data: Box::new([0u8; PAGE_BYTES]),
             touched: 0,
+            programs: [0; LINES_PER_PAGE],
         }
     }
 }
@@ -75,7 +80,6 @@ pub struct Media {
     line_writes: u64,
     bits_programmed: u64,
     dcw_suppressed: u64,
-    wear: WearTracker,
 }
 
 #[inline]
@@ -86,20 +90,30 @@ fn split_line(line_idx: u64) -> (u64, usize) {
     )
 }
 
-/// Eight-byte chunks per buffer line: the unit of the DCW compare.
-const LINE_CHUNKS: usize = BUF_LINE_BYTES / 8;
+/// Eight-byte chunks per buffer line: the unit of the DCW compare, and of
+/// a staged line's validity ([`LineMask`]).
+pub const LINE_CHUNKS: usize = BUF_LINE_BYTES / 8;
+
+/// Which bytes of a buffer line a program applies: one little-endian
+/// byte mask per eight-byte chunk, `0xff` in each valid byte.
+pub type LineMask = [u64; LINE_CHUNKS];
+
+/// Per-byte valid flags as the chunk masks [`Media::program_line`] takes:
+/// how the reference implementations the tests keep, which flag bytes,
+/// reach the media.
+#[cfg(test)]
+pub(crate) fn line_mask(valid: &[bool; BUF_LINE_BYTES]) -> LineMask {
+    std::array::from_fn(|i| {
+        (0..8).fold(0, |m, j| {
+            m | (u64::from(valid[i * 8 + j]) * (0xff << (8 * j)))
+        })
+    })
+}
 
 /// The little-endian `u64` in the first eight bytes of `bytes`.
 #[inline]
 fn le_u64(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
-}
-
-/// Eight valid flags widened to a byte mask: `0xff` in each byte whose
-/// flag is set.
-#[inline]
-fn byte_mask(valid: &[bool]) -> u64 {
-    u64::from_le_bytes(std::array::from_fn(|j| u8::from(valid[j]))) * 0xff
 }
 
 /// The bits that differ between `old` and `new` (equal lengths): the bits a
@@ -173,7 +187,7 @@ impl Media {
     }
 
     /// Programs one full buffer line in a single read-modify-write cycle,
-    /// applying only the bytes flagged in `valid`. Returns `true` if the
+    /// applying only the bytes `mask` marks valid. Returns `true` if the
     /// media was programmed (any valid byte changed any bit); a fully
     /// unchanged program is suppressed by data-comparison-write and counts
     /// nothing.
@@ -190,15 +204,13 @@ impl Media {
         &mut self,
         line_base: PhysAddr,
         data: &[u8; BUF_LINE_BYTES],
-        valid: &[bool; BUF_LINE_BYTES],
+        masks: &LineMask,
     ) -> bool {
         assert_eq!(
             line_base.buf_line_aligned(),
             line_base,
             "program_line requires a buffer-line-aligned base"
         );
-        let masks: [u64; LINE_CHUNKS] =
-            std::array::from_fn(|i| byte_mask(&valid[i * 8..i * 8 + 8]));
         self.program(
             line_base.buf_line_index(),
             |line| {
@@ -223,11 +235,11 @@ impl Media {
 
     /// One media program of buffer line `line_idx`, with one page-table
     /// lookup: `compare` counts the bits the write would change in the
-    /// stored line, and `apply` writes it unless that count is zero, in
-    /// which case data-comparison-write suppresses it. Either way the line
-    /// is marked touched. The compare reads the page while it may still be
-    /// shared with a snapshot, so a suppressed write to an already-touched
-    /// line copies no page.
+    /// stored line, and `apply` writes it and counts one program of the
+    /// line unless that count is zero, in which case data-comparison-write
+    /// suppresses it. Either way the line is marked touched. The compare
+    /// reads the page while it may still be shared with a snapshot, so a
+    /// suppressed write to an already-touched line copies no page.
     #[inline]
     fn program(
         &mut self,
@@ -251,10 +263,11 @@ impl Media {
             self.dcw_suppressed += 1;
             return false;
         }
-        apply(&mut Arc::make_mut(page).data[range]);
+        let page = Arc::make_mut(page);
+        apply(&mut page.data[range]);
+        page.programs[slot] += 1;
         self.line_writes += 1;
         self.bits_programmed += changed_bits;
-        self.wear.record_program(line_idx);
         true
     }
 
@@ -345,9 +358,15 @@ impl Media {
         self.pages.len()
     }
 
-    /// Per-line wear counters (endurance analysis).
-    pub fn wear(&self) -> &WearTracker {
-        &self.wear
+    /// Per-line wear counters (endurance analysis), read from the pages.
+    pub fn wear(&self) -> WearTracker {
+        let mut wear = WearTracker::new();
+        for (&page, p) in &self.pages {
+            for (slot, &programs) in p.programs.iter().enumerate() {
+                wear.record_programs(page * LINES_PER_PAGE as u64 + slot as u64, programs);
+            }
+        }
+        wear
     }
 
     /// How many pages are currently shared with at least one snapshot
@@ -472,7 +491,7 @@ mod tests {
             valid[i] = true;
         }
         // ...cost exactly one media line write.
-        assert!(m.program_line(PhysAddr::new(0), &data, &valid));
+        assert!(m.program_line(PhysAddr::new(0), &data, &line_mask(&valid)));
         assert_eq!(m.line_writes(), 1);
         assert_eq!(m.read(PhysAddr::new(16), 8), vec![0x22; 8]);
         // Invalid bytes were not touched.
@@ -486,8 +505,8 @@ mod tests {
         let mut valid = [false; BUF_LINE_BYTES];
         data[0] = 5;
         valid[0] = true;
-        assert!(m.program_line(PhysAddr::new(256), &data, &valid));
-        assert!(!m.program_line(PhysAddr::new(256), &data, &valid));
+        assert!(m.program_line(PhysAddr::new(256), &data, &line_mask(&valid)));
+        assert!(!m.program_line(PhysAddr::new(256), &data, &line_mask(&valid)));
         assert_eq!(m.line_writes(), 1);
         assert_eq!(m.dcw_suppressed(), 1);
     }
@@ -497,8 +516,7 @@ mod tests {
     fn program_line_requires_alignment() {
         let mut m = Media::new();
         let data = [0u8; BUF_LINE_BYTES];
-        let valid = [false; BUF_LINE_BYTES];
-        m.program_line(PhysAddr::new(8), &data, &valid);
+        m.program_line(PhysAddr::new(8), &data, &[0; LINE_CHUNKS]);
     }
 
     #[test]
@@ -554,6 +572,8 @@ mod tests {
         #[derive(Clone, Debug, Default)]
         pub struct RefMedia {
             lines: HashMap<u64, Box<[u8; BUF_LINE_BYTES]>>,
+            /// Programs per line.
+            programs: HashMap<u64, u64>,
             line_writes: u64,
             bits_programmed: u64,
             dcw_suppressed: u64,
@@ -585,6 +605,7 @@ mod tests {
                 target.copy_from_slice(bytes);
                 self.line_writes += 1;
                 self.bits_programmed += changed_bits;
+                *self.programs.entry(idx).or_default() += 1;
                 true
             }
 
@@ -617,6 +638,7 @@ mod tests {
                 }
                 self.line_writes += 1;
                 self.bits_programmed += changed_bits;
+                *self.programs.entry(idx).or_default() += 1;
                 true
             }
 
@@ -670,6 +692,13 @@ mod tests {
             pub fn touched_lines(&self) -> usize {
                 self.lines.len()
             }
+
+            /// Every programmed line's count, hottest first, ties by line.
+            pub fn hottest_lines(&self) -> Vec<(u64, u64)> {
+                let mut v: Vec<(u64, u64)> = self.programs.iter().map(|(&l, &c)| (l, c)).collect();
+                v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                v
+            }
         }
     }
 
@@ -713,7 +742,7 @@ mod tests {
                 }
                 let a = PhysAddr::new(line);
                 assert_eq!(
-                    paged.program_line(a, &data, &valid),
+                    paged.program_line(a, &data, &line_mask(&valid)),
                     reference.program_line(a, &data, &valid),
                     "program_line divergence at {a}"
                 );
@@ -756,6 +785,11 @@ mod tests {
         assert_eq!(paged.bits_programmed(), reference.bits_programmed());
         assert_eq!(paged.dcw_suppressed(), reference.dcw_suppressed());
         assert_eq!(paged.touched_lines(), reference.touched_lines());
+        assert_eq!(
+            paged.wear().hottest_lines(usize::MAX),
+            reference.hottest_lines()
+        );
+        assert_eq!(paged.wear().total_programs(), reference.line_writes());
         // Full-image sweep over the exercised span.
         let span = 4 * PAGE_BYTES;
         assert_eq!(
@@ -794,6 +828,10 @@ mod tests {
                 "a post-snapshot write leaked into a frozen snapshot"
             );
             assert_eq!(snap.line_writes(), ref_snap.line_writes());
+            assert_eq!(
+                snap.wear().hottest_lines(usize::MAX),
+                ref_snap.hottest_lines()
+            );
         }
     }
 }

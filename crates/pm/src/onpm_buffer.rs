@@ -4,6 +4,7 @@ use std::collections::VecDeque;
 
 use silo_types::{FxHashMap, PhysAddr, BUF_LINE_BYTES};
 
+use crate::media::{LineMask, LINE_CHUNKS};
 use crate::{DrainReport, Media};
 
 /// Default number of 256 B lines in the on-PM buffer.
@@ -14,26 +15,74 @@ use crate::{DrainReport, Media};
 /// enough to hold the write burst of a committing transaction.
 pub const DEFAULT_BUFFER_LINES: usize = 64;
 
-/// One staged buffer line: data bytes plus a per-byte valid mask.
-#[derive(Clone)]
-struct Staged {
-    data: Box<[u8; BUF_LINE_BYTES]>,
-    valid: Box<[bool; BUF_LINE_BYTES]>,
+/// The byte mask of bytes `lo..hi` of one eight-byte chunk
+/// (`lo < hi <= 8`): `0xff` in each.
+#[inline]
+fn byte_span(lo: usize, hi: usize) -> u64 {
+    (u64::MAX >> (64 - 8 * (hi - lo))) << (8 * lo)
 }
 
-impl Staged {
-    fn new() -> Self {
-        Staged {
-            data: Box::new([0u8; BUF_LINE_BYTES]),
-            valid: Box::new([false; BUF_LINE_BYTES]),
+/// One staged buffer line: its line index, its data bytes, and which of
+/// them are valid as the chunk masks [`Media::program_line`] takes.
+#[derive(Clone)]
+struct Slot {
+    line: u64,
+    data: [u8; BUF_LINE_BYTES],
+    mask: LineMask,
+}
+
+impl Slot {
+    fn new(line: u64) -> Self {
+        Slot {
+            line,
+            data: [0; BUF_LINE_BYTES],
+            mask: [0; LINE_CHUNKS],
         }
+    }
+
+    /// Stages `bytes` at offset `off` of the line: last write wins.
+    fn stage(&mut self, off: usize, bytes: &[u8]) {
+        let end = off + bytes.len();
+        self.data[off..end].copy_from_slice(bytes);
+        let mut lo = off;
+        while lo < end {
+            let chunk = lo / 8;
+            let hi = end.min(chunk * 8 + 8);
+            self.mask[chunk] |= byte_span(lo - chunk * 8, hi - chunk * 8);
+            lo = hi;
+        }
+    }
+
+    /// Overlays the valid bytes at offset `off` onto `out`.
+    fn read_into(&self, off: usize, out: &mut [u8]) {
+        for (i, o) in out.iter_mut().enumerate() {
+            let j = off + i;
+            if self.mask[j / 8] >> (j % 8 * 8) & 0xff != 0 {
+                *o = self.data[j];
+            }
+        }
+    }
+
+    fn valid_bytes(&self) -> u64 {
+        self.mask
+            .iter()
+            .map(|m| u64::from(m.count_ones()))
+            .sum::<u64>()
+            / 8
+    }
+
+    /// Programs the bytes of the line that `mask` marks: all its valid
+    /// ones, or a torn prefix of them.
+    fn program(&self, media: &mut Media, mask: &LineMask) {
+        let base = PhysAddr::new(self.line * BUF_LINE_BYTES as u64);
+        media.program_line(base, &self.data, mask);
     }
 }
 
-impl std::fmt::Debug for Staged {
+impl std::fmt::Debug for Slot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let valid = self.valid.iter().filter(|&&v| v).count();
-        write!(f, "Staged({valid}/{BUF_LINE_BYTES} bytes valid)")
+        let (line, valid) = (self.line, self.valid_bytes());
+        write!(f, "Slot(line {line}, {valid}/{BUF_LINE_BYTES} bytes valid)")
     }
 }
 
@@ -56,6 +105,12 @@ impl std::fmt::Debug for Staged {
 /// by using ADR", §III-E) — crash handling simply [flushes](Self::flush_all)
 /// it.
 ///
+/// Lines stage in slots of one ring, oldest first, which is the drain
+/// order, and a map from line index to slot finds a staged line. A fill
+/// takes the next slot of the ring and a drain gives back the oldest, so
+/// staging allocates nothing once the ring holds `capacity` slots, and a
+/// clone copies only the occupied ones.
+///
 /// # Examples
 ///
 /// ```
@@ -72,8 +127,13 @@ impl std::fmt::Debug for Staged {
 #[derive(Clone, Debug)]
 pub struct OnPmBuffer {
     capacity: usize,
-    lines: FxHashMap<u64, Staged>,
-    fifo: VecDeque<u64>,
+    /// The staged lines, oldest first.
+    slots: VecDeque<Slot>,
+    /// Staged line index → its slot's sequence number, which less
+    /// `drained` is the slot's position in `slots`.
+    index: FxHashMap<u64, u64>,
+    /// Slots drained so far: the oldest slot's sequence number.
+    drained: u64,
     coalesced_hits: u64,
     fills: u64,
     forced_drains: u64,
@@ -89,12 +149,44 @@ impl OnPmBuffer {
         assert!(capacity > 0, "on-PM buffer needs at least one line");
         OnPmBuffer {
             capacity,
-            lines: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
-            fifo: VecDeque::with_capacity(capacity),
+            slots: VecDeque::with_capacity(capacity),
+            index: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
+            drained: 0,
             coalesced_hits: 0,
             fills: 0,
             forced_drains: 0,
         }
+    }
+
+    /// The staged slot of buffer line `line`, if any.
+    fn slot(&self, line: u64) -> Option<&Slot> {
+        let seq = *self.index.get(&line)?;
+        Some(&self.slots[(seq - self.drained) as usize])
+    }
+
+    fn slot_mut(&mut self, line: u64) -> Option<&mut Slot> {
+        let seq = *self.index.get(&line)?;
+        Some(&mut self.slots[(seq - self.drained) as usize])
+    }
+
+    /// Stages buffer line `line` in a new slot, the youngest. A clone's
+    /// ring holds only its occupied slots, so the first fill after one
+    /// grows it back to `capacity` at once.
+    fn fill(&mut self, line: u64) -> &mut Slot {
+        self.slots
+            .reserve(self.capacity.saturating_sub(self.slots.len()).max(1));
+        let seq = self.drained + self.slots.len() as u64;
+        self.index.insert(line, seq);
+        self.slots.push_back(Slot::new(line));
+        self.slots.back_mut().expect("just staged")
+    }
+
+    /// Takes the oldest staged line out of the buffer.
+    fn pop_oldest(&mut self) -> Option<Slot> {
+        let slot = self.slots.pop_front()?;
+        self.index.remove(&slot.line);
+        self.drained += 1;
+        Some(slot)
     }
 
     /// Stages `bytes` at `addr`, splitting across buffer lines as needed.
@@ -112,47 +204,30 @@ impl OnPmBuffer {
     }
 
     fn write_within_line(&mut self, addr: PhysAddr, bytes: &[u8], media: &mut Media) {
-        let idx = addr.buf_line_index();
+        let line = addr.buf_line_index();
         let off = addr.offset_in_buf_line();
         debug_assert!(off + bytes.len() <= BUF_LINE_BYTES);
-        if let Some(staged) = self.lines.get_mut(&idx) {
-            staged.data[off..off + bytes.len()].copy_from_slice(bytes);
-            staged.valid[off..off + bytes.len()].fill(true);
+        if let Some(slot) = self.slot_mut(line) {
+            slot.stage(off, bytes);
             self.coalesced_hits += 1;
             return;
         }
-        if self.lines.len() == self.capacity {
-            let oldest = self
-                .fifo
-                .pop_front()
-                .expect("fifo tracks every staged line");
-            self.drain_line(oldest, media);
+        if self.slots.len() == self.capacity {
+            let oldest = self.pop_oldest().expect("a full buffer has an oldest line");
+            oldest.program(media, &oldest.mask);
             self.forced_drains += 1;
         }
-        let mut staged = Staged::new();
-        staged.data[off..off + bytes.len()].copy_from_slice(bytes);
-        staged.valid[off..off + bytes.len()].fill(true);
-        self.lines.insert(idx, staged);
-        self.fifo.push_back(idx);
+        self.fill(line).stage(off, bytes);
         self.fills += 1;
-    }
-
-    fn drain_line(&mut self, idx: u64, media: &mut Media) {
-        let staged = self
-            .lines
-            .remove(&idx)
-            .expect("fifo entries always have a staged line");
-        let base = PhysAddr::new(idx * BUF_LINE_BYTES as u64);
-        media.program_line(base, &staged.data, &staged.valid);
     }
 
     /// Drains every staged line to the media, oldest first. Used at the end
     /// of a simulation and when a crash triggers the ADR drain.
     pub fn flush_all(&mut self, media: &mut Media) {
-        while let Some(idx) = self.fifo.pop_front() {
-            self.drain_line(idx, media);
+        while let Some(slot) = self.pop_oldest() {
+            slot.program(media, &slot.mask);
         }
-        debug_assert!(self.lines.is_empty());
+        debug_assert!(self.index.is_empty());
     }
 
     /// Stages `bytes` without enforcing capacity — no forced media drains.
@@ -166,13 +241,11 @@ impl OnPmBuffer {
         while !rest.is_empty() {
             let off = (cur % BUF_LINE_BYTES as u64) as usize;
             let chunk = rest.len().min(BUF_LINE_BYTES - off);
-            let idx = cur / BUF_LINE_BYTES as u64;
-            let staged = self.lines.entry(idx).or_insert_with(|| {
-                self.fifo.push_back(idx);
-                Staged::new()
-            });
-            staged.data[off..off + chunk].copy_from_slice(&rest[..chunk]);
-            staged.valid[off..off + chunk].fill(true);
+            let line = cur / BUF_LINE_BYTES as u64;
+            match self.slot_mut(line) {
+                Some(slot) => slot.stage(off, &rest[..chunk]),
+                None => self.fill(line).stage(off, &rest[..chunk]),
+            }
             cur += chunk as u64;
             rest = &rest[chunk..];
         }
@@ -195,45 +268,33 @@ impl OnPmBuffer {
         torn_keep: Option<usize>,
     ) -> DrainReport {
         let mut report = DrainReport::default();
-        if let Some(keep) = torn_keep {
-            if let Some(head) = self.fifo.front() {
-                let staged = &self.lines[head];
-                let valid_count = staged.valid.iter().filter(|&&v| v).count();
-                if valid_count > keep {
-                    let mask = truncate_mask(&staged.valid, keep);
-                    let base = PhysAddr::new(head * BUF_LINE_BYTES as u64);
-                    media.program_line(base, &staged.data, &mask);
-                    report.torn_lines += 1;
-                }
+        if let (Some(keep), Some(head)) = (torn_keep, self.slots.front()) {
+            if head.valid_bytes() > keep as u64 {
+                head.program(media, &truncate_mask(&head.mask, keep as u64));
+                report.torn_lines += 1;
             }
         }
         let mut remaining = budget;
-        while let Some(idx) = self.fifo.pop_front() {
-            let staged = self
-                .lines
-                .remove(&idx)
-                .expect("fifo entries always have a staged line");
-            let valid_count = staged.valid.iter().filter(|&&v| v).count() as u64;
-            let base = PhysAddr::new(idx * BUF_LINE_BYTES as u64);
-            if valid_count <= remaining {
-                media.program_line(base, &staged.data, &staged.valid);
-                remaining -= valid_count;
+        while let Some(slot) = self.pop_oldest() {
+            let valid = slot.valid_bytes();
+            if valid <= remaining {
+                slot.program(media, &slot.mask);
+                remaining -= valid;
                 report.drained_lines += 1;
-                report.drained_bytes += valid_count;
+                report.drained_bytes += valid;
             } else if remaining > 0 {
                 // The budget dies mid-program: a torn partial line.
-                let mask = truncate_mask(&staged.valid, remaining as usize);
-                media.program_line(base, &staged.data, &mask);
+                slot.program(media, &truncate_mask(&slot.mask, remaining));
                 report.torn_lines += 1;
                 report.drained_bytes += remaining;
-                report.discarded_bytes += valid_count - remaining;
+                report.discarded_bytes += valid - remaining;
                 remaining = 0;
             } else {
                 report.discarded_lines += 1;
-                report.discarded_bytes += valid_count;
+                report.discarded_bytes += valid;
             }
         }
-        debug_assert!(self.lines.is_empty());
+        debug_assert!(self.index.is_empty());
         report
     }
 
@@ -250,7 +311,7 @@ impl OnPmBuffer {
     /// lines are looked up once per buffer line covered, not per byte.
     pub fn read_through_into(&self, addr: PhysAddr, out: &mut [u8], media: &Media) {
         media.read_into(addr, out);
-        if self.lines.is_empty() {
+        if self.slots.is_empty() {
             return;
         }
         let mut cur = addr.as_u64();
@@ -258,12 +319,8 @@ impl OnPmBuffer {
         while pos < out.len() {
             let off = (cur % BUF_LINE_BYTES as u64) as usize;
             let chunk = (out.len() - pos).min(BUF_LINE_BYTES - off);
-            if let Some(staged) = self.lines.get(&(cur / BUF_LINE_BYTES as u64)) {
-                for i in 0..chunk {
-                    if staged.valid[off + i] {
-                        out[pos + i] = staged.data[off + i];
-                    }
-                }
+            if let Some(slot) = self.slot(cur / BUF_LINE_BYTES as u64) {
+                slot.read_into(off, &mut out[pos..pos + chunk]);
             }
             cur += chunk as u64;
             pos += chunk;
@@ -277,7 +334,7 @@ impl OnPmBuffer {
     /// buffer line covered, not per byte, and not at all when none is
     /// staged.
     pub fn patch_if_staged(&mut self, addr: PhysAddr, bytes: &[u8]) -> usize {
-        if self.lines.is_empty() {
+        if self.slots.is_empty() {
             return 0;
         }
         let mut patched = 0;
@@ -286,9 +343,8 @@ impl OnPmBuffer {
         while !rest.is_empty() {
             let off = (cur % BUF_LINE_BYTES as u64) as usize;
             let chunk = rest.len().min(BUF_LINE_BYTES - off);
-            if let Some(staged) = self.lines.get_mut(&(cur / BUF_LINE_BYTES as u64)) {
-                staged.data[off..off + chunk].copy_from_slice(&rest[..chunk]);
-                staged.valid[off..off + chunk].fill(true);
+            if let Some(slot) = self.slot_mut(cur / BUF_LINE_BYTES as u64) {
+                slot.stage(off, &rest[..chunk]);
                 patched += chunk;
             }
             cur += chunk as u64;
@@ -314,7 +370,7 @@ impl OnPmBuffer {
 
     /// Number of lines currently staged.
     pub fn occupancy(&self) -> usize {
-        self.lines.len()
+        self.slots.len()
     }
 
     /// The configured capacity in lines.
@@ -323,21 +379,20 @@ impl OnPmBuffer {
     }
 }
 
-/// A copy of `valid` keeping only the first `keep` set bytes — the
+/// A copy of `mask` keeping only its first `keep` valid bytes — the
 /// persisted prefix of a torn line program.
-fn truncate_mask(valid: &[bool; BUF_LINE_BYTES], keep: usize) -> [bool; BUF_LINE_BYTES] {
-    let mut mask = *valid;
-    let mut kept = 0;
-    for m in mask.iter_mut() {
-        if *m {
-            if kept < keep {
-                kept += 1;
-            } else {
-                *m = false;
-            }
+fn truncate_mask(mask: &LineMask, mut keep: u64) -> LineMask {
+    mask.map(|chunk| {
+        let mut kept = 0;
+        let mut rest = chunk;
+        while rest != 0 && keep > 0 {
+            let byte = 0xff << (rest.trailing_zeros() / 8 * 8);
+            kept |= byte;
+            rest &= !byte;
+            keep -= 1;
         }
-    }
-    mask
+        kept
+    })
 }
 
 #[cfg(test)]
@@ -552,6 +607,328 @@ mod tests {
         buf.flush_all(&mut media);
         assert_eq!(media.read(PhysAddr::new(250), 12), vec![7; 12]);
         assert_eq!(media.read(PhysAddr::new(262), 2), vec![2; 2]);
+    }
+
+    /// The retained reference implementation: the buffer as it was before
+    /// slots, each staged line two boxed arrays and its validity one flag
+    /// per byte, kept so the slot ring can be differentially tested
+    /// against it. Its only change is at the media boundary, where the
+    /// flags widen to the chunk masks `Media::program_line` takes.
+    mod reference {
+        use std::collections::VecDeque;
+
+        use silo_types::{FxHashMap, PhysAddr, BUF_LINE_BYTES};
+
+        use crate::media::line_mask as masks;
+        use crate::{DrainReport, Media};
+
+        #[derive(Clone)]
+        struct Staged {
+            data: Box<[u8; BUF_LINE_BYTES]>,
+            valid: Box<[bool; BUF_LINE_BYTES]>,
+        }
+
+        impl Staged {
+            fn new() -> Self {
+                Staged {
+                    data: Box::new([0u8; BUF_LINE_BYTES]),
+                    valid: Box::new([false; BUF_LINE_BYTES]),
+                }
+            }
+        }
+
+        #[derive(Clone)]
+        pub struct RefBuffer {
+            capacity: usize,
+            lines: FxHashMap<u64, Staged>,
+            fifo: VecDeque<u64>,
+            pub coalesced_hits: u64,
+            pub fills: u64,
+            pub forced_drains: u64,
+        }
+
+        impl RefBuffer {
+            pub fn new(capacity: usize) -> Self {
+                RefBuffer {
+                    capacity,
+                    lines: FxHashMap::default(),
+                    fifo: VecDeque::new(),
+                    coalesced_hits: 0,
+                    fills: 0,
+                    forced_drains: 0,
+                }
+            }
+
+            pub fn occupancy(&self) -> usize {
+                self.lines.len()
+            }
+
+            pub fn write(&mut self, addr: PhysAddr, bytes: &[u8], media: &mut Media) {
+                let mut cur = addr.as_u64();
+                let mut rest = bytes;
+                while !rest.is_empty() {
+                    let off = (cur % BUF_LINE_BYTES as u64) as usize;
+                    let chunk = rest.len().min(BUF_LINE_BYTES - off);
+                    self.write_within_line(PhysAddr::new(cur), &rest[..chunk], media);
+                    cur += chunk as u64;
+                    rest = &rest[chunk..];
+                }
+            }
+
+            fn write_within_line(&mut self, addr: PhysAddr, bytes: &[u8], media: &mut Media) {
+                let idx = addr.buf_line_index();
+                let off = addr.offset_in_buf_line();
+                if let Some(staged) = self.lines.get_mut(&idx) {
+                    staged.data[off..off + bytes.len()].copy_from_slice(bytes);
+                    staged.valid[off..off + bytes.len()].fill(true);
+                    self.coalesced_hits += 1;
+                    return;
+                }
+                if self.lines.len() == self.capacity {
+                    let oldest = self.fifo.pop_front().expect("fifo tracks every line");
+                    self.drain_line(oldest, media);
+                    self.forced_drains += 1;
+                }
+                let mut staged = Staged::new();
+                staged.data[off..off + bytes.len()].copy_from_slice(bytes);
+                staged.valid[off..off + bytes.len()].fill(true);
+                self.lines.insert(idx, staged);
+                self.fifo.push_back(idx);
+                self.fills += 1;
+            }
+
+            fn drain_line(&mut self, idx: u64, media: &mut Media) {
+                let staged = self.lines.remove(&idx).expect("staged");
+                let base = PhysAddr::new(idx * BUF_LINE_BYTES as u64);
+                media.program_line(base, &staged.data, &masks(&staged.valid));
+            }
+
+            pub fn flush_all(&mut self, media: &mut Media) {
+                while let Some(idx) = self.fifo.pop_front() {
+                    self.drain_line(idx, media);
+                }
+            }
+
+            pub fn stage_unbounded(&mut self, addr: PhysAddr, bytes: &[u8]) {
+                let mut cur = addr.as_u64();
+                let mut rest = bytes;
+                while !rest.is_empty() {
+                    let off = (cur % BUF_LINE_BYTES as u64) as usize;
+                    let chunk = rest.len().min(BUF_LINE_BYTES - off);
+                    let idx = cur / BUF_LINE_BYTES as u64;
+                    let staged = self.lines.entry(idx).or_insert_with(|| {
+                        self.fifo.push_back(idx);
+                        Staged::new()
+                    });
+                    staged.data[off..off + chunk].copy_from_slice(&rest[..chunk]);
+                    staged.valid[off..off + chunk].fill(true);
+                    cur += chunk as u64;
+                    rest = &rest[chunk..];
+                }
+            }
+
+            pub fn crash_drain(
+                &mut self,
+                media: &mut Media,
+                budget: u64,
+                torn_keep: Option<usize>,
+            ) -> DrainReport {
+                let mut report = DrainReport::default();
+                if let Some(keep) = torn_keep {
+                    if let Some(head) = self.fifo.front() {
+                        let staged = &self.lines[head];
+                        let valid_count = staged.valid.iter().filter(|&&v| v).count();
+                        if valid_count > keep {
+                            let mask = truncate(&staged.valid, keep);
+                            let base = PhysAddr::new(head * BUF_LINE_BYTES as u64);
+                            media.program_line(base, &staged.data, &masks(&mask));
+                            report.torn_lines += 1;
+                        }
+                    }
+                }
+                let mut remaining = budget;
+                while let Some(idx) = self.fifo.pop_front() {
+                    let staged = self.lines.remove(&idx).expect("staged");
+                    let valid_count = staged.valid.iter().filter(|&&v| v).count() as u64;
+                    let base = PhysAddr::new(idx * BUF_LINE_BYTES as u64);
+                    if valid_count <= remaining {
+                        media.program_line(base, &staged.data, &masks(&staged.valid));
+                        remaining -= valid_count;
+                        report.drained_lines += 1;
+                        report.drained_bytes += valid_count;
+                    } else if remaining > 0 {
+                        let mask = truncate(&staged.valid, remaining as usize);
+                        media.program_line(base, &staged.data, &masks(&mask));
+                        report.torn_lines += 1;
+                        report.drained_bytes += remaining;
+                        report.discarded_bytes += valid_count - remaining;
+                        remaining = 0;
+                    } else {
+                        report.discarded_lines += 1;
+                        report.discarded_bytes += valid_count;
+                    }
+                }
+                report
+            }
+
+            pub fn read_through_into(&self, addr: PhysAddr, out: &mut [u8], media: &Media) {
+                media.read_into(addr, out);
+                let mut cur = addr.as_u64();
+                let mut pos = 0;
+                while pos < out.len() {
+                    let off = (cur % BUF_LINE_BYTES as u64) as usize;
+                    let chunk = (out.len() - pos).min(BUF_LINE_BYTES - off);
+                    if let Some(staged) = self.lines.get(&(cur / BUF_LINE_BYTES as u64)) {
+                        for i in 0..chunk {
+                            if staged.valid[off + i] {
+                                out[pos + i] = staged.data[off + i];
+                            }
+                        }
+                    }
+                    cur += chunk as u64;
+                    pos += chunk;
+                }
+            }
+
+            pub fn patch_if_staged(&mut self, addr: PhysAddr, bytes: &[u8]) -> usize {
+                let mut patched = 0;
+                let mut cur = addr.as_u64();
+                let mut rest = bytes;
+                while !rest.is_empty() {
+                    let off = (cur % BUF_LINE_BYTES as u64) as usize;
+                    let chunk = rest.len().min(BUF_LINE_BYTES - off);
+                    if let Some(staged) = self.lines.get_mut(&(cur / BUF_LINE_BYTES as u64)) {
+                        staged.data[off..off + chunk].copy_from_slice(&rest[..chunk]);
+                        staged.valid[off..off + chunk].fill(true);
+                        patched += chunk;
+                    }
+                    cur += chunk as u64;
+                    rest = &rest[chunk..];
+                }
+                patched
+            }
+        }
+
+        fn truncate(valid: &[bool; BUF_LINE_BYTES], keep: usize) -> [bool; BUF_LINE_BYTES] {
+            let mut mask = *valid;
+            let mut kept = 0;
+            for m in mask.iter_mut() {
+                if *m {
+                    if kept < keep {
+                        kept += 1;
+                    } else {
+                        *m = false;
+                    }
+                }
+            }
+            mask
+        }
+    }
+
+    /// Seeded random `write`, `patch_if_staged`, `stage_unbounded`,
+    /// `read_through_into`, `flush_all` and `crash_drain` calls (random
+    /// budgets and torn prefixes) on the slot ring and on the reference,
+    /// each in front of its own media: the same bytes read back, the same
+    /// counters and drain reports after every call, and the same media
+    /// bytes and wear at the end. Bytes come from a small alphabet, so
+    /// data-comparison writes suppress programs often, and the ring is
+    /// replaced by its clone now and then, which holds only its occupied
+    /// slots.
+    #[test]
+    fn differential_vs_reference_buffer() {
+        const SPAN: u64 = 40 * BUF_LINE_BYTES as u64; // 2.5 media pages
+        for (case, capacity) in [1, 2, 4, 7, 64].into_iter().enumerate() {
+            let mut rng = silo_types::SplitMix64::new(0x0b_0f + case as u64);
+            let (mut media, mut reference_media) = (Media::new(), Media::new());
+            let mut buf = OnPmBuffer::new(capacity);
+            let mut reference = reference::RefBuffer::new(capacity);
+            for step in 0..3000 {
+                let addr = PhysAddr::new(rng.below(SPAN - 300));
+                let long = rng.chance(1, 4);
+                let len = 1 + rng.below(if long { 300 } else { 16 }) as usize;
+                let bytes: Vec<u8> = (0..len).map(|_| rng.below(3) as u8).collect();
+                match rng.below(20) {
+                    0..=6 => {
+                        buf.write(addr, &bytes, &mut media);
+                        reference.write(addr, &bytes, &mut reference_media);
+                    }
+                    7..=9 => assert_eq!(
+                        buf.patch_if_staged(addr, &bytes),
+                        reference.patch_if_staged(addr, &bytes),
+                        "step {step}: patch at {addr}"
+                    ),
+                    10 | 11 => {
+                        buf.stage_unbounded(addr, &bytes);
+                        reference.stage_unbounded(addr, &bytes);
+                    }
+                    12..=16 => {
+                        let (mut got, mut want) = (vec![9u8; len], vec![9u8; len]);
+                        buf.read_through_into(addr, &mut got, &media);
+                        reference.read_through_into(addr, &mut want, &reference_media);
+                        assert_eq!(got, want, "step {step}: read at {addr}");
+                    }
+                    17 => {
+                        buf.flush_all(&mut media);
+                        reference.flush_all(&mut reference_media);
+                    }
+                    18 => {
+                        let budget = match rng.below(4) {
+                            0 => 0,
+                            1 => rng.below(64),
+                            2 => rng.below(2048),
+                            _ => u64::MAX,
+                        };
+                        let torn = rng.chance(1, 2).then(|| rng.below(300) as usize);
+                        assert_eq!(
+                            buf.crash_drain(&mut media, budget, torn),
+                            reference.crash_drain(&mut reference_media, budget, torn),
+                            "step {step}: drain of {budget} bytes, torn {torn:?}"
+                        );
+                    }
+                    _ => buf = buf.clone(),
+                }
+                assert_eq!(
+                    (buf.fills(), buf.coalesced_hits(), buf.forced_drains()),
+                    (
+                        reference.fills,
+                        reference.coalesced_hits,
+                        reference.forced_drains
+                    ),
+                    "step {step}: counters"
+                );
+                assert_eq!(buf.occupancy(), reference.occupancy(), "step {step}");
+                assert_eq!(
+                    media.line_writes(),
+                    reference_media.line_writes(),
+                    "step {step}"
+                );
+            }
+            assert_eq!(media.bits_programmed(), reference_media.bits_programmed());
+            assert_eq!(media.dcw_suppressed(), reference_media.dcw_suppressed());
+            assert_eq!(
+                media.read(PhysAddr::ZERO, SPAN as usize),
+                reference_media.read(PhysAddr::ZERO, SPAN as usize),
+                "capacity {capacity}: media bytes"
+            );
+            let wear = |m: &Media| m.wear().hottest_lines(usize::MAX);
+            assert_eq!(
+                wear(&media),
+                wear(&reference_media),
+                "capacity {capacity}: wear"
+            );
+            // Every path ran: capacity pressure (the span holds 40 lines),
+            // programs, coalescing.
+            let pressed = capacity >= 40 || buf.forced_drains() > 0;
+            let counts = (
+                buf.forced_drains(),
+                media.line_writes(),
+                buf.coalesced_hits(),
+            );
+            assert!(
+                pressed && counts.1 > 100 && counts.2 > 50,
+                "capacity {capacity}: {counts:?}"
+            );
+        }
     }
 
     #[test]

@@ -8,21 +8,16 @@
 //! the observed peak write rate into a device lifetime under a given
 //! cell-endurance budget.
 //!
-//! Like the [media](crate::Media) itself, the counters are stored in
-//! `Arc`-shared pages so that cloning a tracker (part of every
-//! `RunOutcome::pm` snapshot) is copy-on-write rather than a deep copy of
-//! one entry per touched line.
-
-use std::sync::Arc;
+//! The [media](crate::Media) counts each line's programs in the page that
+//! holds the line, and derives a tracker from its pages on demand
+//! ([`Media::wear`](crate::Media::wear)), so no tracker rides along in
+//! every snapshot of the media.
 
 use silo_types::FxHashMap;
 
 /// Typical phase-change-memory cell endurance (program cycles before
 /// failure), the commonly cited 10⁸ figure for PCM.
 pub const PCM_CELL_ENDURANCE: u64 = 100_000_000;
-
-/// Wear counters per page: 64 lines × 8 B = one 512 B slab.
-const LINES_PER_PAGE: usize = 64;
 
 /// Tracks how many times each on-PM-buffer line has been programmed.
 ///
@@ -42,10 +37,8 @@ const LINES_PER_PAGE: usize = 64;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct WearTracker {
-    pages: FxHashMap<u64, Arc<[u64; LINES_PER_PAGE]>>,
-    /// Distinct lines with a non-zero count, maintained incrementally so
-    /// [`lines_touched`](Self::lines_touched) stays O(1).
-    touched: usize,
+    /// Programs per line, for every line programmed at least once.
+    lines: FxHashMap<u64, u64>,
     total: u64,
 }
 
@@ -57,28 +50,15 @@ impl WearTracker {
 
     /// Records one program of buffer line `line_index`.
     pub fn record_program(&mut self, line_index: u64) {
-        let entry = self
-            .pages
-            .entry(line_index / LINES_PER_PAGE as u64)
-            .or_insert_with(|| Arc::new([0u64; LINES_PER_PAGE]));
-        let counter = &mut Arc::make_mut(entry)[(line_index % LINES_PER_PAGE as u64) as usize];
-        if *counter == 0 {
-            self.touched += 1;
-        }
-        *counter += 1;
-        self.total += 1;
+        self.record_programs(line_index, 1);
     }
 
-    /// Iterates all `(line_index, programs)` pairs with non-zero counts, in
-    /// map (unspecified) order — callers that render must sort.
-    fn iter_counts(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.pages.iter().flat_map(|(&page, counts)| {
-            counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(move |(slot, &c)| (page * LINES_PER_PAGE as u64 + slot as u64, c))
-        })
+    /// Records `programs` programs of buffer line `line_index`.
+    pub fn record_programs(&mut self, line_index: u64, programs: u64) {
+        if programs > 0 {
+            *self.lines.entry(line_index).or_default() += programs;
+            self.total += programs;
+        }
     }
 
     /// Total line programs observed.
@@ -88,25 +68,21 @@ impl WearTracker {
 
     /// Distinct lines ever programmed.
     pub fn lines_touched(&self) -> usize {
-        self.touched
+        self.lines.len()
     }
 
     /// The most-programmed line's count — the wear-leveling worst case
     /// that bounds device lifetime.
     pub fn max_wear(&self) -> u64 {
-        self.pages
-            .values()
-            .flat_map(|counts| counts.iter().copied())
-            .max()
-            .unwrap_or(0)
+        self.lines.values().copied().max().unwrap_or(0)
     }
 
     /// Mean programs across touched lines.
     pub fn mean_wear(&self) -> f64 {
-        if self.touched == 0 {
+        if self.lines.is_empty() {
             0.0
         } else {
-            self.total as f64 / self.touched as f64
+            self.total as f64 / self.lines.len() as f64
         }
     }
 
@@ -122,7 +98,7 @@ impl WearTracker {
 
     /// The `n` most-worn lines, hottest first: `(line_index, programs)`.
     pub fn hottest_lines(&self, n: usize) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self.iter_counts().collect();
+        let mut v: Vec<(u64, u64)> = self.lines.iter().map(|(&l, &c)| (l, c)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v.truncate(n);
         v
@@ -186,17 +162,30 @@ mod tests {
 
     #[test]
     fn lines_in_distinct_pages_do_not_collide() {
+        // Line 16 is slot 0 of the media's second page, as line 0 is of
+        // its first.
         let mut w = WearTracker::new();
         w.record_program(0);
-        w.record_program(LINES_PER_PAGE as u64); // slot 0 of the next page
-        w.record_program(LINES_PER_PAGE as u64);
+        w.record_program(16);
+        w.record_program(16);
         assert_eq!(w.lines_touched(), 2);
         assert_eq!(w.max_wear(), 2);
-        assert_eq!(w.hottest_lines(2), vec![(LINES_PER_PAGE as u64, 2), (0, 1)]);
+        assert_eq!(w.hottest_lines(2), vec![(16, 2), (0, 1)]);
     }
 
     #[test]
-    fn clone_is_copy_on_write_and_independent() {
+    fn programs_record_in_bulk_as_one_by_one() {
+        let mut w = WearTracker::new();
+        w.record_programs(0, 1);
+        w.record_programs(64, 2);
+        w.record_programs(7, 0); // no program, no line
+        assert_eq!(w.lines_touched(), 2);
+        assert_eq!(w.total_programs(), 3);
+        assert_eq!(w.hottest_lines(3), vec![(64, 2), (0, 1)]);
+    }
+
+    #[test]
+    fn clones_are_independent() {
         let mut w = WearTracker::new();
         w.record_program(5);
         let snap = w.clone();

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use silo_pm::{DrainReport, EventCounters, EventKind, FaultModel};
 use silo_probe::{CycleCategory, ProbeEventKind, Signature};
-use silo_types::{CoreId, Cycles, FxHashMap, PhysAddr, TxId, TxTag, Word};
+use silo_types::{CoreId, Cycles, PhysAddr, TxId, TxTag, Word, WordImage};
 
 use crate::schemes::{EvictAction, SchemeState};
 use crate::stats::LatencyStats;
@@ -410,9 +410,10 @@ struct CoreRun {
     phase: Phase,
     txid: TxId,
     tag: TxTag,
-    // Reused across transactions (cleared at tx_begin, never dropped), so
-    // the steady-state hot loop allocates nothing per transaction.
-    cur_writes: FxHashMap<u64, Word>,
+    // The in-flight transaction's write set, recorded only on runs that
+    // feed the oracle: a commit reads it in address order, a checkpoint
+    // shares its pages, and a cut hands it to the oracle whole.
+    cur_writes: WordImage,
     committed: u64,
     // Open-system admission: a transaction may not begin before
     // `arrivals.arrivals[tx_idx]`; `None` runs the classic closed loop.
@@ -435,15 +436,9 @@ impl CoreRun {
     }
 
     fn record(&self, committed: bool, event: u64) -> TxRecord {
-        let mut writes: Vec<(PhysAddr, Word)> = self
-            .cur_writes
-            .iter()
-            .map(|(&a, &w)| (PhysAddr::new(a), w))
-            .collect();
-        writes.sort_by_key(|(a, _)| a.as_u64());
         TxRecord {
             tag: self.tag,
-            writes,
+            writes: self.cur_writes.iter().collect(),
             committed,
             event,
         }
@@ -547,9 +542,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Turns on the oracle's per-word transition log
-    /// ([`TxOracle::with_history`]): every store, commit, cut and raced
-    /// commit is logged with its durability-event index, so each violation
-    /// of a crash outcome carries its word's recent history, and
+    /// ([`TxOracle::with_history`]): every store, commit and raced commit
+    /// is logged with its durability-event index, and the verdict adds the
+    /// cut's rollbacks, so each violation of a crash outcome carries its
+    /// word's recent history, and
     /// [`CrashOutcome::spec`] repeats the verdict. Off by default. A
     /// checkpoint captured with the log on carries it, so crash plans
     /// resumed from it ([`Engine::run_resumed`]) keep it on without this
@@ -817,7 +813,7 @@ impl<'a> Engine<'a> {
                 phase: Phase::BetweenTxs,
                 txid: TxId::new(0),
                 tag: TxTag::default(),
-                cur_writes: FxHashMap::default(),
+                cur_writes: WordImage::new(),
                 committed: 0,
                 arrivals: streams.arrivals().map(|a| a[i].clone()),
                 sojourns: Vec::new(),
@@ -1176,7 +1172,7 @@ impl<'a> Engine<'a> {
                 let m = &mut *self.machine;
                 let old = m.shadow.replace(addr, new, &m.pm);
                 if self.track_txs {
-                    core.cur_writes.insert(addr.word_aligned().as_u64(), new);
+                    core.cur_writes.insert(addr, new);
                     let event = self.machine.pm.events().total();
                     self.oracle.log_store(core.tag, addr, new, event);
                 }
@@ -1236,7 +1232,8 @@ impl<'a> Engine<'a> {
         let event_at_cut = self.machine.pm.events().total();
         for core in cores.iter_mut() {
             if core.phase == Phase::InTx {
-                self.oracle.observe(core.record(false, event_at_cut));
+                let writes = std::mem::take(&mut core.cur_writes);
+                self.oracle.observe_cut(core.tag, writes, event_at_cut);
                 inflight += 1;
             }
             core.phase = Phase::Done;

@@ -76,8 +76,8 @@ const TORN: &str = VIOLATION_KINDS[2];
 pub struct TxRecord {
     /// The transaction's identity.
     pub tag: TxTag,
-    /// Final value per distinct written word (in execution order of the
-    /// *last* write to each word).
+    /// Final value per distinct written word. The engine lists them in
+    /// ascending address order; the oracle accepts any order.
     pub writes: Vec<(PhysAddr, Word)>,
     /// Whether `Tx_end` was reached before the crash (committed).
     pub committed: bool,
@@ -147,7 +147,7 @@ impl ConsistencyReport {
 }
 
 /// Tracks per-word expected values across committed transactions and the
-/// addresses touched by uncommitted ones.
+/// write sets of the transactions a crash cut.
 ///
 /// Only a crash reads the oracle, so the engine feeds it only on runs that
 /// can reach one: crash-plan runs, and checkpointing runs (a walk or a
@@ -155,15 +155,22 @@ impl ConsistencyReport {
 /// seed. Other clean runs, the forking run of a steady-state delta among
 /// them, record nothing.
 ///
-/// The expected words live in two paged copy-on-write [`WordImage`]s, so
-/// a checkpoint's copy of the oracle copies page tables, not words, and a
-/// page is duplicated only when a later commit writes to it.
-/// [`TxOracle::verify`] reads both images in ascending address order
-/// through one line-at-a-time peek of the device, sorting no keys. The
-/// optional transition log is one append-only list of every word's
-/// transitions, interleaved as they happened, so a checkpoint copies it
-/// in one allocation; `verify` reads each offending word's recent history
-/// out of it in one backward pass.
+/// The committed words live in a paged copy-on-write [`WordImage`], so a
+/// checkpoint's copy of the oracle copies a page table, not words, and a
+/// page is duplicated only when a later commit writes to it. A cut
+/// transaction's write set arrives whole, as the image its core kept
+/// ([`observe_cut`](Self::observe_cut)), and stays that image: nothing is
+/// copied or looked up per word at the cut. A word that only cut
+/// transactions wrote must read zero after recovery, since no committed
+/// value exists to roll it back to; a word some committed transaction
+/// wrote is checked against its committed value. [`TxOracle::verify`]
+/// reads the committed image and the cut sets, merged, in ascending
+/// address order through one line-at-a-time peek of the device, sorting
+/// no keys. The optional transition log is one append-only list of every
+/// word's transitions, interleaved as they happened, so a checkpoint
+/// copies it in one allocation; `verify` reads each offending word's
+/// recent history out of it in one backward pass, after the rollbacks of
+/// the cut, which are the crash's and so every word's latest transitions.
 ///
 /// The oracle relies on the paper's isolation assumption (§III-A: conflict
 /// isolation is provided by software locking), which our workloads satisfy
@@ -188,9 +195,8 @@ impl ConsistencyReport {
 pub struct TxOracle {
     /// Expected post-recovery value per word: the last committed write.
     committed_state: WordImage,
-    /// Words touched by uncommitted transactions, with the value they must
-    /// roll back to.
-    uncommitted_touched: WordImage,
+    /// The transactions the crash cut, in the order they were observed.
+    cuts: Vec<Cut>,
     /// Write sets of transactions whose commit raced the power failure:
     /// `(word key, rollback value, new value)` per write. Either outcome
     /// is legal, but it must be all-or-nothing per transaction.
@@ -202,6 +208,15 @@ pub struct TxOracle {
     /// Every word's transitions in the order they happened; `None` unless
     /// the log is on.
     history: Option<TransitionLog>,
+}
+
+/// A transaction the crash cut: its tag, its write set and the
+/// durability-event index of the cut.
+#[derive(Clone, Debug)]
+struct Cut {
+    tag: TxTag,
+    writes: WordImage,
+    event: u64,
 }
 
 impl TxOracle {
@@ -239,7 +254,8 @@ impl TxOracle {
         self.log(addr, tag, WordEventKind::Store, value, event);
     }
 
-    /// Records a finished (or crash-interrupted) transaction.
+    /// Records a finished (or crash-interrupted) transaction. An
+    /// uncommitted record is a cut ([`observe_cut`](Self::observe_cut)).
     pub fn observe(&mut self, record: TxRecord) {
         let TxRecord {
             tag,
@@ -247,20 +263,29 @@ impl TxOracle {
             committed,
             event,
         } = record;
-        if committed {
-            self.committed_txs += 1;
+        if !committed {
+            let mut set = WordImage::new();
             for (addr, value) in writes {
-                self.committed_state.insert(addr, value);
-                self.log(addr, tag, WordEventKind::Commit, value, event);
+                set.insert(addr, value);
             }
-        } else {
-            self.uncommitted_txs += 1;
-            for (addr, _) in writes {
-                let rollback = self.committed_state.get(addr).unwrap_or(Word::ZERO);
-                self.uncommitted_touched.insert(addr, rollback);
-                self.log(addr, tag, WordEventKind::Rollback, rollback, event);
-            }
+            self.observe_cut(tag, set, event);
+            return;
         }
+        self.committed_txs += 1;
+        for (addr, value) in writes {
+            self.committed_state.insert(addr, value);
+            self.log(addr, tag, WordEventKind::Commit, value, event);
+        }
+    }
+
+    /// Records a transaction that the crash cut at durability event
+    /// `event`, with `writes`, its write set, handed over whole: each of
+    /// its words must roll back to its last committed value, or to zero.
+    /// A cut is the crash's, so it comes after every other transition the
+    /// oracle records: the transition log places its rollbacks last.
+    pub fn observe_cut(&mut self, tag: TxTag, writes: WordImage, event: u64) {
+        self.uncommitted_txs += 1;
+        self.cuts.push(Cut { tag, writes, event });
     }
 
     /// Records a transaction whose `Tx_end` raced the power failure: the
@@ -284,10 +309,44 @@ impl TxOracle {
 
     /// The value atomic durability requires at `addr` after recovery.
     pub fn expected_value(&self, addr: PhysAddr) -> Word {
-        self.committed_state
-            .get(addr)
-            .or_else(|| self.uncommitted_touched.get(addr))
-            .unwrap_or(Word::ZERO)
+        self.committed_state.get(addr).unwrap_or(Word::ZERO)
+    }
+
+    /// Every word of every cut write set, each once, in ascending address
+    /// order: the sets merged.
+    fn cut_words(&self) -> impl Iterator<Item = PhysAddr> + '_ {
+        let mut sets: Vec<_> = self
+            .cuts
+            .iter()
+            .map(|cut| cut.writes.iter().map(|(addr, _)| addr).peekable())
+            .collect();
+        std::iter::from_fn(move || {
+            let next = sets
+                .iter_mut()
+                .filter_map(|set| set.peek().copied())
+                .min()?;
+            for set in &mut sets {
+                set.next_if_eq(&next);
+            }
+            Some(next)
+        })
+    }
+
+    /// The cut's rollbacks of the word at `addr`, latest first: one per
+    /// cut write set that holds it, each to the word's committed value.
+    fn cut_rollbacks(&self, addr: PhysAddr) -> Vec<WordEvent> {
+        let value = self.expected_value(addr);
+        self.cuts
+            .iter()
+            .rev()
+            .filter(|cut| cut.writes.get(addr).is_some())
+            .map(|cut| WordEvent {
+                event: cut.event,
+                tag: cut.tag,
+                kind: WordEventKind::Rollback,
+                value,
+            })
+            .collect()
     }
 
     /// Checks the PM image against the expected state. Words written by an
@@ -318,14 +377,14 @@ impl TxOracle {
             }
         }
         let mut peeker = LinePeeker::default();
-        for (addr, expected) in self.uncommitted_touched.iter() {
+        for addr in self.cut_words() {
             if self.committed_state.get(addr).is_some() || ambiguous_keys.contains(&addr.as_u64()) {
                 continue; // already checked against the committed value
             }
             let actual = peeker.word(pm, addr);
             report.words_checked += 1;
-            if actual != expected {
-                let v = Violation::new(addr, vec![expected], actual, SURVIVED);
+            if actual != Word::ZERO {
+                let v = Violation::new(addr, vec![Word::ZERO], actual, SURVIVED);
                 report.violations.push(v);
             }
         }
@@ -357,7 +416,7 @@ impl TxOracle {
         }
         report.violations.sort_by_key(|v| (v.addr.as_u64(), v.kind));
         if let Some(log) = &self.history {
-            log.attach(&mut report.violations);
+            log.attach(&mut report.violations, |addr| self.cut_rollbacks(addr));
         }
         report
     }
@@ -603,6 +662,236 @@ mod tests {
                 .all(|v| !v.kind.contains("committed write")),
             "{:?}",
             report.violations
+        );
+    }
+
+    /// The oracle as it was before cut write sets: every uncommitted
+    /// record materialized word by word into a rollback image, with its
+    /// rollbacks logged as it was observed, and `verify` reading that
+    /// image where the oracle now merges its cut sets. Ordered maps keep
+    /// it independent of `WordImage`.
+    #[derive(Default)]
+    struct MaterializingOracle {
+        committed: std::collections::BTreeMap<u64, Word>,
+        rollback: std::collections::BTreeMap<u64, Word>,
+        groups: Vec<Vec<(u64, Word, Word)>>,
+        log: Option<Vec<(u64, WordEvent)>>,
+    }
+
+    impl MaterializingOracle {
+        fn log(
+            &mut self,
+            addr: PhysAddr,
+            tag: TxTag,
+            kind: WordEventKind,
+            value: Word,
+            event: u64,
+        ) {
+            if let Some(log) = &mut self.log {
+                let e = WordEvent {
+                    event,
+                    tag,
+                    kind,
+                    value,
+                };
+                log.push((addr.as_u64(), e));
+            }
+        }
+
+        fn observe(&mut self, r: &TxRecord) {
+            for &(addr, value) in &r.writes {
+                if r.committed {
+                    self.committed.insert(addr.as_u64(), value);
+                    self.log(addr, r.tag, WordEventKind::Commit, value, r.event);
+                } else {
+                    let back = self
+                        .committed
+                        .get(&addr.as_u64())
+                        .copied()
+                        .unwrap_or(Word::ZERO);
+                    self.rollback.insert(addr.as_u64(), back);
+                    self.log(addr, r.tag, WordEventKind::Rollback, back, r.event);
+                }
+            }
+        }
+
+        fn observe_ambiguous(&mut self, r: &TxRecord) {
+            let mut group = Vec::new();
+            for &(addr, new) in &r.writes {
+                let back = self
+                    .committed
+                    .get(&addr.as_u64())
+                    .copied()
+                    .unwrap_or(Word::ZERO);
+                group.push((addr.as_u64(), back, new));
+                self.log(addr, r.tag, WordEventKind::Ambiguous, new, r.event);
+            }
+            self.groups.push(group);
+        }
+
+        fn verify(&self, pm: &PmDevice) -> ConsistencyReport {
+            let raced: FxHashSet<u64> = self.groups.iter().flatten().map(|g| g.0).collect();
+            let mut report = ConsistencyReport::default();
+            let check = |report: &mut ConsistencyReport, key: u64, legal: Word, kind| {
+                let actual = pm.peek_word(PhysAddr::new(key));
+                report.words_checked += 1;
+                if actual != legal {
+                    let v = Violation::new(PhysAddr::new(key), vec![legal], actual, kind);
+                    report.violations.push(v);
+                }
+            };
+            for (&key, &value) in &self.committed {
+                if !raced.contains(&key) {
+                    check(&mut report, key, value, LOST);
+                }
+            }
+            for (&key, &value) in &self.rollback {
+                if !self.committed.contains_key(&key) && !raced.contains(&key) {
+                    check(&mut report, key, value, SURVIVED);
+                }
+            }
+            for group in &self.groups {
+                let actual = |key| pm.peek_word(PhysAddr::new(key));
+                report.words_checked += group.len();
+                let all_new = group.iter().all(|&(k, _, new)| actual(k) == new);
+                let all_old = group.iter().all(|&(k, old, _)| actual(k) == old);
+                if !all_new && !all_old {
+                    for &(k, old, new) in group.iter().filter(|&&(k, _, new)| actual(k) != new) {
+                        let v = Violation::new(PhysAddr::new(k), vec![old, new], actual(k), TORN);
+                        report.violations.push(v);
+                    }
+                }
+            }
+            report.violations.sort_by_key(|v| (v.addr.as_u64(), v.kind));
+            if let Some(log) = &self.log {
+                for v in &mut report.violations {
+                    let all: Vec<WordEvent> = log
+                        .iter()
+                        .filter(|(key, _)| *key == v.addr.as_u64())
+                        .map(|&(_, e)| e)
+                        .collect();
+                    let keep = all.len().min(HISTORY_CAP);
+                    v.history = all[all.len() - keep..].to_vec();
+                    v.dropped_history = (all.len() - keep) as u64;
+                    v.event = all.last().map_or(0, |e| e.event);
+                }
+            }
+            report
+        }
+    }
+
+    /// One seeded run as the engine feeds the oracle, and the same run fed
+    /// to the materializing model: `cores` cores interleave transactions
+    /// over words on five pages (rewriting words, and writing words other
+    /// transactions committed), then one commit races the power failure
+    /// and the crash cuts every other core mid-transaction. Returns both
+    /// verdicts on a PM image that holds, per word, its committed value,
+    /// zero, an in-flight value or noise.
+    fn cut_run(seed: u64, cores: usize, history: bool) -> (ConsistencyReport, ConsistencyReport) {
+        let mut rng = silo_types::SplitMix64::new(seed);
+        let pool: Vec<u64> = (0..5u64)
+            .flat_map(|page| [0, 8, 16, 64, 2048, 4088].map(|off| page * 4096 + off))
+            .collect();
+        let mut oracle = if history {
+            TxOracle::with_history()
+        } else {
+            TxOracle::default()
+        };
+        let mut model = MaterializingOracle {
+            log: history.then(Vec::new),
+            ..MaterializingOracle::default()
+        };
+        // Per core: the tag and write set of its open transaction, if any.
+        let mut open: Vec<Option<(TxTag, WordImage)>> = vec![None; cores];
+        let mut txids = vec![0u16; cores];
+        let mut event = 0u64;
+        let record = |tag, set: &WordImage, committed, event| TxRecord {
+            tag,
+            writes: set.iter().collect(),
+            committed,
+            event,
+        };
+        // Steps core `c`: begins, stores or commits. Returns whether the
+        // core is now in flight with a store or more.
+        let mut step = |c: usize, rng: &mut silo_types::SplitMix64, commit_ok: bool| {
+            let Some((tag, set)) = &mut open[c] else {
+                txids[c] += 1;
+                open[c] = Some((tag(c as u8, txids[c]), WordImage::new()));
+                return false;
+            };
+            event += 1;
+            if commit_ok && !set.is_empty() && rng.chance(1, 6) {
+                let r = record(*tag, set, true, event);
+                oracle.observe(r.clone());
+                model.observe(&r);
+                open[c] = None;
+                return false;
+            }
+            let addr = PhysAddr::new(pool[rng.below(pool.len() as u64) as usize]);
+            let value = Word::new(1 + rng.below(3));
+            set.insert(addr, value);
+            oracle.log_store(*tag, addr, value, event);
+            model.log(addr, *tag, WordEventKind::Store, value, event);
+            true
+        };
+        for _ in 0..rng.below(300) + 60 {
+            let c = rng.below(cores as u64) as usize;
+            step(c, &mut rng, true);
+        }
+        // Every core ends in flight with a store or more; the last core's
+        // commit then races the power failure.
+        for c in 0..cores {
+            while !step(c, &mut rng, false) {}
+        }
+        event += 1;
+        let (tag, set) = open[cores - 1].take().expect("in flight");
+        let r = record(tag, &set, false, event);
+        oracle.observe_ambiguous(r.clone());
+        model.observe_ambiguous(&r);
+        for (tag, set) in open.into_iter().flatten() {
+            let mut r = record(tag, &set, false, event);
+            r.writes.sort_by_key(|&(a, _)| a.as_u64());
+            model.observe(&r);
+            oracle.observe_cut(tag, set, event);
+        }
+        let mut pm = PmDevice::new(PmDeviceConfig::default());
+        for &a in &pool {
+            let addr = PhysAddr::new(a);
+            let value = match rng.below(4) {
+                0 => oracle.expected_value(addr),
+                1 => Word::ZERO,
+                _ => Word::new(rng.below(4)),
+            };
+            pm.write_word(addr, value);
+        }
+        (oracle.verify(&pm), model.verify(&pm))
+    }
+
+    #[test]
+    fn cut_sets_judge_as_the_materialized_rollback_image_did() {
+        let (mut violations, mut histories, mut dropped) = (0, 0, 0);
+        for seed in 0..48u64 {
+            for history in [false, true] {
+                let cores = 3 + (seed % 3) as usize;
+                let (got, want) = cut_run(seed, cores, history);
+                assert_eq!(got, want, "seed {seed}, {cores} cores, history {history}");
+                violations += got.violations.len();
+                histories += got
+                    .violations
+                    .iter()
+                    .filter(|v| !v.history.is_empty())
+                    .count();
+                dropped += got
+                    .violations
+                    .iter()
+                    .filter(|v| v.dropped_history > 0)
+                    .count();
+            }
+        }
+        // The runs reach every part of the verdict.
+        assert!(
+            violations > 100 && histories > 50 && dropped > 10,
+            "{violations} {histories} {dropped}"
         );
     }
 

@@ -2,10 +2,11 @@
 //!
 //! With the log on ([`TxOracle::with_history`](crate::TxOracle::with_history),
 //! which [`Engine::enable_spec`](crate::Engine::enable_spec) turns on), the
-//! oracle records each word's stores, commits, rollbacks and raced commits
-//! as they happen, stamped with durability-event indices, and every
-//! [`Violation`] of its verdict carries the offending word's recent
-//! transitions. The log explains a verdict; it does not change one: the
+//! oracle records each word's stores, commits and raced commits as they
+//! happen, stamped with durability-event indices, and every [`Violation`]
+//! of its verdict carries the offending word's recent transitions: those
+//! and, last, the rollbacks of the crash's cut, which the verdict adds for
+//! the offending words alone. The log explains a verdict; it does not change one: the
 //! oracle's acceptance rules are the same with it on or off.
 
 use silo_types::{FxHashMap, PhysAddr, TxTag, Word};
@@ -72,14 +73,25 @@ impl TransitionLog {
 
     /// Fills in each violation's history in one backward pass: an
     /// offending word's last [`HISTORY_CAP`] transitions, the count of
-    /// older ones, and the event of the latest.
-    pub(crate) fn attach(&self, violations: &mut [Violation]) {
+    /// older ones, and the event of the latest. `after` names the
+    /// transitions of a word that follow every logged one, latest first
+    /// (the cut's rollbacks, which the log does not hold).
+    pub(crate) fn attach(
+        &self,
+        violations: &mut [Violation],
+        after: impl Fn(PhysAddr) -> Vec<WordEvent>,
+    ) {
         if violations.is_empty() {
             return;
         }
         let mut recent: FxHashMap<u64, (Vec<WordEvent>, u64)> = violations
             .iter()
-            .map(|v| (v.addr.as_u64(), (Vec::new(), 0)))
+            .map(|v| {
+                let mut history = after(v.addr);
+                let dropped = history.len().saturating_sub(HISTORY_CAP) as u64;
+                history.truncate(HISTORY_CAP);
+                (v.addr.as_u64(), (history, dropped))
+            })
             .collect();
         for (key, e) in self.0.iter().rev() {
             if let Some((history, dropped)) = recent.get_mut(key) {
