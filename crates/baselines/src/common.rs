@@ -81,8 +81,9 @@ pub(crate) fn write_records(
     );
     let addr = cursor.area.reserve(records.len());
     let mut buf = [0u8; MAX_RECORDS_PER_WRITE * RECORD_BYTES];
-    for (chunk, r) in buf.chunks_exact_mut(RECORD_BYTES).zip(records) {
-        chunk.copy_from_slice(&r.encode());
+    let (slots, _) = buf.as_chunks_mut::<RECORD_BYTES>();
+    for (slot, r) in slots.iter_mut().zip(records) {
+        *slot = r.encode();
     }
     let bytes = &buf[..records.len() * RECORD_BYTES];
     let dropped = m.pm.dropped();

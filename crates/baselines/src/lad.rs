@@ -3,7 +3,9 @@
 
 use silo_core::{Record, RecordKind, RECORD_BYTES};
 use silo_sim::{EvictAction, LoggingScheme, Machine, RecoveryReport, SchemeStats, SimConfig};
-use silo_types::{CoreId, Cycles, FxHashSet, LineAddr, PhysAddr, TxTag, Word};
+use silo_types::{
+    CoreId, Cycles, FxHashSet, LineAddr, PhysAddr, TxTag, Word, LINE_BYTES, WORD_BYTES,
+};
 
 use crate::common::{recover_areas, write_records, CoreCursor};
 
@@ -19,7 +21,7 @@ struct LadCore {
     /// Until the Commit message, the MC buffer still tags these lines
     /// with the transaction; a power failure invalidates the tags, so
     /// the media must revert to these images (paper §V).
-    prepared: Vec<(LineAddr, Vec<u8>)>,
+    prepared: Vec<(LineAddr, [u8; LINE_BYTES])>,
 }
 
 /// LAD: no logs in the common case. Updated cachelines evicted
@@ -142,24 +144,20 @@ impl LoggingScheme for LadScheme {
         self.slow_mode_lines += 1;
         self.stats.overflow_events += 1;
         let done = m.pm_read_at(now, line.base());
-        let old_image = m.pm.peek(line.base(), silo_types::LINE_BYTES);
+        let mut old_image = [0u8; LINE_BYTES];
+        m.pm.peek_into(line.base(), &mut old_image);
         let tag = self.cores[oi]
             .cursor
             .current_tag
             .expect("owner has an in-flight transaction");
-        let records: Vec<Record> = line
-            .words()
-            .enumerate()
-            .map(|(i, waddr)| Record {
-                kind: RecordKind::Undo,
-                flush_bit: true,
-                tag,
-                addr: waddr,
-                data: Word::from_le_bytes(
-                    old_image[i * 8..(i + 1) * 8].try_into().expect("8 bytes"),
-                ),
-            })
-            .collect();
+        let (old_words, _) = old_image.as_chunks::<WORD_BYTES>();
+        let records: [Record; LINE_BYTES / WORD_BYTES] = std::array::from_fn(|i| Record {
+            kind: RecordKind::Undo,
+            flush_bit: true,
+            tag,
+            addr: line.base().add((i * WORD_BYTES) as u64),
+            data: Word::from_le_bytes(old_words[i]),
+        });
         let n = records.len();
         let admitted = write_records(m, &mut self.cores[oi].cursor, &records, done);
         self.stats.log_entries_written_to_pm += n as u64;
@@ -171,11 +169,8 @@ impl LoggingScheme for LadScheme {
         let ci = core.as_usize();
         self.stats.transactions += 1;
         let mut t = now;
-        let written: Vec<LineAddr> = {
-            let mut v: Vec<LineAddr> = self.cores[ci].written_lines.iter().copied().collect();
-            v.sort();
-            v
-        };
+        let mut written: Vec<LineAddr> = self.cores[ci].written_lines.iter().copied().collect();
+        written.sort_unstable();
         // Prepare: drain the transaction's lines to the persistent MC
         // domain, then to PM. Each write chains through WPQ admission, so
         // a full queue back-pressures the drain.
@@ -202,7 +197,8 @@ impl LoggingScheme for LadScheme {
             // The MC buffer tags the prepared line with this transaction
             // until Commit; keep the pre-image so a power failure can
             // discard the tagged write (`on_crash`).
-            let pre = m.pm.peek(line.base(), silo_types::LINE_BYTES);
+            let mut pre = [0u8; LINE_BYTES];
+            m.pm.peek_into(line.base(), &mut pre);
             self.cores[ci].prepared.push((line, pre));
             let image = m.line_image(line);
             let adm = m.pm_write_through(t, line.base(), &image);

@@ -497,7 +497,7 @@ pub(crate) fn execute_sweeps(unit: &[&CellSpec]) -> Vec<CellOutcome> {
     let target = |txs| Target::new(scheme, workload, None, txs, first.seed, false);
     let t = target(txs_per_core);
     // Every engine of the unit, shrink sweeps included, runs on these.
-    let mut machines = [Machine::new(&t.config), Machine::new(&t.config)];
+    let mut machines = crate::runner::lease(&t.config);
     let mut results: Vec<Vec<PointResult>> = faults.iter().map(|_| Vec::new()).collect();
     let pick = |total| point.map_or_else(|| spaced(total, points), |n| vec![n]);
     let stats = t.sweep(&mut machines, &faults, checkpoints, pick, |f, r| {
@@ -971,10 +971,11 @@ pub(crate) fn execute_fuzz(cell: &CellSpec) -> CellOutcome {
     let target = Target::new(scheme, workload, arrival, txs_per_core, seed, true);
     // Every engine of the cell runs on this one machine: the walk ends
     // before the first candidate runs.
-    let mut machine = Machine::new(&target.config);
+    let mut lease = crate::runner::lease(&target.config);
+    let [machine] = &mut *lease;
     // Clean reference run: fixes the durability-event axis length, and
     // logs each loop step's position on it for the walk below.
-    let (clean, steps) = target.clean_run(&mut machine);
+    let (clean, steps) = target.clean_run(machine);
     let total = clean.pm.events().total();
     // A fixed --crash-event collapses the whole search to one exact
     // candidate; otherwise the seeds are evenly spaced events per allowed
@@ -999,7 +1000,7 @@ pub(crate) fn execute_fuzz(cell: &CellSpec) -> CellOutcome {
         .collect();
     drop(steps);
     let mut checkpoints = Vec::new();
-    target.walk(&mut machine, &stops, |_, cp| {
+    target.walk(machine, &stops, |_, cp| {
         checkpoints.push(cp);
         true
     });
@@ -1029,7 +1030,7 @@ pub(crate) fn execute_fuzz(cell: &CellSpec) -> CellOutcome {
             .iter()
             .rev()
             .find(|cp| cp.precedes(cand.trigger));
-        let out = target.run(&mut machine, cand, from);
+        let out = target.run(machine, cand, from);
         executed += 1;
         let crash = out.crash.as_ref().expect("crash injected");
         let signature = out.signature.expect("signature recorder enabled");

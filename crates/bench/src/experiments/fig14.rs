@@ -10,7 +10,7 @@
 use std::fmt::Write as _;
 
 use silo_core::SiloScheme;
-use silo_sim::{Engine, ForkPoint, Machine, SimConfig, Transaction};
+use silo_sim::{Engine, ForkPoint, SimConfig, Transaction};
 use silo_types::JsonValue;
 
 use crate::cellspec::{CellSpec, CellWork, WorkloadSpec};
@@ -82,14 +82,15 @@ pub(crate) fn execute_large_txs(unit: &[&CellSpec]) -> Vec<CellOutcome> {
     }
 
     let config = SimConfig::table_ii(CORES);
-    let mut machine = Machine::new(&config);
+    let mut lease = crate::runner::lease(&config);
+    let [machine] = &mut *lease;
     let fork = {
         #[cfg(test)]
         tests::SETUP_RUNS.with(|n| n.set(n.get() + 1));
         let setup: Vec<Vec<Transaction>> =
             trace.streams().iter().map(|s| s[..1].to_vec()).collect();
         let mut silo = SiloScheme::new(&config);
-        let mut engine = Engine::on(&mut machine, &mut silo);
+        let mut engine = Engine::on(&mut *machine, &mut silo);
         // The continuations take the probes from the fork: each sinks
         // its own timeline, and nothing reads the setup run's.
         EventTraceSink::global().attach(engine.machine_mut());
@@ -102,7 +103,7 @@ pub(crate) fn execute_large_txs(unit: &[&CellSpec]) -> Vec<CellOutcome> {
             .map(|s| batch_stream(&s[..=inner], group))
             .collect();
         let mut silo = SiloScheme::new(&config);
-        let stats = finish(Engine::on(&mut machine, &mut silo).run_continued(streams, from));
+        let stats = finish(Engine::on(&mut *machine, &mut silo).run_continued(streams, from));
         let ops = stats.txs_committed * group as u64;
         let overflow = stats.scheme_stats.overflow_events;
         let tp = ops as f64 / stats.sim_cycles.as_u64() as f64;

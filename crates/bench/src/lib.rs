@@ -45,9 +45,7 @@ use silo_baselines::{
     BaseScheme, EadrSwLogScheme, FwbScheme, LadScheme, MorLogScheme, SwLogScheme,
 };
 use silo_core::SiloScheme;
-use silo_sim::{
-    Engine, LoggingScheme, Machine, RunOutcome, SimConfig, SimStats, TraceSet, Transaction,
-};
+use silo_sim::{Engine, LoggingScheme, RunOutcome, SimConfig, SimStats, TraceSet, Transaction};
 use silo_workloads::Workload;
 
 /// The evaluated designs, in the paper's legend order.
@@ -98,11 +96,12 @@ pub fn make_scheme(name: &str, config: &SimConfig) -> Box<dyn LoggingScheme> {
 /// N-run captures its [`ForkPoint`](silo_sim::ForkPoint) there and the
 /// 2N-run continues from it. This needs the 2N trace to start with the N
 /// trace, streams and arrival schedules alike (every registered generator
-/// does; a diurnal arrival ramp does not); otherwise the 2N-run starts
-/// from t=0. Either way the result equals
+/// does; a diurnal arrival ramp does not), which the trace cache checks
+/// once per trace pair ([`TraceCache::get_or_build_pair`]); otherwise the
+/// 2N-run starts from t=0. Either way the result equals
 /// `long.delta_from(&short)` of two from-scratch runs. Both runs use one
-/// machine ([`Engine::on`] resets it between them), so a cell builds its
-/// cache slabs once.
+/// machine ([`Engine::on`] resets it between them), which a worker of
+/// the runner lends from its pool, so a cell builds no cache slab.
 pub fn run_delta_with(
     config: &SimConfig,
     mut factory: impl FnMut() -> Box<dyn LoggingScheme>,
@@ -110,14 +109,14 @@ pub fn run_delta_with(
     txs_per_core: usize,
     seed: u64,
 ) -> SimStats {
-    let cache = TraceCache::global();
-    let short_trace = cache.get_or_build(workload, config.cores, txs_per_core, seed);
-    let long_trace = cache.get_or_build(workload, config.cores, txs_per_core * 2, seed);
-    let mut machine = Machine::new(config);
+    let (short_trace, long_trace, extends) =
+        TraceCache::global().get_or_build_pair(workload, config.cores, txs_per_core, seed);
+    let mut lease = runner::lease(config);
+    let [machine] = &mut *lease;
     let (short, fork) = {
         let mut scheme = factory();
-        let engine = traced(Engine::on(&mut machine, scheme.as_mut()));
-        if long_trace.starts_with(&short_trace) {
+        let engine = traced(Engine::on(machine, scheme.as_mut()));
+        if extends {
             let (outcome, fork) = engine.run_forking(&short_trace);
             (finish(outcome), Some(fork))
         } else {
@@ -125,7 +124,7 @@ pub fn run_delta_with(
         }
     };
     let mut scheme = factory();
-    let engine = traced(Engine::on(&mut machine, scheme.as_mut()));
+    let engine = traced(Engine::on(machine, scheme.as_mut()));
     let long = match fork {
         Some(fork) => engine.run_continued(&long_trace, fork),
         None => engine.run(&long_trace, None),

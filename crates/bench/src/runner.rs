@@ -12,7 +12,11 @@
 //! multiplier cells of one Fig 14 workload) go to one worker together, in
 //! the order of each unit's first cell, and run in one call that shares
 //! their common work; every other cell is a unit of one. Nothing a unit's
-//! call builds outlives it.
+//! call builds outlives it but its machines: each worker keeps the ones
+//! its cells ran on (`lease`) and lends them to its next cells, whose
+//! engines reset them, so a run builds the cache slabs of each geometry
+//! once per worker instead of once per cell, and drops them when the
+//! worker ends.
 //!
 //! Every unit resolves through the process-wide [`ResultStore`]: with the
 //! store enabled, a cell whose spec hash this build has computed before
@@ -37,9 +41,12 @@
 //! to the caller: a debug assertion in a crash cell (the resume-vs-scratch
 //! check) must fail the run that hits it. The scope's traces go with it.
 
+use std::cell::RefCell;
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+use silo_sim::{Machine, SimConfig};
 
 use crate::cellspec::{CellSpec, UnitKey};
 use crate::exp::{CellLabel, CellOutcome};
@@ -100,15 +107,17 @@ impl TraceScope {
             }
         };
         if jobs <= 1 || units.len() <= 1 {
-            units.iter().for_each(|unit| run(unit));
+            as_worker(|| units.iter().for_each(|unit| run(unit)));
         } else {
             let cursor = AtomicUsize::new(0);
             std::thread::scope(|scope| {
                 for _ in 0..jobs.min(units.len()) {
-                    scope.spawn(|| loop {
-                        let u = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(unit) = units.get(u) else { break };
-                        run(unit);
+                    scope.spawn(|| {
+                        as_worker(|| loop {
+                            let u = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(unit) = units.get(u) else { break };
+                            run(unit);
+                        })
                     });
                 }
             });
@@ -124,6 +133,75 @@ impl TraceScope {
                 (spec.label, outcome)
             })
             .collect()
+    }
+}
+
+thread_local! {
+    /// The idle machines of the worker on this thread; `None` outside a
+    /// worker.
+    static MACHINES: RefCell<Option<Vec<Machine>>> = const { RefCell::new(None) };
+}
+
+/// Runs `work` as a worker: the machines its cells lease ([`lease`])
+/// come back to this thread's pool for its next cells, and the pool is
+/// dropped when `work` returns or unwinds.
+fn as_worker<R>(work: impl FnOnce() -> R) -> R {
+    struct Pool;
+    impl Drop for Pool {
+        fn drop(&mut self) {
+            MACHINES.with_borrow_mut(|pool| *pool = None);
+        }
+    }
+    MACHINES.with_borrow_mut(|pool| *pool = Some(Vec::new()));
+    let _pool = Pool;
+    work()
+}
+
+/// `N` machines of one configuration that a cell runs its engines on
+/// ([`lease`]).
+pub(crate) struct Lease<const N: usize>(Option<[Machine; N]>);
+
+/// Leases `N` machines of `config`, to be run only through
+/// [`Engine::on`](silo_sim::Engine::on), whose reset makes each the idle
+/// machine [`Machine::new`] builds from `config`. Inside a worker they
+/// come from its pool with `config` set (the reset keeps the cache slabs
+/// of every geometry `config` shares) and go back to it when the lease
+/// drops; a pool short of machines, or a call outside any worker (a cell
+/// executed directly), builds them.
+pub(crate) fn lease<const N: usize>(config: &SimConfig) -> Lease<N> {
+    Lease(Some(std::array::from_fn(|_| {
+        match MACHINES.with_borrow_mut(|pool| pool.as_mut().and_then(Vec::pop)) {
+            Some(mut machine) => {
+                machine.config.clone_from(config);
+                machine
+            }
+            None => Machine::new(config),
+        }
+    })))
+}
+
+impl<const N: usize> std::ops::Deref for Lease<N> {
+    type Target = [Machine; N];
+
+    fn deref(&self) -> &[Machine; N] {
+        self.0.as_ref().expect("held until dropped")
+    }
+}
+
+impl<const N: usize> std::ops::DerefMut for Lease<N> {
+    fn deref_mut(&mut self) -> &mut [Machine; N] {
+        self.0.as_mut().expect("held until dropped")
+    }
+}
+
+impl<const N: usize> Drop for Lease<N> {
+    fn drop(&mut self) {
+        let machines = self.0.take().expect("dropped once");
+        MACHINES.with_borrow_mut(|pool| {
+            if let Some(pool) = pool {
+                pool.extend(machines);
+            }
+        });
     }
 }
 
@@ -226,6 +304,73 @@ mod tests {
             units(&cells),
             [vec![0, 3, 6], vec![1], vec![2], vec![4], vec![5]]
         );
+    }
+
+    /// An outcome's statistics and values, bit for bit.
+    fn exact(outcome: &CellOutcome) -> (Option<String>, Vec<(String, u64)>) {
+        let stats = outcome.stats.as_ref().map(|s| s.to_json().to_string());
+        let values = outcome.values.iter();
+        (
+            stats,
+            values.map(|(k, v)| (k.clone(), v.to_bits())).collect(),
+        )
+    }
+
+    #[test]
+    fn pooled_machines_run_cells_as_new_ones_do() {
+        use crate::cellspec::{ConfigDelta, FaultSpec, RunSpec, WorkloadSpec};
+        let delta = |scheme: &str, workload: &str, cores, config| {
+            let mut run = RunSpec::table_ii(scheme, WorkloadSpec::plain(workload), cores, 6);
+            run.config = config;
+            CellWork::Delta(run)
+        };
+        let tiny = ConfigDelta {
+            tiny_hierarchy: true,
+            num_mcs: Some(2),
+            ..ConfigDelta::default()
+        };
+        // One worker runs them all, so every cell after the first leases
+        // a machine another geometry or kind of cell used last; the sweep
+        // leases two at once.
+        let works = vec![
+            delta("Silo", "Hash", 8, ConfigDelta::default()),
+            delta("Base", "Array", 1, tiny),
+            CellWork::CrashSweep {
+                scheme: "LAD".into(),
+                workload: "Hash".into(),
+                txs_per_core: 4,
+                fault: FaultSpec::Battery(64),
+                points: 2,
+                point: None,
+                checkpoints: true,
+            },
+            CellWork::LargeTx {
+                workload: "Queue".into(),
+                mult: 2,
+                txs: 40,
+            },
+            CellWork::Fuzz {
+                scheme: "Silo".into(),
+                workload: "Hash".into(),
+                txs_per_core: 4,
+                execs: 3,
+                fault: None,
+                crash_event: None,
+                recovery_crash: None,
+                arrival: None,
+                corpus: None,
+            },
+            delta("LAD", "TPCC", 2, ConfigDelta::default()),
+        ];
+        let cells: Vec<CellSpec> = works
+            .into_iter()
+            .map(|work| CellSpec::new(CellLabel::default(), 7, work))
+            .collect();
+        let pooled = run_cells(cells.clone(), 1);
+        for (cell, (_, outcome)) in cells.iter().zip(&pooled) {
+            // Outside any worker a cell builds machines of its own.
+            assert_eq!(exact(outcome), exact(&cell.execute()), "{:?}", cell.work);
+        }
     }
 
     #[test]

@@ -136,6 +136,9 @@ struct State {
 #[derive(Default)]
 struct Slot {
     trace: Arc<OnceLock<TraceSet>>,
+    /// Whether the trace starts with its key's trace at half the budget
+    /// ([`TraceCache::get_or_build_pair`]), once a pair asked.
+    extends_half: Arc<OnceLock<bool>>,
     /// The families whose cells fetched it; it goes when the last ends.
     families: Vec<TraceFamily>,
     /// Fetched outside any run: resident for the process.
@@ -206,6 +209,42 @@ impl TraceCache {
         txs_per_core: usize,
         seed: u64,
     ) -> TraceSet {
+        self.fetch(workload, cores, txs_per_core, seed).0
+    }
+
+    /// The trace pair of a steady-state delta: the traces of
+    /// `(workload, cores, txs_per_core, seed)` and of twice that budget,
+    /// each resolved as [`TraceCache::get_or_build`] resolves it, and
+    /// whether the longer starts with the shorter
+    /// ([`TraceSet::starts_with`]). The answer stays with the longer
+    /// trace, so the deep compare runs once per pair, not once per cell
+    /// that asks.
+    pub fn get_or_build_pair(
+        &self,
+        workload: &dyn Workload,
+        cores: usize,
+        txs_per_core: usize,
+        seed: u64,
+    ) -> (TraceSet, TraceSet, bool) {
+        let short = self.get_or_build(workload, cores, txs_per_core, seed);
+        let (long, extends_half) = self.fetch(workload, cores, txs_per_core * 2, seed);
+        let extends = *extends_half.get_or_init(|| {
+            #[cfg(test)]
+            tests::PAIR_COMPARES.with(|n| n.set(n.get() + 1));
+            long.starts_with(&short)
+        });
+        (short, long, extends)
+    }
+
+    /// [`TraceCache::get_or_build`], plus the slot's memo of whether the
+    /// trace extends its half-budget trace.
+    fn fetch(
+        &self,
+        workload: &dyn Workload,
+        cores: usize,
+        txs_per_core: usize,
+        seed: u64,
+    ) -> (TraceSet, Arc<OnceLock<bool>>) {
         let key = TraceKey {
             ident: workload.trace_ident(),
             cores,
@@ -213,7 +252,7 @@ impl TraceCache {
             seed,
         };
         let cell = CELL.with(|c| c.borrow().clone());
-        let slot = {
+        let (slot, extends_half) = {
             let mut state = self.lock();
             let State {
                 slots,
@@ -237,7 +276,7 @@ impl TraceCache {
                 }
                 None => {}
             }
-            let trace = Arc::clone(&slot.trace);
+            let trace = (Arc::clone(&slot.trace), Arc::clone(&slot.extends_half));
             *peak = (*peak).max(slots.len());
             trace
         };
@@ -250,7 +289,7 @@ impl TraceCache {
         if !generated {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        trace.clone()
+        (trace.clone(), extends_half)
     }
 
     /// Opens a run whose cells name `families`, one entry per cell: each
@@ -327,6 +366,41 @@ impl Drop for TraceRun<'_> {
 mod tests {
     use super::*;
     use silo_workloads::BankWorkload;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Deep trace-pair compares this thread ran.
+        pub(super) static PAIR_COMPARES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    #[test]
+    fn a_pair_compares_its_traces_once_however_many_ask() {
+        use crate::cellspec::WorkloadSpec;
+        use silo_workloads::ArrivalProcess;
+        let cache = TraceCache::new();
+        let bank = BankWorkload::default();
+        let diurnal = WorkloadSpec::open(
+            "Hash",
+            ArrivalProcess::Diurnal {
+                start_gap: 2000,
+                end_gap: 100,
+            },
+        )
+        .instantiate();
+        // Bank's 2N trace extends its N trace; a diurnal ramp's arrivals
+        // do not, and its pair says so, to take the from-t=0 path.
+        for (w, extends) in [(&bank as &dyn Workload, true), (&*diurnal, false)] {
+            let before = PAIR_COMPARES.with(Cell::get);
+            for _ in 0..5 {
+                let (short, long, answer) = cache.get_or_build_pair(w, 2, 6, 42);
+                assert_eq!(answer, extends, "{}", w.trace_ident());
+                assert_eq!(long.starts_with(&short), extends);
+                assert_eq!(short, cache.get_or_build(w, 2, 6, 42));
+                assert_eq!(long, cache.get_or_build(w, 2, 12, 42));
+            }
+            assert_eq!(PAIR_COMPARES.with(Cell::get) - before, 1);
+        }
+    }
 
     #[test]
     fn same_key_generates_once_and_hits_after() {

@@ -297,10 +297,28 @@ impl CacheHierarchy {
     /// Returns the hierarchy to the state [`CacheHierarchy::new`] builds,
     /// keeping every level's slab (see [`SetAssocCache::reset`]).
     pub fn reset(&mut self) {
-        for level in self.l1.iter_mut().chain(&mut self.l2) {
-            level.reset();
+        self.reset_to(self.config);
+    }
+
+    /// Turns the hierarchy into the one [`CacheHierarchy::new`] builds
+    /// from `config`, keeping the slab of every level whose geometry
+    /// `config` shares: a worker that runs machines of 1 to 8 cores
+    /// builds one shared level and 8 private pairs in all.
+    pub fn reset_to(&mut self, config: HierarchyConfig) {
+        fn keep(levels: &mut Vec<SetAssocCache>, cores: usize, geometry: CacheConfig) {
+            levels.retain(|level| level.config() == geometry);
+            levels.truncate(cores);
+            levels.iter_mut().for_each(SetAssocCache::reset);
+            levels.resize_with(cores, || SetAssocCache::new(geometry));
         }
-        self.l3.reset();
+        keep(&mut self.l1, config.cores, config.l1);
+        keep(&mut self.l2, config.cores, config.l2);
+        if self.l3.config() == config.l3 {
+            self.l3.reset();
+        } else {
+            self.l3 = SetAssocCache::new(config.l3);
+        }
+        self.config = config;
         self.pm_writebacks = 0;
     }
 
@@ -524,6 +542,41 @@ mod tests {
         // Force line(0) into L2 dirty while also dirty in... actually it
         // moves; just assert the list contains it exactly once.
         assert_eq!(h.all_dirty_lines(), vec![line(0)]);
+    }
+
+    #[test]
+    fn a_hierarchy_reset_to_another_config_runs_like_a_new_one() {
+        let small = *tiny().config();
+        let configs = [
+            HierarchyConfig { cores: 3, ..small },
+            HierarchyConfig::table_ii(2),
+            HierarchyConfig::table_ii(4),
+            HierarchyConfig { cores: 1, ..small },
+            HierarchyConfig::table_ii(1),
+        ];
+        let mut rng = silo_types::SplitMix64::new(0x5e7);
+        let mut reused = tiny();
+        for config in configs {
+            // Leave lines behind in every level before the switch.
+            for _ in 0..200 {
+                let core = CoreId::new(rng.below(reused.config().cores as u64) as usize);
+                reused.access(core, line(rng.below(64)), rng.chance(1, 2));
+            }
+            reused.reset_to(config);
+            let mut fresh = CacheHierarchy::new(config);
+            for step in 0..400 {
+                let core = CoreId::new(rng.below(config.cores as u64) as usize);
+                let (l, write) = (line(rng.below(64)), rng.chance(1, 2));
+                assert_eq!(
+                    reused.access(core, l, write),
+                    fresh.access(core, l, write),
+                    "{step}"
+                );
+            }
+            assert_eq!(reused.stats(), fresh.stats());
+            assert_eq!(reused.all_dirty_lines(), fresh.all_dirty_lines());
+            assert_eq!(reused.config(), fresh.config());
+        }
     }
 
     #[test]

@@ -65,11 +65,21 @@ pub struct AccessOutcome {
     pub evicted: Option<Evicted>,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Way {
-    tag: u64, // full line index; the set already encodes the low bits
-    dirty: bool,
-    lru: u64,
+/// The dirty flag of a tag word.
+const DIRTY: u64 = 1 << 63;
+
+/// The tag word of a clean `line`: its line index plus one, so that 0,
+/// the word of an empty way, names no line.
+#[inline]
+fn key_of(line: LineAddr) -> u64 {
+    line.index() + 1
+}
+
+/// The line a non-empty tag word holds.
+fn line_of(tag: u64) -> LineAddr {
+    LineAddr::containing(silo_types::PhysAddr::new(
+        ((tag & !DIRTY) - 1) * LINE_BYTES as u64,
+    ))
 }
 
 /// One set-associative, write-back, write-allocate cache level with true
@@ -93,13 +103,16 @@ pub struct SetAssocCache {
     config: CacheConfig,
     /// `sets - 1`: a line's set is the low bits of its line index.
     set_mask: u64,
-    /// All ways in one flat slab, set-major: set `s` owns
-    /// `ways[s * config.ways .. (s + 1) * config.ways]`. One allocation
-    /// per cache level — constructing the Table II hierarchy used to make
-    /// one `Vec` per set (8192 for the L3 alone), a real cost for sweeps
-    /// that build thousands of short-lived machines (crashfuzz). A set's
-    /// slots mean something only while the set is live (see `stamps`).
-    ways: Vec<Option<Way>>,
+    /// One tag word per way, in one flat set-major slab: set `s` owns
+    /// `tags[s * config.ways .. (s + 1) * config.ways]`. A tag word is the
+    /// line index plus one with the dirty flag in bit 63, and 0 in an
+    /// empty way, so a new level's slab is zeroed memory no loop fills,
+    /// and a probe of a 16-way set reads two host cache lines. A set's
+    /// words mean something only while the set is live (see `stamps`).
+    tags: Vec<u64>,
+    /// The LRU tick of each way, parallel to `tags`; read only for an
+    /// occupied way, so an emptied way keeps a stale one.
+    ticks: Vec<u64>,
     /// The epoch each set was last written in. Set `s` is live iff
     /// `stamps[s] == epoch`; a stale set reads as empty and is cleared on
     /// its first write of the current epoch, so dropping every line is
@@ -132,7 +145,8 @@ impl SetAssocCache {
         SetAssocCache {
             config,
             set_mask: sets as u64 - 1,
-            ways: vec![None; config.ways * sets],
+            tags: vec![0; config.lines()],
+            ticks: vec![0; config.lines()],
             stamps: vec![0; sets],
             epoch: 1,
             tick: 0,
@@ -146,80 +160,65 @@ impl SetAssocCache {
         (line.index() & self.set_mask) as usize
     }
 
-    /// Index range of set `s` within the flat `ways` slab.
+    /// Index range of set `s` within the flat slabs.
     fn slots(&self, s: usize) -> std::ops::Range<usize> {
         let w = self.config.ways;
         s * w..(s + 1) * w
     }
 
-    /// The ways of `line`'s set; empty if the set is not live.
-    fn set(&self, line: LineAddr) -> &[Option<Way>] {
+    /// The slab slot holding `line`, if it is resident.
+    #[inline]
+    fn find(&self, line: LineAddr) -> Option<usize> {
         let s = self.set_of(line);
-        if self.stamps[s] == self.epoch {
-            &self.ways[self.slots(s)]
-        } else {
-            &[]
+        if self.stamps[s] != self.epoch {
+            return None;
         }
-    }
-
-    /// The ways of `line`'s set, for in-place updates; empty if the set
-    /// is not live (it holds no line to update).
-    fn set_mut(&mut self, line: LineAddr) -> &mut [Option<Way>] {
-        let s = self.set_of(line);
-        if self.stamps[s] == self.epoch {
-            let r = self.slots(s);
-            &mut self.ways[r]
-        } else {
-            &mut []
-        }
-    }
-
-    /// The ways of set `s` for an allocation: a stale set is cleared and
-    /// stamped live first.
-    fn claim_set(&mut self, s: usize) -> &mut [Option<Way>] {
         let r = self.slots(s);
-        let ways = &mut self.ways[r];
+        let key = key_of(line);
+        let way = self.tags[r.clone()]
+            .iter()
+            .position(|&t| t & !DIRTY == key)?;
+        Some(r.start + way)
+    }
+
+    /// The slots of set `s` for an allocation: a stale set is emptied and
+    /// stamped live first.
+    #[inline]
+    fn claim_set(&mut self, s: usize) -> std::ops::Range<usize> {
+        let r = self.slots(s);
         if self.stamps[s] != self.epoch {
             self.stamps[s] = self.epoch;
-            ways.fill(None);
+            self.tags[r.clone()].fill(0);
         }
-        ways
+        r
     }
 
-    /// The live sets' ways with their slab slot indices, in slab order.
-    fn live_slots(&self) -> impl Iterator<Item = (usize, &Option<Way>)> + '_ {
+    /// The slot ranges of the live sets, in slab order.
+    fn live_sets(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
         self.stamps
             .iter()
             .enumerate()
             .filter(|&(_, &stamp)| stamp == self.epoch)
-            .flat_map(|(s, _)| self.slots(s).zip(&self.ways[self.slots(s)]))
+            .map(|(s, _)| self.slots(s))
+    }
+
+    /// The occupied slots of the live sets, in slab order.
+    fn occupied(&self) -> impl Iterator<Item = usize> + '_ {
+        self.live_sets()
+            .flat_map(|r| r.filter(|&i| self.tags[i] != 0))
     }
 
     /// Accesses `line`, allocating on miss (write-allocate for both reads
     /// and writes). `is_write` marks the line dirty. Returns the hit/miss
     /// outcome and any displaced victim.
     pub fn access(&mut self, line: LineAddr, is_write: bool) -> AccessOutcome {
-        self.tick += 1;
-        let tick = self.tick;
-        let s = self.set_of(line);
-        let ways = self.claim_set(s);
-
-        if let Some(way) = ways.iter_mut().flatten().find(|w| w.tag == line.index()) {
-            way.lru = tick;
-            way.dirty |= is_write;
+        let (hit, evicted) = self.touch(line, is_write);
+        if hit {
             self.hits += 1;
-            return AccessOutcome {
-                hit: true,
-                evicted: None,
-            };
+        } else {
+            self.misses += 1;
         }
-
-        self.misses += 1;
-        let evicted = self.allocate(s, line, is_write, tick);
-        AccessOutcome {
-            hit: false,
-            evicted,
-        }
+        AccessOutcome { hit, evicted }
     }
 
     /// Installs `line` without counting a demand hit or miss — the path a
@@ -227,100 +226,82 @@ impl SetAssocCache {
     /// in L2). If the line is already present its dirty bit is OR-ed;
     /// otherwise it is allocated, possibly displacing a victim.
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Evicted> {
-        self.tick += 1;
-        let tick = self.tick;
-        let s = self.set_of(line);
-        let ways = self.claim_set(s);
-        if let Some(way) = ways.iter_mut().flatten().find(|w| w.tag == line.index()) {
-            way.lru = tick;
-            way.dirty |= dirty;
-            return None;
-        }
-        self.allocate(s, line, dirty, tick)
+        self.touch(line, dirty).1
     }
 
-    /// Puts `line` into a live set `s` that misses it: into its first
+    /// Makes `line` its set's most recently used line with `dirty` OR-ed
+    /// into its flag: in place if it is resident, else in the set's first
     /// empty way, else over its least recently used line, which is
-    /// returned.
-    fn allocate(&mut self, s: usize, line: LineAddr, dirty: bool, tick: u64) -> Option<Evicted> {
-        let r = self.slots(s);
-        let ways = &mut self.ways[r];
-        let victim_idx = match ways.iter().position(|w| w.is_none()) {
-            Some(i) => i,
-            None => ways
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.expect("no empty ways here").lru)
-                .map(|(i, _)| i)
-                .expect("ways is non-empty"),
+    /// returned. Returns whether the line was resident, and the victim.
+    #[inline]
+    fn touch(&mut self, line: LineAddr, dirty: bool) -> (bool, Option<Evicted>) {
+        self.tick += 1;
+        let r = self.claim_set(self.set_of(line));
+        let key = key_of(line);
+        let flag = if dirty { DIRTY } else { 0 };
+        let tags = &mut self.tags[r.clone()];
+        let ticks = &mut self.ticks[r];
+        if let Some(way) = tags.iter().position(|&t| t & !DIRTY == key) {
+            tags[way] |= flag;
+            ticks[way] = self.tick;
+            return (true, None);
+        }
+        let (way, evicted) = match tags.iter().position(|&t| t == 0) {
+            Some(way) => (way, None),
+            None => {
+                let way = (0..ticks.len())
+                    .min_by_key(|&w| ticks[w])
+                    .expect("a set has ways");
+                let victim = tags[way];
+                let dirty = victim & DIRTY != 0;
+                if dirty {
+                    self.dirty_evictions += 1;
+                }
+                let line = line_of(victim);
+                (way, Some(Evicted { line, dirty }))
+            }
         };
-        let evicted = ways[victim_idx].map(|w| {
-            if w.dirty {
-                self.dirty_evictions += 1;
-            }
-            Evicted {
-                line: line_of(w.tag),
-                dirty: w.dirty,
-            }
-        });
-        ways[victim_idx] = Some(Way {
-            tag: line.index(),
-            dirty,
-            lru: tick,
-        });
-        evicted
+        tags[way] = key | flag;
+        ticks[way] = self.tick;
+        (false, evicted)
     }
 
     /// Whether the line is present (no LRU update, no allocation).
     pub fn probe(&self, line: LineAddr) -> bool {
-        self.set(line)
-            .iter()
-            .flatten()
-            .any(|w| w.tag == line.index())
+        self.find(line).is_some()
     }
 
     /// Whether the line is present and dirty.
     pub fn is_dirty(&self, line: LineAddr) -> bool {
-        self.set(line)
-            .iter()
-            .flatten()
-            .any(|w| w.tag == line.index() && w.dirty)
+        self.find(line).is_some_and(|i| self.tags[i] & DIRTY != 0)
     }
 
     /// Clears the dirty bit if the line is present (a clwb-style flush
     /// writes the line back without invalidating it). Returns whether the
     /// line was dirty.
     pub fn clean(&mut self, line: LineAddr) -> bool {
-        for way in self.set_mut(line).iter_mut().flatten() {
-            if way.tag == line.index() {
-                let was = way.dirty;
-                way.dirty = false;
-                return was;
-            }
-        }
-        false
+        let Some(i) = self.find(line) else {
+            return false;
+        };
+        let was = self.tags[i] & DIRTY != 0;
+        self.tags[i] &= !DIRTY;
+        was
     }
 
     /// Removes the line if present; returns whether it was dirty.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        for way in self.set_mut(line).iter_mut() {
-            if let Some(w) = way {
-                if w.tag == line.index() {
-                    let dirty = w.dirty;
-                    *way = None;
-                    return dirty;
-                }
-            }
-        }
-        false
+        let Some(i) = self.find(line) else {
+            return false;
+        };
+        std::mem::take(&mut self.tags[i]) & DIRTY != 0
     }
 
     /// All currently dirty lines, in slab order.
     pub fn dirty_lines(&self) -> Vec<LineAddr> {
-        self.live_slots()
-            .filter_map(|(_, w)| *w)
-            .filter(|w| w.dirty)
-            .map(|w| line_of(w.tag))
+        self.occupied()
+            .map(|i| self.tags[i])
+            .filter(|&t| t & DIRTY != 0)
+            .map(line_of)
             .collect()
     }
 
@@ -328,16 +309,16 @@ impl SetAssocCache {
     /// force-write-back sweep, as FWB performs periodically), in slab
     /// order.
     pub fn clean_all(&mut self) -> Vec<LineAddr> {
-        let w = self.config.ways;
         let mut out = Vec::new();
-        for (s, &stamp) in self.stamps.iter().enumerate() {
-            if stamp != self.epoch {
+        for s in 0..self.stamps.len() {
+            if self.stamps[s] != self.epoch {
                 continue;
             }
-            for way in self.ways[s * w..(s + 1) * w].iter_mut().flatten() {
-                if way.dirty {
-                    way.dirty = false;
-                    out.push(line_of(way.tag));
+            let r = self.slots(s);
+            for tag in &mut self.tags[r] {
+                if *tag & DIRTY != 0 {
+                    *tag &= !DIRTY;
+                    out.push(line_of(*tag));
                 }
             }
         }
@@ -369,7 +350,7 @@ impl SetAssocCache {
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.live_slots().filter(|(_, w)| w.is_some()).count()
+        self.occupied().count()
     }
 
     /// (hits, misses, dirty evictions) counters.
@@ -383,23 +364,18 @@ impl SetAssocCache {
     }
 }
 
-/// The line whose full line index is `tag`.
-fn line_of(tag: u64) -> LineAddr {
-    LineAddr::containing(silo_types::PhysAddr::new(tag * LINE_BYTES as u64))
-}
-
 /// Sparse captured state of one [`SetAssocCache`] level.
 ///
-/// The flat `ways` slab is dense in slots but sparse in residency at
-/// checkpoint time relative to its full size (the Table II L3 alone is
-/// 131 072 slots ≈ 3 MB when cloned wholesale), so the snapshot keeps only
-/// the occupied slots of the live sets plus the LRU/counter state; restore
-/// drops every line with one epoch bump and rewrites the occupied entries,
-/// so neither touches a set that holds no line.
-#[derive(Clone, Debug)]
+/// The slabs are dense in slots but sparse in residency at checkpoint time
+/// relative to their full size (the Table II L3 alone is 131 072 ways,
+/// 2 MiB of tag and tick words), so the snapshot keeps only the occupied
+/// ways of the live sets, each as its slot, tag word and LRU tick, plus the
+/// counters; restore drops every line with one epoch bump and rewrites the
+/// captured ways, so neither touches a set that holds no line.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheLevelState {
     config: CacheConfig,
-    occupied: Vec<(u32, Way)>,
+    occupied: Vec<(u32, u64, u64)>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -407,14 +383,14 @@ pub struct CacheLevelState {
 }
 
 impl SetAssocCache {
-    /// Captures the occupied slots of the live sets and the LRU and
+    /// Captures the occupied ways of the live sets and the LRU and
     /// counter state.
     pub fn snapshot(&self) -> CacheLevelState {
         CacheLevelState {
             config: self.config,
             occupied: self
-                .live_slots()
-                .filter_map(|(slot, w)| w.map(|w| (slot as u32, w)))
+                .occupied()
+                .map(|i| (i as u32, self.tags[i], self.ticks[i]))
                 .collect(),
             tick: self.tick,
             hits: self.hits,
@@ -424,17 +400,22 @@ impl SetAssocCache {
     }
 
     /// Restores exactly the captured state: drops every line with one
-    /// epoch bump and rewrites the captured ones.
+    /// epoch bump and rewrites the captured ways.
     pub fn restore(&mut self, state: &CacheLevelState) {
         assert_eq!(
             self.config, state.config,
             "cache snapshot restored into a different geometry"
         );
         self.invalidate_all();
-        let w = self.config.ways;
-        for &(slot, way) in &state.occupied {
+        // The ways come in slab order, so a set is claimed at its first.
+        let mut claimed = 0..0;
+        for &(slot, tag, tick) in &state.occupied {
             let slot = slot as usize;
-            self.claim_set(slot / w)[slot % w] = Some(way);
+            if !claimed.contains(&slot) {
+                claimed = self.claim_set(slot / self.config.ways);
+            }
+            self.tags[slot] = tag;
+            self.ticks[slot] = tick;
         }
         self.tick = state.tick;
         self.hits = state.hits;
@@ -668,10 +649,7 @@ mod tests {
         assert_eq!(run(&mut used), run(&mut fresh));
         assert_eq!(used.counters(), fresh.counters());
         assert_eq!(used.dirty_lines(), fresh.dirty_lines());
-        assert_eq!(
-            used.snapshot().occupied.len(),
-            fresh.snapshot().occupied.len()
-        );
+        assert_eq!(used.snapshot(), fresh.snapshot());
     }
 
     /// The retained reference implementation: the array-of-structs level

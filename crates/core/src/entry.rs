@@ -205,13 +205,20 @@ impl Record {
     }
 
     /// Serializes to the 18 B wire format.
+    #[inline]
     pub fn encode(&self) -> [u8; RECORD_BYTES] {
+        // Bytes 0..8 and 8..10 as two little-endian words, so a record is
+        // three stores: kind and flush bit, thread id, transaction id,
+        // then the address's low 48 bits, then the data word.
+        let addr = self.addr.as_u64();
+        let head = u64::from(self.kind as u8 | if self.flush_bit { 0x80 } else { 0 })
+            | u64::from(self.tag.tid().as_u8()) << 8
+            | u64::from(self.tag.txid().as_u16()) << 16
+            | (addr & 0xffff_ffff) << 32;
         let mut out = [0u8; RECORD_BYTES];
-        out[0] = self.kind as u8 | if self.flush_bit { 0x80 } else { 0 };
-        out[1] = self.tag.tid().as_u8();
-        out[2..4].copy_from_slice(&self.tag.txid().as_u16().to_le_bytes());
-        out[4..10].copy_from_slice(&self.addr.as_u64().to_le_bytes()[..6]);
-        out[10..18].copy_from_slice(&self.data.to_le_bytes());
+        out[..8].copy_from_slice(&head.to_le_bytes());
+        out[8..10].copy_from_slice(&((addr >> 32) as u16).to_le_bytes());
+        out[10..].copy_from_slice(&self.data.to_le_bytes());
         out
     }
 

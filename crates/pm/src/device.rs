@@ -285,8 +285,12 @@ impl PmDevice {
     }
 
     /// Peeks one word without counting a read. Allocation-free: this is
-    /// the engine's per-load hot path.
+    /// the engine's per-load hot path, and an aligned word, the one it
+    /// reads, is one media word merged with a staged line's chunk, if any.
     pub fn peek_word(&self, addr: PhysAddr) -> Word {
+        if addr.is_word_aligned() {
+            return Word::new(self.buffer.read_word_through(addr, &self.media));
+        }
         let mut b = [0u8; WORD_BYTES];
         self.buffer.read_through_into(addr, &mut b, &self.media);
         Word::from_le_bytes(b)
@@ -487,6 +491,35 @@ mod tests {
         pm.write(PhysAddr::new(1 << 30), &[1]);
         assert_eq!(pm.stats().data_region_writes, 1);
         assert_eq!(pm.stats().log_region_writes, 0);
+    }
+
+    #[test]
+    fn peek_word_equals_the_generic_read_through() {
+        let mut d = PmDevice::new(PmDeviceConfig::default());
+        // Media words under lines 0 and 1, and one across a page boundary.
+        d.write_through(PhysAddr::new(0), &[0x11; 512]);
+        d.write_through(PhysAddr::new(4092), &[0x22; 8]);
+        // Line 0 staged over part of one word and all of another; line 1
+        // not staged.
+        d.write(PhysAddr::new(18), &[0x33; 4]);
+        d.write(PhysAddr::new(40), &[0x44; 8]);
+        for addr in (0..600).chain(4085..4100).map(PhysAddr::new) {
+            let mut want = [0u8; WORD_BYTES];
+            want.copy_from_slice(&d.peek(addr, WORD_BYTES));
+            assert_eq!(d.peek_word(addr), Word::from_le_bytes(want), "at {addr}");
+        }
+        assert_eq!(
+            d.peek_word(PhysAddr::new(16)).as_u64(),
+            0x1111_3333_3333_1111
+        );
+        assert_eq!(
+            d.peek_word(PhysAddr::new(40)),
+            Word::new(0x4444_4444_4444_4444)
+        );
+        assert_eq!(
+            d.peek_word(PhysAddr::new(256)),
+            Word::new(0x1111_1111_1111_1111)
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl Slot {
     /// Stages `bytes` at offset `off` of the line: last write wins.
     fn stage(&mut self, off: usize, bytes: &[u8]) {
         let end = off + bytes.len();
-        self.data[off..end].copy_from_slice(bytes);
+        silo_types::fixed_len!(b = bytes => self.data[off..end].copy_from_slice(b));
         let mut lo = off;
         while lo < end {
             let chunk = lo / 8;
@@ -324,6 +324,27 @@ impl OnPmBuffer {
             }
             cur += chunk as u64;
             pos += chunk;
+        }
+    }
+
+    /// The little-endian word at the word-aligned `addr`, staged bytes
+    /// overriding the media's: one slot lookup, and the media's word as it
+    /// is when no line is staged over it.
+    pub fn read_word_through(&self, addr: PhysAddr, media: &Media) -> u64 {
+        debug_assert!(addr.is_word_aligned(), "{addr} is not word-aligned");
+        let stored = media.read_u64(addr);
+        if self.slots.is_empty() {
+            return stored;
+        }
+        match self.slot(addr.buf_line_index()) {
+            None => stored,
+            Some(slot) => {
+                let off = addr.offset_in_buf_line();
+                let valid = slot.mask[off / 8];
+                let staged =
+                    u64::from_le_bytes(slot.data[off..off + 8].try_into().expect("8 bytes"));
+                (stored & !valid) | (staged & valid)
+            }
         }
     }
 
@@ -927,6 +948,69 @@ mod tests {
             assert!(
                 pressed && counts.1 > 100 && counts.2 > 50,
                 "capacity {capacity}: {counts:?}"
+            );
+        }
+    }
+
+    /// The hot paths' fixed lengths (a word, one and two log records, a
+    /// cacheline) written, patched and staged at every offset of a buffer
+    /// line, the tail offsets straddling into the next line, and read back
+    /// at every offset, on the ring and on the reference: the same bytes,
+    /// counters and drains.
+    #[test]
+    fn differential_fixed_lengths_at_every_offset() {
+        for capacity in [1, 4, 64] {
+            let mut rng = silo_types::SplitMix64::new(0xf1_7ed + capacity as u64);
+            let (mut media, mut reference_media) = (Media::new(), Media::new());
+            let mut buf = OnPmBuffer::new(capacity);
+            let mut reference = reference::RefBuffer::new(capacity);
+            for len in [8, 18, 36, 64] {
+                for offset in 0..BUF_LINE_BYTES {
+                    // A line of its own for each write, and a fixed one.
+                    let line = [rng.below(12), 3][offset % 2] * BUF_LINE_BYTES as u64;
+                    let addr = PhysAddr::new(line + offset as u64);
+                    let bytes: Vec<u8> = (0..len).map(|_| rng.below(3) as u8).collect();
+                    let what = format!("{len} bytes at {addr}, capacity {capacity}");
+                    match offset % 3 {
+                        0 => {
+                            buf.write(addr, &bytes, &mut media);
+                            reference.write(addr, &bytes, &mut reference_media);
+                        }
+                        1 => assert_eq!(
+                            buf.patch_if_staged(addr, &bytes),
+                            reference.patch_if_staged(addr, &bytes),
+                            "{what}"
+                        ),
+                        _ => {
+                            buf.stage_unbounded(addr, &bytes);
+                            reference.stage_unbounded(addr, &bytes);
+                        }
+                    }
+                    let (mut got, mut want) = (vec![9u8; len], vec![9u8; len]);
+                    let at = PhysAddr::new(line + rng.below(BUF_LINE_BYTES as u64));
+                    buf.read_through_into(at, &mut got, &media);
+                    reference.read_through_into(at, &mut want, &reference_media);
+                    assert_eq!(got, want, "{what}: read at {at}");
+                    assert_eq!(
+                        (buf.fills(), buf.coalesced_hits(), buf.forced_drains()),
+                        (
+                            reference.fills,
+                            reference.coalesced_hits,
+                            reference.forced_drains
+                        ),
+                        "{what}"
+                    );
+                }
+                buf.flush_all(&mut media);
+                reference.flush_all(&mut reference_media);
+            }
+            assert_eq!(media.line_writes(), reference_media.line_writes());
+            assert_eq!(media.bits_programmed(), reference_media.bits_programmed());
+            let span = 16 * BUF_LINE_BYTES;
+            assert_eq!(
+                media.read(PhysAddr::ZERO, span),
+                reference_media.read(PhysAddr::ZERO, span),
+                "capacity {capacity}: media bytes"
             );
         }
     }

@@ -874,42 +874,42 @@ impl<'a> Engine<'a> {
         let mut step = 0u64;
 
         // Pick the unfinished core with the smallest clock, ties broken by
-        // core id — the keys `(time, i)` are unique, so the minimum is
-        // unambiguous. A full scan is O(cores) per step; since `step` only
-        // advances the stepped core's clock, cache the winner alongside the
-        // runner-up's key and rescan only when the stepped core finishes or
-        // its clock passes the runner-up. The sentinel key compares above
-        // every real key, so a lone core never rescans.
-        const NO_KEY: (Cycles, usize) = (Cycles::new(u64::MAX), usize::MAX);
-        let mut cached: Option<(usize, (Cycles, usize))> = None;
+        // core id — the keys `(clock, i)` are unique, so the minimum is
+        // unambiguous. `clocks` mirrors each core's clock, `DONE` once it
+        // finishes, so a scan reads one small array. A full scan is
+        // O(cores) per step; since `step` only advances the stepped core's
+        // clock, cache the winner alongside the runner-up's key and rescan
+        // only when the stepped core finishes or its clock passes the
+        // runner-up. The sentinel key compares above every real key, so a
+        // lone core never rescans.
+        const DONE: u64 = u64::MAX;
+        const NO_KEY: (u64, usize) = (DONE, usize::MAX);
+        let clock = |c: &CoreRun| match c.phase {
+            Phase::Done => DONE,
+            _ => c.time.as_u64(),
+        };
+        let mut clocks: Vec<u64> = cores.iter().map(clock).collect();
+        let mut cached: Option<(usize, (u64, usize))> = None;
         loop {
             let ci = match cached {
-                Some((i, runner_up))
-                    if cores[i].phase != Phase::Done && (cores[i].time, i) < runner_up =>
-                {
-                    i
-                }
+                Some((i, runner_up)) if clocks[i] != DONE && (clocks[i], i) < runner_up => i,
                 _ => {
-                    let mut best: Option<(Cycles, usize)> = None;
-                    let mut runner_up = NO_KEY;
-                    for (i, c) in cores.iter().enumerate() {
-                        if c.phase == Phase::Done {
-                            continue;
-                        }
-                        let key = (c.time, i);
-                        match best {
-                            None => best = Some(key),
-                            Some(b) if key < b => {
-                                runner_up = b;
-                                best = Some(key);
-                            }
-                            Some(_) if key < runner_up => runner_up = key,
-                            Some(_) => {}
+                    // In core order, a clock beats an equal one already
+                    // seen by its key only if it is lower.
+                    let (mut best, mut runner_up) = (NO_KEY, NO_KEY);
+                    for (i, &t) in clocks.iter().enumerate() {
+                        if t < best.0 {
+                            runner_up = best;
+                            best = (t, i);
+                        } else if t < runner_up.0 {
+                            runner_up = (t, i);
                         }
                     }
-                    let Some((_, i)) = best else { break };
-                    cached = Some((i, runner_up));
-                    i
+                    if best == NO_KEY {
+                        break;
+                    }
+                    cached = Some((best.1, runner_up));
+                    best.1
                 }
             };
             if let Some(visit) = &mut visit {
@@ -939,6 +939,7 @@ impl<'a> Engine<'a> {
                 _ => {}
             }
             self.step(&mut cores[ci]);
+            clocks[ci] = clock(&cores[ci]);
             step += 1;
             let now = cores[ci].time;
             self.scheme.on_tick(&mut self.machine, now);

@@ -144,13 +144,25 @@ impl Machine {
     /// probe off. The cache levels keep their slabs and drop their lines
     /// with one epoch bump each, which is what makes a reset cheaper than
     /// a new machine: a crash cell runs hundreds of engines on one
-    /// ([`Engine::on`](crate::Engine::on)).
+    /// ([`Engine::on`](crate::Engine::on)). A `config` changed since the
+    /// last reset takes effect here: the cache levels of another geometry
+    /// are rebuilt ([`CacheHierarchy::reset_to`]) and the controllers
+    /// recounted, so one machine serves cells of any configuration in
+    /// turn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` has no memory controller.
     pub fn reset(&mut self) {
+        assert!(
+            self.config.num_mcs > 0,
+            "need at least one memory controller"
+        );
         self.pm = PmDevice::new(self.config.pm_device_config());
-        self.caches.reset();
-        for mc in &mut self.mcs {
-            *mc = MemCtrl::new(self.config.memctrl);
-        }
+        self.caches.reset_to(self.config.hierarchy);
+        self.mcs.clear();
+        self.mcs
+            .resize_with(self.config.num_mcs, || MemCtrl::new(self.config.memctrl));
         self.shadow.clear();
         self.probe = ProbeHub::default();
     }
@@ -455,6 +467,47 @@ mod tests {
         // The next write is admitted as on an idle controller.
         let a = m.pm_write_through(Cycles::ZERO, PhysAddr::new(0), &[1u8; 64]);
         assert_eq!(a.complete.as_u64(), m.config.memctrl.service_cycles(64, 1));
+    }
+
+    #[test]
+    fn a_machine_reset_after_a_config_change_runs_like_a_new_one() {
+        use crate::{schemes::NullScheme, Engine, Transaction};
+        let mut tiny = SimConfig::table_ii(2);
+        tiny.hierarchy.l1 = silo_cache::CacheConfig::new(2 * 1024, 2);
+        tiny.hierarchy.l2 = silo_cache::CacheConfig::new(4 * 1024, 2);
+        tiny.hierarchy.l3 = silo_cache::CacheConfig::new(8 * 1024, 4);
+        tiny.num_mcs = 2;
+        let streams = |cores: usize| -> Vec<Vec<Transaction>> {
+            (0..cores as u64)
+                .map(|c| {
+                    (0..6u64)
+                        .map(|t| {
+                            let mut tx = Transaction::builder();
+                            for w in 0..40u64 {
+                                let addr = PhysAddr::new((c << 20) + (t * 40 + w) * 136 % 65536);
+                                tx = tx.write(addr.word_aligned(), Word::new(t * 100 + w + 1));
+                            }
+                            tx.read(PhysAddr::new(c << 20)).build()
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let mut reused = Machine::new(&SimConfig::table_ii(4));
+        for config in [
+            tiny.clone(),
+            SimConfig::table_ii(1),
+            tiny,
+            SimConfig::table_ii(8),
+        ] {
+            let (mut a, mut b) = (NullScheme::default(), NullScheme::default());
+            reused.config.clone_from(&config);
+            let on_reused = Engine::on(&mut reused, &mut a).run(streams(config.cores), None);
+            let on_new = Engine::new(&config, &mut b).run(streams(config.cores), None);
+            assert_eq!(on_reused.stats.to_json(), on_new.stats.to_json());
+            assert_eq!(reused.mcs.len(), config.num_mcs);
+            assert_eq!(reused.caches.config(), &config.hierarchy);
+        }
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //!   recorder's logical memory.
 //! * [`prop`] — the seeded property-test harness every crate's property
 //!   suites run on.
+//! * [`fixed_len!`] — re-slices a byte slice at the lengths of the hot
+//!   paths' copies (a word, one or two log records, a cacheline), so they
+//!   compile to moves instead of `memcpy` calls.
 //!
 //! # Examples
 //!
@@ -39,6 +42,7 @@
 #![warn(missing_docs)]
 
 mod addr;
+mod bytes;
 mod cycles;
 pub mod hash;
 mod ids;

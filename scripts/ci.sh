@@ -13,6 +13,8 @@
 #   scripts/ci.sh bench        perfbench tests and runs + checkpoint, unit and memory gates
 #   scripts/ci.sh all          everything above, in order (the default)
 #
+# Several stages run in the order named: `scripts/ci.sh build lint smoke`.
+#
 # `smoke`, `fuzz`, and `bench` expect `build` to have run first (they use
 # target/release/evaluate directly so a stale debug build can't skew the
 # timings).
@@ -485,15 +487,16 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
   echo "== trace lifetime memory gate =="
   # A run drops each trace after the last cell of its family (workload,
   # cores, seed), so the figure grids hold about one family's traces per
-  # worker: fig11 at the benchmark's size must peak at or under 64 MB RSS
-  # (~36 MB measured; 97 MB while every trace stayed for the process).
-  # A fig14 unit holds one trace, one setup fork and one machine for its
-  # workload's five multipliers at once, so fig14 must peak at or under
-  # 44 MB: figgrid's ~38 MB peak, which fig11 sets, plus the benchmark's
-  # 15 % peak_rss_mb bound (~36 MB measured).
+  # worker, and each worker one machine (97 MB while every trace stayed
+  # for the process). fig11 at the benchmark's size must peak at or
+  # under 44 MB RSS: figgrid's ~38 MB peak, which fig11 sets, plus the
+  # benchmark's 15 % peak_rss_mb bound (33-38 MB measured). A fig14 unit
+  # holds one trace, one setup fork and one machine for its workload's
+  # five multipliers at once, so fig14 must peak at or under 44 MB too,
+  # set the same way (~30 MB measured).
   grid_rss_dir="target/reports-ci-grid-rss"
   rm -rf "$grid_rss_dir"
-  for gate in fig11:64 fig14:44; do
+  for gate in fig11:44 fig14:44; do
     exp=${gate%%:*} bound=${gate#*:}
     grid_usage=$(rusage "$EVALUATE" "$exp" --txs 600 --jobs 2 --no-result-store \
       --json-dir "$grid_rss_dir")
@@ -505,25 +508,32 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
   rm -rf "$grid_rss_dir"
 }
 
-stage="${1:-all}"
-case "$stage" in
-  build) build_stage ;;
-  test) test_stage ;;
-  lint) lint_stage ;;
-  smoke) smoke_stage ;;
-  fuzz) fuzz_stage ;;
-  bench) bench_stage ;;
-  all)
-    build_stage
-    test_stage
-    lint_stage
-    smoke_stage
-    fuzz_stage
-    bench_stage
-    echo "CI OK"
-    ;;
-  *)
-    echo "usage: scripts/ci.sh [build|test|lint|smoke|fuzz|bench|all]" >&2
-    exit 2
-    ;;
-esac
+# Check every stage name before the first stage runs.
+for stage in "${@:-all}"; do
+  case "$stage" in
+    build | test | lint | smoke | fuzz | bench | all) ;;
+    *)
+      echo "usage: scripts/ci.sh [build|test|lint|smoke|fuzz|bench|all]..." >&2
+      exit 2
+      ;;
+  esac
+done
+for stage in "${@:-all}"; do
+  case "$stage" in
+    build) build_stage ;;
+    test) test_stage ;;
+    lint) lint_stage ;;
+    smoke) smoke_stage ;;
+    fuzz) fuzz_stage ;;
+    bench) bench_stage ;;
+    all)
+      build_stage
+      test_stage
+      lint_stage
+      smoke_stage
+      fuzz_stage
+      bench_stage
+      echo "CI OK"
+      ;;
+  esac
+done
