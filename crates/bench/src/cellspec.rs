@@ -5,7 +5,8 @@
 //! deltas, crash plan — with no closures anywhere. That buys three things
 //! the old `FnOnce` cells could not offer:
 //!
-//! * a stable content hash ([`CellSpec::spec_hash`]), so equal work is
+//! * a stable content hash ([`CellSpec::spec_hash`]): FNV-1a over the
+//!   derived [`Hash`] of the seed and the work, so equal work is
 //!   *recognizably* equal across experiments and across processes;
 //! * one shared executor ([`CellSpec::execute`]) over the
 //!   [`run_delta_with`] / [`run_with_scheme`] call family, so the
@@ -14,14 +15,17 @@
 //!   outcomes by spec hash and code fingerprint and replays them across
 //!   processes.
 //!
-//! Hashing covers every execution-relevant field and **excludes** the
-//! display label: two cells that run the same simulation share one stored
-//! result even when different experiments print them under different
-//! headings (fig11 and fig12 sweep the identical grid). Every trace
-//! generation parameter is such a field, and generators read nothing but
-//! their parameters, so the spec hash and the code fingerprint name each
-//! trace a cell consumes without generating it.
+//! The hash covers exactly what [`CellWork`] holds, and the seed. It
+//! **excludes** the display label, so two cells that run the same
+//! simulation share one stored result even when different experiments
+//! print them under different headings (fig11 and fig12 sweep the
+//! identical grid), and the [`RunOptions`], which change how a cell runs,
+//! never its answer. Every trace generation parameter is part of the work,
+//! and generators read nothing but their parameters, so the spec hash and
+//! the code fingerprint name each trace a cell consumes without generating
+//! it.
 
+use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 
 use silo_core::{SiloOptions, SiloScheme};
@@ -35,7 +39,7 @@ use crate::trace_cache::TraceFamily;
 use crate::{run_delta_with, run_profiled, run_with_scheme, Batched, TraceCache};
 
 /// Which logging scheme a run instantiates.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SchemeSpec {
     /// A scheme by its legend name (`make_scheme`).
     Named(String),
@@ -50,49 +54,18 @@ impl SchemeSpec {
             SchemeSpec::Silo(opts) => Box::new(SiloScheme::with_options(config, *opts)),
         }
     }
-
-    fn hash_into(&self, h: &mut Encoder) {
-        match self {
-            SchemeSpec::Named(name) => {
-                h.tag(0);
-                h.str(name);
-            }
-            SchemeSpec::Silo(opts) => {
-                h.tag(1);
-                // Explicit destructuring: adding a field to SiloOptions
-                // breaks this compile until the hash learns about it, so
-                // an option can never be silently left out of the key.
-                let SiloOptions {
-                    log_ignorance,
-                    log_merging,
-                    onpm_coalescing,
-                    flush_bit,
-                    ipu_drain_delay,
-                    overflow_batch_override,
-                    ipu_queue_entries,
-                } = *opts;
-                h.bool(log_ignorance);
-                h.bool(log_merging);
-                h.bool(onpm_coalescing);
-                h.bool(flush_bit);
-                h.u64(ipu_drain_delay);
-                h.opt_usize(overflow_batch_override);
-                h.usize(ipu_queue_entries);
-            }
-        }
-    }
 }
 
 /// Which workload a run consumes, with the Fig 14 batching knob and the
 /// open-system arrival knob.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct WorkloadSpec {
     /// Workload name (resolved by [`workload_by_name`]).
     pub name: String,
     /// Transactions grouped per emitted transaction; 1 = unbatched.
     pub batch: usize,
-    /// Open-system arrival process ([`OpenLoop`] wrapping); `None` (and
-    /// the degenerate `Some(ClosedLoop)`) run the classic closed loop.
+    /// Open-system arrival process ([`OpenLoop`] wrapping); `None` runs
+    /// the classic closed loop, as the degenerate `Some(ClosedLoop)` does.
     pub arrival: Option<ArrivalProcess>,
 }
 
@@ -115,12 +88,14 @@ impl WorkloadSpec {
         }
     }
 
-    /// An open-system workload under `process` arrivals.
+    /// An open-system workload under `process` arrivals. The closed loop
+    /// runs as the plain workload, so it is stored as `None`: the two are
+    /// one spec, with one spec hash.
     pub fn open(name: &str, process: ArrivalProcess) -> Self {
         WorkloadSpec {
             name: name.to_string(),
             batch: 1,
-            arrival: Some(process),
+            arrival: (process != ArrivalProcess::ClosedLoop).then_some(process),
         }
     }
 
@@ -141,25 +116,11 @@ impl WorkloadSpec {
             _ => batched,
         }
     }
-
-    fn hash_into(&self, h: &mut Encoder) {
-        h.str(&self.name);
-        h.usize(self.batch);
-        match &self.arrival {
-            // `None` and `ClosedLoop` execute identically (OpenLoop is not
-            // even constructed), so they share a hash.
-            None | Some(ArrivalProcess::ClosedLoop) => h.tag(0),
-            Some(p) => {
-                h.tag(1);
-                h.str(&p.ident());
-            }
-        }
-    }
 }
 
 /// Deviations from the Table II machine. `None`/`false` everywhere is the
 /// stock configuration, so the common case hashes (and reads) trivially.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ConfigDelta {
     /// Log-buffer access latency override in cycles (Fig 15).
     pub log_buffer_latency: Option<u64>,
@@ -198,25 +159,10 @@ impl ConfigDelta {
         }
         c
     }
-
-    fn hash_into(&self, h: &mut Encoder) {
-        let ConfigDelta {
-            log_buffer_latency,
-            log_buffer_entries,
-            num_mcs,
-            onpm_buffer_lines,
-            tiny_hierarchy,
-        } = self;
-        h.opt_u64(*log_buffer_latency);
-        h.opt_usize(*log_buffer_entries);
-        h.opt_usize(*num_mcs);
-        h.opt_usize(*onpm_buffer_lines);
-        h.bool(*tiny_hierarchy);
-    }
 }
 
 /// One engine invocation: who runs what on which machine.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct RunSpec {
     /// The logging scheme.
     pub scheme: SchemeSpec,
@@ -241,20 +187,12 @@ impl RunSpec {
             config: ConfigDelta::default(),
         }
     }
-
-    fn hash_into(&self, h: &mut Encoder) {
-        self.scheme.hash_into(h);
-        self.workload.hash_into(h);
-        h.usize(self.cores);
-        h.usize(self.txs_per_core);
-        self.config.hash_into(h);
-    }
 }
 
 /// The fault model of one `crashfuzz` sweep cell, with the trigger axis
 /// its crash points lie on. A `fuzz` cell, whose crashes all lie on the
 /// event axis, names its fault with a [`FaultModel`] instead.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultSpec {
     /// Cycle-sampled crash at an op boundary, perfect ADR drain.
     OpBoundary,
@@ -279,25 +217,11 @@ impl FaultSpec {
             }
         }
     }
-
-    fn hash_into(&self, h: &mut Encoder) {
-        match *self {
-            FaultSpec::OpBoundary => h.tag(0),
-            FaultSpec::TornLine(keep) => {
-                h.tag(1);
-                h.usize(keep);
-            }
-            FaultSpec::Battery(bytes) => {
-                h.tag(2);
-                h.u64(bytes);
-            }
-        }
-    }
 }
 
 /// What a cell computes. Each variant is one executor recipe; together
 /// they cover every simulation shape in the experiment registry.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum CellWork {
     /// Steady-state measurement: run N and 2N transactions per core with
     /// fresh schemes and report the difference (the figure-grid shape).
@@ -364,19 +288,14 @@ pub enum CellWork {
         points: u64,
         /// A fixed crash point (`--point`), or spaced sweep points.
         point: Option<u64>,
-        /// Resume each crash point from a checkpoint of the clean run
-        /// (`false` under `--no-checkpoints`: every point from scratch).
-        /// Resumed and from-scratch points are byte-identical, so this
-        /// stays out of [`CellSpec::spec_hash`].
-        checkpoints: bool,
     },
     /// One coverage-guided crash-search cell (`fuzz`): a seeded corpus of
     /// crash plans (fault model, crash event, recovery crash) is mutated
     /// toward novel probe-event coverage signatures, every recovered image
     /// judged once by the oracle, whose transition log localizes each
     /// violation to its first offending word.
-    /// The cell reads and extends an on-disk corpus (its `corpus` field),
-    /// so it is **never** served from the result store — see
+    /// The cell reads and extends an on-disk corpus (its run options'
+    /// `corpus`), so it is **never** served from the result store — see
     /// [`CellSpec::cacheable`].
     Fuzz {
         /// Scheme legend name.
@@ -400,58 +319,69 @@ pub enum CellWork {
         /// Open-system arrival process ident (`--arrival`), or the classic
         /// closed loop.
         arrival: Option<String>,
-        /// The corpus root the cell reads and extends (`--corpus`), or
-        /// none (`--no-corpus`). It picks where candidates persist, not
-        /// what a search on a fresh root computes, so it stays out of
-        /// [`CellSpec::spec_hash`].
-        corpus: Option<PathBuf>,
     },
 }
 
-/// What the cells of one execution unit share: the runner hands a unit's
-/// cells to one worker together, and the result store runs the ones it
-/// cannot serve in one call ([`CellSpec::execute_unit`]). Crash sweeps and
-/// Fig 14's large transactions form units of several cells; every other
-/// cell is a unit of one.
+/// How a cell runs, never what it answers: the cell's flags that are not
+/// part of its work, so [`CellSpec::spec_hash`] leaves them out.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum UnitKey {
-    /// Every [`CellWork::CrashSweep`] field but the fault, and the seed:
-    /// the fault cells of one scheme × workload share one clean run.
-    CrashTarget {
-        scheme: String,
-        workload: String,
-        txs_per_core: usize,
-        points: u64,
-        point: Option<u64>,
-        checkpoints: bool,
-        seed: u64,
-    },
-    /// Every [`CellWork::LargeTx`] field but the multiplier, and the seed:
-    /// the multipliers of one workload share one trace and one setup run.
-    LargeTx {
-        workload: String,
-        txs: usize,
-        seed: u64,
-    },
+pub struct RunOptions {
+    /// Resume each crash point of a sweep from a checkpoint of its clean
+    /// run (`false` under `--no-checkpoints`: every point from scratch).
+    /// Resumed and from-scratch points are byte-identical.
+    pub checkpoints: bool,
+    /// The corpus root a search reads and extends (`--corpus`), or none
+    /// (`--no-corpus`). It picks where candidates persist, not what a
+    /// search on a fresh root computes.
+    pub corpus: Option<PathBuf>,
+}
+
+impl Default for RunOptions {
+    /// Checkpoints on, no corpus.
+    fn default() -> Self {
+        RunOptions {
+            checkpoints: true,
+            corpus: None,
+        }
+    }
 }
 
 /// One independent unit of work, fully described as data: display label,
-/// seed, and the work. The label is display-only — it does not enter the
-/// content hash.
+/// run options, seed, and the work. The label and the options do not
+/// enter the content hash.
 #[derive(Clone, Debug)]
 pub struct CellSpec {
     /// Grid coordinates of this cell (display and report only).
     pub label: CellLabel,
+    /// How the cell runs.
+    pub options: RunOptions,
     /// Workload generation seed.
     pub seed: u64,
     /// The work.
     pub work: CellWork,
 }
 
+/// FNV-1a 64 over the derived [`Hash`] of `value`.
+fn fnv1a(value: impl Hash) -> u64 {
+    let mut h = Fnv1a::new();
+    value.hash(&mut h);
+    h.finish()
+}
+
 impl CellSpec {
-    /// Builds a spec from its parts.
+    /// Builds a spec from its parts, with the default [`RunOptions`].
     pub fn new(label: CellLabel, seed: u64, work: CellWork) -> Self {
-        CellSpec { label, seed, work }
+        CellSpec {
+            label,
+            options: RunOptions::default(),
+            seed,
+            work,
+        }
+    }
+
+    /// The spec with `options` in place of its run options.
+    pub fn with_options(self, options: RunOptions) -> Self {
+        CellSpec { options, ..self }
     }
 
     /// Whether the result store may serve this cell from a persisted
@@ -469,40 +399,23 @@ impl CellSpec {
         !matches!(self.work, CellWork::TraceStats { .. })
     }
 
-    /// The execution unit the cell belongs to; `None` for a unit of one,
-    /// which every cell but a crash sweep and a large transaction is.
-    pub(crate) fn unit_key(&self) -> Option<UnitKey> {
-        // Explicit destructuring: a new field breaks this compile until
-        // the key decides whether the unit's cells share it.
-        match self.work {
-            CellWork::CrashSweep {
-                ref scheme,
-                ref workload,
-                txs_per_core,
-                fault: _,
-                points,
-                point,
-                checkpoints,
-            } => Some(UnitKey::CrashTarget {
-                scheme: scheme.clone(),
-                workload: workload.clone(),
-                txs_per_core,
-                points,
-                point,
-                checkpoints,
-                seed: self.seed,
-            }),
-            CellWork::LargeTx {
-                ref workload,
-                mult: _,
-                txs,
-            } => Some(UnitKey::LargeTx {
-                workload: workload.clone(),
-                txs,
-                seed: self.seed,
-            }),
-            _ => None,
+    /// The execution unit the cell belongs to: the runner hands a unit's
+    /// cells to one worker together, and the result store runs the ones
+    /// it cannot serve in one call ([`CellSpec::execute_unit`]). The key
+    /// is the spec hash taken with the one field a unit's cells differ in
+    /// blanked (a crash sweep's fault: the fault cells of one scheme ×
+    /// workload share one clean run; a large transaction's multiplier:
+    /// the multipliers of one workload share one trace and one setup
+    /// run), together with the run options. `None` for a unit of one,
+    /// which every other cell is.
+    pub(crate) fn unit_key(&self) -> Option<u64> {
+        let mut work = self.work.clone();
+        match &mut work {
+            CellWork::CrashSweep { fault, .. } => *fault = FaultSpec::OpBoundary,
+            CellWork::LargeTx { mult, .. } => *mult = 0,
+            _ => return None,
         }
+        Some(fnv1a((self.seed, &work, &self.options)))
     }
 
     /// Runs the cells of one execution unit, all of one
@@ -511,10 +424,10 @@ impl CellSpec {
     /// share one clean run and one walk of it, large transactions one
     /// trace and one setup run; a unit of any other kind holds one cell.
     pub(crate) fn execute_unit(unit: &[&CellSpec]) -> Vec<CellOutcome> {
-        match unit.first().and_then(|cell| cell.unit_key()) {
-            Some(UnitKey::CrashTarget { .. }) => crate::experiments::crash::execute_sweeps(unit),
-            Some(UnitKey::LargeTx { .. }) => crate::experiments::fig14::execute_large_txs(unit),
-            None => unit.iter().map(|cell| cell.execute()).collect(),
+        match unit.first().map(|cell| &cell.work) {
+            Some(CellWork::CrashSweep { .. }) => crate::experiments::crash::execute_sweeps(unit),
+            Some(CellWork::LargeTx { .. }) => crate::experiments::fig14::execute_large_txs(unit),
+            _ => unit.iter().map(|cell| cell.execute()).collect(),
         }
     }
 
@@ -540,107 +453,13 @@ impl CellSpec {
         TraceFamily::new(workload, cores, self.seed)
     }
 
-    /// Content hash over every execution-relevant field (label excluded):
-    /// FNV-1a 64 over a canonical byte encoding with variant tags,
-    /// little-endian integers, and length-prefixed strings.
+    /// Content hash of the seed and the work (the label and the run
+    /// options excluded): FNV-1a 64 over their derived [`Hash`], which
+    /// feeds integers little-endian, enums by variant index and strings
+    /// with a terminator, so distinct specs cannot collide by
+    /// concatenation.
     pub fn spec_hash(&self) -> u64 {
-        let mut h = Encoder::new();
-        h.tag(2); // encoding version (2: WorkloadSpec grew the arrival knob)
-        h.u64(self.seed);
-        match &self.work {
-            CellWork::Delta(run) => {
-                h.tag(0);
-                run.hash_into(&mut h);
-            }
-            CellWork::Full {
-                run,
-                record_throughput,
-            } => {
-                h.tag(1);
-                run.hash_into(&mut h);
-                h.bool(*record_throughput);
-            }
-            CellWork::Profiled(run) => {
-                h.tag(2);
-                run.hash_into(&mut h);
-            }
-            CellWork::Wear(run) => {
-                h.tag(3);
-                run.hash_into(&mut h);
-            }
-            CellWork::TraceStats { workload, txs } => {
-                h.tag(4);
-                h.str(workload);
-                h.usize(*txs);
-            }
-            CellWork::LargeTx {
-                workload,
-                mult,
-                txs,
-            } => {
-                h.tag(5);
-                h.str(workload);
-                h.usize(*mult);
-                h.usize(*txs);
-            }
-            CellWork::Recovery { txs, crash_at } => {
-                h.tag(6);
-                h.usize(*txs);
-                h.u64(*crash_at);
-            }
-            CellWork::CrashSweep {
-                scheme,
-                workload,
-                txs_per_core,
-                fault,
-                points,
-                point,
-                checkpoints: _,
-            } => {
-                h.tag(7);
-                h.str(scheme);
-                h.str(workload);
-                h.usize(*txs_per_core);
-                fault.hash_into(&mut h);
-                h.u64(*points);
-                h.opt_u64(*point);
-            }
-            CellWork::Fuzz {
-                scheme,
-                workload,
-                txs_per_core,
-                execs,
-                fault,
-                crash_event,
-                recovery_crash,
-                arrival,
-                corpus: _,
-            } => {
-                h.tag(8);
-                h.str(scheme);
-                h.str(workload);
-                h.usize(*txs_per_core);
-                h.u64(*execs);
-                match fault {
-                    None => h.tag(0),
-                    Some(f) => {
-                        h.tag(1);
-                        h.opt_usize(f.torn_line_keep_bytes);
-                        h.opt_u64(f.battery_budget_bytes);
-                    }
-                }
-                h.opt_u64(*crash_event);
-                h.opt_u64(*recovery_crash);
-                match arrival {
-                    None => h.tag(0),
-                    Some(ident) => {
-                        h.tag(1);
-                        h.str(ident);
-                    }
-                }
-            }
-        }
-        h.finish()
+        fnv1a((self.seed, &self.work))
     }
 
     /// Runs the cell. Deterministic: the outcome depends only on the spec
@@ -690,15 +509,11 @@ impl CellSpec {
             }
             CellWork::Wear(run) => execute_wear(run, seed),
             CellWork::TraceStats { workload, txs } => execute_trace_stats(workload, *txs, seed),
-            CellWork::LargeTx { .. } => {
-                let mut alone = crate::experiments::fig14::execute_large_txs(&[self]);
+            CellWork::LargeTx { .. } | CellWork::CrashSweep { .. } => {
+                let mut alone = CellSpec::execute_unit(&[self]);
                 alone.pop().expect("one outcome per cell")
             }
             CellWork::Recovery { txs, crash_at } => execute_recovery(*txs, *crash_at, seed),
-            CellWork::CrashSweep { .. } => {
-                let mut alone = crate::experiments::crash::execute_sweeps(&[self]);
-                alone.pop().expect("one outcome per cell")
-            }
             CellWork::Fuzz { .. } => crate::experiments::crash::execute_fuzz(self),
         }
     }
@@ -801,56 +616,6 @@ fn execute_recovery(txs: usize, crash_at: u64, seed: u64) -> CellOutcome {
         .with_value("replayed", r.replayed_words as f64)
         .with_value("revoked", r.revoked_words as f64)
         .with_value("us", us)
-}
-
-/// The canonical encoding behind [`CellSpec::spec_hash`], fed to
-/// [`Fnv1a`]: variant tags, little-endian integers, and length-prefixed
-/// strings, so distinct specs cannot collide by concatenation.
-struct Encoder(Fnv1a);
-
-impl Encoder {
-    fn new() -> Self {
-        Encoder(Fnv1a::new())
-    }
-
-    fn tag(&mut self, t: u8) {
-        self.0.write(&[t]);
-    }
-
-    fn bool(&mut self, b: bool) {
-        self.tag(u8::from(b));
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.0.write_u64(v);
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.0.write(s.as_bytes());
-    }
-
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.tag(0),
-            Some(x) => {
-                self.tag(1);
-                self.u64(x);
-            }
-        }
-    }
-
-    fn opt_usize(&mut self, v: Option<usize>) {
-        self.opt_u64(v.map(|x| x as u64));
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.finish()
-    }
 }
 
 #[cfg(test)]
@@ -1040,7 +805,6 @@ mod tests {
             fault: FaultSpec::OpBoundary,
             points: 4,
             point: None,
-            checkpoints: true,
         }));
         check(spec(CellWork::CrashSweep {
             scheme: "Silo".into(),
@@ -1049,7 +813,6 @@ mod tests {
             fault: FaultSpec::TornLine(64),
             points: 4,
             point: None,
-            checkpoints: true,
         }));
         check(spec(CellWork::CrashSweep {
             scheme: "Silo".into(),
@@ -1058,7 +821,6 @@ mod tests {
             fault: FaultSpec::Battery(65_536),
             points: 4,
             point: Some(7),
-            checkpoints: true,
         }));
         let fuzz = |fault, crash_event, recovery_crash, arrival: Option<&str>| CellWork::Fuzz {
             scheme: "Silo".into(),
@@ -1069,7 +831,6 @@ mod tests {
             crash_event,
             recovery_crash,
             arrival: arrival.map(str::to_string),
-            corpus: None,
         };
         check(spec(fuzz(None, None, None, None)));
         let battery = Some(FaultModel::bounded_battery(64));
@@ -1098,7 +859,6 @@ mod tests {
             crash_event: None,
             recovery_crash: None,
             arrival: None,
-            corpus: None,
         }));
     }
 
@@ -1113,7 +873,6 @@ mod tests {
             crash_event: None,
             recovery_crash: None,
             arrival: None,
-            corpus: None,
         });
         assert!(!fuzz.cacheable());
         let sweep = spec(CellWork::CrashSweep {
@@ -1123,7 +882,6 @@ mod tests {
             fault: FaultSpec::OpBoundary,
             points: 4,
             point: None,
-            checkpoints: true,
         });
         assert!(sweep.cacheable());
         assert!(spec(CellWork::TraceStats {
@@ -1131,6 +889,64 @@ mod tests {
             txs: 4,
         })
         .cacheable());
+    }
+
+    #[test]
+    fn a_unit_key_blanks_the_one_field_its_cells_differ_in() {
+        let sweep = |scheme: &str, workload: &str, txs_per_core, fault, points, point| {
+            spec(CellWork::CrashSweep {
+                scheme: scheme.into(),
+                workload: workload.into(),
+                txs_per_core,
+                fault,
+                points,
+                point,
+            })
+        };
+        let large = |workload: &str, mult, txs| {
+            spec(CellWork::LargeTx {
+                workload: workload.into(),
+                mult,
+                txs,
+            })
+        };
+        let key = |cell: &CellSpec| cell.unit_key().expect("a unit of several");
+        let op = sweep("Silo", "Hash", 8, FaultSpec::OpBoundary, 4, None);
+        let torn = sweep("Silo", "Hash", 8, FaultSpec::TornLine(64), 4, None);
+        let battery = sweep("Silo", "Hash", 8, FaultSpec::Battery(64), 4, None);
+        assert_eq!((key(&op), key(&op)), (key(&torn), key(&battery)));
+        let x1 = large("Queue", 1, 40);
+        assert_eq!(key(&x1), key(&large("Queue", 16, 40)));
+        let reseeded = |cell: &CellSpec| CellSpec::new(CellLabel::default(), 43, cell.work.clone());
+        let no_checkpoints = RunOptions {
+            checkpoints: false,
+            ..RunOptions::default()
+        };
+        let elsewhere = RunOptions {
+            corpus: Some(PathBuf::from("elsewhere")),
+            ..RunOptions::default()
+        };
+        let mut seen = vec![key(&op), key(&x1)];
+        for other in [
+            sweep("Base", "Hash", 8, FaultSpec::OpBoundary, 4, None),
+            sweep("Silo", "TPCC", 8, FaultSpec::OpBoundary, 4, None),
+            sweep("Silo", "Hash", 16, FaultSpec::OpBoundary, 4, None),
+            sweep("Silo", "Hash", 8, FaultSpec::OpBoundary, 5, None),
+            sweep("Silo", "Hash", 8, FaultSpec::OpBoundary, 4, Some(7)),
+            reseeded(&op),
+            op.clone().with_options(no_checkpoints.clone()),
+            op.clone().with_options(elsewhere),
+            large("Hash", 1, 40),
+            large("Queue", 1, 80),
+            reseeded(&x1),
+            x1.clone().with_options(no_checkpoints),
+        ] {
+            let k = key(&other);
+            assert!(!seen.contains(&k), "{:?} {:?}", other.work, other.options);
+            seen.push(k);
+        }
+        let delta = RunSpec::table_ii("Silo", WorkloadSpec::plain("Hash"), 8, 100);
+        assert_eq!(spec(CellWork::Delta(delta)).unit_key(), None);
     }
 
     #[test]

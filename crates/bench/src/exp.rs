@@ -1,11 +1,9 @@
-//! The declarative experiment layer: specs, grid sweeps, and cells.
+//! The declarative experiment layer: specs and cells.
 //!
 //! Every figure, table, ablation, and study in this repository is described
-//! by an [`ExperimentSpec`]: a name, defaults, and either a declarative
-//! [`GridSpec`] (scheme set × workload set × core counts with a metric
-//! extractor and a normalization reference — the Fig 11/12 shape) or a
-//! custom pair of functions that build the experiment's independent
-//! simulation [`CellSpec`]s and render the finished results.
+//! by an [`ExperimentSpec`]: a name, defaults, and a pair of functions that
+//! build the experiment's independent simulation [`CellSpec`]s and render
+//! the finished results.
 //!
 //! The split into *build* → *run* → *render* is what makes the runner
 //! parallel without changing a byte of output: cells carry no ordering
@@ -14,14 +12,11 @@
 //! ([`CellSpec`]), so the runner also memoizes them through the persistent
 //! [`ResultStore`](crate::ResultStore).
 
-use std::fmt::Write as _;
-
 use silo_sim::SimStats;
 use silo_types::JsonValue;
 
-use crate::cellspec::{CellSpec, CellWork, RunSpec, WorkloadSpec};
+use crate::cellspec::CellSpec;
 use crate::flags::{Flag, Line};
-use crate::format_normalized;
 
 /// Runtime parameters of one experiment invocation.
 #[derive(Clone, Debug)]
@@ -227,43 +222,6 @@ impl<'a> Taken<'a> {
     }
 }
 
-/// The declarative scheme × workload × cores sweep (the paper's Fig 11/12
-/// shape): every combination runs
-/// [`run_delta_with`](crate::run_delta_with), the chosen metric is
-/// extracted, and each (workload, cores) row is normalized to the
-/// reference scheme column.
-pub struct GridSpec {
-    /// Headline printed before the first table.
-    pub title: &'static str,
-    /// Scheme columns, legend order.
-    pub schemes: &'static [&'static str],
-    /// Workload rows, x-axis order.
-    pub benchmarks: &'static [&'static str],
-    /// One normalized table per core count.
-    pub core_counts: &'static [usize],
-    /// Metric key used in the JSON report.
-    pub metric_name: &'static str,
-    /// Extracts the plotted metric from a finished run.
-    pub metric: fn(&SimStats) -> f64,
-    /// Index into `schemes` of the normalization reference column.
-    pub reference: usize,
-}
-
-/// How an experiment produces its cells and its output.
-pub enum ExpKind {
-    /// A declarative grid sweep.
-    Grid(GridSpec),
-    /// Hand-written build/render functions (ablations, studies, tables).
-    Custom {
-        /// Expands the parameters into independent cell specs.
-        build: fn(&ExpParams) -> Vec<CellSpec>,
-        /// Renders the text output (byte-identical to the pre-framework
-        /// binary) and returns the experiment's derived values for the
-        /// report.
-        render: fn(&ExpParams, &[(CellLabel, CellOutcome)], &mut String) -> JsonValue,
-    },
-}
-
 /// A registered experiment: everything `evaluate` needs to list, run,
 /// render, and persist it.
 pub struct ExperimentSpec {
@@ -275,110 +233,29 @@ pub struct ExperimentSpec {
     pub default_txs: usize,
     /// The flags only this experiment reads, beyond [`COMMON`](crate::flags::COMMON).
     pub flags: &'static [Flag],
-    /// Grid or custom behaviour.
-    pub kind: ExpKind,
+    /// Expands the parameters into independent cell specs.
+    pub build: fn(&ExpParams) -> Vec<CellSpec>,
+    /// Renders the text output (byte-identical to the pre-framework
+    /// binary) and returns the experiment's derived values for the report.
+    pub render: fn(&ExpParams, &[(CellLabel, CellOutcome)], &mut String) -> JsonValue,
 }
 
 impl ExperimentSpec {
     /// Expands the parameters into this experiment's independent cell
-    /// specs. Grid cells are steady-state deltas on the stock Table II
-    /// machine — two grids sweeping the same axes (fig11/fig12) produce
-    /// content-identical specs and share one set of memoized results.
+    /// specs (its `build` function).
     pub fn build(&self, p: &ExpParams) -> Vec<CellSpec> {
-        match &self.kind {
-            ExpKind::Custom { build, .. } => build(p),
-            ExpKind::Grid(grid) => {
-                let mut cells = Vec::new();
-                for &cores in grid.core_counts {
-                    let txs_per_core = (p.txs / cores).max(1);
-                    for bench in grid.benchmarks {
-                        for scheme in grid.schemes {
-                            cells.push(CellSpec::new(
-                                CellLabel::swc(scheme, bench, cores),
-                                p.seed,
-                                CellWork::Delta(RunSpec::table_ii(
-                                    scheme,
-                                    WorkloadSpec::plain(bench),
-                                    cores,
-                                    txs_per_core,
-                                )),
-                            ));
-                        }
-                    }
-                }
-                cells
-            }
-        }
+        (self.build)(p)
     }
 
     /// Renders the finished cells into the experiment's text output and
-    /// returns its derived (normalized) values for the JSON report.
+    /// returns its derived values for the JSON report (its `render`
+    /// function).
     pub fn render(
         &self,
         p: &ExpParams,
         cells: &[(CellLabel, CellOutcome)],
         out: &mut String,
     ) -> JsonValue {
-        match &self.kind {
-            ExpKind::Custom { render, .. } => render(p, cells, out),
-            ExpKind::Grid(grid) => {
-                let mut taken = Taken::new(cells);
-                writeln!(out, "{}", grid.title).unwrap();
-                let mut tables = Vec::new();
-                for &cores in grid.core_counts {
-                    let mut rows = Vec::new();
-                    for _bench in grid.benchmarks {
-                        let row: Vec<f64> = grid
-                            .schemes
-                            .iter()
-                            .map(|_| (grid.metric)(taken.next_stats()))
-                            .collect();
-                        rows.push(row);
-                    }
-                    out.push_str(&format_normalized(
-                        &format!("({cores} core{})", if cores == 1 { "" } else { "s" }),
-                        &grid
-                            .benchmarks
-                            .iter()
-                            .map(|s| s.to_string())
-                            .collect::<Vec<_>>(),
-                        grid.schemes,
-                        &rows,
-                        grid.reference,
-                    ));
-                    tables.push(grid_table_json(grid, cores, &rows));
-                }
-                JsonValue::object()
-                    .field("metric", grid.metric_name)
-                    .field("reference", grid.schemes[grid.reference])
-                    .field("tables", JsonValue::Arr(tables))
-                    .build()
-            }
-        }
+        (self.render)(p, cells, out)
     }
-}
-
-/// One normalized per-core-count table as JSON.
-fn grid_table_json(grid: &GridSpec, cores: usize, rows: &[Vec<f64>]) -> JsonValue {
-    let norm_rows: Vec<JsonValue> = grid
-        .benchmarks
-        .iter()
-        .zip(rows)
-        .map(|(bench, row)| {
-            let norm = row[grid.reference];
-            JsonValue::object()
-                .field("workload", *bench)
-                .field("raw", JsonValue::array(row.iter().copied()))
-                .field(
-                    "normalized",
-                    JsonValue::array(row.iter().map(|v| if norm == 0.0 { 0.0 } else { v / norm })),
-                )
-                .build()
-        })
-        .collect();
-    JsonValue::object()
-        .field("cores", cores)
-        .field("schemes", JsonValue::array(grid.schemes.iter().copied()))
-        .field("rows", JsonValue::Arr(norm_rows))
-        .build()
 }

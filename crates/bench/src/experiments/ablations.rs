@@ -9,7 +9,7 @@ use silo_core::SiloOptions;
 use silo_types::JsonValue;
 
 use crate::cellspec::{CellSpec, CellWork, ConfigDelta, RunSpec, SchemeSpec, WorkloadSpec};
-use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec, Taken};
+use crate::exp::{CellLabel, CellOutcome, ExpParams, ExperimentSpec, Taken};
 
 const SEVEN: [&str; 7] = ["Array", "Btree", "Hash", "Queue", "RBtree", "TPCC", "YCSB"];
 const CORES: usize = 8;
@@ -113,10 +113,8 @@ pub fn batch_size() -> ExperimentSpec {
         description: "overflow batch size 1/4/14 on overflow-heavy batched transactions",
         default_txs: 2_000,
         flags: &[],
-        kind: ExpKind::Custom {
-            build: build_batch_size,
-            render: render_batch_size,
-        },
+        build: build_batch_size,
+        render: render_batch_size,
     }
 }
 
@@ -198,10 +196,8 @@ pub fn coalescing() -> ExperimentSpec {
         description: "Silo with the on-PM write-coalescing buffer on vs off",
         default_txs: 2_000,
         flags: &[],
-        kind: ExpKind::Custom {
-            build: build_coalescing,
-            render: render_coalescing,
-        },
+        build: build_coalescing,
+        render: render_coalescing,
     }
 }
 
@@ -292,10 +288,8 @@ pub fn flushbit() -> ExperimentSpec {
         description: "flush-bit on vs off under eviction pressure (tiny hierarchy, 16x batches)",
         default_txs: 2_000,
         flags: &[],
-        kind: ExpKind::Custom {
-            build: build_flushbit,
-            render: render_flushbit,
-        },
+        build: build_flushbit,
+        render: render_flushbit,
     }
 }
 
@@ -398,9 +392,7 @@ pub fn log_reduction() -> ExperimentSpec {
             "log ignorance and merging contributions: full / no-ignore / no-merge / neither",
         default_txs: 2_000,
         flags: &[],
-        kind: ExpKind::Custom {
-            build: build_log_reduction,
-            render: render_log_reduction,
-        },
+        build: build_log_reduction,
+        render: render_log_reduction,
     }
 }

@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 use silo_types::JsonValue;
 
 use crate::cellspec::{CellSpec, CellWork, RunSpec, WorkloadSpec};
-use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec, Taken};
+use crate::exp::{CellLabel, CellOutcome, ExpParams, ExperimentSpec, Taken};
 use crate::flags::{BENCH, CORES};
 use crate::SCHEMES;
 
@@ -90,6 +90,7 @@ pub fn spec() -> ExperimentSpec {
         description: "quick-look scheme comparison on chosen workloads/cores (debug utility)",
         default_txs: 200,
         flags: &[CORES, BENCH],
-        kind: ExpKind::Custom { build, render },
+        build,
+        render,
     }
 }

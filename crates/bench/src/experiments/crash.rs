@@ -46,6 +46,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 
 use silo_sim::{
@@ -55,8 +56,10 @@ use silo_sim::{
 use silo_types::{Cycles, Fnv1a, JsonValue, PhysAddr, Xoshiro256, BUF_LINE_BYTES};
 use silo_workloads::ArrivalProcess;
 
-use crate::cellspec::{crash_workload_spec, CellSpec, CellWork, FaultSpec, CRASH_CORES as CORES};
-use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec};
+use crate::cellspec::{
+    crash_workload_spec, CellSpec, CellWork, FaultSpec, RunOptions, CRASH_CORES as CORES,
+};
+use crate::exp::{CellLabel, CellOutcome, ExpParams, ExperimentSpec};
 use crate::flags::{
     any, schemes, Flag, Line, Value::*, BATTERY_BYTES, BENCH, DEFAULT_BATTERY_BYTES,
     DEFAULT_TORN_KEEP, MAX, SCHEME, TORN_KEEP,
@@ -488,12 +491,12 @@ pub(crate) fn execute_sweeps(unit: &[&CellSpec]) -> Vec<CellOutcome> {
         txs_per_core,
         points,
         point,
-        checkpoints,
         ..
     } = first.work
     else {
         unreachable!("checked above")
     };
+    let checkpoints = first.options.checkpoints;
     let target = |txs| Target::new(scheme, workload, None, txs, first.seed, false);
     let t = target(txs_per_core);
     // Every engine of the unit, shrink sweeps included, runs on these.
@@ -590,25 +593,25 @@ fn build_sweep(p: &ExpParams) -> Vec<CellSpec> {
     let txs_per_core = (p.txs / CORES).max(1);
     let points = line.int(POINTS_FLAG.name).unwrap_or(POINTS);
     let point = line.int(POINT.name);
-    let checkpoints = !line.switch(NO_CHECKPOINTS.name);
+    let options = RunOptions {
+        checkpoints: !line.switch(NO_CHECKPOINTS.name),
+        ..RunOptions::default()
+    };
     let mut cells = Vec::new();
     for bench in &p.benches {
         for scheme in schemes(&line) {
             for fault in faults(&line) {
-                cells.push(CellSpec::new(
-                    CellLabel::swc(&scheme, bench, CORES)
-                        .with_param(format!("fault={}", describe(&fault.plan(0)))),
-                    p.seed,
-                    CellWork::CrashSweep {
-                        scheme: scheme.clone(),
-                        workload: bench.clone(),
-                        txs_per_core,
-                        fault,
-                        points,
-                        point,
-                        checkpoints,
-                    },
-                ));
+                let work = CellWork::CrashSweep {
+                    scheme: scheme.clone(),
+                    workload: bench.clone(),
+                    txs_per_core,
+                    fault,
+                    points,
+                    point,
+                };
+                let label = CellLabel::swc(&scheme, bench, CORES)
+                    .with_param(format!("fault={}", describe(&fault.plan(0))));
+                cells.push(CellSpec::new(label, p.seed, work).with_options(options.clone()));
             }
         }
     }
@@ -738,10 +741,8 @@ pub fn crashfuzz() -> ExperimentSpec {
             POINT,
             NO_CHECKPOINTS,
         ],
-        kind: ExpKind::Custom {
-            build: build_sweep,
-            render: render_sweep,
-        },
+        build: build_sweep,
+        render: render_sweep,
     }
 }
 
@@ -962,7 +963,6 @@ pub(crate) fn execute_fuzz(cell: &CellSpec) -> CellOutcome {
         crash_event,
         recovery_crash,
         ref arrival,
-        ref corpus,
     } = cell.work
     else {
         unreachable!("not a crash search: {:?}", cell.work)
@@ -1004,7 +1004,8 @@ pub(crate) fn execute_fuzz(cell: &CellSpec) -> CellOutcome {
         checkpoints.push(cp);
         true
     });
-    let cell_dir = corpus.as_ref().map(|root| root.join(workload).join(scheme));
+    let corpus_root = cell.options.corpus.as_ref();
+    let cell_dir = corpus_root.map(|root| root.join(workload).join(scheme));
     let stored = match (&cell_dir, crash_event) {
         (Some(dir), None) => load_corpus(dir, fault),
         _ => Vec::new(),
@@ -1091,8 +1092,11 @@ fn build_search(p: &ExpParams) -> Vec<CellSpec> {
     let line = p.line();
     let txs_per_core = (p.txs / CORES).max(1);
     let arrival = line.text(ARRIVAL.name);
-    let corpus = (!line.switch(NO_CORPUS.name))
-        .then(|| PathBuf::from(line.text(CORPUS.name).unwrap_or("target/fuzz-corpus")));
+    let options = RunOptions {
+        corpus: (!line.switch(NO_CORPUS.name))
+            .then(|| PathBuf::from(line.text(CORPUS.name).unwrap_or("target/fuzz-corpus"))),
+        ..RunOptions::default()
+    };
     let mut cells = Vec::new();
     for bench in &p.benches {
         for scheme in schemes(&line) {
@@ -1100,21 +1104,17 @@ fn build_search(p: &ExpParams) -> Vec<CellSpec> {
             if let Some(ident) = arrival {
                 label = label.with_param(format!("arrival={ident}"));
             }
-            cells.push(CellSpec::new(
-                label,
-                p.seed,
-                CellWork::Fuzz {
-                    scheme,
-                    workload: bench.clone(),
-                    txs_per_core,
-                    execs: line.int(EXECS.name).unwrap_or(DEFAULT_EXECS),
-                    fault: restriction(&line),
-                    crash_event: line.int(CRASH_EVENT.name),
-                    recovery_crash: line.int(RECOVERY_CRASH.name),
-                    arrival: arrival.map(str::to_string),
-                    corpus: corpus.clone(),
-                },
-            ));
+            let work = CellWork::Fuzz {
+                scheme,
+                workload: bench.clone(),
+                txs_per_core,
+                execs: line.int(EXECS.name).unwrap_or(DEFAULT_EXECS),
+                fault: restriction(&line),
+                crash_event: line.int(CRASH_EVENT.name),
+                recovery_crash: line.int(RECOVERY_CRASH.name),
+                arrival: arrival.map(str::to_string),
+            };
+            cells.push(CellSpec::new(label, p.seed, work).with_options(options.clone()));
         }
     }
     cells
@@ -1248,10 +1248,8 @@ pub fn fuzz() -> ExperimentSpec {
             CORPUS,
             NO_CORPUS,
         ],
-        kind: ExpKind::Custom {
-            build: build_search,
-            render: render_search,
-        },
+        build: build_search,
+        render: render_search,
     }
 }
 
@@ -1288,7 +1286,6 @@ mod tests {
             crash_event: None,
             recovery_crash: None,
             arrival: None,
-            corpus: None,
         };
         CellSpec::new(CellLabel::default(), 42, work)
     }
@@ -1301,23 +1298,20 @@ mod tests {
         let again = built(&spec, &[]);
         assert_eq!(on.len(), off.len());
         for ((on, off), again) in on.iter().zip(&off).zip(&again) {
-            let checkpoints = |c: &CellSpec| match c.work {
-                CellWork::CrashSweep { checkpoints, .. } => checkpoints,
-                _ => panic!("crashfuzz builds sweeps"),
-            };
-            assert!(!checkpoints(off), "--no-checkpoints turns them off");
-            assert!(checkpoints(again), "a later build without it resumes");
+            assert!(!off.options.checkpoints, "--no-checkpoints turns them off");
+            assert!(
+                again.options.checkpoints,
+                "a later build without it resumes"
+            );
             assert_eq!(on.spec_hash(), off.spec_hash());
         }
         let fuzz = fuzz();
         let corpus = |flags: &[&str]| -> Vec<Option<PathBuf>> {
-            built(&fuzz, flags)
-                .into_iter()
-                .map(|c| match c.work {
-                    CellWork::Fuzz { corpus, .. } => corpus,
-                    _ => panic!("fuzz builds searches"),
-                })
-                .collect()
+            let cells = built(&fuzz, flags);
+            assert!(cells
+                .iter()
+                .all(|c| matches!(c.work, CellWork::Fuzz { .. })));
+            cells.into_iter().map(|c| c.options.corpus).collect()
         };
         assert!(corpus(&["--no-corpus"]).iter().all(Option::is_none));
         assert!(corpus(&["--corpus", "elsewhere"])
@@ -1335,7 +1329,6 @@ mod tests {
                 fault,
                 points: POINTS,
                 point: None,
-                checkpoints: true,
             };
             CellSpec::new(CellLabel::default(), 42, work)
         };

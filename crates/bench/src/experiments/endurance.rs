@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use silo_types::JsonValue;
 
 use crate::cellspec::{CellSpec, CellWork, RunSpec, WorkloadSpec};
-use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec, Taken};
+use crate::exp::{CellLabel, CellOutcome, ExpParams, ExperimentSpec, Taken};
 use crate::SCHEMES;
 
 const BENCHES: [&str; 3] = ["Hash", "TPCC", "YCSB"];
@@ -110,6 +110,7 @@ pub fn spec() -> ExperimentSpec {
         description: "PM wear and lifetime estimates per scheme (endurance extension)",
         default_txs: 2_000,
         flags: &[],
-        kind: ExpKind::Custom { build, render },
+        build,
+        render,
     }
 }

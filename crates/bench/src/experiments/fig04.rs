@@ -8,7 +8,7 @@ use silo_types::JsonValue;
 use silo_workloads::fig4_set;
 
 use crate::cellspec::{CellSpec, CellWork};
-use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec, Taken};
+use crate::exp::{CellLabel, CellOutcome, ExpParams, ExperimentSpec, Taken};
 
 fn build(p: &ExpParams) -> Vec<CellSpec> {
     fig4_set()
@@ -79,6 +79,7 @@ pub fn spec() -> ExperimentSpec {
         description: "write size per transaction across eleven workloads (motivation for the small log buffer)",
         default_txs: 2_000,
         flags: &[],
-        kind: ExpKind::Custom { build, render },
+        build,
+        render,
     }
 }

@@ -1,13 +1,20 @@
-//! Fig 12: normalized transaction throughput, five schemes × seven
-//! benchmarks × {1, 2, 4, 8} cores (§VI-C).
+//! Fig 12: normalized transaction throughput over Fig 11's grid, five
+//! schemes × seven benchmarks × {1, 2, 4, 8} cores (§VI-C).
 
 use silo_sim::SimStats;
+use silo_types::JsonValue;
 
-use crate::exp::{ExpKind, ExperimentSpec, GridSpec};
-use crate::{FIG11_BENCHMARKS, SCHEMES};
+use super::fig11::{build, render_grid};
+use crate::exp::{CellLabel, CellOutcome, ExpParams, ExperimentSpec};
 
-fn throughput(stats: &SimStats) -> f64 {
-    stats.throughput()
+fn render(_p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -> JsonValue {
+    render_grid(
+        "Fig 12: transaction throughput, normalized to Base",
+        "throughput",
+        SimStats::throughput,
+        cells,
+        out,
+    )
 }
 
 /// The registered spec.
@@ -18,14 +25,7 @@ pub fn spec() -> ExperimentSpec {
             "transaction throughput, normalized to Base (5 schemes x 7 benchmarks x 1/2/4/8 cores)",
         default_txs: 10_000,
         flags: &[],
-        kind: ExpKind::Grid(GridSpec {
-            title: "Fig 12: transaction throughput, normalized to Base",
-            schemes: &SCHEMES,
-            benchmarks: &FIG11_BENCHMARKS,
-            core_counts: &[1, 2, 4, 8],
-            metric_name: "throughput",
-            metric: throughput,
-            reference: 0,
-        }),
+        build,
+        render,
     }
 }

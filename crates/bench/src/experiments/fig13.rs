@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use silo_types::JsonValue;
 
 use crate::cellspec::{CellSpec, CellWork, RunSpec, WorkloadSpec};
-use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec, Taken};
+use crate::exp::{CellLabel, CellOutcome, ExpParams, ExperimentSpec, Taken};
 
 const NAMES: [&str; 7] = [
     "Array", "Btree", "Hash", "Queue", "RBtree", "TPCC-mix", "YCSB",
@@ -97,6 +97,7 @@ pub fn spec() -> ExperimentSpec {
         description: "on-chip log entries per transaction under log ignorance and merging (sizes the 20-entry buffer)",
         default_txs: 10_000,
         flags: &[],
-        kind: ExpKind::Custom { build, render },
+        build,
+        render,
     }
 }

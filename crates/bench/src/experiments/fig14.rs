@@ -14,7 +14,7 @@ use silo_sim::{Engine, ForkPoint, SimConfig, Transaction};
 use silo_types::JsonValue;
 
 use crate::cellspec::{CellSpec, CellWork, WorkloadSpec};
-use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec, Taken};
+use crate::exp::{CellLabel, CellOutcome, ExpParams, ExperimentSpec, Taken};
 use crate::{batch_stream, finish, EventTraceSink, TraceCache};
 
 const MULTS: [usize; 5] = [1, 2, 4, 8, 16];
@@ -236,7 +236,8 @@ pub fn spec() -> ExperimentSpec {
         description: "Silo on large transactions: throughput and write traffic vs 1-16x write-set multipliers",
         default_txs: 4_000,
         flags: &[],
-        kind: ExpKind::Custom { build, render },
+        build,
+        render,
     }
 }
 

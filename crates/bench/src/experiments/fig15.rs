@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use silo_types::JsonValue;
 
 use crate::cellspec::{CellSpec, CellWork, ConfigDelta, RunSpec, SchemeSpec, WorkloadSpec};
-use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec, Taken};
+use crate::exp::{CellLabel, CellOutcome, ExpParams, ExperimentSpec, Taken};
 
 const NAMES: [&str; 7] = ["Array", "Btree", "Hash", "Queue", "RBtree", "TPCC", "YCSB"];
 const CORES: usize = 8;
@@ -93,6 +93,7 @@ pub fn spec() -> ExperimentSpec {
         description: "throughput sensitivity to log-buffer access latency (8-128 cycles)",
         default_txs: 4_000,
         flags: &[],
-        kind: ExpKind::Custom { build, render },
+        build,
+        render,
     }
 }

@@ -29,7 +29,7 @@ use silo_types::JsonValue;
 use silo_workloads::ArrivalProcess;
 
 use crate::cellspec::{CellSpec, CellWork, RunSpec, WorkloadSpec};
-use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec, Taken};
+use crate::exp::{CellLabel, CellOutcome, ExpParams, ExperimentSpec, Taken};
 use crate::flags::{BENCH, CORES};
 use crate::ALL_SCHEMES;
 
@@ -181,6 +181,7 @@ pub fn spec() -> ExperimentSpec {
         description: "open-system sojourn-latency percentiles vs offered load (arrival layer)",
         default_txs: 2_000,
         flags: &[CORES, BENCH],
-        kind: ExpKind::Custom { build, render },
+        build,
+        render,
     }
 }

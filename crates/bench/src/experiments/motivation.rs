@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 use silo_types::JsonValue;
 
 use crate::cellspec::{CellSpec, CellWork, RunSpec, WorkloadSpec};
-use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec, Taken};
+use crate::exp::{CellLabel, CellOutcome, ExpParams, ExperimentSpec, Taken};
 
 const NAMES: [&str; 4] = ["Hash", "Queue", "TPCC", "Bank"];
 const VARIANTS: [&str; 4] = ["SwLog", "eADR-sw", "Base", "Silo"];
@@ -103,6 +103,7 @@ pub fn spec() -> ExperimentSpec {
         description: "software vs hardware logging on one core (Fig 1 motivation)",
         default_txs: 2_000,
         flags: &[],
-        kind: ExpKind::Custom { build, render },
+        build,
+        render,
     }
 }

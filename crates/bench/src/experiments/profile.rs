@@ -20,7 +20,7 @@ use silo_sim::CycleCategory;
 use silo_types::JsonValue;
 
 use crate::cellspec::{CellSpec, CellWork, RunSpec, WorkloadSpec};
-use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec, Taken};
+use crate::exp::{CellLabel, CellOutcome, ExpParams, ExperimentSpec, Taken};
 use crate::flags::{BENCH, CORES};
 use crate::ALL_SCHEMES;
 
@@ -114,6 +114,7 @@ pub fn spec() -> ExperimentSpec {
         description: "per-scheme cycle-attribution breakdown (observability layer)",
         default_txs: 2_000,
         flags: &[CORES, BENCH],
-        kind: ExpKind::Custom { build, render },
+        build,
+        render,
     }
 }

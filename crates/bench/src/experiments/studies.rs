@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use silo_types::JsonValue;
 
 use crate::cellspec::{CellSpec, CellWork, ConfigDelta, RunSpec, SchemeSpec, WorkloadSpec};
-use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec, Taken};
+use crate::exp::{CellLabel, CellOutcome, ExpParams, ExperimentSpec, Taken};
 
 const CORES: usize = 8;
 
@@ -98,10 +98,8 @@ pub fn buffer_capacity() -> ExperimentSpec {
         description: "per-core log buffer sized 5-80 entries: overflow rate, traffic, throughput",
         default_txs: 4_000,
         flags: &[],
-        kind: ExpKind::Custom {
-            build: build_buffer_capacity,
-            render: render_buffer_capacity,
-        },
+        build: build_buffer_capacity,
+        render: render_buffer_capacity,
     }
 }
 
@@ -196,10 +194,8 @@ pub fn multi_mc() -> ExperimentSpec {
         description: "Silo with 1/2/4 memory controllers: scaling without cross-MC coordination",
         default_txs: 4_000,
         flags: &[],
-        kind: ExpKind::Custom {
-            build: build_multi_mc,
-            render: render_multi_mc,
-        },
+        build: build_multi_mc,
+        render: render_multi_mc,
     }
 }
 
@@ -287,10 +283,8 @@ pub fn onpm_buffer() -> ExperimentSpec {
         description: "on-PM coalescing buffer sized 4-256 lines: media programs and drains",
         default_txs: 4_000,
         flags: &[],
-        kind: ExpKind::Custom {
-            build: build_onpm_buffer,
-            render: render_onpm_buffer,
-        },
+        build: build_onpm_buffer,
+        render: render_onpm_buffer,
     }
 }
 
@@ -370,9 +364,7 @@ pub fn recovery() -> ExperimentSpec {
         description: "recovery cost after crashes at varying cycles (selective-flush survivors)",
         default_txs: 1_000,
         flags: &[],
-        kind: ExpKind::Custom {
-            build: build_recovery,
-            render: render_recovery,
-        },
+        build: build_recovery,
+        render: render_recovery,
     }
 }

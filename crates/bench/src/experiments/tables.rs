@@ -13,7 +13,7 @@ use silo_sim::SimConfig;
 use silo_types::JsonValue;
 
 use crate::cellspec::CellSpec;
-use crate::exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec};
+use crate::exp::{CellLabel, CellOutcome, ExpParams, ExperimentSpec};
 
 fn build_none(_p: &ExpParams) -> Vec<CellSpec> {
     Vec::new()
@@ -222,10 +222,8 @@ pub fn table1() -> ExperimentSpec {
         description: "hardware overhead of Silo in the processor (no simulation)",
         default_txs: 0,
         flags: &[],
-        kind: ExpKind::Custom {
-            build: build_none,
-            render: render_table1,
-        },
+        build: build_none,
+        render: render_table1,
     }
 }
 
@@ -236,10 +234,8 @@ pub fn table2() -> ExperimentSpec {
         description: "simulated system configuration, printed from the live config structs",
         default_txs: 0,
         flags: &[],
-        kind: ExpKind::Custom {
-            build: build_none,
-            render: render_table2,
-        },
+        build: build_none,
+        render: render_table2,
     }
 }
 
@@ -250,9 +246,7 @@ pub fn table4() -> ExperimentSpec {
         description: "battery requirements of eADR, BBB, and Silo (no simulation)",
         default_txs: 0,
         flags: &[],
-        kind: ExpKind::Custom {
-            build: build_none,
-            render: render_table4,
-        },
+        build: build_none,
+        render: render_table4,
     }
 }

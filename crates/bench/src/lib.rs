@@ -29,8 +29,10 @@ pub mod result_store;
 pub mod runner;
 pub mod trace_cache;
 
-pub use cellspec::{CellSpec, CellWork, ConfigDelta, FaultSpec, RunSpec, SchemeSpec, WorkloadSpec};
-pub use exp::{CellLabel, CellOutcome, ExpKind, ExpParams, ExperimentSpec, GridSpec};
+pub use cellspec::{
+    CellSpec, CellWork, ConfigDelta, FaultSpec, RunOptions, RunSpec, SchemeSpec, WorkloadSpec,
+};
+pub use exp::{CellLabel, CellOutcome, ExpParams, ExperimentSpec};
 pub use flags::{Flag, Invocation, Line, UsageError};
 pub use probe::{run_profiled, EventTraceSink};
 pub use report::{

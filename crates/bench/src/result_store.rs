@@ -605,7 +605,6 @@ mod tests {
             fault,
             points: 2,
             point: None,
-            checkpoints: true,
         };
         CellSpec::new(CellLabel::default(), 42, work)
     }

@@ -48,7 +48,7 @@ use std::sync::Mutex;
 
 use silo_sim::{Machine, SimConfig};
 
-use crate::cellspec::{CellSpec, UnitKey};
+use crate::cellspec::CellSpec;
 use crate::exp::{CellLabel, CellOutcome};
 use crate::trace_cache::TraceRun;
 use crate::{ResultStore, TraceCache};
@@ -210,7 +210,7 @@ impl<const N: usize> Drop for Lease<N> {
 /// order of each unit's first cell.
 fn units(cells: &[CellSpec]) -> Vec<Vec<usize>> {
     let mut units: Vec<Vec<usize>> = Vec::new();
-    let mut by_key: HashMap<UnitKey, usize> = HashMap::new();
+    let mut by_key: HashMap<u64, usize> = HashMap::new();
     for (i, cell) in cells.iter().enumerate() {
         match cell.unit_key() {
             Some(key) => match by_key.entry(key) {
@@ -287,7 +287,6 @@ mod tests {
                 fault,
                 points: 4,
                 point: None,
-                checkpoints: true,
             };
             CellSpec::new(CellLabel::default(), seed, work)
         };
@@ -342,7 +341,6 @@ mod tests {
                 fault: FaultSpec::Battery(64),
                 points: 2,
                 point: None,
-                checkpoints: true,
             },
             CellWork::LargeTx {
                 workload: "Queue".into(),
@@ -358,7 +356,6 @@ mod tests {
                 crash_event: None,
                 recovery_crash: None,
                 arrival: None,
-                corpus: None,
             },
             delta("LAD", "TPCC", 2, ConfigDelta::default()),
         ];

@@ -225,7 +225,6 @@ fn every_kind_of_cell_drops_what_it_fetched_after_one_generation_each() {
             fault: FaultSpec::Battery(64),
             points: 4,
             point: None,
-            checkpoints: true,
         },
         CellWork::Fuzz {
             scheme: "Base".into(),
@@ -236,7 +235,6 @@ fn every_kind_of_cell_drops_what_it_fetched_after_one_generation_each() {
             crash_event: None,
             recovery_crash: None,
             arrival: None,
-            corpus: None,
         },
     ];
     let cells: Vec<CellSpec> = works

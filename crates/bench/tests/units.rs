@@ -19,7 +19,7 @@ use std::process::Command;
 
 use silo_bench::{
     registry, run_cells, run_with_scheme, Batched, CellLabel, CellOutcome, CellSpec, CellWork,
-    ExpParams, FaultSpec, ALL_SCHEMES,
+    ExpParams, FaultSpec, RunOptions, ALL_SCHEMES,
 };
 use silo_core::SiloScheme;
 use silo_sim::SimConfig;
@@ -49,10 +49,13 @@ fn sweeps(
                 fault,
                 points: 4,
                 point,
-                checkpoints,
             };
             let label = CellLabel::swc(scheme, "Hash", 2).with_param(format!("{fault:?}"));
-            cells.push(CellSpec::new(label, 42, work));
+            let options = RunOptions {
+                checkpoints,
+                ..RunOptions::default()
+            };
+            cells.push(CellSpec::new(label, 42, work).with_options(options));
         }
     }
     cells

@@ -23,7 +23,7 @@ use crate::{recovery, LogBuffer, LogEntry, Record, ThreadLogArea, RECORD_BYTES};
 /// let no_merge = SiloOptions { log_merging: false, ..SiloOptions::default() };
 /// assert!(!no_merge.log_merging);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SiloOptions {
     /// Drop logs whose store does not change the word (§III-C).
     pub log_ignorance: bool,

@@ -1,7 +1,6 @@
 //! The write pending queue and its service model.
 
 use std::collections::VecDeque;
-use std::fmt;
 
 use silo_types::Cycles;
 
@@ -204,8 +203,9 @@ impl MemCtrl {
 
     /// [`MemCtrl::enqueue_write`] with the admission reported to a probe
     /// hub: every admission emits a
-    /// [`silo_probe::ProbeEventKind::WpqAdmit`] event whose `arg` is the
-    /// producer's stall (0 on an uncontended queue). The probed path is
+    /// [`silo_probe::ProbeEventKind::WpqAdmit`] event, naming no core (the
+    /// controller serves them all), whose `arg` is the producer's stall (0
+    /// on an uncontended queue). The probed path is
     /// what the simulated machine uses; the unprobed method remains for
     /// direct controller tests and model code.
     pub fn enqueue_write_probed(
@@ -214,11 +214,10 @@ impl MemCtrl {
         bytes: u64,
         new_buffer_lines: u64,
         probe: &mut silo_probe::ProbeHub,
-        core: Option<u32>,
     ) -> Admission {
         let adm = self.enqueue_write(now, bytes, new_buffer_lines);
         let kind = silo_probe::ProbeEventKind::WpqAdmit;
-        probe.emit(kind, core, now.as_u64(), adm.stall.as_u64());
+        probe.emit(kind, None, now.as_u64(), adm.stall.as_u64());
         adm
     }
 
@@ -299,16 +298,6 @@ impl std::ops::Sub for MemCtrlStats {
             busy_cycles: self.busy_cycles.saturating_sub(r.busy_cycles),
             max_occupancy: self.max_occupancy.max(r.max_occupancy),
         }
-    }
-}
-
-impl fmt::Display for MemCtrlStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} writes, {} reads, {} stall cycles, {} busy cycles, peak WPQ {}",
-            self.writes, self.reads, self.stall_cycles, self.busy_cycles, self.max_occupancy
-        )
     }
 }
 

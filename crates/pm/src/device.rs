@@ -1,7 +1,8 @@
 //! The composed PM DIMM: on-PM buffer in front of the media.
 
-use silo_types::{PhysAddr, Word, WORD_BYTES};
+use silo_types::{PhysAddr, Word, BUF_LINE_BYTES, WORD_BYTES};
 
+use crate::media::line_spans;
 use crate::{
     DrainReport, EventCounters, EventKind, FaultModel, Media, OnPmBuffer, PmStats,
     DEFAULT_BUFFER_LINES,
@@ -234,15 +235,9 @@ impl PmDevice {
     fn write_through_raw(&mut self, addr: PhysAddr, bytes: &[u8]) -> u64 {
         self.buffer.patch_if_staged(addr, bytes);
         let before = self.media.line_writes();
-        let mut cur = addr.as_u64();
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let off = (cur % silo_types::BUF_LINE_BYTES as u64) as usize;
-            let chunk = rest.len().min(silo_types::BUF_LINE_BYTES - off);
-            let base = PhysAddr::new(cur - off as u64);
-            self.media.write_masked(base, &rest[..chunk], off);
-            cur += chunk as u64;
-            rest = &rest[chunk..];
+        for (line, off, span) in line_spans(addr, bytes.len()) {
+            let base = PhysAddr::new(line * BUF_LINE_BYTES as u64);
+            self.media.write_masked(base, &bytes[span], off);
         }
         self.media.line_writes() - before
     }

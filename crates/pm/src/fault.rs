@@ -70,7 +70,7 @@ impl EventCounters {
 /// The two knobs compose: a bounded battery with a torn head line models a
 /// crash that interrupts an in-flight line program *and* leaves too little
 /// energy to drain the rest of the buffer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FaultModel {
     /// Bytes of staged/`on_crash` data the residual-energy budget can push
     /// to the media after power loss (Table IV battery sizing). `None`

@@ -2,7 +2,9 @@
 //!
 //! Storage follows the flat paged-image model of the NVMain lineage this
 //! simulator replaces: a page table of 4 KiB slabs instead of a
-//! general-purpose hash table per 256 B line. Pages are held in [`Arc`], so
+//! general-purpose hash table per 256 B line. Each page holds its bytes
+//! inline, so a new page is one allocation and a program follows one
+//! pointer to them. Pages are held in [`Arc`], so
 //! cloning the media (the engine's `RunOutcome::pm` snapshot, crashfuzz's
 //! per-crash-point images) is copy-on-write — the clone costs one page-table
 //! copy and refcount bumps, and only pages written *after* the snapshot are
@@ -10,6 +12,7 @@
 //! program is one page-table lookup, and [`Media::wear`] derives a
 //! [`WearTracker`] from the pages when one is asked for.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use silo_types::{FxHashMap, PhysAddr, BUF_LINE_BYTES};
@@ -29,7 +32,7 @@ const LINES_PER_PAGE: usize = PAGE_BYTES / BUF_LINE_BYTES;
 /// DCW-suppressed one) or crash-time revert addresses them.
 #[derive(Clone, Debug)]
 struct Page {
-    data: Box<[u8; PAGE_BYTES]>,
+    data: [u8; PAGE_BYTES],
     touched: u16,
     /// Programs of each line: its wear.
     programs: [u64; LINES_PER_PAGE],
@@ -38,7 +41,7 @@ struct Page {
 impl Page {
     fn zeroed() -> Self {
         Page {
-            data: Box::new([0u8; PAGE_BYTES]),
+            data: [0u8; PAGE_BYTES],
             touched: 0,
             programs: [0; LINES_PER_PAGE],
         }
@@ -88,6 +91,29 @@ fn split_line(line_idx: u64) -> (u64, usize) {
         line_idx / LINES_PER_PAGE as u64,
         (line_idx % LINES_PER_PAGE as u64) as usize,
     )
+}
+
+/// The buffer-line spans of the `len` bytes at `addr`, in address order:
+/// each buffer line the bytes cover, the offset in that line of the first
+/// byte that falls in it, and the range of the bytes that does. Every
+/// split of a write or read at buffer-line boundaries goes through this;
+/// it allocates nothing.
+#[inline]
+pub(crate) fn line_spans(
+    addr: PhysAddr,
+    len: usize,
+) -> impl Iterator<Item = (u64, usize, Range<usize>)> {
+    let start = addr.as_u64();
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        (pos < len).then(|| {
+            let at = start + pos as u64;
+            let off = (at % BUF_LINE_BYTES as u64) as usize;
+            let span = pos..len.min(pos + BUF_LINE_BYTES - off);
+            pos = span.end;
+            (at / BUF_LINE_BYTES as u64, off, span)
+        })
+    })
 }
 
 /// Eight-byte chunks per buffer line: the unit of the DCW compare, and of
@@ -297,15 +323,9 @@ impl Media {
     /// eagerly; this only corrects which image is architecturally valid.
     /// May cross buffer-line boundaries.
     pub fn revert(&mut self, addr: PhysAddr, bytes: &[u8]) {
-        let mut cur = addr.as_u64();
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let off = (cur % BUF_LINE_BYTES as u64) as usize;
-            let chunk = rest.len().min(BUF_LINE_BYTES - off);
-            let slab = self.line_slab(cur / BUF_LINE_BYTES as u64);
-            slab[off..off + chunk].copy_from_slice(&rest[..chunk]);
-            cur += chunk as u64;
-            rest = &rest[chunk..];
+        for (line, off, span) in line_spans(addr, bytes.len()) {
+            let slab = self.line_slab(line);
+            slab[off..off + span.len()].copy_from_slice(&bytes[span]);
         }
     }
 

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use silo_types::{FxHashMap, PhysAddr, BUF_LINE_BYTES};
 
-use crate::media::{LineMask, LINE_CHUNKS};
+use crate::media::{line_spans, LineMask, LINE_CHUNKS};
 use crate::{DrainReport, Media};
 
 /// Default number of 256 B lines in the on-PM buffer.
@@ -192,20 +192,12 @@ impl OnPmBuffer {
     /// Stages `bytes` at `addr`, splitting across buffer lines as needed.
     /// Capacity pressure drains the oldest staged line into `media`.
     pub fn write(&mut self, addr: PhysAddr, bytes: &[u8], media: &mut Media) {
-        let mut cur = addr.as_u64();
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let off = (cur % BUF_LINE_BYTES as u64) as usize;
-            let chunk = rest.len().min(BUF_LINE_BYTES - off);
-            self.write_within_line(PhysAddr::new(cur), &rest[..chunk], media);
-            cur += chunk as u64;
-            rest = &rest[chunk..];
+        for (line, off, span) in line_spans(addr, bytes.len()) {
+            self.write_within_line(line, off, &bytes[span], media);
         }
     }
 
-    fn write_within_line(&mut self, addr: PhysAddr, bytes: &[u8], media: &mut Media) {
-        let line = addr.buf_line_index();
-        let off = addr.offset_in_buf_line();
+    fn write_within_line(&mut self, line: u64, off: usize, bytes: &[u8], media: &mut Media) {
         debug_assert!(off + bytes.len() <= BUF_LINE_BYTES);
         if let Some(slot) = self.slot_mut(line) {
             slot.stage(off, bytes);
@@ -236,18 +228,11 @@ impl OnPmBuffer {
     /// charged against the residual-energy budget once, when
     /// [`crash_drain`](Self::crash_drain) pushes them to the media.
     pub fn stage_unbounded(&mut self, addr: PhysAddr, bytes: &[u8]) {
-        let mut cur = addr.as_u64();
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let off = (cur % BUF_LINE_BYTES as u64) as usize;
-            let chunk = rest.len().min(BUF_LINE_BYTES - off);
-            let line = cur / BUF_LINE_BYTES as u64;
+        for (line, off, span) in line_spans(addr, bytes.len()) {
             match self.slot_mut(line) {
-                Some(slot) => slot.stage(off, &rest[..chunk]),
-                None => self.fill(line).stage(off, &rest[..chunk]),
+                Some(slot) => slot.stage(off, &bytes[span]),
+                None => self.fill(line).stage(off, &bytes[span]),
             }
-            cur += chunk as u64;
-            rest = &rest[chunk..];
         }
     }
 
@@ -314,16 +299,10 @@ impl OnPmBuffer {
         if self.slots.is_empty() {
             return;
         }
-        let mut cur = addr.as_u64();
-        let mut pos = 0;
-        while pos < out.len() {
-            let off = (cur % BUF_LINE_BYTES as u64) as usize;
-            let chunk = (out.len() - pos).min(BUF_LINE_BYTES - off);
-            if let Some(slot) = self.slot(cur / BUF_LINE_BYTES as u64) {
-                slot.read_into(off, &mut out[pos..pos + chunk]);
+        for (line, off, span) in line_spans(addr, out.len()) {
+            if let Some(slot) = self.slot(line) {
+                slot.read_into(off, &mut out[span]);
             }
-            cur += chunk as u64;
-            pos += chunk;
         }
     }
 
@@ -359,17 +338,11 @@ impl OnPmBuffer {
             return 0;
         }
         let mut patched = 0;
-        let mut cur = addr.as_u64();
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let off = (cur % BUF_LINE_BYTES as u64) as usize;
-            let chunk = rest.len().min(BUF_LINE_BYTES - off);
-            if let Some(slot) = self.slot_mut(cur / BUF_LINE_BYTES as u64) {
-                slot.stage(off, &rest[..chunk]);
-                patched += chunk;
+        for (line, off, span) in line_spans(addr, bytes.len()) {
+            if let Some(slot) = self.slot_mut(line) {
+                patched += span.len();
+                slot.stage(off, &bytes[span]);
             }
-            cur += chunk as u64;
-            rest = &rest[chunk..];
         }
         patched
     }

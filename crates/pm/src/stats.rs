@@ -1,6 +1,5 @@
 //! Write-traffic accounting for the PM device.
 
-use std::fmt;
 use std::ops::Sub;
 
 /// A snapshot of PM traffic counters.
@@ -117,25 +116,6 @@ impl Sub for PmStats {
     }
 }
 
-impl fmt::Display for PmStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "accepted {} writes ({} B; data {}, log {}), media {} line programs \
-             ({} bits), dcw-suppressed {}, coalesced {}, reads {}",
-            self.accepted_writes,
-            self.accepted_bytes,
-            self.data_region_writes,
-            self.log_region_writes,
-            self.media_line_writes,
-            self.media_bits_programmed,
-            self.dcw_suppressed,
-            self.coalesced_hits,
-            self.reads,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,11 +141,5 @@ mod tests {
         assert_eq!(d.accepted_bytes, 48);
         assert_eq!(d.media_line_writes, 2);
         assert_eq!(d.reads, 5);
-    }
-
-    #[test]
-    fn display_is_nonempty() {
-        let s = format!("{}", PmStats::default());
-        assert!(s.contains("accepted 0 writes"));
     }
 }

@@ -51,6 +51,7 @@
 #![warn(missing_docs)]
 
 use std::collections::VecDeque;
+use std::hash::Hasher;
 
 use silo_types::{Fnv1a, JsonValue};
 

@@ -208,7 +208,7 @@ impl Machine {
         let fills_before = self.pm.stats().buffer_fills;
         self.pm.write(addr, bytes);
         let fills = self.pm.stats().buffer_fills - fills_before;
-        self.mcs[mc].enqueue_write_probed(now, bytes.len() as u64, fills, &mut self.probe, None)
+        self.mcs[mc].enqueue_write_probed(now, bytes.len() as u64, fills, &mut self.probe)
     }
 
     /// Issues a persistent write that bypasses the coalescing buffer (the
@@ -228,7 +228,7 @@ impl Machine {
     ) -> Admission {
         self.pm.note_event(silo_pm::EventKind::WpqAdmit);
         let programs = self.pm.write_through(addr, bytes);
-        self.mcs[mc].enqueue_write_probed(now, bytes.len() as u64, programs, &mut self.probe, None)
+        self.mcs[mc].enqueue_write_probed(now, bytes.len() as u64, programs, &mut self.probe)
     }
 
     /// Issues a PM read at `now` via the address-interleaved MC; returns

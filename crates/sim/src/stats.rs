@@ -1,7 +1,5 @@
 //! Aggregated simulation statistics.
 
-use std::fmt;
-
 use silo_cache::HierarchyStats;
 use silo_memctrl::MemCtrlStats;
 use silo_pm::PmStats;
@@ -78,21 +76,6 @@ impl LatencyStats {
         } else {
             self.total_cycles as f64 / self.samples as f64
         }
-    }
-}
-
-impl fmt::Display for LatencyStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} samples, mean={:.1} p50={} p99={} p999={} max={}",
-            self.samples,
-            self.mean(),
-            self.p50,
-            self.p99,
-            self.p999,
-            self.max
-        )
     }
 }
 
@@ -211,38 +194,6 @@ impl SimStats {
     }
 }
 
-impl fmt::Display for SimStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "[{} / {} cores] {} txs in {} ({:.4} tx/kcycle)",
-            self.scheme,
-            self.cores,
-            self.txs_committed,
-            self.sim_cycles,
-            self.throughput()
-        )?;
-        writeln!(f, "  pm:     {}", self.pm)?;
-        writeln!(f, "  mc:     {}", self.mc)?;
-        writeln!(
-            f,
-            "  cache:  L1 {:?} L2 {:?} L3 {:?}, {} PM writebacks",
-            self.cache.l1, self.cache.l2, self.cache.l3, self.cache.pm_writebacks
-        )?;
-        write!(f, "  scheme: {}", self.scheme_stats)?;
-        if let Some(b) = &self.breakdown {
-            write!(f, "\n  cycles:")?;
-            for cat in silo_probe::CycleCategory::ALL {
-                write!(f, " {}={}", cat.name(), b.category_total(cat))?;
-            }
-        }
-        if let Some(l) = &self.latency {
-            write!(f, "\n  latency: {l}")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,13 +254,6 @@ mod tests {
         assert_eq!(empty.fairness(), None);
     }
 
-    #[test]
-    fn display_mentions_scheme_and_cores() {
-        let text = format!("{}", stats());
-        assert!(text.contains("Test"));
-        assert!(text.contains("2 cores"));
-    }
-
     /// Independent nearest-rank reference implementation.
     fn nearest_rank(sorted: &[u64], permille: u64) -> u64 {
         let n = sorted.len() as u64;
@@ -344,14 +288,5 @@ mod tests {
         assert_eq!((l.p50, l.p99, l.p999, l.max), (5, 5, 5, 5));
         assert!((l.mean() - 5.0).abs() < 1e-9);
         assert_eq!(LatencyStats::default().mean(), 0.0);
-    }
-
-    #[test]
-    fn latency_display_lists_percentiles() {
-        let l = LatencyStats::from_sorted(&[1, 2, 3, 4]);
-        let text = format!("{l}");
-        assert!(text.contains("p50=2"));
-        assert!(text.contains("p999=4"));
-        assert!(text.contains("max=4"));
     }
 }

@@ -153,9 +153,13 @@ pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 /// FNV-1a 64 over a byte stream: the digest behind content hashes that
 /// must stay byte-identical across processes, builds and hosts (cell spec
 /// hashes, recovered-image digests, coverage signatures, fuzz RNG seeds).
-/// Integers are fed little-endian, so no digest depends on the host.
+/// Every integer is fed as its little-endian bytes, `usize` and `isize`
+/// (and so lengths and enum discriminants) as eight of them, so no digest
+/// depends on the host, and a derived [`Hash`](std::hash::Hash) feeds it
+/// as it feeds any [`Hasher`].
 ///
 /// ```
+/// use std::hash::Hasher;
 /// use silo_types::Fnv1a;
 ///
 /// let mut h = Fnv1a::new();
@@ -173,29 +177,48 @@ impl Fnv1a {
     pub fn new() -> Self {
         Fnv1a(Self::OFFSET)
     }
+}
 
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
+impl Hasher for Fnv1a {
     /// Folds in `bytes`, one FNV-1a step each.
-    pub fn write(&mut self, bytes: &[u8]) {
+    fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(Self::PRIME);
         }
     }
 
-    /// Folds in `v` as its 8 little-endian bytes.
-    pub fn write_u64(&mut self, v: u64) {
+    fn write_u16(&mut self, v: u16) {
         self.write(&v.to_le_bytes());
     }
 
-    /// The digest of everything written so far.
-    pub fn finish(&self) -> u64 {
-        self.0
+    fn write_u32(&mut self, v: u32) {
+        self.write(&v.to_le_bytes());
     }
-}
 
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a::new()
+    fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// Eight bytes on every host, as a `u64`. (Signed integers come
+    /// through their unsigned width, `isize` through this one.)
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    /// The digest of everything written so far.
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -254,6 +277,23 @@ mod tests {
             digest(&[8, 7, 6, 5, 4, 3, 2, 1]),
             "little-endian"
         );
+    }
+
+    #[test]
+    fn a_derived_hash_feeds_fnv1a_little_endian_integers() {
+        #[derive(Hash)]
+        enum Kind {
+            _First,
+            _Second,
+            Third,
+        }
+        let mut derived = Fnv1a::new();
+        (7u64, 8usize, -1isize, Kind::Third).hash(&mut derived);
+        let mut explicit = Fnv1a::new();
+        for v in [7, 8, u64::MAX, 2] {
+            explicit.write_u64(v);
+        }
+        assert_eq!(derived.finish(), explicit.finish());
     }
 
     #[test]

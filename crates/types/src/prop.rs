@@ -23,6 +23,7 @@
 //! });
 //! ```
 
+use std::hash::Hasher;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 

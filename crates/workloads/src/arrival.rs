@@ -30,7 +30,7 @@ const ARRIVAL_SALT: u64 = 0x61_72_72_69_76_65; // "arrive"
 /// `mean_gap`-style parameters are *per-core inter-arrival means*: the
 /// per-core offered load is `1 / mean_gap` transactions per cycle, and the
 /// machine-wide offered load multiplies by the core count.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ArrivalProcess {
     /// The classic closed loop: no schedule at all, next transaction starts
     /// at commit. Wrapping a workload with this is a no-op, which lets
@@ -68,7 +68,7 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// Compact stable identity, embedded in trace idents and spec hashes.
+    /// Compact stable identity, embedded in trace idents and cell labels.
     /// Two processes with equal idents generate identical schedules for
     /// equal `(cores, txs, seed)`.
     pub fn ident(&self) -> String {

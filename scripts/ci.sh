@@ -206,7 +206,27 @@ smoke_stage() {
     'BEGIN { exit !(warm < cold / 4) }' \
     || { echo "FAIL: warm run ($warm_ms ms) not under 25% of cold ($cold_ms ms)" >&2; exit 1; }
   echo "warm store: $hits hits, $misses misses, 0 traces; ${warm_ms} ms vs ${cold_ms} ms cold"
-  rm -rf "$store_dir" "$store_rep" target/ci-store.cold.txt target/ci-store.warm.txt
+  # A run option changes how a cell runs, never its answer, so it never
+  # reaches a store key: crashfuzz stored cold with checkpoints must serve
+  # all 21 of its cells to a warm run without them, with the same bytes.
+  SILO_RESULT_STORE="$store_dir" "$EVALUATE" crashfuzz --txs 16 --bench Hash --jobs 2 \
+    --json-dir "$store_rep/crash-cold" > target/ci-store.crash-cold.txt 2>/dev/null
+  crash_err=$(SILO_RESULT_STORE="$store_dir" "$EVALUATE" crashfuzz --txs 16 --bench Hash \
+    --jobs 2 --no-checkpoints --json-dir "$store_rep/crash-warm" \
+    2>&1 >target/ci-store.crash-warm.txt)
+  cmp target/ci-store.crash-cold.txt target/ci-store.crash-warm.txt \
+    || { echo "FAIL: a warm crashfuzz --no-checkpoints changed the output" >&2; exit 1; }
+  cmp -s <(strip_envelope "$store_rep/crash-cold/crashfuzz.json") \
+         <(strip_envelope "$store_rep/crash-warm/crashfuzz.json") \
+    || { echo "FAIL: a warm crashfuzz --no-checkpoints changed the report body" >&2; exit 1; }
+  crash_store=$(echo "$crash_err" | grep '^\[result-store\]' || true)
+  case "$crash_store" in
+    "[result-store] 21 hits, 0 misses, "*) ;;
+    *) echo "FAIL: warm crashfuzz --no-checkpoints: '$crash_store', want 21 hits, 0 misses" >&2
+       exit 1 ;;
+  esac
+  echo "warm crashfuzz --no-checkpoints: 21 hits, 0 misses"
+  rm -rf "$store_dir" "$store_rep" target/ci-store.*.txt
 
   echo "== cycle-accounting smoke test =="
   # The profile experiment hard-asserts sum(categories) == core cycles for

@@ -438,7 +438,6 @@ fn the_sweep_cell_shrinks_to_the_pinned_battery_repro() {
         fault: FaultSpec::Battery(64),
         points: 4,
         point: None,
-        checkpoints: true,
     };
     let out = CellSpec::new(CellLabel::default(), SEED, work).execute();
     assert_eq!(out.value("shrunk_txs"), 2.0);
@@ -459,7 +458,6 @@ fn the_search_cell_records_its_first_violation_at_event_1777() {
         crash_event: None,
         recovery_crash: None,
         arrival: None,
-        corpus: None,
     };
     let out = CellSpec::new(CellLabel::default(), SEED, work).execute();
     assert_eq!(out.value("execs"), 8.0);
