@@ -49,11 +49,15 @@ use std::fmt::Write as _;
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 
+use silo_pm::{PmDevice, PmPage};
 use silo_sim::{
-    CrashPlan, CrashTrigger, Engine, EngineCheckpoint, FaultModel, LinePeeker, LoggingScheme,
-    Machine, RunOutcome, Signature, SimConfig, SimStats, StepLog, TraceSet, VIOLATION_KINDS,
+    CrashPlan, CrashTrigger, Engine, EngineCheckpoint, FaultModel, LoggingScheme, Machine,
+    RunOutcome, Signature, SimConfig, SimStats, StepLog, TraceSet, VIOLATION_KINDS,
 };
-use silo_types::{Cycles, Fnv1a, JsonValue, PhysAddr, Xoshiro256, BUF_LINE_BYTES};
+use silo_types::{
+    mask_words, Cycles, Fnv1a, FxHashMap, JsonValue, PageMask, Word, WordImage, Xoshiro256,
+    BUF_LINE_BYTES,
+};
 use silo_workloads::ArrivalProcess;
 
 use crate::cellspec::{
@@ -207,9 +211,9 @@ struct Target {
     scheme: String,
     config: SimConfig,
     streams: TraceSet,
-    /// Every distinct word address the workload writes, sorted, across
-    /// setup and measured transactions.
-    footprint: Vec<PhysAddr>,
+    /// Every distinct word the workload writes, across setup and measured
+    /// transactions: one mask of its words per page, pages ascending.
+    footprint: Vec<(u64, PageMask)>,
     /// Whether crash runs log every word's transitions, so violations
     /// carry histories, and record coverage signatures (`fuzz`).
     judging: bool,
@@ -234,23 +238,23 @@ impl Target {
         // transactions per core, seed) on the crash cells' fixed cores.
         let w = crash_workload_spec(workload, arrival).instantiate();
         let streams = TraceCache::global().get_or_build(&*w, CORES, txs_per_core, seed);
-        let mut footprint: Vec<u64> = streams
+        let mut footprint = WordImage::new();
+        for op in streams
             .streams()
             .iter()
             .flat_map(|s| s.iter())
             .flat_map(|tx| tx.ops())
-            .filter_map(|op| match op {
-                silo_sim::Op::Write(a, _) => Some(a.as_u64()),
-                _ => None,
-            })
-            .collect();
-        footprint.sort_unstable();
-        footprint.dedup();
+        {
+            if let silo_sim::Op::Write(a, _) = op {
+                footprint.insert(*a, Word::ZERO);
+            }
+        }
+        let footprint = footprint.pages().map(|p| (p.index, *p.written)).collect();
         Target {
             scheme: scheme.to_string(),
             config: SimConfig::table_ii(CORES),
             streams,
-            footprint: footprint.into_iter().map(PhysAddr::new).collect(),
+            footprint,
             judging,
         }
     }
@@ -325,7 +329,8 @@ impl Target {
                 .run_with_plan(&self.streams, Some(plan));
             let seen = |o: &RunOutcome| {
                 let crash = o.crash.clone().expect("crash injected");
-                let image: Vec<_> = self.footprint.iter().map(|&a| o.pm.peek_word(a)).collect();
+                let mut image = Vec::new();
+                footprint_words(&o.pm, &self.footprint, |w| image.push(w));
                 let verdict = (crash.consistency, crash.recovery, crash.double_crash);
                 (o.stats.to_json().to_string(), verdict, o.signature, image)
             };
@@ -352,24 +357,31 @@ struct PointResult {
     digest: u32,
 }
 
-/// The recovered-image digest over the workload footprint, with the
-/// per-core committed counts folded in so equal digests imply equal
-/// progress losslessly. Only word *values* are folded — the footprint
-/// addresses are the same for every crash point of a cell, so hashing
-/// them adds cost without discrimination. The footprint is sorted, so
-/// the verdicts' [`LinePeeker`] serves every footprint word of a buffer
-/// line from one media-page lookup.
-fn image_digest(out: &RunOutcome, footprint: &[PhysAddr]) -> u32 {
-    let mut peeker = LinePeeker::default();
-    let mut h = Fnv1a::new();
-    for c in &out.stats.per_core {
-        h.write_u64(c.txs_committed);
+/// Hands `visit` the recovered value of every footprint word, in ascending
+/// address order, reading each footprint page of `pm` once.
+fn footprint_words(pm: &PmDevice, footprint: &[(u64, PageMask)], mut visit: impl FnMut(u64)) {
+    let mut page = PmPage::default();
+    for (index, words) in footprint {
+        pm.peek_page(*index, &mut page);
+        mask_words(words).for_each(|w| visit(page.word(w)));
     }
-    for &a in footprint {
-        h.write_u64(peeker.word(&out.pm, a).as_u64());
-    }
+}
+
+/// The digest of `pm`, a recovered image, over the workload footprint,
+/// with `progress`, the per-core committed counts, folded in first so
+/// equal digests imply equal progress losslessly. Only word *values* are
+/// folded, one multiply each (the Fx recurrence: rotate, xor, multiply by
+/// an odd constant), from the FNV-1a 64 offset basis: the footprint is the
+/// same for every crash point of a target, so hashing its addresses adds
+/// cost without discrimination.
+fn image_digest(pm: &PmDevice, progress: &[u64], footprint: &[(u64, PageMask)]) -> u32 {
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    let mut h = BASIS;
+    let mut fold = |word: u64| h = (h.rotate_left(5) ^ word).wrapping_mul(K);
+    progress.iter().for_each(|&c| fold(c));
+    footprint_words(pm, footprint, &mut fold);
     // Folded to 32 bits so it survives an `f64` cell value.
-    let h = h.finish();
     ((h >> 32) ^ h) as u32
 }
 
@@ -434,12 +446,14 @@ impl Target {
                     next[f] += 1;
                     let out = self.run(machine, plan, cp);
                     let crash = out.crash.as_ref().expect("crash injected");
+                    let progress: Vec<u64> =
+                        out.stats.per_core.iter().map(|c| c.txs_committed).collect();
                     let result = PointResult {
                         point: point(&plan),
                         violations: crash.consistency.violations.len() as u64,
                         ambiguous: crash.ambiguous_txs,
-                        progress: out.stats.per_core.iter().map(|c| c.txs_committed).collect(),
-                        digest: image_digest(&out, &self.footprint),
+                        digest: image_digest(&out.pm, &progress, &self.footprint),
+                        progress,
                     };
                     if !keep_going(f, result) {
                         return false;
@@ -1016,6 +1030,10 @@ pub(crate) fn execute_fuzz(cell: &CellSpec) -> CellOutcome {
     let mut corpus: Vec<CrashPlan> = Vec::new();
     let (mut executed, mut violation_count) = (0u64, 0u64);
     let mut findings: Vec<Finding> = Vec::new();
+    // Whether each plan run so far violated. A plan drawn again counts as
+    // executed, and as a violation if it violated, without running: its
+    // signature adds no coverage and its finding is already recorded.
+    let mut ran: FxHashMap<CrashPlan, bool> = FxHashMap::default();
     let mut rng = Xoshiro256::seeded(rng_seed(seed, scheme, workload, arrival));
     let mut initial = initial.into_iter();
     while executed < execs {
@@ -1027,13 +1045,21 @@ pub(crate) fn execute_fuzz(cell: &CellSpec) -> CellOutcome {
             }
             None => break,
         };
+        executed += 1;
+        let seen = ran.get(&cand).copied();
+        #[cfg(test)]
+        tests::DRAWS.with(|d| d.borrow_mut().push((cand, seen.is_none())));
+        if let Some(violated) = seen {
+            violation_count += u64::from(violated);
+            continue;
+        }
         let from = checkpoints
             .iter()
             .rev()
             .find(|cp| cp.precedes(cand.trigger));
         let out = target.run(machine, cand, from);
-        executed += 1;
         let crash = out.crash.as_ref().expect("crash injected");
+        ran.insert(cand, crash.consistency.first_offender().is_some());
         let signature = out.signature.expect("signature recorder enabled");
         if let Some(v) = crash.consistency.first_offender() {
             violation_count += 1;
@@ -1256,13 +1282,17 @@ pub fn fuzz() -> ExperimentSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
+    use silo_types::{FxHashSet, PhysAddr};
+    use std::cell::{Cell, RefCell};
 
     thread_local! {
         /// Clean runs this thread's targets ran.
         pub(super) static CLEAN_RUNS: Cell<u64> = const { Cell::new(0) };
         /// Walks this thread's targets started.
         pub(super) static WALKS: Cell<u64> = const { Cell::new(0) };
+        /// Every candidate this thread's searches drew, in order, and
+        /// whether it ran.
+        pub(super) static DRAWS: RefCell<Vec<(CrashPlan, bool)>> = const { RefCell::new(Vec::new()) };
     }
 
     fn built(spec: &ExperimentSpec, flags: &[&str]) -> Vec<CellSpec> {
@@ -1516,6 +1546,83 @@ mod tests {
         assert!(out.value("recorded") > 0.0);
         assert!(out.value("v0_wevent") > 0.0, "the word's last event");
         assert!((out.value("v0_kind") as usize) < VIOLATION_KINDS.len());
+    }
+
+    #[test]
+    fn the_digest_reads_every_footprint_word_and_no_other() {
+        let footprint: Vec<PhysAddr> = [0u64, 8, 2048, 4088, 3 * 4096 + 512, 3 * 4096 + 520]
+            .map(PhysAddr::new)
+            .to_vec();
+        let mut image = WordImage::new();
+        for &a in &footprint {
+            image.insert(a, Word::ZERO);
+        }
+        let pages: Vec<(u64, PageMask)> = image.pages().map(|p| (p.index, *p.written)).collect();
+        let value = |i: usize| Word::new(0x1234_5678 * (i as u64 + 1));
+        // The same footprint words, one image in the media, the other
+        // staged in the on-PM buffer, with other words around them.
+        let mut media = PmDevice::new(silo_pm::PmDeviceConfig::default());
+        let mut staged = media.clone();
+        for (i, &a) in footprint.iter().enumerate() {
+            media.write_through(a, &value(i).to_le_bytes());
+            staged.write_word(a, value(i));
+        }
+        for a in [16u64, 4096, 3 * 4096 + 528] {
+            staged.write_word(PhysAddr::new(a), Word::new(a + 1));
+        }
+        let digest = |pm: &PmDevice| image_digest(pm, &[3, 5], &pages);
+        assert_eq!(digest(&media), digest(&staged));
+        for (i, &a) in footprint.iter().enumerate() {
+            let mut changed = staged.clone();
+            changed.write_word(a, Word::new(value(i).as_u64() ^ (1 << (8 * i))));
+            assert_ne!(digest(&changed), digest(&staged), "word {a}");
+        }
+        assert_ne!(image_digest(&media, &[5, 3], &pages), digest(&media));
+    }
+
+    #[test]
+    fn a_search_runs_each_distinct_plan_once() {
+        let mut repeats = Vec::new();
+        for cell in built(&fuzz(), &["--bench", "Hash", "--no-corpus"]) {
+            DRAWS.with(|d| d.borrow_mut().clear());
+            let out = execute_fuzz(&cell);
+            let draws = DRAWS.with(RefCell::take);
+            assert_eq!(draws.len() as f64, out.value("execs"));
+            let mut seen = FxHashSet::default();
+            for (plan, ran) in &draws {
+                assert_eq!(*ran, seen.insert(*plan), "{plan:?} of {:?}", cell.work);
+            }
+            repeats.push(draws.len() - seen.len());
+        }
+        assert_eq!(repeats.len(), 21, "one cell per scheme and fault");
+        // The default pass draws 47 repeats in its 504 candidates.
+        assert_eq!(repeats.iter().sum::<usize>(), 47, "{repeats:?}");
+    }
+
+    #[test]
+    fn a_repeated_candidate_counts_its_first_verdict() {
+        // Every candidate the search drew, repeats included, judged again
+        // from scratch: the search's violation count is theirs.
+        DRAWS.with(|d| d.borrow_mut().clear());
+        let out = execute_fuzz(&search(24, Some(FaultModel::bounded_battery(64))));
+        let draws = DRAWS.with(RefCell::take);
+        let target = Target::new("Silo", "Hash", None, 8, 42, true);
+        let mut machine = Machine::new(&target.config);
+        let mut violates = |plan| {
+            let out = target.run(&mut machine, plan, None);
+            !out.crash
+                .expect("crash injected")
+                .consistency
+                .is_consistent()
+        };
+        let verdicts: Vec<(bool, bool)> =
+            draws.iter().map(|&(p, ran)| (ran, violates(p))).collect();
+        let viols = verdicts.iter().filter(|&&(_, v)| v).count();
+        assert_eq!(out.value("viols"), viols as f64);
+        assert!(
+            verdicts.iter().any(|&(ran, v)| !ran && v),
+            "a violating plan is drawn again"
+        );
     }
 
     #[test]

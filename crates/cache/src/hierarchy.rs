@@ -1,5 +1,7 @@
 //! The three-level hierarchy of paper Table II.
 
+use std::sync::Arc;
+
 use silo_types::{CoreId, Cycles, LineAddr};
 
 use crate::set_assoc::{CacheConfig, CacheLevelState, SetAssocCache};
@@ -362,22 +364,25 @@ impl CacheHierarchy {
 }
 
 /// Captured state of a whole [`CacheHierarchy`]: one sparse
-/// [`CacheLevelState`] per level plus the writeback counter.
+/// [`CacheLevelState`] per level, each shared through [`Arc`] so that
+/// clones of the state and the levels restored from it share it, plus the
+/// writeback counter.
 #[derive(Clone, Debug)]
 pub struct CacheHierarchyState {
-    l1: Vec<CacheLevelState>,
-    l2: Vec<CacheLevelState>,
-    l3: CacheLevelState,
+    l1: Vec<Arc<CacheLevelState>>,
+    l2: Vec<Arc<CacheLevelState>>,
+    l3: Arc<CacheLevelState>,
     pm_writebacks: u64,
 }
 
 impl CacheHierarchy {
     /// Captures every level's resident lines and counters.
     pub fn snapshot(&self) -> CacheHierarchyState {
+        let level = |c: &SetAssocCache| Arc::new(c.snapshot());
         CacheHierarchyState {
-            l1: self.l1.iter().map(SetAssocCache::snapshot).collect(),
-            l2: self.l2.iter().map(SetAssocCache::snapshot).collect(),
-            l3: self.l3.snapshot(),
+            l1: self.l1.iter().map(level).collect(),
+            l2: self.l2.iter().map(level).collect(),
+            l3: level(&self.l3),
             pm_writebacks: self.pm_writebacks,
         }
     }
@@ -385,19 +390,39 @@ impl CacheHierarchy {
     /// Restores exactly the captured state, dropping whatever the levels
     /// held before.
     pub fn restore(&mut self, state: &CacheHierarchyState) {
+        for (c, s) in self.levels_of(state) {
+            c.restore(s);
+        }
+        self.pm_writebacks = state.pm_writebacks;
+    }
+
+    /// [`restore`](Self::restore), copying no line: each level takes the
+    /// state's copy of it as its base ([`SetAssocCache::restore_lazily`])
+    /// and copies a set in when the set is first written. For a run that
+    /// writes few sets before it drops every line or ends, such as a crash
+    /// run resumed just before its crash.
+    pub fn restore_lazily(&mut self, state: &CacheHierarchyState) {
+        for (c, s) in self.levels_of(state) {
+            c.restore_lazily(Arc::clone(s));
+        }
+        self.pm_writebacks = state.pm_writebacks;
+    }
+
+    /// Each level with its captured copy in `state`.
+    fn levels_of<'a>(
+        &'a mut self,
+        state: &'a CacheHierarchyState,
+    ) -> impl Iterator<Item = (&'a mut SetAssocCache, &'a Arc<CacheLevelState>)> {
         assert_eq!(
             self.l1.len(),
             state.l1.len(),
             "hierarchy snapshot restored into a different core count"
         );
-        for (c, s) in self.l1.iter_mut().zip(&state.l1) {
-            c.restore(s);
-        }
-        for (c, s) in self.l2.iter_mut().zip(&state.l2) {
-            c.restore(s);
-        }
-        self.l3.restore(&state.l3);
-        self.pm_writebacks = state.pm_writebacks;
+        let levels = self.l1.iter_mut().chain(&mut self.l2);
+        let states = state.l1.iter().chain(&state.l2);
+        levels
+            .zip(states)
+            .chain(std::iter::once((&mut self.l3, &state.l3)))
     }
 }
 

@@ -1,5 +1,7 @@
 //! A single set-associative, write-back cache level (metadata only).
 
+use std::sync::Arc;
+
 use silo_types::{LineAddr, LINE_BYTES};
 
 /// Geometry of one cache level.
@@ -68,6 +70,10 @@ pub struct AccessOutcome {
 /// The dirty flag of a tag word.
 const DIRTY: u64 = 1 << 63;
 
+/// A lazily restored level takes in the rest of its base at once when it
+/// has taken in one set alone per this many captured ways.
+const TAKE_IN_ALL: usize = 16;
+
 /// The tag word of a clean `line`: its line index plus one, so that 0,
 /// the word of an empty way, names no line.
 #[inline]
@@ -114,12 +120,20 @@ pub struct SetAssocCache {
     /// occupied way, so an emptied way keeps a stale one.
     ticks: Vec<u64>,
     /// The epoch each set was last written in. Set `s` is live iff
-    /// `stamps[s] == epoch`; a stale set reads as empty and is cleared on
-    /// its first write of the current epoch, so dropping every line is
-    /// one epoch bump instead of a sweep over the whole slab.
+    /// `stamps[s] == epoch`; a stale set holds what `base` holds for it,
+    /// or nothing, and takes that in on its first write of the current
+    /// epoch, so dropping every line is one epoch bump instead of a sweep
+    /// over the whole slab.
     stamps: Vec<u32>,
     /// The current epoch; never 0, the stamp of a set never written.
     epoch: u32,
+    /// The captured level a lazy restore installed
+    /// ([`restore_lazily`](Self::restore_lazily)), shared with its
+    /// checkpoint: what the stale sets hold. Dropped with every line, and
+    /// once it is all taken in.
+    base: Option<Arc<CacheLevelState>>,
+    /// Sets taken in from `base` one by one since it was installed.
+    base_claims: usize,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -149,6 +163,8 @@ impl SetAssocCache {
             ticks: vec![0; config.lines()],
             stamps: vec![0; sets],
             epoch: 1,
+            base: None,
+            base_claims: 0,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -166,7 +182,7 @@ impl SetAssocCache {
         s * w..(s + 1) * w
     }
 
-    /// The slab slot holding `line`, if it is resident.
+    /// The slab slot holding `line`, if its set is live and holds it.
     #[inline]
     fn find(&self, line: LineAddr) -> Option<usize> {
         let s = self.set_of(line);
@@ -181,31 +197,108 @@ impl SetAssocCache {
         Some(r.start + way)
     }
 
-    /// The slots of set `s` for an allocation: a stale set is emptied and
-    /// stamped live first.
+    /// The tag word of `line`, if it is resident: in the slab when its set
+    /// is live, else in the base.
+    fn tag_of(&self, line: LineAddr) -> Option<u64> {
+        let s = self.set_of(line);
+        if self.stamps[s] == self.epoch {
+            return self.find(line).map(|i| self.tags[i]);
+        }
+        let key = key_of(line);
+        let base = self.base.as_ref()?;
+        let ways = base.set_ways(self.slots(s));
+        ways.iter().map(|w| w.1).find(|&t| t & !DIRTY == key)
+    }
+
+    /// [`find`](Self::find) for a write: while a base is installed, a
+    /// stale set is taken in first, so later writes find it live.
+    fn find_mut(&mut self, line: LineAddr) -> Option<usize> {
+        let s = self.set_of(line);
+        if self.stamps[s] != self.epoch && self.base.is_some() {
+            self.claim_set(s);
+        }
+        self.find(line)
+    }
+
+    /// The slots of set `s` for a write: a stale set is stamped live and
+    /// takes in what the base holds for it, or is emptied.
     #[inline]
     fn claim_set(&mut self, s: usize) -> std::ops::Range<usize> {
         let r = self.slots(s);
         if self.stamps[s] != self.epoch {
             self.stamps[s] = self.epoch;
             self.tags[r.clone()].fill(0);
+            if let Some(base) = &self.base {
+                for &(slot, tag, tick) in base.set_ways(r.clone()) {
+                    self.tags[slot as usize] = tag;
+                    self.ticks[slot as usize] = tick;
+                }
+                // Each set taken in alone costs a search of the base: a
+                // run that writes many sets takes in the rest at once.
+                self.base_claims += 1;
+                if self.base_claims * TAKE_IN_ALL >= base.occupied.len() {
+                    self.take_in_base();
+                }
+            }
         }
         r
     }
 
-    /// The slot ranges of the live sets, in slab order.
-    fn live_sets(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-        self.stamps
+    /// Writes the captured `ways`, in slab order, into the sets that are
+    /// stale, stamping them live; a live set keeps what it holds.
+    fn take_in(&mut self, ways: &[(u32, u64, u64)]) {
+        // (set, whether it was stale) of the last way's set.
+        let mut set = (usize::MAX, false);
+        for &(slot, tag, tick) in ways {
+            let slot = slot as usize;
+            let s = slot / self.config.ways;
+            if s != set.0 {
+                set = (s, self.stamps[s] != self.epoch);
+                if set.1 {
+                    self.stamps[s] = self.epoch;
+                    let r = self.slots(s);
+                    self.tags[r].fill(0);
+                }
+            }
+            if set.1 {
+                self.tags[slot] = tag;
+                self.ticks[slot] = tick;
+            }
+        }
+    }
+
+    /// Every occupied way as (slot, tag word, LRU tick), in slab order:
+    /// the live sets' from the slab, the stale sets' from the base.
+    fn ways(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
+        let live = self
+            .stamps
             .iter()
             .enumerate()
             .filter(|&(_, &stamp)| stamp == self.epoch)
-            .map(|(s, _)| self.slots(s))
+            .flat_map(|(s, _)| self.slots(s))
+            .filter(|&i| self.tags[i] != 0)
+            .map(|i| (i, self.tags[i], self.ticks[i]));
+        let ways = self.config.ways;
+        let base = self
+            .base
+            .iter()
+            .flat_map(|b| &b.occupied)
+            .filter(move |&&(slot, ..)| self.stamps[slot as usize / ways] != self.epoch)
+            .map(|&(slot, tag, tick)| (slot as usize, tag, tick));
+        // Two ascending runs over disjoint sets, merged.
+        let (mut live, mut base) = (live.peekable(), base.peekable());
+        std::iter::from_fn(move || match (live.peek(), base.peek()) {
+            (Some(l), Some(b)) if b.0 < l.0 => base.next(),
+            (Some(_), _) => live.next(),
+            (None, _) => base.next(),
+        })
     }
 
-    /// The occupied slots of the live sets, in slab order.
-    fn occupied(&self) -> impl Iterator<Item = usize> + '_ {
-        self.live_sets()
-            .flat_map(|r| r.filter(|&i| self.tags[i] != 0))
+    /// Takes every stale set the base holds in and drops the base.
+    fn take_in_base(&mut self) {
+        if let Some(base) = self.base.take() {
+            self.take_in(&base.occupied);
+        }
     }
 
     /// Accesses `line`, allocating on miss (write-allocate for both reads
@@ -268,19 +361,19 @@ impl SetAssocCache {
 
     /// Whether the line is present (no LRU update, no allocation).
     pub fn probe(&self, line: LineAddr) -> bool {
-        self.find(line).is_some()
+        self.tag_of(line).is_some()
     }
 
     /// Whether the line is present and dirty.
     pub fn is_dirty(&self, line: LineAddr) -> bool {
-        self.find(line).is_some_and(|i| self.tags[i] & DIRTY != 0)
+        self.tag_of(line).is_some_and(|t| t & DIRTY != 0)
     }
 
     /// Clears the dirty bit if the line is present (a clwb-style flush
     /// writes the line back without invalidating it). Returns whether the
     /// line was dirty.
     pub fn clean(&mut self, line: LineAddr) -> bool {
-        let Some(i) = self.find(line) else {
+        let Some(i) = self.find_mut(line) else {
             return false;
         };
         let was = self.tags[i] & DIRTY != 0;
@@ -290,7 +383,7 @@ impl SetAssocCache {
 
     /// Removes the line if present; returns whether it was dirty.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        let Some(i) = self.find(line) else {
+        let Some(i) = self.find_mut(line) else {
             return false;
         };
         std::mem::take(&mut self.tags[i]) & DIRTY != 0
@@ -298,8 +391,8 @@ impl SetAssocCache {
 
     /// All currently dirty lines, in slab order.
     pub fn dirty_lines(&self) -> Vec<LineAddr> {
-        self.occupied()
-            .map(|i| self.tags[i])
+        self.ways()
+            .map(|(_, tag, _)| tag)
             .filter(|&t| t & DIRTY != 0)
             .map(line_of)
             .collect()
@@ -309,6 +402,7 @@ impl SetAssocCache {
     /// force-write-back sweep, as FWB performs periodically), in slab
     /// order.
     pub fn clean_all(&mut self) -> Vec<LineAddr> {
+        self.take_in_base();
         let mut out = Vec::new();
         for s in 0..self.stamps.len() {
             if self.stamps[s] != self.epoch {
@@ -328,6 +422,7 @@ impl SetAssocCache {
     /// Drops every line (volatile cache contents at a power failure): one
     /// epoch bump, after which every set reads as empty.
     pub fn invalidate_all(&mut self) {
+        self.base = None;
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Wrapped: a stamp left from 2^32 epochs ago could now read as
@@ -350,7 +445,7 @@ impl SetAssocCache {
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.occupied().count()
+        self.ways().count()
     }
 
     /// (hits, misses, dirty evictions) counters.
@@ -369,9 +464,11 @@ impl SetAssocCache {
 /// The slabs are dense in slots but sparse in residency at checkpoint time
 /// relative to their full size (the Table II L3 alone is 131 072 ways,
 /// 2 MiB of tag and tick words), so the snapshot keeps only the occupied
-/// ways of the live sets, each as its slot, tag word and LRU tick, plus the
-/// counters; restore drops every line with one epoch bump and rewrites the
-/// captured ways, so neither touches a set that holds no line.
+/// ways, each as its slot, tag word and LRU tick, in slab order, plus the
+/// counters. An eager restore drops every line with one epoch bump and
+/// rewrites the captured ways, so neither touches a set that holds no
+/// line; a lazy one installs the state as the level's base and copies a
+/// set in when it is first written.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheLevelState {
     config: CacheConfig,
@@ -382,15 +479,22 @@ pub struct CacheLevelState {
     dirty_evictions: u64,
 }
 
+impl CacheLevelState {
+    /// The captured ways whose slots lie in `slots`, one set's.
+    fn set_ways(&self, slots: std::ops::Range<usize>) -> &[(u32, u64, u64)] {
+        let at = |slot: usize| self.occupied.partition_point(|w| (w.0 as usize) < slot);
+        &self.occupied[at(slots.start)..at(slots.end)]
+    }
+}
+
 impl SetAssocCache {
-    /// Captures the occupied ways of the live sets and the LRU and
-    /// counter state.
+    /// Captures the occupied ways and the LRU and counter state.
     pub fn snapshot(&self) -> CacheLevelState {
         CacheLevelState {
             config: self.config,
             occupied: self
-                .occupied()
-                .map(|i| (i as u32, self.tags[i], self.ticks[i]))
+                .ways()
+                .map(|(i, tag, tick)| (i as u32, tag, tick))
                 .collect(),
             tick: self.tick,
             hits: self.hits,
@@ -402,21 +506,33 @@ impl SetAssocCache {
     /// Restores exactly the captured state: drops every line with one
     /// epoch bump and rewrites the captured ways.
     pub fn restore(&mut self, state: &CacheLevelState) {
+        self.restore_counters(state);
+        self.take_in(&state.occupied);
+    }
+
+    /// Restores exactly the captured state, as [`restore`](Self::restore)
+    /// does, but copies no way: drops every line with one epoch bump and
+    /// installs `state` as the level's base. Each set takes its captured
+    /// ways in on its first write; reads of a set not yet written, and
+    /// whole-level reads, see them in the base. A crash run resumed one
+    /// step before its crash writes a handful of sets before the crash
+    /// drops every line; a run that writes one set per 16 captured ways
+    /// takes the rest in at once, as an eager restore would have.
+    pub fn restore_lazily(&mut self, state: Arc<CacheLevelState>) {
+        self.restore_counters(&state);
+        if !state.occupied.is_empty() {
+            self.base = Some(state);
+            self.base_claims = 0;
+        }
+    }
+
+    /// Drops every line and takes `state`'s LRU clock and counters.
+    fn restore_counters(&mut self, state: &CacheLevelState) {
         assert_eq!(
             self.config, state.config,
             "cache snapshot restored into a different geometry"
         );
         self.invalidate_all();
-        // The ways come in slab order, so a set is claimed at its first.
-        let mut claimed = 0..0;
-        for &(slot, tag, tick) in &state.occupied {
-            let slot = slot as usize;
-            if !claimed.contains(&slot) {
-                claimed = self.claim_set(slot / self.config.ways);
-            }
-            self.tags[slot] = tag;
-            self.ticks[slot] = tick;
-        }
         self.tick = state.tick;
         self.hits = state.hits;
         self.misses = state.misses;
@@ -650,6 +766,79 @@ mod tests {
         assert_eq!(used.counters(), fresh.counters());
         assert_eq!(used.dirty_lines(), fresh.dirty_lines());
         assert_eq!(used.snapshot(), fresh.snapshot());
+    }
+
+    /// A level after up to `max_ops` random accesses and fills over
+    /// `config`'s hot sets.
+    fn used(config: CacheConfig, rng: &mut Xoshiro256, max_ops: u64) -> SetAssocCache {
+        let mut c = SetAssocCache::new(config);
+        for _ in 0..rng.below(max_ops) {
+            let l = random_line(rng, config);
+            if rng.percent(70) {
+                c.access(l, rng.percent(50));
+            } else {
+                c.fill(l, rng.percent(50));
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn a_lazy_restore_behaves_as_an_eager_one() {
+        let mut taken_in = 0;
+        for config in geometries() {
+            let mut rng = Xoshiro256::seeded(0x1a2e ^ config.sets() as u64);
+            for round in 0..12 {
+                let src = used(config, &mut rng, 600);
+                let state = Arc::new(src.snapshot());
+                // Restored into levels that hold other lines.
+                let mut eager = used(config, &mut rng, 300);
+                let mut lazy = eager.clone();
+                eager.restore(&state);
+                lazy.restore_lazily(Arc::clone(&state));
+                assert_eq!(lazy.snapshot(), eager.snapshot(), "round {round}");
+                assert!(lazy.base.is_some() || state.occupied.is_empty());
+                for step in 0..400 {
+                    let l = random_line(&mut rng, config);
+                    let what = format!("step {step} of round {round} at {config:?}");
+                    match rng.below(20) {
+                        0..=6 => {
+                            let write = rng.percent(50);
+                            assert_eq!(lazy.access(l, write), eager.access(l, write), "{what}");
+                        }
+                        7 | 8 => {
+                            let dirty = rng.percent(50);
+                            assert_eq!(lazy.fill(l, dirty), eager.fill(l, dirty), "{what}");
+                        }
+                        9 | 10 => assert_eq!(lazy.clean(l), eager.clean(l), "{what}"),
+                        11 | 12 => assert_eq!(lazy.invalidate(l), eager.invalidate(l), "{what}"),
+                        13 => {
+                            assert_eq!(lazy.probe(l), eager.probe(l), "{what}");
+                            assert_eq!(lazy.is_dirty(l), eager.is_dirty(l), "{what}");
+                        }
+                        14 => assert_eq!(lazy.dirty_lines(), eager.dirty_lines(), "{what}"),
+                        15 => assert_eq!(lazy.occupancy(), eager.occupancy(), "{what}"),
+                        16 => assert_eq!(lazy.snapshot(), eager.snapshot(), "{what}"),
+                        17 if rng.percent(20) => {
+                            assert_eq!(lazy.clean_all(), eager.clean_all(), "{what}")
+                        }
+                        18 if rng.percent(10) => {
+                            // Restored again, over sets already taken in.
+                            eager.restore(&state);
+                            lazy.restore_lazily(Arc::clone(&state));
+                        }
+                        _ => {}
+                    }
+                }
+                taken_in += lazy.stamps.iter().filter(|&&s| s == lazy.epoch).count();
+                assert_eq!(lazy.counters(), eager.counters(), "round {round}");
+                assert_eq!(lazy.snapshot(), eager.snapshot(), "round {round}");
+                lazy.invalidate_all();
+                assert!(lazy.base.is_none(), "dropping every line drops the base");
+                assert_eq!(lazy.occupancy(), 0);
+            }
+        }
+        assert!(taken_in > 0);
     }
 
     /// The retained reference implementation: the array-of-structs level

@@ -1,6 +1,6 @@
 //! The composed PM DIMM: on-PM buffer in front of the media.
 
-use silo_types::{PhysAddr, Word, BUF_LINE_BYTES, WORD_BYTES};
+use silo_types::{PhysAddr, Word, BUF_LINE_BYTES, PAGE_BYTES, WORD_BYTES};
 
 use crate::media::line_spans;
 use crate::{
@@ -36,6 +36,35 @@ impl Default for PmDeviceConfig {
             buffer_lines: DEFAULT_BUFFER_LINES,
             log_region_start: None,
         }
+    }
+}
+
+/// One page of a device's logical contents, as [`PmDevice::peek_page`]
+/// reads it: the [`PAGE_BYTES`] that a page of the media and a page of a
+/// [`silo_types::WordImage`] both cover.
+#[derive(Clone, Debug)]
+pub struct PmPage {
+    bytes: [u8; PAGE_BYTES],
+}
+
+impl Default for PmPage {
+    fn default() -> Self {
+        PmPage {
+            bytes: [0; PAGE_BYTES],
+        }
+    }
+}
+
+impl PmPage {
+    /// The page's `w`-th little-endian word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is not below [`silo_types::PAGE_WORDS`].
+    #[inline]
+    pub fn word(&self, w: usize) -> u64 {
+        let b = w * WORD_BYTES;
+        u64::from_le_bytes(self.bytes[b..b + WORD_BYTES].try_into().expect("8 bytes"))
     }
 }
 
@@ -279,6 +308,16 @@ impl PmDevice {
         self.buffer.read_through_into(addr, out, &self.media);
     }
 
+    /// Peeks page `index`, the [`PAGE_BYTES`] from `index * PAGE_BYTES`,
+    /// into `out` without counting a read: one media page lookup, with the
+    /// staged lines over the page laid on top. Each word reads as
+    /// [`peek_word`](Self::peek_word) reads it. The crash verdict and the
+    /// crash experiments' image digest read PM this way, a page per
+    /// page of the words they check.
+    pub fn peek_page(&self, index: u64, out: &mut PmPage) {
+        self.peek_into(PhysAddr::new(index * PAGE_BYTES as u64), &mut out.bytes);
+    }
+
     /// Peeks one word without counting a read. Allocation-free: this is
     /// the engine's per-load hot path, and an aligned word, the one it
     /// reads, is one media word merged with a staged line's chunk, if any.
@@ -515,6 +554,27 @@ mod tests {
             d.peek_word(PhysAddr::new(256)),
             Word::new(0x1111_1111_1111_1111)
         );
+    }
+
+    #[test]
+    fn a_peeked_page_reads_each_word_as_peek_word_does() {
+        let mut d = PmDevice::new(PmDeviceConfig::default());
+        // Media under most of page 1, staged lines over parts of it, and
+        // page 2 never written.
+        d.write_through(PhysAddr::new(4096), &[0x11; 3000]);
+        d.write(PhysAddr::new(4096 + 18), &[0x33; 4]);
+        d.write(PhysAddr::new(4096 + 2040), &[0x44; 16]);
+        d.write_word(PhysAddr::new(8184), Word::new(7));
+        let mut page = PmPage::default();
+        for index in [1, 2] {
+            d.peek_page(index, &mut page);
+            for w in 0..silo_types::PAGE_WORDS {
+                let addr = PhysAddr::new(index * PAGE_BYTES as u64 + (w * WORD_BYTES) as u64);
+                assert_eq!(page.word(w), d.peek_word(addr).as_u64(), "at {addr}");
+            }
+        }
+        assert_eq!(page.word(0), 0, "page 2 reads as zero");
+        assert_eq!(d.stats().reads, 0, "a peek counts no read");
     }
 
     #[test]

@@ -46,7 +46,7 @@ mod onpm_buffer;
 mod stats;
 mod wear;
 
-pub use device::{PmDevice, PmDeviceConfig};
+pub use device::{PmDevice, PmDeviceConfig, PmPage};
 pub use fault::{DrainReport, EventCounters, EventKind, FaultModel};
 pub use media::{LineMask, Media};
 pub use onpm_buffer::{OnPmBuffer, DEFAULT_BUFFER_LINES};

@@ -15,12 +15,9 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use silo_types::{FxHashMap, PhysAddr, BUF_LINE_BYTES};
+use silo_types::{FxHashMap, PhysAddr, BUF_LINE_BYTES, PAGE_BYTES};
 
 use crate::WearTracker;
-
-/// Bytes per media page (one page-table slab).
-const PAGE_BYTES: usize = 4096;
 
 /// Buffer lines per page. Must match the width of [`Page::touched`].
 const LINES_PER_PAGE: usize = PAGE_BYTES / BUF_LINE_BYTES;

@@ -15,7 +15,7 @@ use crate::{
 };
 
 /// When a [`CrashPlan`] cuts power.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CrashTrigger {
     /// Power fails at this cycle; cores halt at the preceding op boundary.
     /// This is the legacy sampled trigger: two adjacent cycles usually
@@ -29,7 +29,7 @@ pub enum CrashTrigger {
 
 /// A full crash scenario: when power fails, what the ADR domain manages to
 /// persist afterwards, and whether recovery itself is re-crashed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CrashPlan {
     /// When to cut power.
     pub trigger: CrashTrigger,

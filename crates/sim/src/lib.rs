@@ -100,7 +100,7 @@ pub use engine::{
 };
 pub use machine::{Machine, MachineState, ShadowMem};
 pub use ops::{Op, Transaction, TransactionBuilder};
-pub use oracle::{ConsistencyReport, LinePeeker, TxOracle, TxRecord, Violation, VIOLATION_KINDS};
+pub use oracle::{ConsistencyReport, TxOracle, TxRecord, Violation, VIOLATION_KINDS};
 pub use schemes::{EvictAction, LoggingScheme, RecoveryReport, SchemeState, SchemeStats};
 pub use spec::{WordEvent, WordEventKind};
 pub use stats::{CoreStats, LatencyStats, SimStats};

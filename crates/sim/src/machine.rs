@@ -1,8 +1,6 @@
 //! The simulated machine: caches + memory controller + PM + architectural
 //! state.
 
-use std::sync::Arc;
-
 use silo_cache::{CacheHierarchy, CacheHierarchyState};
 use silo_memctrl::{Admission, MemCtrl};
 use silo_pm::PmDevice;
@@ -267,12 +265,12 @@ impl Machine {
 /// clones of the PM DIMM (its media pages are Arc-COW, so this is
 /// near-free), the memory controllers, the shadow memory (Arc-COW pages
 /// too) and the probe hub (cycle accounting must resume mid-total), and
-/// the cache hierarchy's sparse per-level copy, which a restore only
-/// reads, so the state's clones share it.
+/// the cache hierarchy's sparse per-level copies, which the state's
+/// clones and the machines restored from it share.
 #[derive(Clone, Debug)]
 pub struct MachineState {
     pm: PmDevice,
-    caches: Arc<CacheHierarchyState>,
+    caches: CacheHierarchyState,
     mcs: Vec<MemCtrl>,
     shadow: ShadowMem,
     probe: ProbeHub,
@@ -284,7 +282,7 @@ impl Machine {
     pub fn snapshot(&self) -> MachineState {
         MachineState {
             pm: self.pm.clone(),
-            caches: Arc::new(self.caches.snapshot()),
+            caches: self.caches.snapshot(),
             mcs: self.mcs.clone(),
             shadow: self.shadow.clone(),
             probe: self.probe.clone(),
@@ -294,7 +292,11 @@ impl Machine {
     /// Restores exactly the captured state, whatever the machine held
     /// before: afterwards it behaves as the captured machine would, same
     /// counters and same subsequent event stream. A crash cell restores
-    /// checkpoints into machines that earlier runs of the cell used.
+    /// checkpoints into machines that earlier runs of the cell used. The
+    /// cache levels copy no line here: each copies a set in from the
+    /// state's copy of its level when the set is first written
+    /// ([`CacheHierarchy::restore_lazily`]), as a crash run resumed one
+    /// step before its crash writes few.
     pub fn restore(&mut self, state: &MachineState) {
         assert_eq!(
             self.mcs.len(),
@@ -302,7 +304,7 @@ impl Machine {
             "machine snapshot restored into a different MC count"
         );
         self.pm.clone_from(&state.pm);
-        self.caches.restore(&state.caches);
+        self.caches.restore_lazily(&state.caches);
         self.mcs.clone_from(&state.mcs);
         self.shadow.clone_from(&state.shadow);
         self.probe.clone_from(&state.probe);
@@ -310,7 +312,9 @@ impl Machine {
 
     /// [`restore`](Self::restore) for a state restored exactly once: the
     /// captured components move in instead of being copied, so none of
-    /// them stays shared with the capture.
+    /// them stays shared with the capture. The cache levels copy their
+    /// captured lines in at once: a fork's continuation is a whole run,
+    /// which writes most sets, and a lazy restore measured slower there.
     pub(crate) fn restore_owned(&mut self, state: MachineState) {
         assert_eq!(
             self.mcs.len(),

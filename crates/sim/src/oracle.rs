@@ -14,50 +14,12 @@
 //! indices, so a violation is localized to its first offending word and
 //! the events that led there.
 
-use silo_pm::PmDevice;
-use silo_types::{FxHashSet, PhysAddr, TxTag, Word, WordImage, BUF_LINE_BYTES};
+use silo_pm::{PmDevice, PmPage};
+use silo_types::{
+    mask_words, FxHashMap, PageMask, PhysAddr, TxTag, Word, WordImage, PAGE_BYTES, WORD_BYTES,
+};
 
 use crate::spec::{TransitionLog, WordEvent, WordEventKind};
-
-/// Sequential word peeks over a sorted address stream, fetched one buffer
-/// line at a time: crash verification scans tens of thousands of footprint
-/// words per crash point, and one media-page lookup per *line* beats one
-/// per word. Logical values are identical to [`PmDevice::peek_word`].
-/// [`TxOracle::verify`] and the crash experiments' recovered-image digest
-/// read through it.
-pub struct LinePeeker {
-    line: [u8; BUF_LINE_BYTES],
-    base: u64,
-}
-
-impl Default for LinePeeker {
-    fn default() -> Self {
-        LinePeeker {
-            line: [0u8; BUF_LINE_BYTES],
-            base: u64::MAX,
-        }
-    }
-}
-
-impl LinePeeker {
-    /// The word at `addr` in `pm`, as [`PmDevice::peek_word`] reads it.
-    pub fn word(&mut self, pm: &PmDevice, addr: PhysAddr) -> Word {
-        let base = addr.as_u64() / BUF_LINE_BYTES as u64 * BUF_LINE_BYTES as u64;
-        let off = (addr.as_u64() - base) as usize;
-        if off + 8 > BUF_LINE_BYTES {
-            return pm.peek_word(addr); // straddles two lines
-        }
-        if base != self.base {
-            pm.peek_into(PhysAddr::new(base), &mut self.line);
-            self.base = base;
-        }
-        Word::from_le_bytes(
-            self.line[off..off + 8]
-                .try_into()
-                .expect("word within line"),
-        )
-    }
-}
 
 /// The rules a recovered word can break, as [`Violation::kind`] names
 /// them: a committed write lost, an uncommitted write surviving, and a
@@ -164,13 +126,14 @@ impl ConsistencyReport {
 /// transactions wrote must read zero after recovery, since no committed
 /// value exists to roll it back to; a word some committed transaction
 /// wrote is checked against its committed value. [`TxOracle::verify`]
-/// reads the committed image and the cut sets, merged, in ascending
-/// address order through one line-at-a-time peek of the device, sorting
-/// no keys. The optional transition log is one append-only list of every
-/// word's transitions, interleaved as they happened, so a checkpoint
-/// copies it in one allocation; `verify` reads each offending word's
-/// recent history out of it in one backward pass, after the rollbacks of
-/// the cut, which are the crash's and so every word's latest transitions.
+/// visits each page that a committed or cut word lies on once, reads it
+/// from the device in one peek, and takes the page's committed, cut and
+/// raced words as bitmaps: no word is looked up on its own. The optional
+/// transition log is one append-only list of every word's transitions,
+/// interleaved as they happened, so a checkpoint copies it in one
+/// allocation; `verify` reads each offending word's recent history out of
+/// it in one backward pass, after the rollbacks of the cut, which are the
+/// crash's and so every word's latest transitions.
 ///
 /// The oracle relies on the paper's isolation assumption (§III-A: conflict
 /// isolation is provided by software locking), which our workloads satisfy
@@ -312,26 +275,6 @@ impl TxOracle {
         self.committed_state.get(addr).unwrap_or(Word::ZERO)
     }
 
-    /// Every word of every cut write set, each once, in ascending address
-    /// order: the sets merged.
-    fn cut_words(&self) -> impl Iterator<Item = PhysAddr> + '_ {
-        let mut sets: Vec<_> = self
-            .cuts
-            .iter()
-            .map(|cut| cut.writes.iter().map(|(addr, _)| addr).peekable())
-            .collect();
-        std::iter::from_fn(move || {
-            let next = sets
-                .iter_mut()
-                .filter_map(|set| set.peek().copied())
-                .min()?;
-            for set in &mut sets {
-                set.next_if_eq(&next);
-            }
-            Some(next)
-        })
-    }
-
     /// The cut's rollbacks of the word at `addr`, latest first: one per
     /// cut write set that holds it, each to the word's committed value.
     fn cut_rollbacks(&self, addr: PhysAddr) -> Vec<WordEvent> {
@@ -357,35 +300,57 @@ impl TxOracle {
     /// Violations come out sorted by address, then kind, each with its
     /// word's history when the transition log is on.
     pub fn verify(&self, pm: &PmDevice) -> ConsistencyReport {
-        let ambiguous_keys: FxHashSet<u64> = self
-            .ambiguous_groups
-            .iter()
-            .flatten()
-            .map(|&(key, _, _)| key)
-            .collect();
-        let mut report = ConsistencyReport::default();
-        let mut peeker = LinePeeker::default();
-        for (addr, expected) in self.committed_state.iter() {
-            if ambiguous_keys.contains(&addr.as_u64()) {
-                continue; // group-checked below
-            }
-            let actual = peeker.word(pm, addr);
-            report.words_checked += 1;
-            if actual != expected {
-                let v = Violation::new(addr, vec![expected], actual, LOST);
-                report.violations.push(v);
-            }
+        // The raced words, as one bitmap per page.
+        let mut raced: FxHashMap<u64, PageMask> = FxHashMap::default();
+        for &(key, _, _) in self.ambiguous_groups.iter().flatten() {
+            let w = (key % PAGE_BYTES as u64) as usize / WORD_BYTES;
+            raced.entry(key / PAGE_BYTES as u64).or_default()[w / 64] |= 1 << (w % 64);
         }
-        let mut peeker = LinePeeker::default();
-        for addr in self.cut_words() {
-            if self.committed_state.get(addr).is_some() || ambiguous_keys.contains(&addr.as_u64()) {
-                continue; // already checked against the committed value
+        let mut pages: Vec<u64> = self.committed_state.page_indices().collect();
+        for cut in &self.cuts {
+            pages.extend(cut.writes.page_indices());
+        }
+        pages.sort_unstable();
+        pages.dedup();
+        let mut report = ConsistencyReport::default();
+        let mut actual = PmPage::default();
+        for index in pages {
+            let committed = self.committed_state.page(index);
+            let raced = raced.get(&index).copied().unwrap_or_default();
+            // Committed words are checked against their value, words only
+            // cut transactions wrote against zero, raced words below.
+            let (mut lost, mut survived): (PageMask, PageMask) = Default::default();
+            for cut in &self.cuts {
+                if let Some(p) = cut.writes.page(index) {
+                    for (s, &bits) in survived.iter_mut().zip(p.written) {
+                        *s |= bits;
+                    }
+                }
             }
-            let actual = peeker.word(pm, addr);
-            report.words_checked += 1;
-            if actual != Word::ZERO {
-                let v = Violation::new(addr, vec![Word::ZERO], actual, SURVIVED);
-                report.violations.push(v);
+            for i in 0..lost.len() {
+                let written = committed.map_or(0, |p| p.written[i]);
+                lost[i] = written & !raced[i];
+                survived[i] &= !written & !raced[i];
+            }
+            if lost.iter().chain(&survived).all(|&bits| bits == 0) {
+                continue;
+            }
+            pm.peek_page(index, &mut actual);
+            let mut check = |w: usize, legal: u64, kind| {
+                report.words_checked += 1;
+                let got = actual.word(w);
+                if got != legal {
+                    let addr = index * PAGE_BYTES as u64 + (w * WORD_BYTES) as u64;
+                    let (legal, got) = (vec![Word::new(legal)], Word::new(got));
+                    let v = Violation::new(PhysAddr::new(addr), legal, got, kind);
+                    report.violations.push(v);
+                }
+            };
+            for w in mask_words(&lost) {
+                check(w, committed.map_or(0, |p| p.words[w]), LOST);
+            }
+            for w in mask_words(&survived) {
+                check(w, 0, SURVIVED);
             }
         }
         for group in &self.ambiguous_groups {
@@ -437,7 +402,7 @@ mod tests {
     use super::*;
     use crate::spec::HISTORY_CAP;
     use silo_pm::PmDeviceConfig;
-    use silo_types::{FxHashMap, ThreadId, TxId};
+    use silo_types::{FxHashSet, SplitMix64, ThreadId, TxId};
 
     fn tag(tid: u8, txid: u16) -> TxTag {
         TxTag::new(ThreadId::new(tid), TxId::new(txid))
@@ -893,6 +858,170 @@ mod tests {
             violations > 100 && histories > 50 && dropped > 10,
             "{violations} {histories} {dropped}"
         );
+    }
+
+    /// The verdict as it was before it read PM a page at a time: every
+    /// committed word and every word of the cut sets, merged in ascending
+    /// address order, looked up and peeked on its own.
+    fn per_word_verify(oracle: &TxOracle, pm: &PmDevice) -> ConsistencyReport {
+        let ambiguous_keys: FxHashSet<u64> = oracle
+            .ambiguous_groups
+            .iter()
+            .flatten()
+            .map(|&(key, _, _)| key)
+            .collect();
+        let mut report = ConsistencyReport::default();
+        for (addr, expected) in oracle.committed_state.iter() {
+            if ambiguous_keys.contains(&addr.as_u64()) {
+                continue; // group-checked below
+            }
+            let actual = pm.peek_word(addr);
+            report.words_checked += 1;
+            if actual != expected {
+                let v = Violation::new(addr, vec![expected], actual, LOST);
+                report.violations.push(v);
+            }
+        }
+        let mut sets: Vec<_> = oracle
+            .cuts
+            .iter()
+            .map(|cut| cut.writes.iter().map(|(addr, _)| addr).peekable())
+            .collect();
+        let cut_words = std::iter::from_fn(|| {
+            let next = sets
+                .iter_mut()
+                .filter_map(|set| set.peek().copied())
+                .min()?;
+            for set in &mut sets {
+                set.next_if_eq(&next);
+            }
+            Some(next)
+        });
+        for addr in cut_words {
+            if oracle.committed_state.get(addr).is_some() || ambiguous_keys.contains(&addr.as_u64())
+            {
+                continue; // already checked against the committed value
+            }
+            let actual = pm.peek_word(addr);
+            report.words_checked += 1;
+            if actual != Word::ZERO {
+                let v = Violation::new(addr, vec![Word::ZERO], actual, SURVIVED);
+                report.violations.push(v);
+            }
+        }
+        for group in &oracle.ambiguous_groups {
+            let actual = |key| pm.peek_word(PhysAddr::new(key));
+            report.words_checked += group.len();
+            let all_new = group.iter().all(|&(k, _, new)| actual(k) == new);
+            let all_old = group.iter().all(|&(k, old, _)| actual(k) == old);
+            if !all_new && !all_old {
+                for &(k, old, new) in group.iter().filter(|&&(k, _, new)| actual(k) != new) {
+                    let v = Violation::new(PhysAddr::new(k), vec![old, new], actual(k), TORN);
+                    report.violations.push(v);
+                }
+            }
+        }
+        report.violations.sort_by_key(|v| (v.addr.as_u64(), v.kind));
+        if let Some(log) = &oracle.history {
+            log.attach(&mut report.violations, |addr| oracle.cut_rollbacks(addr));
+        }
+        report
+    }
+
+    /// A seeded oracle and the PM image it judges. Committed transactions
+    /// over words on up to twelve pages (dense enough that a page's
+    /// bitmaps span several chunks), then every core in flight at the
+    /// crash: a third of their commits race it, the rest are cut, and
+    /// both overlap each other and the committed words. Each word of PM
+    /// holds its committed value, zero, an in-flight value or noise,
+    /// first in the media, then for some words in a line staged in the
+    /// on-PM buffer over it.
+    fn seeded_oracle(seed: u64, history: bool) -> (TxOracle, PmDevice) {
+        let mut rng = SplitMix64::new(seed);
+        let pages = 1 + rng.below(12);
+        let pool: Vec<u64> = (0..40 + rng.below(400))
+            .map(|_| rng.below(pages) * PAGE_BYTES as u64 + rng.below(512) * 8)
+            .collect();
+        let mut oracle = if history {
+            TxOracle::with_history()
+        } else {
+            TxOracle::default()
+        };
+        let writes = |rng: &mut SplitMix64, max: u64| -> Vec<(u64, u64)> {
+            let mut set = WordImage::new();
+            for _ in 0..1 + rng.below(max) {
+                let addr = PhysAddr::new(pool[rng.below(pool.len() as u64) as usize]);
+                set.insert(addr, Word::new(1 + rng.below(3)));
+            }
+            set.iter().map(|(a, v)| (a.as_u64(), v.as_u64())).collect()
+        };
+        let mut event = 0;
+        for i in 0..5 + rng.below(60) {
+            let w = writes(&mut rng, 12);
+            let t = tag((i % 4) as u8, i as u16 + 1);
+            event = tx(&mut oracle, t, &w, true, event);
+        }
+        for c in 0..2 + rng.below(4) {
+            let w = writes(&mut rng, 30);
+            let t = tag(c as u8, 1000 + c as u16);
+            for &(a, v) in &w {
+                oracle.log_store(t, PhysAddr::new(a), Word::new(v), event);
+                event += 1;
+            }
+            if rng.chance(1, 3) {
+                oracle.observe_ambiguous(record(t, &w, false, event));
+            } else {
+                let mut set = WordImage::new();
+                for &(a, v) in &w {
+                    set.insert(PhysAddr::new(a), Word::new(v));
+                }
+                oracle.observe_cut(t, set, event);
+            }
+        }
+        let mut pm = PmDevice::new(PmDeviceConfig::default());
+        let value = |rng: &mut SplitMix64, a: u64| match rng.below(4) {
+            0 => oracle.expected_value(PhysAddr::new(a)),
+            1 => Word::ZERO,
+            _ => Word::new(rng.below(4)),
+        };
+        for &a in &pool {
+            let v = value(&mut rng, a);
+            pm.write_through(PhysAddr::new(a), &v.to_le_bytes());
+        }
+        for &a in &pool {
+            if rng.chance(1, 3) {
+                let v = value(&mut rng, a);
+                pm.write_word(PhysAddr::new(a), v);
+            }
+        }
+        (oracle, pm)
+    }
+
+    #[test]
+    fn the_page_walk_judges_as_the_per_word_verdict_did() {
+        let mut kinds = FxHashSet::default();
+        let (mut histories, mut checked) = (0, 0);
+        for seed in 0..96u64 {
+            for history in [false, true] {
+                let (oracle, pm) = seeded_oracle(seed, history);
+                let got = oracle.verify(&pm);
+                assert_eq!(
+                    got,
+                    per_word_verify(&oracle, &pm),
+                    "seed {seed}, history {history}"
+                );
+                kinds.extend(got.violations.iter().map(|v| v.kind));
+                histories += got
+                    .violations
+                    .iter()
+                    .filter(|v| !v.history.is_empty())
+                    .count();
+                checked += got.words_checked;
+            }
+        }
+        // The runs reach every part of the verdict.
+        assert_eq!(kinds.len(), VIOLATION_KINDS.len(), "{kinds:?}");
+        assert!(histories > 100 && checked > 10_000, "{histories} {checked}");
     }
 
     #[test]

@@ -13,17 +13,24 @@
 //! Cloning an image copies the page table and bumps refcounts; a page is
 //! duplicated only when a write lands on it while a clone still shares it.
 //! [`WordImage::iter`] reads the written words in ascending address order,
-//! sorting only the page indices.
+//! sorting only the page indices; [`WordImage::pages`] hands out the same
+//! pages whole, as [`PageView`]s, for readers that check a page's words
+//! against a page of PM at once.
 
 use std::sync::Arc;
 
 use crate::{FxHashMap, LineAddr, PhysAddr, Word, LINE_BYTES, WORD_BYTES};
 
-/// Bytes per image page.
-const PAGE_BYTES: usize = 4096;
+/// Bytes per image page, and per page of the PM media: a page of an image
+/// covers the words one page read of the device returns.
+pub const PAGE_BYTES: usize = 4096;
 
 /// Words per image page.
-const PAGE_WORDS: usize = PAGE_BYTES / WORD_BYTES;
+pub const PAGE_WORDS: usize = PAGE_BYTES / WORD_BYTES;
+
+/// One bit per word of a page: bit `w % 64` of element `w / 64` stands for
+/// word `w`.
+pub type PageMask = [u64; PAGE_WORDS / 64];
 
 /// Words per cacheline.
 const LINE_WORDS: usize = LINE_BYTES / WORD_BYTES;
@@ -32,7 +39,7 @@ const LINE_WORDS: usize = LINE_BYTES / WORD_BYTES;
 #[derive(Clone, Debug)]
 struct Page {
     words: [u64; PAGE_WORDS],
-    written: [u64; PAGE_WORDS / 64],
+    written: PageMask,
 }
 
 impl Page {
@@ -47,13 +54,45 @@ impl Page {
     fn is_written(&self, w: usize) -> bool {
         self.written[w / 64] >> (w % 64) & 1 != 0
     }
+}
 
-    /// The indices of the written words, ascending.
-    fn written_words(&self) -> impl Iterator<Item = usize> + '_ {
-        self.written
-            .iter()
-            .enumerate()
-            .flat_map(|(chunk, &bits)| SetBits(bits).map(move |b| chunk * 64 + b))
+/// The words whose bits are set in `mask`, ascending.
+///
+/// # Examples
+///
+/// ```
+/// use silo_types::{mask_words, PageMask};
+///
+/// let mut mask: PageMask = [0; 8];
+/// mask[0] = 0b1010;
+/// mask[7] = 1 << 63;
+/// assert_eq!(mask_words(&mask).collect::<Vec<_>>(), [1, 3, 511]);
+/// ```
+pub fn mask_words(mask: &PageMask) -> impl Iterator<Item = usize> + '_ {
+    mask.iter()
+        .enumerate()
+        .flat_map(|(chunk, &bits)| SetBits(bits).map(move |b| chunk * 64 + b))
+}
+
+/// One page of a [`WordImage`], borrowed: its index, its words and which of
+/// them are written. An unwritten word reads as zero here.
+#[derive(Clone, Copy, Debug)]
+pub struct PageView<'a> {
+    /// The page's index: its first word is at `index * PAGE_BYTES`.
+    pub index: u64,
+    /// The page's words, the `w`-th at `index * PAGE_BYTES + w * 8`.
+    pub words: &'a [u64; PAGE_WORDS],
+    /// Which words are written.
+    pub written: &'a PageMask,
+}
+
+impl<'a> PageView<'a> {
+    fn of(index: u64, page: &'a Page) -> Self {
+        PageView {
+            index,
+            words: &page.words,
+            written: &page.written,
+        }
     }
 }
 
@@ -168,17 +207,37 @@ impl WordImage {
     /// address order. Sorts the page indices, not the words: a page's
     /// words come out of its written bitmap already in order.
     pub fn iter(&self) -> impl Iterator<Item = (PhysAddr, Word)> + '_ {
-        let mut pages: Vec<(u64, &Page)> = self.pages.iter().map(|(&i, p)| (i, &**p)).collect();
-        pages.sort_unstable_by_key(|&(i, _)| i);
-        pages.into_iter().flat_map(|(i, p)| {
-            let base = i * PAGE_BYTES as u64;
-            p.written_words().map(move |w| {
+        self.pages().flat_map(|p| {
+            let base = p.index * PAGE_BYTES as u64;
+            mask_words(p.written).map(move |w| {
                 (
                     PhysAddr::new(base + (w * WORD_BYTES) as u64),
                     Word::new(p.words[w]),
                 )
             })
         })
+    }
+
+    /// Every page holding a written word, in ascending index order.
+    pub fn pages(&self) -> impl Iterator<Item = PageView<'_>> {
+        let mut pages: Vec<PageView<'_>> = self
+            .pages
+            .iter()
+            .map(|(&i, p)| PageView::of(i, p))
+            .collect();
+        pages.sort_unstable_by_key(|p| p.index);
+        pages.into_iter()
+    }
+
+    /// The indices of the pages holding a written word, in no order.
+    pub fn page_indices(&self) -> impl Iterator<Item = u64> + '_ {
+        self.pages.keys().copied()
+    }
+
+    /// Page `index`, if it holds a written word.
+    #[inline]
+    pub fn page(&self, index: u64) -> Option<PageView<'_>> {
+        self.pages.get(&index).map(|p| PageView::of(index, p))
     }
 
     /// Forgets every written word.

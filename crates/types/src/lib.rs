@@ -56,7 +56,7 @@ pub use addr::{LineAddr, PhysAddr, BUF_LINE_BYTES, LINE_BYTES, WORD_BYTES};
 pub use cycles::{Cycles, CLOCK_GHZ};
 pub use hash::{Fnv1a, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{CoreId, ThreadId, TxId, TxTag};
-pub use image::WordImage;
+pub use image::{mask_words, PageMask, PageView, WordImage, PAGE_BYTES, PAGE_WORDS};
 pub use json::{JsonObject, JsonValue};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use word::Word;

@@ -422,7 +422,9 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
   # op-boundary cycle axis. A from-scratch point replays the whole crash
   # prefix, a resumed one at most the one step past the checkpoint its
   # walk of the clean run lent it, so the checkpointed scan must stay
-  # >= 3x cheaper. The clock is each run's CPU time (user + sys), not
+  # >= 5x cheaper (10-12x measured on 2 shared vCPUs, once the verdict
+  # and the digest read PM a page at a time and a resumed point's cache
+  # levels copy in only the sets it writes). The clock is each run's CPU time (user + sys), not
   # its wall time, which other load on the host stretches; one reading
   # still spreads widely on shared CPUs, so each side is the median of
   # three, the two sides' runs alternating. Every pair must report the
@@ -452,8 +454,8 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
   ckpt_cpu=$(median3 "${ckpt_cpus[@]}")
   scratch_cpu=$(median3 "${scratch_cpus[@]}")
   awk -v ckpt="$ckpt_cpu" -v scratch="$scratch_cpu" \
-    'BEGIN { exit !(ckpt * 3 <= scratch) }' \
-    || { echo "FAIL: checkpointed crashfuzz (median ${ckpt_cpu} s CPU of ${ckpt_cpus[*]}) not >= 3x cheaper than scratch (median ${scratch_cpu} s CPU of ${scratch_cpus[*]})" >&2
+    'BEGIN { exit !(ckpt * 5 <= scratch) }' \
+    || { echo "FAIL: checkpointed crashfuzz (median ${ckpt_cpu} s CPU of ${ckpt_cpus[*]}) not >= 5x cheaper than scratch (median ${scratch_cpu} s CPU of ${scratch_cpus[*]})" >&2
          exit 1; }
   awk -v rss="$ckpt_rss" 'BEGIN { exit !(rss <= 96) }' \
     || { echo "FAIL: checkpointed crashfuzz peaked at $ckpt_rss MB, over 96 MB" >&2
